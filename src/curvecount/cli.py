@@ -106,12 +106,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _apply_cap(cap):
-    if cap:
-        pointsets.ENUMERATION_CAP = cap
-        pointsets.ENERGY_WORK_CAP = cap
-
-
 def _cmd_wronskian(args) -> int:
     curve = ser.load_curve(args.curve)
     if args.monomials:
@@ -261,7 +255,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return USAGE_EXIT
-    _apply_cap(args.cap)
+    # --cap holds for this call only: restore the module caps afterwards
+    saved = (pointsets.ENUMERATION_CAP, pointsets.ENERGY_WORK_CAP)
+    if args.cap:
+        pointsets.ENUMERATION_CAP = pointsets.ENERGY_WORK_CAP = args.cap
     try:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
@@ -269,6 +266,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, pointsets.CapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
+    finally:
+        pointsets.ENUMERATION_CAP, pointsets.ENERGY_WORK_CAP = saved
 
 
 if __name__ == "__main__":

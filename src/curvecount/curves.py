@@ -12,6 +12,11 @@ Two coordinate-function representations cover every supported curve kind:
   Terms are kept reduced modulo cos² = 1 - sin² (u-exponent 0 or 1), which
   turns function identities like u² + v² = 1 into exact dictionary algebra.
 
+Each class has one float evaluator, ``evalf``, which takes a float or a numpy
+array of parameters and returns bit-identical values either way.  ``eval``
+(float branch), ``point_fn``, ``velocity_fn`` and ``eval_array`` are all built
+on it, so every float decision sees the same numbers.
+
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
 derivative vector -- is computed once symbolically over the exact coefficient
 ring and then evaluated, never as a numeric determinant of jet samples; a
@@ -69,22 +74,31 @@ def _as_fraction(x) -> Fraction:
 class PolyCoord:
     """One curve coordinate as an exact polynomial in t."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
     exact = True
 
     def __init__(self, coeffs):
         self.coeffs: Poly = coeffs if isinstance(coeffs, tuple) else polys.poly(coeffs)
+        self._floats = None
 
     def derivative(self) -> "PolyCoord":
         return PolyCoord(polys.derivative(self.coeffs))
 
     def eval(self, t):
         if isinstance(t, float):
-            return polys.eval_float(self.coeffs, t)
+            return self.evalf(t)
         return polys.eval_exact(self.coeffs, t)
 
-    def eval_float(self, t: float) -> float:
-        return polys.eval_float(self.coeffs, t)
+    def evalf(self, t):
+        """p(t) in floats by Horner on the coefficients, converted to floats
+        once; t is a float, or a numpy array evaluated elementwise."""
+        cs = self._floats
+        if cs is None:
+            cs = self._floats = [float(c) for c in reversed(self.coeffs)]
+        acc = 0.0
+        for c in cs:
+            acc = acc * t + c
+        return acc
 
     def sup_abs(self, lo, hi) -> float:
         return polys.sup_bound(self.coeffs, lo, hi)
@@ -128,12 +142,13 @@ class TrigCoord:
     """One curve coordinate as (2π)^k times a reduced polynomial in
     (cos 2πt, sin 2πt)."""
 
-    __slots__ = ("terms", "tau_power")
+    __slots__ = ("terms", "tau_power", "_floats")
     exact = False
 
     def __init__(self, terms: dict, tau_power: int = 0):
         self.terms = _reduce_trig({k: _as_fraction(v) for k, v in terms.items()})
         self.tau_power = tau_power
+        self._floats = None
 
     def derivative(self) -> "TrigCoord":
         out: dict = {}
@@ -147,20 +162,32 @@ class TrigCoord:
         return TrigCoord(out, self.tau_power + 1)
 
     def eval(self, t) -> float:
-        return self.eval_float(float(t))
+        return self.evalf(float(t))
 
-    def eval_float(self, t: float) -> float:
-        u = math.cos(TAU * t)
-        v = math.sin(TAU * t)
+    def evalf(self, t):
+        """Σ c·u^a·v^b over the sorted terms, times (2π)^k, in floats, with the
+        coefficients converted once; t is a float (math cos/sin) or a numpy
+        array evaluated elementwise (numpy cos/sin)."""
+        if self._floats is None:
+            self._floats = (sorted((a, b, float(c)) for (a, b), c in self.terms.items()),
+                            TAU ** self.tau_power)
+        terms, scale = self._floats
+        x = TAU * t
+        if isinstance(t, np.ndarray):
+            u, v, power = np.cos(x), np.sin(x), _elementwise_pow
+        else:
+            u, v, power = math.cos(x), math.sin(x), pow
         acc = 0.0
-        for (a, b), c in sorted(self.terms.items()):
-            term = float(c)
+        for a, b, c in terms:
+            term = c
             if a:
                 term *= u
-            if b:
-                term *= v ** b
+            if b > 1:
+                term *= power(v, b)
+            elif b:
+                term *= v
             acc += term
-        return acc * TAU ** self.tau_power
+        return acc * scale
 
     def sup_abs(self, lo, hi) -> float:
         total = sum(abs(float(c)) for c in self.terms.values())
@@ -201,6 +228,12 @@ class TrigCoord:
         return f"TrigCoord({self.terms!r}, tau_power={self.tau_power})"
 
 
+def _elementwise_pow(v: np.ndarray, b: int) -> np.ndarray:
+    """v ** b with Python's float power: numpy's vectorized power may round
+    differently, and the array path must match the scalar one bit for bit."""
+    return np.array([x ** b for x in v.ravel().tolist()]).reshape(v.shape)
+
+
 # ---------------------------------------------------------------------------
 # Curves
 # ---------------------------------------------------------------------------
@@ -210,10 +243,13 @@ class CurveSpec:
     smoothness_order.
 
     Immutable after construction; the derivative table and the symbolic
-    Wronskian are cached lazily (pure functions of the curve).
+    Wronskian are cached lazily (pure functions of the curve).  A lift
+    records its (base curve, monomial set) in ``lift_origin`` so it can be
+    serialized and rebuilt exactly.
     """
 
-    def __init__(self, kind: str, coords, domain=(0, 1), smoothness_order=None):
+    def __init__(self, kind: str, coords, domain=(0, 1), smoothness_order=None,
+                 lift_origin=None):
         coords = tuple(coords)
         if kind not in CURVE_KINDS:
             raise InvalidCurveError(f"unknown curve kind {kind!r}")
@@ -233,6 +269,7 @@ class CurveSpec:
         self.coords = coords
         self.domain = (lo, hi)
         self.smoothness_order = int(smoothness_order)
+        self.lift_origin = lift_origin
         self._deriv_table = [list(coords)]
         self._wronskian_sym = None
 
@@ -366,47 +403,21 @@ def wronskian_symbolic(curve: CurveSpec):
 
     Rows are the derivative vectors γ^(1)…γ^(n); the determinant is expanded
     symbolically over the exact coefficient ring (polynomials in t, or
-    reduced trig polynomials with the common 2π power factored out).
+    reduced trig polynomials, whose products carry their 2π powers).
     """
     if curve._wronskian_sym is not None:
         return curve._wronskian_sym
     n = curve.dimension
     if curve.smoothness_order < n:
         raise SmoothnessError("Wronskian needs smoothness_order >= dimension")
-    table = curve.derivatives(n)
-    rows = table[1:]
+    rows = curve.derivatives(n)[1:]
     if curve.is_exact:
-        mat = [[fn.coeffs for fn in row] for row in rows]
-        result = PolyCoord(polys.det_poly(mat))
+        result = PolyCoord(polys.det_poly([[fn.coeffs for fn in row] for row in rows]))
     else:
         # entry (row k, column j) carries (2π)^(base_j + k), so every
-        # permutation product carries the same total power: factor it out
-        tau_total = sum(rows[i][i].tau_power for i in range(n))
-        mat = [[fn.terms for fn in row] for row in rows]
-
-        def tadd(x, y):
-            out = dict(x)
-            for k, c in y.items():
-                acc = out.get(k, 0) + c
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-            return out
-
-        def tmul(x, y):
-            out: dict = {}
-            for (a1, b1), c1 in x.items():
-                for (a2, b2), c2 in y.items():
-                    key = (a1 + a2, b1 + b2)
-                    out[key] = out.get(key, 0) + c1 * c2
-            return _reduce_trig(out)
-
-        def tneg(x):
-            return {k: -c for k, c in x.items()}
-
-        det = polys.det_ring(mat, {}, tadd, tmul, tneg)
-        result = TrigCoord(det, tau_total)
+        # permutation product carries the same total power and they add
+        result = polys.det_ring(rows, TrigCoord({}), TrigCoord.add, TrigCoord.mul,
+                                lambda x: x.scaled(-1))
     curve._wronskian_sym = result
     return result
 
@@ -484,39 +495,6 @@ def translate_curve(curve: CurveSpec, vector) -> CurveSpec:
     return CurveSpec(kind, out, curve.domain, curve.smoothness_order)
 
 
-def scale_coordinate(curve: CurveSpec, index: int, factor) -> CurveSpec:
-    """Scale one coordinate by an exact rational factor."""
-    f = _as_fraction(factor)
-    out = list(curve.coords)
-    fn = out[index]
-    if isinstance(fn, PolyCoord):
-        out[index] = PolyCoord(polys.scale(fn.coeffs, f))
-    else:
-        out[index] = fn.scaled(f)
-    kind = curve.kind if not curve.is_exact else "polynomial-parametric"
-    return CurveSpec(kind, out, curve.domain, curve.smoothness_order)
-
-
-def affine_transform(curve: CurveSpec, matrix, shift) -> CurveSpec:
-    """Apply x ↦ Mx + b with exact rational M, b (polynomial curves)."""
-    if not curve.is_exact:
-        raise InvalidCurveError("affine transform supported for polynomial curves")
-    n = curve.dimension
-    rows = [[_as_fraction(x) for x in r] for r in matrix]
-    b = [_as_fraction(x) for x in shift]
-    if len(rows) != n or any(len(r) != n for r in rows) or len(b) != n:
-        raise InvalidCurveError("affine transform shape mismatch")
-    out = []
-    for i in range(n):
-        acc = polys.poly([b[i]])
-        for j in range(n):
-            if rows[i][j]:
-                acc = polys.add(acc, polys.scale(curve.coords[j].coeffs, rows[i][j]))
-        out.append(PolyCoord(acc))
-    return CurveSpec("polynomial-parametric", out, curve.domain,
-                     curve.smoothness_order)
-
-
 def derivative_sup_bound(curve: CurveSpec, order: int) -> float:
     """Upper bound for sup |γ^(order)(t)| over the domain (Euclidean norm)."""
     lo, hi = curve.domain
@@ -535,37 +513,12 @@ def velocity_fn(curve: CurveSpec):
 
 
 def _row_fn(row):
-    if all(isinstance(fn, PolyCoord) for fn in row):
-        coeff_rows = [[float(c) for c in reversed(fn.coeffs)] or [0.0] for fn in row]
-
-        def evaluate(t: float) -> tuple:
-            out = []
-            for cs in coeff_rows:
-                acc = 0.0
-                for c in cs:
-                    acc = acc * t + c
-                out.append(acc)
-            return tuple(out)
-
-        return evaluate
-
-    term_rows = [(sorted((a, b, float(c)) for (a, b), c in fn.terms.items()),
-                  TAU ** fn.tau_power) for fn in row]
+    fns = [fn.evalf for fn in row]
 
     def evaluate(t: float) -> tuple:
-        u = math.cos(TAU * t)
-        v = math.sin(TAU * t)
         out = []
-        for terms, tau_factor in term_rows:
-            acc = 0.0
-            for a, b, c in terms:
-                term = c
-                if a:
-                    term *= u
-                if b:
-                    term *= v ** b
-                acc += term
-            out.append(acc * tau_factor)
+        for f in fns:
+            out.append(f(t))
         return tuple(out)
 
     return evaluate
@@ -575,24 +528,4 @@ def eval_array(curve: CurveSpec, ts: np.ndarray, order: int = 0) -> np.ndarray:
     """Vectorized evaluation of γ^(order) at a parameter array; shape (len, n)."""
     ts = np.asarray(ts, dtype=float)
     row = curve.derivatives(order)[order]
-    cols = []
-    if all(isinstance(fn, PolyCoord) for fn in row):
-        for fn in row:
-            acc = np.zeros_like(ts)
-            for c in reversed(fn.coeffs):
-                acc = acc * ts + float(c)
-            cols.append(acc)
-    else:
-        u = np.cos(TAU * ts)
-        v = np.sin(TAU * ts)
-        for fn in row:
-            acc = np.zeros_like(ts)
-            for (a, b), c in sorted(fn.terms.items()):
-                term = np.full_like(ts, float(c))
-                if a:
-                    term = term * u
-                if b:
-                    term = term * v ** b
-                acc = acc + term
-            cols.append(acc * TAU ** fn.tau_power)
-    return np.stack(cols, axis=-1)
+    return np.stack([np.broadcast_to(fn.evalf(ts), ts.shape) for fn in row], axis=-1)

@@ -27,15 +27,11 @@ from .lifting import (MonomialSet, check_lattice_bijection, exponent,
                       lift_point, lipschitz_constant_squared, make_Ms)
 from .pointsets import (CapExceeded, FiniteSet, Gap, additive_energy,
                         check_energy_lower_bound, check_plunnecke, doubling,
-                        gap_enumerate, is_proper, min_separation_squared)
+                        frac_str, gap_enumerate, is_proper,
+                        min_separation_squared)
 from .tube import LatticeSource, TubeQuery, count_in_tube, count_on_curve_lattice
 
 REPORTING_MARGIN = 0.1
-
-
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def squares_schedule(n_max: int) -> tuple[int, ...]:
@@ -101,7 +97,7 @@ class CountReport:
             "fitted_slope": self.fitted_slope,
             "residual": self.residual,
             "slope_explanation": self.slope_explanation,
-            "theoretical_exponent": None if e is None else _frac_str(e),
+            "theoretical_exponent": None if e is None else frac_str(e),
             "theoretical_exponent_float": None if e is None else float(e),
             "reporting_margin": REPORTING_MARGIN,
             "verdict": self.verdict,
@@ -133,7 +129,7 @@ def run_exponent_experiment(cfg: ExperimentConfig) -> CountReport:
             res = count_in_tube(TubeQuery(cfg.curve, delta_val,
                                           LatticeSource(N, box)),
                                 keep_points=False)
-            count, certified, delta = res.count, res.certified, _frac_str(delta_val)
+            count, certified, delta = res.count, res.certified, frac_str(delta_val)
         rows.append({"N": N, "delta": delta, "count": count,
                      "certified": certified,
                      "runtime_ms": (time.perf_counter() - t0) * 1000.0})
@@ -216,9 +212,9 @@ def run_energy_experiment(cfg: ExperimentConfig) -> EnergyReport:
         b = len(pts)
         ratio = Fraction(e, b ** m)
         saturation = Fraction(e, b ** (2 * m - 1))
-        row.update({"size": b, "energy": e, "ratio": _frac_str(ratio),
+        row.update({"size": b, "energy": e, "ratio": frac_str(ratio),
                     "ratio_float": float(ratio),
-                    "saturation": _frac_str(saturation),
+                    "saturation": frac_str(saturation),
                     "saturation_float": float(saturation), "skipped": False})
         rows.append(row)
     usable = [(r["N"], r["ratio_float"]) for r in rows if not r["skipped"]]

@@ -160,9 +160,8 @@ def lift_curve(curve: CurveSpec, M: MonomialSet) -> CurveSpec:
             for _ in range(m.b):
                 acc = acc.mul(g2)
             coords.append(acc)
-    lifted = CurveSpec("lifted", coords, curve.domain, curve.smoothness_order)
-    lifted.lift_origin = (curve, M)  # lets serialization rebuild the lift exactly
-    return lifted
+    return CurveSpec("lifted", coords, curve.domain, curve.smoothness_order,
+                     lift_origin=(curve, M))
 
 
 def lifted_wronskian(curve: CurveSpec, M: MonomialSet, t):

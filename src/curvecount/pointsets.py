@@ -280,17 +280,18 @@ class EnergyBoundReport:
             "m": self.m,
             "size_a": self.size_a,
             "size_b": self.size_b,
-            "doubling": _frac_str(self.doubling_constant),
+            "doubling": frac_str(self.doubling_constant),
             "energy": self.energy,
-            "lower_bound": _frac_str(self.lower_bound),
-            "ratio": _frac_str(self.ratio),
+            "lower_bound": frac_str(self.lower_bound),
+            "ratio": frac_str(self.ratio),
             "ratio_float": float(self.ratio),
             "holds": self.holds,
         }
 
 
-def _frac_str(f: Fraction) -> str:
-    f = Fraction(f)
+def frac_str(x) -> str:
+    """Exact "numerator/denominator" rendering of a rational."""
+    f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -326,8 +327,8 @@ class PlunneckeReport:
             "m": self.m,
             "size_a": self.size_a,
             "size_ma": self.size_ma,
-            "doubling": _frac_str(self.doubling_constant),
-            "bound": _frac_str(self.bound),
+            "doubling": frac_str(self.doubling_constant),
+            "bound": frac_str(self.bound),
             "holds": self.holds,
         }
 

@@ -99,13 +99,6 @@ def eval_exact(p: Poly, t) -> Fraction:
     return acc
 
 
-def eval_float(p: Poly, t: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * t + float(c)
-    return acc
-
-
 def compose(p: Poly, q: Poly) -> Poly:
     """p(q(t)), exact (Horner in the polynomial ring)."""
     acc: Poly = ZERO
@@ -294,11 +287,6 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, bits: int = 60) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
-
-
-def real_roots(p: Poly, a, b) -> list[float]:
-    """Distinct real roots of p in [a, b] as floats (set-of-points count)."""
-    return [refine_root(p, lo, hi) for lo, hi in isolate_roots(p, a, b)]
 
 
 def sup_bound(p: Poly, a, b) -> float:

@@ -18,14 +18,9 @@ from .curves import (CurveSpec, InvalidCurveError, circle_arc, graph_curve,
                      moment_curve, polynomial_curve)
 from .hyperplanes import Hyperplane
 from .lifting import MonomialSet, lift_curve
-from .pointsets import FiniteSet, Gap
+from .pointsets import FiniteSet, Gap, frac_str
 from .tube import (ExplicitSource, GapSource, InvalidQuery, LatticeSource,
                    TubeQuery, delta_from_rule)
-
-
-def frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def parse_frac(s) -> Fraction:
@@ -45,14 +40,15 @@ def curve_to_dict(curve: CurveSpec) -> dict:
     base = {"kind": curve.kind, "dimension": curve.dimension,
             "domain": [frac_str(lo), frac_str(hi)]}
     if curve.kind == "lifted":
-        origin = getattr(curve, "lift_origin", None)
-        if origin is None:
-            base["kind"] = "polynomial-parametric"
-        else:
-            base_curve, mset = origin
+        if curve.lift_origin is not None:
+            base_curve, mset = curve.lift_origin
             base["base"] = curve_to_dict(base_curve)
             base["monomials"] = monomials_to_list(mset)
             return base
+        if not curve.is_exact:
+            raise InvalidCurveError(
+                "a trigonometric curve without its lift provenance has no file form")
+        base["kind"] = "polynomial-parametric"
     if curve.kind in ("moment", "circle-arc"):
         return base
     if curve.kind == "polynomial-graph":

@@ -100,9 +100,9 @@ def test_criterion_04_degenerate_lift_detection():
         wronskian_small = True
         for k in range(257):
             t = k / 256
-            s = lifted.coords[2].eval_float(t) + lifted.coords[4].eval_float(t)
+            s = lifted.coords[2].eval(t) + lifted.coords[4].eval(t)
             relation_exact &= (s == 1.0)
-            wronskian_small &= abs(w.eval_float(t)) < 1e-9
+            wronskian_small &= abs(w.eval(t)) < 1e-9
         residual = lifted.coords[2].add(lifted.coords[4]).add(
             TrigCoord({(0, 0): -1}))
         ok &= relation_exact and wronskian_small and residual.is_zero()

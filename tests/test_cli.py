@@ -180,16 +180,12 @@ def test_out_file(parabola_file, tmp_path, capsys):
 
 
 def test_cap_flag_enforced(tmp_path, capsys):
-    import curvecount.pointsets as ps
-    saved = (ps.ENUMERATION_CAP, ps.ENERGY_WORK_CAP)
     pts = [[f"{i}/1"] for i in range(30)]
     ppath = tmp_path / "pts.json"
     ppath.write_text(json.dumps(pts))
-    try:
-        code, _ = run_cli(capsys, "energy", "--points", str(ppath), "--m", "3",
-                          "--cap", "5")
-        assert code == 1  # work cap exceeded surfaces as an error
-    finally:
-        ps.ENUMERATION_CAP, ps.ENERGY_WORK_CAP = saved
+    code, _ = run_cli(capsys, "energy", "--points", str(ppath), "--m", "3",
+                      "--cap", "5")
+    assert code == 1  # work cap exceeded surfaces as an error
+    # the cap applied to that call only
     code, out = run_cli(capsys, "energy", "--points", str(ppath), "--m", "2")
     assert code == 0 and json.loads(out)["energy"] > 0

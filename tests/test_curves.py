@@ -4,14 +4,17 @@ against a sympy symbolic-differentiation oracle."""
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from curvecount import (DomainError, InvalidCurveError,
                         SmoothnessError, certify_nondegenerate, circle_arc,
                         eval_jet, graph_curve, moment_curve, parabola,
                         polynomial_curve, wronskian, wronskian_symbolic)
-from curvecount.curves import scale_coordinate, translate_curve
+from curvecount.curves import (CurveSpec, PolyCoord, TrigCoord, eval_array,
+                               point_fn, translate_curve, velocity_fn)
 
 
 def test_moment_jet_at_zero():
@@ -86,9 +89,10 @@ def test_circle_wronskian_eight_pi_cubed():
 
 
 def test_wronskian_row_scaling_multilinearity():
-    base = polynomial_curve([[0, 1, 2], [1, 0, 0, 3], [0, 2, 0, 0, 1]])
+    coeffs = [[0, 1, 2], [1, 0, 0, 3], [0, 2, 0, 0, 1]]
+    base = polynomial_curve(coeffs)
     lam = F(7, 3)
-    scaled = scale_coordinate(base, 1, lam)
+    scaled = polynomial_curve([coeffs[0], [lam * c for c in coeffs[1]], coeffs[2]])
     for t0 in (F(0), F(1, 4), F(9, 10)):
         assert wronskian(scaled, t0) == lam * wronskian(base, t0)
 
@@ -173,3 +177,31 @@ def test_wronskian_symbolic_cached():
     w1 = wronskian_symbolic(mc)
     w2 = wronskian_symbolic(mc)
     assert w1 is w2
+
+
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+_poly_coords = st.lists(_rationals, max_size=8).map(PolyCoord)
+_trig_coords = st.builds(
+    TrigCoord,
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)), _rationals,
+                    max_size=6),
+    st.integers(0, 2))
+_params = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.lists(_poly_coords, min_size=2, max_size=3),
+                 st.lists(_trig_coords, min_size=2, max_size=3)),
+       _params)
+def test_array_and_scalar_evaluation_agree_bitwise(coords, ts):
+    # one evaluator per coordinate class: the numpy path and the float path
+    # must return the same bits at every order
+    curve = CurveSpec("lifted", coords)
+    scalar = {0: point_fn(curve), 1: velocity_fn(curve)}
+    for k in range(4):
+        arr = eval_array(curve, ts, k)
+        assert arr.shape == (len(ts), len(coords))
+        row = curve.derivatives(k)[k]
+        for i, t in enumerate(ts):
+            want = scalar[k](t) if k in scalar else [fn.eval(t) for fn in row]
+            assert arr[i].tobytes() == np.array(want, dtype=float).tobytes()

@@ -11,7 +11,7 @@ from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         max_intersections, moment_curve, mvt_consistency,
                         parabola, survey_intersections, to_graph_form,
                         wronskian)
-from curvecount.curves import InvalidCurveError, affine_transform, polynomial_curve
+from curvecount.curves import InvalidCurveError, polynomial_curve
 from curvecount.hyperplanes import HyperplaneError, mvt_derived_hyperplane
 
 
@@ -143,7 +143,9 @@ def test_affine_invariance_of_root_counts():
             if det != 0:
                 break
         b = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)]
-        transformed = affine_transform(pb, m, b)
+        # M·(t, t²) + b
+        transformed = polynomial_curve([[b[0], m[0][0], m[0][1]],
+                                        [b[1], m[1][0], m[1][1]]])
         a = [F(rng.randint(-2 ** 16, 2 ** 16), 2 ** 16) for _ in range(3)]
         if all(x == 0 for x in a[1:]):
             continue

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from curvecount import polys
+from curvecount.curves import PolyCoord
 
 
 def P(*coeffs):
@@ -28,7 +29,7 @@ def test_arithmetic_basics():
 def test_eval_exact_and_float():
     p = P(F(1, 3), 0, 1)
     assert polys.eval_exact(p, F(1, 2)) == F(7, 12)
-    assert abs(polys.eval_float(p, 0.5) - 7 / 12) < 1e-15
+    assert abs(PolyCoord(p).eval(0.5) - 7 / 12) < 1e-15
 
 
 def test_division_exact():
@@ -65,7 +66,7 @@ def test_isolate_and_refine_known():
 
 def test_multiple_root_counted_once():
     p = polys.mul(P(F(-1, 2), 1), P(F(-1, 2), 1))  # (t - 1/2)^2
-    roots = polys.real_roots(p, 0, 1)
+    roots = [polys.refine_root(p, a, b) for a, b in polys.isolate_roots(p, 0, 1)]
     assert len(roots) == 1 and abs(roots[0] - 0.5) < 1e-14
 
 
@@ -79,7 +80,8 @@ def test_random_roots_against_numpy():
         p = polys.poly(coeffs)
         if polys.degree(p) < 1:
             continue
-        mine = polys.real_roots(p, 0, 1)
+        mine = [polys.refine_root(p, a, b)
+                for a, b in polys.isolate_roots(p, 0, 1)]
         np_all = np.roots(list(map(float, reversed(p))))
         np_real = sorted({round(float(r.real), 9) for r in np_all
                           if abs(r.imag) < 1e-9 and -1e-9 <= r.real <= 1 + 1e-9})
@@ -113,4 +115,4 @@ def test_sup_bound_dominates():
         p = polys.poly([F(rng.randint(-20, 20)) for _ in range(5)])
         bound = polys.sup_bound(p, 0, 1)
         for k in range(21):
-            assert abs(polys.eval_float(p, k / 20)) <= bound + 1e-9
+            assert abs(PolyCoord(p).eval(k / 20)) <= bound + 1e-9

@@ -9,6 +9,7 @@ from curvecount import (FiniteSet, Gap, Hyperplane, circle_arc, eval_jet,
                         graph_curve, lift_curve, make_Ms, moment_curve,
                         parabola, polynomial_curve, wronskian)
 from curvecount import serialization as ser
+from curvecount.curves import InvalidCurveError, translate_curve
 
 
 def test_frac_strings():
@@ -57,6 +58,13 @@ def test_lifted_circle_roundtrip(tmp_path):
     loaded = ser.load_curve(path)
     assert loaded.dimension == 5
     assert wronskian(loaded, 0.3) == 0.0
+
+
+def test_trig_curve_without_lift_provenance_is_rejected():
+    moved = translate_curve(lift_curve(circle_arc(), make_Ms(1)), [1, 0])
+    assert moved.kind == "lifted" and moved.lift_origin is None
+    with pytest.raises(InvalidCurveError):
+        ser.curve_to_dict(moved)
 
 
 def test_monomials_roundtrip():
