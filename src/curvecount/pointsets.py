@@ -6,8 +6,22 @@ here is an exact integer and every ratio an exact Fraction.  The additive
 m-energy E_m(A) counts ordered 2m-tuples with equal m-fold sums; it is
 computed through the representation-count function φ(b) = #{m-tuples summing
 to b} as E_m = Σ φ(b)², built by m−1 multiplicity-preserving convolution
-steps.  The deduplicated m-fold sumset mA is a separate code path so the two
-can cross-check each other.
+steps.  The deduplicated m-fold sumset mA shares those steps without the
+multiplicities.
+
+The hot loops run on an integer form of each set, cached on the FiniteSet:
+a common denominator L of all coordinates and the points times L as Python
+ints.  For sums, each integer point becomes one mixed-radix int64 key in the
+box of the final sum (per-coordinate offsets, place values from the widths of
+that box), so key(a) + key(b) is the key of a + b; a step is an outer sum of
+keys followed by a sort that merges equal keys, and φ accumulates exactly in
+int64 through np.add.reduceat.  Outer sums are built in row blocks of at most
+_BLOCK elements, so memory stays O(result + _BLOCK) even near
+ENERGY_WORK_CAP.  When the key box reaches 2⁶² or a count could reach 2⁶³,
+the same steps run on point tuples (_tuple_sums), which is also the oracle
+the tests compare against.  Squared separations are integer differences,
+in int64 when the squared range fits and in Python ints otherwise.  Caps are
+checked on the same sizes, with the same formulas, on either path.
 """
 
 from __future__ import annotations
@@ -18,8 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 ENUMERATION_CAP = 10 ** 7       # points
 ENERGY_WORK_CAP = 10 ** 8       # accumulated multiplicity updates
+
+_KEY_LIMIT = 1 << 62            # key boxes this large fall back to tuples
+_INT64_LIMIT = 1 << 63          # int64 values stay below this
+_BLOCK = 1 << 16                # elements in one block of an outer sum
 
 
 class CapExceeded(RuntimeError):
@@ -58,7 +78,7 @@ def exact_point(p) -> tuple:
 class FiniteSet:
     """A deduplicated finite set of exact points of one common dimension."""
 
-    __slots__ = ("points", "dimension")
+    __slots__ = ("points", "dimension", "_integer")
 
     def __init__(self, points, dimension=None):
         pts = frozenset(exact_point(p) for p in points)
@@ -73,6 +93,7 @@ class FiniteSet:
             raise DimensionMismatch("points do not match declared dimension")
         self.points = pts
         self.dimension = dimension
+        self._integer = None
 
     def __len__(self):
         return len(self.points)
@@ -154,18 +175,47 @@ def is_proper(g: Gap, cap: int | None = None) -> bool:
     return len(gap_enumerate(g, cap)) == g.nominal_size
 
 
+def _integer_form(A: FiniteSet) -> tuple:
+    """(L, rows): the least common denominator L of the coordinates of A and
+    its points times L as tuples of Python ints, computed once per set."""
+    if A._integer is None:
+        L = math.lcm(*(c.denominator for p in A.points for c in p))
+        A._integer = (L, [tuple(c.numerator * (L // c.denominator) for c in p)
+                          for p in A.points])
+    return A._integer
+
+
+def _min_separation_loop(rows) -> int:
+    """Minimum squared distance between integer points, in Python ints."""
+    best = None
+    for i, p in enumerate(rows):
+        for q in rows[i + 1:]:
+            d2 = sum((a - b) ** 2 for a, b in zip(p, q))
+            if best is None or d2 < best:
+                best = d2
+    return best
+
+
 def min_separation_squared(A: FiniteSet) -> Fraction:
     """Exact minimum of squared pairwise distances."""
     if len(A) < 2:
         raise SeparationUndefined("minimal separation needs at least 2 points")
-    pts = sorted(A.points)
-    best = None
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d2 = sum((a - b) ** 2 for a, b in zip(p, q))
-            if best is None or d2 < best:
-                best = d2
-    return Fraction(best)
+    L, rows = _integer_form(A)
+    lo = [min(col) for col in zip(*rows)]
+    reach = sum((max(col) - low) ** 2 for col, low in zip(zip(*rows), lo))
+    if reach >= _INT64_LIMIT:
+        return Fraction(_min_separation_loop(rows), L * L)
+    X = np.array([[x - low for x, low in zip(p, lo)] for p in rows],
+                 dtype=np.int64)
+    step = max(1, _BLOCK // (len(X) * A.dimension))
+    best = reach
+    for i in range(0, len(X), step):
+        # rows i..i+step against rows i.. (earlier pairs were seen already);
+        # the only zero distances are a point against itself
+        diff = X[i:i + step, None, :] - X[None, i:, :]
+        d2 = (diff * diff).sum(axis=2)
+        best = min(best, int(d2[d2 > 0].min(initial=reach)))
+    return Fraction(best, L * L)
 
 
 def min_separation(A: FiniteSet) -> float:
@@ -173,12 +223,123 @@ def min_separation(A: FiniteSet) -> float:
     return math.sqrt(min_separation_squared(A))
 
 
+def _tuple_sums(phi: dict, B) -> Counter:
+    """One convolution step on point tuples: every s + b for s in φ and b in
+    B, carrying the multiplicity φ(s).  The fallback of _Sums and the tests'
+    oracle."""
+    out: Counter = Counter()
+    for s, c in phi.items():
+        for b in B:
+            out[_add(s, b)] += c
+    return out
+
+
+def _merge(parts) -> tuple:
+    """Sorted distinct keys of the (keys, counts) parts, with the counts of
+    equal keys added, or with counts None when the parts carry none."""
+    keys = np.concatenate([k for k, _ in parts])
+    if parts[0][1] is None:
+        return np.unique(keys), None
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.concatenate([c for _, c in parts])[order]
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _outer_sums(left, right, counts) -> tuple:
+    """_merge of all left[i] + right[j], each with weight counts[i].
+
+    Outer sums are built _BLOCK elements at a time, and the pending blocks
+    are merged into the result once they outgrow it, so the temporaries stay
+    O(result + _BLOCK) and each element is sorted O(1) times on average.
+    """
+    rows = max(1, _BLOCK // len(right))
+    done, pending, size = None, [], 0
+    for i in range(0, len(left), rows):
+        block = np.add.outer(left[i:i + rows], right).ravel()
+        weights = (None if counts is None
+                   else np.repeat(counts[i:i + rows], len(right)))
+        pending.append((block, weights))
+        size += len(block)
+        if done is None or size > len(done[0]):
+            done = _merge(pending if done is None else [done, *pending])
+            pending, size = [], 0
+    return _merge([done, *pending]) if pending else done
+
+
+class _Sums:
+    """A + B + … + B, one B per step(), kept as int64 keys in the box of
+    A + (steps)·B, with the number of ordered tuples behind each sum when
+    counted; point tuples when the points have no coordinates, the box
+    reaches _KEY_LIMIT or a count could reach _INT64_LIMIT."""
+
+    def __init__(self, A: FiniteSet, B: FiniteSet, steps: int,
+                 counted: bool = False):
+        (la, ra), (lb, rb) = _integer_form(A), _integer_form(B)
+        L = math.lcm(la, lb)
+        if L != la:
+            ra = [tuple(x * (L // la) for x in p) for p in ra]
+        if L != lb:
+            rb = [tuple(x * (L // lb) for x in p) for p in rb]
+        lo_a, lo_b = [min(c) for c in zip(*ra)], [min(c) for c in zip(*rb)]
+        widths = [max(ca) - a + steps * (max(cb) - b) + 1
+                  for ca, cb, a, b in zip(zip(*ra), zip(*rb), lo_a, lo_b)]
+        self.place = [math.prod(widths[:j]) for j in range(len(widths) + 1)]
+        self.B, self.L, self.lo, self.lo_b = B, L, lo_a, lo_b
+        self.keys = self.counts = self.phi = None
+        if not A.dimension or self.place[-1] >= _KEY_LIMIT or (
+                counted and len(A) * len(B) ** steps >= _INT64_LIMIT):
+            self.phi = Counter(dict.fromkeys(A.points, 1))
+            return
+        self.keys = self._encode(ra, lo_a)
+        self.right = self._encode(rb, lo_b)
+        if counted:
+            self.counts = np.ones(len(ra), dtype=np.int64)
+
+    def _encode(self, rows, lo):
+        return np.array([sum((x - low) * r for x, low, r in zip(p, lo, self.place))
+                         for p in rows], dtype=np.int64)
+
+    def __len__(self):
+        return len(self.phi) if self.keys is None else len(self.keys)
+
+    def step(self):
+        if not self.B.points:
+            raise ValueError("sumset of an empty set")
+        if self.keys is None:
+            self.phi = _tuple_sums(self.phi, self.B.points)
+            return
+        self.keys, self.counts = _outer_sums(self.keys, self.right, self.counts)
+        self.lo = [a + b for a, b in zip(self.lo, self.lo_b)]
+
+    def points(self) -> list:
+        """The current sums as exact point tuples, in key order."""
+        if self.keys is None:
+            return list(self.phi)
+        cols = []
+        for j, low in enumerate(self.lo):
+            digits = (self.keys % self.place[j + 1]) // self.place[j]
+            cols.append([x + low for x in digits.tolist()])
+        if self.L == 1:
+            return list(zip(*cols))
+        return [tuple(Fraction(x, self.L) for x in p) for p in zip(*cols)]
+
+    def counter(self) -> Counter:
+        """φ: each current sum with its number of ordered tuples."""
+        if self.keys is None:
+            return self.phi
+        return Counter(dict(zip(self.points(), self.counts.tolist())))
+
+
 def sumset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
     if A.dimension != B.dimension:
         raise DimensionMismatch("sumset needs equal dimensions")
     if not A.points or not B.points:
         raise ValueError("sumset of an empty set")
-    return FiniteSet({_add(a, b) for a in A.points for b in B.points}, A.dimension)
+    sums = _Sums(A, B, 1)
+    sums.step()
+    return FiniteSet(sums.points(), A.dimension)
 
 
 def doubling(A: FiniteSet) -> Fraction:
@@ -193,38 +354,35 @@ def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:
     cap = ENUMERATION_CAP if cap is None else cap
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = A
+    if m == 1:
+        return A
+    sums = _Sums(A, A, m - 1)
     for _ in range(m - 1):
-        if len(out) * len(A) > cap:
+        if len(sums) * len(A) > cap:
             raise CapExceeded("m-fold sumset work exceeds cap")
-        out = sumset(out, A)
-    return out
+        sums.step()
+    return FiniteSet(sums.points(), A.dimension)
 
 
 def representation_counts(A: FiniteSet, m: int,
                           work_cap: int | None = None) -> Counter:
     """φ over mA: number of ordered m-tuples of A summing to each value.
 
-    Multiplicity-preserving convolution, m−1 steps; distinct from the
-    deduplicating m_fold_sumset path by design.
+    Multiplicity-preserving convolution, m−1 steps.
     """
     work_cap = ENERGY_WORK_CAP if work_cap is None else work_cap
     if m < 1:
         raise ValueError("m must be >= 1")
     if not A.points:
         raise ValueError("energy of an empty set")
-    phi = Counter({p: 1 for p in A.points})
+    sums = _Sums(A, A, m - 1, counted=True)
     work = 0
     for _ in range(m - 1):
-        work += len(phi) * len(A)
+        work += len(sums) * len(A)
         if work > work_cap:
             raise CapExceeded("energy work cap exceeded")
-        nxt: Counter = Counter()
-        for s, c in phi.items():
-            for a in A.points:
-                nxt[_add(s, a)] += c
-        phi = nxt
-    return phi
+        sums.step()
+    return sums.counter()
 
 
 def additive_energy(A: FiniteSet, m: int, work_cap: int | None = None) -> int:

@@ -49,6 +49,9 @@ def curve_to_dict(curve: CurveSpec) -> dict:
             raise InvalidCurveError(
                 "a trigonometric curve without its lift provenance has no file form")
         base["kind"] = "polynomial-parametric"
+    if curve.kind == "circle-arc" and list(curve.coords) != list(circle_arc().coords):
+        raise InvalidCurveError(
+            "a circle arc moved off (cos 2πt, sin 2πt) has no file form")
     if curve.kind in ("moment", "circle-arc"):
         return base
     if curve.kind == "polynomial-graph":

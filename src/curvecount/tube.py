@@ -107,7 +107,7 @@ def materialize_source(source, cap: int | None = None):
     """Expand a source into (sorted exact points, separation hint or None)."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     if isinstance(source, ExplicitSource):
-        pts = sorted(source.points)
+        pts = list(source.points)   # FiniteSet iterates in sorted order
         sep = min_separation(source.points) if 2 <= len(pts) <= 1024 else None
         return pts, sep
     if isinstance(source, LatticeSource):
@@ -125,7 +125,7 @@ def materialize_source(source, cap: int | None = None):
         return pts, 1.0 / N
     if isinstance(source, GapSource):
         fs = gap_enumerate(source.gap, cap)
-        pts = sorted(fs)
+        pts = list(fs)
         sep = min_separation(fs) if 2 <= len(pts) <= 1024 else None
         return pts, sep
     raise InvalidQuery(f"unsupported source {type(source).__name__}")

@@ -1,10 +1,14 @@
 """Exact point sets: GAPs, sumsets, doubling, energy, and the inequality
 checkers.  Brute-force enumerations serve as the oracles throughout."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvecount import (CapExceeded, FiniteSet, Gap, SubsetViolation,
                         additive_energy, check_energy_lower_bound,
@@ -12,7 +16,18 @@ from curvecount import (CapExceeded, FiniteSet, Gap, SubsetViolation,
                         gap_enumerate, is_proper, m_fold_sumset,
                         min_separation, min_separation_squared,
                         representation_counts, sumset)
-from curvecount.pointsets import DimensionMismatch, SeparationUndefined
+from curvecount.pointsets import (DimensionMismatch, SeparationUndefined,
+                                  _tuple_sums)
+
+
+def oracle_levels(a, m):
+    """φ of A, 2A, …, mA by the tuple loop."""
+    phi = Counter(dict.fromkeys(a.points, 1))
+    levels = [phi]
+    for _ in range(m - 1):
+        phi = _tuple_sums(phi, a.points)
+        levels.append(phi)
+    return levels
 
 
 def iset(*pts):
@@ -74,6 +89,9 @@ def test_m_fold_sumset():
     assert sorted(m_fold_sumset(a, 3)) == [(0,), (1,), (2,), (3,)]
     b = iset((0,), (1,), (3,))
     assert sorted(m_fold_sumset(b, 2)) == [(0,), (1,), (2,), (3,), (4,), (6,)]
+    point = FiniteSet([()])            # dimension 0: no coordinates to key
+    assert m_fold_sumset(point, 3) == point
+    assert representation_counts(point, 3) == {(): 1}
 
 
 def test_energy_basics():
@@ -110,6 +128,7 @@ def test_representation_counts_cross_check_mfold():
         phi = representation_counts(a, m)
         assert set(phi) == set(m_fold_sumset(a, m).points)
         assert sum(phi.values()) == len(a) ** m
+        assert phi == oracle_levels(a, m)[-1]
 
 
 def test_energy_lower_bounds():
@@ -198,3 +217,105 @@ def test_energy_work_cap():
     a = FiniteSet([(i,) for i in range(40)])
     with pytest.raises(CapExceeded):
         additive_energy(a, 3, work_cap=10)
+
+
+# -- the integer path against the tuple loop ---------------------------------
+
+_small = st.one_of(st.integers(-30, 30),
+                   st.builds(F, st.integers(-60, 60), st.integers(1, 12)))
+# coordinates near 10**20, denominators near 10**19 and 1-D spans near 2**62
+# put the key box on both sides of the int64 limit
+_large = st.one_of(_small,
+                   st.integers(10 ** 20 - 40, 10 ** 20 + 40),
+                   st.builds(F, st.integers(-40, 40),
+                             st.integers(10 ** 19, 10 ** 19 + 40)),
+                   st.integers(-2 ** 61, 2 ** 61))
+
+
+@st.composite
+def point_set_pairs(draw, max_size=7):
+    d = draw(st.integers(1, 3))
+    coord = draw(st.sampled_from([_small, _large]))
+    point = st.tuples(*[coord] * d)
+    a = draw(st.lists(point, min_size=1, max_size=max_size))
+    b = draw(st.lists(point, min_size=1, max_size=max_size))
+    return FiniteSet(a, d), FiniteSet(b, d)
+
+
+_HUGE = (FiniteSet([(10 ** 20, F(1, 10 ** 19 + 3)), (-3, F(2, 7)), (0, 0)]),
+         FiniteSet([(F(1, 10 ** 19 + 9), 10 ** 20 + 1), (1, 1)]))
+_EDGE = (FiniteSet([(0,), (2 ** 61 - 1,), (5,)]), FiniteSet([(-1,), (2 ** 61,)]))
+# 3A spans 3·2**62; the squared distance 9·2**62 leaves int64
+_WIDE = (FiniteSet([(0,), (2 ** 62,)]), FiniteSet([(1,)]))
+_FAR = (FiniteSet([(0,), (3 * 2 ** 31,)]), FiniteSet([(0,)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_set_pairs())
+@example(_HUGE)
+@example(_EDGE)
+def test_sumset_matches_tuple_loop(pair):
+    a, b = pair
+    expected = FiniteSet(_tuple_sums(dict.fromkeys(a.points, 1), b.points),
+                         a.dimension)
+    assert sumset(a, b) == expected
+    assert doubling(a) == F(len(oracle_levels(a, 2)[-1]), len(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_set_pairs(max_size=6), st.integers(1, 3))
+@example(_HUGE, 3)
+@example(_EDGE, 2)
+@example(_WIDE, 3)
+def test_m_fold_and_representation_counts_match_tuple_loop(pair, m):
+    a = pair[0]
+    phi = oracle_levels(a, m)[-1]
+    assert representation_counts(a, m) == phi
+    assert m_fold_sumset(a, m) == FiniteSet(phi, a.dimension)
+    energy = additive_energy(a, m)
+    assert energy == sum(c * c for c in phi.values())
+    assert energy == energy_bruteforce(a, m, literal_limit=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_set_pairs(max_size=9))
+@example(_HUGE)
+@example(_EDGE)
+@example(_FAR)
+def test_min_separation_matches_pairwise_fractions(pair):
+    a = FiniteSet(pair[0].points | pair[1].points)
+    if len(a) < 2:
+        return
+    expected = min(sum((x - y) ** 2 for x, y in zip(p, q))
+                   for p, q in combinations(a.points, 2))
+    assert min_separation_squared(a) == expected
+
+
+def test_multiplicities_beyond_int64_stay_exact():
+    # 2**70 ordered tuples: the counts leave int64, so the tuple loop runs
+    a = iset((0,), (1,))
+    phi = representation_counts(a, 70)
+    assert phi[(35,)] == math.comb(70, 35) > 2 ** 63
+    assert sum(phi.values()) == 2 ** 70
+    assert len(m_fold_sumset(a, 70)) == 71
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_set_pairs(max_size=6), st.integers(1, 3), st.integers(0, 300))
+@example(_HUGE, 3, 20)
+def test_caps_fire_on_the_level_sizes(pair, m, cap):
+    # the m-fold steps check |kA|·|A| > cap before each step; the energy
+    # steps check the running sum of those products
+    a = pair[0]
+    work = [len(level) * len(a) for level in oracle_levels(a, m)[:-1]]
+    fold_raises = any(w > cap for w in work)
+    energy_raises = sum(work) > cap
+    for call, raises in ((lambda: m_fold_sumset(a, m, cap), fold_raises),
+                         (lambda: check_plunnecke(a, m, cap), fold_raises),
+                         (lambda: representation_counts(a, m, cap),
+                          energy_raises)):
+        if raises:
+            with pytest.raises(CapExceeded):
+                call()
+        else:
+            call()

@@ -9,7 +9,7 @@ from curvecount import (FiniteSet, Gap, Hyperplane, circle_arc, eval_jet,
                         graph_curve, lift_curve, make_Ms, moment_curve,
                         parabola, polynomial_curve, wronskian)
 from curvecount import serialization as ser
-from curvecount.curves import InvalidCurveError, translate_curve
+from curvecount.curves import InvalidCurveError, point_fn, translate_curve
 
 
 def test_frac_strings():
@@ -63,6 +63,16 @@ def test_lifted_circle_roundtrip(tmp_path):
 def test_trig_curve_without_lift_provenance_is_rejected():
     moved = translate_curve(lift_curve(circle_arc(), make_Ms(1)), [1, 0])
     assert moved.kind == "lifted" and moved.lift_origin is None
+    with pytest.raises(InvalidCurveError):
+        ser.curve_to_dict(moved)
+
+
+def test_translated_circle_is_rejected():
+    # the kind stays "circle-arc", which used to save no coefficients and
+    # reload as the untranslated circle
+    moved = translate_curve(circle_arc(), [1, 0])
+    assert moved.kind == "circle-arc"
+    assert point_fn(moved)(0.25) == pytest.approx((1.0, 1.0))
     with pytest.raises(InvalidCurveError):
         ser.curve_to_dict(moved)
 
