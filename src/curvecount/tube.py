@@ -3,10 +3,22 @@
 
 The production counter subdivides the parameter interval into arcs of chord
 length ≤ δ (a sup-speed bound sizes the grid; chords are verified and split
-further if needed), inflates each arc's bounding box by δ plus a sagitta
-bound, gathers candidates from a uniform-grid index over the source points,
-and decides each candidate by bisecting the stationarity condition
-(γ(t) − p)·γ'(t) = 0 of the squared distance on the candidate arcs.
+further if needed) and inflates each arc's bounding box by δ plus a sagitta
+bound.  A candidate is a (point, arc) pair with the point's float
+coordinates inside the arc's box.  Candidates are generated with numpy, one
+block of arcs at a time, from integer cell indices:
+
+- a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
+  box's index range, clipped to the lattice box, lists its candidates
+  directly; no point is built until it matches;
+- explicit and GAP points are keyed by their cell in a uniform grid over
+  the two axes with the most occupied cells, and each box looks its cells
+  up in the sorted int64 keys.
+
+Every (arc, cell) pair counts against ``pointsets.ENUMERATION_CAP`` before
+it is expanded.  Each candidate is then decided by bisecting the
+stationarity condition (γ(t) − p)·γ'(t) = 0 of the squared distance on its
+arcs.
 
 Distance tests that land inside the relative ambiguity band |d − δ| ≤ 1e-9·δ
 are counted by the closed-boundary rule but clear the result's certified
@@ -22,10 +34,8 @@ decide membership.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -167,6 +177,166 @@ def _grid_cell_side(delta: float, sep_hint, pts: np.ndarray) -> float:
     return max(delta, 1.0)
 
 
+def _least_index(b: np.ndarray, N: int, lo: np.ndarray, hi: np.ndarray):
+    """Least integer i in [lo, hi + 1] with i = hi + 1 or float(i/N) ≥ b.
+
+    float(i/N) is monotone in i, so the product b·N, which may round across
+    an integer, is corrected one step at a time against the float test
+    itself.  Inputs are float64 arrays of exact integers below 2⁵³.
+    """
+    i = np.clip(np.ceil(b * N), lo, hi + 1)
+    while True:
+        down = (i > lo) & ((i - 1) / N >= b)
+        up = (i <= hi) & (i / N < b)
+        if not (down.any() or up.any()):
+            return i
+        i = i - down + up
+
+
+class _LatticeCells:
+    """A lattice source as its own index: cell (i, j) is the point (i/N, j/N).
+
+    Point ids number the box's points row-major, which is the sorted order
+    of the points ``materialize_source`` lists.
+    """
+    dim = 2
+
+    def __init__(self, source: LatticeSource):
+        self.N = N = source.N
+        bounds = [(math.ceil(Fraction(a) * N), math.floor(Fraction(b) * N))
+                  for a, b in source.box]
+        self.origin = tuple(lo for lo, _ in bounds)
+        self.first = np.array(self.origin, dtype=float)
+        self.last = np.array([hi for _, hi in bounds], dtype=float)
+        self.rows = bounds[1][1] - bounds[1][0] + 1
+        self.empty = any(hi < lo for lo, hi in bounds)
+
+    def ranges(self, bmin, bmax):
+        """Index ranges of the lattice points p with bmin ≤ p ≤ bmax."""
+        lo = _least_index(bmin, self.N, self.first, self.last)
+        hi = -_least_index(-bmax, self.N, -self.last, -self.first)
+        return lo.astype(np.int64), hi.astype(np.int64)
+
+    def lookup(self, cell, rows, bmin, bmax):
+        i0, j0 = self.origin
+        return (cell[:, 0] - i0) * self.rows + cell[:, 1] - j0, rows
+
+    def _index(self, pid: int) -> tuple:
+        i, j = divmod(pid, self.rows)
+        return i + self.origin[0], j + self.origin[1]
+
+    def point(self, pid: int) -> tuple:
+        return tuple(k / self.N for k in self._index(pid))
+
+    def exact(self, pid: int) -> tuple:
+        return tuple(Fraction(k, self.N) for k in self._index(pid))
+
+
+class _PointCells:
+    """Explicit points keyed by their cell in a uniform grid.
+
+    The grid indexes the two axes with the most occupied cells; the box
+    test checks every axis.  Along each indexed axis the occupied cell
+    coordinates are ranked, and a cell's int64 key is the mixed-radix of its
+    ranks; the keys are sorted once.  A box's cell range becomes a rank
+    range, so only occupied rows and columns are enumerated.
+    """
+
+    def __init__(self, pts_exact: list, sep_hint, delta: float):
+        self.pts_exact = pts_exact
+        self.empty = not pts_exact
+        if self.empty:
+            return
+        self.pts = pts = np.array([[float(c) for c in p] for p in pts_exact],
+                                  dtype=float)
+        self.dim = pts.shape[1]
+        self.side = _grid_cell_side(delta, sep_hint, pts)
+        cells = np.floor(pts / self.side).T
+        occupied = [np.unique(c) for c in cells]
+        self.index = np.sort(np.argsort([-len(ax) for ax in occupied],
+                                        kind="stable")[:2])
+        self.axes = [occupied[d] for d in self.index]
+        self.strides = np.array([len(ax) for ax in self.axes[1:]] + [1])
+        keys = np.column_stack([np.searchsorted(occupied[d], cells[d])
+                                for d in self.index]) @ self.strides
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def ranges(self, bmin, bmax):
+        """Rank ranges of the occupied cell coordinates inside the boxes."""
+        lo = np.floor(bmin[:, self.index] / self.side).T
+        hi = np.floor(bmax[:, self.index] / self.side).T
+        return (np.column_stack([np.searchsorted(ax, c, "left")
+                                 for ax, c in zip(self.axes, lo)]),
+                np.column_stack([np.searchsorted(ax, c, "right") - 1
+                                 for ax, c in zip(self.axes, hi)]))
+
+    def lookup(self, cell, rows, bmin, bmax):
+        """The points in the given cells that pass their row's box test."""
+        keys = cell @ self.strides
+        left = np.searchsorted(self.keys, keys, "left")
+        owner, offset = _expand(
+            np.searchsorted(self.keys, keys, "right") - left)
+        pid = self.order[left[owner] + offset]
+        rows = rows[owner]
+        p = self.pts[pid]
+        inside = ((bmin[rows] <= p) & (p <= bmax[rows])).all(axis=1)
+        return pid[inside], rows[inside]
+
+    def point(self, pid: int) -> tuple:
+        return tuple(self.pts[pid].tolist())
+
+    def exact(self, pid: int) -> tuple:
+        return self.pts_exact[pid]
+
+
+def _expand(counts: np.ndarray):
+    """Index of the owner and rank within it of each of sum(counts) items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+_SEGMENT_BLOCK = 1 << 16
+
+
+def _candidate_pairs(cells, gamma: np.ndarray, pad: float):
+    """All (point id, segment) pairs with the point inside the segment's
+    padded bounding box, sorted by point id, then segment.
+
+    Segments are processed in blocks.  The (segment, cell) pairs of a block
+    are counted before any is expanded, and the running total is held to
+    ``pointsets.ENUMERATION_CAP``.
+    """
+    cap = pointsets.ENUMERATION_CAP
+    n_seg = len(gamma) - 1
+    work = 0.0
+    pids, segs = [], []
+    for s0 in range(0, n_seg, _SEGMENT_BLOCK):
+        s1 = min(n_seg, s0 + _SEGMENT_BLOCK)
+        bmin = np.minimum(gamma[s0:s1], gamma[s0 + 1:s1 + 1]) - pad
+        bmax = np.maximum(gamma[s0:s1], gamma[s0 + 1:s1 + 1]) + pad
+        lo, hi = cells.ranges(bmin, bmax)
+        extent = np.maximum(hi - lo + 1, 0)
+        n_cells = np.prod(extent, axis=1, dtype=float)
+        work += float(n_cells.sum())
+        if work > cap:
+            raise CapExceeded(f"tube candidate cells exceed cap {cap}")
+        rows, k = _expand(n_cells.astype(np.int64))
+        cell = np.empty((len(rows), lo.shape[1]), dtype=np.int64)
+        for d in reversed(range(lo.shape[1])):
+            e = extent[rows, d]
+            cell[:, d] = lo[rows, d] + k % e
+            k //= e
+        pid, rows = cells.lookup(cell, rows, bmin, bmax)
+        pids.append(pid)
+        segs.append(rows + s0)
+    pid = np.concatenate(pids)
+    seg = np.concatenate(segs)
+    # blocks arrive in segment order, and no segment meets a point twice
+    order = np.argsort(pid, kind="stable")
+    return pid[order], seg[order]
+
+
 def _min_dist_sq_on_arc(fp, fv, p, a: float, b: float, nodes: int = 8,
                         bits: int = 52) -> float:
     """Minimum squared distance from p to the arc γ([a, b]).
@@ -219,13 +389,14 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
     curve = query.curve
     delta = float(query.delta)
     band = query.ambiguity_rel * delta
-    pts_exact, sep_hint = materialize_source(query.source)
-    if not pts_exact:
+    if isinstance(query.source, LatticeSource):
+        cells = _LatticeCells(query.source)
+    else:
+        cells = _PointCells(*materialize_source(query.source), delta)
+    if cells.empty:
         return CountResult(0, () if keep_points else None, 0, True)
-    if len(pts_exact[0]) != curve.dimension:
+    if cells.dim != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
-    pts = np.array([[float(c) for c in p] for p in pts_exact], dtype=float)
-    dim = curve.dimension
 
     lo, hi = float(curve.domain[0]), float(curve.domain[1])
     width = hi - lo
@@ -244,86 +415,31 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
     sagitta = accel * h * h / 8.0
     pad = delta * (1.0 + 3.0 * query.ambiguity_rel) + sagitta + 1e-15
 
-    box_min = np.minimum(gamma[:-1], gamma[1:]) - pad
-    box_max = np.maximum(gamma[:-1], gamma[1:]) + pad
-
-    candidate_segs: dict = defaultdict(list)
-    sep_val = float(sep_hint) if sep_hint else None
-    r_ball = math.sqrt(dim) * (float(chord.max()) + pad) * (1 + 1e-9)
-    if n_seg > 200_000 and sep_val and r_ball < sep_val / 2:
-        # huge segment counts (δ far below the source separation): a box
-        # candidate lies within
-        # r_ball of one of the segment's endpoints, and r_ball < s/2 means
-        # at most one source point can be that close, so one pruned
-        # nearest-neighbor pass over the endpoints finds every pair
-        tree = cKDTree(pts)
-        d_end, j_end = tree.query(gamma, k=1, distance_upper_bound=r_ball)
-        pairs = set()
-        for e in np.nonzero(np.isfinite(d_end))[0]:
-            pidx = int(j_end[e])
-            p = pts[pidx]
-            for seg in (int(e) - 1, int(e)):
-                if 0 <= seg < n_seg and \
-                        all(box_min[seg, d] <= p[d] <= box_max[seg, d]
-                            for d in range(dim)):
-                    pairs.add((pidx, seg))
-        for pidx, seg in sorted(pairs):
-            candidate_segs[pidx].append(seg)
-    else:
-        cell = _grid_cell_side(delta, sep_hint, pts)
-        grid: dict = defaultdict(list)
-        for idx, key in enumerate(map(tuple,
-                                      np.floor(pts / cell).astype(np.int64))):
-            grid[key].append(idx)
-        lo_cells = np.floor(box_min / cell).astype(np.int64)
-        hi_cells = np.floor(box_max / cell).astype(np.int64)
-        for i in range(n_seg):
-            ranges = [range(lo_cells[i, d], hi_cells[i, d] + 1)
-                      for d in range(dim)]
-            bmin = box_min[i]
-            bmax = box_max[i]
-            for key in product(*ranges):
-                for idx in grid.get(key, ()):
-                    p = pts[idx]
-                    inside = True
-                    for d in range(dim):
-                        if not (bmin[d] <= p[d] <= bmax[d]):
-                            inside = False
-                            break
-                    if inside:
-                        segs = candidate_segs[idx]
-                        if not segs or segs[-1] != i:
-                            segs.append(i)
-
+    pid, seg = _candidate_pairs(cells, gamma, pad)
+    # merge each point's consecutive segments into parameter intervals
+    breaks = (pid[1:] != pid[:-1]) | (seg[1:] != seg[:-1] + 1)
+    start = np.flatnonzero(np.r_[len(seg) > 0, breaks])
+    stop = np.flatnonzero(np.r_[breaks, len(seg) > 0])
     fp = point_fn(curve)
     fv = velocity_fn(curve)
-    t_nodes = ts.tolist()
+    best: dict = {}
+    for i, a, b in zip(pid[start].tolist(), ts[seg[start]].tolist(),
+                       ts[seg[stop] + 1].tolist()):
+        d2 = _min_dist_sq_on_arc(fp, fv, cells.point(i), a, b)
+        best[i] = min(best[i], d2) if i in best else d2
 
     matched = []
     certified = True
-    for idx, segs in candidate_segs.items():
-        # merge consecutive segments into parameter intervals
-        intervals = []
-        start = prev = segs[0]
-        for s in segs[1:]:
-            if s == prev + 1:
-                prev = s
-            else:
-                intervals.append((t_nodes[start], t_nodes[prev + 1]))
-                start = prev = s
-        intervals.append((t_nodes[start], t_nodes[prev + 1]))
-
-        p = tuple(pts[idx])
-        best = min(_min_dist_sq_on_arc(fp, fv, p, a, b) for a, b in intervals)
-        dist = math.sqrt(best)
+    for i, d2 in best.items():
+        dist = math.sqrt(d2)
         if abs(dist - delta) <= band:
             certified = False
             if dist <= delta:
-                matched.append(idx)
+                matched.append(i)
         elif dist <= delta:
-            matched.append(idx)
+            matched.append(i)
 
-    matched_points = tuple(pts_exact[i] for i in sorted(matched))
+    matched_points = tuple(cells.exact(i) for i in sorted(matched))
     return CountResult(
         count=len(matched_points),
         points=matched_points if keep_points else None,

@@ -1,17 +1,26 @@
 """Tube counting: exact on-curve enumeration, the production counter, the
 brute-force oracle, and their agreement."""
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvecount import pointsets
 from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
                         GapSource, InvalidQuery, LatticeSource, TubeQuery,
                         brute_force_tube_oracle, circle_arc,
                         count_in_tube, count_on_curve_lattice, delta_from_rule,
-                        graph_curve, line_segment, parabola, polynomial_curve)
+                        graph_curve, line_segment, moment_curve, parabola,
+                        polynomial_curve)
 from curvecount.curves import translate_curve
-from curvecount.tube import materialize_source
+from curvecount.tube import _least_index, materialize_source
 
 
 def test_delta_rule():
@@ -114,7 +123,8 @@ def test_oracle_equivalence_small_grid():
 
 
 def test_big_segment_count_path():
-    # theorem-scale delta forces the pruned nearest-neighbor candidate pass
+    # theorem-scale delta caps n_seg at MAX_SEGMENTS; the lattice candidate
+    # stage still visits only the few cells inside each segment box
     pb = parabola()
     N = 32
     q = TubeQuery(pb, delta_from_rule(1, N, 5), LatticeSource(N, ((0, 1), (0, 1))))
@@ -155,3 +165,112 @@ def test_result_counts_match_points():
     assert r.count == len(r.points)
     r2 = count_in_tube(q, keep_points=False)
     assert r2.points is None and r2.count == r.count
+
+
+def test_lattice_work_follows_candidates_not_box_size():
+    # 4097² ≈ 1.7·10⁷ lattice points, more than the enumeration cap, but
+    # each capped segment box holds at most a few of them
+    pb = parabola()
+    N = 4096
+    r = count_in_tube(TubeQuery(pb, F(1, N * N),
+                                LatticeSource(N, ((0, 1), (0, 1)))))
+    assert r.certified
+    assert set(count_on_curve_lattice(pb, N)) <= set(r.points)
+
+
+def test_candidate_cells_are_capped(monkeypatch):
+    # δ = 1 makes each of the three segment boxes cover the whole 65² box:
+    # 12,675 (segment, cell) pairs, counted before any is expanded
+    q = TubeQuery(parabola(), 1, LatticeSource(64, ((0, 1), (0, 1))))
+    monkeypatch.setattr(pointsets, "ENUMERATION_CAP", 12_000)
+    with pytest.raises(CapExceeded):
+        count_in_tube(q)
+    monkeypatch.setattr(pointsets, "ENUMERATION_CAP", 13_000)
+    assert count_in_tube(q).count == 65 * 65
+
+
+def test_clustered_points_need_few_cells():
+    # n_seg hits MAX_SEGMENTS, each segment box spans ~2.5·10⁵ cells of side
+    # δ, and all 199 points share one column: clipping the cell ranges to
+    # the occupied cells keeps this to O(1) cells per segment.  The count
+    # itself is the open soundness defect of the ambiguity band and is not
+    # asserted.  A subprocess with a timeout turns a return to unbounded
+    # work into a failure instead of a hang.
+    code = """
+from fractions import Fraction as F
+from curvecount import TubeQuery, FiniteSet, count_in_tube, line_segment
+d = F(1, 10 ** 12)
+pts = [(F(1, 2), F(1, 2) + d * (1 + F(k, 10 ** 6))) for k in range(1, 200)]
+count_in_tube(TubeQuery(line_segment((0, F(1, 2)), (1, F(1, 2))), d,
+                        FiniteSet(pts)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_many_coordinates():
+    # 8 coordinates with ~10³ occupied cells each: a grid over all of them
+    # would enumerate ~3⁸ cells per segment box, past the enumeration cap
+    n = 1000
+    on_curve = [tuple(F(k, n - 1) ** e for e in range(1, 9)) for k in range(n)]
+    near = tuple(F(1, 3) ** e + (F(1, 10 ** 20) if e == 1 else 0)
+                 for e in range(1, 9))
+    r = count_in_tube(TubeQuery(moment_curve(8), F(1, 1000),
+                                ExplicitSource(FiniteSet(on_curve + [near]))))
+    assert r.certified and r.count == n + 1
+
+
+_TUBE_CURVES = {
+    "parabola": parabola(),
+    "cubic": polynomial_curve([[0, 1], [0, 0, 0, 1]]),
+    "circle": circle_arc(),
+    "arc": circle_arc(F(1, 8), F(5, 8)),
+    "shifted": translate_curve(parabola(), (F(-1, 3), F(2, 5))),
+}
+
+
+@st.composite
+def lattice_queries(draw):
+    N = draw(st.integers(1, 12))
+    box = []
+    for _ in range(2):
+        lo = F(draw(st.integers(-6, 3)), draw(st.integers(2, 6)))
+        box.append((lo, lo + F(draw(st.integers(0, 8)), draw(st.integers(1, 4)))))
+    delta = F(draw(st.integers(1, 8)), N ** draw(st.integers(1, 3)))
+    return draw(st.sampled_from(sorted(_TUBE_CURVES))), delta, N, tuple(box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_queries())
+def test_lattice_and_explicit_routes_agree(query):
+    name, delta, N, box = query
+    curve = _TUBE_CURVES[name]
+    lattice = LatticeSource(N, box)
+    (ilo, ihi), (jlo, jhi) = ((math.ceil(lo * N), math.floor(hi * N))
+                              for lo, hi in box)
+    pts = [(F(i, N), F(j, N))
+           for i in range(ilo, ihi + 1) for j in range(jlo, jhi + 1)]
+    r_lat = count_in_tube(TubeQuery(curve, delta, lattice))
+    r_exp = count_in_tube(TubeQuery(curve, delta,
+                                    ExplicitSource(FiniteSet(pts, dimension=2))))
+    assert r_lat == r_exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 9), st.integers(-10 ** 12, 10 ** 12),
+       st.integers(-3, 3), st.integers(-20, 20), st.integers(0, 40))
+def test_lattice_index_bound_matches_float_test(N, i, ulps, lo_off, width):
+    # boxes bound at the float of a lattice point, or a few ulps off it: the
+    # least index must agree with the float test float(i/N) >= b exactly
+    b = float(F(i, N))
+    for _ in range(abs(ulps)):
+        b = float(np.nextafter(b, np.inf if ulps > 0 else -np.inf))
+    lo = i + lo_off
+    hi = lo + width
+    expected = next((k for k in range(lo, hi + 1) if k / N >= b), hi + 1)
+    got = _least_index(np.array([b]), N, np.array([float(lo)]),
+                       np.array([float(hi)]))
+    assert int(got[0]) == expected
