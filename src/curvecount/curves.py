@@ -199,13 +199,24 @@ class TrigCoord:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @classmethod
+    def _reduced(cls, terms: dict, tau_power: int) -> "TrigCoord":
+        """Wrap terms that are already reduced, nonzero Fractions."""
+        out = object.__new__(cls)
+        out.terms, out.tau_power, out._floats = terms, tau_power, None
+        return out
+
     def mul(self, other: "TrigCoord") -> "TrigCoord":
         out: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return TrigCoord(out, self.tau_power + other.tau_power)
+        return TrigCoord._reduced(_reduce_trig(out), self.tau_power + other.tau_power)
+
+    # add and scaled only drop zero terms.  They list the terms in reverse,
+    # the order _reduce_trig's stack gives, because sup_abs sums in dict
+    # order and its float must not change.
 
     def add(self, other: "TrigCoord") -> "TrigCoord":
         if self.tau_power != other.tau_power and self.terms and other.terms:
@@ -214,11 +225,12 @@ class TrigCoord:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return TrigCoord(out, tau)
+        return TrigCoord._reduced({k: c for k, c in reversed(out.items()) if c}, tau)
 
     def scaled(self, k) -> "TrigCoord":
         k = _as_fraction(k)
-        return TrigCoord({key: c * k for key, c in self.terms.items()}, self.tau_power)
+        terms = {key: c * k for key, c in reversed(self.terms.items())} if k else {}
+        return TrigCoord._reduced(terms, self.tau_power)
 
     def __eq__(self, other):
         return (isinstance(other, TrigCoord) and self.terms == other.terms
@@ -433,12 +445,18 @@ def wronskian(curve: CurveSpec, t):
 
 
 def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCertificate:
-    """Sample |W| on grid+1 equispaced parameters and certify W > c0 if the
-    sampled minimum clears the finite-difference margin.
+    """Certify |W| > c0 on the whole domain.
 
-    For exact polynomial curves with c0 = 0 the check is upgraded to exact
-    sign constancy via root isolation of the Wronskian polynomial, in which
-    case the certificate margin is exact.
+    For exact polynomial curves the answer is exact at any c0: |W| > c0 on
+    [lo, hi] exactly when |W(lo)| > c0 and neither W − c0 nor W + c0 has a
+    root in [lo, hi], which the Sturm root counter decides.  The
+    certificate is then ``certified`` with ``exact=True`` and margin 0, or
+    ``failed``.
+
+    Other curves sample |W| on grid+1 equispaced parameters and are
+    ``certified`` if the sampled minimum clears the finite-difference
+    margin, ``sampled-only`` if it does not.  Every curve fails if a sample
+    has |W| ≤ c0.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -466,13 +484,12 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
 
     if any(v <= c0f for v in abs_vals):
         return cert("failed")
-    if exact_vals and c0f == 0:
-        wp = w.coeffs
-        if polys.is_zero(wp):
-            return cert("failed")
-        if polys.count_roots_closed(wp, lo, hi) == 0:
-            return cert("certified", exact=True)
-        return cert("failed")
+    if exact_vals:
+        # the samples include W(lo), with |W(lo)| > c0 ≥ 0, so W ± c0 ≠ 0
+        c = Fraction(c0f)
+        clear = all(polys.count_roots_closed(polys.sub(w.coeffs, (s,)), lo, hi) == 0
+                    for s in {c, -c})
+        return cert("certified", exact=True) if clear else cert("failed")
     if min_s - margin > c0f:
         return cert("certified")
     return cert("sampled-only")

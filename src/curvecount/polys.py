@@ -2,10 +2,15 @@
 real root isolation.
 
 Polynomials are dense coefficient tuples, low degree first, trimmed of trailing
-zeros; the zero polynomial is the empty tuple.  All arithmetic is exact over
-``fractions.Fraction``.  Root isolation follows the classical recipe: take the
-square-free part, strip roots sitting exactly at interval endpoints, then
-bisect on Sturm sign-variation counts until each interval holds one root.
+zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
+products, powers, composition, determinants) is exact over
+``fractions.Fraction``.  Root counting, isolation and refinement run on
+Python integers instead: the square-free part and its Sturm chain are built
+once per call as primitive integer polynomials by pseudo-remainders, and
+signs at a rational point n/d are read from the homogeneous integer
+Σ c_i·n^i·d^(deg−i).  Isolation bisects [a, b] on a dyadic grid with one
+shared denominator per depth and counts roots by sign variations; refinement
+bisects integer numerators the same way.
 """
 
 from __future__ import annotations
@@ -107,127 +112,137 @@ def compose(p: Poly, q: Poly) -> Poly:
     return acc
 
 
-def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of p by d over the rationals."""
-    if is_zero(d):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dd = degree(d)
-    lead = d[-1]
-    quot = [Fraction(0)] * max(0, len(p) - dd)
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        shift = len(rem) - 1 - dd
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(d):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return poly(quot), poly(rem)
-
-
-def div_exact(p: Poly, d: Poly) -> Poly:
-    q, r = divmod_exact(p, d)
-    if not is_zero(r):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers.
-
-    Positive scaling preserves signs, hence Sturm sign variations.
-    """
-    if is_zero(p):
-        return p
-    den = math.lcm(*(c.denominator for c in p))
-    nums = [c.numerator * (den // c.denominator) for c in p]
-    g = math.gcd(*(abs(n) for n in nums))
-    return tuple(Fraction(n // g) for n in nums)
-
-
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic polynomial gcd by the Euclidean algorithm."""
-    a, b = _primitive(p), _primitive(q)
-    while not is_zero(b):
-        _, r = divmod_exact(a, b)
-        a, b = b, _primitive(r)
-    if is_zero(a):
-        return ZERO
-    return scale(a, 1 / a[-1])
+    a, b = _ints(p), _ints(q)
+    while b:
+        a, b = b, _rem(a, b)
+    return tuple(Fraction(c, a[-1]) for c in a)
 
 
 def squarefree_part(p: Poly) -> Poly:
+    """p divided by the monic gcd of p and p'."""
     if degree(p) <= 1:
         return p
-    return div_exact(p, gcd(p, derivative(p)))
+    q = _squarefree_chain(p)[0]
+    return tuple(Fraction(c, q[-1]) * p[-1] for c in q)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of a square-free polynomial."""
-    chain = [_primitive(p), _primitive(derivative(p))]
-    while not is_zero(chain[-1]):
-        _, r = divmod_exact(chain[-2], chain[-1])
-        chain.append(_primitive(neg(r)))
+# -- root counting, isolation and refinement on integer chains ---------------
+# A positive multiple of a polynomial has the same roots and signs, so these
+# work on primitive integer coefficient lists (see the module docstring).
+
+def _ints(p) -> list[int]:
+    """Coprime integer coefficients of a positive multiple of p."""
+    den = math.lcm(*(c.denominator for c in p))
+    return _primitive([c.numerator * (den // c.denominator) for c in p])
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _rem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a positive multiple of the remainder of a by b."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        g = math.gcd(r[-1], lead)
+        s, f = lead // g, r[-1] // g
+        if s < 0:
+            s, f = -s, -f
+        shift = len(r) - 1 - db
+        r = [c * s for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
+def _sturm(a: list[int]) -> list[list[int]]:
+    """a, a', then negated remainders down to gcd(a, a'): the Sturm chain
+    of a when a is square-free."""
+    chain = [a, _primitive(list(derivative(a)))]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
     chain.pop()
     return chain
 
 
-def _variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = eval_exact(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _squarefree_chain(p: Poly) -> list[list[int]]:
+    """Sturm chain of the square-free part q of p; its head is q."""
+    chain = _sturm(_ints(p))
+    g = chain[-1]
+    if len(g) == 1:
+        return chain
+    # divide out gcd(p, p'); the quotient is integral because g is primitive
+    r, q = list(chain[0]), []
+    for shift in range(len(r) - len(g), -1, -1):
+        c = r[shift + len(g) - 1] // g[-1]
+        q.append(c)
+        for i, gi in enumerate(g):
+            r[shift + i] -= c * gi
+    return _sturm(q[::-1])
 
 
-def deflate_root(p: Poly, r: Fraction) -> Poly:
-    """Divide out a known root r, i.e. exact division by (t - r)."""
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        raise ArithmeticError(f"{r} is not a root")
-    out.pop()
-    return poly(reversed(out))
+def _chain_over(p: Poly, a: Fraction, b: Fraction):
+    """D, a·D, b·D for the least common denominator D of a and b, and the
+    Sturm chain of p's square-free part with each c_i scaled by D^(m−i)."""
+    D = math.lcm(a.denominator, b.denominator)
+    chain = [[c * D ** (len(q) - 1 - i) for i, c in enumerate(q)]
+             for q in _squarefree_chain(p)]
+    return D, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), chain
+
+
+def _value(e: list[int], n: int, k: int) -> int:
+    """Σ c_i·n^i·(D·2^k)^(m−i) for a member e = [c_i·D^(m−i)] of a chain
+    from _chain_over: (D·2^k)^m·c(n / (D·2^k)), which has the sign of c there."""
+    m = len(e) - 1
+    acc = 0
+    for i in range(m, -1, -1):
+        acc = acc * n + (e[i] << (k * (m - i)))
+    return acc
+
+
+def _sign_changes(chain: list[list[int]], n: int, k: int) -> tuple[int, bool]:
+    """Sign changes of the chain at n / (D·2^k) with zeros dropped, and
+    whether its head vanishes there.
+
+    For a square-free head q the count is right-continuous: V(lo) − V(hi)
+    is the number of roots of q in (lo, hi].
+    """
+    vals = [_value(e, n, k) for e in chain]
+    signs = [v > 0 for v in vals if v]
+    return sum(s != t for s, t in zip(signs, signs[1:])), not vals[0]
+
+
+def _counts(p: Poly, a, b) -> tuple[int, bool, bool]:
+    """Roots of p in (a, b], and whether p vanishes at a and at b."""
+    if is_zero(p):
+        raise ValueError("zero polynomial has no root count")
+    _, na, nb, chain = _chain_over(p, Fraction(a), Fraction(b))
+    (va, za), (vb, zb) = (_sign_changes(chain, n, 0) for n in (na, nb))
+    return va - vb, za, zb
 
 
 def count_roots_open(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in the open interval (a, b)."""
     if is_zero(p):
         raise ValueError("zero polynomial has no root count")
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
+    if not Fraction(a) < Fraction(b):
         return 0
-    q = squarefree_part(p)
-    while not is_zero(q) and eval_exact(q, a) == 0:
-        q = deflate_root(q, a)
-    while not is_zero(q) and eval_exact(q, b) == 0:
-        q = deflate_root(q, b)
-    if degree(q) <= 0:
-        return 0
-    chain = sturm_chain(q)
-    return _variations(chain, a) - _variations(chain, b)
+    n, _, zb = _counts(p, a, b)
+    return n - zb
 
 
 def count_roots_closed(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in the closed interval [a, b]."""
-    a, b = Fraction(a), Fraction(b)
-    if a > b:
+    if Fraction(a) > Fraction(b):
         return 0
-    q = squarefree_part(p)
-    n = count_roots_open(q, a, b)
-    if eval_exact(q, a) == 0:
-        n += 1
-    if b != a and eval_exact(q, b) == 0:
-        n += 1
-    return n
+    n, za, _ = _counts(p, a, b)
+    return n + za
 
 
 def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
@@ -235,58 +250,70 @@ def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
 
     Returns a sorted list of rational intervals; degenerate intervals
     (lo == hi) are exact roots.  Each non-degenerate open interval contains
-    exactly one simple root of the square-free part.
+    exactly one simple root of the square-free part.  The Sturm chain is
+    built once; each bisection node costs one evaluation of it.
     """
     if is_zero(p):
         raise ValueError("cannot isolate roots of the zero polynomial")
     a, b = Fraction(a), Fraction(b)
-    q = squarefree_part(p)
+    D, na, nb, chain = _chain_over(p, a, b)
+    (va, za), (vb, zb) = (_sign_changes(chain, n, 0) for n in (na, nb))
     found: list[tuple[Fraction, Fraction]] = []
-    if eval_exact(q, a) == 0:
+    if za:
         found.append((a, a))
-    if b != a and eval_exact(q, b) == 0:
+    if b != a and zb:
         found.append((b, b))
-    stack = [(a, b)]
+    # (lo, hi, k, V(lo), V(hi), q(hi) = 0) with ends lo/(D·2^k), hi/(D·2^k)
+    stack = [(na, nb, 0, va, vb, zb)] if a < b else []
     while stack:
-        lo, hi = stack.pop()
-        k = count_roots_open(q, lo, hi)
-        if k == 0:
+        lo, hi, k, vlo, vhi, zhi = stack.pop()
+        inside = vlo - vhi - zhi
+        if inside == 0:
             continue
-        if k == 1:
-            found.append((lo, hi))
+        if inside == 1:
+            found.append((Fraction(lo, D << k), Fraction(hi, D << k)))
             continue
-        mid = (lo + hi) / 2
-        if eval_exact(q, mid) == 0:
-            found.append((mid, mid))
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        mid, k = lo + hi, k + 1
+        vmid, zmid = _sign_changes(chain, mid, k)
+        if zmid:
+            x = Fraction(mid, D << k)
+            found.append((x, x))
+        stack.append((2 * lo, mid, k, vlo, vmid, zmid))
+        stack.append((mid, 2 * hi, k, vmid, vhi, zhi))
     found.sort(key=lambda iv: iv[0] + iv[1])
     return found
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, bits: int = 60) -> float:
-    """Refine an isolating interval to a float root by exact sign bisection."""
+    """Refine an isolating interval to a float root by exact sign bisection
+    of the square-free part, on integer numerators over a shared dyadic
+    denominator; the float is that of the last midpoint."""
     if lo == hi:
         return float(lo)
-    q = squarefree_part(p)
-    while eval_exact(q, lo) == 0:
-        q = deflate_root(q, lo)
-    while eval_exact(q, hi) == 0:
-        q = deflate_root(q, hi)
-    slo = eval_exact(q, lo)
-    shi = eval_exact(q, hi)
-    if slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
+    D, L, H, chain = _chain_over(p, Fraction(lo), Fraction(hi))
+    e = chain[0]
+    slo, shi = _value(e, L, 0), _value(e, H, 0)
+    if not slo or not shi:
+        # a root at an end takes the sign q has just inside the interval, as
+        # it would after dividing that root out; chain[1] is a multiple of q'
+        inward = 1 if H > L else -1
+        if not slo:
+            slo = inward * _value(chain[1], L, 0)
+        if not shi:
+            shi = -inward * _value(chain[1], H, 0)
+    if not slo or not shi or (slo > 0) == (shi > 0):
         raise ArithmeticError("interval does not isolate a simple root")
+    k = 0
     for _ in range(bits):
-        mid = (lo + hi) / 2
-        v = eval_exact(q, mid)
-        if v == 0:
-            return float(mid)
+        mid, k = L + H, k + 1
+        v = _value(e, mid, k)
+        if not v:
+            return float(Fraction(mid, D << k))
         if (v > 0) == (slo > 0):
-            lo, slo = mid, v
+            L, H, slo = mid, 2 * H, v
         else:
-            hi = mid
-    return float((lo + hi) / 2)
+            L, H = 2 * L, mid
+    return float(Fraction(L + H, D << (k + 1)))
 
 
 def sup_bound(p: Poly, a, b) -> float:

@@ -34,13 +34,13 @@ decide membership.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import polys
 from .curves import (CurveSpec, derivative_sup_bound, eval_array, point_fn,
                      velocity_fn)
 from . import pointsets
@@ -144,11 +144,18 @@ def materialize_source(source, cap: int | None = None):
 def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
     """Exact enumeration of Γ ∩ (1/N Z)² for a polynomial graph y = f(x).
 
-    x = k/N is on the curve iff N·f(k/N) is an integer, an exact rational
-    test; no floating point is involved.
+    Write f = P/D with integer coefficients P_i and degree d.  Then
+    f(k/N) = A_k / (D·N^d) with the integer A_k = Σ P_i·k^i·N^(d−i), so
+    x = k/N is on the curve exactly when N·A_k ≡ 0 mod D·N^d.  The test is
+    a residue of integers; a Fraction is built only for a point on the
+    curve, and no floating point is involved.
     """
     if graph.dimension != 2 or not graph.is_exact or not graph.is_graph_form:
         raise InvalidQuery("count_on_curve_lattice needs a planar polynomial graph")
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"N must be an integer, got {N!r}") from None
     if N < 1:
         raise ValueError("N must be >= 1")
     dlo, dhi = graph.domain
@@ -156,13 +163,19 @@ def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
         xl, xh = dlo, dhi
     else:
         xl, xh = max(Fraction(x_range[0]), dlo), min(Fraction(x_range[1]), dhi)
-    f = graph.coords[1].coeffs
+    f = graph.coords[1].coeffs or (Fraction(0),)
+    D = math.lcm(*(c.denominator for c in f))
+    d = len(f) - 1
+    weights = [c.numerator * (D // c.denominator) * N ** (d - i)
+               for i, c in enumerate(f)][::-1]
+    modulus = D * N ** d
     pts = []
     for k in range(math.ceil(xl * N), math.floor(xh * N) + 1):
-        x = Fraction(k, N)
-        y = polys.eval_exact(f, x)
-        if (y * N).denominator == 1:
-            pts.append((x, y))
+        acc = 0
+        for w in weights:
+            acc = acc * k + w
+        if N * acc % modulus == 0:
+            pts.append((Fraction(k, N), Fraction(acc, modulus)))
     return FiniteSet(pts, dimension=2)
 
 

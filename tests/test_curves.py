@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from curvecount import polys
 from curvecount import (DomainError, InvalidCurveError,
                         SmoothnessError, certify_nondegenerate, circle_arc,
                         eval_jet, graph_curve, moment_curve, parabola,
@@ -144,6 +145,25 @@ def test_certify_circle_thresholds():
 def test_certify_exact_positive():
     cert = certify_nondegenerate(parabola(), 0, 64)
     assert cert.status == "certified" and cert.exact
+
+
+def test_certify_is_exact_at_positive_c0():
+    # f'' = 3 + 700·t(t − 1/4)(t − 1/2)(t − 3/4)(t − 1) is 3 at all five grid
+    # points of grid 4, but its minimum on [0, 1] is about 0.518
+    roots = polys.poly([1])
+    for r in (0, F(1, 4), F(1, 2), F(3, 4), 1):
+        roots = polys.mul(roots, polys.poly([-r, 1]))
+    fpp = polys.add(polys.poly([3]), polys.scale(roots, 700))
+    f = [0, 0] + [c / ((i + 1) * (i + 2)) for i, c in enumerate(fpp)]
+    curve = graph_curve([f])  # W of a planar graph (t, f) is f''
+    assert wronskian_symbolic(curve).coeffs == fpp
+    cert = certify_nondegenerate(curve, 1, 4)
+    assert cert.min_sampled_wronskian == 3.0
+    assert cert.status == "failed" and not cert.exact
+    cert = certify_nondegenerate(curve, F(1, 2), 4)
+    assert cert.status == "certified" and cert.exact
+    assert cert.margin_estimate == 0.0
+    assert certify_nondegenerate(curve, F(52, 100), 4).status == "failed"
 
 
 def test_translate_preserves_wronskian():

@@ -1,11 +1,14 @@
 """Exact polynomial arithmetic and Sturm root isolation, cross-checked
-against numpy's eigenvalue-based root finder."""
+against numpy's eigenvalue-based root finder and against sympy's root
+counts."""
 
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from curvecount import polys
 from curvecount.curves import PolyCoord
@@ -30,14 +33,6 @@ def test_eval_exact_and_float():
     p = P(F(1, 3), 0, 1)
     assert polys.eval_exact(p, F(1, 2)) == F(7, 12)
     assert abs(PolyCoord(p).eval(0.5) - 7 / 12) < 1e-15
-
-
-def test_division_exact():
-    p = polys.mul(P(-1, 1), P(2, 1))
-    q, r = polys.divmod_exact(p, P(-1, 1))
-    assert q == P(2, 1) and r == polys.ZERO
-    with pytest.raises(ArithmeticError):
-        polys.div_exact(P(1, 1), P(0, 1))
 
 
 def test_gcd_and_squarefree():
@@ -116,3 +111,92 @@ def test_sup_bound_dominates():
         bound = polys.sup_bound(p, 0, 1)
         for k in range(21):
             assert abs(PolyCoord(p).eval(k / 20)) <= bound + 1e-9
+
+
+# -- sympy as the second route ----------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    return sympy.Poly([sympy.Rational(c) for c in reversed(p)], X)
+
+
+def sympy_open_count(sp, a, b):
+    """Distinct roots in (a, b): sympy counts the closed interval."""
+    a, b = sympy.Rational(a), sympy.Rational(b)
+    if not a < b:
+        return 0
+    return sp.count_roots(a, b) - (sp.eval(a) == 0) - (sp.eval(b) == 0)
+
+
+@st.composite
+def polys_with_interval(draw):
+    """A rational polynomial with repeated roots, roots at the ends of
+    [a, b], at dyadic bisection nodes of [a, b] and at non-dyadic
+    rationals, times a dense factor that may add irrational roots."""
+    a = draw(st.fractions(-2, 2, max_denominator=12))
+    b = a + draw(st.fractions(F(1, 8), 3, max_denominator=12))
+    p = polys.poly([draw(st.fractions(-5, 5, max_denominator=6)
+                         .filter(lambda c: c != 0))])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("end", "node", "rational")))
+        if kind == "end":
+            r = draw(st.sampled_from((a, b)))
+        elif kind == "node":
+            k = draw(st.integers(1, 6))
+            r = a + (b - a) * F(draw(st.integers(1, 2 ** k - 1)), 2 ** k)
+        else:
+            r = F(draw(st.integers(-40, 40)), draw(st.sampled_from((3, 5, 7, 9, 11))))
+        p = polys.mul(p, polys.power(P(-r, 1), draw(st.integers(1, 3))))
+    dense = [draw(st.fractions(-4, 4, max_denominator=5))
+             for _ in range(draw(st.integers(0, 4)))]
+    if polys.poly(dense):
+        p = polys.mul(p, polys.poly(dense))
+    return p, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_with_interval())
+def test_root_counts_match_sympy(case):
+    p, a, b = case
+    sp = to_sympy(p)
+    ra, rb = sympy.Rational(a), sympy.Rational(b)
+    assert polys.count_roots_closed(p, a, b) == sp.count_roots(ra, rb)
+    assert polys.count_roots_open(p, a, b) == sympy_open_count(sp, a, b)
+    mid = (a + b) / 2  # ends that may be roots, on a half interval
+    assert polys.count_roots_closed(p, mid, b) == sp.count_roots((ra + rb) / 2, rb)
+    assert polys.count_roots_open(p, a, mid) == sympy_open_count(sp, a, mid)
+    assert polys.count_roots_open(p, b, a) == 0
+    assert polys.count_roots_closed(p, b, a) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_with_interval())
+def test_isolating_intervals_match_sympy(case):
+    p, a, b = case
+    sp = to_sympy(p)
+    ivs = polys.isolate_roots(p, a, b)
+    assert len(ivs) == sp.count_roots(sympy.Rational(a), sympy.Rational(b))
+    assert ivs == sorted(ivs, key=lambda iv: iv[0] + iv[1])
+    for lo, hi in ivs:
+        assert a <= lo <= hi <= b
+        if lo == hi:
+            assert polys.eval_exact(p, lo) == 0
+            assert polys.refine_root(p, lo, hi) == float(lo)
+            continue
+        # an end may be a root, listed as its own degenerate interval
+        assert sympy_open_count(sp, lo, hi) == 1
+        root = polys.refine_root(p, lo, hi)
+        assert float(lo) <= root <= float(hi)
+    for (_, hi), (lo, _) in zip(ivs, ivs[1:]):
+        assert hi <= lo
+
+
+def test_refine_root_with_roots_at_the_ends():
+    # (t - 1/3) t (t - 1): the ends 0 and 1 are roots and 1/3 is isolated
+    p = polys.mul(polys.mul(P(F(-1, 3), 1), P(0, 1)), P(-1, 1))
+    assert polys.refine_root(p, F(0), F(1)) == pytest.approx(1 / 3, abs=1e-15)
+    assert polys.refine_root(p, F(1), F(0)) == pytest.approx(1 / 3, abs=1e-15)
+    with pytest.raises(ArithmeticError):
+        polys.refine_root(P(0, 1), F(0), F(1))

@@ -51,6 +51,50 @@ def test_on_curve_lattice_needs_graph():
         count_on_curve_lattice(circle_arc(), 4)
 
 
+@pytest.mark.parametrize("N", [4.0, 2.5, F(4), "4", 0, -3])
+def test_on_curve_lattice_rejects_a_bad_N(N):
+    with pytest.raises(ValueError):
+        count_on_curve_lattice(parabola(), N)
+
+
+def test_on_curve_lattice_accepts_integer_likes():
+    assert count_on_curve_lattice(parabola(), np.int64(4)) == \
+        count_on_curve_lattice(parabola(), 4)
+
+
+def on_curve_by_fractions(f, N, lo, hi):
+    """The x = k/N in [lo, hi] with N·f(k/N) an integer, by Fraction Horner."""
+    pts = []
+    for k in range(math.ceil(lo * N), math.floor(hi * N) + 1):
+        x = F(k, N)
+        y = F(0)
+        for c in reversed(f):
+            y = y * x + c
+        if (y * N).denominator == 1:
+            pts.append((x, y))
+    return pts
+
+
+rationals = st.fractions(-3, 3, max_denominator=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.lists(rationals, max_size=6),
+       N=st.integers(1, 60),
+       domain=st.tuples(st.fractions(0, F(1, 2), max_denominator=9),
+                        st.fractions(F(1, 2), 1, max_denominator=9))
+       .filter(lambda d: d[0] < d[1]),
+       x_range=st.none() | st.tuples(rationals, rationals))
+def test_on_curve_lattice_matches_fraction_loop(f, N, domain, x_range):
+    graph = graph_curve([f], domain=domain)
+    lo, hi = domain
+    if x_range is not None:
+        lo, hi = max(x_range[0], lo), min(x_range[1], hi)
+    coeffs = graph.coords[1].coeffs
+    assert sorted(count_on_curve_lattice(graph, N, x_range)) == \
+        on_curve_by_fractions(coeffs, N, lo, hi)
+
+
 def test_segment_distance_decision():
     seg = line_segment((0, 0), (1, 0))
     src = ExplicitSource(FiniteSet([(F(1, 2), F(1, 20)), (F(1, 2), F(1, 5))]))
