@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import polys
 from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord, wronskian
+from .pointsets import frac_str
 
 
 class LiftError(ValueError):
@@ -193,11 +194,10 @@ class BijectionReport:
     violations: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        e = self.exponent
         return {
             "n": self.n,
             "degrees": list(self.degrees),
-            "exponent": f"{e.numerator}/{e.denominator}",
+            "exponent": frac_str(self.exponent),
             "cardinality_base": self.cardinality_base,
             "cardinality_lifted": self.cardinality_lifted,
             "bijection": self.bijection,

@@ -112,22 +112,6 @@ def compose(p: Poly, q: Poly) -> Poly:
     return acc
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic polynomial gcd by the Euclidean algorithm."""
-    a, b = _ints(p), _ints(q)
-    while b:
-        a, b = b, _rem(a, b)
-    return tuple(Fraction(c, a[-1]) for c in a)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by the monic gcd of p and p'."""
-    if degree(p) <= 1:
-        return p
-    q = _squarefree_chain(p)[0]
-    return tuple(Fraction(c, q[-1]) * p[-1] for c in q)
-
-
 # -- root counting, isolation and refinement on integer chains ---------------
 # A positive multiple of a polynomial has the same roots and signs, so these
 # work on primitive integer coefficient lists (see the module docstring).

@@ -25,10 +25,10 @@ are counted by the closed-boundary rule but clear the result's certified
 flag: floating point cannot resolve them, and silently guessing is worse
 than saying so.
 
-The brute-force oracle is an independent second route: dense curve sampling
-at arclength resolution δ/100, nearest-neighbor queries through a k-d tree,
-and a zoom refinement for points whose sampled distance cannot already
-decide membership.
+The brute-force oracle is an independent second route on numpy alone: dense
+curve sampling at arclength resolution δ/100, the nearest sample among those
+in the point's 3×3 cells (sorted int64 keys on the two widest axes), and one
+vectorized zoom over every point the sampled distance cannot decide.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import (CurveSpec, derivative_sup_bound, eval_array, point_fn,
                      velocity_fn)
@@ -49,6 +49,8 @@ from .pointsets import (CapExceeded, FiniteSet, Gap, gap_enumerate,
 
 MAX_SEGMENTS = 4_000_000
 MAX_ORACLE_SAMPLES = 40_000_000
+# relative ambiguity band: |d − δ| ≤ AMBIGUITY_REL·δ clears `certified`
+AMBIGUITY_REL = 1e-9
 
 
 class InvalidQuery(ValueError):
@@ -88,7 +90,6 @@ class TubeQuery:
     curve: CurveSpec
     delta: Fraction | float
     source: ExplicitSource | LatticeSource | GapSource
-    ambiguity_rel: float = 1e-9
 
     def __post_init__(self):
         if float(self.delta) <= 0:
@@ -108,6 +109,10 @@ class CountResult:
     certified: bool
 
 
+def _result(points: tuple, arcs: int, certified: bool, keep: bool) -> CountResult:
+    return CountResult(len(points), points if keep else None, arcs, certified)
+
+
 def delta_from_rule(d, N: int, n: int) -> Fraction:
     """Exact neighborhood width δ = d / N^n for the scaling experiments."""
     return Fraction(d) / Fraction(N) ** n
@@ -116,10 +121,6 @@ def delta_from_rule(d, N: int, n: int) -> Fraction:
 def materialize_source(source, cap: int | None = None):
     """Expand a source into (sorted exact points, separation hint or None)."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
-    if isinstance(source, ExplicitSource):
-        pts = list(source.points)   # FiniteSet iterates in sorted order
-        sep = min_separation(source.points) if 2 <= len(pts) <= 1024 else None
-        return pts, sep
     if isinstance(source, LatticeSource):
         (xl, xh), (yl, yh) = ((Fraction(a), Fraction(b)) for a, b in source.box)
         N = source.N
@@ -133,12 +134,14 @@ def materialize_source(source, cap: int | None = None):
                for i in range(math.ceil(xl * N), math.floor(xh * N) + 1)
                for j in range(math.ceil(yl * N), math.floor(yh * N) + 1)]
         return pts, 1.0 / N
-    if isinstance(source, GapSource):
+    if isinstance(source, ExplicitSource):
+        fs = source.points
+    elif isinstance(source, GapSource):
         fs = gap_enumerate(source.gap, cap)
-        pts = list(fs)
-        sep = min_separation(fs) if 2 <= len(pts) <= 1024 else None
-        return pts, sep
-    raise InvalidQuery(f"unsupported source {type(source).__name__}")
+    else:
+        raise InvalidQuery(f"unsupported source {type(source).__name__}")
+    pts = list(fs)   # FiniteSet iterates in sorted order
+    return pts, min_separation(fs) if 2 <= len(pts) <= 1024 else None
 
 
 def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
@@ -310,6 +313,8 @@ def _expand(counts: np.ndarray):
 
 
 _SEGMENT_BLOCK = 1 << 16
+_PAIR_BLOCK = 1 << 22   # oracle: (point, sample) pairs measured at once
+_ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
 
 def _candidate_pairs(cells, gamma: np.ndarray, pad: float):
@@ -392,8 +397,6 @@ def _min_dist_sq_on_arc(fp, fv, p, a: float, b: float, nodes: int = 8,
                 else:
                     hi = mid
             best = min(best, dist_sq(0.5 * (lo + hi)))
-    if gs[-1] == 0.0:
-        best = min(best, dist_sq(b))
     return best
 
 
@@ -401,13 +404,13 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
     """Exact-or-certified count of source points with dist(p, Γ) ≤ δ."""
     curve = query.curve
     delta = float(query.delta)
-    band = query.ambiguity_rel * delta
+    band = AMBIGUITY_REL * delta
     if isinstance(query.source, LatticeSource):
         cells = _LatticeCells(query.source)
     else:
         cells = _PointCells(*materialize_source(query.source), delta)
     if cells.empty:
-        return CountResult(0, () if keep_points else None, 0, True)
+        return _result((), 0, True, keep_points)
     if cells.dim != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
@@ -426,7 +429,7 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
         n_seg = min(MAX_SEGMENTS, n_seg * 2)
     h = width / n_seg
     sagitta = accel * h * h / 8.0
-    pad = delta * (1.0 + 3.0 * query.ambiguity_rel) + sagitta + 1e-15
+    pad = delta * (1.0 + 3.0 * AMBIGUITY_REL) + sagitta + 1e-15
 
     pid, seg = _candidate_pairs(cells, gamma, pad)
     # merge each point's consecutive segments into parameter intervals
@@ -441,37 +444,95 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
         d2 = _min_dist_sq_on_arc(fp, fv, cells.point(i), a, b)
         best[i] = min(best[i], d2) if i in best else d2
 
-    matched = []
-    certified = True
-    for i, d2 in best.items():
-        dist = math.sqrt(d2)
-        if abs(dist - delta) <= band:
-            certified = False
-            if dist <= delta:
-                matched.append(i)
-        elif dist <= delta:
-            matched.append(i)
+    # the closed-boundary rule counts ambiguous points too
+    dist = {i: math.sqrt(d2) for i, d2 in best.items()}
+    matched = sorted(i for i, d in dist.items() if d <= delta)
+    return _result(tuple(cells.exact(i) for i in matched), n_seg,
+                   not any(abs(d - delta) <= band for d in dist.values()),
+                   keep_points)
 
-    matched_points = tuple(cells.exact(i) for i in sorted(matched))
-    return CountResult(
-        count=len(matched_points),
-        points=matched_points if keep_points else None,
-        arcs_examined=n_seg,
-        certified=certified,
-    )
+
+def _sum_sq(diff: np.ndarray) -> np.ndarray:
+    """Σ diff² over the last axis, added left to right."""
+    return reduce(np.add, [c * c for c in np.moveaxis(diff, -1, 0)])
+
+
+def _nearest_samples(samples: np.ndarray, pts: np.ndarray, upper: float):
+    """Squared distance to, and index of, each point's nearest sample closer
+    than ``upper`` (inf where there is none; ties go to the lowest index).
+
+    Samples are keyed by their cell on the two widest axes, of side ``upper``
+    plus four ulps of max(upper, |sample coordinate|), more than rounding in
+    x / side can cross: n-D distances go only to the point's 3×3 cells.
+    """
+    # per column: a reduction down a column is fast, one across rows is not
+    ext = [(col.min(), col.max()) for col in samples.T]
+    axes = sorted(np.argsort([lo - hi for lo, hi in ext], kind="stable")[:2])
+    side = upper + 4 * math.ulp(max(np.abs(ext).max(), upper))
+    keys, pkeys, offsets = 0, 0, np.zeros(1, dtype=np.int64)
+    for a in axes:
+        # two empty cells on either side of the samples': a clipped point's
+        # neighbours, and neighbour keys that wrap a row, meet no sample
+        c0 = math.floor(ext[a][0] / side) - 2
+        width = math.floor(ext[a][1] / side) - c0 + 3
+        keys = keys * width + (np.floor(samples[:, a] / side) - c0).astype(np.int64)
+        pkeys = pkeys * width + np.clip(np.floor(pts[:, a] / side) - c0,
+                                        0, width - 1).astype(np.int64)
+        offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    near = pkeys[:, None] + offsets
+    left = np.searchsorted(keys, near, "left")
+    counts = np.searchsorted(keys, near, "right") - left
+    ends = np.r_[0, np.cumsum(counts.sum(axis=1))]
+    d2 = np.full(len(pts), np.inf)
+    nearest = np.full(len(pts), len(samples))
+    i = 0
+    while i < len(pts):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] + _PAIR_BLOCK, "right")) - 1)
+        owner, rank = _expand(counts[i:j].ravel())
+        pt = owner // len(offsets) + i
+        sid = order[left[i:j].ravel()[owner] + rank]
+        dist = _sum_sq(samples[sid] - pts[pt])
+        np.minimum.at(d2, pt, dist)
+        tie = dist == d2[pt]
+        np.minimum.at(nearest, pt[tie], sid[tie])
+        i = j
+    return d2, nearest
+
+
+def _zoom(curve: CurveSpec, pts: np.ndarray, centers: np.ndarray, lo: float,
+          hi: float, dt: float) -> np.ndarray:
+    """Distance from each point to γ near its center parameter: five rounds
+    of 65 parameters, each zooming in to ±2 steps around its best."""
+    out = np.empty(len(pts))
+    for s in range(0, len(pts), _ZOOM_BLOCK):
+        e = s + _ZOOM_BLOCK
+        a, b = np.maximum(lo, centers[s:e] - dt), np.minimum(hi, centers[s:e] + dt)
+        rows = np.arange(len(a))
+        for _ in range(5):
+            step = (b - a) / 64
+            t = a[:, None] + step[:, None] * np.arange(65.0)
+            d2 = _sum_sq(eval_array(curve, t) - pts[s:e, None, :])
+            best = d2.argmin(axis=1)   # the first of equal minima
+            a = np.maximum(lo, t[rows, best] - 2 * step)
+            b = np.minimum(hi, t[rows, best] + 2 * step)
+        out[s:e] = np.sqrt(d2[rows, best])
+    return out
 
 
 def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True) -> CountResult:
-    """Oracle counter: dense sampling at arclength resolution δ/100, nearest
-    neighbor via k-d tree, zoom refinement for undecided points."""
+    """Oracle counter: dense sampling at arclength resolution δ/100, the
+    nearest sample through a grid of cells, and a vectorized zoom over the
+    points the sampled distance cannot decide."""
     curve = query.curve
     delta = float(query.delta)
-    band = query.ambiguity_rel * delta
+    band = AMBIGUITY_REL * delta
     pts_exact, _ = materialize_source(query.source)
     if len(pts_exact) > 10 ** 6:
         raise InvalidQuery("oracle limited to 1e6 source points")
     if not pts_exact:
-        return CountResult(0, () if keep_points else None, 0, True)
+        return _result((), 0, True, keep_points)
     if len(pts_exact[0]) != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
     pts = np.array([[float(c) for c in p] for p in pts_exact], dtype=float)
@@ -484,61 +545,16 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True) -> Count
     if n_samp > MAX_ORACLE_SAMPLES:
         raise InvalidQuery("oracle sampling budget exceeded; delta too small")
     ts = np.linspace(lo, hi, n_samp + 1)
-    samples = eval_array(curve, ts)
-    tree = cKDTree(samples)
     slack = h_arc / 2.0
-    # points whose every sample distance exceeds this bound are certainly
-    # outside; the pruning makes the nearest-neighbor pass tractable
+    # with no sample closer than upper, the distance exceeds delta + band
     upper = delta + band + slack + 1e-15
-    d_hat, nearest = tree.query(pts, k=1, distance_upper_bound=upper)
-
-    fp = point_fn(curve)
-    dt = width / n_samp
-
-    def refine(p, t_center: float) -> float:
-        a = max(lo, t_center - dt)
-        b = min(hi, t_center + dt)
-        for _ in range(5):
-            k = 64
-            step = (b - a) / k
-            best_t, best_d2 = a, None
-            for j in range(k + 1):
-                t = a + step * j
-                q = fp(t)
-                d2 = sum((qc - pc) * (qc - pc) for qc, pc in zip(q, p))
-                if best_d2 is None or d2 < best_d2:
-                    best_t, best_d2 = t, d2
-            a = max(lo, best_t - 2 * step)
-            b = min(hi, best_t + 2 * step)
-        return math.sqrt(best_d2)
-
-    matched = []
-    certified = True
-    for i in range(len(pts)):
-        d = float(d_hat[i])
-        if not math.isfinite(d):
-            # no sample within the pruning bound: min sample distance exceeds
-            # delta + band + slack, so the true distance exceeds delta + band
-            continue
-        if d <= delta - band:
-            # sampled distance bounds the true one from above: clearly inside
-            matched.append(i)
-            continue
-        if d - slack > delta + band:
-            # true distance is at least d - slack: clearly outside
-            continue
-        d_star = refine(tuple(pts[i]), float(ts[nearest[i]]))
-        if abs(d_star - delta) <= band:
-            certified = False
-            if d_star <= delta:
-                matched.append(i)
-        elif d_star <= delta:
-            matched.append(i)
-
-    matched_points = tuple(pts_exact[i] for i in sorted(matched))
-    return CountResult(
-        count=len(matched_points),
-        points=matched_points if keep_points else None,
-        arcs_examined=n_samp,
-        certified=certified,
-    )
+    d2, nearest = _nearest_samples(eval_array(curve, ts), pts, upper)
+    d = np.sqrt(d2)
+    # the true distance lies in [d - slack, d]
+    near = d2 < upper * upper
+    inside = near & (d <= delta - band)
+    todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
+    d_star = _zoom(curve, pts[todo], ts[nearest[todo]], lo, hi, width / n_samp)
+    matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
+    return _result(tuple(pts_exact[i] for i in matched.tolist()), n_samp,
+                   not (np.abs(d_star - delta) <= band).any(), keep_points)

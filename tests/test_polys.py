@@ -35,13 +35,6 @@ def test_eval_exact_and_float():
     assert abs(PolyCoord(p).eval(0.5) - 7 / 12) < 1e-15
 
 
-def test_gcd_and_squarefree():
-    p = polys.mul(polys.mul(P(-1, 1), P(-1, 1)), P(1, 1))  # (t-1)^2 (t+1)
-    g = polys.gcd(p, polys.derivative(p))
-    assert g == P(-1, 1)
-    assert polys.squarefree_part(p) == polys.mul(P(-1, 1), P(1, 1))
-
-
 def test_count_roots_closed_endpoints():
     p = P(0, 6)  # 6t, root at 0
     assert polys.count_roots_closed(p, 0, 1) == 1

@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from curvecount import pointsets
 from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
-                        GapSource, InvalidQuery, LatticeSource, TubeQuery,
-                        brute_force_tube_oracle, circle_arc,
+                        GapSource, InvalidQuery, LatticeSource, MonomialSet,
+                        TubeQuery, brute_force_tube_oracle, circle_arc,
                         count_in_tube, count_on_curve_lattice, delta_from_rule,
-                        graph_curve, line_segment, moment_curve, parabola,
-                        polynomial_curve)
-from curvecount.curves import translate_curve
+                        graph_curve, lift_curve, line_segment, moment_curve,
+                        parabola, polynomial_curve)
+from curvecount.curves import eval_array, translate_curve
 from curvecount.tube import _least_index, materialize_source
 
 
@@ -248,11 +248,86 @@ pts = [(F(1, 2), F(1, 2) + d * (1 + F(k, 10 ** 6))) for k in range(1, 200)]
 count_in_tube(TubeQuery(line_segment((0, F(1, 2)), (1, F(1, 2))), d,
                         FiniteSet(pts)))
 """
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_python(code: str):
+    """Run code in a fresh interpreter on this checkout's sources, with a
+    timeout that turns unbounded work into a failure instead of a hang."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+    return subprocess.run([sys.executable, "-c", code], timeout=60,
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
+
+
+def test_cli_imports_without_scipy():
+    # the package depends on numpy alone; a None entry in sys.modules makes
+    # every import of scipy fail
+    proc = _run_python('import sys\nsys.modules["scipy"] = None\n'
+                       'import curvecount.cli')
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_cells_follow_the_widest_axes():
+    # a segment along the third axis: cells on the first two axes would put
+    # all 10⁶ samples in one cell and measure each point against every one;
+    # no point is at distance δ, so both routes are certified
+    code = """
+from fractions import Fraction as F
+from curvecount import (FiniteSet, TubeQuery, brute_force_tube_oracle,
+                        count_in_tube, line_segment)
+pts = [(F(k % 7, 25000), F(k % 5, 25000), F(k, 3000)) for k in range(3000)]
+q = TubeQuery(line_segment((0, 0, 0), (0, 0, 1)), F(1, 10 ** 4), FiniteSet(pts))
+r, rb = count_in_tube(q), brute_force_tube_oracle(q)
+assert r.certified and rb.certified and r.points == rb.points, (r, rb)
+"""
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+_XY = MonomialSet([(1, 0), (0, 1), (1, 1)])
+_LIFTS = {"parabola": lift_curve(parabola(), _XY),
+          "circle": lift_curve(circle_arc(), _XY)}
+
+
+@st.composite
+def near_curve_queries(draw):
+    """Rational points within a few δ of a random planar polynomial graph,
+    or of the parabola or circle lifted by {x, y, xy} into 3-D; half of them
+    sit on a normal at distance δ(1 ± 10⁻⁶) or δ(1 ± 2·10⁻⁹), closer to
+    the boundary than the oracle's samples resolve without its zoom."""
+    if draw(st.booleans()):
+        curve = graph_curve([draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                                           min_size=1, max_size=5))])
+    else:
+        curve = _LIFTS[draw(st.sampled_from(sorted(_LIFTS)))]
+    delta = F(1, draw(st.integers(8, 200)))
+    offsets = st.lists(st.fractions(-2, 2, max_denominator=50),
+                       min_size=curve.dimension, max_size=curve.dimension)
+    radii = st.sampled_from([1 - 1e-6, 1 + 1e-6, 1 - 2e-9, 1 + 2e-9])
+    pts = set()
+    for t in draw(st.lists(st.fractions(0, 1, max_denominator=64),
+                           min_size=1, max_size=12)):
+        t = np.array([float(t)])
+        v = np.array([float(o) for o in draw(offsets)])
+        if draw(st.booleans()):
+            w = eval_array(curve, t, 1)[0]
+            v -= (v @ w) / (w @ w) * w
+            v *= draw(radii) / max(np.linalg.norm(v), 1e-300)
+        p = eval_array(curve, t)[0] + v * float(delta)
+        pts.add(tuple(F(float(c)) for c in p))
+    return TubeQuery(curve, delta, ExplicitSource(FiniteSet(pts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_curve_queries())
+def test_oracle_matches_counter_near_curves(q):
+    # explicit sources and, in 3-D, the oracle's cells on two of three axes
+    r = count_in_tube(q)
+    rb = brute_force_tube_oracle(q)
+    if r.certified and rb.certified:
+        assert r.count == rb.count and set(r.points) == set(rb.points)
 
 
 def test_many_coordinates():
