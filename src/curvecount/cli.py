@@ -158,7 +158,7 @@ def _cmd_exponent(args) -> int:
 def _cmd_count(args) -> int:
     query = ser.load_query(args.query)
     result = (brute_force_tube_oracle if args.oracle else count_in_tube)(
-        query, keep_points=False)
+        query, keep_points=False, cap=args.cap)
     _dump_json({"count": result.count, "certified": result.certified,
                 "arcs_examined": result.arcs_examined}, args.out)
     return 0
@@ -166,7 +166,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_energy(args) -> int:
     pts = ser.points_from_list(json.loads(Path(args.points).read_text()))
-    e = additive_energy(pts, args.m)
+    e = additive_energy(pts, args.m, args.cap)
     ratio = Fraction(e, len(pts) ** args.m)
     _dump_json({"size": len(pts), "m": args.m, "energy": e,
                 "ratio": ser.frac_str(ratio), "ratio_float": float(ratio)},
@@ -217,17 +217,17 @@ def _cmd_experiment(args) -> int:
         raise SystemExit(USAGE_EXIT)
     cfg, which = _load_experiment_config(args.config, args.seed)
     if which == "energy":
-        report = run_energy_experiment(cfg)
+        report = run_energy_experiment(cfg, args.cap)
         _emit(report.to_json(), args.out)
         return 0
-    report = run_exponent_experiment(cfg)
+    report = run_exponent_experiment(cfg, args.cap)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(),
           args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
-    result = run_inequality_campaign(args.kind, args.seed, args.trials)
+    result = run_inequality_campaign(args.kind, args.seed, args.trials, args.cap)
     _emit(result.to_json(), args.out)
     return 0 if result.ok else CAMPAIGN_FAIL_EXIT
 
@@ -255,10 +255,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return USAGE_EXIT
-    # --cap holds for this call only: restore the module caps afterwards
-    saved = (pointsets.ENUMERATION_CAP, pointsets.ENERGY_WORK_CAP)
-    if args.cap:
-        pointsets.ENUMERATION_CAP = pointsets.ENERGY_WORK_CAP = args.cap
+    # one --cap value bounds every capped call; 0 means the defaults
+    args.cap = args.cap or None
     try:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
@@ -266,8 +264,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, pointsets.CapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    finally:
-        pointsets.ENUMERATION_CAP, pointsets.ENERGY_WORK_CAP = saved
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ from .pointsets import (CapExceeded, FiniteSet, Gap, additive_energy,
                         check_energy_lower_bound, check_plunnecke, doubling,
                         frac_str, gap_enumerate, is_proper,
                         min_separation_squared)
-from .tube import LatticeSource, TubeQuery, count_in_tube, count_on_curve_lattice
+from .tube import (LatticeSource, TubeQuery, count_in_tube,
+                   count_on_curve_lattice, delta_from_rule)
 
 REPORTING_MARGIN = 0.1
 
@@ -115,7 +116,14 @@ class CountReport:
         return out.getvalue()
 
 
-def run_exponent_experiment(cfg: ExperimentConfig) -> CountReport:
+def _lattice_tube(cfg: ExperimentConfig, N: int, cap, keep_points=True):
+    """δ = d/N^n and the count of cfg's lattice box (1/N)Z² in that tube."""
+    delta = delta_from_rule(cfg.delta_d, N, cfg.delta_power)
+    query = TubeQuery(cfg.curve, delta, LatticeSource(N, cfg.box))
+    return delta, count_in_tube(query, keep_points, cap)
+
+
+def run_exponent_experiment(cfg: ExperimentConfig, cap=None) -> CountReport:
     mode = "on-curve" if cfg.delta_d is None else "tube"
     rows = []
     for N in cfg.schedule:
@@ -124,11 +132,7 @@ def run_exponent_experiment(cfg: ExperimentConfig) -> CountReport:
             pts = count_on_curve_lattice(cfg.curve, N)
             count, certified, delta = len(pts), True, "0/1"
         else:
-            delta_val = cfg.delta_d / Fraction(N) ** cfg.delta_power
-            box = tuple((Fraction(a), Fraction(b)) for a, b in cfg.box)
-            res = count_in_tube(TubeQuery(cfg.curve, delta_val,
-                                          LatticeSource(N, box)),
-                                keep_points=False)
+            delta_val, res = _lattice_tube(cfg, N, cap, keep_points=False)
             count, certified, delta = res.count, res.certified, frac_str(delta_val)
         rows.append({"N": N, "delta": delta, "count": count,
                      "certified": certified,
@@ -174,11 +178,12 @@ class EnergyReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def run_energy_experiment(cfg: ExperimentConfig) -> EnergyReport:
+def run_energy_experiment(cfg: ExperimentConfig, cap=None) -> EnergyReport:
     """E_m of the lattice points in each scheduled neighborhood.
 
     Reports the exact ratio E_m(B)/|B|^m (>= 1, the obvious lower bound) and
-    the saturation E_m(B)/|B|^(2m-1) (= 1 would be maximal energy).
+    the saturation E_m(B)/|B|^(2m-1) (= 1 would be maximal energy).  ``cap``
+    bounds the tube counts and the energy work; energy over it skips a row.
     """
     n = cfg.curve.dimension
     m = cfg.energy_m if cfg.energy_m is not None else n * (n + 1) // 2
@@ -189,21 +194,17 @@ def run_energy_experiment(cfg: ExperimentConfig) -> EnergyReport:
         if cfg.delta_d is None:
             pts = count_on_curve_lattice(cfg.curve, N)
         else:
-            delta_val = cfg.delta_d / Fraction(N) ** cfg.delta_power
-            box = tuple((Fraction(a), Fraction(b)) for a, b in cfg.box)
-            res = count_in_tube(TubeQuery(cfg.curve, delta_val,
-                                          LatticeSource(N, box)))
-            pts = FiniteSet(res.points, dimension=cfg.curve.dimension) \
-                if res.points else None
+            pts = FiniteSet(_lattice_tube(cfg, N, cap)[1].points,
+                            dimension=cfg.curve.dimension)
         row = {"N": N, "size": 0, "energy": None, "ratio": None,
                "ratio_float": None, "saturation": None,
                "saturation_float": None, "skipped": True, "reason": None}
-        if pts is None or len(pts) == 0:
+        if not pts:
             row["reason"] = "no points in the neighborhood"
             rows.append(row)
             continue
         try:
-            e = additive_energy(pts, m)
+            e = additive_energy(pts, m, cap)
         except CapExceeded as exc:
             row["size"] = len(pts)
             row["reason"] = f"work cap exceeded: {exc}"
@@ -260,13 +261,13 @@ def _random_int_set(rng: random.Random, max_size: int, span: int = 20,
     return FiniteSet(pts)
 
 
-def _random_proper_gap(rng: random.Random, max_product: int = 500) -> Gap:
+def _random_proper_gap(rng: random.Random, max_product: int = 500, cap=None) -> Gap:
     m = rng.randint(1, 3)
     lengths = []
     budget = max_product
     for i in range(m):
-        cap = max(1, int(budget ** (1.0 / (m - i))))
-        n = rng.randint(1, cap)
+        top = max(1, int(budget ** (1.0 / (m - i))))
+        n = rng.randint(1, top)
         lengths.append(n)
         budget = max(1, budget // n)
     base_span = 9
@@ -276,7 +277,7 @@ def _random_proper_gap(rng: random.Random, max_product: int = 500) -> Gap:
                 for _ in range(m)]
         base = tuple(rng.randint(-base_span, base_span) for _ in range(ambient))
         g = Gap(base, gens, lengths)
-        if is_proper(g):
+        if is_proper(g, cap):
             return g
     # random draws can stay improper for a long time in low ambient
     # dimension; fall back to scaled standard basis vectors, always proper
@@ -291,10 +292,11 @@ def _random_rational(rng: random.Random, denom_max: int = 64) -> Fraction:
     return Fraction(rng.randint(-d, d), d)
 
 
-def run_inequality_campaign(kind: str, seed: int, trials: int) -> CampaignResult:
+def run_inequality_campaign(kind: str, seed: int, trials: int,
+                            cap=None) -> CampaignResult:
     """Run `trials` randomized instances of one checker; every one of these
     inequalities is a theorem, so any failure is a finding (a bug), reported
-    with the serialized counterexample."""
+    with the serialized counterexample.  ``cap`` bounds each check's work."""
     kind = kind.replace("ü", "u")
     if kind not in CAMPAIGN_KINDS:
         raise ValueError(f"unknown campaign kind {kind!r}; "
@@ -310,7 +312,7 @@ def run_inequality_campaign(kind: str, seed: int, trials: int) -> CampaignResult
             k = rng.randint(1, len(pts))
             b = FiniteSet(rng.sample(pts, k))
             m = rng.choice([2, 3])
-            rep = check_energy_lower_bound(a, b, m)
+            rep = check_energy_lower_bound(a, b, m, cap)
             if rep.holds:
                 passes += 1
             else:
@@ -320,7 +322,7 @@ def run_inequality_campaign(kind: str, seed: int, trials: int) -> CampaignResult
         elif kind == "plunnecke":
             a = _random_int_set(rng, 25, span=30)
             m = rng.choice([2, 3])
-            rep = check_plunnecke(a, m)
+            rep = check_plunnecke(a, m, cap)
             if rep.holds:
                 passes += 1
             else:
@@ -362,8 +364,8 @@ def run_inequality_campaign(kind: str, seed: int, trials: int) -> CampaignResult
                                  "report": rep.to_dict(),
                                  "violations": list(rep.violations)})
         elif kind == "gap-doubling":
-            g = _random_proper_gap(rng)
-            pts = gap_enumerate(g)
+            g = _random_proper_gap(rng, cap=cap)
+            pts = gap_enumerate(g, cap)
             k_doubling = doubling(pts)
             bound = Fraction(2) ** g.gap_dimension
             sep_ok = len(pts) < 2 or min_separation_squared(pts) > 0

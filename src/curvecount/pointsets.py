@@ -27,6 +27,7 @@ checked on the same sizes, with the same formulas, on either path.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,13 @@ def exact_coord(x):
 
 def exact_point(p) -> tuple:
     return tuple(exact_coord(c) for c in p)
+
+
+def exact_int(x, what: str, error=ValueError) -> int:
+    """x as an int: a float, string or bool raises ``error``, never truncates."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise error(f"{what} must be an integer, got {x!r}")
+    return operator.index(x)
 
 
 class FiniteSet:
@@ -135,7 +143,8 @@ class Gap:
         object.__setattr__(self, "base", exact_point(self.base))
         object.__setattr__(self, "generators",
                            tuple(exact_point(g) for g in self.generators))
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
+        object.__setattr__(self, "lengths",
+                           tuple(exact_int(n, "GAP length") for n in self.lengths))
         if len(self.generators) != len(self.lengths):
             raise ValueError("one length per generator required")
         if not self.generators:
@@ -346,7 +355,9 @@ def doubling(A: FiniteSet) -> Fraction:
     """K = |A+A| / |A|, exact."""
     if not A.points:
         raise ValueError("doubling of an empty set")
-    return Fraction(len(sumset(A, A)), len(A))
+    sums = _Sums(A, A, 1)
+    sums.step()   # counted as keys: A+A is never decoded into points
+    return Fraction(len(sums), len(A))
 
 
 def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:

@@ -146,7 +146,7 @@ def gap_from_dict(data: dict) -> Gap:
         base=tuple(parse_frac(c) for c in data["base"]),
         generators=tuple(tuple(parse_frac(c) for c in v)
                          for v in data["generators"]),
-        lengths=tuple(int(n) for n in data["lengths"]),
+        lengths=data["lengths"],
     )
 
 
@@ -167,8 +167,7 @@ def hyperplane_from_list(data) -> Hyperplane:
 
 def delta_from_spec(data) -> Fraction:
     if isinstance(data, dict):
-        return delta_from_rule(parse_frac(data.get("d", 1)),
-                               int(data["N"]), int(data["n"]))
+        return delta_from_rule(parse_frac(data.get("d", 1)), data["N"], data["n"])
     return parse_frac(data)
 
 
@@ -179,7 +178,7 @@ def source_from_dict(data: dict):
         if box is None:
             raise InvalidQuery("lattice source needs a bounded box")
         box = tuple((parse_frac(a), parse_frac(b)) for a, b in box)
-        return LatticeSource(int(data["N"]), box)
+        return LatticeSource(data["N"], box)
     if kind == "points":
         return ExplicitSource(points_from_list(data["points"]))
     if kind == "gap":

@@ -15,10 +15,10 @@ block of arcs at a time, from integer cell indices:
   the two axes with the most occupied cells, and each box looks its cells
   up in the sorted int64 keys.
 
-Every (arc, cell) pair counts against ``pointsets.ENUMERATION_CAP`` before
-it is expanded.  Each candidate is then decided by bisecting the
-stationarity condition (γ(t) − p)·γ'(t) = 0 of the squared distance on its
-arcs.
+Every (arc, cell) pair counts against the ``cap`` argument of the count
+(``pointsets.ENUMERATION_CAP`` when it is None) before it is expanded.  Each
+candidate is then decided by bisecting the stationarity condition
+(γ(t) − p)·γ'(t) = 0 of the squared distance on its arcs.
 
 Distance tests that land inside the relative ambiguity band |d − δ| ≤ 1e-9·δ
 are counted by the closed-boundary rule but clear the result's certified
@@ -34,7 +34,6 @@ vectorized zoom over every point the sampled distance cannot decide.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -44,7 +43,7 @@ import numpy as np
 from .curves import (CurveSpec, derivative_sup_bound, eval_array, point_fn,
                      velocity_fn)
 from . import pointsets
-from .pointsets import (CapExceeded, FiniteSet, Gap, gap_enumerate,
+from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
                         min_separation)
 
 MAX_SEGMENTS = 4_000_000
@@ -69,6 +68,7 @@ class LatticeSource:
     box: tuple  # ((x_lo, x_hi), (y_lo, y_hi)) rationals
 
     def __post_init__(self):
+        object.__setattr__(self, "N", exact_int(self.N, "lattice N", InvalidQuery))
         if self.N < 1:
             raise InvalidQuery("lattice N must be >= 1")
         if self.box is None or len(self.box) != 2:
@@ -115,6 +115,7 @@ def _result(points: tuple, arcs: int, certified: bool, keep: bool) -> CountResul
 
 def delta_from_rule(d, N: int, n: int) -> Fraction:
     """Exact neighborhood width δ = d / N^n for the scaling experiments."""
+    N, n = exact_int(N, "N", InvalidQuery), exact_int(n, "n", InvalidQuery)
     return Fraction(d) / Fraction(N) ** n
 
 
@@ -155,10 +156,7 @@ def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
     """
     if graph.dimension != 2 or not graph.is_exact or not graph.is_graph_form:
         raise InvalidQuery("count_on_curve_lattice needs a planar polynomial graph")
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise ValueError(f"N must be an integer, got {N!r}") from None
+    N = exact_int(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     dlo, dhi = graph.domain
@@ -317,15 +315,13 @@ _PAIR_BLOCK = 1 << 22   # oracle: (point, sample) pairs measured at once
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
 
-def _candidate_pairs(cells, gamma: np.ndarray, pad: float):
+def _candidate_pairs(cells, gamma: np.ndarray, pad: float, cap: int):
     """All (point id, segment) pairs with the point inside the segment's
     padded bounding box, sorted by point id, then segment.
 
     Segments are processed in blocks.  The (segment, cell) pairs of a block
-    are counted before any is expanded, and the running total is held to
-    ``pointsets.ENUMERATION_CAP``.
+    are counted before any is expanded; their running total is held to cap.
     """
-    cap = pointsets.ENUMERATION_CAP
     n_seg = len(gamma) - 1
     work = 0.0
     pids, segs = [], []
@@ -400,15 +396,17 @@ def _min_dist_sq_on_arc(fp, fv, p, a: float, b: float, nodes: int = 8,
     return best
 
 
-def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
+def count_in_tube(query: TubeQuery, keep_points: bool = True,
+                  cap: int | None = None) -> CountResult:
     """Exact-or-certified count of source points with dist(p, Γ) ≤ δ."""
+    cap = pointsets.ENUMERATION_CAP if cap is None else cap
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
     if isinstance(query.source, LatticeSource):
         cells = _LatticeCells(query.source)
     else:
-        cells = _PointCells(*materialize_source(query.source), delta)
+        cells = _PointCells(*materialize_source(query.source, cap), delta)
     if cells.empty:
         return _result((), 0, True, keep_points)
     if cells.dim != curve.dimension:
@@ -431,7 +429,7 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True) -> CountResult:
     sagitta = accel * h * h / 8.0
     pad = delta * (1.0 + 3.0 * AMBIGUITY_REL) + sagitta + 1e-15
 
-    pid, seg = _candidate_pairs(cells, gamma, pad)
+    pid, seg = _candidate_pairs(cells, gamma, pad, cap)
     # merge each point's consecutive segments into parameter intervals
     breaks = (pid[1:] != pid[:-1]) | (seg[1:] != seg[:-1] + 1)
     start = np.flatnonzero(np.r_[len(seg) > 0, breaks])
@@ -521,14 +519,15 @@ def _zoom(curve: CurveSpec, pts: np.ndarray, centers: np.ndarray, lo: float,
     return out
 
 
-def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True) -> CountResult:
+def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
+                            cap: int | None = None) -> CountResult:
     """Oracle counter: dense sampling at arclength resolution δ/100, the
     nearest sample through a grid of cells, and a vectorized zoom over the
     points the sampled distance cannot decide."""
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
-    pts_exact, _ = materialize_source(query.source)
+    pts_exact, _ = materialize_source(query.source, cap)
     if len(pts_exact) > 10 ** 6:
         raise InvalidQuery("oracle limited to 1e6 source points")
     if not pts_exact:

@@ -189,3 +189,54 @@ def test_cap_flag_enforced(tmp_path, capsys):
     # the cap applied to that call only
     code, out = run_cli(capsys, "energy", "--points", str(ppath), "--m", "2")
     assert code == 0 and json.loads(out)["energy"] > 0
+
+
+def test_count_refuses_a_fractional_N(parabola_file, tmp_path, capsys):
+    # "N": 16.9 used to count at N = 16 and exit 0
+    query = {"curve": parabola_file, "delta": "1/256",
+             "source": {"type": "lattice", "N": 16.9,
+                        "box": [["0", "1"], ["0", "1"]]}}
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(query))
+    assert cli.main(["count", "--query", str(qpath)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_cap_reaches_every_capped_command(parabola_file, tmp_path, capsys):
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    lattice = write("lattice.json", {
+        "curve": parabola_file, "delta": "1/64",
+        "source": {"type": "lattice", "N": 8, "box": [["0", "1"], ["0", "1"]]}})
+    gap = write("gap.json", {
+        "curve": parabola_file, "delta": "1/16",
+        "source": {"type": "gap", "base": ["0", "0"],
+                   "generators": [["1/8", "0"], ["0", "1/8"]],
+                   "lengths": [9, 9]}})
+    tube = write("tube.json", {
+        "experiment": "exponent", "curve": parabola_file,
+        "schedule": [4, 8, 16], "delta": {"d": "1", "power": 2}})
+    energy = write("energy.json", {
+        "experiment": "energy", "curve": parabola_file,
+        "schedule": [16, 25, 36], "energy_m": 3})
+    raising = [["count", "--query", lattice], ["count", "--query", gap],
+               ["count", "--query", lattice, "--oracle"],
+               ["count", "--query", gap, "--oracle"],
+               ["--config", tube, "experiment"]]
+    raising += [["check", "--kind", kind, "--trials", "5", "--seed", "1"]
+                for kind in ("plunnecke", "gap-doubling", "lemma-2.4")]
+    for argv in raising:
+        assert cli.main(argv + ["--cap", "5"]) == 1, argv
+        assert "cap" in capsys.readouterr().err, argv
+        # the next call without --cap runs under the default caps
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+    # the energy experiment marks rows over the work cap as skipped
+    code, out = run_cli(capsys, "--config", energy, "experiment", "--cap", "5")
+    rows = json.loads(out)["rows"]
+    assert code == 0 and all("cap" in r["reason"] for r in rows)
+    code, out = run_cli(capsys, "--config", energy, "experiment")
+    assert code == 0 and not any(r["skipped"] for r in json.loads(out)["rows"])

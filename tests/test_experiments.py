@@ -120,11 +120,9 @@ def test_energy_experiment_tube_mode():
     assert all(F(r["ratio"]) >= 1 for r in rep.rows)
 
 
-def test_energy_experiment_cap_marks_skipped(monkeypatch):
-    import curvecount.pointsets as ps
-    monkeypatch.setattr(ps, "ENERGY_WORK_CAP", 1)
+def test_energy_experiment_cap_marks_skipped():
     cfg = ExperimentConfig(curve=parabola(), schedule=(16, 25, 36), energy_m=3)
-    rep = run_energy_experiment(cfg)
+    rep = run_energy_experiment(cfg, cap=1)
     assert all(r["skipped"] for r in rep.rows)
     assert all("cap" in r["reason"] for r in rep.rows)
 

@@ -57,6 +57,12 @@ def test_gap_enumerate_examples():
     assert not is_proper(g3)
 
 
+@pytest.mark.parametrize("lengths", [[30.7, 30], [F(3)], ["3"], [True]])
+def test_gap_lengths_must_be_integers(lengths):
+    with pytest.raises(ValueError):
+        Gap((0, 0), [(1, 0), (0, 1)][:len(lengths)], lengths)
+
+
 def test_gap_cap():
     g = Gap((0,), [(1,)], [1000])
     with pytest.raises(CapExceeded):

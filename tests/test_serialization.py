@@ -117,6 +117,22 @@ def test_query_loading(tmp_path):
     assert count_in_tube(query).count >= 3
 
 
+@pytest.mark.parametrize("path, value", [
+    (("source", "N"), 16.9), (("source", "N"), "16"), (("delta", "N"), 16.9),
+    (("delta", "n"), 2.0), (("gap", "lengths"), [30.7, 30]),
+])
+def test_query_integer_fields_are_not_truncated(path, value):
+    gap = {"type": "gap", "base": ["0", "0"],
+           "generators": [["1/8", "0"], ["0", "1/8"]], "lengths": [9, 9]}
+    lattice = {"type": "lattice", "N": 16, "box": [["0", "1"], ["0", "1"]]}
+    q = {"curve": ser.curve_to_dict(parabola()),
+         "delta": {"d": "1", "N": 16, "n": 2},
+         "source": gap if path[0] == "gap" else lattice}
+    q["source" if path[0] == "gap" else path[0]][path[1]] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        ser.query_from_dict(q)
+
+
 def test_query_sources():
     pts = {"type": "points", "points": [["1/2", "1/20"], ["1/2", "1/5"]]}
     src = ser.source_from_dict(pts)

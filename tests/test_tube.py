@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvecount import pointsets
 from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
                         GapSource, InvalidQuery, LatticeSource, MonomialSet,
                         TubeQuery, brute_force_tube_oracle, circle_arc,
@@ -203,6 +202,18 @@ def test_invalid_queries():
                                 ExplicitSource(FiniteSet([(1, 2, 3)]))))
 
 
+@pytest.mark.parametrize("N", [4.0, 2.5, F(4), "4", True])
+def test_lattice_N_and_delta_rule_refuse_non_integers(N):
+    # none of these may be truncated, or fail later inside the count
+    with pytest.raises(InvalidQuery):
+        LatticeSource(N, ((0, 1), (0, 1)))
+    with pytest.raises(InvalidQuery):
+        delta_from_rule(1, N, 2)
+    with pytest.raises(InvalidQuery):
+        delta_from_rule(1, 4, N)
+    assert type(LatticeSource(np.int64(4), ((0, 1), (0, 1))).N) is int
+
+
 def test_result_counts_match_points():
     q = TubeQuery(parabola(), F(1, 16), LatticeSource(4, ((0, 1), (0, 1))))
     r = count_in_tube(q)
@@ -222,15 +233,13 @@ def test_lattice_work_follows_candidates_not_box_size():
     assert set(count_on_curve_lattice(pb, N)) <= set(r.points)
 
 
-def test_candidate_cells_are_capped(monkeypatch):
+def test_candidate_cells_are_capped():
     # δ = 1 makes each of the three segment boxes cover the whole 65² box:
     # 12,675 (segment, cell) pairs, counted before any is expanded
     q = TubeQuery(parabola(), 1, LatticeSource(64, ((0, 1), (0, 1))))
-    monkeypatch.setattr(pointsets, "ENUMERATION_CAP", 12_000)
     with pytest.raises(CapExceeded):
-        count_in_tube(q)
-    monkeypatch.setattr(pointsets, "ENUMERATION_CAP", 13_000)
-    assert count_in_tube(q).count == 65 * 65
+        count_in_tube(q, cap=12_000)
+    assert count_in_tube(q, cap=13_000).count == 65 * 65
 
 
 def test_clustered_points_need_few_cells():
