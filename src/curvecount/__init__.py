@@ -6,10 +6,10 @@ combinatorics (energy, doubling, Plünnecke) driving the counting bounds.
 """
 
 from .curves import (CurveSpec, DomainError, InvalidCurveError, Jet,
-                     NondegeneracyCertificate, SmoothnessError,
-                     certify_nondegenerate, circle_arc, eval_jet, graph_curve,
-                     line_segment, moment_curve, parabola, polynomial_curve,
-                     wronskian, wronskian_symbolic)
+                     NondegeneracyCertificate, certify_nondegenerate,
+                     circle_arc, eval_jet, graph_curve, line_segment,
+                     moment_curve, parabola, polynomial_curve, wronskian,
+                     wronskian_symbolic)
 from .hyperplanes import (DegenerateIntersection, Hyperplane, RootList,
                           derivative_curve, intersect, max_intersections,
                           mvt_consistency, survey_intersections, to_graph_form)

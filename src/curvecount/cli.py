@@ -19,7 +19,7 @@ from .experiments import (CAMPAIGN_KINDS, ExperimentConfig,
                           run_energy_experiment, run_exponent_experiment,
                           run_inequality_campaign, squares_schedule)
 from .lifting import exponent, lift_curve, make_Ms
-from .pointsets import additive_energy
+from .pointsets import additive_energy, exact_int
 from .tube import brute_force_tube_oracle, count_in_tube
 from .hyperplanes import survey_intersections
 
@@ -184,7 +184,7 @@ def _cmd_hyperplanes(args) -> int:
     return 0
 
 
-def _load_experiment_config(path, seed) -> tuple[ExperimentConfig, str]:
+def _load_experiment_config(path) -> tuple[ExperimentConfig, str]:
     data = json.loads(Path(path).read_text())
     curve_field = data["curve"]
     if isinstance(curve_field, str):
@@ -193,7 +193,7 @@ def _load_experiment_config(path, seed) -> tuple[ExperimentConfig, str]:
         curve = ser.curve_from_dict(curve_field)
     sched = data.get("schedule")
     if isinstance(sched, dict):
-        sched = squares_schedule(int(sched["squares_up_to"]))
+        sched = squares_schedule(exact_int(sched["squares_up_to"], "squares_up_to"))
     mons = data.get("monomials")
     mset = ser.monomials_from_list(mons) if mons else None
     delta = data.get("delta", "on-curve")
@@ -201,21 +201,21 @@ def _load_experiment_config(path, seed) -> tuple[ExperimentConfig, str]:
         d = power = None
     else:
         d = ser.parse_frac(delta.get("d", 1))
-        power = int(delta["power"])
+        power = exact_int(delta["power"], "delta power")
     box = data.get("box", [["0", "1"], ["0", "1"]])
     box = tuple((ser.parse_frac(a), ser.parse_frac(b)) for a, b in box)
     energy_m = data.get("energy_m")
     cfg = ExperimentConfig(curve=curve, schedule=tuple(sched), monomials=mset,
                            delta_d=d, delta_power=power, box=box,
-                           energy_m=None if energy_m is None else int(energy_m),
-                           seed=data.get("seed", seed))
+                           energy_m=None if energy_m is None
+                           else exact_int(energy_m, "energy_m"))
     return cfg, data.get("experiment", "exponent")
 
 
 def _cmd_experiment(args) -> int:
     if not args.config:
         raise SystemExit(USAGE_EXIT)
-    cfg, which = _load_experiment_config(args.config, args.seed)
+    cfg, which = _load_experiment_config(args.config)
     if which == "energy":
         report = run_energy_experiment(cfg, args.cap)
         _emit(report.to_json(), args.out)

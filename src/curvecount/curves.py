@@ -12,6 +12,10 @@ Two coordinate-function representations cover every supported curve kind:
   Terms are kept reduced modulo cos² = 1 - sin² (u-exponent 0 or 1), which
   turns function identities like u² + v² = 1 into exact dictionary algebra.
 
+Both classes are closed under differentiation and products, so every curve and
+every monomial lift of a planar curve is C^∞: jets of any order exist, and no
+smoothness order is declared or checked.
+
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
 (float branch), ``point_fn``, ``velocity_fn`` and ``eval_array`` are all built
@@ -37,8 +41,6 @@ from .polys import Poly
 
 TAU = math.tau  # 2π
 
-DEFAULT_SMOOTHNESS = 16
-
 POLYNOMIAL_KINDS = ("moment", "polynomial-parametric", "polynomial-graph")
 CURVE_KINDS = POLYNOMIAL_KINDS + ("circle-arc", "lifted")
 
@@ -49,10 +51,6 @@ class CurveError(ValueError):
 
 class DomainError(CurveError):
     """Parameter outside the curve's domain."""
-
-
-class SmoothnessError(CurveError):
-    """Requested derivative order exceeds smoothness_order."""
 
 
 class InvalidCurveError(CurveError):
@@ -251,8 +249,7 @@ def _elementwise_pow(v: np.ndarray, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CurveSpec:
-    """A parameterized curve in R^n with derivative jets up to
-    smoothness_order.
+    """A parameterized curve in R^n with derivative jets of every order.
 
     Immutable after construction; the derivative table and the symbolic
     Wronskian are cached lazily (pure functions of the curve).  A lift
@@ -260,8 +257,7 @@ class CurveSpec:
     serialized and rebuilt exactly.
     """
 
-    def __init__(self, kind: str, coords, domain=(0, 1), smoothness_order=None,
-                 lift_origin=None):
+    def __init__(self, kind: str, coords, domain=(0, 1), lift_origin=None):
         coords = tuple(coords)
         if kind not in CURVE_KINDS:
             raise InvalidCurveError(f"unknown curve kind {kind!r}")
@@ -273,14 +269,9 @@ class CurveSpec:
         lo, hi = (_as_fraction(domain[0]), _as_fraction(domain[1]))
         if not (0 <= lo < hi <= 1):
             raise InvalidCurveError("domain must satisfy 0 <= t_lo < t_hi <= 1")
-        if smoothness_order is None:
-            smoothness_order = max(len(coords), DEFAULT_SMOOTHNESS)
-        if smoothness_order < len(coords):
-            raise InvalidCurveError("smoothness_order must be >= dimension")
         self.kind = kind
         self.coords = coords
         self.domain = (lo, hi)
-        self.smoothness_order = int(smoothness_order)
         self.lift_origin = lift_origin
         self._deriv_table = [list(coords)]
         self._wronskian_sym = None
@@ -300,9 +291,6 @@ class CurveSpec:
 
     def derivatives(self, order: int):
         """Rows 0..order of coordinate derivative functions (row k is γ^(k))."""
-        if order > self.smoothness_order:
-            raise SmoothnessError(
-                f"order {order} exceeds smoothness_order {self.smoothness_order}")
         while len(self._deriv_table) <= order:
             self._deriv_table.append([c.derivative() for c in self._deriv_table[-1]])
         return self._deriv_table[: order + 1]
@@ -339,37 +327,37 @@ class NondegeneracyCertificate:
 
 # -- constructors -----------------------------------------------------------
 
-def moment_curve(n: int, smoothness_order=None) -> CurveSpec:
+def moment_curve(n: int) -> CurveSpec:
     """The moment curve (t, t², …, tⁿ) on [0, 1]."""
     if n < 2:
         raise InvalidCurveError("moment curve needs dimension n >= 2")
     coords = [PolyCoord((Fraction(0),) * j + (Fraction(1),)) for j in range(1, n + 1)]
-    return CurveSpec("moment", coords, (0, 1), smoothness_order)
+    return CurveSpec("moment", coords)
 
 
-def polynomial_curve(coeff_lists, domain=(0, 1), kind="polynomial-parametric",
-                     smoothness_order=None) -> CurveSpec:
+def polynomial_curve(coeff_lists, domain=(0, 1),
+                     kind="polynomial-parametric") -> CurveSpec:
     """Parametric polynomial curve from per-coordinate coefficient lists."""
     coords = [PolyCoord(polys.poly(cs)) for cs in coeff_lists]
-    return CurveSpec(kind, coords, domain, smoothness_order)
+    return CurveSpec(kind, coords, domain)
 
 
-def graph_curve(f_coeff_lists, domain=(0, 1), smoothness_order=None) -> CurveSpec:
+def graph_curve(f_coeff_lists, domain=(0, 1)) -> CurveSpec:
     """Graph-form curve (t, f₂(t), …, fₙ(t)) from the coefficients of the fᵢ."""
     coords = [PolyCoord((Fraction(0), Fraction(1)))]
     coords += [PolyCoord(polys.poly(cs)) for cs in f_coeff_lists]
-    return CurveSpec("polynomial-graph", coords, domain, smoothness_order)
+    return CurveSpec("polynomial-graph", coords, domain)
 
 
-def parabola(domain=(0, 1), smoothness_order=None) -> CurveSpec:
+def parabola(domain=(0, 1)) -> CurveSpec:
     """The model planar curve (t, t²)."""
-    return graph_curve([[0, 0, 1]], domain, smoothness_order)
+    return graph_curve([[0, 0, 1]], domain)
 
 
-def circle_arc(t_lo=0, t_hi=1, smoothness_order=None) -> CurveSpec:
+def circle_arc(t_lo=0, t_hi=1) -> CurveSpec:
     """The arc t ↦ (cos 2πt, sin 2πt) for t in [t_lo, t_hi] ⊆ [0, 1]."""
     coords = [TrigCoord({(1, 0): 1}), TrigCoord({(0, 1): 1})]
-    return CurveSpec("circle-arc", coords, (t_lo, t_hi), smoothness_order)
+    return CurveSpec("circle-arc", coords, (t_lo, t_hi))
 
 
 def line_segment(p, q) -> CurveSpec:
@@ -392,9 +380,6 @@ def eval_jet(curve: CurveSpec, t, order: int) -> Jet:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > curve.smoothness_order:
-        raise SmoothnessError(
-            f"order {order} exceeds smoothness_order {curve.smoothness_order}")
     if not curve.contains_parameter(t):
         raise DomainError(f"parameter {t} outside domain {curve.domain}")
     exact = curve.is_exact and not isinstance(t, float)
@@ -420,8 +405,6 @@ def wronskian_symbolic(curve: CurveSpec):
     if curve._wronskian_sym is not None:
         return curve._wronskian_sym
     n = curve.dimension
-    if curve.smoothness_order < n:
-        raise SmoothnessError("Wronskian needs smoothness_order >= dimension")
     rows = curve.derivatives(n)[1:]
     if curve.is_exact:
         result = PolyCoord(polys.det_poly([[fn.coeffs for fn in row] for row in rows]))
@@ -509,7 +492,7 @@ def translate_curve(curve: CurveSpec, vector) -> CurveSpec:
         else:
             out.append(fn.add(TrigCoord({(0, 0): c}, fn.tau_power)))
     kind = curve.kind if not curve.is_exact else "polynomial-parametric"
-    return CurveSpec(kind, out, curve.domain, curve.smoothness_order)
+    return CurveSpec(kind, out, curve.domain)
 
 
 def derivative_sup_bound(curve: CurveSpec, order: int) -> float:
@@ -539,6 +522,22 @@ def _row_fn(row):
         return tuple(out)
 
     return evaluate
+
+
+def bisect_sign_change(g, lo: float, hi: float, g_lo: float, rounds: int) -> float:
+    """A zero of g between lo and hi, where g(lo) = g_lo and g(hi) differ in
+    sign: the first midpoint where g is exactly 0.0, otherwise the midpoint of
+    the bracket left after ``rounds`` halvings."""
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def eval_array(curve: CurveSpec, ts: np.ndarray, order: int = 0) -> np.ndarray:

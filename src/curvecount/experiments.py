@@ -8,8 +8,10 @@ against the exact counting exponent e(M) with a fixed reporting margin of
 0.1; small-N effects and the theorem's unspecified constants mean the
 comparison is a consistency report, never a refutation.
 
-Canonical JSON reports are byte-identical across repeated runs of the same
-config and seed -- wall-clock timings appear only in the CSV rendering.
+Exponent and energy runs are deterministic and take no seed: canonical JSON
+reports are byte-identical across repeated runs of the same config, and
+wall-clock timings appear only in the CSV rendering.  Only the inequality
+campaigns draw random instances, from the seed they are given.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .lifting import (MonomialSet, check_lattice_bijection, exponent,
                       lift_point, lipschitz_constant_squared, make_Ms)
 from .pointsets import (CapExceeded, FiniteSet, Gap, additive_energy,
                         check_energy_lower_bound, check_plunnecke, doubling,
-                        frac_str, gap_enumerate, is_proper,
+                        exact_int, frac_str, gap_enumerate, is_proper,
                         min_separation_squared)
 from .tube import (LatticeSource, TubeQuery, count_in_tube,
                    count_on_curve_lattice, delta_from_rule)
@@ -49,10 +51,9 @@ class ExperimentConfig:
     delta_power: int | None = None
     box: tuple = ((0, 1), (0, 1))
     energy_m: int | None = None         # None -> n(n+1)/2 for dimension n
-    seed: int = 0
 
     def __post_init__(self):
-        sched = tuple(int(n) for n in self.schedule)
+        sched = tuple(exact_int(n, "schedule N") for n in self.schedule)
         if any(b <= a for a, b in zip(sched, sched[1:])) or not sched:
             raise ValueError("N schedule must be nonempty and strictly increasing")
         object.__setattr__(self, "schedule", sched)
@@ -88,7 +89,7 @@ class CountReport:
     verdict: str | None
 
     def to_dict(self) -> dict:
-        # canonical: no wall-clock fields, deterministic given config+seed
+        # canonical: no wall-clock fields, deterministic given the config
         rows = [{"N": r["N"], "delta": r["delta"], "count": r["count"],
                  "certified": r["certified"]} for r in self.rows]
         e = self.theoretical_exponent

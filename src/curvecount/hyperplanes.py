@@ -21,8 +21,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import polys
-from .curves import (CurveSpec, InvalidCurveError, PolyCoord, point_fn)
+from .curves import (CurveSpec, InvalidCurveError, PolyCoord, bisect_sign_change,
+                     eval_array, point_fn)
 
 
 class HyperplaneError(ValueError):
@@ -105,24 +108,15 @@ def _intersect_sampled(curve: CurveSpec, plane: Hyperplane, grid: int) -> RootLi
         q = fp(t)
         return sum(a * x for a, x in zip(normal, q)) - a0
 
-    ts = [lo + (hi - lo) * k / grid for k in range(grid + 1)]
-    gs = [g(t) for t in ts]
+    # g on the whole grid in one vectorized pass: the same operations in the
+    # same order, so each node value is bit-identical to g at that node
+    ts = lo + (hi - lo) * np.arange(grid + 1) / grid
+    gs = (sum(a * x for a, x in zip(normal, eval_array(curve, ts).T)) - a0).tolist()
+    ts = ts.tolist()
     scale = max(max(abs(v) for v in gs), 1e-30)
     roots: list[float] = []
     warnings: list[str] = []
     certified = True
-
-    def bisect(a: float, b: float, ga: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            gm = g(mid)
-            if gm == 0.0:
-                return mid
-            if (gm > 0.0) == (ga > 0.0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        return 0.5 * (a + b)
 
     for k in range(grid):
         g0, g1 = gs[k], gs[k + 1]
@@ -130,7 +124,7 @@ def _intersect_sampled(curve: CurveSpec, plane: Hyperplane, grid: int) -> RootLi
             roots.append(ts[k])
             continue
         if g0 * g1 < 0.0:
-            roots.append(bisect(ts[k], ts[k + 1], g0))
+            roots.append(bisect_sign_change(g, ts[k], ts[k + 1], g0, 60))
     if gs[-1] == 0.0:
         roots.append(ts[-1])
 
@@ -192,8 +186,7 @@ def to_graph_form(curve: CurveSpec) -> CurveSpec:
     coords += [PolyCoord(polys.compose(fn.coeffs, sub)) for fn in curve.coords[1:]]
     lo, hi = curve.domain
     new_lo, new_hi = sorted((polys.eval_exact(c0, lo), polys.eval_exact(c0, hi)))
-    return CurveSpec("polynomial-graph", coords, (new_lo, new_hi),
-                     curve.smoothness_order)
+    return CurveSpec("polynomial-graph", coords, (new_lo, new_hi))
 
 
 def derivative_curve(curve: CurveSpec) -> CurveSpec:
@@ -205,8 +198,7 @@ def derivative_curve(curve: CurveSpec) -> CurveSpec:
     if curve.dimension < 2:
         raise InvalidCurveError("derivative curve needs dimension >= 2")
     coords = [PolyCoord(polys.derivative(fn.coeffs)) for fn in curve.coords[1:]]
-    return CurveSpec("polynomial-parametric", coords, curve.domain,
-                     max(curve.smoothness_order - 1, len(coords)))
+    return CurveSpec("polynomial-parametric", coords, curve.domain)
 
 
 def mvt_derived_hyperplane(plane: Hyperplane) -> Hyperplane:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import polys
 from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord, wronskian
-from .pointsets import frac_str
+from .pointsets import exact_int, frac_str
 
 
 class LiftError(ValueError):
@@ -73,7 +73,8 @@ class MonomialSet:
         ms = []
         for m in monomials:
             if not isinstance(m, Monomial):
-                m = Monomial(int(m[0]), int(m[1]))
+                m = Monomial(exact_int(m[0], "monomial exponent", LiftError),
+                             exact_int(m[1], "monomial exponent", LiftError))
             ms.append(m)
         if len(set(ms)) != len(ms):
             raise LiftError("monomials must be pairwise distinct")
@@ -144,9 +145,6 @@ def lift_curve(curve: CurveSpec, M: MonomialSet) -> CurveSpec:
     """The lift Γ^M of a planar curve; exact for polynomial base curves."""
     if curve.dimension != 2:
         raise InvalidCurveError("lift_curve needs a planar curve")
-    if curve.smoothness_order < M.n:
-        raise InvalidCurveError(
-            "base curve smoothness_order too small for the lift dimension")
     g1, g2 = curve.coords
     coords = []
     if curve.is_exact:
@@ -161,8 +159,7 @@ def lift_curve(curve: CurveSpec, M: MonomialSet) -> CurveSpec:
             for _ in range(m.b):
                 acc = acc.mul(g2)
             coords.append(acc)
-    return CurveSpec("lifted", coords, curve.domain, curve.smoothness_order,
-                     lift_origin=(curve, M))
+    return CurveSpec("lifted", coords, curve.domain, lift_origin=(curve, M))
 
 
 def lifted_wronskian(curve: CurveSpec, M: MonomialSet, t):

@@ -1,6 +1,10 @@
 """JSON (de)serialization for curves, monomial sets, point sets, GAPs,
 hyperplanes, and tube queries.
 
+Every file is JSON; loaders read the keys they know and ignore the rest.
+Integer fields (dimensions, exponents, N, lengths) must be integers and are
+never truncated.
+
 Rationals travel as decimal-free "numerator/denominator" strings so files
 round-trip exactly.  Curve files carry kind, dimension, coefficients and
 domain; lifted curves serialize as their base curve plus the monomial list
@@ -18,7 +22,7 @@ from .curves import (CurveSpec, InvalidCurveError, circle_arc, graph_curve,
                      moment_curve, polynomial_curve)
 from .hyperplanes import Hyperplane
 from .lifting import MonomialSet, lift_curve
-from .pointsets import FiniteSet, Gap, frac_str
+from .pointsets import FiniteSet, Gap, exact_int, frac_str
 from .tube import (ExplicitSource, GapSource, InvalidQuery, LatticeSource,
                    TubeQuery, delta_from_rule)
 
@@ -65,44 +69,31 @@ def curve_to_dict(curve: CurveSpec) -> dict:
 def curve_from_dict(data: dict) -> CurveSpec:
     kind = data.get("kind")
     domain = tuple(parse_frac(x) for x in data.get("domain", ["0", "1"]))
-    smooth = data.get("smoothness_order")
     if kind == "moment":
-        n = int(data["dimension"])
-        c = moment_curve(n, smooth)
-        return c if domain == (0, 1) else CurveSpec("moment", c.coords, domain, smooth)
+        n = exact_int(data["dimension"], "moment dimension", InvalidCurveError)
+        c = moment_curve(n)
+        return c if domain == (0, 1) else CurveSpec("moment", c.coords, domain)
     if kind == "circle-arc":
-        return circle_arc(domain[0], domain[1], smooth)
+        return circle_arc(domain[0], domain[1])
     if kind == "lifted":
         base = curve_from_dict(data["base"])
         mset = monomials_from_list(data["monomials"])
         return lift_curve(base, mset)
     if kind == "polynomial-graph":
         coeffs = [[parse_frac(c) for c in row] for row in data["coefficients"]]
-        return graph_curve(coeffs, domain, smooth)
+        return graph_curve(coeffs, domain)
     if kind == "polynomial-parametric":
         coeffs = [[parse_frac(c) for c in row] for row in data["coefficients"]]
-        return polynomial_curve(coeffs, domain, smoothness_order=smooth)
+        return polynomial_curve(coeffs, domain)
     raise InvalidCurveError(f"unknown curve kind {kind!r}")
 
 
 def load_curve(path) -> CurveSpec:
-    return curve_from_dict(_load_structured(path))
+    return curve_from_dict(json.loads(Path(path).read_text()))
 
 
 def save_curve(curve: CurveSpec, path):
     Path(path).write_text(json.dumps(curve_to_dict(curve), indent=2) + "\n")
-
-
-def _load_structured(path) -> dict:
-    p = Path(path)
-    text = p.read_text()
-    if p.suffix.lower() == ".toml":
-        try:
-            import tomllib
-        except ImportError as exc:  # Python < 3.11
-            raise ValueError("TOML support needs Python >= 3.11; use JSON") from exc
-        return tomllib.loads(text)
-    return json.loads(text)
 
 
 # -- monomial sets ----------------------------------------------------------
@@ -112,11 +103,11 @@ def monomials_to_list(mset: MonomialSet) -> list:
 
 
 def monomials_from_list(data) -> MonomialSet:
-    return MonomialSet([(int(a), int(b)) for a, b in data])
+    return MonomialSet([(a, b) for a, b in data])
 
 
 def load_monomials(path) -> MonomialSet:
-    data = _load_structured(path)
+    data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = data["monomials"]
     return monomials_from_list(data)
@@ -201,4 +192,5 @@ def query_from_dict(data: dict, base_dir=None) -> TubeQuery:
 
 
 def load_query(path) -> TubeQuery:
-    return query_from_dict(_load_structured(path), base_dir=Path(path).parent)
+    path = Path(path)
+    return query_from_dict(json.loads(path.read_text()), base_dir=path.parent)

@@ -40,8 +40,8 @@ from functools import reduce
 
 import numpy as np
 
-from .curves import (CurveSpec, derivative_sup_bound, eval_array, point_fn,
-                     velocity_fn)
+from .curves import (CurveSpec, bisect_sign_change, derivative_sup_bound,
+                     eval_array, point_fn, velocity_fn)
 from . import pointsets
 from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
                         min_separation)
@@ -380,19 +380,8 @@ def _min_dist_sq_on_arc(fp, fv, p, a: float, b: float, nodes: int = 8,
             best = min(best, dist_sq(ts[k]))
             continue
         if g0 * g1 < 0.0:
-            lo, hi = ts[k], ts[k + 1]
-            slo = g0
-            for _ in range(bits):
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (gm > 0.0) == (slo > 0.0):
-                    lo, slo = mid, gm
-                else:
-                    hi = mid
-            best = min(best, dist_sq(0.5 * (lo + hi)))
+            t = bisect_sign_change(g, ts[k], ts[k + 1], g0, bits)
+            best = min(best, dist_sq(t))
     return best
 
 

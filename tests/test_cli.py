@@ -8,6 +8,7 @@ from curvecount import cli
 from curvecount import serialization as ser
 from curvecount.curves import parabola
 from curvecount.experiments import CampaignResult
+from curvecount.lifting import make_Ms
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +86,23 @@ def test_lift_and_exponent_commands(parabola_file, tmp_path, capsys):
     assert json.loads(out)["exponent"] == "8/15"
 
 
+def test_lift_by_the_full_degree_5_set(parabola_file, tmp_path, capsys):
+    mpath = tmp_path / "m5.json"
+    mpath.write_text(json.dumps(ser.monomials_to_list(make_Ms(5))))
+    code, out = run_cli(capsys, "lift", "--curve", parabola_file,
+                        "--monomials", str(mpath))
+    assert code == 0
+    assert len(json.loads(out)["monomials"]) == 20
+
+
+def test_exponent_refuses_a_fractional_exponent(tmp_path, capsys):
+    # {y, x^1.5} used to be read as {y, x} and report e = 2/3
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps([[0, 1], [1.5, 0]]))
+    assert cli.main(["exponent", "--monomials", str(mpath)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_count_command(parabola_file, tmp_path, capsys):
     query = {"curve": parabola_file,
              "delta": {"d": "1", "N": 8, "n": 2},
@@ -153,6 +171,22 @@ def test_experiment_energy_command(parabola_file, tmp_path, capsys):
     code, out = run_cli(capsys, "--config", str(cpath), "experiment")
     assert code == 0
     assert all(not r["skipped"] for r in json.loads(out)["rows"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("schedule", [4.7, 8.2, 16.9]), ("schedule", {"squares_up_to": 100.5}),
+    ("delta", {"d": "1", "power": 2.9}), ("energy_m", 2.5),
+])
+def test_experiment_config_refuses_fractional_integers(parabola_file, tmp_path,
+                                                       capsys, field, value):
+    # each used to be truncated: N = 4, 8, 16 with δ = 1/N² exited 0
+    cfg = {"experiment": "energy" if field == "energy_m" else "exponent",
+           "curve": parabola_file, "schedule": [4, 8, 16],
+           "delta": {"d": "1", "power": 2}, field: value}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cpath), "experiment"]) == 1
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_check_command_passes(capsys):

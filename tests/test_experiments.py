@@ -31,6 +31,9 @@ def test_schedule_validation():
         ExperimentConfig(curve=parabola(), schedule=(4, 4, 9))
     with pytest.raises(ValueError):
         ExperimentConfig(curve=parabola(), schedule=())
+    # a fractional N used to be truncated: 4.7, 8.2, 16.9 ran as 4, 8, 16
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExperimentConfig(curve=parabola(), schedule=(4.7, 8.2, 16.9))
 
 
 def test_on_curve_experiment_counts_and_slope():

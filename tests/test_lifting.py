@@ -1,6 +1,7 @@
 """Monomial lifts: point/curve lifting, exponents, the Lipschitz constant,
 and the lattice bijection."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,10 +10,11 @@ import sympy as sp
 
 from curvecount import (InvalidCurveError, Monomial, MonomialSet, circle_arc,
                         check_lattice_bijection, count_on_curve_lattice,
-                        exponent, lift_curve, lift_point, lifted_wronskian,
-                        lipschitz_constant, lipschitz_constant_squared,
-                        make_Ms, parabola, wronskian_symbolic)
-from curvecount.curves import TrigCoord
+                        eval_jet, exponent, lift_curve, lift_point,
+                        lifted_wronskian, lipschitz_constant,
+                        lipschitz_constant_squared, make_Ms, parabola,
+                        wronskian_symbolic)
+from curvecount.curves import TrigCoord, point_fn
 from curvecount.lifting import LiftError, X, Y
 
 M_XY = MonomialSet([(1, 0), (0, 1)])
@@ -32,6 +34,10 @@ def test_monomial_set_canonical_order():
     assert [str(m) for m in ms] == ["x", "y", "x^2", "x*y", "y^2"]
     with pytest.raises(LiftError):
         MonomialSet([(1, 0), (1, 0)])
+    # a fractional exponent used to be truncated: {y, x^1.5} lifted as {y, x}
+    for bad in ([(0, 1), (1.5, 0)], [(0, 1), (1, "2")], [(True, 0)]):
+        with pytest.raises(LiftError, match="must be an integer"):
+            MonomialSet(bad)
 
 
 def test_make_ms_sizes():
@@ -69,6 +75,20 @@ def test_lift_curve_identity_and_moment():
     assert [c.coeffs for c in lifted.coords] == \
         [(F(0), F(1)), (F(0), F(0), F(1)), (F(0), F(0), F(0), F(1))]
     assert lifted.kind == "lifted"
+
+
+def test_lift_by_the_full_degree_5_set():
+    # 20 coordinates: the lift of a planar curve by any monomial set exists
+    M5 = make_Ms(5)
+    t = F(1, 3)
+    lifted = lift_curve(parabola(), M5)
+    assert lifted.dimension == 20
+    assert eval_jet(lifted, t, 0).point == lift_point((t, t * t), M5)
+    circle = lift_curve(circle_arc(), M5)
+    assert circle.dimension == 20
+    x, y = math.cos(math.tau / 3), math.sin(math.tau / 3)
+    assert point_fn(circle)(1 / 3) == pytest.approx(
+        [x ** m.a * y ** m.b for m in M5], abs=1e-12)
 
 
 def test_lift_duplicate_coordinate_kills_wronskian():

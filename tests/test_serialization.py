@@ -77,9 +77,26 @@ def test_translated_circle_is_rejected():
         ser.curve_to_dict(moved)
 
 
+@pytest.mark.parametrize("curve", [moment_curve(3), parabola(), circle_arc()])
+def test_unknown_curve_keys_are_ignored(curve):
+    # files written with the retired "smoothness_order" key keep loading
+    data = ser.curve_to_dict(curve)
+    loaded = ser.curve_from_dict({**data, "smoothness_order": 5})
+    assert ser.curve_to_dict(loaded) == data
+    assert loaded.coords == curve.coords and loaded.domain == curve.domain
+
+
 def test_monomials_roundtrip():
     ms = make_Ms(3)
     assert ser.monomials_from_list(ser.monomials_to_list(ms)) == ms
+
+
+def test_curve_and_monomial_integer_fields_are_not_truncated():
+    # {y, x^1.5} used to load as {y, x}, and dimension 3.9 as the moment curve n = 3
+    with pytest.raises(ValueError, match="must be an integer"):
+        ser.monomials_from_list([[0, 1], [1.5, 0]])
+    with pytest.raises(ValueError, match="must be an integer"):
+        ser.curve_from_dict({"kind": "moment", "dimension": 3.9})
 
 
 def test_points_roundtrip():
