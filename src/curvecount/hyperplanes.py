@@ -2,11 +2,11 @@
 uniform intersection bound.
 
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
-g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  For polynomial curves the roots in the
-domain are isolated exactly (Sturm sign variations on rational polynomials,
-square-free first so tangential intersections count once); for trigonometric
-curves a sign-change grid scan plus bisection is used, with even-multiplicity
-roots hunted best-effort among near-zero local minima of |g|.
+g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  Every root is isolated exactly by Sturm
+sign variations on a rational polynomial, square-free first so tangential
+intersections count once: g itself for polynomial curves, and for
+trigonometric curves g in (u, v) = (cos 2πt, sin 2πt) rewritten in
+s = tan πt by the half-angle substitution and cleared of denominators.
 
 The derivative curve of a graph (t, f₂(t), …, fₙ(t)) is
 (f₂'(t), …, fₙ'(t)) in one dimension lower: the Mean Value Theorem sends k
@@ -17,15 +17,13 @@ which is the induction step behind the uniform bound.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import polys
-from .curves import (CurveSpec, InvalidCurveError, PolyCoord, bisect_sign_change,
-                     eval_array, point_fn)
+from .curves import CurveSpec, InvalidCurveError, PolyCoord
 
 
 class HyperplaneError(ValueError):
@@ -66,7 +64,6 @@ class RootList:
     roots: tuple
     intervals: tuple  # exact isolating intervals, or None per root
     certified: bool
-    warnings: tuple = ()
 
     def __len__(self):
         return len(self.roots)
@@ -75,96 +72,79 @@ class RootList:
         return iter(self.roots)
 
 
-def _combination_poly(curve: CurveSpec, plane: Hyperplane) -> polys.Poly:
-    g = polys.poly([-plane.a0])
+# u = (1 − s²)/(1 + s²) and v = 2s/(1 + s²) at s = tan πt, times (1 + s²)
+_U = polys.poly([1, 0, -1])
+_V = polys.poly([0, 2])
+_W = polys.poly([1, 0, 1])
+# float t within this of a partial arc's end: kept, but not certified
+_END_TOL = 1e-12
+
+
+def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
+    """g = Σ aᵢγᵢ − a₀, coefficient by coefficient and without zero terms:
+    keyed by degree for polynomial curves, by the reduced (a, b) of u^a·v^b
+    for trigonometric ones."""
+    if not curve.is_exact and any(c.tau_power for c in curve.coords):
+        raise HyperplaneError("a coordinate carries a power of 2π; g is not rational")
+    g = {0 if curve.is_exact else (0, 0): -plane.a0}
     for a, coord in zip(plane.normal, curve.coords):
         if a:
-            g = polys.add(g, polys.scale(coord.coeffs, a))
+            terms = enumerate(coord.coeffs) if curve.is_exact else coord.terms.items()
+            for key, c in terms:
+                if c:
+                    g[key] = g.get(key, 0) + a * c
+    g = {key: c for key, c in g.items() if c}
+    if not g:
+        raise DegenerateIntersection("curve is contained in the hyperplane")
     return g
 
 
-def intersect(curve: CurveSpec, plane: Hyperplane, grid: int = 2048) -> RootList:
-    """Parameters t in the domain with γ(t) ∈ H."""
+def _half_angle(g: dict) -> polys.Poly:
+    """(1 + s²)^D·g(u, v) with u, v in terms of s = tan πt, D = max a + b: a
+    rational polynomial whose real roots are the roots t ≠ ½ of g."""
+    d = max(a + b for a, b in g)
+    p = polys.ZERO
+    for (a, b), c in g.items():
+        term = polys.mul(polys.power(_U, a), polys.power(_V, b))
+        p = polys.add(p, polys.scale(polys.mul(term, polys.power(_W, d - a - b)), c))
+    return p
+
+
+def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
+    """Parameters t in the domain with γ(t) ∈ H.
+
+    Polynomial curves isolate the roots of g on the domain.  Trigonometric
+    curves isolate the roots s of the half-angle polynomial inside its
+    Cauchy bound and map them to t = atan(s)/π mod 1; s = 0 is both t = 0
+    and t = 1, and t = ½ (s = ∞) is a root exactly when g(−1, 0) = 0.
+    Both routes are exact; only a root within 1e-12 of a partial arc's end
+    clears ``certified``, since its float t decides whether it is in the
+    domain.
+    """
     if plane.dimension != curve.dimension:
         raise HyperplaneError("hyperplane dimension does not match the curve")
+    g = _combination(curve, plane)
     lo, hi = curve.domain
     if curve.is_exact:
-        g = _combination_poly(curve, plane)
-        if polys.is_zero(g):
-            raise DegenerateIntersection("curve is contained in the hyperplane")
-        intervals = polys.isolate_roots(g, lo, hi)
-        roots = tuple(polys.refine_root(g, a, b) for a, b in intervals)
+        p = polys.poly(g.get(i, 0) for i in range(max(g) + 1))
+        intervals = polys.isolate_roots(p, lo, hi)
+        roots = tuple(polys.refine_root(p, a, b) for a, b in intervals)
         return RootList(roots=roots, intervals=tuple(intervals), certified=True)
-    return _intersect_sampled(curve, plane, grid)
-
-
-def _intersect_sampled(curve: CurveSpec, plane: Hyperplane, grid: int) -> RootList:
-    lo, hi = float(curve.domain[0]), float(curve.domain[1])
-    fp = point_fn(curve)
-    a0 = float(plane.a0)
-    normal = [float(a) for a in plane.normal]
-
-    def g(t: float) -> float:
-        q = fp(t)
-        return sum(a * x for a, x in zip(normal, q)) - a0
-
-    # g on the whole grid in one vectorized pass: the same operations in the
-    # same order, so each node value is bit-identical to g at that node
-    ts = lo + (hi - lo) * np.arange(grid + 1) / grid
-    gs = (sum(a * x for a, x in zip(normal, eval_array(curve, ts).T)) - a0).tolist()
-    ts = ts.tolist()
-    scale = max(max(abs(v) for v in gs), 1e-30)
-    roots: list[float] = []
-    warnings: list[str] = []
-    certified = True
-
-    for k in range(grid):
-        g0, g1 = gs[k], gs[k + 1]
-        if g0 == 0.0:
-            roots.append(ts[k])
-            continue
-        if g0 * g1 < 0.0:
-            roots.append(bisect_sign_change(g, ts[k], ts[k + 1], g0, 60))
-    if gs[-1] == 0.0:
-        roots.append(ts[-1])
-
-    # best-effort tangential roots: interior near-zero minima of |g| without
-    # a sign change.  Near a tangency g is locally quadratic, so a grid node
-    # within h/2 of it sees |g| up to ~|g''| h^2/8; the candidate threshold
-    # scales with h^2 while acceptance of the refined minimum stays strict.
-    cand_tol = scale * max(1e-9, (8.0 / grid) ** 2)
-    for k in range(1, grid):
-        if abs(gs[k]) < cand_tol and gs[k] != 0.0 \
-                and abs(gs[k]) <= abs(gs[k - 1]) and abs(gs[k]) <= abs(gs[k + 1]) \
-                and gs[k - 1] * gs[k + 1] > 0.0:
-            a, b = ts[k - 1], ts[k + 1]
-            for _ in range(80):
-                m1 = a + (b - a) / 3
-                m2 = b - (b - a) / 3
-                if abs(g(m1)) < abs(g(m2)):
-                    b = m2
-                else:
-                    a = m1
-            t_star = 0.5 * (a + b)
-            if abs(g(t_star)) < 1e-12 * scale:
-                roots.append(t_star)
-                warnings.append(f"tangential root near t={t_star:.12g}")
-                certified = False
-
-    roots = sorted(roots)
-    # collapse duplicates from adjacent grid cells
-    merged: list[float] = []
-    min_gap = (hi - lo) / grid * 1e-6
-    for r in roots:
-        if merged and abs(r - merged[-1]) < min_gap:
-            continue
-        merged.append(r)
-    near = sum(1 for x, y in zip(merged, merged[1:]) if y - x < 2 * (hi - lo) / grid)
-    if near:
-        warnings.append("roots closer than two grid cells; grid may be too coarse")
-        certified = False
-    return RootList(roots=tuple(merged), intervals=(None,) * len(merged),
-                    certified=certified, warnings=tuple(warnings))
+    p = _half_angle(g)
+    # Cauchy bound: every real root has |s| < bound
+    bound = 1 + math.ceil(max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
+    ts = [math.atan(polys.refine_root(p, a, b)) / math.pi % 1.0
+          for a, b in polys.isolate_roots(p, -bound, bound)]
+    if not p[0]:  # g(1, 0) = 0
+        ts.append(1.0)
+    if g.get((0, 0), 0) == g.get((1, 0), 0):  # g(−1, 0) = 0
+        ts.append(0.5)
+    flo, fhi = float(lo), float(hi)
+    roots = sorted(t for t in ts if flo - _END_TOL <= t <= fhi + _END_TOL)
+    partial = (lo, hi) != (0, 1)
+    near_end = any(min(abs(t - flo), abs(t - fhi)) <= _END_TOL for t in roots)
+    return RootList(roots=tuple(roots), intervals=(None,) * len(roots),
+                    certified=not (partial and near_end))
 
 
 def to_graph_form(curve: CurveSpec) -> CurveSpec:
@@ -234,15 +214,14 @@ class IntersectionSurvey:
     histogram: dict = field(default_factory=dict)
 
 
-def max_intersections(curve: CurveSpec, trials: int, seed: int,
-                      grid: int = 2048) -> int:
+def max_intersections(curve: CurveSpec, trials: int, seed: int) -> int:
     """Max intersection count over seeded random hyperplanes (coefficients
     uniform dyadic rationals in [−1, 1], normalized)."""
-    return survey_intersections(curve, trials, seed, grid).max_roots
+    return survey_intersections(curve, trials, seed).max_roots
 
 
-def survey_intersections(curve: CurveSpec, trials: int, seed: int,
-                         grid: int = 2048) -> IntersectionSurvey:
+def survey_intersections(curve: CurveSpec, trials: int,
+                         seed: int) -> IntersectionSurvey:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
@@ -257,7 +236,7 @@ def survey_intersections(curve: CurveSpec, trials: int, seed: int,
             continue
         plane = Hyperplane(coeffs[0], coeffs[1:])
         try:
-            k = len(intersect(curve, plane, grid))
+            k = len(intersect(curve, plane))
         except DegenerateIntersection:
             continue
         hist[k] = hist.get(k, 0) + 1

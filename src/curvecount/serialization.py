@@ -9,7 +9,8 @@ Rationals travel as decimal-free "numerator/denominator" strings so files
 round-trip exactly.  Curve files carry kind, dimension, coefficients and
 domain; lifted curves serialize as their base curve plus the monomial list
 and are rebuilt by lifting on load, which preserves exactness for both
-polynomial and circle-arc bases.
+polynomial and circle-arc bases.  A declared dimension must match the
+loaded curve.
 """
 
 from __future__ import annotations
@@ -72,20 +73,23 @@ def curve_from_dict(data: dict) -> CurveSpec:
     if kind == "moment":
         n = exact_int(data["dimension"], "moment dimension", InvalidCurveError)
         c = moment_curve(n)
-        return c if domain == (0, 1) else CurveSpec("moment", c.coords, domain)
-    if kind == "circle-arc":
-        return circle_arc(domain[0], domain[1])
-    if kind == "lifted":
-        base = curve_from_dict(data["base"])
-        mset = monomials_from_list(data["monomials"])
-        return lift_curve(base, mset)
-    if kind == "polynomial-graph":
+        curve = c if domain == (0, 1) else CurveSpec("moment", c.coords, domain)
+    elif kind == "circle-arc":
+        curve = circle_arc(domain[0], domain[1])
+    elif kind == "lifted":
+        curve = lift_curve(curve_from_dict(data["base"]),
+                           monomials_from_list(data["monomials"]))
+    elif kind in ("polynomial-graph", "polynomial-parametric"):
         coeffs = [[parse_frac(c) for c in row] for row in data["coefficients"]]
-        return graph_curve(coeffs, domain)
-    if kind == "polynomial-parametric":
-        coeffs = [[parse_frac(c) for c in row] for row in data["coefficients"]]
-        return polynomial_curve(coeffs, domain)
-    raise InvalidCurveError(f"unknown curve kind {kind!r}")
+        build = graph_curve if kind == "polynomial-graph" else polynomial_curve
+        curve = build(coeffs, domain)
+    else:
+        raise InvalidCurveError(f"unknown curve kind {kind!r}")
+    if "dimension" in data and exact_int(data["dimension"], "curve dimension",
+                                         InvalidCurveError) != curve.dimension:
+        raise InvalidCurveError(f"curve declares dimension {data['dimension']} "
+                                f"but has {curve.dimension} coordinates")
+    return curve
 
 
 def load_curve(path) -> CurveSpec:

@@ -2,11 +2,11 @@
 δ-neighborhood of a curve.
 
 The production counter subdivides the parameter interval into arcs of chord
-length ≤ δ (a sup-speed bound sizes the grid; chords are verified and split
-further if needed) and inflates each arc's bounding box by δ plus a sagitta
-bound.  A candidate is a (point, arc) pair with the point's float
-coordinates inside the arc's box.  Candidates are generated with numpy, one
-block of arcs at a time, from integer cell indices:
+length ≤ δ (a sound sup bound on the speed sizes the grid) and inflates each
+arc's bounding box by δ plus a sagitta bound.  A candidate is a (point, arc)
+pair with the point's float coordinates inside the arc's box.  Candidates
+are generated with numpy, one block of arcs at a time, from integer cell
+indices:
 
 - a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
   box's index range, clipped to the lattice box, lists its candidates
@@ -406,14 +406,10 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     speed = derivative_sup_bound(curve, 1)
     accel = derivative_sup_bound(curve, 2)
 
+    # speed bounds |γ'| soundly, so each chord is at most speed·h ≤ δ
     n_seg = max(1, min(MAX_SEGMENTS, math.ceil(speed * width / delta)))
-    while True:
-        ts = np.linspace(lo, hi, n_seg + 1)
-        gamma = eval_array(curve, ts)
-        chord = np.linalg.norm(np.diff(gamma, axis=0), axis=1)
-        if n_seg >= MAX_SEGMENTS or (chord <= delta * (1 + 1e-12)).all():
-            break
-        n_seg = min(MAX_SEGMENTS, n_seg * 2)
+    ts = np.linspace(lo, hi, n_seg + 1)
+    gamma = eval_array(curve, ts)
     h = width / n_seg
     sagitta = accel * h * h / 8.0
     pad = delta * (1.0 + 3.0 * AMBIGUITY_REL) + sagitta + 1e-15

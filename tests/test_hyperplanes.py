@@ -1,18 +1,23 @@
 """Hyperplane intersections, derivative curves, the MVT consistency check,
 and affine invariance of intersection counts."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         derivative_curve, intersect, lift_curve, make_Ms,
                         max_intersections, moment_curve, mvt_consistency,
                         parabola, survey_intersections, to_graph_form,
                         wronskian)
-from curvecount.curves import InvalidCurveError, polynomial_curve
+from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord, point_fn,
+                               polynomial_curve)
 from curvecount.hyperplanes import HyperplaneError, mvt_derived_hyperplane
+from curvecount.lifting import MonomialSet
 
 
 def test_hyperplane_normalization():
@@ -127,7 +132,7 @@ def test_moment_curve_root_counts_bounded_by_dimension():
 def test_max_intersections_seeded():
     assert max_intersections(parabola(), 300, seed=7) == 2
     assert max_intersections(moment_curve(3), 300, seed=7) <= 3
-    survey = survey_intersections(circle_arc(), 100, seed=11, grid=512)
+    survey = survey_intersections(circle_arc(), 100, seed=11)
     assert survey.max_roots <= 2
     assert sum(survey.histogram.values()) == 100
 
@@ -163,32 +168,119 @@ def test_affine_invariance_of_root_counts():
 
 def test_circle_arc_sampled_intersections():
     # horizontal line y = 1/2 meets the full circle twice
-    roots = intersect(circle_arc(), Hyperplane(F(1, 2), (0, 1)), grid=512)
+    roots = intersect(circle_arc(), Hyperplane(F(1, 2), (0, 1)))
     assert len(roots) == 2
 
 
 def test_circle_tangency_on_grid_node():
-    # y = 1 touches at t = 1/4, an exact grid node where g evaluates to 0.0
-    roots = intersect(circle_arc(), Hyperplane(1, (0, 1)), grid=2048)
+    # y = 1 touches at t = 1/4
+    roots = intersect(circle_arc(), Hyperplane(1, (0, 1)))
     assert len(roots) == 1 and abs(roots.roots[0] - 0.25) < 1e-12
+    assert roots.certified
 
 
-def test_circle_tangency_off_grid_flagged():
-    import math
+def test_circle_float_built_tangent_is_decided_exactly():
+    # the float normal (cos 2π/3, sin 2π/3) has c² + s² − 1 ≈ −1.2e-16, so
+    # the line lies just outside the unit circle and misses it exactly
     th = 2 * math.pi / 3
-    plane = Hyperplane(F(1), (F(math.cos(th)), F(math.sin(th))))
-    roots = intersect(circle_arc(), plane, grid=2048)
-    assert len(roots) == 1
-    assert abs(roots.roots[0] - 1 / 3) < 1e-6
-    assert not roots.certified
-    assert any("tangential" in w for w in roots.warnings)
-    # pushed outward the line misses entirely
-    outward = Hyperplane(F(1001, 1000), (F(math.cos(th)), F(math.sin(th))))
-    assert len(intersect(circle_arc(), outward, grid=2048)) == 0
+    c, s = F(math.cos(th)), F(math.sin(th))
+    assert c * c + s * s < 1
+    roots = intersect(circle_arc(), Hyperplane(F(1), (c, s)))
+    assert len(roots) == 0 and roots.certified
+    # pushed inward the line meets the circle twice
+    inward = Hyperplane(F(999, 1000), (c, s))
+    roots = intersect(circle_arc(), inward)
+    assert len(roots) == 2 and roots.certified
+    assert all(abs(r - 1 / 3) < 0.01 for r in roots)
 
 
-def test_close_roots_clear_certified_flag():
+def test_close_roots_stay_certified():
+    # y = 1 − 10⁻⁶: two roots about 1.4e-4 apart around t = 1/4
     plane = Hyperplane(F(999999, 1000000), (0, 1))
-    roots = intersect(circle_arc(), plane, grid=64)
+    roots = intersect(circle_arc(), plane)
+    assert len(roots) == 2 and roots.certified
+    assert roots.roots[0] < 0.25 < roots.roots[1]
+
+
+def test_circle_rational_tangent():
+    # (3/5)x + (4/5)y = 1 touches the circle at (3/5, 4/5) only
+    roots = intersect(circle_arc(), Hyperplane(1, (F(3, 5), F(4, 5))))
+    assert len(roots) == 1 and roots.certified
+    assert abs(roots.roots[0] - math.atan2(4, 3) / math.tau) < 1e-12
+
+
+def test_circle_root_at_half_is_exact():
+    # x = −1 meets the circle at t = 1/2, where s = tan πt is infinite
+    roots = intersect(circle_arc(), Hyperplane(-1, (1, 0)))
+    assert roots.roots == (0.5,) and roots.certified
+
+
+def test_circle_root_at_zero_is_also_one():
+    # x = 1 meets the circle at (1, 0), which is t = 0 and t = 1
+    roots = intersect(circle_arc(), Hyperplane(1, (1, 0)))
+    assert roots.roots == (0.0, 1.0) and roots.certified
+    # an arc that stops short of 1 keeps only t = 0
+    assert intersect(circle_arc(0, F(1, 2)), Hyperplane(1, (1, 0))).roots == (0.0,)
+
+
+def test_partial_arc_end_roots_are_kept_uncertified():
+    # x = y meets the circle at t = 1/8 and 5/8, the ends of this arc
+    roots = intersect(circle_arc(F(1, 8), F(5, 8)), Hyperplane(0, (1, -1)))
     assert len(roots) == 2 and not roots.certified
-    assert any("coarse" in w for w in roots.warnings)
+    assert abs(roots.roots[0] - 1 / 8) < 1e-12 and abs(roots.roots[1] - 5 / 8) < 1e-12
+    # strictly inside the arc nothing is in doubt
+    roots = intersect(circle_arc(F(1, 16), F(11, 16)), Hyperplane(0, (1, -1)))
+    assert len(roots) == 2 and roots.certified
+
+
+def test_lifted_circle_inside_hyperplane_is_degenerate():
+    M = make_Ms(2)
+    normal = [1 if (m.a, m.b) in ((2, 0), (0, 2)) else 0 for m in M]
+    with pytest.raises(DegenerateIntersection):
+        intersect(lift_curve(circle_arc(), M), Hyperplane(1, normal))
+
+
+def test_trig_coordinates_with_a_power_of_two_pi_are_refused():
+    curve = CurveSpec("circle-arc", [TrigCoord({(1, 0): 1}, 1),
+                                     TrigCoord({(0, 1): 1})])
+    with pytest.raises(HyperplaneError):
+        intersect(curve, Hyperplane(0, (1, 1)))
+
+
+_rational = st.fractions(min_value=-2, max_value=2, max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational, _rational, _rational)
+def test_circle_line_counts_are_exact(a, b, c):
+    assume(a or b)
+    expected = 2 if c * c < a * a + b * b else 1 if c * c == a * a + b * b else 0
+    expected += a == c  # (1, 0) on the line: t = 0 and t = 1 both count
+    roots = intersect(circle_arc(), Hyperplane(c, (a, b)))
+    assert len(roots) == expected and roots.certified
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["M2", "M3", "xy"]), st.randoms(use_true_random=False))
+def test_lifted_circle_roots_are_roots(mset, rng):
+    # every root has a tiny residual, and each sign change of g on a grid
+    # brackets a distinct root, so their number bounds the count from below
+    M = make_Ms(int(mset[1])) if mset != "xy" else MonomialSet([(1, 0), (0, 1), (1, 1)])
+    curve = lift_curve(circle_arc(), M)
+    a = [F(rng.randint(-2 ** 16, 2 ** 16), 2 ** 16) for _ in range(curve.dimension + 1)]
+    assume(any(a[1:]))
+    plane = Hyperplane(a[0], a[1:])
+    try:
+        roots = intersect(curve, plane)
+    except DegenerateIntersection:
+        return
+    normal = [float(x) for x in plane.normal]
+    fp = point_fn(curve)
+
+    def g(t):
+        return sum(x * y for x, y in zip(normal, fp(t))) - float(plane.a0)
+    assert roots.certified
+    assert all(abs(g(t)) < 1e-9 for t in roots)
+    vals = [g(k / 512) for k in range(513)]
+    changes = sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
+    assert changes <= len(roots)

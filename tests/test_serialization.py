@@ -99,6 +99,20 @@ def test_curve_and_monomial_integer_fields_are_not_truncated():
         ser.curve_from_dict({"kind": "moment", "dimension": 3.9})
 
 
+def test_declared_dimension_must_match_the_curve():
+    # one coefficient row is a 2-D graph; three monomials lift to 3-D
+    graph = {"kind": "polynomial-graph", "dimension": 3, "coefficients": [["0", "0", "1"]]}
+    lifted = {"kind": "lifted", "dimension": 2, "monomials": [[1, 0], [0, 1], [1, 1]],
+              "base": {"kind": "circle-arc", "dimension": 2}}
+    for data in (graph, lifted):
+        with pytest.raises(InvalidCurveError, match="dimension"):
+            ser.curve_from_dict(data)
+    with pytest.raises(InvalidCurveError, match="must be an integer"):
+        ser.curve_from_dict(dict(graph, dimension=2.0))
+    assert ser.curve_from_dict(dict(graph, dimension=2)).dimension == 2
+    assert ser.curve_from_dict(dict(lifted, dimension=3)).dimension == 3
+
+
 def test_points_roundtrip():
     pts = FiniteSet([(F(1, 3), 2), (0, F(-7, 2))])
     data = ser.points_to_list(pts)
