@@ -133,7 +133,10 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     p = _half_angle(g)
     # Cauchy bound: every real root has |s| < bound
     bound = 1 + math.ceil(max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
-    ts = [math.atan(polys.refine_root(p, a, b)) / math.pi % 1.0
+    # an isolating interval is narrower than 2·bound, so these bits put s
+    # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
+    bits = 60 + bound.bit_length()
+    ts = [math.atan(polys.refine_root(p, a, b, bits)) / math.pi % 1.0
           for a, b in polys.isolate_roots(p, -bound, bound)]
     if not p[0]:  # g(1, 0) = 0
         ts.append(1.0)

@@ -233,6 +233,25 @@ def test_partial_arc_end_roots_are_kept_uncertified():
     assert len(roots) == 2 and roots.certified
 
 
+def test_roots_near_half_do_not_blur_the_others():
+    # this line passes just right of (−1, 0): its roots are s = 1 (t = 1/4)
+    # and s ≈ −2e20, so the Cauchy bound on s is about 2e20
+    plane = Hyperplane(1, (-1 - F(1, 10 ** 20), 1))
+    roots = intersect(circle_arc(), plane)
+    assert len(roots) == 2 and roots.certified
+    assert abs(roots.roots[0] - 0.25) < 1e-12
+    roots = intersect(circle_arc(0, F(1, 3)), plane)
+    assert len(roots) == 1 and roots.certified
+    assert abs(roots.roots[0] - 0.25) < 1e-12
+
+
+def test_root_just_before_a_partial_arc_is_left_out():
+    # y = 1e-10 meets the circle at t ≈ 1.59e-11, before this arc starts
+    roots = intersect(circle_arc(F(1, 10 ** 9), F(1, 2)), Hyperplane(F(1, 10 ** 10), (0, 1)))
+    assert len(roots) == 1 and roots.certified
+    assert abs(roots.roots[0] - 0.5) < 1e-9
+
+
 def test_lifted_circle_inside_hyperplane_is_degenerate():
     M = make_Ms(2)
     normal = [1 if (m.a, m.b) in ((2, 0), (0, 2)) else 0 for m in M]
@@ -284,3 +303,26 @@ def test_lifted_circle_roots_are_roots(mset, rng):
     vals = [g(k / 512) for k in range(513)]
     changes = sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
     assert changes <= len(roots)
+
+
+def _circle_point(m):
+    # the point of the circle at s = tan πt = m
+    return ((1 - m * m) / (1 + m * m), 2 * m / (1 + m * m))
+
+
+_slope = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slope, _slope)
+def test_chord_roots_are_accurate_at_any_scale(m1, m2):
+    # the chord through the points at s = m1 and s = m2, which may lie
+    # arbitrarily close to (1, 0) or (−1, 0) and so make the bound on s huge
+    assume(m1 != m2 and m1 and m2)
+    (x1, y1), (x2, y2) = _circle_point(m1), _circle_point(m2)
+    normal = (y2 - y1, x1 - x2)
+    plane = Hyperplane(normal[0] * x1 + normal[1] * y1, normal)
+    roots = intersect(circle_arc(), plane)
+    expected = sorted(math.atan(m) / math.pi % 1.0 for m in (m1, m2))
+    assert len(roots) == 2 and roots.certified
+    assert all(abs(r - e) < 1e-12 for r, e in zip(roots, expected))
