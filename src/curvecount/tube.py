@@ -1,12 +1,23 @@
 """Counting points of exact finite sets and scaled lattices in the closed
 δ-neighborhood of a curve.
 
-The production counter subdivides the parameter interval into arcs of chord
-length ≤ δ (a sound sup bound on the speed sizes the grid) and inflates each
-arc's bounding box by δ plus a sagitta bound.  A candidate is a (point, arc)
-pair with the point's float coordinates inside the arc's box.  Candidates
-are generated with numpy, one block of arcs at a time, from integer cell
-indices:
+Lattice queries on a planar polynomial graph y = f(x) and on the full unit
+circle are decided by a column walk (``_walk_graph``, ``_walk_circle``).
+Each column x = i/N lists the few j that can be hits from exact bounds and
+decides each of them exactly: a vertical witness or a Sturm count on a
+graph, integer radii on the circle.  The work is O(N + candidates) and does
+not depend on δ.  The columns, and each column's candidates before they are
+decided, count against the ``cap`` argument of the count
+(``pointsets.ENUMERATION_CAP`` when it is None).  Walked results are
+certified and examine no arcs.
+
+Every other query (explicit and GAP sources, lifted curves, partial arcs
+and parametric curves) takes arcs.  The counter subdivides the parameter
+interval into arcs of chord length ≤ δ (a sound sup bound on the speed
+sizes the grid) and inflates each arc's bounding box by δ plus a sagitta
+bound.  A candidate is a (point, arc) pair with the point's float
+coordinates inside the arc's box.  Candidates are generated with numpy, one
+block of arcs at a time, from integer cell indices:
 
 - a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
   box's index range, clipped to the lattice box, lists its candidates
@@ -15,8 +26,7 @@ indices:
   the two axes with the most occupied cells, and each box looks its cells
   up in the sorted int64 keys.
 
-Every (arc, cell) pair counts against the ``cap`` argument of the count
-(``pointsets.ENUMERATION_CAP`` when it is None) before it is expanded.  Each
+Every (arc, cell) pair counts against the cap before it is expanded.  Each
 candidate is then decided by bisecting the stationarity condition
 (γ(t) − p)·γ'(t) = 0 of the squared distance on its arcs.
 
@@ -28,7 +38,9 @@ than saying so.
 The brute-force oracle is an independent second route on numpy alone: dense
 curve sampling at arclength resolution δ/100, the nearest sample among those
 in the point's 3×3 cells (sorted int64 keys on the two widest axes), and one
-vectorized zoom over every point the sampled distance cannot decide.
+vectorized zoom over every point the sampled distance cannot decide.  It
+builds a lattice's float points from their integer indices and an exact
+point only for a match.
 """
 
 from __future__ import annotations
@@ -40,11 +52,12 @@ from functools import reduce
 
 import numpy as np
 
-from .curves import (CurveSpec, bisect_sign_change, derivative_sup_bound,
-                     eval_array, point_fn, velocity_fn)
-from . import pointsets
+from .curves import (CurveSpec, bisect_sign_change, circle_arc,
+                     derivative_sup_bound, eval_array, point_fn, velocity_fn)
+from . import pointsets, polys
 from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
                         min_separation)
+from .polys import Poly
 
 MAX_SEGMENTS = 4_000_000
 MAX_ORACLE_SAMPLES = 40_000_000
@@ -78,6 +91,13 @@ class LatticeSource:
             if lo > hi:
                 raise InvalidQuery("box bounds out of order")
 
+    def index_bounds(self) -> tuple:
+        """((i_lo, i_hi), (j_lo, j_hi)): the box holds the points (i/N, j/N)
+        with i_lo ≤ i ≤ i_hi and j_lo ≤ j ≤ j_hi (empty when a lo exceeds
+        its hi)."""
+        return tuple((math.ceil(Fraction(lo) * self.N),
+                      math.floor(Fraction(hi) * self.N)) for lo, hi in self.box)
+
 
 @dataclass(frozen=True)
 class GapSource:
@@ -92,8 +112,9 @@ class TubeQuery:
     source: ExplicitSource | LatticeSource | GapSource
 
     def __post_init__(self):
-        if float(self.delta) <= 0:
-            raise InvalidQuery("delta must be positive")
+        # the walks take δ as an exact Fraction, which inf and nan have not
+        if not 0 < float(self.delta) < math.inf:
+            raise InvalidQuery("delta must be positive and finite")
         src = self.source
         if isinstance(src, FiniteSet):
             object.__setattr__(self, "source", ExplicitSource(src))
@@ -120,21 +141,9 @@ def delta_from_rule(d, N: int, n: int) -> Fraction:
 
 
 def materialize_source(source, cap: int | None = None):
-    """Expand a source into (sorted exact points, separation hint or None)."""
+    """Expand an explicit or GAP source into (sorted exact points,
+    separation hint or None).  Lattices are never materialized."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
-    if isinstance(source, LatticeSource):
-        (xl, xh), (yl, yh) = ((Fraction(a), Fraction(b)) for a, b in source.box)
-        N = source.N
-        nx = math.floor(xh * N) - math.ceil(xl * N) + 1
-        ny = math.floor(yh * N) - math.ceil(yl * N) + 1
-        if nx <= 0 or ny <= 0:
-            return [], 1.0 / N
-        if nx * ny > cap:
-            raise CapExceeded(f"lattice box holds {nx * ny} points, cap {cap}")
-        pts = [(Fraction(i, N), Fraction(j, N))
-               for i in range(math.ceil(xl * N), math.floor(xh * N) + 1)
-               for j in range(math.ceil(yl * N), math.floor(yh * N) + 1)]
-        return pts, 1.0 / N
     if isinstance(source, ExplicitSource):
         fs = source.points
     elif isinstance(source, GapSource):
@@ -145,14 +154,33 @@ def materialize_source(source, cap: int | None = None):
     return pts, min_separation(fs) if 2 <= len(pts) <= 1024 else None
 
 
+def _graph_numerators(f: Poly, N: int, k_lo: int, k_hi: int):
+    """The modulus D·N^d and the integers A_k, k_lo ≤ k ≤ k_hi, with
+    f(k/N) = A_k / (D·N^d).
+
+    Write f = P/D with integer coefficients P_i and degree d; then
+    A_k = Σ P_i·k^i·N^(d−i), which Horner's rule gives in integers, one
+    coefficient at a time for every k.
+    """
+    f = f or (Fraction(0),)
+    D = math.lcm(*(c.denominator for c in f))
+    d = len(f) - 1
+    weights = [c.numerator * (D // c.denominator) * N ** (d - i)
+               for i, c in enumerate(f)][::-1]
+    ks = range(k_lo, k_hi + 1)
+    values = [weights[0]] * len(ks)
+    for w in weights[1:]:
+        values = [v * k + w for v, k in zip(values, ks)]
+    return D * N ** d, values
+
+
 def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
     """Exact enumeration of Γ ∩ (1/N Z)² for a polynomial graph y = f(x).
 
-    Write f = P/D with integer coefficients P_i and degree d.  Then
-    f(k/N) = A_k / (D·N^d) with the integer A_k = Σ P_i·k^i·N^(d−i), so
-    x = k/N is on the curve exactly when N·A_k ≡ 0 mod D·N^d.  The test is
-    a residue of integers; a Fraction is built only for a point on the
-    curve, and no floating point is involved.
+    With f(k/N) = A_k / (D·N^d) (``_graph_numerators``), x = k/N is on the
+    curve exactly when N·A_k ≡ 0 mod D·N^d.  The test is a residue of
+    integers; a Fraction is built only for a point on the curve, and no
+    floating point is involved.
     """
     if graph.dimension != 2 or not graph.is_exact or not graph.is_graph_form:
         raise InvalidQuery("count_on_curve_lattice needs a planar polynomial graph")
@@ -164,20 +192,12 @@ def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
         xl, xh = dlo, dhi
     else:
         xl, xh = max(Fraction(x_range[0]), dlo), min(Fraction(x_range[1]), dhi)
-    f = graph.coords[1].coeffs or (Fraction(0),)
-    D = math.lcm(*(c.denominator for c in f))
-    d = len(f) - 1
-    weights = [c.numerator * (D // c.denominator) * N ** (d - i)
-               for i, c in enumerate(f)][::-1]
-    modulus = D * N ** d
-    pts = []
-    for k in range(math.ceil(xl * N), math.floor(xh * N) + 1):
-        acc = 0
-        for w in weights:
-            acc = acc * k + w
-        if N * acc % modulus == 0:
-            pts.append((Fraction(k, N), Fraction(acc, modulus)))
-    return FiniteSet(pts, dimension=2)
+    k_lo = math.ceil(xl * N)
+    modulus, values = _graph_numerators(graph.coords[1].coeffs, N, k_lo,
+                                        math.floor(xh * N))
+    return FiniteSet([(Fraction(k, N), Fraction(acc, modulus))
+                      for k, acc in enumerate(values, k_lo)
+                      if N * acc % modulus == 0], dimension=2)
 
 
 def _grid_cell_side(delta: float, sep_hint, pts: np.ndarray) -> float:
@@ -210,15 +230,14 @@ def _least_index(b: np.ndarray, N: int, lo: np.ndarray, hi: np.ndarray):
 class _LatticeCells:
     """A lattice source as its own index: cell (i, j) is the point (i/N, j/N).
 
-    Point ids number the box's points row-major, which is the sorted order
-    of the points ``materialize_source`` lists.
+    Point ids number the box's points row-major, which is their sorted
+    order.
     """
     dim = 2
 
     def __init__(self, source: LatticeSource):
-        self.N = N = source.N
-        bounds = [(math.ceil(Fraction(a) * N), math.floor(Fraction(b) * N))
-                  for a, b in source.box]
+        self.N = source.N
+        bounds = source.index_bounds()
         self.origin = tuple(lo for lo, _ in bounds)
         self.first = np.array(self.origin, dtype=float)
         self.last = np.array([hi for _, hi in bounds], dtype=float)
@@ -385,6 +404,118 @@ def _min_dist_sq_on_arc(fp, fv, p, a: float, b: float, nodes: int = 8,
     return best
 
 
+_UNIT_CIRCLE = circle_arc()
+
+
+def _charge(work: int, cap: int) -> int:
+    """work, once it is known not to exceed cap."""
+    if work > cap:
+        raise CapExceeded(f"tube column walk work {work} exceeds cap {cap}")
+    return work
+
+
+def _graph_near(f: Poly, domain: tuple, x: Fraction, y: Fraction,
+                delta: Fraction) -> bool:
+    """Whether some t in the domain has |(t, f(t)) − (x, y)| ≤ δ, exactly.
+
+    Such a t has |t − x| ≤ δ, so the question is whether
+    D(t) = (t − x)² + (f(t) − y)² − δ² is ≤ 0 somewhere on
+    [a, b] = [max(lo, x − δ), min(hi, x + δ)].  Either D(a) ≤ 0, or D goes
+    from positive to ≤ 0 and so has a root in [a, b], which the Sturm count
+    finds.  D is never the zero polynomial: its leading coefficient is
+    positive.
+    """
+    a, b = max(domain[0], x - delta), min(domain[1], x + delta)
+    if a > b:
+        return False
+    g = polys.sub(f, (y,))
+    D = polys.add(polys.mul(g, g), (x * x - delta * delta, -2 * x, Fraction(1)))
+    return polys.eval_exact(D, a) <= 0 or polys.count_roots_closed(D, a, b) > 0
+
+
+def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
+                cap: int) -> list:
+    """Lattice hits of the tube around a planar polynomial graph y = f(x).
+
+    A hit (x, y) has a witness t in the domain [lo, hi] with |t − x| ≤ δ and
+    |f(t) − y| ≤ δ.  So only the columns x = i/N in [lo − δ, hi + δ] hold
+    hits, and with xc the clamp of x to the domain and L = Σ k·|c_k|·R^(k−1)
+    ≥ |f′| (R = max(|lo|, |hi|)), only the j with
+    |f(xc) − j/N| ≤ δ(1 + L).  Each such candidate is a hit when x is in the
+    domain and |f(x) − y| ≤ δ, and otherwise as ``_graph_near`` decides.
+    """
+    N = source.N
+    f = curve.coords[1].coeffs
+    lo, hi = curve.domain
+    R = max(abs(lo), abs(hi))
+    reach = delta * (1 + sum(k * abs(c) * R ** (k - 1)
+                             for k, c in enumerate(f) if k))
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    ilo = max(ilo, math.ceil((lo - delta) * N))
+    ihi = min(ihi, math.floor((hi + delta) * N))
+    _charge(ihi - ilo + 1, cap)
+    # columns inside the domain take f(i/N) = A_i / modulus in integers
+    klo, khi = max(ilo, math.ceil(lo * N)), min(ihi, math.floor(hi * N))
+    modulus, values = _graph_numerators(f, N, klo, khi)
+    f_lo, f_hi = polys.eval_exact(f, lo), polys.eval_exact(f, hi)
+    hits, work = [], 0
+    for i in range(ilo, ihi + 1):
+        x = Fraction(i, N)
+        inside = klo <= i <= khi
+        fx = Fraction(values[i - klo], modulus) if inside else (
+            f_lo if x < lo else f_hi)
+        j0 = max(jlo, math.ceil((fx - reach) * N))
+        j1 = min(jhi, math.floor((fx + reach) * N))
+        work = _charge(work + max(0, j1 - j0 + 1), cap)
+        for j in range(j0, j1 + 1):
+            y = Fraction(j, N)
+            if ((inside and abs(fx - y) <= delta)
+                    or _graph_near(f, curve.domain, x, y, delta)):
+                hits.append((x, y))
+    return hits
+
+
+def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
+                 cap: int) -> list:
+    """Lattice hits of the tube around the full unit circle.
+
+    dist(p, circle) = | |p| − 1 |, so p = (i, j)/N is a hit exactly when
+    (N·max(0, 1 − δ))² ≤ i² + j² ≤ (N(1 + δ))², that is when
+    inner ≤ i² + j² ≤ outer for the integers inner = ⌈(N·max(0, 1 − δ))²⌉
+    and outer = ⌊(N(1 + δ))²⌋.  In column i the hits are the j with
+    j² ≤ outer − i² and j² ≥ inner − i²: one run, or two mirrored ones,
+    whose ends ``math.isqrt`` gives.
+    """
+    N = source.N
+    outer = math.floor((N * (1 + delta)) ** 2)
+    inner = math.ceil((N * max(Fraction(0), 1 - delta)) ** 2)
+    r = math.isqrt(outer)
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    ilo, ihi = max(ilo, -r), min(ihi, r)
+    _charge(ihi - ilo + 1, cap)
+    hits, work = [], 0
+    for i in range(ilo, ihi + 1):
+        top = math.isqrt(outer - i * i)
+        gap = inner - i * i
+        low = math.isqrt(gap - 1) + 1 if gap > 0 else 0  # least j ≥ 0, j² ≥ gap
+        runs = ((-top, -low), (low, top)) if low else ((-top, top),)
+        runs = [(max(a, jlo), min(b, jhi)) for a, b in runs]
+        work = _charge(work + sum(max(0, b - a + 1) for a, b in runs), cap)
+        x = Fraction(i, N)
+        hits += [(x, Fraction(j, N)) for a, b in runs for j in range(a, b + 1)]
+    return hits
+
+
+def _column_walk(curve: CurveSpec):
+    """The column walk that decides lattice queries on this curve, or None:
+    planar polynomial graphs and the full unit circle have one."""
+    if curve.dimension == 2 and curve.is_exact and curve.is_graph_form:
+        return _walk_graph
+    if (curve.coords, curve.domain) == (_UNIT_CIRCLE.coords, _UNIT_CIRCLE.domain):
+        return _walk_circle
+    return None
+
+
 def count_in_tube(query: TubeQuery, keep_points: bool = True,
                   cap: int | None = None) -> CountResult:
     """Exact-or-certified count of source points with dist(p, Γ) ≤ δ."""
@@ -393,6 +524,11 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
     if isinstance(query.source, LatticeSource):
+        walk = _column_walk(curve)
+        if walk is not None:
+            # every decision is exact, and no arc is examined
+            hits = walk(curve, Fraction(query.delta), query.source, cap)
+            return _result(tuple(hits), 0, True, keep_points)
         cells = _LatticeCells(query.source)
     else:
         cells = _PointCells(*materialize_source(query.source, cap), delta)
@@ -504,6 +640,41 @@ def _zoom(curve: CurveSpec, pts: np.ndarray, centers: np.ndarray, lo: float,
     return out
 
 
+def _check_oracle_size(n: int):
+    if n > 10 ** 6:
+        raise InvalidQuery("oracle limited to 1e6 source points")
+
+
+def _oracle_points(source, cap: int | None):
+    """The source's points as a float array, in sorted order, and a map
+    from a row of it to the exact point.
+
+    A lattice box is built from its integer indices: Python's int division
+    rounds i/N correctly, as float(Fraction(i, N)) does, and the only
+    Fractions built are those of the points asked for.
+    """
+    if not isinstance(source, LatticeSource):
+        pts_exact, _ = materialize_source(source, cap)
+        _check_oracle_size(len(pts_exact))
+        return (np.array([[float(c) for c in p] for p in pts_exact], dtype=float),
+                pts_exact.__getitem__)
+    cap = pointsets.ENUMERATION_CAP if cap is None else cap
+    N = source.N
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    nx, ny = max(0, ihi - ilo + 1), max(0, jhi - jlo + 1)
+    if nx * ny > cap:
+        raise CapExceeded(f"lattice box holds {nx * ny} points, cap {cap}")
+    _check_oracle_size(nx * ny)
+    xs = np.array([i / N for i in range(ilo, ihi + 1)], dtype=float)
+    ys = np.array([j / N for j in range(jlo, jhi + 1)], dtype=float)
+    pts = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
+
+    def exact(row: int) -> tuple:
+        i, j = divmod(row, ny)
+        return Fraction(ilo + i, N), Fraction(jlo + j, N)
+    return pts, exact
+
+
 def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
                             cap: int | None = None) -> CountResult:
     """Oracle counter: dense sampling at arclength resolution δ/100, the
@@ -512,14 +683,11 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
-    pts_exact, _ = materialize_source(query.source, cap)
-    if len(pts_exact) > 10 ** 6:
-        raise InvalidQuery("oracle limited to 1e6 source points")
-    if not pts_exact:
+    pts, exact = _oracle_points(query.source, cap)
+    if not len(pts):
         return _result((), 0, True, keep_points)
-    if len(pts_exact[0]) != curve.dimension:
+    if pts.shape[1] != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
-    pts = np.array([[float(c) for c in p] for p in pts_exact], dtype=float)
 
     lo, hi = float(curve.domain[0]), float(curve.domain[1])
     width = hi - lo
@@ -540,5 +708,5 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
     d_star = _zoom(curve, pts[todo], ts[nearest[todo]], lo, hi, width / n_samp)
     matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
-    return _result(tuple(pts_exact[i] for i in matched.tolist()), n_samp,
+    return _result(tuple(exact(i) for i in matched.tolist()), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

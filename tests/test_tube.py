@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from curvecount import polys
 from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
                         GapSource, InvalidQuery, LatticeSource, MonomialSet,
                         TubeQuery, brute_force_tube_oracle, circle_arc,
@@ -19,7 +20,7 @@ from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
                         graph_curve, lift_curve, line_segment, moment_curve,
                         parabola, polynomial_curve)
 from curvecount.curves import eval_array, translate_curve
-from curvecount.tube import _least_index, materialize_source
+from curvecount.tube import _least_index
 
 
 def test_delta_rule():
@@ -166,14 +167,28 @@ def test_oracle_equivalence_small_grid():
 
 
 def test_big_segment_count_path():
-    # theorem-scale delta caps n_seg at MAX_SEGMENTS; the lattice candidate
-    # stage still visits only the few cells inside each segment box
+    # at theorem-scale δ arcs would hit MAX_SEGMENTS; the column walk
+    # examines none and visits about one candidate per column
     pb = parabola()
     N = 32
     q = TubeQuery(pb, delta_from_rule(1, N, 5), LatticeSource(N, ((0, 1), (0, 1))))
     r = count_in_tube(q)
-    assert r.certified
+    assert r.certified and r.arcs_examined == 0
     assert set(count_on_curve_lattice(pb, N)) == set(r.points)
+
+
+def test_exact_boundary_lattice_points_are_certified():
+    # points at distance exactly δ: floats cannot tell them from the
+    # boundary, the column walk decides them exactly
+    N = 8
+    r = count_in_tube(TubeQuery(parabola(), F(1, N),
+                                LatticeSource(N, ((0, 1), (-1, 1)))))
+    assert (0, F(-1, N)) in r.points and r.certified
+    r = count_in_tube(TubeQuery(circle_arc(), F(1, 2),
+                                LatticeSource(10, ((-2, 2), (-2, 2)))))
+    on_boundary = [p for p in r.points if p[0] ** 2 + p[1] ** 2 == F(9, 4)]
+    assert (F(9, 10), F(12, 10)) in on_boundary and len(on_boundary) == 12
+    assert r.certified and r.arcs_examined == 0
 
 
 def test_partial_circle_arc_oracle_equivalence():
@@ -189,14 +204,16 @@ def test_partial_circle_arc_oracle_equivalence():
 
 
 def test_invalid_queries():
-    with pytest.raises(InvalidQuery):
-        TubeQuery(parabola(), 0, LatticeSource(4, ((0, 1), (0, 1))))
+    for delta in (0, math.inf, math.nan):
+        with pytest.raises(InvalidQuery):
+            TubeQuery(parabola(), delta, LatticeSource(4, ((0, 1), (0, 1))))
     with pytest.raises(InvalidQuery):
         LatticeSource(0, ((0, 1), (0, 1)))
     with pytest.raises(InvalidQuery):
         LatticeSource(4, None)
     with pytest.raises(CapExceeded):
-        materialize_source(LatticeSource(10 ** 6, ((0, 1), (0, 1))))
+        brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4),
+                                          LatticeSource(10 ** 6, ((0, 1), (0, 1)))))
     with pytest.raises(InvalidQuery):
         count_in_tube(TubeQuery(parabola(), F(1, 4),
                                 ExplicitSource(FiniteSet([(1, 2, 3)]))))
@@ -234,12 +251,30 @@ def test_lattice_work_follows_candidates_not_box_size():
 
 
 def test_candidate_cells_are_capped():
-    # δ = 1 makes each of the three segment boxes cover the whole 65² box:
-    # 12,675 (segment, cell) pairs, counted before any is expanded
-    q = TubeQuery(parabola(), 1, LatticeSource(64, ((0, 1), (0, 1))))
+    # a partial arc takes arcs: δ = 1 makes each of its three segment boxes
+    # cover the whole 65² box, 12,675 (segment, cell) pairs, counted before
+    # any is expanded
+    q = TubeQuery(circle_arc(0, F(1, 4)), 1, LatticeSource(64, ((0, 1), (0, 1))))
     with pytest.raises(CapExceeded):
-        count_in_tube(q, cap=12_000)
-    assert count_in_tube(q, cap=13_000).count == 65 * 65
+        count_in_tube(q, cap=12_674)
+    r = count_in_tube(q, cap=12_675)
+    assert r.count == 65 * 65 and r.arcs_examined == 3
+
+
+@pytest.mark.parametrize("curve", [parabola(), circle_arc()],
+                         ids=["parabola", "circle"])
+def test_walk_candidates_are_capped(curve):
+    # δ = 1 puts every point of the 65² box in a column's candidate range;
+    # each column's candidates count against the cap before any is decided
+    q = TubeQuery(curve, 1, LatticeSource(64, ((0, 1), (0, 1))))
+    with pytest.raises(CapExceeded):
+        count_in_tube(q, cap=65 * 65 - 1)
+    r = count_in_tube(q, cap=65 * 65)
+    assert r.count == 65 * 65 and r.arcs_examined == 0
+    # the columns count too: 10⁹ of them are refused before any is walked
+    with pytest.raises(CapExceeded):
+        count_in_tube(TubeQuery(curve, F(1, 10 ** 18),
+                                LatticeSource(10 ** 9, ((0, 1), (0, 1)))))
 
 
 def test_clustered_points_need_few_cells():
@@ -384,7 +419,10 @@ def test_lattice_and_explicit_routes_agree(query):
     r_lat = count_in_tube(TubeQuery(curve, delta, lattice))
     r_exp = count_in_tube(TubeQuery(curve, delta,
                                     ExplicitSource(FiniteSet(pts, dimension=2))))
-    assert r_lat == r_exp
+    # the lattice route may walk columns (no arcs, exact decisions) where
+    # the explicit route takes arcs and may find a distance ambiguous
+    if r_exp.certified:
+        assert r_lat.count == r_exp.count and r_lat.points == r_exp.points
 
 
 @settings(max_examples=200, deadline=None)
@@ -402,3 +440,60 @@ def test_lattice_index_bound_matches_float_test(N, i, ulps, lo_off, width):
     got = _least_index(np.array([b]), N, np.array([float(lo)]),
                        np.array([float(hi)]))
     assert int(got[0]) == expected
+
+
+def _in_tube_by_fractions(curve, delta, p) -> bool:
+    """dist(p, Γ) ≤ δ over the whole domain in exact arithmetic: on the
+    unit circle | |p| − 1 | ≤ δ; on a graph, whether
+    (t − x)² + (f(t) − y)² − δ² is ≤ 0 at lo or has a root in [lo, hi]."""
+    x, y = p
+    if not curve.is_exact:
+        r2 = x * x + y * y
+        return r2 <= (1 + delta) ** 2 and (delta >= 1 or r2 >= (1 - delta) ** 2)
+    lo, hi = curve.domain
+    g = polys.sub(curve.coords[1].coeffs, (y,))
+    D = polys.add(polys.mul(g, g), (x * x - delta * delta, -2 * x, 1))
+    return polys.eval_exact(D, lo) <= 0 or polys.count_roots_closed(D, lo, hi) > 0
+
+
+@st.composite
+def walked_queries(draw):
+    """Random rational graphs of degree ≤ 4 on random subdomains, or the
+    full circle, with δ from 1/N² up to 2 on small lattice boxes."""
+    if draw(st.booleans()):
+        lo = draw(st.fractions(0, F(3, 4), max_denominator=8))
+        hi = draw(st.fractions(lo, 1, max_denominator=8).filter(lambda h: h > lo))
+        f = draw(st.lists(st.fractions(-2, 2, max_denominator=6), max_size=5))
+        curve = graph_curve([f], domain=(lo, hi))
+        # boxes reach past the domain's ends, around the graph's height
+        centre = (0, math.floor(polys.eval_exact(curve.coords[1].coeffs, lo)))
+    else:
+        curve = circle_arc()
+        centre = (0, 0)
+    N = draw(st.integers(1, 8))
+    box = []
+    for c in centre:
+        lo = c + F(draw(st.integers(-10, 6)), 4)
+        box.append((lo, lo + F(draw(st.integers(0, 10)), 4)))
+    delta = draw(st.sampled_from([F(1, N * N), F(1, N), F(1, 2), F(1), F(2)])
+                 | st.fractions(F(1, 50), 2, max_denominator=50))
+    return curve, delta, LatticeSource(N, tuple(box))
+
+
+@settings(max_examples=100, deadline=None)
+@given(walked_queries())
+# a steep graph: (3/8, 1) is a hit only through the domain's left end
+@example((graph_curve([[0, 0, 4]], domain=(F(1, 2), 1)), F(1, 8),
+          LatticeSource(8, ((0, 1), (0, 2)))))
+# δ > 1: the whole disk is in the tube, the centre included
+@example((circle_arc(), F(2), LatticeSource(2, ((-1, 1), (-1, 1)))))
+def test_column_walk_matches_exact_brute_force(query):
+    curve, delta, source = query
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    N = source.N
+    expected = tuple((F(i, N), F(j, N))
+                     for i in range(ilo, ihi + 1) for j in range(jlo, jhi + 1)
+                     if _in_tube_by_fractions(curve, delta, (F(i, N), F(j, N))))
+    r = count_in_tube(TubeQuery(curve, delta, source))
+    assert r.points == expected and r.count == len(expected)
+    assert r.certified and r.arcs_examined == 0
