@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -496,10 +497,23 @@ def translate_curve(curve: CurveSpec, vector) -> CurveSpec:
 
 
 def derivative_sup_bound(curve: CurveSpec, order: int) -> float:
-    """Upper bound for sup |γ^(order)(t)| over the domain (Euclidean norm)."""
+    """Upper bound for sup |γ^(order)(t)| over the domain (Euclidean norm).
+
+    |γ^(order)|² = Σ fᵢ² is bounded as one coordinate, after the products
+    are added exactly, so that terms cancel: on the circle u² + v² reduces
+    to 1 and the bound is 2π.  Reducing u² = 1 − v² can raise the sum of
+    |coefficients|, so the bound is the smaller of that and Σ sup|fᵢ|², its
+    square root rounded up.
+    """
     lo, hi = curve.domain
     row = curve.derivatives(order)[order]
-    return math.sqrt(sum(fn.sup_abs(lo, hi) ** 2 for fn in row))
+    bounds = [sum(fn.sup_abs(lo, hi) ** 2 for fn in row)]
+    if isinstance(row[0], PolyCoord):
+        squares = [polys.mul(fn.coeffs, fn.coeffs) for fn in row]
+        bounds.append(polys.sup_bound(reduce(polys.add, squares), lo, hi))
+    elif len({fn.tau_power for fn in row if fn.terms}) <= 1:
+        bounds.append(reduce(TrigCoord.add, (fn.mul(fn) for fn in row)).sup_abs(lo, hi))
+    return math.sqrt(min(bounds)) * (1 + 1e-12)
 
 
 def point_fn(curve: CurveSpec):

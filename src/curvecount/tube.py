@@ -11,13 +11,16 @@ decided, count against the ``cap`` argument of the count
 (``pointsets.ENUMERATION_CAP`` when it is None).  Walked results are
 certified and examine no arcs.
 
+Explicit and GAP sources around the full unit circle are decided by the
+same rule as its walk, in rationals: (max(0, 1 − δ))² ≤ |p|² ≤ (1 + δ)².
+
 Every other query (explicit and GAP sources, lifted curves, partial arcs
 and parametric curves) takes arcs.  The counter subdivides the parameter
-interval into arcs of chord length ≤ δ (a sound sup bound on the speed
-sizes the grid) and inflates each arc's bounding box by δ plus a sagitta
-bound.  A candidate is a (point, arc) pair with the point's float
-coordinates inside the arc's box.  Candidates are generated with numpy, one
-block of arcs at a time, from integer cell indices:
+interval into arcs (a sound sup bound on the speed sizes the grid) and
+inflates each arc's bounding box by δ plus a sagitta bound.  A candidate is
+a (point, arc) pair with the point's float coordinates inside the arc's
+box.  Candidates are generated with numpy, one block of arcs at a time,
+from integer cell indices:
 
 - a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
   box's index range, clipped to the lattice box, lists its candidates
@@ -27,13 +30,23 @@ block of arcs at a time, from integer cell indices:
   up in the sorted int64 keys.
 
 Every (arc, cell) pair counts against the cap before it is expanded.  Each
-candidate is then decided by bisecting the stationarity condition
-(γ(t) − p)·γ'(t) = 0 of the squared distance on its arcs.
+candidate's distance is then searched in floats by bisecting the
+stationarity condition (γ(t) − p)·γ'(t) = 0 of the squared distance on its
+arcs.
 
-Distance tests that land inside the relative ambiguity band |d − δ| ≤ 1e-9·δ
-are counted by the closed-boundary rule but clear the result's certified
-flag: floating point cannot resolve them, and silently guessing is worse
-than saying so.
+On a polynomial curve the arcs only filter, and every result is certified.
+Arcs are as long as the cells (at least δ, at most 64 per point), and the
+box pad adds bounds on the float error of the curve's and the points'
+coordinates, so that no point within δ is filtered out.  A candidate whose
+float distance plus its error bound is ≤ δ is a hit; every other one is
+decided exactly: some t has |γ(t) − p|² − δ² ≤ 0, which an end value or a
+Sturm count tells.
+
+On trig curves the arcs have chords ≤ δ and the float distance decides.
+Distance tests that land inside the relative ambiguity band
+|d − δ| ≤ 1e-9·δ are counted by the closed-boundary rule but clear the
+result's certified flag: floating point cannot resolve them, and silently
+guessing is worse than saying so.
 
 The brute-force oracle is an independent second route on numpy alone: dense
 curve sampling at arclength resolution δ/100, the nearest sample among those
@@ -55,14 +68,15 @@ import numpy as np
 from .curves import (CurveSpec, bisect_sign_change, circle_arc,
                      derivative_sup_bound, eval_array, point_fn, velocity_fn)
 from . import pointsets, polys
-from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
-                        min_separation)
+from .pointsets import CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate
 from .polys import Poly
 
 MAX_SEGMENTS = 4_000_000
 MAX_ORACLE_SAMPLES = 40_000_000
-# relative ambiguity band: |d − δ| ≤ AMBIGUITY_REL·δ clears `certified`
+# relative ambiguity band of the float decisions (the oracle's, and the
+# counter's on trig curves): |d − δ| ≤ AMBIGUITY_REL·δ clears `certified`
 AMBIGUITY_REL = 1e-9
+_U = 2.0 ** -53   # unit roundoff of float64
 
 
 class InvalidQuery(ValueError):
@@ -141,8 +155,9 @@ def delta_from_rule(d, N: int, n: int) -> Fraction:
 
 
 def materialize_source(source, cap: int | None = None):
-    """Expand an explicit or GAP source into (sorted exact points,
-    separation hint or None).  Lattices are never materialized."""
+    """Expand an explicit or GAP source into (sorted exact points, their
+    correctly rounded float coordinates as an (n, dimension) array).
+    Lattices are never materialized."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     if isinstance(source, ExplicitSource):
         fs = source.points
@@ -151,7 +166,8 @@ def materialize_source(source, cap: int | None = None):
     else:
         raise InvalidQuery(f"unsupported source {type(source).__name__}")
     pts = list(fs)   # FiniteSet iterates in sorted order
-    return pts, min_separation(fs) if 2 <= len(pts) <= 1024 else None
+    floats = np.array([[float(c) for c in p] for p in pts], dtype=float)
+    return pts, floats.reshape(len(pts), fs.dimension)
 
 
 def _graph_numerators(f: Poly, N: int, k_lo: int, k_hi: int):
@@ -200,9 +216,24 @@ def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
                       if N * acc % modulus == 0], dimension=2)
 
 
-def _grid_cell_side(delta: float, sep_hint, pts: np.ndarray) -> float:
-    if sep_hint:
-        return max(delta, float(sep_hint))
+def _float_separation(pts: np.ndarray) -> float:
+    """Least positive distance between two rows of pts in floats, or 0.0
+    when every row is the same float point."""
+    step = max(1, _SEGMENT_BLOCK // pts.size)
+    best = math.inf
+    for i in range(0, len(pts), step):
+        # rows i..i+step against rows i.. (earlier pairs were seen already)
+        d2 = _sum_sq(pts[i:i + step, None, :] - pts[None, i:, :])
+        best = min(best, float(d2[d2 > 0].min(initial=math.inf)))
+    return math.sqrt(best) if best < math.inf else 0.0
+
+
+def _grid_cell_side(delta: float, pts: np.ndarray) -> float:
+    """The grid's cell side.  Any positive side is sound; the points' least
+    separation (up to 1024 points) or their mean spacing keeps few points in
+    a cell."""
+    if 2 <= len(pts) <= 1024:
+        return max(delta, _float_separation(pts))
     if len(pts) >= 2:
         spans = pts.max(axis=0) - pts.min(axis=0)
         area = float(np.prod(np.maximum(spans, 1e-12)))
@@ -237,12 +268,16 @@ class _LatticeCells:
 
     def __init__(self, source: LatticeSource):
         self.N = source.N
+        self.side = 1 / self.N
         bounds = source.index_bounds()
         self.origin = tuple(lo for lo, _ in bounds)
         self.first = np.array(self.origin, dtype=float)
         self.last = np.array([hi for _, hi in bounds], dtype=float)
         self.rows = bounds[1][1] - bounds[1][0] + 1
         self.empty = any(hi < lo for lo, hi in bounds)
+        self.size = 0 if self.empty else math.prod(hi - lo + 1 for lo, hi in bounds)
+        # the largest |coordinate| of a point in the box
+        self.extent = max(abs(k) for b in bounds for k in b) / self.N
 
     def ranges(self, bmin, bmax):
         """Index ranges of the lattice points p with bmin ≤ p ≤ bmax."""
@@ -275,15 +310,15 @@ class _PointCells:
     range, so only occupied rows and columns are enumerated.
     """
 
-    def __init__(self, pts_exact: list, sep_hint, delta: float):
+    def __init__(self, pts_exact: list, pts: np.ndarray, delta: float):
         self.pts_exact = pts_exact
         self.empty = not pts_exact
         if self.empty:
             return
-        self.pts = pts = np.array([[float(c) for c in p] for p in pts_exact],
-                                  dtype=float)
-        self.dim = pts.shape[1]
-        self.side = _grid_cell_side(delta, sep_hint, pts)
+        self.pts = pts
+        self.size, self.dim = pts.shape
+        self.extent = float(np.abs(pts).max())
+        self.side = _grid_cell_side(delta, pts)
         cells = np.floor(pts / self.side).T
         occupied = [np.unique(c) for c in cells]
         self.index = np.sort(np.argsort([-len(ax) for ax in occupied],
@@ -330,6 +365,7 @@ def _expand(counts: np.ndarray):
 
 
 _SEGMENT_BLOCK = 1 << 16
+_SEGMENTS_PER_POINT = 64   # polynomial curves: the grid's cap per point
 _PAIR_BLOCK = 1 << 22   # oracle: (point, sample) pairs measured at once
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
@@ -414,22 +450,25 @@ def _charge(work: int, cap: int) -> int:
     return work
 
 
-def _graph_near(f: Poly, domain: tuple, x: Fraction, y: Fraction,
-                delta: Fraction) -> bool:
-    """Whether some t in the domain has |(t, f(t)) − (x, y)| ≤ δ, exactly.
+def _poly_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool:
+    """Whether dist(p, γ) ≤ δ, exactly, for a polynomial curve γ.
 
-    Such a t has |t − x| ≤ δ, so the question is whether
-    D(t) = (t − x)² + (f(t) − y)² − δ² is ≤ 0 somewhere on
-    [a, b] = [max(lo, x − δ), min(hi, x + δ)].  Either D(a) ≤ 0, or D goes
-    from positive to ≤ 0 and so has a root in [a, b], which the Sturm count
-    finds.  D is never the zero polynomial: its leading coefficient is
-    positive.
+    That is whether D(t) = Σ (γᵢ(t) − pᵢ)² − δ² is ≤ 0 somewhere on a window
+    [a, b] of the domain: the domain itself, or on a graph, where γ₁(t) = t,
+    the t with |t − p₁| ≤ δ in it.  Either D(a) ≤ 0, or D goes from positive
+    to ≤ 0 and so has a root in [a, b], which the Sturm count finds.
+    D(a) ≤ 0 also covers D = 0 (a constant curve at distance exactly δ); any
+    other D is a nonzero polynomial.
     """
-    a, b = max(domain[0], x - delta), min(domain[1], x + delta)
-    if a > b:
-        return False
-    g = polys.sub(f, (y,))
-    D = polys.add(polys.mul(g, g), (x * x - delta * delta, -2 * x, Fraction(1)))
+    a, b = curve.domain
+    if curve.is_graph_form:
+        a, b = max(a, p[0] - delta), min(b, p[0] + delta)
+        if a > b:
+            return False
+    D = (-delta * delta,)
+    for fn, x in zip(curve.coords, p):
+        g = polys.sub(fn.coeffs, (x,))
+        D = polys.add(D, polys.mul(g, g))
     return polys.eval_exact(D, a) <= 0 or polys.count_roots_closed(D, a, b) > 0
 
 
@@ -442,7 +481,7 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     hits, and with xc the clamp of x to the domain and L = Σ k·|c_k|·R^(k−1)
     ≥ |f′| (R = max(|lo|, |hi|)), only the j with
     |f(xc) − j/N| ≤ δ(1 + L).  Each such candidate is a hit when x is in the
-    domain and |f(x) − y| ≤ δ, and otherwise as ``_graph_near`` decides.
+    domain and |f(x) − y| ≤ δ, and otherwise as ``_poly_near`` decides.
     """
     N = source.N
     f = curve.coords[1].coeffs
@@ -470,7 +509,7 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
         for j in range(j0, j1 + 1):
             y = Fraction(j, N)
             if ((inside and abs(fx - y) <= delta)
-                    or _graph_near(f, curve.domain, x, y, delta)):
+                    or _poly_near(curve, (x, y), delta)):
                 hits.append((x, y))
     return hits
 
@@ -479,16 +518,16 @@ def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
                  cap: int) -> list:
     """Lattice hits of the tube around the full unit circle.
 
-    dist(p, circle) = | |p| − 1 |, so p = (i, j)/N is a hit exactly when
-    (N·max(0, 1 − δ))² ≤ i² + j² ≤ (N(1 + δ))², that is when
-    inner ≤ i² + j² ≤ outer for the integers inner = ⌈(N·max(0, 1 − δ))²⌉
-    and outer = ⌊(N(1 + δ))²⌋.  In column i the hits are the j with
-    j² ≤ outer − i² and j² ≥ inner − i²: one run, or two mirrored ones,
-    whose ends ``math.isqrt`` gives.
+    p = (i, j)/N is a hit exactly when N²·r_in ≤ i² + j² ≤ N²·r_out for the
+    squared radii of ``_annulus``, that is when inner ≤ i² + j² ≤ outer for
+    the integers inner = ⌈N²·r_in⌉ and outer = ⌊N²·r_out⌋.  In column i the
+    hits are the j with j² ≤ outer − i² and j² ≥ inner − i²: one run, or two
+    mirrored ones, whose ends ``math.isqrt`` gives.
     """
     N = source.N
-    outer = math.floor((N * (1 + delta)) ** 2)
-    inner = math.ceil((N * max(Fraction(0), 1 - delta)) ** 2)
+    r_in, r_out = _annulus(delta)
+    outer = math.floor(N * N * r_out)
+    inner = math.ceil(N * N * r_in)
     r = math.isqrt(outer)
     (ilo, ihi), (jlo, jhi) = source.index_bounds()
     ilo, ihi = max(ilo, -r), min(ihi, r)
@@ -506,14 +545,37 @@ def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     return hits
 
 
+def _is_unit_circle(curve: CurveSpec) -> bool:
+    return (curve.coords, curve.domain) == (_UNIT_CIRCLE.coords, _UNIT_CIRCLE.domain)
+
+
+def _annulus(delta: Fraction) -> tuple:
+    """(max(0, 1 − δ)², (1 + δ)²): since dist(p, circle) = | |p| − 1 |, a
+    point is within δ of the unit circle exactly when |p|² lies between
+    them."""
+    return max(Fraction(0), 1 - delta) ** 2, (1 + delta) ** 2
+
+
 def _column_walk(curve: CurveSpec):
     """The column walk that decides lattice queries on this curve, or None:
     planar polynomial graphs and the full unit circle have one."""
     if curve.dimension == 2 and curve.is_exact and curve.is_graph_form:
         return _walk_graph
-    if (curve.coords, curve.domain) == (_UNIT_CIRCLE.coords, _UNIT_CIRCLE.domain):
+    if _is_unit_circle(curve):
         return _walk_circle
     return None
+
+
+def _float_below(x: Fraction) -> float:
+    """The largest float ≤ x."""
+    f = float(x)
+    return math.nextafter(f, -math.inf) if f > x else f
+
+
+def _float_above(x: Fraction) -> float:
+    """The least float ≥ x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
 def count_in_tube(query: TubeQuery, keep_points: bool = True,
@@ -521,34 +583,57 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     """Exact-or-certified count of source points with dist(p, Γ) ≤ δ."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     curve = query.curve
+    delta_q = Fraction(query.delta)
     delta = float(query.delta)
-    band = AMBIGUITY_REL * delta
     if isinstance(query.source, LatticeSource):
         walk = _column_walk(curve)
         if walk is not None:
             # every decision is exact, and no arc is examined
-            hits = walk(curve, Fraction(query.delta), query.source, cap)
+            hits = walk(curve, delta_q, query.source, cap)
             return _result(tuple(hits), 0, True, keep_points)
         cells = _LatticeCells(query.source)
     else:
-        cells = _PointCells(*materialize_source(query.source, cap), delta)
+        pts_exact, pts = materialize_source(query.source, cap)
+        if _is_unit_circle(curve) and pts.shape[1] == 2:
+            r_in, r_out = _annulus(delta_q)
+            hits = (p for p in pts_exact if r_in <= p[0] * p[0] + p[1] * p[1] <= r_out)
+            return _result(tuple(hits), 0, True, keep_points)
+        cells = _PointCells(pts_exact, pts, delta)
     if cells.empty:
         return _result((), 0, True, keep_points)
     if cells.dim != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
-    lo, hi = float(curve.domain[0]), float(curve.domain[1])
-    width = hi - lo
+    exact = curve.is_exact
+    lo, hi = curve.domain
+    # float ends inside the domain, so that every float parameter is on it;
+    # a domain between two floats gets one point and no float decision
+    lo_f, hi_f = _float_above(lo), _float_below(hi)
+    inside = lo_f <= hi_f
+    hi_f = max(lo_f, hi_f)
+    width = hi_f - lo_f
     speed = derivative_sup_bound(curve, 1)
     accel = derivative_sup_bound(curve, 2)
 
-    # speed bounds |γ'| soundly, so each chord is at most speed·h ≤ δ
-    n_seg = max(1, min(MAX_SEGMENTS, math.ceil(speed * width / delta)))
-    ts = np.linspace(lo, hi, n_seg + 1)
+    # speed bounds |γ'| soundly, so each chord is at most speed·h ≤ chord.
+    # On polynomial curves the grid only filters, since every candidate is
+    # decided soundly: chords follow the cells, and there are at most
+    # _SEGMENTS_PER_POINT per point.  Trig curves decide in floats on chords
+    # ≤ δ.
+    length = speed * width
+    chord = (max(delta, cells.side, length / (_SEGMENTS_PER_POINT * cells.size))
+             if exact else delta)
+    n_seg = max(1, min(MAX_SEGMENTS, math.ceil(length / chord)))
+    ts = np.linspace(lo_f, hi_f, n_seg + 1)
     gamma = eval_array(curve, ts)
-    h = width / n_seg
+    h = float(np.diff(ts).max(initial=0.0)) * (1 + 1e-12)
     sagitta = accel * h * h / 8.0
-    pad = delta * (1.0 + 3.0 * AMBIGUITY_REL) + sagitta + 1e-15
+    if exact:
+        err = max(fn.error_estimate(lo, hi) for fn in curve.coords)
+        pad = _sound_pad(_float_above(delta_q), sagitta, err, cells.extent,
+                         speed, gamma)
+    else:
+        pad = delta * (1.0 + 3.0 * AMBIGUITY_REL) + sagitta + 1e-15
 
     pid, seg = _candidate_pairs(cells, gamma, pad, cap)
     # merge each point's consecutive segments into parameter intervals
@@ -563,12 +648,46 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
         d2 = _min_dist_sq_on_arc(fp, fv, cells.point(i), a, b)
         best[i] = min(best[i], d2) if i in best else d2
 
-    # the closed-boundary rule counts ambiguous points too
-    dist = {i: math.sqrt(d2) for i, d2 in best.items()}
-    matched = sorted(i for i, d in dist.items() if d <= delta)
-    return _result(tuple(cells.exact(i) for i in matched), n_seg,
-                   not any(abs(d - delta) <= band for d in dist.values()),
-                   keep_points)
+    if not exact:
+        # the closed-boundary rule counts ambiguous points too
+        band = AMBIGUITY_REL * delta
+        dist = {i: math.sqrt(d2) for i, d2 in best.items()}
+        matched = sorted(i for i, d in dist.items() if d <= delta)
+        return _result(tuple(cells.exact(i) for i in matched), n_seg,
+                       not any(abs(d - delta) <= band for d in dist.values()),
+                       keep_points)
+
+    # A float distance d at a parameter on the curve is within
+    # slack + (n + 4)·u·d of the exact one: slack bounds the evaluation error
+    # of γ and the rounding of p, coordinate by coordinate, and the relative
+    # term the rounding of the distance itself.  Clear hits are decided so;
+    # every other candidate exactly.
+    n = curve.dimension
+    slack = math.sqrt(n) * (err + _U * cells.extent)
+    grow = 1 + 2 * (n + 4) * _U
+    below = _float_below(delta_q)
+    matched = []
+    for i in sorted(best):
+        p = cells.exact(i)
+        if ((inside and (math.sqrt(best[i]) + slack) * grow <= below)
+                or _poly_near(curve, p, delta_q)):
+            matched.append(p)
+    return _result(tuple(matched), n_seg, True, keep_points)
+
+
+def _sound_pad(delta: float, sagitta: float, err: float, extent: float,
+               speed: float, gamma: np.ndarray) -> float:
+    """A box pad that no point within δ of the curve can fall outside of,
+    float rounding included.
+
+    The terms bound: δ (as a float ≥ δ); the curve's distance from each
+    chord; the float error of each computed γ(t_k) coordinate; the rounding
+    of the points' coordinates (half an ulp of the largest); and the pieces
+    of the domain outside the float grid's ends, shorter than an ulp of 1.
+    The last term covers the rounding of the box ends gamma ∓ pad.
+    """
+    pad = (delta + sagitta + err + _U * extent + speed * math.ulp(1.0)) * (1 + 1e-12)
+    return pad + 2 * math.ulp(float(np.abs(gamma).max()) + pad)
 
 
 def _sum_sq(diff: np.ndarray) -> np.ndarray:
@@ -654,10 +773,9 @@ def _oracle_points(source, cap: int | None):
     Fractions built are those of the points asked for.
     """
     if not isinstance(source, LatticeSource):
-        pts_exact, _ = materialize_source(source, cap)
+        pts_exact, pts = materialize_source(source, cap)
         _check_oracle_size(len(pts_exact))
-        return (np.array([[float(c) for c in p] for p in pts_exact], dtype=float),
-                pts_exact.__getitem__)
+        return pts, pts_exact.__getitem__
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     N = source.N
     (ilo, ihi), (jlo, jhi) = source.index_bounds()

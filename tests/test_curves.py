@@ -14,8 +14,9 @@ from curvecount import (DomainError, InvalidCurveError, certify_nondegenerate,
                         circle_arc, eval_jet, graph_curve, moment_curve,
                         parabola, polynomial_curve, wronskian,
                         wronskian_symbolic)
-from curvecount.curves import (CurveSpec, PolyCoord, TrigCoord, eval_array,
-                               point_fn, translate_curve, velocity_fn)
+from curvecount.curves import (CurveSpec, PolyCoord, TrigCoord,
+                               derivative_sup_bound, eval_array, point_fn,
+                               translate_curve, velocity_fn)
 
 
 def test_moment_jet_at_zero():
@@ -225,3 +226,32 @@ def test_array_and_scalar_evaluation_agree_bitwise(coords, ts):
         for i, t in enumerate(ts):
             want = scalar[k](t) if k in scalar else [fn.eval(t) for fn in row]
             assert arr[i].tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_derivative_sup_bound_is_tight_on_the_circle():
+    # |γ^(k)|² = (2π)^(2k)(u² + v²) reduces to (2π)^(2k) exactly, where the
+    # sum of the coordinates' bounds gave (2π)^k·√2
+    for k in (1, 2, 3):
+        bound = derivative_sup_bound(circle_arc(), k)
+        assert (2 * math.pi) ** k <= bound <= (2 * math.pi) ** k * (1 + 1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.lists(_poly_coords, min_size=1, max_size=4),
+                 st.lists(_trig_coords, min_size=1, max_size=4)),
+       st.integers(0, 3),
+       st.tuples(st.fractions(0, F(1, 2), max_denominator=8),
+                 st.fractions(F(1, 2), 1, max_denominator=8))
+       .filter(lambda d: d[0] < d[1]))
+def test_derivative_sup_bound_is_sound_and_never_looser(coords, k, domain):
+    # an upper bound on every sample of |γ^(k)|, and at most the old bound
+    # √(Σ sup|fᵢ|²) but for its rounding up
+    curve = CurveSpec("lifted", coords, domain)
+    lo, hi = domain
+    row = curve.derivatives(k)[k]
+    old = math.sqrt(sum(fn.sup_abs(lo, hi) ** 2 for fn in row))
+    bound = derivative_sup_bound(curve, k)
+    assert bound <= old * (1 + 1e-12)
+    ts = np.linspace(float(lo), float(hi), 257)
+    sampled = np.sqrt((eval_array(curve, ts, k) ** 2).sum(axis=1)).max()
+    assert sampled <= bound * (1 + 1e-12)

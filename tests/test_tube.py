@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvecount import polys
+from curvecount import polys, tube
 from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
                         GapSource, InvalidQuery, LatticeSource, MonomialSet,
                         TubeQuery, brute_force_tube_oracle, circle_arc,
@@ -251,14 +251,15 @@ def test_lattice_work_follows_candidates_not_box_size():
 
 
 def test_candidate_cells_are_capped():
-    # a partial arc takes arcs: δ = 1 makes each of its three segment boxes
-    # cover the whole 65² box, 12,675 (segment, cell) pairs, counted before
-    # any is expanded
+    # a partial arc takes arcs: at δ = 1 the quarter circle, of length π/2,
+    # needs ⌈π/2⌉ = 2 segments, and each segment box covers the whole 65²
+    # box: 8,450 (segment, cell) pairs, counted before any is expanded
     q = TubeQuery(circle_arc(0, F(1, 4)), 1, LatticeSource(64, ((0, 1), (0, 1))))
+    cap = 2 * 65 * 65
     with pytest.raises(CapExceeded):
-        count_in_tube(q, cap=12_674)
-    r = count_in_tube(q, cap=12_675)
-    assert r.count == 65 * 65 and r.arcs_examined == 3
+        count_in_tube(q, cap=cap - 1)
+    r = count_in_tube(q, cap=cap)
+    assert r.count == 65 * 65 and r.arcs_examined == 2
 
 
 @pytest.mark.parametrize("curve", [parabola(), circle_arc()],
@@ -278,22 +279,61 @@ def test_walk_candidates_are_capped(curve):
 
 
 def test_clustered_points_need_few_cells():
-    # n_seg hits MAX_SEGMENTS, each segment box spans ~2.5·10⁵ cells of side
-    # δ, and all 199 points share one column: clipping the cell ranges to
-    # the occupied cells keeps this to O(1) cells per segment.  The count
-    # itself is the open soundness defect of the ambiguity band and is not
-    # asserted.  A subprocess with a timeout turns a return to unbounded
-    # work into a failure instead of a hang.
+    # all 199 points share one column, 10⁻¹⁸ apart: cells of side δ would
+    # give 10¹² segments, and each segment box spans many cells.  At most 64
+    # segments per point, and cell ranges clipped to the occupied cells,
+    # keep the work small.  Every point is just outside the tube, which only
+    # the exact decision can tell.  A subprocess with a timeout turns a
+    # return to unbounded work into a failure instead of a hang.
     code = """
 from fractions import Fraction as F
 from curvecount import TubeQuery, FiniteSet, count_in_tube, line_segment
 d = F(1, 10 ** 12)
 pts = [(F(1, 2), F(1, 2) + d * (1 + F(k, 10 ** 6))) for k in range(1, 200)]
-count_in_tube(TubeQuery(line_segment((0, F(1, 2)), (1, F(1, 2))), d,
-                        FiniteSet(pts)))
+r = count_in_tube(TubeQuery(line_segment((0, F(1, 2)), (1, F(1, 2))), d,
+                            FiniteSet(pts)))
+assert r.count == 0 and r.certified, r
 """
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_points_just_off_the_boundary_are_decided_exactly():
+    # 199 points at distance δ(1 + k·10⁻⁶) from a segment of length 10⁻⁶,
+    # all at its midpoint or spread along it, and 199 points on a ray of the
+    # unit circle at radius 1 − δ(1 + k·10⁻⁶) (none in the tube) or
+    # 1 + δ(1 − k·10⁻⁶) (all in it).  The float distances differ from δ by
+    # less than their rounding; the counts were 33, 33, 47 and 196.
+    d = F(1, 10 ** 12)
+    ks = range(1, 200)
+    seg = line_segment((0, F(1, 2)), (F(1, 10 ** 6), F(1, 2)))
+    above = [F(1, 2) + d * (1 + F(k, 10 ** 6)) for k in ks]
+    for xs in ([F(1, 2 * 10 ** 6)] * 199, [F(k, 200 * 10 ** 6) for k in ks]):
+        r = count_in_tube(TubeQuery(seg, d, FiniteSet(zip(xs, above))))
+        assert r.count == 0 and r.certified
+    for radii, expected in (([1 - d * (1 + F(k, 10 ** 6)) for k in ks], 0),
+                            ([1 + d * (1 - F(k, 10 ** 6)) for k in ks], 199)):
+        pts = FiniteSet([(F(3, 5) * r, F(4, 5) * r) for r in radii])
+        r = count_in_tube(TubeQuery(circle_arc(), d, pts))
+        assert r.count == expected and r.certified and r.arcs_examined == 0
+
+
+def test_pad_covers_the_rounding_of_large_coordinates():
+    # floats near 10⁶ are an ulp = 2⁻³³ apart.  A segment at height y0,
+    # 0.3 ulp above a float, and δ = 8.45 ulps: the point y0 + δ rounds up
+    # to 9 ulps above float(y0), while float(y0) + δ rounds to 8 ulps above
+    # it.  Only the pad's float error term keeps these hits in their boxes.
+    ulp = F(1, 2 ** 33)
+    d = F(845, 100) * ulp
+    for y0 in (10 ** 6 + F(3, 10) * ulp, 10 ** 6 + F(1, 3) + F(1, 10 ** 15)):
+        seg = line_segment((10 ** 6, y0), (10 ** 6 + 1, y0))
+        pts = FiniteSet([(10 ** 6 + F(k, 7), y0 + s * d * (1 + e))
+                         for k in range(1, 7) for s in (-1, 1)
+                         for e in (0, F(-1, 10 ** 4), F(1, 10 ** 4), F(-1, 2))])
+        r = count_in_tube(TubeQuery(seg, d, pts))
+        expected = tuple(p for p in pts if _in_tube_by_fractions(seg, d, p))
+        assert len(expected) == 36
+        assert r.points == expected and r.certified
 
 
 def _run_python(code: str):
@@ -374,16 +414,20 @@ def test_oracle_matches_counter_near_curves(q):
         assert r.count == rb.count and set(r.points) == set(rb.points)
 
 
-def test_many_coordinates():
+def test_many_coordinates(monkeypatch):
     # 8 coordinates with ~10³ occupied cells each: a grid over all of them
-    # would enumerate ~3⁸ cells per segment box, past the enumeration cap
+    # would enumerate ~3⁸ cells per segment box, past the enumeration cap.
+    # Every point is a clear hit in floats: none needs an exact decision.
     n = 1000
     on_curve = [tuple(F(k, n - 1) ** e for e in range(1, 9)) for k in range(n)]
     near = tuple(F(1, 3) ** e + (F(1, 10 ** 20) if e == 1 else 0)
                  for e in range(1, 9))
+    exact_decisions = []
+    monkeypatch.setattr(tube, "_poly_near",
+                        lambda *args: exact_decisions.append(args))
     r = count_in_tube(TubeQuery(moment_curve(8), F(1, 1000),
                                 ExplicitSource(FiniteSet(on_curve + [near]))))
-    assert r.certified and r.count == n + 1
+    assert r.certified and r.count == n + 1 and not exact_decisions
 
 
 _TUBE_CURVES = {
@@ -419,8 +463,9 @@ def test_lattice_and_explicit_routes_agree(query):
     r_lat = count_in_tube(TubeQuery(curve, delta, lattice))
     r_exp = count_in_tube(TubeQuery(curve, delta,
                                     ExplicitSource(FiniteSet(pts, dimension=2))))
-    # the lattice route may walk columns (no arcs, exact decisions) where
-    # the explicit route takes arcs and may find a distance ambiguous
+    # both routes decide every point soundly, except on the partial arc,
+    # where the explicit route may find a float distance ambiguous
+    assert r_exp.certified or name == "arc"
     if r_exp.certified:
         assert r_lat.count == r_exp.count and r_lat.points == r_exp.points
 
@@ -444,15 +489,16 @@ def test_lattice_index_bound_matches_float_test(N, i, ulps, lo_off, width):
 
 def _in_tube_by_fractions(curve, delta, p) -> bool:
     """dist(p, Γ) ≤ δ over the whole domain in exact arithmetic: on the
-    unit circle | |p| − 1 | ≤ δ; on a graph, whether
-    (t − x)² + (f(t) − y)² − δ² is ≤ 0 at lo or has a root in [lo, hi]."""
-    x, y = p
+    unit circle | |p| − 1 | ≤ δ; on a polynomial curve, whether
+    Σ (γᵢ(t) − pᵢ)² − δ² is ≤ 0 at lo or has a root in [lo, hi]."""
     if not curve.is_exact:
-        r2 = x * x + y * y
+        r2 = p[0] ** 2 + p[1] ** 2
         return r2 <= (1 + delta) ** 2 and (delta >= 1 or r2 >= (1 - delta) ** 2)
     lo, hi = curve.domain
-    g = polys.sub(curve.coords[1].coeffs, (y,))
-    D = polys.add(polys.mul(g, g), (x * x - delta * delta, -2 * x, 1))
+    D = (-delta * delta,)
+    for fn, x in zip(curve.coords, p):
+        g = polys.sub(fn.coeffs, (x,))
+        D = polys.add(D, polys.mul(g, g))
     return polys.eval_exact(D, lo) <= 0 or polys.count_roots_closed(D, lo, hi) > 0
 
 
@@ -497,3 +543,79 @@ def test_column_walk_matches_exact_brute_force(query):
     r = count_in_tube(TubeQuery(curve, delta, source))
     assert r.points == expected and r.count == len(expected)
     assert r.certified and r.arcs_examined == 0
+
+
+# rational unit vectors: points at δ times one of them from a curve point are
+# at distance exactly δ from it, and from the curve when it is a normal
+_UNIT_2D = [(F(1), F(0)), (F(0), F(1)), (F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5)),
+            (F(5, 13), F(12, 13)), (F(-12, 13), F(5, 13))]
+_DELTAS = st.sampled_from([F(1, 10 ** k) for k in range(13)]) | \
+    st.fractions(F(1, 1000), 1, max_denominator=1000)
+_coeffs = st.fractions(-2, 2, max_denominator=6)
+
+
+@st.composite
+def polynomial_tube_queries(draw):
+    """Rational points near random polynomial graphs, planar parametric
+    curves (segments along a Pythagorean direction among them), moment
+    curves in 2-5 dimensions and the full circle, with δ from 10⁻¹² to 1.
+    Each point is a curve point at a rational parameter plus δ·s·w for a
+    rational unit w and s in {0, 1, 1 ± 10⁻⁹, 1 ± 10⁻⁶, 2} or a random
+    rational: many lie at distance exactly δ."""
+    kind = draw(st.sampled_from(["graph", "parametric", "segment", "moment",
+                                 "circle"]))
+    lo = draw(st.fractions(0, F(1, 2), max_denominator=8))
+    hi = draw(st.fractions(F(1, 2), 1, max_denominator=8).filter(lambda h: h > lo))
+    if kind == "graph":
+        curve = graph_curve([draw(st.lists(_coeffs, max_size=5))], (lo, hi))
+    elif kind == "parametric":
+        curve = polynomial_curve([draw(st.lists(_coeffs, max_size=4))
+                                  for _ in range(2)], (lo, hi))
+    elif kind == "segment":
+        a, b = draw(st.sampled_from(_UNIT_2D))
+        base = (draw(_coeffs), draw(_coeffs))
+        curve = line_segment(base, (base[0] + b, base[1] - a))
+    elif kind == "moment":
+        curve = moment_curve(draw(st.integers(2, 5)))
+    else:
+        curve = circle_arc()
+    n = curve.dimension
+    delta = draw(_DELTAS)
+    scale = st.sampled_from([0, 1, 1 - F(1, 10 ** 9), 1 + F(1, 10 ** 9),
+                             1 - F(1, 10 ** 6), 1 + F(1, 10 ** 6), 2]) | \
+        st.fractions(0, 3, max_denominator=20)
+    pts = set()
+    params = st.fractions(*curve.domain, max_denominator=64)
+    for t in draw(st.lists(params, min_size=1, max_size=8, unique=True)):
+        if curve.is_exact:
+            q = tuple(polys.eval_exact(fn.coeffs, t) for fn in curve.coords)
+            i, j = draw(st.permutations(range(n)))[:2]
+            a, b = draw(st.sampled_from(_UNIT_2D))
+            w = [F(0)] * n
+            w[i], w[j] = a, b
+        else:
+            # a rational point of the circle, and its radial direction
+            q = w = ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        s = draw(scale) * draw(st.sampled_from([-1, 1]))
+        pts.add(tuple(c + delta * s * wc for c, wc in zip(q, w)))
+    return TubeQuery(curve, delta, ExplicitSource(FiniteSet(pts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_tube_queries())
+# a segment along (4, −3) and a point on its normal at exactly δ
+@example(TubeQuery(line_segment((0, 0), (F(4, 5), F(-3, 5))), F(1, 10 ** 12),
+                   FiniteSet([(F(2, 5) + F(3, 5 * 10 ** 12),
+                               F(-3, 10) + F(4, 5 * 10 ** 12))])))
+# the vertex of y = (x − 2/5)² bulges out of its chord's box: a hit at
+# exactly δ below it is kept only by the sagitta term of the pad
+@example(TubeQuery(graph_curve([[F(4, 25), F(-4, 5), 1]]), F(1, 10 ** 6),
+                   FiniteSet([(F(2, 5), F(-1, 10 ** 6))])))
+def test_polynomial_and_circle_tubes_match_exact_brute_force(q):
+    # no candidate pruning in the brute force: a Sturm count over the whole
+    # domain, or the rational radius test, for every point
+    expected = tuple(p for p in q.source.points
+                     if _in_tube_by_fractions(q.curve, F(q.delta), p))
+    r = count_in_tube(q)
+    assert r.points == expected and r.count == len(expected)
+    assert r.certified
