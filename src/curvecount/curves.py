@@ -18,8 +18,8 @@ smoothness order is declared or checked.
 
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
-(float branch), ``point_fn``, ``velocity_fn`` and ``eval_array`` are all built
-on it, so every float decision sees the same numbers.
+(float branch) and ``eval_array`` are built on it, and ``error_estimate``
+bounds its error.  ``TrigCoord.half_angle`` is the rational form in s = tan πt.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
 derivative vector -- is computed once symbolically over the exact coefficient
@@ -41,6 +41,7 @@ from . import polys
 from .polys import Poly
 
 TAU = math.tau  # 2π
+_U = 2.0 ** -53   # unit roundoff of float64
 
 POLYNOMIAL_KINDS = ("moment", "polynomial-parametric", "polynomial-graph")
 CURVE_KINDS = POLYNOMIAL_KINDS + ("circle-arc", "lifted")
@@ -193,7 +194,33 @@ class TrigCoord:
         return total * TAU ** self.tau_power
 
     def error_estimate(self, lo, hi) -> float:
-        return 4.0 * (len(self.terms) + 2) * 2.3e-16 * self.sup_abs(lo, hi)
+        """A bound on |evalf(t) − f(t)| for float t in [lo, hi]: 2πt is off by
+        at most 4π·u·|t|, and cos and sin are taken to be within 4 ulps of
+        its, so û, v̂ are within ε = (4π·max(|lo|, |hi|) + 8)·u of u, v, and
+        as |u|, |v| ≤ 1 a degree-k monomial within (1 + ε)^k − 1 of its value.
+        float(c), the products and the power round a term by ≤ 7u relative,
+        the m additions by u·Σ|terms| each, and (2π)^k by (k + 2)u."""
+        if not self.terms:
+            return 0.0
+        eps = (4 * math.pi * max(abs(float(lo)), abs(float(hi))) + 8) * _U
+        grow = math.expm1(max(a + b for a, b in self.terms) * math.log1p(eps))
+        rel = grow + (len(self.terms) + 9 + self.tau_power) * _U * (1 + grow)
+        return self.sup_abs(lo, hi) * rel * (1 + 1e-9)
+
+    def half_angle(self) -> tuple:
+        """(P, B) for a nonzero f, its 2π power aside: P = (1 + s²)^D·f(u, v),
+        D the largest a + b, is rational in s = tan πt, its real roots are
+        the roots t ≠ ½ of f, and each has |s| < B (Cauchy's bound)."""
+        d = max(a + b for a, b in self.terms)
+        p = polys.ZERO
+        for (a, b), c in self.terms.items():
+            term = polys.mul(polys.power(_HALF_U, a), polys.power(_HALF_V, b))
+            p = polys.add(p, polys.scale(polys.mul(term, polys.power(_HALF_W, d - a - b)), c))
+        return p, 1 + math.ceil(max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
+
+    def at_half(self) -> Fraction:
+        """f at t = ½, where (u, v) = (−1, 0), its 2π power aside."""
+        return sum((-c if a else c) for (a, b), c in self.terms.items() if not b)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -237,6 +264,12 @@ class TrigCoord:
 
     def __repr__(self):
         return f"TrigCoord({self.terms!r}, tau_power={self.tau_power})"
+
+
+# u = (1 − s²)/(1 + s²) and v = 2s/(1 + s²) at s = tan πt, times (1 + s²)
+_HALF_U = polys.poly([1, 0, -1])
+_HALF_V = polys.poly([0, 2])
+_HALF_W = polys.poly([1, 0, 1])
 
 
 def _elementwise_pow(v: np.ndarray, b: int) -> np.ndarray:
@@ -514,44 +547,6 @@ def derivative_sup_bound(curve: CurveSpec, order: int) -> float:
     elif len({fn.tau_power for fn in row if fn.terms}) <= 1:
         bounds.append(reduce(TrigCoord.add, (fn.mul(fn) for fn in row)).sup_abs(lo, hi))
     return math.sqrt(min(bounds)) * (1 + 1e-12)
-
-
-def point_fn(curve: CurveSpec):
-    """Fast scalar evaluator t ↦ γ(t) in floats."""
-    return _row_fn(curve.derivatives(0)[0])
-
-
-def velocity_fn(curve: CurveSpec):
-    """Fast scalar evaluator t ↦ γ'(t) in floats."""
-    return _row_fn(curve.derivatives(1)[1])
-
-
-def _row_fn(row):
-    fns = [fn.evalf for fn in row]
-
-    def evaluate(t: float) -> tuple:
-        out = []
-        for f in fns:
-            out.append(f(t))
-        return tuple(out)
-
-    return evaluate
-
-
-def bisect_sign_change(g, lo: float, hi: float, g_lo: float, rounds: int) -> float:
-    """A zero of g between lo and hi, where g(lo) = g_lo and g(hi) differ in
-    sign: the first midpoint where g is exactly 0.0, otherwise the midpoint of
-    the bracket left after ``rounds`` halvings."""
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def eval_array(curve: CurveSpec, ts: np.ndarray, order: int = 0) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .curves import CurveSpec, InvalidCurveError, PolyCoord
+from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord
 
 
 class HyperplaneError(ValueError):
@@ -72,10 +72,6 @@ class RootList:
         return iter(self.roots)
 
 
-# u = (1 − s²)/(1 + s²) and v = 2s/(1 + s²) at s = tan πt, times (1 + s²)
-_U = polys.poly([1, 0, -1])
-_V = polys.poly([0, 2])
-_W = polys.poly([1, 0, 1])
 # float t within this of a partial arc's end: kept, but not certified
 _END_TOL = 1e-12
 
@@ -99,17 +95,6 @@ def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
     return g
 
 
-def _half_angle(g: dict) -> polys.Poly:
-    """(1 + s²)^D·g(u, v) with u, v in terms of s = tan πt, D = max a + b: a
-    rational polynomial whose real roots are the roots t ≠ ½ of g."""
-    d = max(a + b for a, b in g)
-    p = polys.ZERO
-    for (a, b), c in g.items():
-        term = polys.mul(polys.power(_U, a), polys.power(_V, b))
-        p = polys.add(p, polys.scale(polys.mul(term, polys.power(_W, d - a - b)), c))
-    return p
-
-
 def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     """Parameters t in the domain with γ(t) ∈ H.
 
@@ -130,9 +115,8 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
         intervals = polys.isolate_roots(p, lo, hi)
         roots = tuple(polys.refine_root(p, a, b) for a, b in intervals)
         return RootList(roots=roots, intervals=tuple(intervals), certified=True)
-    p = _half_angle(g)
-    # Cauchy bound: every real root has |s| < bound
-    bound = 1 + math.ceil(max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
+    g = TrigCoord(g)
+    p, bound = g.half_angle()
     # an isolating interval is narrower than 2·bound, so these bits put s
     # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
     bits = 60 + bound.bit_length()
@@ -140,7 +124,7 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
           for a, b in polys.isolate_roots(p, -bound, bound)]
     if not p[0]:  # g(1, 0) = 0
         ts.append(1.0)
-    if g.get((0, 0), 0) == g.get((1, 0), 0):  # g(−1, 0) = 0
+    if not g.at_half():  # g(−1, 0) = 0
         ts.append(0.5)
     flo, fhi = float(lo), float(hi)
     roots = sorted(t for t in ts if flo - _END_TOL <= t <= fhi + _END_TOL)

@@ -202,6 +202,14 @@ def _sign_changes(chain: list[list[int]], n: int, k: int) -> tuple[int, bool]:
     return sum(s != t for s, t in zip(signs, signs[1:])), not vals[0]
 
 
+def gcd(p: Poly, q: Poly) -> Poly:
+    """A greatest common divisor of p and q, by integer pseudo-remainders."""
+    a, b = _ints(p), _ints(q)
+    while b:
+        a, b = b, _rem(a, b)
+    return poly(a)
+
+
 def _counts(p: Poly, a, b) -> tuple[int, bool, bool]:
     """Roots of p in (a, b], and whether p vanishes at a and at b."""
     if is_zero(p):

@@ -15,12 +15,12 @@ Explicit and GAP sources around the full unit circle are decided by the
 same rule as its walk, in rationals: (max(0, 1 − δ))² ≤ |p|² ≤ (1 + δ)².
 
 Every other query (explicit and GAP sources, lifted curves, partial arcs
-and parametric curves) takes arcs.  The counter subdivides the parameter
-interval into arcs (a sound sup bound on the speed sizes the grid) and
-inflates each arc's bounding box by δ plus a sagitta bound.  A candidate is
-a (point, arc) pair with the point's float coordinates inside the arc's
-box.  Candidates are generated with numpy, one block of arcs at a time,
-from integer cell indices:
+and parametric curves) takes arcs and decides each candidate by one rule.
+The parameter interval is cut into segments whose chords follow the cells
+and are δ-flat, at most 64 per point, and each segment's box is padded so
+that no point within δ falls outside it.  A candidate is a (point, segment)
+pair with the point's float coordinates inside the box, generated with
+numpy, one block of segments at a time, from integer cell indices:
 
 - a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
   box's index range, clipped to the lattice box, lists its candidates
@@ -29,24 +29,14 @@ from integer cell indices:
   the two axes with the most occupied cells, and each box looks its cells
   up in the sorted int64 keys.
 
-Every (arc, cell) pair counts against the cap before it is expanded.  Each
-candidate's distance is then searched in floats by bisecting the
-stationarity condition (γ(t) − p)·γ'(t) = 0 of the squared distance on its
-arcs.
-
-On a polynomial curve the arcs only filter, and every result is certified.
-Arcs are as long as the cells (at least δ, at most 64 per point), and the
-box pad adds bounds on the float error of the curve's and the points'
-coordinates, so that no point within δ is filtered out.  A candidate whose
-float distance plus its error bound is ≤ δ is a hit; every other one is
-decided exactly: some t has |γ(t) − p|² − δ² ≤ 0, which an end value or a
-Sturm count tells.
-
-On trig curves the arcs have chords ≤ δ and the float distance decides.
-Distance tests that land inside the relative ambiguity band
-|d − δ| ≤ 1e-9·δ are counted by the closed-boundary rule but clear the
-result's certified flag: floating point cannot resolve them, and silently
-guessing is worse than saying so.
+Every (segment, cell) pair counts against the cap before it is expanded.
+numpy then takes each candidate's float distance d to its chord and a bound
+m on its distance from the exact one to the arc.  A point is a clear hit
+when some chord has d + m ≤ δ, a clear miss when every one has d − m > δ,
+and is decided exactly otherwise: whether |γ(t) − p|² − δ² is ≤ 0 on the
+domain, by a Sturm count on it, or on its half-angle form in s = tan πt for
+a curve in (cos 2πt, sin 2πt).  Results are certified unless a partial
+arc's end cannot be bracketed.
 
 The brute-force oracle is an independent second route on numpy alone: dense
 curve sampling at arclength resolution δ/100, the nearest sample among those
@@ -65,16 +55,16 @@ from functools import reduce
 
 import numpy as np
 
-from .curves import (CurveSpec, bisect_sign_change, circle_arc,
-                     derivative_sup_bound, eval_array, point_fn, velocity_fn)
+from .curves import (CurveSpec, TrigCoord, circle_arc, derivative_sup_bound,
+                     eval_array)
 from . import pointsets, polys
 from .pointsets import CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate
 from .polys import Poly
 
 MAX_SEGMENTS = 4_000_000
 MAX_ORACLE_SAMPLES = 40_000_000
-# relative ambiguity band of the float decisions (the oracle's, and the
-# counter's on trig curves): |d − δ| ≤ AMBIGUITY_REL·δ clears `certified`
+# relative ambiguity band of the oracle's float decisions: |d − δ| ≤
+# AMBIGUITY_REL·δ clears its `certified`
 AMBIGUITY_REL = 1e-9
 _U = 2.0 ** -53   # unit roundoff of float64
 
@@ -289,15 +279,15 @@ class _LatticeCells:
         i0, j0 = self.origin
         return (cell[:, 0] - i0) * self.rows + cell[:, 1] - j0, rows
 
-    def _index(self, pid: int) -> tuple:
-        i, j = divmod(pid, self.rows)
-        return i + self.origin[0], j + self.origin[1]
-
-    def point(self, pid: int) -> tuple:
-        return tuple(k / self.N for k in self._index(pid))
+    def points(self, pid: np.ndarray) -> np.ndarray:
+        """Float coordinates of the points; i / N rounds correctly."""
+        i, j = np.divmod(pid, self.rows)
+        return np.column_stack([(i + self.origin[0]) / self.N,
+                                (j + self.origin[1]) / self.N])
 
     def exact(self, pid: int) -> tuple:
-        return tuple(Fraction(k, self.N) for k in self._index(pid))
+        i, j = divmod(pid, self.rows)
+        return Fraction(i + self.origin[0], self.N), Fraction(j + self.origin[1], self.N)
 
 
 class _PointCells:
@@ -351,8 +341,8 @@ class _PointCells:
         inside = ((bmin[rows] <= p) & (p <= bmax[rows])).all(axis=1)
         return pid[inside], rows[inside]
 
-    def point(self, pid: int) -> tuple:
-        return tuple(self.pts[pid].tolist())
+    def points(self, pid: np.ndarray) -> np.ndarray:
+        return self.pts[pid]
 
     def exact(self, pid: int) -> tuple:
         return self.pts_exact[pid]
@@ -365,7 +355,7 @@ def _expand(counts: np.ndarray):
 
 
 _SEGMENT_BLOCK = 1 << 16
-_SEGMENTS_PER_POINT = 64   # polynomial curves: the grid's cap per point
+_SEGMENTS_PER_POINT = 64   # the grid's cap on segments per point
 _PAIR_BLOCK = 1 << 22   # oracle: (point, sample) pairs measured at once
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
@@ -406,40 +396,6 @@ def _candidate_pairs(cells, gamma: np.ndarray, pad: float, cap: int):
     return pid[order], seg[order]
 
 
-def _min_dist_sq_on_arc(fp, fv, p, a: float, b: float, nodes: int = 8,
-                        bits: int = 52) -> float:
-    """Minimum squared distance from p to the arc γ([a, b]).
-
-    Samples the stationarity function g(t) = (γ(t) − p)·γ'(t) and bisects
-    every sign change; the arc minimum is attained at an endpoint or a
-    stationary point.
-    """
-    def dist_sq(t: float) -> float:
-        q = fp(t)
-        return sum((qc - pc) * (qc - pc) for qc, pc in zip(q, p))
-
-    def g(t: float) -> float:
-        q = fp(t)
-        w = fv(t)
-        return sum((qc - pc) * wc for qc, pc, wc in zip(q, p, w))
-
-    if b <= a:
-        return dist_sq(a)
-    step = (b - a) / nodes
-    ts = [a + step * k for k in range(nodes + 1)]
-    gs = [g(t) for t in ts]
-    best = min(dist_sq(a), dist_sq(b))
-    for k in range(nodes):
-        g0, g1 = gs[k], gs[k + 1]
-        if g0 == 0.0:
-            best = min(best, dist_sq(ts[k]))
-            continue
-        if g0 * g1 < 0.0:
-            t = bisect_sign_change(g, ts[k], ts[k + 1], g0, bits)
-            best = min(best, dist_sq(t))
-    return best
-
-
 _UNIT_CIRCLE = circle_arc()
 
 
@@ -470,6 +426,81 @@ def _poly_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool:
         g = polys.sub(fn.coeffs, (x,))
         D = polys.add(D, polys.mul(g, g))
     return polys.eval_exact(D, a) <= 0 or polys.count_roots_closed(D, a, b) > 0
+
+
+_HALF = Fraction(1, 2)
+
+
+def _end_bracket(P: Poly, x: Fraction):
+    """Rationals (a, b) with a ≤ tan πx ≤ b and no root of P in [a, b], for x
+    in [0, 1] other than ½; True when P(tan πx) = 0; None when neither
+    floats nor tan's polynomial tell.
+
+    θ = fl(π·fl(x)) is within e = 4u·θ of πx (three roundings), math.tan is
+    taken to be within 4 ulps of tan θ, and on [θ − e, θ + e] tan moves by
+    at most e/c², c = |cos θ| − e = (1 + tan²θ)^(−1/2) − e.  A bracket with a
+    root of P is narrowed on the signs of Q = Im (1 + is)^n, x = k/n in
+    lowest terms, n ≤ 64, whose roots are the tan πj/n: its one root there
+    is tan πx, a root of P exactly when of gcd(P, Q).
+    """
+    theta = math.pi * float(x)
+    s = math.tan(theta)
+    e = 4 * _U * theta
+    c = (1 - 1e-9) / math.sqrt(1 + (abs(s) * (1 + 1e-9)) ** 2) - e
+    if c <= 0:
+        return None
+    r = Fraction((e / (c * c) + 8 * _U * abs(s)) * (1 + 1e-9))
+    a, b = Fraction(s) - r, Fraction(s) + r
+    if not polys.count_roots_closed(P, a, b):
+        return a, b
+    n = x.denominator
+    Q = polys.poly((-1) ** (i // 2) * math.comb(n, i) if i % 2 else 0
+                   for i in range(n + 1)) if n <= 64 else polys.ZERO
+    if not Q or polys.count_roots_closed(Q, a, b) != 1:
+        return None
+    if polys.count_roots_closed(polys.gcd(P, Q), a, b):
+        return True
+    qa = polys.eval_exact(Q, a)
+    while polys.count_roots_closed(P, a, b):
+        m = (a + b) / 2
+        qm = polys.eval_exact(Q, m)
+        if not qa or not qm:   # tan πx is rational, and no root of P
+            return (a, a) if not qa else (m, m)
+        a, b, qa = (m, b, qm) if (qa > 0) == (qm > 0) else (a, m, qa)
+    return a, b
+
+
+def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
+    """Whether dist(p, γ) ≤ δ, exactly, for a curve γ in
+    (u, v) = (cos 2πt, sin 2πt); None when an end cannot be bracketed.
+
+    D(t) = |γ(t) − p|² − δ² is ≤ 0 somewhere on the domain exactly when it
+    is at t = ½ (if the domain holds it), or its half-angle form P has a
+    root on the domain's s-range or is < 0 all over it.  That range is
+    [tan πlo, tan πhi], or [tan πlo, B] and [−B, tan πhi] around ½ (B the
+    Cauchy bound on P's roots), less a side that an end at ½ leaves out.
+    The ends' brackets hold no root, so the outer ends bound the same roots.
+    """
+    D = TrigCoord({(0, 0): -delta * delta})
+    for fn, x in zip(curve.coords, p):
+        g = fn.add(TrigCoord({(0, 0): -x}))
+        D = D.add(g.mul(g))
+    if D.is_zero():
+        return True
+    lo, hi = curve.domain
+    half = lo <= _HALF <= hi
+    if half and D.at_half() <= 0:
+        return True
+    P, B = D.half_angle()
+    ends = {x: _end_bracket(P, x) for x in {lo, hi} - {_HALF}}
+    if True in ends.values() or None in ends.values():
+        return True in ends.values() or None
+    ranges = ([(ends[lo][0], ends[hi][1])] if not half else
+              [(ends[lo][0], B) if x == lo else (-B, ends[hi][1]) for x in ends])
+    if any(polys.count_roots_closed(P, a, b) for a, b in ranges):
+        return True
+    # P keeps one sign on the range: that of D(½) > 0 when it holds ½
+    return not half and polys.eval_exact(P, ranges[0][0]) < 0
 
 
 def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
@@ -604,90 +635,71 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     if cells.dim != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
-    exact = curve.is_exact
+    if not curve.is_exact and any(fn.tau_power for fn in curve.coords):
+        raise InvalidQuery("a coordinate carries a power of 2π; |γ − p|² is not rational")
     lo, hi = curve.domain
     # float ends inside the domain, so that every float parameter is on it;
-    # a domain between two floats gets one point and no float decision
+    # a domain between two floats gets one point and no clear hit
     lo_f, hi_f = _float_above(lo), _float_below(hi)
     inside = lo_f <= hi_f
     hi_f = max(lo_f, hi_f)
-    width = hi_f - lo_f
     speed = derivative_sup_bound(curve, 1)
     accel = derivative_sup_bound(curve, 2)
 
-    # speed bounds |γ'| soundly, so each chord is at most speed·h ≤ chord.
-    # On polynomial curves the grid only filters, since every candidate is
-    # decided soundly: chords follow the cells, and there are at most
-    # _SEGMENTS_PER_POINT per point.  Trig curves decide in floats on chords
-    # ≤ δ.
-    length = speed * width
-    chord = (max(delta, cells.side, length / (_SEGMENTS_PER_POINT * cells.size))
-             if exact else delta)
+    # chords follow the cells and are δ-flat: a step h ≤ √(2δ/accel) keeps
+    # the sagitta accel·h²/8 ≤ δ/4, and a chord is at most speed·h
+    length = speed * (hi_f - lo_f)
+    flat = speed * math.sqrt(2 * delta / accel) if accel else math.inf
+    chord = max(length / (_SEGMENTS_PER_POINT * cells.size),
+                min(max(delta, cells.side), flat))
     n_seg = max(1, min(MAX_SEGMENTS, math.ceil(length / chord)))
     ts = np.linspace(lo_f, hi_f, n_seg + 1)
     gamma = eval_array(curve, ts)
     h = float(np.diff(ts).max(initial=0.0)) * (1 + 1e-12)
     sagitta = accel * h * h / 8.0
-    if exact:
-        err = max(fn.error_estimate(lo, hi) for fn in curve.coords)
-        pad = _sound_pad(_float_above(delta_q), sagitta, err, cells.extent,
-                         speed, gamma)
-    else:
-        pad = delta * (1.0 + 3.0 * AMBIGUITY_REL) + sagitta + 1e-15
-
+    # bounds on the float error of each γ(t_k) and of the points'
+    # coordinates (half an ulp of the largest), and on the curve over the
+    # pieces of the domain outside the float grid, shorter than an ulp of 1
+    err = max(fn.error_estimate(lo, hi) for fn in curve.coords) + _U * cells.extent
+    ends = speed * math.ulp(1.0)
+    # no point within δ (as a float ≥ δ) falls outside its box, whose ends
+    # round by two ulps
+    pad = (_float_above(delta_q) + sagitta + err + ends) * (1 + 1e-12)
+    pad += 2 * math.ulp(float(np.abs(gamma).max()) + pad)
     pid, seg = _candidate_pairs(cells, gamma, pad, cap)
-    # merge each point's consecutive segments into parameter intervals
-    breaks = (pid[1:] != pid[:-1]) | (seg[1:] != seg[:-1] + 1)
-    start = np.flatnonzero(np.r_[len(seg) > 0, breaks])
-    stop = np.flatnonzero(np.r_[breaks, len(seg) > 0])
-    fp = point_fn(curve)
-    fv = velocity_fn(curve)
-    best: dict = {}
-    for i, a, b in zip(pid[start].tolist(), ts[seg[start]].tolist(),
-                       ts[seg[stop] + 1].tolist()):
-        d2 = _min_dist_sq_on_arc(fp, fv, cells.point(i), a, b)
-        best[i] = min(best[i], d2) if i in best else d2
 
-    if not exact:
-        # the closed-boundary rule counts ambiguous points too
-        band = AMBIGUITY_REL * delta
-        dist = {i: math.sqrt(d2) for i, d2 in best.items()}
-        matched = sorted(i for i, d in dist.items() if d <= delta)
-        return _result(tuple(cells.exact(i) for i in matched), n_seg,
-                       not any(abs(d - delta) <= band for d in dist.values()),
-                       keep_points)
-
-    # A float distance d at a parameter on the curve is within
-    # slack + (n + 4)·u·d of the exact one: slack bounds the evaluation error
-    # of γ and the rounding of p, coordinate by coordinate, and the relative
-    # term the rounding of the distance itself.  Clear hits are decided so;
-    # every other candidate exactly.
-    n = curve.dimension
-    slack = math.sqrt(n) * (err + _U * cells.extent)
-    grow = 1 + 2 * (n + 4) * _U
-    below = _float_below(delta_q)
-    matched = []
-    for i in sorted(best):
-        p = cells.exact(i)
-        if ((inside and (math.sqrt(best[i]) + slack) * grow <= below)
-                or _poly_near(curve, p, delta_q)):
-            matched.append(p)
-    return _result(tuple(matched), n_seg, True, keep_points)
+    # The exact distance from a point to the arc over a segment is within
+    # `slack` of the float one to the float chord: the sagitta, the errors
+    # above, coordinate by coordinate, and the rounding of the chord
+    # distance.  Each sum or product below rounds by u.
+    d, slack = _chord_bounds(cells.points(pid), gamma[seg], gamma[seg + 1])
+    slack += (sagitta + math.sqrt(curve.dimension) * err + ends) * (1 + 1e-12)
+    ids, first = np.unique(pid, return_index=True)
+    hit = inside & (np.minimum.reduceat(d + slack, first)
+                    <= _float_below(delta_q) * (1 - 4 * _U))
+    miss = np.minimum.reduceat(d - slack, first) > _float_above(delta_q) * (1 + 4 * _U)
+    # every other candidate is decided exactly
+    near = _poly_near if curve.is_exact else _trig_near
+    todo = np.flatnonzero(~hit & ~miss)
+    verdicts = [near(curve, cells.exact(i), delta_q) for i in ids[todo].tolist()]
+    hit[todo] = [v is not False for v in verdicts]
+    return _result(tuple(cells.exact(i) for i in ids[hit].tolist()), n_seg,
+                   None not in verdicts, keep_points)
 
 
-def _sound_pad(delta: float, sagitta: float, err: float, extent: float,
-               speed: float, gamma: np.ndarray) -> float:
-    """A box pad that no point within δ of the curve can fall outside of,
-    float rounding included.
-
-    The terms bound: δ (as a float ≥ δ); the curve's distance from each
-    chord; the float error of each computed γ(t_k) coordinate; the rounding
-    of the points' coordinates (half an ulp of the largest); and the pieces
-    of the domain outside the float grid's ends, shorter than an ulp of 1.
-    The last term covers the rounding of the box ends gamma ∓ pad.
+def _chord_bounds(p: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The float distance d from each point p to its chord [a, b], and a bound
+    on |d − dist(p, [a, b])| away from underflow: d = |w − t·v| for
+    w = p − a, v = b − a and t = w·v / v·v clipped to [0, 1].  Evaluating
+    |w − t·v| rounds by at most (n + 4)·u·(|w| + |v| + d), and t is within
+    (2n + 5)·u·|w| / |v| of the exact projection, which moves the distance
+    by (2n + 5)·u·|w|; the bound adds room for the rounding of |w| and |v|.
     """
-    pad = (delta + sagitta + err + _U * extent + speed * math.ulp(1.0)) * (1 + 1e-12)
-    return pad + 2 * math.ulp(float(np.abs(gamma).max()) + pad)
+    v, w = b - a, p - a
+    vv = _sum_sq(v)
+    t = np.divide((w * v).sum(axis=1), vv, out=np.zeros_like(vv), where=vv > 0)
+    d = np.sqrt(_sum_sq(w - np.clip(t, 0.0, 1.0)[:, None] * v))
+    return d, (3 * p.shape[1] + 10) * _U * (np.sqrt(_sum_sq(w)) + np.sqrt(vv) + d)
 
 
 def _sum_sq(diff: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 against a sympy symbolic-differentiation oracle."""
 
 import math
+import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,8 +17,7 @@ from curvecount import (DomainError, InvalidCurveError, certify_nondegenerate,
                         parabola, polynomial_curve, wronskian,
                         wronskian_symbolic)
 from curvecount.curves import (CurveSpec, PolyCoord, TrigCoord,
-                               derivative_sup_bound, eval_array, point_fn,
-                               translate_curve, velocity_fn)
+                               derivative_sup_bound, eval_array, translate_curve)
 
 
 def test_moment_jet_at_zero():
@@ -218,13 +219,12 @@ def test_array_and_scalar_evaluation_agree_bitwise(coords, ts):
     # one evaluator per coordinate class: the numpy path and the float path
     # must return the same bits at every order
     curve = CurveSpec("lifted", coords)
-    scalar = {0: point_fn(curve), 1: velocity_fn(curve)}
     for k in range(4):
         arr = eval_array(curve, ts, k)
         assert arr.shape == (len(ts), len(coords))
         row = curve.derivatives(k)[k]
         for i, t in enumerate(ts):
-            want = scalar[k](t) if k in scalar else [fn.eval(t) for fn in row]
+            want = [fn.eval(t) for fn in row]
             assert arr[i].tobytes() == np.array(want, dtype=float).tobytes()
 
 
@@ -255,3 +255,42 @@ def test_derivative_sup_bound_is_sound_and_never_looser(coords, k, domain):
     ts = np.linspace(float(lo), float(hi), 257)
     sampled = np.sqrt((eval_array(curve, ts, k) ** 2).sum(axis=1)).max()
     assert sampled <= bound * (1 + 1e-12)
+
+
+def _exact_value(f: TrigCoord, t: float):
+    """f(t) at 200 bits, from the exact coefficients and the float t."""
+    with mpmath.workprec(200):
+        x = 2 * mpmath.pi * mpmath.mpf(t)
+        u, v = mpmath.cos(x), mpmath.sin(x)
+        value = sum(mpmath.mpf(c.numerator) / c.denominator * u ** a * v ** b
+                    for (a, b), c in f.terms.items())
+        return value * (2 * mpmath.pi) ** f.tau_power
+
+
+def _evaluation_errors(f: TrigCoord, ts: list):
+    """|evalf(t) − f(t)| for the float and the array paths, at each t."""
+    arr = np.broadcast_to(f.evalf(np.array(ts)), len(ts))
+    with mpmath.workprec(200):
+        return [max(abs(f.evalf(t) - exact), abs(float(a) - exact))
+                for t, a, exact in zip(ts, arr, (_exact_value(f, t) for t in ts))]
+
+
+def test_trig_error_estimate_grows_with_the_degree():
+    # sin(2πt)⁴⁰, a coordinate of the circle lifted by {x, y, y⁴⁰}: an
+    # estimate that ignored the degree (2.76e-15) is exceeded (3.3e-15) at
+    # some of these t
+    f = TrigCoord({(0, 40): 1})
+    rng = random.Random(1)
+    errors = _evaluation_errors(f, [rng.random() for _ in range(2000)])
+    assert max(errors) <= f.error_estimate(0, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.builds(TrigCoord,
+                 st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 40)),
+                                 _rationals, min_size=1, max_size=6),
+                 st.integers(0, 3)),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+def test_trig_error_estimate_is_sound(f, ts):
+    # against 200-bit evaluation, on the domain [0, max t]
+    assert max(_evaluation_errors(f, ts)) <= f.error_estimate(0, max(ts))

@@ -14,7 +14,7 @@ from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         max_intersections, moment_curve, mvt_consistency,
                         parabola, survey_intersections, to_graph_form,
                         wronskian)
-from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord, point_fn,
+from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord,
                                polynomial_curve)
 from curvecount.hyperplanes import HyperplaneError, mvt_derived_hyperplane
 from curvecount.lifting import MonomialSet
@@ -294,10 +294,9 @@ def test_lifted_circle_roots_are_roots(mset, rng):
     except DegenerateIntersection:
         return
     normal = [float(x) for x in plane.normal]
-    fp = point_fn(curve)
 
     def g(t):
-        return sum(x * y for x, y in zip(normal, fp(t))) - float(plane.a0)
+        return sum(x * fn.eval(t) for x, fn in zip(normal, curve.coords)) - float(plane.a0)
     assert roots.certified
     assert all(abs(g(t)) < 1e-9 for t in roots)
     vals = [g(k / 512) for k in range(513)]

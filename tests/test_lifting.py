@@ -14,7 +14,7 @@ from curvecount import (InvalidCurveError, Monomial, MonomialSet, circle_arc,
                         lifted_wronskian, lipschitz_constant,
                         lipschitz_constant_squared, make_Ms, parabola,
                         wronskian_symbolic)
-from curvecount.curves import TrigCoord, point_fn
+from curvecount.curves import TrigCoord
 from curvecount.lifting import LiftError, X, Y
 
 M_XY = MonomialSet([(1, 0), (0, 1)])
@@ -87,7 +87,7 @@ def test_lift_by_the_full_degree_5_set():
     circle = lift_curve(circle_arc(), M5)
     assert circle.dimension == 20
     x, y = math.cos(math.tau / 3), math.sin(math.tau / 3)
-    assert point_fn(circle)(1 / 3) == pytest.approx(
+    assert [fn.eval(1 / 3) for fn in circle.coords] == pytest.approx(
         [x ** m.a * y ** m.b for m in M5], abs=1e-12)
 
 

@@ -193,3 +193,12 @@ def test_refine_root_with_roots_at_the_ends():
     assert polys.refine_root(p, F(1), F(0)) == pytest.approx(1 / 3, abs=1e-15)
     with pytest.raises(ArithmeticError):
         polys.refine_root(P(0, 1), F(0), F(1))
+
+
+def test_gcd_keeps_the_common_roots():
+    # (t − 1)(t − 2)(t − 3)² and (t − 2)(t − 3)(t + 5) share 2 and 3
+    a = polys.mul(polys.mul(P(-1, 1), P(-2, 1)), polys.power(P(-3, 1), 2))
+    b = polys.mul(polys.mul(P(-2, 1), P(-3, 1)), P(5, 1))
+    g = polys.gcd(a, b)
+    assert polys.degree(g) == 2 and all(polys.eval_exact(g, x) == 0 for x in (2, 3))
+    assert polys.degree(polys.gcd(a, P(7, 1))) == 0

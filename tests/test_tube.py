@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -301,9 +302,11 @@ assert r.count == 0 and r.certified, r
 def test_points_just_off_the_boundary_are_decided_exactly():
     # 199 points at distance δ(1 + k·10⁻⁶) from a segment of length 10⁻⁶,
     # all at its midpoint or spread along it, and 199 points on a ray of the
-    # unit circle at radius 1 − δ(1 + k·10⁻⁶) (none in the tube) or
-    # 1 + δ(1 − k·10⁻⁶) (all in it).  The float distances differ from δ by
-    # less than their rounding; the counts were 33, 33, 47 and 196.
+    # unit circle, or of the arc [1/7, 5/9], at radius 1 ∓ δ(1 + k·10⁻⁶)
+    # (none in the tube) or 1 ± δ(1 − k·10⁻⁶) (all in it).  The float
+    # distances differ from δ by less than their rounding; the counts were
+    # 33, 33, 47 and 196 on the segment and the circle, and 19 (outside) and
+    # 108 (inside), both certified, on the arc.
     d = F(1, 10 ** 12)
     ks = range(1, 200)
     seg = line_segment((0, F(1, 2)), (F(1, 10 ** 6), F(1, 2)))
@@ -311,11 +314,36 @@ def test_points_just_off_the_boundary_are_decided_exactly():
     for xs in ([F(1, 2 * 10 ** 6)] * 199, [F(k, 200 * 10 ** 6) for k in ks]):
         r = count_in_tube(TubeQuery(seg, d, FiniteSet(zip(xs, above))))
         assert r.count == 0 and r.certified
-    for radii, expected in (([1 - d * (1 + F(k, 10 ** 6)) for k in ks], 0),
-                            ([1 + d * (1 - F(k, 10 ** 6)) for k in ks], 199)):
-        pts = FiniteSet([(F(3, 5) * r, F(4, 5) * r) for r in radii])
-        r = count_in_tube(TubeQuery(circle_arc(), d, pts))
-        assert r.count == expected and r.certified and r.arcs_examined == 0
+    for curve, (x, y) in ((circle_arc(), (F(3, 5), F(4, 5))),
+                          (circle_arc(F(1, 7), F(5, 9)), (F(-3, 5), F(4, 5)))):
+        for side in (1, -1):
+            for radii, expected in (([1 - side * d * (1 + F(k, 10 ** 6)) for k in ks], 0),
+                                    ([1 + side * d * (1 - F(k, 10 ** 6)) for k in ks], 199)):
+                pts = FiniteSet([(x * r, y * r) for r in radii])
+                r = count_in_tube(TubeQuery(curve, d, pts))
+                assert r.count == expected and r.certified
+                assert (r.arcs_examined == 0) == (curve.domain == (0, 1))
+
+
+def test_arc_ends_are_bracketed_not_rounded():
+    # math.tan(π·x) is an ulp or so off tan πx.  A point radially at exactly
+    # δ outside the circle point at s, halfway between the two, is at
+    # distance δ from the arc when s lies on the arc's side of tan πx, and
+    # farther otherwise: floats alone cannot tell which.
+    d = F(1, 10 ** 9)
+    expected = []
+    for k in range(1, 24):
+        with mpmath.workprec(200):
+            exact = mpmath.tan(mpmath.pi * k / 49)
+            s = (F(math.tan(math.pi * (k / 49))) + F(int(exact * 2 ** 100), 2 ** 100)) / 2
+            on_arc = mpmath.mpf(s.numerator) / s.denominator >= exact
+        p = tuple((1 + d) * c for c in _circle_point(s))
+        r = count_in_tube(TubeQuery(circle_arc(F(k, 49), F(1, 2)), d,
+                                    FiniteSet([p])))
+        assert r.certified and r.count == on_arc
+        expected.append(on_arc)
+    # the floats fall on either side
+    assert not all(expected) and any(expected)
 
 
 def test_pad_covers_the_rounding_of_large_coordinates():
@@ -378,21 +406,31 @@ _LIFTS = {"parabola": lift_curve(parabola(), _XY),
 @st.composite
 def near_curve_queries(draw):
     """Rational points within a few δ of a random planar polynomial graph,
-    or of the parabola or circle lifted by {x, y, xy} into 3-D; half of them
-    sit on a normal at distance δ(1 ± 10⁻⁶) or δ(1 ± 2·10⁻⁹), closer to
-    the boundary than the oracle's samples resolve without its zoom."""
-    if draw(st.booleans()):
+    of the parabola or circle lifted by {x, y, xy} into 3-D, or of a circle
+    arc with random rational ends (most with an irrational tan πt, some
+    around ½) or its lift; some at the domain's ends, and half of them on a
+    normal at distance δ(1 ± 10⁻⁶) or δ(1 ± 2·10⁻⁹), closer to the boundary
+    than the oracle's samples resolve without its zoom."""
+    kind = draw(st.sampled_from(["graph", "lift", "arc"]))
+    if kind == "graph":
         curve = graph_curve([draw(st.lists(st.fractions(-2, 2, max_denominator=6),
                                            min_size=1, max_size=5))])
-    else:
+    elif kind == "lift":
         curve = _LIFTS[draw(st.sampled_from(sorted(_LIFTS)))]
+    else:
+        ends = st.lists(st.fractions(0, 1, max_denominator=12), min_size=2,
+                        max_size=2, unique=True).map(sorted)
+        curve = circle_arc(*draw(ends))
+        if draw(st.booleans()):
+            curve = lift_curve(curve, _XY)
     delta = F(1, draw(st.integers(8, 200)))
     offsets = st.lists(st.fractions(-2, 2, max_denominator=50),
                        min_size=curve.dimension, max_size=curve.dimension)
     radii = st.sampled_from([1 - 1e-6, 1 + 1e-6, 1 - 2e-9, 1 + 2e-9])
+    lo, hi = curve.domain
+    params = st.sampled_from([lo, hi]) | st.fractions(lo, hi, max_denominator=64)
     pts = set()
-    for t in draw(st.lists(st.fractions(0, 1, max_denominator=64),
-                           min_size=1, max_size=12)):
+    for t in draw(st.lists(params, min_size=1, max_size=12)):
         t = np.array([float(t)])
         v = np.array([float(o) for o in draw(offsets)])
         if draw(st.booleans()):
@@ -404,10 +442,11 @@ def near_curve_queries(draw):
     return TubeQuery(curve, delta, ExplicitSource(FiniteSet(pts)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(near_curve_queries())
 def test_oracle_matches_counter_near_curves(q):
-    # explicit sources and, in 3-D, the oracle's cells on two of three axes
+    # explicit sources and, in 3-D, the oracle's cells on two of three axes;
+    # where both are certified
     r = count_in_tube(q)
     rb = brute_force_tube_oracle(q)
     if r.certified and rb.certified:
@@ -463,11 +502,9 @@ def test_lattice_and_explicit_routes_agree(query):
     r_lat = count_in_tube(TubeQuery(curve, delta, lattice))
     r_exp = count_in_tube(TubeQuery(curve, delta,
                                     ExplicitSource(FiniteSet(pts, dimension=2))))
-    # both routes decide every point soundly, except on the partial arc,
-    # where the explicit route may find a float distance ambiguous
-    assert r_exp.certified or name == "arc"
-    if r_exp.certified:
-        assert r_lat.count == r_exp.count and r_lat.points == r_exp.points
+    # both routes decide every point soundly, the partial arc's included
+    assert r_exp.certified
+    assert r_lat.count == r_exp.count and r_lat.points == r_exp.points
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,14 +524,31 @@ def test_lattice_index_bound_matches_float_test(N, i, ulps, lo_off, width):
     assert int(got[0]) == expected
 
 
+# the closed quadrants, by the signs of their points' coordinates, and the
+# circle points at t = 0, ¼, ½, ¾ and 1
+_QUADRANTS = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+_QUARTER_POINTS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+
+
+def _circle_point(s):
+    """The point of the unit circle at s = tan πt."""
+    return (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+
+
 def _in_tube_by_fractions(curve, delta, p) -> bool:
-    """dist(p, Γ) ≤ δ over the whole domain in exact arithmetic: on the
-    unit circle | |p| − 1 | ≤ δ; on a polynomial curve, whether
+    """dist(p, Γ) ≤ δ over the whole domain in exact arithmetic.  On a
+    circle arc whose ends are multiples of ¼: | |p| − 1 | ≤ δ inside its
+    closed sector (a union of closed quadrants), and the distance to the
+    nearer end outside it.  On a polynomial curve: whether
     Σ (γᵢ(t) − pᵢ)² − δ² is ≤ 0 at lo or has a root in [lo, hi]."""
-    if not curve.is_exact:
-        r2 = p[0] ** 2 + p[1] ** 2
-        return r2 <= (1 + delta) ** 2 and (delta >= 1 or r2 >= (1 - delta) ** 2)
     lo, hi = curve.domain
+    if not curve.is_exact:
+        (x, y), quarters = p, range(int(4 * lo), int(4 * hi))
+        if any(x * a >= 0 and y * b >= 0 for a, b in (_QUADRANTS[q] for q in quarters)):
+            r2 = x * x + y * y
+            return r2 <= (1 + delta) ** 2 and (delta >= 1 or r2 >= (1 - delta) ** 2)
+        return any((x - ex) ** 2 + (y - ey) ** 2 <= delta ** 2
+                   for ex, ey in (_QUARTER_POINTS[int(4 * e)] for e in (lo, hi)))
     D = (-delta * delta,)
     for fn, x in zip(curve.coords, p):
         g = polys.sub(fn.coeffs, (x,))
@@ -601,8 +655,35 @@ def polynomial_tube_queries(draw):
     return TubeQuery(curve, delta, ExplicitSource(FiniteSet(pts)))
 
 
+_QUARTERS = [F(k, 4) for k in range(5)]
+
+
+@st.composite
+def quarter_arc_queries(draw):
+    """Rational points near circle arcs whose ends are multiples of ¼: a
+    circle point at t = k/4 or at a rational s = tan πt, moved by δ·s·w
+    along a rational unit w, radial or not, with s as in
+    ``polynomial_tube_queries``."""
+    lo, hi = draw(st.lists(st.sampled_from(_QUARTERS), min_size=2, max_size=2,
+                           unique=True).map(sorted))
+    delta = draw(_DELTAS)
+    scale = st.sampled_from([0, 1, 1 - F(1, 10 ** 9), 1 + F(1, 10 ** 9),
+                             1 - F(1, 10 ** 6), 1 + F(1, 10 ** 6), 2]) | \
+        st.fractions(0, 3, max_denominator=20)
+    pts = set()
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            q = draw(st.sampled_from(_QUARTER_POINTS))
+        else:
+            q = _circle_point(draw(st.fractions(-20, 20, max_denominator=20)))
+        w = draw(st.sampled_from(_UNIT_2D + [q]))
+        s = draw(scale) * draw(st.sampled_from([-1, 1]))
+        pts.add(tuple(c + delta * s * wc for c, wc in zip(q, w)))
+    return TubeQuery(circle_arc(lo, hi), delta, ExplicitSource(FiniteSet(pts)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(polynomial_tube_queries())
+@given(polynomial_tube_queries() | quarter_arc_queries())
 # a segment along (4, −3) and a point on its normal at exactly δ
 @example(TubeQuery(line_segment((0, 0), (F(4, 5), F(-3, 5))), F(1, 10 ** 12),
                    FiniteSet([(F(2, 5) + F(3, 5 * 10 ** 12),
@@ -611,6 +692,17 @@ def polynomial_tube_queries(draw):
 # exactly δ below it is kept only by the sagitta term of the pad
 @example(TubeQuery(graph_curve([[F(4, 25), F(-4, 5), 1]]), F(1, 10 ** 6),
                    FiniteSet([(F(2, 5), F(-1, 10 ** 6))])))
+# on an arc through ½: (−1 − δ, 0) is at distance δ from its point at t = ½
+# only; (−1 + 3δ/5·s, 4δ/5·s), s = 1 + 10⁻⁶, is within δ of points whose
+# s = tan πt is about 10¹², past every bound but Cauchy's
+@example(TubeQuery(circle_arc(F(1, 4), F(3, 4)), F(1, 10 ** 12),
+                   FiniteSet([(-1 - F(1, 10 ** 12), 0)])))
+@example(TubeQuery(circle_arc(F(1, 4), F(3, 4)), F(1, 10 ** 12),
+                   FiniteSet([(-1 + F(3, 5 * 10 ** 12) * (1 + F(1, 10 ** 6)),
+                               F(4, 5 * 10 ** 12) * (1 + F(1, 10 ** 6)))])))
+# at exactly δ past the arc's end (0, 1), where a float tan π/4 is below 1
+@example(TubeQuery(circle_arc(0, F(1, 4)), F(1, 10 ** 12),
+                   FiniteSet([(-F(1, 10 ** 12), 1)])))
 def test_polynomial_and_circle_tubes_match_exact_brute_force(q):
     # no candidate pruning in the brute force: a Sturm count over the whole
     # domain, or the rational radius test, for every point
