@@ -113,6 +113,8 @@ def _cmd_wronskian(args) -> int:
     lo, hi = curve.domain
     if args.t is not None:
         ts = [ser.parse_frac(args.t)]
+    elif args.grid < 1:
+        raise ValueError("--grid must be >= 1")
     else:
         ts = [lo + (hi - lo) * Fraction(i, args.grid) for i in range(args.grid + 1)]
     rows = [{"t": ser.frac_str(t), "wronskian": float(wronskian(curve, t))}

@@ -19,13 +19,14 @@ smoothness order is declared or checked.
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
 (float branch) and ``eval_array`` are built on it, and ``error_estimate``
-bounds its error.  ``TrigCoord.half_angle`` is the rational form in s = tan πt.
+bounds its error.  ``TrigCoord.half_angle`` is the rational form in s = tan πt,
+and ``half_angle_ranges`` gives a domain's s-ranges, its ends bracketed exactly.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
-derivative vector -- is computed once symbolically over the exact coefficient
-ring and then evaluated, never as a numeric determinant of jet samples; a
-numeric determinant would amplify roundoff catastrophically for degenerate
-lifts whose true Wronskian is identically zero.
+derivative vector -- is computed once as an exact coordinate function, by
+interpolation from integer determinants at rational nodes, and then evaluated.
+No float enters, so a degenerate lift comes out as W ≡ 0, where a float
+determinant of jet samples would be roundoff.
 """
 
 from __future__ import annotations
@@ -240,9 +241,9 @@ class TrigCoord:
                 out[key] = out.get(key, 0) + c1 * c2
         return TrigCoord._reduced(_reduce_trig(out), self.tau_power + other.tau_power)
 
-    # add and scaled only drop zero terms.  They list the terms in reverse,
-    # the order _reduce_trig's stack gives, because sup_abs sums in dict
-    # order and its float must not change.
+    # add only drops zero terms.  It lists the terms in reverse, the order
+    # _reduce_trig's stack gives, because sup_abs sums in dict order and its
+    # float must not change.
 
     def add(self, other: "TrigCoord") -> "TrigCoord":
         if self.tau_power != other.tau_power and self.terms and other.terms:
@@ -252,11 +253,6 @@ class TrigCoord:
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
         return TrigCoord._reduced({k: c for k, c in reversed(out.items()) if c}, tau)
-
-    def scaled(self, k) -> "TrigCoord":
-        k = _as_fraction(k)
-        terms = {key: c * k for key, c in reversed(self.terms.items())} if k else {}
-        return TrigCoord._reduced(terms, self.tau_power)
 
     def __eq__(self, other):
         return (isinstance(other, TrigCoord) and self.terms == other.terms
@@ -270,6 +266,61 @@ class TrigCoord:
 _HALF_U = polys.poly([1, 0, -1])
 _HALF_V = polys.poly([0, 2])
 _HALF_W = polys.poly([1, 0, 1])
+
+
+def _tan_bracket(P: Poly, x: Fraction) -> tuple:
+    """(a, b, k) for x in [0, 1] other than ½: rationals a ≤ tan πx ≤ b whose
+    roots of P are tan πx alone when k = 1 and none when k = 0; k is None
+    when neither floats nor tan's polynomial can tell.
+
+    θ = fl(π·fl(x)) is within e = 4u·θ of πx (three roundings), math.tan is
+    taken to be within 4 ulps of tan θ, and on [θ − e, θ + e] tan moves by
+    at most e/c², c = |cos θ| − e = (1 + tan²θ)^(−1/2) − e.  A bracket with a
+    root of P is narrowed on the signs of Q = Im (1 + is)^n, x = j/n in
+    lowest terms, n ≤ 64, whose roots are the tan πi/n: its one root there
+    is tan πx, a root of P exactly when of gcd(P, Q).
+    """
+    theta = math.pi * float(x)
+    s = math.tan(theta)
+    if 4 % x.denominator == 0:   # tan πx is 0 or ±1, and irrational at any other x
+        s = Fraction(round(s))
+        return s, s, 0 if polys.eval_exact(P, s) else 1
+    e = 4 * _U * theta
+    c = (1 - 1e-9) / math.sqrt(1 + (abs(s) * (1 + 1e-9)) ** 2) - e
+    if c <= 0:
+        return Fraction(s), Fraction(s), None
+    r = Fraction((e / (c * c) + 8 * _U * abs(s)) * (1 + 1e-9))
+    a, b = Fraction(s) - r, Fraction(s) + r
+    if not polys.count_roots_closed(P, a, b):
+        return a, b, 0
+    n = x.denominator
+    Q = polys.poly((-1) ** (i // 2) * math.comb(n, i) if i % 2 else 0
+                   for i in range(n + 1)) if n <= 64 else polys.ZERO
+    if not Q or polys.count_roots_closed(Q, a, b) != 1:
+        return a, b, None
+    k = 1 if polys.count_roots_closed(polys.gcd(P, Q), a, b) else 0
+    qa = polys.eval_exact(Q, a)
+    while polys.count_roots_closed(P, a, b) > k:
+        m = (a + b) / 2
+        qm = polys.eval_exact(Q, m)
+        a, b, qa = (m, b, qm) if (qa > 0) == (qm > 0) else (a, m, qa)
+    return a, b, k
+
+
+def half_angle_ranges(P: Poly, B: int, lo: Fraction, hi: Fraction) -> tuple:
+    """(ends, ranges, sure) for the roots s = tan πt of P at t ≠ ½ in [lo, hi]:
+    the ends x ≠ ½ with P(tan πx) = 0, and open s-ranges that hold the others
+    and no root from outside: (tan πlo, tan πhi), or (tan πlo, B) and
+    (−B, tan πhi) around ½ (B > |s| at P's roots) less a side an end at ½
+    leaves out, each finite end moved past its ``_tan_bracket``.  sure is
+    False when an end cannot be bracketed; its range then takes it in."""
+    br = {x: _tan_bracket(P, x) for x in {lo, hi} - {Fraction(1, 2)}}
+    first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
+    last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
+    ranges = ([(first, last)] if not lo <= Fraction(1, 2) <= hi else
+              [r for r, x in (((first, B), lo), ((-B, last), hi)) if x in br])
+    return (sorted(x for x, (_, _, k) in br.items() if k), ranges,
+            all(k is not None for _, _, k in br.values()))
 
 
 def _elementwise_pow(v: np.ndarray, b: int) -> np.ndarray:
@@ -430,35 +481,66 @@ def eval_jet(curve: CurveSpec, t, order: int) -> Jet:
 
 
 def wronskian_symbolic(curve: CurveSpec):
-    """The Wronskian W(γ₁',…,γₙ') as an exact coordinate function of t.
+    """The Wronskian W(γ₁',…,γₙ') as an exact coordinate function of t: the
+    rows are γ^(1)…γ^(n), and W, of known degree, is interpolated from
+    integer determinants at rational nodes, the columns cleared of
+    denominators."""
+    if curve._wronskian_sym is None:
+        build = _poly_wronskian if curve.is_exact else _trig_wronskian
+        curve._wronskian_sym = build(*curve.derivatives(curve.dimension))
+    return curve._wronskian_sym
 
-    Rows are the derivative vectors γ^(1)…γ^(n); the determinant is expanded
-    symbolically over the exact coefficient ring (polynomials in t, or
-    reduced trig polynomials, whose products carry their 2π powers).
-    """
-    if curve._wronskian_sym is not None:
-        return curve._wronskian_sym
-    n = curve.dimension
-    rows = curve.derivatives(n)[1:]
-    if curve.is_exact:
-        result = PolyCoord(polys.det_poly([[fn.coeffs for fn in row] for row in rows]))
-    else:
-        # entry (row k, column j) carries (2π)^(base_j + k), so every
-        # permutation product carries the same total power and they add
-        result = polys.det_ring(rows, TrigCoord({}), TrigCoord.add, TrigCoord.mul,
-                                lambda x: x.scaled(-1))
-    curve._wronskian_sym = result
-    return result
+
+def _integer_rows(rows, terms):
+    """rows as integer {key: coefficient} dicts, with each column times the
+    lcm of its denominators; and the product of those lcms."""
+    cols, den = [], 1
+    for col in zip(*([terms(fn) for fn in row] for row in rows)):
+        L = math.lcm(*(c.denominator for entry in col for c in entry.values()))
+        cols.append([{k: c.numerator * (L // c.denominator) for k, c in entry.items()}
+                     for entry in col])
+        den *= L
+    return list(zip(*cols)), den
+
+
+def _poly_wronskian(coords, *rows) -> PolyCoord:
+    """Entry (k, j) has degree deg γⱼ − k, so W has degree at most
+    d = Σⱼ (deg γⱼ − j) and its values at 0…d fix it (W ≡ 0 if d < 0)."""
+    xs = range(sum(polys.degree(fn.coeffs) - j for j, fn in enumerate(coords, 1)) + 1)
+    rows, den = _integer_rows(rows, lambda fn: dict(enumerate(fn.coeffs)))
+    ys = [polys.det_fraction([[sum(c * x ** i for i, c in e.items()) for e in row]
+                              for row in rows]) / den for x in xs]
+    return PolyCoord(polys.interpolate(xs, ys))
+
+
+def _trig_wronskian(coords, *rows) -> TrigCoord:
+    """Entry (k, j) is (2π)^(base_j + k) times a polynomial in (u, v) of total
+    degree ≤ d_j, γⱼ's, as derivatives and u² = 1 − v² never raise it.  So
+    W = (2π)^Σⱼ(base_j + j)·(A(v) + u·B(v)), deg A ≤ D = Σ d_j,
+    deg B < D.  At the rational points (±u, v) = (±(m² − 1), 2m)/(m² + 1),
+    m = 2…D + 2, with distinct v, A = (W₊ + W₋)/2 and B = (W₊ − W₋)/2u;
+    column j times (m² + 1)^d_j is integral there."""
+    degs = [max((a + b for a, b in fn.terms), default=0) for fn in coords]
+    rows, den = _integer_rows(rows, lambda fn: fn.terms)
+    nodes = []
+    for m in range(2, sum(degs) + 3):
+        w, u, v = m * m + 1, m * m - 1, 2 * m
+        plus, minus = (polys.det_fraction(
+            [[sum(c * su ** a * v ** b * w ** (d - a - b) for (a, b), c in e.items())
+              for e, d in zip(row, degs)] for row in rows]) / (den * w ** sum(degs))
+            for su in (u, -u))
+        nodes.append((Fraction(v, w), (plus + minus) / 2, (plus - minus) * w / (2 * u)))
+    vs, evens, odds = zip(*nodes)
+    terms = {(a, b): c for a, ys in enumerate((evens, odds))
+             for b, c in enumerate(polys.interpolate(vs, ys)) if c}
+    return TrigCoord._reduced(terms, sum(fn.tau_power + j for j, fn in enumerate(coords, 1)))
 
 
 def wronskian(curve: CurveSpec, t):
     """W(Γ)(t); exact Fraction for polynomial curves at rational t."""
     if not curve.contains_parameter(t):
         raise DomainError(f"parameter {t} outside domain {curve.domain}")
-    w = wronskian_symbolic(curve)
-    if curve.is_exact and not isinstance(t, float):
-        return w.eval(_as_fraction(t))
-    return w.eval(float(t))
+    return wronskian_symbolic(curve).eval(t)
 
 
 def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCertificate:

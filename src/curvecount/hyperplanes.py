@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord
+from .curves import (CurveSpec, InvalidCurveError, PolyCoord, TrigCoord,
+                     half_angle_ranges)
 
 
 class HyperplaneError(ValueError):
@@ -72,10 +73,6 @@ class RootList:
         return iter(self.roots)
 
 
-# float t within this of a partial arc's end: kept, but not certified
-_END_TOL = 1e-12
-
-
 def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
     """g = Σ aᵢγᵢ − a₀, coefficient by coefficient and without zero terms:
     keyed by degree for polynomial curves, by the reduced (a, b) of u^a·v^b
@@ -99,12 +96,12 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     """Parameters t in the domain with γ(t) ∈ H.
 
     Polynomial curves isolate the roots of g on the domain.  Trigonometric
-    curves isolate the roots s of the half-angle polynomial inside its
-    Cauchy bound and map them to t = atan(s)/π mod 1; s = 0 is both t = 0
-    and t = 1, and t = ½ (s = ∞) is a root exactly when g(−1, 0) = 0.
-    Both routes are exact; only a root within 1e-12 of a partial arc's end
-    clears ``certified``, since its float t decides whether it is in the
-    domain.
+    curves isolate the roots s of the half-angle polynomial on the domain's
+    s-ranges and map them to t = atan(s)/π mod 1; the domain's ends are
+    bracketed exactly (``half_angle_ranges``), an end that is a root is
+    kept as it is, and t = ½ (s = ∞) is a root exactly when g(−1, 0) = 0.
+    Both routes are exact; only an end that cannot be bracketed clears
+    ``certified``.
     """
     if plane.dimension != curve.dimension:
         raise HyperplaneError("hyperplane dimension does not match the curve")
@@ -117,21 +114,19 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
         return RootList(roots=roots, intervals=tuple(intervals), certified=True)
     g = TrigCoord(g)
     p, bound = g.half_angle()
+    ends, ranges, sure = half_angle_ranges(p, bound, lo, hi)
     # an isolating interval is narrower than 2·bound, so these bits put s
     # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
     bits = 60 + bound.bit_length()
-    ts = [math.atan(polys.refine_root(p, a, b, bits)) / math.pi % 1.0
-          for a, b in polys.isolate_roots(p, -bound, bound)]
-    if not p[0]:  # g(1, 0) = 0
-        ts.append(1.0)
-    if not g.at_half():  # g(−1, 0) = 0
+    ts = [float(x) for x in ends]
+    for a, b in ranges:
+        ts += [math.atan(polys.refine_root(p, c, d, bits)) / math.pi % 1.0
+               for c, d in (polys.isolate_roots(p, a, b) if a < b else ())
+               if c != d or a < c < b]   # the ranges are open
+    if lo <= Fraction(1, 2) <= hi and not g.at_half():  # g(−1, 0) = 0
         ts.append(0.5)
-    flo, fhi = float(lo), float(hi)
-    roots = sorted(t for t in ts if flo - _END_TOL <= t <= fhi + _END_TOL)
-    partial = (lo, hi) != (0, 1)
-    near_end = any(min(abs(t - flo), abs(t - fhi)) <= _END_TOL for t in roots)
-    return RootList(roots=tuple(roots), intervals=(None,) * len(roots),
-                    certified=not (partial and near_end))
+    return RootList(roots=tuple(sorted(ts)), intervals=(None,) * len(ts),
+                    certified=sure)
 
 
 def to_graph_form(curve: CurveSpec) -> CurveSpec:

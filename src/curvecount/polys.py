@@ -3,22 +3,22 @@ real root isolation.
 
 Polynomials are dense coefficient tuples, low degree first, trimmed of trailing
 zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
-products, powers, composition, determinants) is exact over
-``fractions.Fraction``.  Root counting, isolation and refinement run on
-Python integers instead: the square-free part and its Sturm chain are built
-once per call as primitive integer polynomials by pseudo-remainders, and
-signs at a rational point n/d are read from the homogeneous integer
-Σ c_i·n^i·d^(deg−i).  Isolation bisects [a, b] on a dyadic grid with one
-shared denominator per depth and counts roots by sign variations; refinement
-bisects integer numerators the same way.
+products, powers, composition, interpolation) is exact over
+``fractions.Fraction``.  Determinants, root counting, isolation and
+refinement run on Python integers instead.  A determinant clears each row of
+denominators and eliminates by Bareiss.  The square-free part and its Sturm
+chain are built once per call as primitive integer polynomials by
+pseudo-remainders, and signs at a rational point n/d are read from the
+homogeneous integer Σ c_i·n^i·d^(deg−i).  Isolation bisects [a, b] on a
+dyadic grid with one shared denominator per depth and counts roots by sign
+variations; refinement bisects integer numerators the same way.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 Poly = tuple[Fraction, ...]
 
@@ -52,12 +52,8 @@ def add(p: Poly, q: Poly) -> Poly:
     return poly(out)
 
 
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
 def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
+    return add(p, tuple(-c for c in q))
 
 
 def scale(p: Poly, k) -> Poly:
@@ -320,70 +316,42 @@ def sup_bound(p: Poly, a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Determinants over an arbitrary exact coefficient ring
+# Determinants and interpolation
 # ---------------------------------------------------------------------------
 
-def det_ring(rows: Sequence[Sequence], zero, radd: Callable, rmul: Callable,
-             rneg: Callable):
-    """Determinant via Laplace expansion with memoized minors.
-
-    ``rows`` is a square matrix of ring elements; the ring is described by its
-    zero element and add/mul/neg callables.  Minors over the leading k rows
-    and every k-subset of columns are built bottom-up, so the cost is
-    O(n * 2^n) ring multiply-adds instead of n! -- exact in any commutative
-    ring, no division needed.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    cur = {1 << j: rows[0][j] for j in range(n)}
-    for k in range(2, n + 1):
-        nxt = {}
-        for cols in combinations(range(n), k):
-            mask = 0
-            for c in cols:
-                mask |= 1 << c
-            acc = zero
-            # expand along row k-1; sign is (-1)^((k-1) + position)
-            for idx, j in enumerate(cols):
-                entry = rows[k - 1][j]
-                minor = cur[mask ^ (1 << j)]
-                term = rmul(entry, minor)
-                if (k - 1 + idx) % 2:
-                    term = rneg(term)
-                acc = radd(acc, term)
-            nxt[mask] = acc
-        cur = nxt
-    return cur[(1 << n) - 1]
-
-
-def det_poly(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Exact determinant of a matrix of rational polynomials."""
-    return det_ring(rows, ZERO, add, mul, neg)
-
-
-def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    prev = Fraction(1)
+def det_fraction(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions: each row
+    times the lcm of its denominators, then fraction-free Bareiss on integers,
+    whose entries after step k are minors, so dividing by the last pivot is
+    exact."""
+    n, m, den = len(rows), [], 1
+    for row in rows:
+        L = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (L // x.denominator) for x in row])
+        den *= L
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
                 return Fraction(0)
-        for i in range(k + 1, n):
+            m[k], m[i], sign = m[i], m[k], -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = (row[j] * pivot - row[k] * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], den)
+
+
+def interpolate(xs, ys) -> Poly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    by Newton's divided differences; the xs are distinct rationals."""
+    c = [Fraction(y) for y in ys]
+    for k in range(1, len(c)):
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    p = ZERO
+    for x, ci in zip(reversed(xs), reversed(c)):
+        p = add(mul(p, poly((-x, 1))), poly((ci,)))
+    return p

@@ -56,7 +56,7 @@ from functools import reduce
 import numpy as np
 
 from .curves import (CurveSpec, TrigCoord, circle_arc, derivative_sup_bound,
-                     eval_array)
+                     eval_array, half_angle_ranges)
 from . import pointsets, polys
 from .pointsets import CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate
 from .polys import Poly
@@ -428,58 +428,14 @@ def _poly_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool:
     return polys.eval_exact(D, a) <= 0 or polys.count_roots_closed(D, a, b) > 0
 
 
-_HALF = Fraction(1, 2)
-
-
-def _end_bracket(P: Poly, x: Fraction):
-    """Rationals (a, b) with a ≤ tan πx ≤ b and no root of P in [a, b], for x
-    in [0, 1] other than ½; True when P(tan πx) = 0; None when neither
-    floats nor tan's polynomial tell.
-
-    θ = fl(π·fl(x)) is within e = 4u·θ of πx (three roundings), math.tan is
-    taken to be within 4 ulps of tan θ, and on [θ − e, θ + e] tan moves by
-    at most e/c², c = |cos θ| − e = (1 + tan²θ)^(−1/2) − e.  A bracket with a
-    root of P is narrowed on the signs of Q = Im (1 + is)^n, x = k/n in
-    lowest terms, n ≤ 64, whose roots are the tan πj/n: its one root there
-    is tan πx, a root of P exactly when of gcd(P, Q).
-    """
-    theta = math.pi * float(x)
-    s = math.tan(theta)
-    e = 4 * _U * theta
-    c = (1 - 1e-9) / math.sqrt(1 + (abs(s) * (1 + 1e-9)) ** 2) - e
-    if c <= 0:
-        return None
-    r = Fraction((e / (c * c) + 8 * _U * abs(s)) * (1 + 1e-9))
-    a, b = Fraction(s) - r, Fraction(s) + r
-    if not polys.count_roots_closed(P, a, b):
-        return a, b
-    n = x.denominator
-    Q = polys.poly((-1) ** (i // 2) * math.comb(n, i) if i % 2 else 0
-                   for i in range(n + 1)) if n <= 64 else polys.ZERO
-    if not Q or polys.count_roots_closed(Q, a, b) != 1:
-        return None
-    if polys.count_roots_closed(polys.gcd(P, Q), a, b):
-        return True
-    qa = polys.eval_exact(Q, a)
-    while polys.count_roots_closed(P, a, b):
-        m = (a + b) / 2
-        qm = polys.eval_exact(Q, m)
-        if not qa or not qm:   # tan πx is rational, and no root of P
-            return (a, a) if not qa else (m, m)
-        a, b, qa = (m, b, qm) if (qa > 0) == (qm > 0) else (a, m, qa)
-    return a, b
-
-
 def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
     """Whether dist(p, γ) ≤ δ, exactly, for a curve γ in
     (u, v) = (cos 2πt, sin 2πt); None when an end cannot be bracketed.
 
     D(t) = |γ(t) − p|² − δ² is ≤ 0 somewhere on the domain exactly when it
-    is at t = ½ (if the domain holds it), or its half-angle form P has a
-    root on the domain's s-range or is < 0 all over it.  That range is
-    [tan πlo, tan πhi], or [tan πlo, B] and [−B, tan πhi] around ½ (B the
-    Cauchy bound on P's roots), less a side that an end at ½ leaves out.
-    The ends' brackets hold no root, so the outer ends bound the same roots.
+    is at t = ½ (if the domain holds it), or its half-angle form P vanishes
+    at an end of the domain or in one of its open s-ranges
+    (``half_angle_ranges``), or is < 0 all over them.
     """
     D = TrigCoord({(0, 0): -delta * delta})
     for fn, x in zip(curve.coords, p):
@@ -488,17 +444,13 @@ def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
     if D.is_zero():
         return True
     lo, hi = curve.domain
-    half = lo <= _HALF <= hi
+    half = lo <= Fraction(1, 2) <= hi
     if half and D.at_half() <= 0:
         return True
     P, B = D.half_angle()
-    ends = {x: _end_bracket(P, x) for x in {lo, hi} - {_HALF}}
-    if True in ends.values() or None in ends.values():
-        return True in ends.values() or None
-    ranges = ([(ends[lo][0], ends[hi][1])] if not half else
-              [(ends[lo][0], B) if x == lo else (-B, ends[hi][1]) for x in ends])
-    if any(polys.count_roots_closed(P, a, b) for a, b in ranges):
-        return True
+    ends, ranges, sure = half_angle_ranges(P, B, lo, hi)
+    if ends or not sure or any(polys.count_roots_open(P, a, b) for a, b in ranges):
+        return True if ends or sure else None
     # P keeps one sign on the range: that of D(½) > 0 when it holds ½
     return not half and polys.eval_exact(P, ranges[0][0]) < 0
 

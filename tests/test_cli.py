@@ -60,6 +60,14 @@ def test_wronskian_grid_sampling(parabola_file, capsys):
     assert all(v["wronskian"] == 2.0 for v in values)
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_wronskian_grid_below_one_is_a_usage_error(parabola_file, capsys, grid):
+    code = cli.main(["wronskian", "--curve", parabola_file, "--grid", grid])
+    out, err = capsys.readouterr()
+    assert code == cli.USAGE_EXIT and out == ""
+    assert err.startswith("error: ")
+
+
 def test_certify_command(parabola_file, capsys):
     code, out = run_cli(capsys, "certify", "--curve", parabola_file,
                         "--c0", "0", "--grid", "64")

@@ -223,14 +223,28 @@ def test_circle_root_at_zero_is_also_one():
     assert intersect(circle_arc(0, F(1, 2)), Hyperplane(1, (1, 0))).roots == (0.0,)
 
 
-def test_partial_arc_end_roots_are_kept_uncertified():
+def test_partial_arc_end_roots_are_exact():
     # x = y meets the circle at t = 1/8 and 5/8, the ends of this arc
     roots = intersect(circle_arc(F(1, 8), F(5, 8)), Hyperplane(0, (1, -1)))
-    assert len(roots) == 2 and not roots.certified
-    assert abs(roots.roots[0] - 1 / 8) < 1e-12 and abs(roots.roots[1] - 5 / 8) < 1e-12
+    assert roots.roots == (0.125, 0.625) and roots.certified
+    # x = 0 at t = 1/4 and 3/4, where tan πt is ±1
+    roots = intersect(circle_arc(F(1, 4), F(3, 4)), Hyperplane(0, (1, 0)))
+    assert roots.roots == (0.25, 0.75) and roots.certified
     # strictly inside the arc nothing is in doubt
     roots = intersect(circle_arc(F(1, 16), F(11, 16)), Hyperplane(0, (1, -1)))
     assert len(roots) == 2 and roots.certified
+
+
+def test_root_at_a_partial_arc_end_is_kept_and_one_past_it_is_not():
+    plane = Hyperplane(0, (1, -1))
+    roots = intersect(circle_arc(F(1, 8), F(1, 2)), plane)
+    assert roots.roots == (0.125,) and roots.certified
+    # 10⁻¹⁴ past the root: its float t would round into a 1e-12 end band
+    roots = intersect(circle_arc(F(1, 8) + F(1, 10 ** 14), F(1, 2)), plane)
+    assert roots.roots == () and roots.certified
+    # and just before it, on an arc that ends there
+    roots = intersect(circle_arc(0, F(1, 8) - F(1, 10 ** 14)), plane)
+    assert roots.roots == () and roots.certified
 
 
 def test_roots_near_half_do_not_blur_the_others():

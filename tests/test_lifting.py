@@ -7,13 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
+from curvecount import polys
 from curvecount import (InvalidCurveError, Monomial, MonomialSet, circle_arc,
                         check_lattice_bijection, count_on_curve_lattice,
-                        eval_jet, exponent, lift_curve, lift_point,
-                        lifted_wronskian, lipschitz_constant,
+                        eval_jet, exponent, graph_curve, lift_curve,
+                        lift_point, lifted_wronskian, lipschitz_constant,
                         lipschitz_constant_squared, make_Ms, parabola,
-                        wronskian_symbolic)
+                        polynomial_curve, wronskian_symbolic)
 from curvecount.curves import TrigCoord
 from curvecount.lifting import LiftError, X, Y
 
@@ -115,6 +117,81 @@ def test_lifted_wronskian_y_squared_sympy_oracle():
     assert sp.expand(mat.det() - 48 * t) == 0
     lifted = lift_curve(parabola(), MonomialSet([(1, 0), (0, 1), (0, 2)]))
     assert wronskian_symbolic(lifted).coeffs == (F(0), F(48))
+
+
+# -- the Wronskian of a lift against sympy's determinant ---------------------
+# W is rebuilt from exact values by interpolation; these check it against
+# sympy's determinant of the derivative matrix, differentiated by sympy.
+
+T, THETA = sp.symbols("t theta")
+MONOMIAL_SETS = st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2))
+                        .filter(lambda m: sum(m) >= 1), min_size=1, max_size=5)
+
+
+def _rat(x) -> F:
+    x = sp.Rational(x)
+    return F(int(x.p), int(x.q))
+
+
+def _derivative_rows(fs, var):
+    return [[sp.diff(f, (var, k)) for f in fs] for k in range(1, len(fs) + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(xc=st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3),
+       yc=st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3),
+       mons=MONOMIAL_SETS)
+def test_polynomial_lift_wronskian_matches_sympy(xc, yc, mons):
+    M = MonomialSet(sorted(mons))
+    lifted = lift_curve(polynomial_curve([xc, yc]), M)
+    x, y = (sum(sp.Rational(c.numerator, c.denominator) * T ** i
+                for i, c in enumerate(cs)) for cs in (xc, yc))
+    rows = _derivative_rows([x ** m.a * y ** m.b for m in M], T)
+    det = sp.Poly(sp.expand(sp.Matrix(rows).det(method="berkowitz")), T)
+    expected = tuple(_rat(c) for c in reversed(det.all_coeffs())) if not det.is_zero else ()
+    assert wronskian_symbolic(lifted).coeffs == expected
+
+
+def _circle_value(w: TrigCoord, u, v) -> F:
+    return sum(c * u ** a * v ** b for (a, b), c in w.terms.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(mons=MONOMIAL_SETS)
+@example(mons={(0, 1), (0, 2)})   # W = 2·(2π)³·u·(1 − v²), odd in u
+def test_circle_lift_wronskian_matches_sympy_off_the_nodes(mons):
+    # t-derivatives of cos^a 2πt·sin^b 2πt are (2π)^k times θ-derivatives
+    # of cos^a θ·sin^b θ, so W = (2π)^(n(n+1)/2)·det of the θ-derivatives
+    M = MonomialSet(sorted(mons))
+    w = wronskian_symbolic(lift_curve(circle_arc(), M))
+    n = M.n
+    assert w.is_zero() or w.tau_power == n * (n + 1) // 2
+    mat = sp.Matrix(_derivative_rows([sp.cos(THETA) ** m.a * sp.sin(THETA) ** m.b
+                                      for m in M], THETA))
+    # the interpolation nodes are s = tan πt = 1/m and m for integers m ≥ 2
+    for s in (F(2, 3), F(-3, 5), F(7, 2), F(-5, 4)):
+        u, v = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+        su, sv = (sp.Rational(q.numerator, q.denominator) for q in (u, v))
+        expected = mat.subs({sp.cos(THETA): su, sp.sin(THETA): sv}).det()
+        assert _circle_value(w, u, v) == _rat(expected)
+
+
+def test_large_graph_lift_wronskian_matches_sympy():
+    # y = t⁵ + t lifted by M₄: n = 14 and deg W = 15
+    lifted = lift_curve(graph_curve([[0, 1, 0, 0, 0, 1]]), make_Ms(4))
+    w = wronskian_symbolic(lifted)
+    assert len(w.coeffs) == 16
+    x, y = sp.Poly(T, T), sp.Poly(T ** 5 + T, T)
+    rows = _derivative_rows([x ** m.a * y ** m.b for m in make_Ms(4)], T)
+    for t in (F(1, 3), F(-2, 5), F(3, 2), F(7, 11), F(-9, 4)):
+        r = sp.Rational(t.numerator, t.denominator)
+        expected = sp.Matrix([[p.eval(r) for p in row] for row in rows]).det()
+        assert polys.eval_exact(w.coeffs, t) == _rat(expected)
+
+
+def test_circle_lift_by_M4_has_zero_wronskian():
+    # x² + y² = 1 is a linear relation among the coordinates of every M_s, s ≥ 2
+    assert wronskian_symbolic(lift_curve(circle_arc(), make_Ms(4))).is_zero()
 
 
 def test_circle_lift_hyperplane_containment():

@@ -79,22 +79,30 @@ def test_random_roots_against_numpy():
             assert abs(a - b) < 1e-6, (p, mine, np_real)
 
 
-def test_det_fraction_matches_poly_det():
+def test_det_fraction_matches_sympy():
+    # rational matrices, a third of them singular (the last row a combination
+    # of earlier ones), against sympy's own determinant
     rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                 for _ in range(n)]
-        d1 = polys.det_fraction(rows)
-        d2 = polys.det_ring([[polys.poly([x]) for x in row] for row in rows],
-                            polys.ZERO, polys.add, polys.mul, polys.neg)
-        assert polys.poly([d1]) == d2
+        if n > 1 and rng.random() < 1 / 3:
+            c = F(rng.randint(-2, 2), 3)
+            rows[-1] = [c * x + (y if n > 2 else 0) for x, y in zip(rows[0], rows[-2])]
+        expected = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                       for row in rows for x in row]).det()
+        got = polys.det_fraction(rows)
+        assert got == F(int(expected.p), int(expected.q)), rows
 
 
-def test_det_poly_known():
-    t = P(0, 1)
-    rows = [[t, P(1)], [P(1), polys.mul(t, t)]]
-    assert polys.det_poly(rows) == P(-1, 0, 0, 1)
+def test_interpolate_recovers_the_polynomial():
+    rng = random.Random(11)
+    for _ in range(20):
+        p = polys.poly([F(rng.randint(-9, 9), rng.randint(1, 5))
+                        for _ in range(rng.randint(0, 7))])
+        xs = [F(k, 3) for k in rng.sample(range(-20, 20), 8)]
+        assert polys.interpolate(xs, [polys.eval_exact(p, x) for x in xs]) == p
 
 
 def test_sup_bound_dominates():
