@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -165,26 +165,23 @@ class TrigCoord:
     def eval(self, t) -> float:
         return self.evalf(float(t))
 
-    def evalf(self, t):
+    def evalf(self, t, circle=None):
         """Σ c·u^a·v^b over the sorted terms, times (2π)^k, in floats, with the
-        coefficients converted once; t is a float (math cos/sin) or a numpy
-        array evaluated elementwise (numpy cos/sin)."""
+        coefficients converted once; t is a float or a numpy array evaluated
+        elementwise, and ``circle`` is its ``_on_circle(t)`` when a row of
+        coordinates shares one."""
         if self._floats is None:
             self._floats = (sorted((a, b, float(c)) for (a, b), c in self.terms.items()),
                             TAU ** self.tau_power)
         terms, scale = self._floats
-        x = TAU * t
-        if isinstance(t, np.ndarray):
-            u, v, power = np.cos(x), np.sin(x), _elementwise_pow
-        else:
-            u, v, power = math.cos(x), math.sin(x), pow
+        u, v, power = circle or _on_circle(t)
         acc = 0.0
         for a, b, c in terms:
             term = c
             if a:
                 term *= u
             if b > 1:
-                term *= power(v, b)
+                term *= power(b)
             elif b:
                 term *= v
             acc += term
@@ -321,6 +318,17 @@ def half_angle_ranges(P: Poly, B: int, lo: Fraction, hi: Fraction) -> tuple:
               [r for r, x in (((first, B), lo), ((-B, last), hi)) if x in br])
     return (sorted(x for x, (_, _, k) in br.items() if k), ranges,
             all(k is not None for _, _, k in br.values()))
+
+
+def _on_circle(t) -> tuple:
+    """(u, v) = (cos 2πt, sin 2πt) and b ↦ v^b, for a float t (math cos/sin)
+    or a numpy array (numpy cos/sin, and each power computed once)."""
+    x = TAU * t
+    if not isinstance(t, np.ndarray):
+        v = math.sin(x)
+        return math.cos(x), v, v.__pow__
+    v = np.sin(x)
+    return np.cos(x), v, cache(partial(_elementwise_pow, v))
 
 
 def _elementwise_pow(v: np.ndarray, b: int) -> np.ndarray:
@@ -632,7 +640,13 @@ def derivative_sup_bound(curve: CurveSpec, order: int) -> float:
 
 
 def eval_array(curve: CurveSpec, ts: np.ndarray, order: int = 0) -> np.ndarray:
-    """Vectorized evaluation of γ^(order) at a parameter array; shape (len, n)."""
+    """Vectorized evaluation of γ^(order) at a parameter array; shape (len, n).
+    A trig row takes cos 2πt, sin 2πt and each power of the sine once."""
     ts = np.asarray(ts, dtype=float)
     row = curve.derivatives(order)[order]
-    return np.stack([np.broadcast_to(fn.evalf(ts), ts.shape) for fn in row], axis=-1)
+    if isinstance(row[0], TrigCoord):
+        circle = _on_circle(ts)
+        cols = [fn.evalf(ts, circle) for fn in row]
+    else:
+        cols = [fn.evalf(ts) for fn in row]
+    return np.stack([np.broadcast_to(c, ts.shape) for c in cols], axis=-1)

@@ -38,12 +38,14 @@ domain, by a Sturm count on it, or on its half-angle form in s = tan πt for
 a curve in (cos 2πt, sin 2πt).  Results are certified unless a partial
 arc's end cannot be bracketed.
 
-The brute-force oracle is an independent second route on numpy alone: dense
-curve sampling at arclength resolution δ/100, the nearest sample among those
-in the point's 3×3 cells (sorted int64 keys on the two widest axes), and one
-vectorized zoom over every point the sampled distance cannot decide.  It
-builds a lattice's float points from their integer indices and an exact
-point only for a match.
+The brute-force oracle is an independent second route on numpy alone: curve
+samples at arclength resolution δ/100, the nearest sample among those in the
+point's 3×3 cells (sorted int64 keys on the two widest axes), and one
+vectorized zoom over every point the sampled distance cannot decide.  The
+samples are taken in two passes: the first sample of each block of 100, then
+the blocks that have a point within reach of it.  It builds a lattice's
+float points from their integer indices and an exact point only for a
+match.
 """
 
 from __future__ import annotations
@@ -357,6 +359,7 @@ def _expand(counts: np.ndarray):
 _SEGMENT_BLOCK = 1 << 16
 _SEGMENTS_PER_POINT = 64   # the grid's cap on segments per point
 _PAIR_BLOCK = 1 << 22   # oracle: (point, sample) pairs measured at once
+_SAMPLE_BLOCK = 100     # oracle: samples per block, about δ of arc at h = δ/100
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
 
@@ -703,6 +706,49 @@ def _nearest_samples(samples: np.ndarray, pts: np.ndarray, upper: float):
     return d2, nearest
 
 
+def _grid_nearest(curve: CurveSpec, ts: np.ndarray, pts: np.ndarray,
+                  upper: float, speed: float):
+    """``_nearest_samples(eval_array(curve, ts), pts, upper)`` wherever its
+    distance is below ``upper`` (with ``nearest`` an index into ``ts``),
+    from only the samples that can be that near.
+
+    ``ts`` is cut into blocks of K = ``_SAMPLE_BLOCK`` samples.  A coarse
+    pass evaluates each block's first sample and keeps the block when some
+    point lies within ``reach`` of it; the dense pass evaluates the kept
+    blocks.  Every sample ĝ_j whose float squared distance to a point p is
+    below fl(upper²) is in a kept block, with n the dimension, u the unit
+    roundoff and ĝ_k the first sample of j's block:
+
+    - a float sum of n squared differences is within (n + 2)u relative of
+      the exact one, so |p − ĝ_j| < upper·(1 + (n + 3)u);
+    - |ĝ_j − ĝ_k| ≤ speed·|t_j − t_k| + 2√n·err: speed bounds |γ′| on the
+      float grid, and err, the largest ``error_estimate`` of a coordinate,
+      bounds each coordinate of both samples;
+    - linspace puts each t within 4u(|lo| + |hi|) of lo + i·dt, so
+      |t_j − t_k| ≤ (K − 1)·dt + 8u(|lo| + |hi|), and K·dt covers
+      (K − 1)·dt and its own rounding;
+    - so |p − ĝ_k| is below upper + speed·(K·dt + 8u(|lo| + |hi|)) + 2√n·err
+      times 1 + (n + 3)u, and the factor 1 + 4(n + 8)u on ``reach`` covers
+      that, the rounding of ĝ_k's squared distance, of reach² and of the
+      dozen operations that form it.
+
+    Kept samples are evaluated bit for bit as in one pass, and their indices
+    increase, so distances and ties below ``upper`` are the one pass's.
+    """
+    K, n = _SAMPLE_BLOCK, curve.dimension
+    lo, hi = ts[0], ts[-1]
+    err = max(fn.error_estimate(*curve.domain) for fn in curve.coords)
+    step = K * (hi - lo) / (len(ts) - 1) + 8 * _U * (abs(lo) + abs(hi))
+    reach = (upper + speed * step + 2 * math.sqrt(n) * err) * (1 + 4 * (n + 8) * _U)
+    near = _nearest_samples(pts, eval_array(curve, ts[::K]), reach)[0] < reach * reach
+    kept = (np.flatnonzero(near)[:, None] * K + np.arange(K)).ravel()
+    kept = kept[kept < len(ts)]
+    if not len(kept):
+        return np.full(len(pts), np.inf), np.full(len(pts), len(ts))
+    d2, nearest = _nearest_samples(eval_array(curve, ts[kept]), pts, upper)
+    return d2, np.append(kept, len(ts))[nearest]
+
+
 def _zoom(curve: CurveSpec, pts: np.ndarray, centers: np.ndarray, lo: float,
           hi: float, dt: float) -> np.ndarray:
     """Distance from each point to γ near its center parameter: five rounds
@@ -759,9 +805,12 @@ def _oracle_points(source, cap: int | None):
 
 def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
                             cap: int | None = None) -> CountResult:
-    """Oracle counter: dense sampling at arclength resolution δ/100, the
-    nearest sample through a grid of cells, and a vectorized zoom over the
-    points the sampled distance cannot decide."""
+    """Oracle counter: the nearest sample on a grid at arclength resolution
+    δ/100, and a vectorized zoom over the points the sampled distance cannot
+    decide.  Only the samples that can lie within ``upper`` of a point are
+    evaluated (``_grid_nearest``: blocks of 100 samples, kept when a point is
+    within upper + speed·100·dt of their first one, plus a margin for the
+    evaluation error and rounding); nothing else reads the others."""
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
@@ -782,7 +831,7 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     slack = h_arc / 2.0
     # with no sample closer than upper, the distance exceeds delta + band
     upper = delta + band + slack + 1e-15
-    d2, nearest = _nearest_samples(eval_array(curve, ts), pts, upper)
+    d2, nearest = _grid_nearest(curve, ts, pts, upper, speed)
     d = np.sqrt(d2)
     # the true distance lies in [d - slack, d]
     near = d2 < upper * upper

@@ -18,9 +18,9 @@ from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
                         GapSource, InvalidQuery, LatticeSource, MonomialSet,
                         TubeQuery, brute_force_tube_oracle, circle_arc,
                         count_in_tube, count_on_curve_lattice, delta_from_rule,
-                        graph_curve, lift_curve, line_segment, moment_curve,
-                        parabola, polynomial_curve)
-from curvecount.curves import eval_array, translate_curve
+                        graph_curve, lift_curve, line_segment, make_Ms,
+                        moment_curve, parabola, polynomial_curve)
+from curvecount.curves import derivative_sup_bound, eval_array, translate_curve
 from curvecount.tube import _least_index
 
 
@@ -451,6 +451,103 @@ def test_oracle_matches_counter_near_curves(q):
     rb = brute_force_tube_oracle(q)
     if r.certified and rb.certified:
         assert r.count == rb.count and set(r.points) == set(rb.points)
+
+
+_PRUNING_CURVES = {
+    "circle": circle_arc(),
+    "arc": circle_arc(F(1, 7), F(5, 9)),
+    "circle^M2": lift_curve(circle_arc(), make_Ms(2)),
+    "cubic": polynomial_curve([[0, 1], [0, 0, 0, 1]]),
+}
+
+
+@st.composite
+def pruning_cases(draw):
+    """A curve, a grid of 9 to 4001 samples, a radius `upper`, and lattice
+    points or explicit points near the curve, about half of them at
+    upper·(1 ± 10⁻⁹) or upper·(1 ± 10⁻¹²) from a sample."""
+    if draw(st.booleans()):
+        curve = graph_curve([draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                                           min_size=1, max_size=5))])
+    else:
+        curve = _PRUNING_CURVES[draw(st.sampled_from(sorted(_PRUNING_CURVES)))]
+    lo, hi = float(curve.domain[0]), float(curve.domain[1])
+    ts = np.linspace(lo, hi, draw(st.integers(8, 4000)) + 1)
+    upper = 1 / draw(st.integers(4, 400))
+    if curve.dimension == 2 and draw(st.booleans()):
+        N = draw(st.integers(2, 32))
+        pts = tube._oracle_points(LatticeSource(N, ((-2, 2), (-2, 2))), None)[0]
+        return curve, ts, pts, upper
+    radii = st.sampled_from([1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12])
+    pts = []
+    for i in draw(st.lists(st.integers(0, len(ts) - 1), min_size=1, max_size=30)):
+        v = np.array(draw(st.lists(st.floats(-1, 1), min_size=curve.dimension,
+                                   max_size=curve.dimension)))
+        if draw(st.booleans()) and np.linalg.norm(v) > 0:
+            v *= draw(radii) / np.linalg.norm(v)
+        pts.append(eval_array(curve, ts[i:i + 1])[0] + upper * v)
+    return curve, ts, np.array(pts), upper
+
+
+def _past_the_end(curve, steps, upper):
+    """A point just within `upper` of the grid's last sample, ahead of it
+    along the tangent, on a grid whose last block is full: its nearest
+    sample is as far from its block's first one as any point's can be."""
+    ts = np.linspace(float(curve.domain[0]), float(curve.domain[1]), steps + 1)
+    tangent = eval_array(curve, ts[-1:], 1)[0]
+    p = eval_array(curve, ts[-1:])[0] + upper * (1 - 1e-12) * tangent / np.linalg.norm(tangent)
+    return curve, ts, p[None, :], upper
+
+
+@settings(max_examples=80, deadline=None)
+@given(pruning_cases())
+@example(_past_the_end(_PRUNING_CURVES["arc"], 599, 1 / 400))
+@example(_past_the_end(_PRUNING_CURVES["arc"], 3999, 1 / 4))
+def test_pruned_samples_match_dense_samples(case):
+    # the oracle evaluates only the blocks of samples that can be within
+    # `upper` of a point; below `upper` it must see what every sample shows
+    curve, ts, pts, upper = case
+    d2, nearest = tube._nearest_samples(eval_array(curve, ts), pts, upper)
+    p2, pnearest = tube._grid_nearest(curve, ts, pts, upper,
+                                      derivative_sup_bound(curve, 1))
+    near = d2 < upper * upper
+    assert np.array_equal(p2 < upper * upper, near)
+    assert d2[near].tobytes() == p2[near].tobytes()
+    assert np.array_equal(nearest[near], pnearest[near])
+
+
+def test_oracle_with_no_point_within_reach(monkeypatch):
+    # every point is far from the circle: no block is kept, and only the
+    # coarse pass measures distances
+    calls = []
+    nearest_samples = tube._nearest_samples
+
+    def counted(samples, pts, upper):
+        calls.append(len(samples))
+        return nearest_samples(samples, pts, upper)
+    monkeypatch.setattr(tube, "_nearest_samples", counted)
+    delta = F(1, 100)
+    grid = brute_force_tube_oracle(TubeQuery(circle_arc(), delta,
+                                             FiniteSet([(1, 0)]))).arcs_examined
+    for source in (FiniteSet([(5, 5)]), LatticeSource(8, ((3, 4), (-1, 1)))):
+        calls.clear()
+        rb = brute_force_tube_oracle(TubeQuery(circle_arc(), delta, source))
+        assert (rb.count, rb.points, rb.certified) == (0, (), True)
+        assert rb.arcs_examined == grid and len(calls) == 1 and calls[0] > 0
+
+
+def test_oracle_on_its_smallest_grid():
+    # a segment of length 1/100 at δ ≥ 9/10 gets the smallest grid, 8 steps:
+    # its 9 samples are one block
+    seg = line_segment((0, 0), (F(1, 100), 0))
+    pts = [(F(1, 200), F(1, 2)), (F(1, 200), F(-99, 100)), (F(1, 200), F(101, 100)),
+           (F(-98, 100), 0), (F(-102, 100), 0), (F(2), F(2))]
+    for delta, source in ((F(1), FiniteSet(pts)),
+                          (F(9, 10), LatticeSource(4, ((-2, 2), (-2, 2))))):
+        q = TubeQuery(seg, delta, source)
+        r, rb = count_in_tube(q), brute_force_tube_oracle(q)
+        assert rb.arcs_examined == 8 and r.certified and rb.certified
+        assert rb.count > 0 and set(rb.points) == set(r.points)
 
 
 def test_many_coordinates(monkeypatch):
