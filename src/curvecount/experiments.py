@@ -367,7 +367,7 @@ def run_inequality_campaign(kind: str, seed: int, trials: int,
         elif kind == "gap-doubling":
             g = _random_proper_gap(rng, cap=cap)
             pts = gap_enumerate(g, cap)
-            k_doubling = doubling(pts)
+            k_doubling = doubling(pts, cap)
             bound = Fraction(2) ** g.gap_dimension
             sep_ok = len(pts) < 2 or min_separation_squared(pts) > 0
             if k_doubling <= bound and sep_ok:

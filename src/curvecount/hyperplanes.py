@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import polys
 from .curves import (CurveSpec, InvalidCurveError, PolyCoord, TrigCoord,
-                     half_angle_ranges)
+                     _as_fraction, half_angle_ranges)
 
 
 class HyperplaneError(ValueError):
@@ -33,10 +33,6 @@ class HyperplaneError(ValueError):
 
 class DegenerateIntersection(ValueError):
     """The curve lies inside the hyperplane: infinitely many intersections."""
-
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

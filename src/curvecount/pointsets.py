@@ -341,20 +341,30 @@ class _Sums:
         return Counter(dict(zip(self.points(), self.counts.tolist())))
 
 
-def sumset(A: FiniteSet, B: FiniteSet) -> FiniteSet:
+def _charge_pairs(A: FiniteSet, B: FiniteSet, cap: int | None):
+    """Refuse A + B when its |A|·|B| pairs exceed cap (ENUMERATION_CAP when
+    None), before any sum is built."""
+    cap = ENUMERATION_CAP if cap is None else cap
+    if len(A) * len(B) > cap:
+        raise CapExceeded(f"sumset work {len(A) * len(B)} exceeds cap {cap}")
+
+
+def sumset(A: FiniteSet, B: FiniteSet, cap: int | None = None) -> FiniteSet:
     if A.dimension != B.dimension:
         raise DimensionMismatch("sumset needs equal dimensions")
     if not A.points or not B.points:
         raise ValueError("sumset of an empty set")
+    _charge_pairs(A, B, cap)
     sums = _Sums(A, B, 1)
     sums.step()
     return FiniteSet(sums.points(), A.dimension)
 
 
-def doubling(A: FiniteSet) -> Fraction:
+def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
     """K = |A+A| / |A|, exact."""
     if not A.points:
         raise ValueError("doubling of an empty set")
+    _charge_pairs(A, A, cap)
     sums = _Sums(A, A, 1)
     sums.step()   # counted as keys: A+A is never decoded into points
     return Fraction(len(sums), len(A))
@@ -504,7 +514,7 @@ class PlunneckeReport:
 
 def check_plunnecke(A: FiniteSet, m: int,
                     cap: int | None = None) -> PlunneckeReport:
-    K = doubling(A)
+    K = doubling(A, cap)
     ma = m_fold_sumset(A, m, cap)
     bound = K ** m * len(A)
     return PlunneckeReport(m=m, size_a=len(A), size_ma=len(ma),

@@ -111,6 +111,7 @@ def compose(p: Poly, q: Poly) -> Poly:
 # -- root counting, isolation and refinement on integer chains ---------------
 # A positive multiple of a polynomial has the same roots and signs, so these
 # work on primitive integer coefficient lists (see the module docstring).
+# They also take p as a trimmed list of ints, which needs no clearing.
 
 def _ints(p) -> list[int]:
     """Coprime integer coefficients of a positive multiple of p."""

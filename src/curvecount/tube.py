@@ -4,12 +4,12 @@
 Lattice queries on a planar polynomial graph y = f(x) and on the full unit
 circle are decided by a column walk (``_walk_graph``, ``_walk_circle``).
 Each column x = i/N lists the few j that can be hits from exact bounds and
-decides each of them exactly: a vertical witness or a Sturm count on a
-graph, integer radii on the circle.  The work is O(N + candidates) and does
-not depend on δ.  The columns, and each column's candidates before they are
-decided, count against the ``cap`` argument of the count
-(``pointsets.ENUMERATION_CAP`` when it is None).  Walked results are
-certified and examine no arcs.
+decides each of them exactly, in Python integers: a vertical witness or
+``_poly_near`` on a graph, integer radii on the circle.  The work is
+O(N + candidates) and does not depend on δ.  The columns, and each column's
+candidates before they are decided, count against the ``cap`` argument of
+the count (``pointsets.ENUMERATION_CAP`` when it is None).  Walked results
+are certified and examine no arcs.
 
 Explicit and GAP sources around the full unit circle are decided by the
 same rule as its walk, in rationals: (max(0, 1 − δ))² ≤ |p|² ≤ (1 + δ)².
@@ -34,9 +34,12 @@ numpy then takes each candidate's float distance d to its chord and a bound
 m on its distance from the exact one to the arc.  A point is a clear hit
 when some chord has d + m ≤ δ, a clear miss when every one has d − m > δ,
 and is decided exactly otherwise: whether |γ(t) − p|² − δ² is ≤ 0 on the
-domain, by a Sturm count on it, or on its half-angle form in s = tan πt for
-a curve in (cos 2πt, sin 2πt).  Results are certified unless a partial
-arc's end cannot be bracketed.
+domain.  On a polynomial curve an integer certificate from its quadratic
+part about the centre of the parameter window decides almost every point,
+and a Sturm count of the same integer polynomial the rest; a curve in
+(cos 2πt, sin 2πt) takes a Sturm count on its half-angle form in
+s = tan πt.  Results are certified unless a partial arc's end cannot be
+bracketed.
 
 The brute-force oracle is an independent second route on numpy alone: curve
 samples at arclength resolution δ/100, the nearest sample among those in the
@@ -414,21 +417,98 @@ def _poly_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool:
 
     That is whether D(t) = Σ (γᵢ(t) − pᵢ)² − δ² is ≤ 0 somewhere on a window
     [a, b] of the domain: the domain itself, or on a graph, where γ₁(t) = t,
-    the t with |t − p₁| ≤ δ in it.  Either D(a) ≤ 0, or D goes from positive
-    to ≤ 0 and so has a root in [a, b], which the Sturm count finds.
-    D(a) ≤ 0 also covers D = 0 (a constant curve at distance exactly δ); any
-    other D is a nonzero polynomial.
+    the t with |t − p₁| ≤ δ in it.  Two exact steps decide it, both on the
+    integer polynomial E(u) of ``_shifted_distance``, D about a centre of the
+    window: the quadratic certificate (``_quadratic_certificate``), which
+    settles almost every point, and a Sturm count of E on the window for the
+    rest.  A certificate that defers has found E > 0 at a point of the
+    window, so E is ≤ 0 somewhere on it exactly when it has a root there.
     """
-    a, b = curve.domain
+    model = _shifted_distance(curve, p, delta)
+    if model is None:
+        return False
+    verdict = _quadratic_certificate(*model)
+    if verdict is not None:
+        return verdict
+    return polys.count_roots_closed(*model) > 0
+
+
+def _shifted_distance(curve: CurveSpec, p: tuple, delta: Fraction):
+    """(E, u_a, u_b): D of ``_poly_near`` as the integer polynomial
+    E(u) = (L·q^d)²·D((n₀ + u)/q), and the window a ≤ t ≤ b as the integers
+    u_a ≤ u ≤ u_b; None when the window is empty.
+
+    L is the common denominator of the coefficients, p, δ and the domain's
+    ends, so L·(γᵢ − pᵢ) has integer coefficients, of degree at most d.
+    The window's ends and its centre t₀ = n₀/q are integers over q: on a
+    graph q = L and t₀ is p₁ clamped into the window, otherwise q = 2L and
+    t₀ is the domain's midpoint.  Each q^d·L·(γᵢ − pᵢ)((n₀ + u)/q) is taken
+    by Horner's rule in ℤ[u], then squared.
+    """
+    lo, hi = curve.domain
+    coeffs = [fn.coeffs for fn in curve.coords]
+    L = math.lcm(delta.denominator, lo.denominator, hi.denominator,
+                 *(x.denominator for x in p),
+                 *(c.denominator for cs in coeffs for c in cs))
+    dl, a, b = _times(delta, L), _times(lo, L), _times(hi, L)
     if curve.is_graph_form:
-        a, b = max(a, p[0] - delta), min(b, p[0] + delta)
+        x = _times(p[0], L)
+        a, b = max(a, x - dl), min(b, x + dl)
         if a > b:
-            return False
-    D = (-delta * delta,)
-    for fn, x in zip(curve.coords, p):
-        g = polys.sub(fn.coeffs, (x,))
-        D = polys.add(D, polys.mul(g, g))
-    return polys.eval_exact(D, a) <= 0 or polys.count_roots_closed(D, a, b) > 0
+            return None
+        q, n0 = L, min(max(x, a), b)
+    else:
+        q, n0, a, b = 2 * L, a + b, 2 * a, 2 * b
+    d = max([1, *map(len, coeffs)]) - 1
+    E = [0] * (2 * d + 1)
+    for cs, x in zip(coeffs, p):
+        g = [_times(c, L) for c in cs] + [0] * (d + 1 - len(cs))
+        g[0] -= _times(x, L)
+        G = [g[d]]
+        for k in range(d - 1, -1, -1):
+            # G·(n₀ + u) + g_k·q^(d−k)
+            G = [n0 * G[0] + g[k] * q ** (d - k)] + [
+                n0 * G[j] + G[j - 1] for j in range(1, len(G))] + [G[-1]]
+        for i, gi in enumerate(G):
+            for j, gj in enumerate(G):
+                E[i + j] += gi * gj
+    E[0] -= (dl * q ** d) ** 2
+    return E, a - n0, b - n0
+
+
+def _times(x: Fraction, L: int) -> int:
+    """x·L, for L a multiple of x's denominator."""
+    return x.numerator * (L // x.denominator)
+
+
+def _quadratic_certificate(E: list, ua: int, ub: int) -> bool | None:
+    """Whether E ≤ 0 somewhere on [u_a, u_b], when the quadratic part
+    Q = e₀ + e₁u + e₂u² of E decides it; None when it does not.
+
+    u* is where Q is least on the window: the vertex −e₁/2e₂ when e₂ > 0 and
+    it lies in the window, else the end where Q is smaller.  With
+    r = max(|u_a|, |u_b|), |E − Q| ≤ T = Σ_{k≥3} |e_k|·r^k on the window.
+    So E(u*) ≤ 0 proves a hit at u*, and Q(u*) > T proves E > 0 all over
+    the window, a miss; at the vertex that is 4e₂e₀ − e₁² > 4e₂T.  Both
+    are read off homogeneous integer forms at u* = n/den, den > 0.  A
+    quadratic E (a segment) or a constant one is always decided: T = 0.
+    """
+    e0, e1, e2 = (E + [0, 0])[:3]
+    if e2 > 0 and 2 * e2 * ua <= -e1 <= 2 * e2 * ub:
+        n, den = -e1, 2 * e2
+    else:
+        # Q(u_b) − Q(u_a) = (u_b − u_a)·(e₁ + e₂·(u_a + u_b))
+        n, den = (ua if e1 + e2 * (ua + ub) >= 0 else ub), 1
+    value, power = 0, 1
+    for e in reversed(E):
+        value, power = value * n + e * power, power * den
+    if value <= 0:
+        return True
+    r = max(abs(ua), abs(ub))
+    tail = sum(abs(e) * r ** k for k, e in enumerate(E) if k >= 3)
+    if (e0 * den + e1 * n) * den + e2 * n * n > tail * den * den:
+        return False
+    return None
 
 
 def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
@@ -468,6 +548,12 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     ≥ |f′| (R = max(|lo|, |hi|)), only the j with
     |f(xc) − j/N| ≤ δ(1 + L).  Each such candidate is a hit when x is in the
     domain and |f(x) − y| ≤ δ, and otherwise as ``_poly_near`` decides.
+
+    The column loop runs on integers: f(xc), δ and δ(1 + L) are numerators
+    over one denominator W (f(i/N) from ``_graph_numerators``), so the ends
+    of the j range are floor divisions and the vertical witness is
+    |f(x)·W·N − j·W| ≤ δ·W·N.  Fractions are built only for hits and for the
+    points passed to ``_poly_near``.
     """
     N = source.N
     f = curve.coords[1].coeffs
@@ -483,20 +569,24 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     klo, khi = max(ilo, math.ceil(lo * N)), min(ihi, math.floor(hi * N))
     modulus, values = _graph_numerators(f, N, klo, khi)
     f_lo, f_hi = polys.eval_exact(f, lo), polys.eval_exact(f, hi)
+    W = math.lcm(modulus, f_lo.denominator, f_hi.denominator,
+                 reach.denominator, delta.denominator)
+    scale = W // modulus * N
+    below, above, reach_n, delta_n = (_times(v, W) * N
+                                      for v in (f_lo, f_hi, reach, delta))
     hits, work = [], 0
     for i in range(ilo, ihi + 1):
-        x = Fraction(i, N)
         inside = klo <= i <= khi
-        fx = Fraction(values[i - klo], modulus) if inside else (
-            f_lo if x < lo else f_hi)
-        j0 = max(jlo, math.ceil((fx - reach) * N))
-        j1 = min(jhi, math.floor((fx + reach) * N))
+        # f(xc)·W·N
+        fy = values[i - klo] * scale if inside else below if i < klo else above
+        j0 = max(jlo, -((reach_n - fy) // W))
+        j1 = min(jhi, (fy + reach_n) // W)
         work = _charge(work + max(0, j1 - j0 + 1), cap)
         for j in range(j0, j1 + 1):
-            y = Fraction(j, N)
-            if ((inside and abs(fx - y) <= delta)
-                    or _poly_near(curve, (x, y), delta)):
-                hits.append((x, y))
+            # every candidate is a hit or goes to _poly_near
+            p = (Fraction(i, N), Fraction(j, N))
+            if (inside and abs(fy - j * W) <= delta_n) or _poly_near(curve, p, delta):
+                hits.append(p)
     return hits
 
 

@@ -28,6 +28,14 @@ def test_hyperplane_normalization():
         Hyperplane(1, (0, 0))
 
 
+def test_hyperplane_refuses_float_coefficients():
+    # a float is a binary fraction: 0.1 would silently become
+    # 3602879701896397/36028797018963968
+    for a0, normal in ((0.1, (1, F(3, 10))), (F(1, 10), (1, 0.3))):
+        with pytest.raises(TypeError):
+            Hyperplane(a0, normal)
+
+
 def test_intersect_parabola_horizontal_line():
     roots = intersect(parabola(), Hyperplane(F(1, 4), (0, 1)))
     assert len(roots) == 1 and abs(roots.roots[0] - 0.5) < 1e-14

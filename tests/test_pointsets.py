@@ -219,6 +219,18 @@ def test_ap_energy_closed_form():
         assert ratio == F(2, 3) + F(1, 3 * length ** 2)
 
 
+def test_sumset_and_doubling_are_capped():
+    # |A|·|B| pairs are charged before any sum is built
+    a = FiniteSet([(i, 0) for i in range(1, 11)])
+    b = FiniteSet([(0, j) for j in range(5)])
+    assert len(sumset(a, b, cap=50)) == 50
+    assert doubling(a, cap=100) == F(19, 10)
+    for call in (lambda: sumset(a, b, cap=49), lambda: doubling(a, cap=99),
+                 lambda: check_plunnecke(a, 1, cap=99)):
+        with pytest.raises(CapExceeded):
+            call()
+
+
 def test_energy_work_cap():
     a = FiniteSet([(i,) for i in range(40)])
     with pytest.raises(CapExceeded):
@@ -311,13 +323,15 @@ def test_multiplicities_beyond_int64_stay_exact():
 @example(_HUGE, 3, 20)
 def test_caps_fire_on_the_level_sizes(pair, m, cap):
     # the m-fold steps check |kA|·|A| > cap before each step; the energy
-    # steps check the running sum of those products
+    # steps check the running sum of those products.  check_plunnecke also
+    # charges doubling's |A|² pairs, which only m = 1 does not already
     a = pair[0]
     work = [len(level) * len(a) for level in oracle_levels(a, m)[:-1]]
     fold_raises = any(w > cap for w in work)
     energy_raises = sum(work) > cap
+    plunnecke_raises = fold_raises or len(a) ** 2 > cap
     for call, raises in ((lambda: m_fold_sumset(a, m, cap), fold_raises),
-                         (lambda: check_plunnecke(a, m, cap), fold_raises),
+                         (lambda: check_plunnecke(a, m, cap), plunnecke_raises),
                          (lambda: representation_counts(a, m, cap),
                           energy_raises)):
         if raises:

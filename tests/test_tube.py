@@ -808,3 +808,95 @@ def test_polynomial_and_circle_tubes_match_exact_brute_force(q):
     r = count_in_tube(q)
     assert r.points == expected and r.count == len(expected)
     assert r.certified
+
+
+@st.composite
+def near_decisions(draw):
+    """A polynomial curve, δ and points for ``_poly_near``: graphs, planar
+    parametric curves, Pythagorean segments and constant curves.  Each point
+    is a curve point, at a random parameter or an end of the domain, moved
+    by δ·s along a rational unit vector (the normal among them on a
+    segment), with s = 1 or 1 ± 10⁻⁹ among the choices.  At an end the
+    quadratic part's vertex can fall outside the window, and on a graph a
+    point left of its lower end, x in [lo − δ, lo), has its window clipped
+    there."""
+    kind = draw(st.sampled_from(["graph", "parametric", "segment", "constant"]))
+    lo = draw(st.fractions(0, F(1, 2), max_denominator=8))
+    hi = draw(st.fractions(F(1, 2), 1, max_denominator=8).filter(lambda h: h > lo))
+    directions = list(_UNIT_2D)
+    if kind == "graph":
+        curve = graph_curve([draw(st.lists(_coeffs, max_size=5))], (lo, hi))
+    elif kind == "parametric":
+        curve = polynomial_curve([draw(st.lists(_coeffs, min_size=2, max_size=4))
+                                  for _ in range(2)], (lo, hi))
+    elif kind == "segment":
+        a, b = draw(st.sampled_from(_UNIT_2D))
+        base = (draw(_coeffs), draw(_coeffs))
+        curve = line_segment(base, (base[0] + b, base[1] - a))
+        directions.append((a, b))
+    else:
+        curve = polynomial_curve([[draw(_coeffs)], [draw(_coeffs)]], (lo, hi))
+    delta = draw(_DELTAS)
+    lo, hi = curve.domain
+    scale = st.sampled_from([0, 1, 1 - F(1, 10 ** 9), 1 + F(1, 10 ** 9), 2]) | \
+        st.fractions(0, 3, max_denominator=20)
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.sampled_from([lo, hi]) | st.fractions(lo, hi, max_denominator=64))
+        q = [polys.eval_exact(fn.coeffs, t) for fn in curve.coords]
+        w = draw(st.sampled_from(directions))
+        s = draw(scale) * draw(st.sampled_from([-1, 1]))
+        pts.append(tuple(c + delta * s * wc for c, wc in zip(q, w)))
+    return curve, delta, pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_decisions())
+# a window clipped at lo = ½: x = ½ − 3δ/5, at exactly δ from the end
+@example((graph_curve([[0, 0, 1]], (F(1, 2), 1)), F(1, 100),
+          [(F(1, 2) - F(3, 500), F(1, 4) + F(4, 500)),
+           (F(1, 2) - F(1, 100), F(1, 4)), (F(1, 2) - F(1, 100), F(1, 3))]))
+# the nearest point is the segment's end: the vertex lies outside the window
+@example((line_segment((0, 0), (1, 0)), F(1, 10 ** 12),
+          [(1 + F(3, 5 * 10 ** 12), F(4, 5 * 10 ** 12)),
+           (1 + F(3, 5 * 10 ** 12) * (1 + F(1, 10 ** 9)), F(4, 5 * 10 ** 12))]))
+# a constant curve, m = 0, at exactly δ and just past it
+@example((polynomial_curve([[F(1, 3)], [F(2, 5)]]), F(1, 7),
+          [(F(1, 3) + F(3, 35), F(2, 5) + F(4, 35)), (F(1, 3) + F(1, 7), F(2, 5) + F(1, 10 ** 9))]))
+def test_quadratic_certificate_never_contradicts_the_sturm_count(case):
+    # the certificate's verdict, when it gives one, is the Sturm-only
+    # decision of the brute force; on a curve of degree ≤ 1, where the
+    # quadratic model is exact, it always gives one
+    curve, delta, pts = case
+    linear = all(len(fn.coeffs) <= 2 for fn in curve.coords)
+    for p in pts:
+        expected = _in_tube_by_fractions(curve, delta, p)
+        model = tube._shifted_distance(curve, p, delta)
+        verdict = False if model is None else tube._quadratic_certificate(*model)
+        assert verdict is None or verdict == expected
+        assert verdict is not None or not linear
+        assert tube._poly_near(curve, p, delta) == expected
+
+
+def test_degree_one_curves_never_reach_the_sturm_count(monkeypatch):
+    # the 199 points of test_points_just_off_the_boundary_are_decided_exactly
+    # spread along the segment all need an exact decision, and the quadratic
+    # certificate gives every one; on the cubic's lattice walk at N = 256 it
+    # leaves at most a handful to the Sturm count
+    decisions, counts = [], []
+    near, count = tube._poly_near, polys.count_roots_closed
+    monkeypatch.setattr(tube, "_poly_near",
+                        lambda *args: decisions.append(args) or near(*args))
+    monkeypatch.setattr(polys, "count_roots_closed",
+                        lambda *args: counts.append(args) or count(*args))
+    d = F(1, 10 ** 12)
+    seg = line_segment((0, F(1, 2)), (F(1, 10 ** 6), F(1, 2)))
+    pts = FiniteSet([(F(k, 200 * 10 ** 6), F(1, 2) + d * (1 + F(k, 10 ** 6)))
+                     for k in range(1, 200)])
+    r = count_in_tube(TubeQuery(seg, d, pts))
+    assert r.count == 0 and r.certified
+    assert len(decisions) == 199 and not counts
+    N = 256
+    r = count_in_tube(TubeQuery(polynomial_curve([[0, 1], [0, 0, 0, 1]]),
+                                F(4, N * N), LatticeSource(N, ((0, 1), (0, 1)))))
+    assert r.certified and len(decisions) > 199 and len(counts) <= 5
