@@ -11,12 +11,11 @@ from .curves import (CurveSpec, DomainError, InvalidCurveError, Jet,
                      moment_curve, parabola, polynomial_curve, wronskian,
                      wronskian_symbolic)
 from .hyperplanes import (DegenerateIntersection, Hyperplane, RootList,
-                          derivative_curve, intersect, max_intersections,
-                          mvt_consistency, survey_intersections, to_graph_form)
+                          derivative_curve, intersect, mvt_consistency,
+                          survey_intersections, to_graph_form)
 from .lifting import (BijectionReport, Monomial, MonomialSet,
                       check_lattice_bijection, exponent, lift_curve,
-                      lift_point, lifted_wronskian, lipschitz_constant,
-                      lipschitz_constant_squared, make_Ms)
+                      lift_point, lipschitz_constant_squared, make_Ms)
 from .pointsets import (CapExceeded, FiniteSet, Gap, SubsetViolation,
                         additive_energy, check_energy_lower_bound,
                         check_plunnecke, doubling, energy_bruteforce,

@@ -39,6 +39,7 @@ from functools import cache, partial, reduce
 import numpy as np
 
 from . import polys
+from .pointsets import parse_frac
 from .polys import Poly
 
 TAU = math.tau  # 2π
@@ -58,14 +59,6 @@ class DomainError(CurveError):
 
 class InvalidCurveError(CurveError):
     """Ill-formed curve construction."""
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError("exact rational expected, got float")
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +140,7 @@ class TrigCoord:
     exact = False
 
     def __init__(self, terms: dict, tau_power: int = 0):
-        self.terms = _reduce_trig({k: _as_fraction(v) for k, v in terms.items()})
+        self.terms = _reduce_trig({k: parse_frac(v) for k, v in terms.items()})
         self.tau_power = tau_power
         self._floats = None
 
@@ -265,53 +258,61 @@ _HALF_V = polys.poly([0, 2])
 _HALF_W = polys.poly([1, 0, 1])
 
 
-def _tan_bracket(P: Poly, x: Fraction) -> tuple:
+def _tan_bracket(roots: polys.Roots, x: Fraction) -> tuple:
     """(a, b, k) for x in [0, 1] other than ½: rationals a ≤ tan πx ≤ b whose
-    roots of P are tan πx alone when k = 1 and none when k = 0; k is None
-    when neither floats nor tan's polynomial can tell.
+    roots of P (``roots`` is P's kernel) are tan πx alone when k = 1 and
+    none when k = 0; k is None when neither floats nor tan's polynomial can
+    tell.
 
     θ = fl(π·fl(x)) is within e = 4u·θ of πx (three roundings), math.tan is
     taken to be within 4 ulps of tan θ, and on [θ − e, θ + e] tan moves by
     at most e/c², c = |cos θ| − e = (1 + tan²θ)^(−1/2) − e.  A bracket with a
     root of P is narrowed on the signs of Q = Im (1 + is)^n, x = j/n in
     lowest terms, n ≤ 64, whose roots are the tan πi/n: its one root there
-    is tan πx, a root of P exactly when of gcd(P, Q).
+    is tan πx, a root of P exactly when of gcd(q, Q), q P's square-free
+    part.  P's chain serves every count, the narrowing loop's included,
+    and Q's signs are read in integers (``polys.eval_homogeneous``).
     """
     theta = math.pi * float(x)
     s = math.tan(theta)
     if 4 % x.denominator == 0:   # tan πx is 0 or ±1, and irrational at any other x
         s = Fraction(round(s))
-        return s, s, 0 if polys.eval_exact(P, s) else 1
+        return s, s, roots.closed(s, s)
     e = 4 * _U * theta
     c = (1 - 1e-9) / math.sqrt(1 + (abs(s) * (1 + 1e-9)) ** 2) - e
     if c <= 0:
         return Fraction(s), Fraction(s), None
     r = Fraction((e / (c * c) + 8 * _U * abs(s)) * (1 + 1e-9))
     a, b = Fraction(s) - r, Fraction(s) + r
-    if not polys.count_roots_closed(P, a, b):
+    if not roots.closed(a, b):
         return a, b, 0
     n = x.denominator
-    Q = polys.poly((-1) ** (i // 2) * math.comb(n, i) if i % 2 else 0
-                   for i in range(n + 1)) if n <= 64 else polys.ZERO
-    if not Q or polys.count_roots_closed(Q, a, b) != 1:
+    if n > 64:
         return a, b, None
-    k = 1 if polys.count_roots_closed(polys.gcd(P, Q), a, b) else 0
-    qa = polys.eval_exact(Q, a)
-    while polys.count_roots_closed(P, a, b) > k:
+    # Q = Σ (−1)^(i//2)·C(n, i)·s^i over odd i ≤ n, as integers
+    Q = [(-1) ** (i // 2) * math.comb(n, i) if i % 2 else 0 for i in range(n + n % 2)]
+    if polys.Roots(Q).closed(a, b) != 1:
+        return a, b, None
+    k = 1 if polys.Roots(polys.gcd(roots.chain[0], Q)).closed(a, b) else 0
+    # Q's sign at a and at each midpoint; Q has no rational root there
+    qa = polys.eval_homogeneous(Q, a.numerator, a.denominator) > 0
+    while roots.closed(a, b) > k:
         m = (a + b) / 2
-        qm = polys.eval_exact(Q, m)
-        a, b, qa = (m, b, qm) if (qa > 0) == (qm > 0) else (a, m, qa)
+        qm = polys.eval_homogeneous(Q, m.numerator, m.denominator) > 0
+        a, b, qa = (m, b, qm) if qa == qm else (a, m, qa)
     return a, b, k
 
 
-def half_angle_ranges(P: Poly, B: int, lo: Fraction, hi: Fraction) -> tuple:
-    """(ends, ranges, sure) for the roots s = tan πt of P at t ≠ ½ in [lo, hi]:
-    the ends x ≠ ½ with P(tan πx) = 0, and open s-ranges that hold the others
-    and no root from outside: (tan πlo, tan πhi), or (tan πlo, B) and
+def half_angle_ranges(roots: polys.Roots, B: int, lo: Fraction,
+                      hi: Fraction) -> tuple:
+    """(ends, ranges, sure) for the roots s = tan πt at t ≠ ½ in [lo, hi] of
+    a half-angle form P, whose kernel is ``roots``: the ends x ≠ ½ with
+    P(tan πx) = 0, and open s-ranges that hold the others and no root from
+    outside: (tan πlo, tan πhi), or (tan πlo, B) and
     (−B, tan πhi) around ½ (B > |s| at P's roots) less a side an end at ½
     leaves out, each finite end moved past its ``_tan_bracket``.  sure is
     False when an end cannot be bracketed; its range then takes it in."""
-    br = {x: _tan_bracket(P, x) for x in {lo, hi} - {Fraction(1, 2)}}
+    br = {x: _tan_bracket(roots, x) for x in {lo, hi} - {Fraction(1, 2)}}
     first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
     last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
     ranges = ([(first, last)] if not lo <= Fraction(1, 2) <= hi else
@@ -359,7 +360,7 @@ class CurveSpec:
         if not (all(isinstance(c, PolyCoord) for c in coords)
                 or all(isinstance(c, TrigCoord) for c in coords)):
             raise InvalidCurveError("coordinate representations must be homogeneous")
-        lo, hi = (_as_fraction(domain[0]), _as_fraction(domain[1]))
+        lo, hi = (parse_frac(domain[0]), parse_frac(domain[1]))
         if not (0 <= lo < hi <= 1):
             raise InvalidCurveError("domain must satisfy 0 <= t_lo < t_hi <= 1")
         self.kind = kind
@@ -455,8 +456,8 @@ def circle_arc(t_lo=0, t_hi=1) -> CurveSpec:
 
 def line_segment(p, q) -> CurveSpec:
     """The segment from p to q parameterized over [0, 1]."""
-    p = [_as_fraction(x) for x in p]
-    q = [_as_fraction(x) for x in q]
+    p = [parse_frac(x) for x in p]
+    q = [parse_frac(x) for x in q]
     if len(p) != len(q):
         raise InvalidCurveError("endpoint dimensions differ")
     coords = [PolyCoord((a, b - a)) for a, b in zip(p, q)]
@@ -477,7 +478,7 @@ def eval_jet(curve: CurveSpec, t, order: int) -> Jet:
         raise DomainError(f"parameter {t} outside domain {curve.domain}")
     exact = curve.is_exact and not isinstance(t, float)
     table = curve.derivatives(order)
-    tv = _as_fraction(t) if exact else float(t)
+    tv = parse_frac(t) if exact else float(t)
     rows = [tuple(fn.eval(tv) for fn in row) for row in table]
     err = 0.0
     if not exact:
@@ -567,7 +568,7 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    c0f = _as_fraction(c0) if not isinstance(c0, float) else c0
+    c0f = parse_frac(c0) if not isinstance(c0, float) else c0
     if c0f < 0:
         raise ValueError("c0 must be >= 0")
     lo, hi = curve.domain
@@ -594,7 +595,7 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
     if exact_vals:
         # the samples include W(lo), with |W(lo)| > c0 ≥ 0, so W ± c0 ≠ 0
         c = Fraction(c0f)
-        clear = all(polys.count_roots_closed(polys.sub(w.coeffs, (s,)), lo, hi) == 0
+        clear = all(polys.Roots(polys.sub(w.coeffs, (s,))).closed(lo, hi) == 0
                     for s in {c, -c})
         return cert("certified", exact=True) if clear else cert("failed")
     if min_s - margin > c0f:
@@ -606,7 +607,7 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
 
 def translate_curve(curve: CurveSpec, vector) -> CurveSpec:
     """Translate the curve by an exact rational vector."""
-    vec = [_as_fraction(x) for x in vector]
+    vec = [parse_frac(x) for x in vector]
     if len(vec) != curve.dimension:
         raise InvalidCurveError("translation dimension mismatch")
     out = []

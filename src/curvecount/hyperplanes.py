@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import polys
 from .curves import (CurveSpec, InvalidCurveError, PolyCoord, TrigCoord,
-                     _as_fraction, half_angle_ranges)
+                     half_angle_ranges)
+from .pointsets import parse_frac
 
 
 class HyperplaneError(ValueError):
@@ -42,8 +43,8 @@ class Hyperplane:
     normal: tuple
 
     def __init__(self, a0, normal):
-        normal = tuple(_as_fraction(a) for a in normal)
-        a0 = _as_fraction(a0)
+        normal = tuple(parse_frac(a) for a in normal)
+        a0 = parse_frac(a0)
         if not normal or all(a == 0 for a in normal):
             raise HyperplaneError("normal coefficients a1..an must not all vanish")
         scale = max(abs(a) for a in normal)
@@ -59,7 +60,6 @@ class Hyperplane:
 class RootList:
     """Intersection parameters, sorted; set-of-points semantics."""
     roots: tuple
-    intervals: tuple  # exact isolating intervals, or None per root
     certified: bool
 
     def __len__(self):
@@ -96,6 +96,8 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     s-ranges and map them to t = atan(s)/π mod 1; the domain's ends are
     bracketed exactly (``half_angle_ranges``), an end that is a root is
     kept as it is, and t = ½ (s = ∞) is a root exactly when g(−1, 0) = 0.
+    Either route builds one root kernel (``polys.Roots``) for its
+    polynomial, and isolation, refinement and the end brackets share it.
     Both routes are exact; only an end that cannot be bracketed clears
     ``certified``.
     """
@@ -104,25 +106,24 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     g = _combination(curve, plane)
     lo, hi = curve.domain
     if curve.is_exact:
-        p = polys.poly(g.get(i, 0) for i in range(max(g) + 1))
-        intervals = polys.isolate_roots(p, lo, hi)
-        roots = tuple(polys.refine_root(p, a, b) for a, b in intervals)
-        return RootList(roots=roots, intervals=tuple(intervals), certified=True)
+        roots = polys.Roots(polys.poly(g.get(i, 0) for i in range(max(g) + 1)))
+        ts = [roots.refine(a, b) for a, b in roots.isolate(lo, hi)]
+        return RootList(roots=tuple(ts), certified=True)
     g = TrigCoord(g)
     p, bound = g.half_angle()
-    ends, ranges, sure = half_angle_ranges(p, bound, lo, hi)
+    roots = polys.Roots(p)
+    ends, ranges, sure = half_angle_ranges(roots, bound, lo, hi)
     # an isolating interval is narrower than 2·bound, so these bits put s
     # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
     bits = 60 + bound.bit_length()
     ts = [float(x) for x in ends]
     for a, b in ranges:
-        ts += [math.atan(polys.refine_root(p, c, d, bits)) / math.pi % 1.0
-               for c, d in (polys.isolate_roots(p, a, b) if a < b else ())
+        ts += [math.atan(roots.refine(c, d, bits)) / math.pi % 1.0
+               for c, d in (roots.isolate(a, b) if a < b else ())
                if c != d or a < c < b]   # the ranges are open
     if lo <= Fraction(1, 2) <= hi and not g.at_half():  # g(−1, 0) = 0
         ts.append(0.5)
-    return RootList(roots=tuple(sorted(ts)), intervals=(None,) * len(ts),
-                    certified=sure)
+    return RootList(roots=tuple(sorted(ts)), certified=sure)
 
 
 def to_graph_form(curve: CurveSpec) -> CurveSpec:
@@ -190,12 +191,6 @@ class IntersectionSurvey:
     trials: int
     seed: int
     histogram: dict = field(default_factory=dict)
-
-
-def max_intersections(curve: CurveSpec, trials: int, seed: int) -> int:
-    """Max intersection count over seeded random hyperplanes (coefficients
-    uniform dyadic rationals in [−1, 1], normalized)."""
-    return survey_intersections(curve, trials, seed).max_roots
 
 
 def survey_intersections(curve: CurveSpec, trials: int,

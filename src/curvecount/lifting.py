@@ -11,12 +11,11 @@ lifted points whose i-th coordinate lies in (1/N^{dᵢ})Z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord, wronskian
+from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord
 from .pointsets import exact_int, frac_str
 
 
@@ -162,22 +161,12 @@ def lift_curve(curve: CurveSpec, M: MonomialSet) -> CurveSpec:
     return CurveSpec("lifted", coords, curve.domain, lift_origin=(curve, M))
 
 
-def lifted_wronskian(curve: CurveSpec, M: MonomialSet, t):
-    """W^M(Γ)(t), computed as the Wronskian of the lift Γ^M."""
-    return wronskian(lift_curve(curve, M), t)
-
-
 def lipschitz_constant_squared(M: MonomialSet, R) -> Fraction:
     """C(M, R)² = Σ deg(mᵢ)² R^(2·deg mᵢ − 2), exact for rational R ≥ 1."""
     R = Fraction(R)
     if R < 1:
         raise LiftError("the Lipschitz bound requires R >= 1")
     return sum(Fraction(m.degree) ** 2 * R ** (2 * m.degree - 2) for m in M)
-
-
-def lipschitz_constant(M: MonomialSet, R) -> float:
-    """C(M, R) such that |p^M − q^M| ≤ C(M, R)|p − q| on [-R, R]²."""
-    return math.sqrt(lipschitz_constant_squared(M, R))
 
 
 @dataclass(frozen=True)

@@ -59,21 +59,32 @@ class SubsetViolation(ValueError):
     pass
 
 
-def exact_coord(x):
-    """Normalize one coordinate to an exact int or Fraction (floats rejected)."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a coordinate")
-    if isinstance(x, int):
-        return x
+class InexactNumber(TypeError, ValueError):
+    """A float or a bool where an exact rational is required.  It is a
+    TypeError to a caller that passed the wrong type and a ValueError to
+    one that parsed a file."""
+
+
+def parse_frac(x) -> Fraction:
+    """x as an exact Fraction: a Fraction, an int, or anything whose string
+    is a rational such as "3/4".  A float or a bool raises InexactNumber
+    and is never rounded."""
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; pass Fraction or int")
-    return exact_coord(Fraction(x))
+        return x
+    if isinstance(x, (float, bool)):
+        raise InexactNumber(f"exact rational expected, got {x!r}")
+    if isinstance(x, int):
+        return Fraction(x)
+    return Fraction(str(x).strip())
 
 
 def exact_point(p) -> tuple:
-    return tuple(exact_coord(c) for c in p)
+    """p's coordinates as exact ints, or Fractions where not integral."""
+    return tuple(c if type(c) is int else _lowest(parse_frac(c)) for c in p)
+
+
+def _lowest(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
 
 
 def exact_int(x, what: str, error=ValueError) -> int:
@@ -120,12 +131,6 @@ class FiniteSet:
 
     def __repr__(self):
         return f"FiniteSet({len(self.points)} points, dim={self.dimension})"
-
-    def translate(self, vector) -> "FiniteSet":
-        v = exact_point(vector)
-        if len(v) != self.dimension:
-            raise DimensionMismatch("translation vector dimension mismatch")
-        return FiniteSet((_add(p, v) for p in self.points), self.dimension)
 
 
 def _add(p: tuple, q: tuple) -> tuple:

@@ -6,12 +6,15 @@ zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
 products, powers, composition, interpolation) is exact over
 ``fractions.Fraction``.  Determinants, root counting, isolation and
 refinement run on Python integers instead.  A determinant clears each row of
-denominators and eliminates by Bareiss.  The square-free part and its Sturm
-chain are built once per call as primitive integer polynomials by
-pseudo-remainders, and signs at a rational point n/d are read from the
-homogeneous integer Σ c_i·n^i·d^(deg−i).  Isolation bisects [a, b] on a
-dyadic grid with one shared denominator per depth and counts roots by sign
-variations; refinement bisects integer numerators the same way.
+denominators and eliminates by Bareiss.  Every real-root question goes to
+one kernel, ``Roots(p)``: it builds the square-free part of p and its Sturm
+chain once, as primitive integer polynomials by pseudo-remainders, and
+answers counts on closed and open intervals, isolation and refinement from
+that chain.  Signs at a rational point n/d are read from the homogeneous
+integer d^m·e(n/d) = Σ e_i·n^i·d^(m−i) (``eval_homogeneous``).  Isolation
+bisects [a, b] on a dyadic grid with one shared denominator per depth and
+counts roots by sign variations; refinement bisects integer numerators the
+same way.
 """
 
 from __future__ import annotations
@@ -108,10 +111,10 @@ def compose(p: Poly, q: Poly) -> Poly:
     return acc
 
 
-# -- root counting, isolation and refinement on integer chains ---------------
-# A positive multiple of a polynomial has the same roots and signs, so these
-# work on primitive integer coefficient lists (see the module docstring).
-# They also take p as a trimmed list of ints, which needs no clearing.
+# -- real roots on integer Sturm chains --------------------------------------
+# A positive multiple of a polynomial has the same roots and signs, so the
+# chains are primitive integer coefficient lists (see the module docstring).
+# Roots and gcd also take p as a trimmed list of ints, which needs no clearing.
 
 def _ints(p) -> list[int]:
     """Coprime integer coefficients of a positive multiple of p."""
@@ -168,35 +171,19 @@ def _squarefree_chain(p: Poly) -> list[list[int]]:
     return _sturm(q[::-1])
 
 
-def _chain_over(p: Poly, a: Fraction, b: Fraction):
-    """D, a·D, b·D for the least common denominator D of a and b, and the
-    Sturm chain of p's square-free part with each c_i scaled by D^(m−i)."""
-    D = math.lcm(a.denominator, b.denominator)
-    chain = [[c * D ** (len(q) - 1 - i) for i, c in enumerate(q)]
-             for q in _squarefree_chain(p)]
-    return D, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), chain
-
-
-def _value(e: list[int], n: int, k: int) -> int:
-    """Σ c_i·n^i·(D·2^k)^(m−i) for a member e = [c_i·D^(m−i)] of a chain
-    from _chain_over: (D·2^k)^m·c(n / (D·2^k)), which has the sign of c there."""
-    m = len(e) - 1
-    acc = 0
-    for i in range(m, -1, -1):
-        acc = acc * n + (e[i] << (k * (m - i)))
+def eval_homogeneous(e: list[int], n: int, d: int) -> int:
+    """d^m·e(n/d) = Σ e_i·n^i·d^(m−i) for integer coefficients e of degree
+    m, by Horner's rule in integers; for d > 0 it has the sign of e(n/d)."""
+    acc, power = 0, 1
+    for c in reversed(e):
+        acc, power = acc * n + c * power, power * d
     return acc
 
 
-def _sign_changes(chain: list[list[int]], n: int, k: int) -> tuple[int, bool]:
-    """Sign changes of the chain at n / (D·2^k) with zeros dropped, and
-    whether its head vanishes there.
-
-    For a square-free head q the count is right-continuous: V(lo) − V(hi)
-    is the number of roots of q in (lo, hi].
-    """
-    vals = [_value(e, n, k) for e in chain]
-    signs = [v > 0 for v in vals if v]
-    return sum(s != t for s, t in zip(signs, signs[1:])), not vals[0]
+def _over(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """D, a·D, b·D for the least common denominator D of a and b."""
+    D = math.lcm(a.denominator, b.denominator)
+    return D, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
@@ -207,102 +194,130 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return poly(a)
 
 
-def _counts(p: Poly, a, b) -> tuple[int, bool, bool]:
-    """Roots of p in (a, b], and whether p vanishes at a and at b."""
-    if is_zero(p):
-        raise ValueError("zero polynomial has no root count")
-    _, na, nb, chain = _chain_over(p, Fraction(a), Fraction(b))
-    (va, za), (vb, zb) = (_sign_changes(chain, n, 0) for n in (na, nb))
-    return va - vb, za, zb
+class Roots:
+    """The distinct real roots of a nonzero polynomial p.
 
+    The Sturm chain of p's square-free part q is built once, as primitive
+    integer polynomials; ``chain[0]`` is q.  It answers every root question
+    about p on any interval: counts on closed and open intervals, isolating
+    intervals, and refinement of one of them to a float.  Each reads signs
+    of the chain at rational points n/d from ``eval_homogeneous``.
+    """
 
-def count_roots_open(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in the open interval (a, b)."""
-    if is_zero(p):
-        raise ValueError("zero polynomial has no root count")
-    if not Fraction(a) < Fraction(b):
-        return 0
-    n, _, zb = _counts(p, a, b)
-    return n - zb
+    __slots__ = ("chain",)
 
+    def __init__(self, p):
+        if not p:
+            raise ValueError("the zero polynomial has no root count")
+        self.chain = _squarefree_chain(p)
 
-def count_roots_closed(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in the closed interval [a, b]."""
-    if Fraction(a) > Fraction(b):
-        return 0
-    n, za, _ = _counts(p, a, b)
-    return n + za
+    def _variations(self, n: int, d: int) -> tuple[int, bool]:
+        """Sign changes of the chain at n/d, d > 0, with zeros dropped, and
+        whether q vanishes there.
+
+        For the square-free q the count is right-continuous: V(a) − V(b) is
+        the number of roots of q in (a, b].
+        """
+        vals = [eval_homogeneous(e, n, d) for e in self.chain]
+        signs = [v > 0 for v in vals if v]
+        return sum(s != t for s, t in zip(signs, signs[1:])), not vals[0]
+
+    def closed(self, a, b) -> int:
+        """Number of distinct real roots in the closed interval [a, b]."""
+        a, b = Fraction(a), Fraction(b)
+        if a > b:
+            return 0
+        D, na, nb = _over(a, b)
+        (va, za), (vb, _) = (self._variations(n, D) for n in (na, nb))
+        return va - vb + za
+
+    def open(self, a, b) -> int:
+        """Number of distinct real roots in the open interval (a, b)."""
+        a, b = Fraction(a), Fraction(b)
+        if not a < b:
+            return 0
+        D, na, nb = _over(a, b)
+        (va, _), (vb, zb) = (self._variations(n, D) for n in (na, nb))
+        return va - vb - zb
+
+    def isolate(self, a, b) -> list[tuple[Fraction, Fraction]]:
+        """Isolating intervals for the distinct real roots in [a, b].
+
+        Returns a sorted list of rational intervals; degenerate intervals
+        (lo == hi) are exact roots.  Each non-degenerate open interval holds
+        exactly one simple root of q.  Bisection runs on a dyadic grid with
+        one shared denominator per depth, and each node costs one
+        evaluation of the chain.
+        """
+        a, b = Fraction(a), Fraction(b)
+        D, na, nb = _over(a, b)
+        (va, za), (vb, zb) = (self._variations(n, D) for n in (na, nb))
+        found: list[tuple[Fraction, Fraction]] = []
+        if za:
+            found.append((a, a))
+        if b != a and zb:
+            found.append((b, b))
+        # (lo, hi, k, V(lo), V(hi), q(hi) = 0) with ends lo/(D·2^k), hi/(D·2^k)
+        stack = [(na, nb, 0, va, vb, zb)] if a < b else []
+        while stack:
+            lo, hi, k, vlo, vhi, zhi = stack.pop()
+            inside = vlo - vhi - zhi
+            if inside == 0:
+                continue
+            if inside == 1:
+                found.append((Fraction(lo, D << k), Fraction(hi, D << k)))
+                continue
+            mid, k = lo + hi, k + 1
+            vmid, zmid = self._variations(mid, D << k)
+            if zmid:
+                x = Fraction(mid, D << k)
+                found.append((x, x))
+            stack.append((2 * lo, mid, k, vlo, vmid, zmid))
+            stack.append((mid, 2 * hi, k, vmid, vhi, zhi))
+        found.sort(key=lambda iv: iv[0] + iv[1])
+        return found
+
+    def refine(self, lo, hi, bits: int = 60) -> float:
+        """Refine an isolating interval to a float root by exact sign
+        bisection of q, on integer numerators over a shared dyadic
+        denominator; the float is that of the last midpoint."""
+        if lo == hi:
+            return float(lo)
+        D, L, H = _over(Fraction(lo), Fraction(hi))
+        e = self.chain[0]
+        slo, shi = eval_homogeneous(e, L, D), eval_homogeneous(e, H, D)
+        if not slo or not shi:
+            # a root at an end takes the sign q has just inside the interval,
+            # as it would after dividing that root out; chain[1] is a
+            # multiple of q'
+            inward = 1 if H > L else -1
+            if not slo:
+                slo = inward * eval_homogeneous(self.chain[1], L, D)
+            if not shi:
+                shi = -inward * eval_homogeneous(self.chain[1], H, D)
+        if not slo or not shi or (slo > 0) == (shi > 0):
+            raise ArithmeticError("interval does not isolate a simple root")
+        k = 0
+        for _ in range(bits):
+            mid, k = L + H, k + 1
+            v = eval_homogeneous(e, mid, D << k)
+            if not v:
+                return float(Fraction(mid, D << k))
+            if (v > 0) == (slo > 0):
+                L, H, slo = mid, 2 * H, v
+            else:
+                L, H = 2 * L, mid
+        return float(Fraction(L + H, D << (k + 1)))
 
 
 def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the distinct real roots of p in [a, b].
-
-    Returns a sorted list of rational intervals; degenerate intervals
-    (lo == hi) are exact roots.  Each non-degenerate open interval contains
-    exactly one simple root of the square-free part.  The Sturm chain is
-    built once; each bisection node costs one evaluation of it.
-    """
-    if is_zero(p):
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    a, b = Fraction(a), Fraction(b)
-    D, na, nb, chain = _chain_over(p, a, b)
-    (va, za), (vb, zb) = (_sign_changes(chain, n, 0) for n in (na, nb))
-    found: list[tuple[Fraction, Fraction]] = []
-    if za:
-        found.append((a, a))
-    if b != a and zb:
-        found.append((b, b))
-    # (lo, hi, k, V(lo), V(hi), q(hi) = 0) with ends lo/(D·2^k), hi/(D·2^k)
-    stack = [(na, nb, 0, va, vb, zb)] if a < b else []
-    while stack:
-        lo, hi, k, vlo, vhi, zhi = stack.pop()
-        inside = vlo - vhi - zhi
-        if inside == 0:
-            continue
-        if inside == 1:
-            found.append((Fraction(lo, D << k), Fraction(hi, D << k)))
-            continue
-        mid, k = lo + hi, k + 1
-        vmid, zmid = _sign_changes(chain, mid, k)
-        if zmid:
-            x = Fraction(mid, D << k)
-            found.append((x, x))
-        stack.append((2 * lo, mid, k, vlo, vmid, zmid))
-        stack.append((mid, 2 * hi, k, vmid, vhi, zhi))
-    found.sort(key=lambda iv: iv[0] + iv[1])
-    return found
+    """``Roots(p).isolate(a, b)``, for a polynomial asked about once."""
+    return Roots(p).isolate(a, b)
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, bits: int = 60) -> float:
-    """Refine an isolating interval to a float root by exact sign bisection
-    of the square-free part, on integer numerators over a shared dyadic
-    denominator; the float is that of the last midpoint."""
-    if lo == hi:
-        return float(lo)
-    D, L, H, chain = _chain_over(p, Fraction(lo), Fraction(hi))
-    e = chain[0]
-    slo, shi = _value(e, L, 0), _value(e, H, 0)
-    if not slo or not shi:
-        # a root at an end takes the sign q has just inside the interval, as
-        # it would after dividing that root out; chain[1] is a multiple of q'
-        inward = 1 if H > L else -1
-        if not slo:
-            slo = inward * _value(chain[1], L, 0)
-        if not shi:
-            shi = -inward * _value(chain[1], H, 0)
-    if not slo or not shi or (slo > 0) == (shi > 0):
-        raise ArithmeticError("interval does not isolate a simple root")
-    k = 0
-    for _ in range(bits):
-        mid, k = L + H, k + 1
-        v = _value(e, mid, k)
-        if not v:
-            return float(Fraction(mid, D << k))
-        if (v > 0) == (slo > 0):
-            L, H, slo = mid, 2 * H, v
-        else:
-            L, H = 2 * L, mid
-    return float(Fraction(L + H, D << (k + 1)))
+    """``Roots(p).refine(lo, hi, bits)``, for a polynomial asked about once."""
+    return Roots(p).refine(lo, hi, bits)
 
 
 def sup_bound(p: Poly, a, b) -> float:

@@ -23,19 +23,9 @@ from .curves import (CurveSpec, InvalidCurveError, circle_arc, graph_curve,
                      moment_curve, polynomial_curve)
 from .hyperplanes import Hyperplane
 from .lifting import MonomialSet, lift_curve
-from .pointsets import FiniteSet, Gap, exact_int, frac_str
+from .pointsets import FiniteSet, Gap, exact_int, frac_str, parse_frac
 from .tube import (ExplicitSource, GapSource, InvalidQuery, LatticeSource,
                    TubeQuery, delta_from_rule)
-
-
-def parse_frac(s) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, float):
-        raise ValueError("refusing to parse a float as an exact rational")
-    return Fraction(str(s).strip())
 
 
 # -- curves -----------------------------------------------------------------

@@ -430,7 +430,8 @@ def _poly_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool:
     verdict = _quadratic_certificate(*model)
     if verdict is not None:
         return verdict
-    return polys.count_roots_closed(*model) > 0
+    E, ua, ub = model
+    return polys.Roots(E).closed(ua, ub) > 0
 
 
 def _shifted_distance(curve: CurveSpec, p: tuple, delta: Fraction):
@@ -499,10 +500,7 @@ def _quadratic_certificate(E: list, ua: int, ub: int) -> bool | None:
     else:
         # Q(u_b) − Q(u_a) = (u_b − u_a)·(e₁ + e₂·(u_a + u_b))
         n, den = (ua if e1 + e2 * (ua + ub) >= 0 else ub), 1
-    value, power = 0, 1
-    for e in reversed(E):
-        value, power = value * n + e * power, power * den
-    if value <= 0:
+    if polys.eval_homogeneous(E, n, den) <= 0:
         return True
     r = max(abs(ua), abs(ub))
     tail = sum(abs(e) * r ** k for k, e in enumerate(E) if k >= 3)
@@ -531,8 +529,9 @@ def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
     if half and D.at_half() <= 0:
         return True
     P, B = D.half_angle()
-    ends, ranges, sure = half_angle_ranges(P, B, lo, hi)
-    if ends or not sure or any(polys.count_roots_open(P, a, b) for a, b in ranges):
+    roots = polys.Roots(P)
+    ends, ranges, sure = half_angle_ranges(roots, B, lo, hi)
+    if ends or not sure or any(roots.open(a, b) for a, b in ranges):
         return True if ends or sure else None
     # P keeps one sign on the range: that of D(½) > 0 when it holds ½
     return not half and polys.eval_exact(P, ranges[0][0]) < 0

@@ -111,6 +111,16 @@ def test_exponent_refuses_a_fractional_exponent(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+def test_inexact_numbers_in_files_are_usage_errors(tmp_path, capsys):
+    # a float or a bool is never read as a rational: exit 1, one error line
+    ppath = tmp_path / "pts.json"
+    for bad in (0.5, True):
+        ppath.write_text(json.dumps([[bad, "0/1"], ["1/1", "0/1"]]))
+        assert cli.main(["energy", "--points", str(ppath), "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "exact rational" in err
+
+
 def test_count_command(parabola_file, tmp_path, capsys):
     query = {"curve": parabola_file,
              "delta": {"d": "1", "N": 8, "n": 2},

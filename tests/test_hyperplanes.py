@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         derivative_curve, intersect, lift_curve, make_Ms,
-                        max_intersections, moment_curve, mvt_consistency,
-                        parabola, survey_intersections, to_graph_form,
-                        wronskian)
+                        moment_curve, mvt_consistency, parabola,
+                        survey_intersections, to_graph_form, wronskian)
+from curvecount import polys
 from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord,
-                               polynomial_curve)
-from curvecount.hyperplanes import HyperplaneError, mvt_derived_hyperplane
+                               _tan_bracket, polynomial_curve)
+from curvecount.hyperplanes import (HyperplaneError, _combination,
+                                    mvt_derived_hyperplane)
 from curvecount.lifting import MonomialSet
 
 
@@ -31,7 +32,7 @@ def test_hyperplane_normalization():
 def test_hyperplane_refuses_float_coefficients():
     # a float is a binary fraction: 0.1 would silently become
     # 3602879701896397/36028797018963968
-    for a0, normal in ((0.1, (1, F(3, 10))), (F(1, 10), (1, 0.3))):
+    for a0, normal in ((0.1, (1, F(3, 10))), (F(1, 10), (1, 0.3)), (True, (1, 0))):
         with pytest.raises(TypeError):
             Hyperplane(a0, normal)
 
@@ -138,8 +139,8 @@ def test_moment_curve_root_counts_bounded_by_dimension():
 
 
 def test_max_intersections_seeded():
-    assert max_intersections(parabola(), 300, seed=7) == 2
-    assert max_intersections(moment_curve(3), 300, seed=7) <= 3
+    assert survey_intersections(parabola(), 300, seed=7).max_roots == 2
+    assert survey_intersections(moment_curve(3), 300, seed=7).max_roots <= 3
     survey = survey_intersections(circle_arc(), 100, seed=11)
     assert survey.max_roots <= 2
     assert sum(survey.histogram.values()) == 100
@@ -178,6 +179,32 @@ def test_circle_arc_sampled_intersections():
     # horizontal line y = 1/2 meets the full circle twice
     roots = intersect(circle_arc(), Hyperplane(F(1, 2), (0, 1)))
     assert len(roots) == 2
+
+
+def test_one_sturm_chain_per_polynomial(monkeypatch):
+    # intersect builds the chain of g's polynomial once: isolation,
+    # refinement, both s-ranges and the end brackets share it, and
+    # _tan_bracket's narrowing loop builds no chain per step
+    built = []
+    chain = polys._squarefree_chain
+    monkeypatch.setattr(polys, "_squarefree_chain",
+                        lambda p: built.append(tuple(p)) or chain(p))
+    # (t − 1/4)(t − 1/2)(t − 3/4) + 1/1000: three irrational roots in [0, 1]
+    cubic = Hyperplane(F(3, 32) - F(1, 1000), (F(11, 16), F(-3, 2), 1))
+    assert len(intersect(moment_curve(3), cubic)) == 3 and len(built) == 1
+    for arc, plane in ((circle_arc(), Hyperplane(F(1, 3), (1, 1))),
+                       (circle_arc(F(1, 7), F(5, 9)), Hyperplane(F(9, 10), (0, 1)))):
+        built.clear()
+        p, _ = TrigCoord(_combination(arc, plane)).half_angle()
+        assert len(intersect(arc, plane)) == 2
+        assert built.count(p) == 1
+    # a rational root within an ulp of tan π/3 = √3 is narrowed away
+    s = F(math.tan(math.pi * float(F(1, 3))))
+    roots = polys.Roots(polys.mul(polys.poly((-3, 0, 1)), polys.poly((-s, 1))))
+    built.clear()
+    a, b, k = _tan_bracket(roots, F(1, 3))
+    assert k == 1 and a < b and not a <= s <= b
+    assert len(built) == 2   # Q's chain and gcd(q, Q)'s
 
 
 def test_circle_tangency_on_grid_node():

@@ -39,8 +39,9 @@ def test_finite_set_dedup_and_dimension():
     assert len(a) == 2
     with pytest.raises(DimensionMismatch):
         FiniteSet([(1, 2), (1, 2, 3)])
-    with pytest.raises(TypeError):
-        FiniteSet([(0.5, 1)])
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            FiniteSet([(bad, 1)])
 
 
 def test_gap_enumerate_examples():
@@ -185,7 +186,7 @@ def test_translation_invariance_exact():
                for _ in range(rng.randint(2, 8))}
         a = FiniteSet(pts)
         shift = (F(rng.randint(-50, 50), 7), F(rng.randint(-50, 50), 11))
-        b = a.translate(shift)
+        b = FiniteSet((x + shift[0], y + shift[1]) for x, y in pts)
         m = rng.choice([2, 3])
         assert additive_energy(a, m) == additive_energy(b, m)
         assert doubling(a) == doubling(b)

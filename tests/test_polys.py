@@ -1,6 +1,6 @@
-"""Exact polynomial arithmetic and Sturm root isolation, cross-checked
-against numpy's eigenvalue-based root finder and against sympy's root
-counts."""
+"""Exact polynomial arithmetic and the Sturm root kernel ``polys.Roots``,
+cross-checked against numpy's eigenvalue-based root finder and against
+sympy's root counts."""
 
 import random
 from fractions import Fraction as F
@@ -36,26 +36,41 @@ def test_eval_exact_and_float():
 
 
 def test_count_roots_closed_endpoints():
-    p = P(0, 6)  # 6t, root at 0
-    assert polys.count_roots_closed(p, 0, 1) == 1
-    assert polys.count_roots_open(p, 0, 1) == 0
-    p2 = polys.mul(P(0, 1), P(-1, 1))  # t(t-1)
-    assert polys.count_roots_closed(p2, 0, 1) == 2
-    assert polys.count_roots_open(p2, 0, 1) == 0
+    roots = polys.Roots(P(0, 6))  # 6t, root at 0
+    assert roots.closed(0, 1) == 1
+    assert roots.open(0, 1) == 0
+    roots = polys.Roots(polys.mul(P(0, 1), P(-1, 1)))  # t(t-1)
+    assert roots.closed(0, 1) == 2
+    assert roots.open(0, 1) == 0
+    assert roots.closed(-1, 2) == 2 and roots.open(-1, 2) == 2
+    with pytest.raises(ValueError):
+        polys.Roots(polys.ZERO)
 
 
 def test_isolate_and_refine_known():
-    p = P(-2, 0, 1)  # t^2 - 2
-    ivs = polys.isolate_roots(p, 0, 2)
+    roots = polys.Roots(P(-2, 0, 1))  # t^2 - 2
+    ivs = roots.isolate(0, 2)
     assert len(ivs) == 1
-    root = polys.refine_root(p, *ivs[0])
-    assert abs(root - 2 ** 0.5) < 1e-14
+    assert abs(roots.refine(*ivs[0]) - 2 ** 0.5) < 1e-14
+    # the named functions are the same kernel, built once per call
+    assert polys.isolate_roots(P(-2, 0, 1), 0, 2) == ivs
+    assert polys.refine_root(P(-2, 0, 1), *ivs[0]) == roots.refine(*ivs[0])
 
 
 def test_multiple_root_counted_once():
-    p = polys.mul(P(F(-1, 2), 1), P(F(-1, 2), 1))  # (t - 1/2)^2
-    roots = [polys.refine_root(p, a, b) for a, b in polys.isolate_roots(p, 0, 1)]
-    assert len(roots) == 1 and abs(roots[0] - 0.5) < 1e-14
+    roots = polys.Roots(polys.mul(P(F(-1, 2), 1), P(F(-1, 2), 1)))  # (t - 1/2)^2
+    found = [roots.refine(a, b) for a, b in roots.isolate(0, 1)]
+    assert len(found) == 1 and abs(found[0] - 0.5) < 1e-14
+    assert roots.closed(0, 1) == 1 and roots.closed(F(1, 2), F(1, 2)) == 1
+
+
+def test_eval_homogeneous_is_the_scaled_value():
+    rng = random.Random(5)
+    for _ in range(40):
+        e = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        n, d = rng.randint(-50, 50), rng.randint(1, 30)
+        expected = polys.eval_exact(polys.poly(e), F(n, d)) * d ** (len(e) - 1)
+        assert polys.eval_homogeneous(e, n, d) == expected
 
 
 def test_random_roots_against_numpy():
@@ -68,8 +83,8 @@ def test_random_roots_against_numpy():
         p = polys.poly(coeffs)
         if polys.degree(p) < 1:
             continue
-        mine = [polys.refine_root(p, a, b)
-                for a, b in polys.isolate_roots(p, 0, 1)]
+        roots = polys.Roots(p)
+        mine = [roots.refine(a, b) for a, b in roots.isolate(0, 1)]
         np_all = np.roots(list(map(float, reversed(p))))
         np_real = sorted({round(float(r.real), 9) for r in np_all
                           if abs(r.imag) < 1e-9 and -1e-9 <= r.real <= 1 + 1e-9})
@@ -162,14 +177,15 @@ def polys_with_interval(draw):
 def test_root_counts_match_sympy(case):
     p, a, b = case
     sp = to_sympy(p)
+    roots = polys.Roots(p)   # one chain answers every interval below
     ra, rb = sympy.Rational(a), sympy.Rational(b)
-    assert polys.count_roots_closed(p, a, b) == sp.count_roots(ra, rb)
-    assert polys.count_roots_open(p, a, b) == sympy_open_count(sp, a, b)
+    assert roots.closed(a, b) == sp.count_roots(ra, rb)
+    assert roots.open(a, b) == sympy_open_count(sp, a, b)
     mid = (a + b) / 2  # ends that may be roots, on a half interval
-    assert polys.count_roots_closed(p, mid, b) == sp.count_roots((ra + rb) / 2, rb)
-    assert polys.count_roots_open(p, a, mid) == sympy_open_count(sp, a, mid)
-    assert polys.count_roots_open(p, b, a) == 0
-    assert polys.count_roots_closed(p, b, a) == 0
+    assert roots.closed(mid, b) == sp.count_roots((ra + rb) / 2, rb)
+    assert roots.open(a, mid) == sympy_open_count(sp, a, mid)
+    assert roots.open(b, a) == 0
+    assert roots.closed(b, a) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,18 +193,19 @@ def test_root_counts_match_sympy(case):
 def test_isolating_intervals_match_sympy(case):
     p, a, b = case
     sp = to_sympy(p)
-    ivs = polys.isolate_roots(p, a, b)
+    roots = polys.Roots(p)
+    ivs = roots.isolate(a, b)
     assert len(ivs) == sp.count_roots(sympy.Rational(a), sympy.Rational(b))
     assert ivs == sorted(ivs, key=lambda iv: iv[0] + iv[1])
     for lo, hi in ivs:
         assert a <= lo <= hi <= b
         if lo == hi:
             assert polys.eval_exact(p, lo) == 0
-            assert polys.refine_root(p, lo, hi) == float(lo)
+            assert roots.refine(lo, hi) == float(lo)
             continue
         # an end may be a root, listed as its own degenerate interval
         assert sympy_open_count(sp, lo, hi) == 1
-        root = polys.refine_root(p, lo, hi)
+        root = roots.refine(lo, hi)
         assert float(lo) <= root <= float(hi)
     for (_, hi), (lo, _) in zip(ivs, ivs[1:]):
         assert hi <= lo
@@ -196,11 +213,11 @@ def test_isolating_intervals_match_sympy(case):
 
 def test_refine_root_with_roots_at_the_ends():
     # (t - 1/3) t (t - 1): the ends 0 and 1 are roots and 1/3 is isolated
-    p = polys.mul(polys.mul(P(F(-1, 3), 1), P(0, 1)), P(-1, 1))
-    assert polys.refine_root(p, F(0), F(1)) == pytest.approx(1 / 3, abs=1e-15)
-    assert polys.refine_root(p, F(1), F(0)) == pytest.approx(1 / 3, abs=1e-15)
+    roots = polys.Roots(polys.mul(polys.mul(P(F(-1, 3), 1), P(0, 1)), P(-1, 1)))
+    assert roots.refine(F(0), F(1)) == pytest.approx(1 / 3, abs=1e-15)
+    assert roots.refine(F(1), F(0)) == pytest.approx(1 / 3, abs=1e-15)
     with pytest.raises(ArithmeticError):
-        polys.refine_root(P(0, 1), F(0), F(1))
+        polys.Roots(P(0, 1)).refine(F(0), F(1))
 
 
 def test_gcd_keeps_the_common_roots():

@@ -17,8 +17,9 @@ def test_frac_strings():
     assert ser.frac_str(5) == "5/1"
     assert ser.parse_frac("3/4") == F(3, 4)
     assert ser.parse_frac("-7") == -7
-    with pytest.raises(ValueError):
-        ser.parse_frac(0.5)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError):
+            ser.parse_frac(bad)
 
 
 @pytest.mark.parametrize("curve", [

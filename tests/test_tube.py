@@ -135,7 +135,8 @@ def test_translation_equivariance():
     src_pts = FiniteSet([(F(i, 8), F(j, 8)) for i in range(9) for j in range(9)])
     q1 = TubeQuery(pb, F(1, 64), ExplicitSource(src_pts))
     q2 = TubeQuery(translate_curve(pb, shift), F(1, 64),
-                   ExplicitSource(src_pts.translate(shift)))
+                   ExplicitSource(FiniteSet((x + shift[0], y + shift[1])
+                                            for x, y in src_pts)))
     r1 = count_in_tube(q1)
     r2 = count_in_tube(q2)
     assert r1.count == r2.count
@@ -650,7 +651,7 @@ def _in_tube_by_fractions(curve, delta, p) -> bool:
     for fn, x in zip(curve.coords, p):
         g = polys.sub(fn.coeffs, (x,))
         D = polys.add(D, polys.mul(g, g))
-    return polys.eval_exact(D, lo) <= 0 or polys.count_roots_closed(D, lo, hi) > 0
+    return polys.eval_exact(D, lo) <= 0 or polys.Roots(D).closed(lo, hi) > 0
 
 
 @st.composite
@@ -882,12 +883,12 @@ def test_degree_one_curves_never_reach_the_sturm_count(monkeypatch):
     # the 199 points of test_points_just_off_the_boundary_are_decided_exactly
     # spread along the segment all need an exact decision, and the quadratic
     # certificate gives every one; on the cubic's lattice walk at N = 256 it
-    # leaves at most a handful to the Sturm count
+    # leaves at most a handful to the Sturm count of the root kernel
     decisions, counts = [], []
-    near, count = tube._poly_near, polys.count_roots_closed
+    near, count = tube._poly_near, polys.Roots.closed
     monkeypatch.setattr(tube, "_poly_near",
                         lambda *args: decisions.append(args) or near(*args))
-    monkeypatch.setattr(polys, "count_roots_closed",
+    monkeypatch.setattr(polys.Roots, "closed",
                         lambda *args: counts.append(args) or count(*args))
     d = F(1, 10 ** 12)
     seg = line_segment((0, F(1, 2)), (F(1, 10 ** 6), F(1, 2)))
