@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -167,16 +167,16 @@ class TrigCoord:
             self._floats = (sorted((a, b, float(c)) for (a, b), c in self.terms.items()),
                             TAU ** self.tau_power)
         terms, scale = self._floats
-        u, v, power = circle or _on_circle(t)
+        u, powers = circle or _on_circle(t)
         acc = 0.0
         for a, b, c in terms:
             term = c
             if a:
                 term *= u
-            if b > 1:
-                term *= power(b)
-            elif b:
-                term *= v
+            if b:
+                while len(powers) <= b:
+                    powers.append(powers[-1] * powers[1])
+                term *= powers[b]
             acc += term
         return acc * scale
 
@@ -189,13 +189,15 @@ class TrigCoord:
         at most 4π·u·|t|, and cos and sin are taken to be within 4 ulps of
         its, so û, v̂ are within ε = (4π·max(|lo|, |hi|) + 8)·u of u, v, and
         as |u|, |v| ≤ 1 a degree-k monomial within (1 + ε)^k − 1 of its value.
-        float(c), the products and the power round a term by ≤ 7u relative,
-        the m additions by u·Σ|terms| each, and (2π)^k by (k + 2)u."""
+        float(c) and the products round a term by ≤ 7u relative, and the
+        b − 1 products that build v^b by (b − 1)u more; the m additions round
+        by u·Σ|terms| each, and (2π)^k by (k + 2)u."""
         if not self.terms:
             return 0.0
         eps = (4 * math.pi * max(abs(float(lo)), abs(float(hi))) + 8) * _U
         grow = math.expm1(max(a + b for a, b in self.terms) * math.log1p(eps))
-        rel = grow + (len(self.terms) + 9 + self.tau_power) * _U * (1 + grow)
+        products = max(0, max(b for _, b in self.terms) - 1)
+        rel = grow + (len(self.terms) + 9 + products + self.tau_power) * _U * (1 + grow)
         return self.sup_abs(lo, hi) * rel * (1 + 1e-9)
 
     def half_angle(self) -> tuple:
@@ -322,20 +324,14 @@ def half_angle_ranges(roots: polys.Roots, B: int, lo: Fraction,
 
 
 def _on_circle(t) -> tuple:
-    """(u, v) = (cos 2πt, sin 2πt) and b ↦ v^b, for a float t (math cos/sin)
-    or a numpy array (numpy cos/sin, and each power computed once)."""
+    """u = cos 2πt and the powers [1, v, v², …] of v = sin 2πt, for a float t
+    (math cos/sin) or a numpy array (numpy cos/sin).  evalf extends the list
+    by v^b = v^(b−1)·v as far as its terms need, so each power is one float
+    product, the same on either path, and is computed once per list."""
     x = TAU * t
     if not isinstance(t, np.ndarray):
-        v = math.sin(x)
-        return math.cos(x), v, v.__pow__
-    v = np.sin(x)
-    return np.cos(x), v, cache(partial(_elementwise_pow, v))
-
-
-def _elementwise_pow(v: np.ndarray, b: int) -> np.ndarray:
-    """v ** b with Python's float power: numpy's vectorized power may round
-    differently, and the array path must match the scalar one bit for bit."""
-    return np.array([x ** b for x in v.ravel().tolist()]).reshape(v.shape)
+        return math.cos(x), [1.0, math.sin(x)]
+    return np.cos(x), [1.0, np.sin(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +513,8 @@ def _poly_wronskian(coords, *rows) -> PolyCoord:
     d = Σⱼ (deg γⱼ − j) and its values at 0…d fix it (W ≡ 0 if d < 0)."""
     xs = range(sum(polys.degree(fn.coeffs) - j for j, fn in enumerate(coords, 1)) + 1)
     rows, den = _integer_rows(rows, lambda fn: dict(enumerate(fn.coeffs)))
-    ys = [polys.det_fraction([[sum(c * x ** i for i, c in e.items()) for e in row]
-                              for row in rows]) / den for x in xs]
+    ys = [Fraction(polys.det_int([[sum(c * x ** i for i, c in e.items()) for e in row]
+                                  for row in rows]), den) for x in xs]
     return PolyCoord(polys.interpolate(xs, ys))
 
 
@@ -534,9 +530,9 @@ def _trig_wronskian(coords, *rows) -> TrigCoord:
     nodes = []
     for m in range(2, sum(degs) + 3):
         w, u, v = m * m + 1, m * m - 1, 2 * m
-        plus, minus = (polys.det_fraction(
+        plus, minus = (Fraction(polys.det_int(
             [[sum(c * su ** a * v ** b * w ** (d - a - b) for (a, b), c in e.items())
-              for e, d in zip(row, degs)] for row in rows]) / (den * w ** sum(degs))
+              for e, d in zip(row, degs)] for row in rows]), den * w ** sum(degs))
             for su in (u, -u))
         nodes.append((Fraction(v, w), (plus + minus) / 2, (plus - minus) * w / (2 * u)))
     vs, evens, odds = zip(*nodes)

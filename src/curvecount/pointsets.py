@@ -7,21 +7,22 @@ m-energy E_m(A) counts ordered 2m-tuples with equal m-fold sums; it is
 computed through the representation-count function φ(b) = #{m-tuples summing
 to b} as E_m = Σ φ(b)², built by m−1 multiplicity-preserving convolution
 steps.  The deduplicated m-fold sumset mA shares those steps without the
-multiplicities.
+multiplicities, and a GAP is enumerated as the sumset
+{v} + {ℓv₁ : 1 ≤ ℓ ≤ N₁} + … + {ℓv_m : 1 ≤ ℓ ≤ N_m}.
 
-The hot loops run on an integer form of each set, cached on the FiniteSet:
-a common denominator L of all coordinates and the points times L as Python
-ints.  For sums, each integer point becomes one mixed-radix int64 key in the
-box of the final sum (per-coordinate offsets, place values from the widths of
-that box), so key(a) + key(b) is the key of a + b; a step is an outer sum of
-keys followed by a sort that merges equal keys, and φ accumulates exactly in
-int64 through np.add.reduceat.  Outer sums are built in row blocks of at most
-_BLOCK elements, so memory stays O(result + _BLOCK) even near
-ENERGY_WORK_CAP.  When the key box reaches 2⁶² or a count could reach 2⁶³,
-the same steps run on point tuples (_tuple_sums), which is also the oracle
-the tests compare against.  Squared separations are integer differences,
-in int64 when the squared range fits and in Python ints otherwise.  Caps are
-checked on the same sizes, with the same formulas, on either path.
+Every job runs on an integer form of each set, cached on the FiniteSet: a
+common denominator L of all coordinates and the points times L as Python
+ints.  For sums, each integer point becomes one mixed-radix key in the box of
+the final sum (per-coordinate offsets, place values from the widths of that
+box), so key(a) + key(b) is the key of a + b; a step is an outer sum of keys
+followed by a sort that merges equal keys, and φ accumulates exactly through
+np.add.reduceat.  Outer sums are built in row blocks of at most _BLOCK
+elements, so memory stays O(result + _BLOCK) even near ENERGY_WORK_CAP.
+Squared separations are sums of squared integer differences, taken in the
+same blocks.  Each array is int64 when the bound of its values (the key box,
+the number of tuples, the squared reach) is below 2⁶³ and an object array
+of Python ints otherwise (_dtype); numpy runs the same code on either, so
+every path is exact and there is one path per job.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -38,7 +40,6 @@ import numpy as np
 ENUMERATION_CAP = 10 ** 7       # points
 ENERGY_WORK_CAP = 10 ** 8       # accumulated multiplicity updates
 
-_KEY_LIMIT = 1 << 62            # key boxes this large fall back to tuples
 _INT64_LIMIT = 1 << 63          # int64 values stay below this
 _BLOCK = 1 << 16                # elements in one block of an outer sum
 
@@ -133,10 +134,6 @@ class FiniteSet:
         return f"FiniteSet({len(self.points)} points, dim={self.dimension})"
 
 
-def _add(p: tuple, q: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(p, q))
-
-
 @dataclass(frozen=True)
 class Gap:
     """Generalized arithmetic progression {v + Σ ℓᵢvᵢ : 1 ≤ ℓᵢ ≤ Nᵢ}."""
@@ -169,24 +166,28 @@ class Gap:
         return math.prod(self.lengths)
 
 
-def gap_enumerate(g: Gap, cap: int | None = None) -> FiniteSet:
-    """All points v + Σ ℓᵢvᵢ, deduplicated."""
+def _gap_sums(g: Gap, cap: int | None) -> _Sums:
+    """{v} + {ℓv₁} + … + {ℓv_m}, 1 ≤ ℓᵢ ≤ Nᵢ, summed."""
     cap = ENUMERATION_CAP if cap is None else cap
     if g.nominal_size > cap:
         raise CapExceeded(f"GAP nominal size {g.nominal_size} exceeds cap {cap}")
-    pts = set()
-    for ells in product(*(range(1, n + 1) for n in g.lengths)):
-        p = list(g.base)
-        for ell, gen in zip(ells, g.generators):
-            for i, c in enumerate(gen):
-                p[i] += ell * c
-        pts.add(tuple(p))
-    return FiniteSet(pts, len(g.base))
+    d = len(g.base)
+    sums = _Sums(FiniteSet([g.base], d),
+                 [FiniteSet([tuple(ell * c for c in v) for ell in range(1, n + 1)], d)
+                  for v, n in zip(g.generators, g.lengths)])
+    for _ in g.lengths:
+        sums.step()
+    return sums
+
+
+def gap_enumerate(g: Gap, cap: int | None = None) -> FiniteSet:
+    """All points v + Σ ℓᵢvᵢ, deduplicated."""
+    return FiniteSet(_gap_sums(g, cap).points(), len(g.base))
 
 
 def is_proper(g: Gap, cap: int | None = None) -> bool:
     """Proper when the enumerated size equals N₁···N_m exactly."""
-    return len(gap_enumerate(g, cap)) == g.nominal_size
+    return len(_gap_sums(g, cap)) == g.nominal_size
 
 
 def _integer_form(A: FiniteSet) -> tuple:
@@ -199,14 +200,24 @@ def _integer_form(A: FiniteSet) -> tuple:
     return A._integer
 
 
-def _min_separation_loop(rows) -> int:
-    """Minimum squared distance between integer points, in Python ints."""
-    best = None
-    for i, p in enumerate(rows):
-        for q in rows[i + 1:]:
-            d2 = sum((a - b) ** 2 for a, b in zip(p, q))
-            if best is None or d2 < best:
-                best = d2
+def _dtype(bound: int):
+    """int64 for an array whose values stay within ±bound when that is below
+    2⁶³, else object: an array of Python ints, through the same numpy code."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def least_positive_square(X: np.ndarray, initial):
+    """The least positive squared distance between two rows of X, or
+    ``initial`` when that is smaller or no two rows differ.  The squares are
+    added left to right over the columns, whatever the blocking of the rows,
+    so a float X gives the same floats every time and an integer X is exact."""
+    step = max(1, _BLOCK // X.size)
+    best = initial
+    for i in range(0, len(X), step):
+        # rows i..i+step against rows i.. (earlier pairs were seen already)
+        diff = X[i:i + step, None, :] - X[None, i:, :]
+        d2 = reduce(np.add, [c * c for c in np.moveaxis(diff, -1, 0)])
+        best = min(best, d2[d2 > 0].min(initial=best))
     return best
 
 
@@ -217,35 +228,14 @@ def min_separation_squared(A: FiniteSet) -> Fraction:
     L, rows = _integer_form(A)
     lo = [min(col) for col in zip(*rows)]
     reach = sum((max(col) - low) ** 2 for col, low in zip(zip(*rows), lo))
-    if reach >= _INT64_LIMIT:
-        return Fraction(_min_separation_loop(rows), L * L)
     X = np.array([[x - low for x, low in zip(p, lo)] for p in rows],
-                 dtype=np.int64)
-    step = max(1, _BLOCK // (len(X) * A.dimension))
-    best = reach
-    for i in range(0, len(X), step):
-        # rows i..i+step against rows i.. (earlier pairs were seen already);
-        # the only zero distances are a point against itself
-        diff = X[i:i + step, None, :] - X[None, i:, :]
-        d2 = (diff * diff).sum(axis=2)
-        best = min(best, int(d2[d2 > 0].min(initial=reach)))
-    return Fraction(best, L * L)
+                 dtype=_dtype(reach))
+    return Fraction(int(least_positive_square(X, reach)), L * L)
 
 
 def min_separation(A: FiniteSet) -> float:
     """sqrt of the exact rational minimum of squared distances."""
     return math.sqrt(min_separation_squared(A))
-
-
-def _tuple_sums(phi: dict, B) -> Counter:
-    """One convolution step on point tuples: every s + b for s in φ and b in
-    B, carrying the multiplicity φ(s).  The fallback of _Sums and the tests'
-    oracle."""
-    out: Counter = Counter()
-    for s, c in phi.items():
-        for b in B:
-            out[_add(s, b)] += c
-    return out
 
 
 def _merge(parts) -> tuple:
@@ -283,66 +273,52 @@ def _outer_sums(left, right, counts) -> tuple:
 
 
 class _Sums:
-    """A + B + … + B, one B per step(), kept as int64 keys in the box of
-    A + (steps)·B, with the number of ordered tuples behind each sum when
-    counted; point tuples when the points have no coordinates, the box
-    reaches _KEY_LIMIT or a count could reach _INT64_LIMIT."""
+    """A + B₁ + … + B_k, one summand per step(), kept as keys in the box of
+    the whole sum, with the number of ordered tuples behind each key when
+    counted.  Keys are int64 when that box, and counts when the number of
+    tuples, is below 2⁶³, and Python ints otherwise."""
 
-    def __init__(self, A: FiniteSet, B: FiniteSet, steps: int,
-                 counted: bool = False):
-        (la, ra), (lb, rb) = _integer_form(A), _integer_form(B)
-        L = math.lcm(la, lb)
-        if L != la:
-            ra = [tuple(x * (L // la) for x in p) for p in ra]
-        if L != lb:
-            rb = [tuple(x * (L // lb) for x in p) for p in rb]
-        lo_a, lo_b = [min(c) for c in zip(*ra)], [min(c) for c in zip(*rb)]
-        widths = [max(ca) - a + steps * (max(cb) - b) + 1
-                  for ca, cb, a, b in zip(zip(*ra), zip(*rb), lo_a, lo_b)]
+    def __init__(self, A: FiniteSet, summands: list, counted: bool = False):
+        sets = [A, *summands]
+        if not all(S.points for S in sets):
+            raise ValueError("sumset of an empty set")
+        forms = [_integer_form(S) for S in sets]
+        L = math.lcm(*(la for la, _ in forms))
+        rows = [r if la == L else [tuple(x * (L // la) for x in p) for p in r]
+                for la, r in forms]
+        los = [[min(col) for col in zip(*r)] for r in rows]
+        spans = [[max(col) - low for col, low in zip(zip(*r), lo)]
+                 for r, lo in zip(rows, los)]
+        widths = [1 + sum(col) for col in zip(*spans)]
         self.place = [math.prod(widths[:j]) for j in range(len(widths) + 1)]
-        self.B, self.L, self.lo, self.lo_b = B, L, lo_a, lo_b
-        self.keys = self.counts = self.phi = None
-        if not A.dimension or self.place[-1] >= _KEY_LIMIT or (
-                counted and len(A) * len(B) ** steps >= _INT64_LIMIT):
-            self.phi = Counter(dict.fromkeys(A.points, 1))
-            return
-        self.keys = self._encode(ra, lo_a)
-        self.right = self._encode(rb, lo_b)
-        if counted:
-            self.counts = np.ones(len(ra), dtype=np.int64)
-
-    def _encode(self, rows, lo):
-        return np.array([sum((x - low) * r for x, low, r in zip(p, lo, self.place))
-                         for p in rows], dtype=np.int64)
+        keys = [np.array([sum((x - low) * pv for x, low, pv in zip(p, lo, self.place))
+                          for p in r], dtype=_dtype(self.place[-1]))
+                for r, lo in zip(rows, los)]
+        self.keys, self.L, self.lo = keys[0], L, los[0]
+        self._pending = iter(zip(keys[1:], los[1:]))
+        self.counts = (np.ones(len(A), dtype=_dtype(math.prod(map(len, sets))))
+                       if counted else None)
 
     def __len__(self):
-        return len(self.phi) if self.keys is None else len(self.keys)
+        return len(self.keys)
 
     def step(self):
-        if not self.B.points:
-            raise ValueError("sumset of an empty set")
-        if self.keys is None:
-            self.phi = _tuple_sums(self.phi, self.B.points)
-            return
-        self.keys, self.counts = _outer_sums(self.keys, self.right, self.counts)
-        self.lo = [a + b for a, b in zip(self.lo, self.lo_b)]
+        right, lo = next(self._pending)
+        self.keys, self.counts = _outer_sums(self.keys, right, self.counts)
+        self.lo = [a + b for a, b in zip(self.lo, lo)]
 
     def points(self) -> list:
         """The current sums as exact point tuples, in key order."""
-        if self.keys is None:
-            return list(self.phi)
-        cols = []
-        for j, low in enumerate(self.lo):
-            digits = (self.keys % self.place[j + 1]) // self.place[j]
-            cols.append([x + low for x in digits.tolist()])
+        digits = [(self.keys % high) // place
+                  for place, high in zip(self.place, self.place[1:])]
+        cols = [[x + low for x in col.tolist()] for col, low in zip(digits, self.lo)]
+        pts = list(zip(*cols)) if cols else [()] * len(self.keys)
         if self.L == 1:
-            return list(zip(*cols))
-        return [tuple(Fraction(x, self.L) for x in p) for p in zip(*cols)]
+            return pts
+        return [tuple(_lowest(Fraction(x, self.L)) for x in p) for p in pts]
 
     def counter(self) -> Counter:
         """φ: each current sum with its number of ordered tuples."""
-        if self.keys is None:
-            return self.phi
         return Counter(dict(zip(self.points(), self.counts.tolist())))
 
 
@@ -360,7 +336,7 @@ def sumset(A: FiniteSet, B: FiniteSet, cap: int | None = None) -> FiniteSet:
     if not A.points or not B.points:
         raise ValueError("sumset of an empty set")
     _charge_pairs(A, B, cap)
-    sums = _Sums(A, B, 1)
+    sums = _Sums(A, [B])
     sums.step()
     return FiniteSet(sums.points(), A.dimension)
 
@@ -370,7 +346,7 @@ def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
     if not A.points:
         raise ValueError("doubling of an empty set")
     _charge_pairs(A, A, cap)
-    sums = _Sums(A, A, 1)
+    sums = _Sums(A, [A])
     sums.step()   # counted as keys: A+A is never decoded into points
     return Fraction(len(sums), len(A))
 
@@ -382,7 +358,7 @@ def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:
         raise ValueError("m must be >= 1")
     if m == 1:
         return A
-    sums = _Sums(A, A, m - 1)
+    sums = _Sums(A, [A] * (m - 1))
     for _ in range(m - 1):
         if len(sums) * len(A) > cap:
             raise CapExceeded("m-fold sumset work exceeds cap")
@@ -401,7 +377,7 @@ def representation_counts(A: FiniteSet, m: int,
         raise ValueError("m must be >= 1")
     if not A.points:
         raise ValueError("energy of an empty set")
-    sums = _Sums(A, A, m - 1, counted=True)
+    sums = _Sums(A, [A] * (m - 1), counted=True)
     work = 0
     for _ in range(m - 1):
         work += len(sums) * len(A)
@@ -417,34 +393,15 @@ def additive_energy(A: FiniteSet, m: int, work_cap: int | None = None) -> int:
     return sum(c * c for c in phi.values())
 
 
-def energy_bruteforce(A: FiniteSet, m: int, literal_limit: int = 300_000) -> int:
-    """Independent oracle for E_m(A) by direct enumeration.
-
-    Enumerates all 2m-tuples literally while |A|^(2m) stays small; beyond
-    that, enumerates each side's m-tuples exhaustively (itertools.product,
-    no convolution) and joins the two enumerations on the sum value.
-    """
-    pts = sorted(A.points)
-    k = len(pts)
-    if k == 0:
+def energy_bruteforce(A: FiniteSet, m: int) -> int:
+    """Independent oracle for E_m(A) by direct enumeration: every m-tuple's
+    sum (itertools.product, no convolution), then Σ c² over the number c of
+    m-tuples behind each sum, which joins the two sides of the 2m-tuple."""
+    if not A.points:
         raise ValueError("energy of an empty set")
-    if k ** (2 * m) <= literal_limit:
-        count = 0
-        for tup in product(pts, repeat=2 * m):
-            left = tup[:m]
-            right = tup[m:]
-            ls = tuple(sum(c[i] for c in left) for i in range(A.dimension))
-            rs = tuple(sum(c[i] for c in right) for i in range(A.dimension))
-            if ls == rs:
-                count += 1
-        return count
-    left_counts: Counter = Counter()
-    for tup in product(pts, repeat=m):
-        left_counts[tuple(sum(c[i] for c in tup) for i in range(A.dimension))] += 1
-    right_counts: Counter = Counter()
-    for tup in product(pts, repeat=m):
-        right_counts[tuple(sum(c[i] for c in tup) for i in range(A.dimension))] += 1
-    return sum(c * right_counts[s] for s, c in left_counts.items())
+    counts = Counter(tuple(map(sum, zip(*tup)))
+                     for tup in product(A.points, repeat=m))
+    return sum(c * c for c in counts.values())
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ Polynomials are dense coefficient tuples, low degree first, trimmed of trailing
 zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
 products, powers, composition, interpolation) is exact over
 ``fractions.Fraction``.  Determinants, root counting, isolation and
-refinement run on Python integers instead.  A determinant clears each row of
-denominators and eliminates by Bareiss.  Every real-root question goes to
+refinement run on Python integers instead.  A determinant takes an integer
+matrix, whose callers have cleared its denominators, and eliminates by
+Bareiss.  Every real-root question goes to
 one kernel, ``Roots(p)``: it builds the square-free part of p and its Sturm
 chain once, as primitive integer polynomials by pseudo-remainders, and
 answers counts on closed and open intervals, isolation and refinement from
@@ -335,29 +336,24 @@ def sup_bound(p: Poly, a, b) -> float:
 # Determinants and interpolation
 # ---------------------------------------------------------------------------
 
-def det_fraction(rows) -> Fraction:
-    """Exact determinant of a square matrix of ints and Fractions: each row
-    times the lcm of its denominators, then fraction-free Bareiss on integers,
+def det_int(rows) -> int:
+    """Exact determinant of a square integer matrix by fraction-free Bareiss,
     whose entries after step k are minors, so dividing by the last pivot is
     exact."""
-    n, m, den = len(rows), [], 1
-    for row in rows:
-        L = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (L // x.denominator) for x in row])
-        den *= L
+    n, m = len(rows), [list(row) for row in rows]
     sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             i = next((i for i in range(k + 1, n) if m[i][k]), None)
             if i is None:
-                return Fraction(0)
+                return 0
             m[k], m[i], sign = m[i], m[k], -sign
         top, pivot = m[k], m[k][k]
         for row in m[k + 1:]:
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - row[k] * top[j]) // prev
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], den)
+    return sign * m[n - 1][n - 1]
 
 
 def interpolate(xs, ys) -> Poly:

@@ -1,5 +1,5 @@
-"""JSON (de)serialization for curves, monomial sets, point sets, GAPs,
-hyperplanes, and tube queries.
+"""JSON (de)serialization for curves, monomial sets, point sets, GAPs and
+tube queries.
 
 Every file is JSON; loaders read the keys they know and ignore the rest.
 Integer fields (dimensions, exponents, N, lengths) must be integers and are
@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .curves import (CurveSpec, InvalidCurveError, circle_arc, graph_curve,
                      moment_curve, polynomial_curve)
-from .hyperplanes import Hyperplane
 from .lifting import MonomialSet, lift_curve
 from .pointsets import FiniteSet, Gap, exact_int, frac_str, parse_frac
 from .tube import (ExplicitSource, GapSource, InvalidQuery, LatticeSource,
@@ -133,19 +132,6 @@ def gap_from_dict(data: dict) -> Gap:
                          for v in data["generators"]),
         lengths=data["lengths"],
     )
-
-
-# -- hyperplanes ------------------------------------------------------------
-
-def hyperplane_to_list(h: Hyperplane) -> list:
-    return [frac_str(h.a0)] + [frac_str(a) for a in h.normal]
-
-
-def hyperplane_from_list(data) -> Hyperplane:
-    vals = [parse_frac(x) for x in data]
-    if len(vals) < 2:
-        raise ValueError("hyperplane needs a0 plus at least one coefficient")
-    return Hyperplane(vals[0], vals[1:])
 
 
 # -- tube queries -----------------------------------------------------------

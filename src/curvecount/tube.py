@@ -185,7 +185,7 @@ def _graph_numerators(f: Poly, N: int, k_lo: int, k_hi: int):
     return D * N ** d, values
 
 
-def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
+def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
     """Exact enumeration of Γ ∩ (1/N Z)² for a polynomial graph y = f(x).
 
     With f(k/N) = A_k / (D·N^d) (``_graph_numerators``), x = k/N is on the
@@ -198,29 +198,13 @@ def count_on_curve_lattice(graph: CurveSpec, N: int, x_range=None) -> FiniteSet:
     N = exact_int(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
-    dlo, dhi = graph.domain
-    if x_range is None:
-        xl, xh = dlo, dhi
-    else:
-        xl, xh = max(Fraction(x_range[0]), dlo), min(Fraction(x_range[1]), dhi)
-    k_lo = math.ceil(xl * N)
+    lo, hi = graph.domain
+    k_lo = math.ceil(lo * N)
     modulus, values = _graph_numerators(graph.coords[1].coeffs, N, k_lo,
-                                        math.floor(xh * N))
+                                        math.floor(hi * N))
     return FiniteSet([(Fraction(k, N), Fraction(acc, modulus))
                       for k, acc in enumerate(values, k_lo)
                       if N * acc % modulus == 0], dimension=2)
-
-
-def _float_separation(pts: np.ndarray) -> float:
-    """Least positive distance between two rows of pts in floats, or 0.0
-    when every row is the same float point."""
-    step = max(1, _SEGMENT_BLOCK // pts.size)
-    best = math.inf
-    for i in range(0, len(pts), step):
-        # rows i..i+step against rows i.. (earlier pairs were seen already)
-        d2 = _sum_sq(pts[i:i + step, None, :] - pts[None, i:, :])
-        best = min(best, float(d2[d2 > 0].min(initial=math.inf)))
-    return math.sqrt(best) if best < math.inf else 0.0
 
 
 def _grid_cell_side(delta: float, pts: np.ndarray) -> float:
@@ -228,7 +212,9 @@ def _grid_cell_side(delta: float, pts: np.ndarray) -> float:
     separation (up to 1024 points) or their mean spacing keeps few points in
     a cell."""
     if 2 <= len(pts) <= 1024:
-        return max(delta, _float_separation(pts))
+        # the least positive separation, or 0.0 when every point is one float
+        best = float(pointsets.least_positive_square(pts, math.inf))
+        return max(delta, math.sqrt(best) if best < math.inf else 0.0)
     if len(pts) >= 2:
         spans = pts.max(axis=0) - pts.min(axis=0)
         area = float(np.prod(np.maximum(spans, 1e-12)))

@@ -5,7 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,8 +16,17 @@ from curvecount import (CapExceeded, FiniteSet, Gap, SubsetViolation,
                         gap_enumerate, is_proper, m_fold_sumset,
                         min_separation, min_separation_squared,
                         representation_counts, sumset)
-from curvecount.pointsets import (DimensionMismatch, SeparationUndefined,
-                                  _tuple_sums)
+from curvecount.pointsets import DimensionMismatch, SeparationUndefined
+
+
+def _tuple_sums(phi: dict, B) -> Counter:
+    """One convolution step on point tuples: every s + b for s in φ and b in
+    B, carrying the multiplicity φ(s)."""
+    out: Counter = Counter()
+    for s, c in phi.items():
+        for b in B:
+            out[tuple(x + y for x, y in zip(s, b))] += c
+    return out
 
 
 def oracle_levels(a, m):
@@ -101,6 +110,15 @@ def test_m_fold_sumset():
     assert representation_counts(point, 3) == {(): 1}
 
 
+def test_sums_of_an_empty_set_are_value_errors():
+    empty = FiniteSet([], dimension=2)
+    for call in (lambda: m_fold_sumset(empty, 2), lambda: sumset(empty, empty),
+                 lambda: doubling(empty), lambda: representation_counts(empty, 2)):
+        with pytest.raises(ValueError):
+            call()
+    assert m_fold_sumset(empty, 1) == empty
+
+
 def test_energy_basics():
     assert additive_energy(iset((0,), (1,), (2,)), 2) == 19
     assert additive_energy(iset((5, 7)), 3) == 1
@@ -120,10 +138,7 @@ def test_energy_matches_bruteforce_paths():
             pts.add((rng.randint(-6, 6), rng.randint(-6, 6)))
         a = FiniteSet(pts)
         m = rng.choice([2, 3])
-        fast = additive_energy(a, m)
-        # literal 2m-tuple loop on the small ones, two-sided join on the rest
-        assert fast == energy_bruteforce(a, m)
-        assert fast == energy_bruteforce(a, m, literal_limit=0)
+        assert additive_energy(a, m) == energy_bruteforce(a, m)
 
 
 def test_representation_counts_cross_check_mfold():
@@ -293,7 +308,36 @@ def test_m_fold_and_representation_counts_match_tuple_loop(pair, m):
     assert m_fold_sumset(a, m) == FiniteSet(phi, a.dimension)
     energy = additive_energy(a, m)
     assert energy == sum(c * c for c in phi.values())
-    assert energy == energy_bruteforce(a, m, literal_limit=0)
+    assert energy == energy_bruteforce(a, m)
+
+
+def literal_gap(g):
+    """{v + Σ ℓᵢvᵢ : 1 ≤ ℓᵢ ≤ Nᵢ} by a loop over every (ℓ₁, …, ℓ_m)."""
+    return {tuple(v + sum(ell * gen[i] for ell, gen in zip(ells, g.generators))
+                  for i, v in enumerate(g.base))
+            for ells in product(*(range(1, n + 1) for n in g.lengths))}
+
+
+@st.composite
+def gaps(draw):
+    d = draw(st.integers(1, 3))
+    coord = draw(st.sampled_from([_small, _large]))
+    # zero generators and repeated ones make improper GAPs
+    gen = st.one_of(st.tuples(*[coord] * d), st.just((0,) * d))
+    m = draw(st.integers(1, 3))
+    return Gap(draw(st.tuples(*[coord] * d)),
+               draw(st.lists(gen, min_size=m, max_size=m)),
+               draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaps())
+@example(Gap((10 ** 20, F(1, 3)), [(2 ** 64, 0), (0, F(1, 10 ** 19 + 3))], [3, 4]))
+@example(Gap((0, 0), [(1, 2), (0, 0), (2, 4)], [3, 2, 2]))
+def test_gap_enumerate_and_is_proper_match_the_definition(g):
+    points = literal_gap(g)
+    assert gap_enumerate(g) == FiniteSet(points, len(g.base))
+    assert is_proper(g) == (len(points) == g.nominal_size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,7 +355,7 @@ def test_min_separation_matches_pairwise_fractions(pair):
 
 
 def test_multiplicities_beyond_int64_stay_exact():
-    # 2**70 ordered tuples: the counts leave int64, so the tuple loop runs
+    # 2**70 ordered tuples: the counts leave int64, so they are Python ints
     a = iset((0,), (1,))
     phi = representation_counts(a, 70)
     assert phi[(35,)] == math.comb(70, 35) > 2 ** 63

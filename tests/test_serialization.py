@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvecount import (FiniteSet, Gap, Hyperplane, circle_arc, eval_jet,
+from curvecount import (FiniteSet, Gap, circle_arc, eval_jet,
                         graph_curve, lift_curve, make_Ms, moment_curve,
                         parabola, polynomial_curve, wronskian)
 from curvecount import serialization as ser
@@ -125,13 +125,6 @@ def test_gap_roundtrip():
     g = Gap((0, F(1, 2)), [(1, 0), (F(1, 3), 2)], [3, 4])
     g2 = ser.gap_from_dict(ser.gap_to_dict(g))
     assert g2 == g
-
-
-def test_hyperplane_roundtrip():
-    h = Hyperplane(F(1, 3), (F(1, 2), -1))
-    data = ser.hyperplane_to_list(h)
-    h2 = ser.hyperplane_from_list(data)
-    assert h2 == h
 
 
 def test_query_loading(tmp_path):

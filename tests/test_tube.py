@@ -84,16 +84,12 @@ rationals = st.fractions(-3, 3, max_denominator=8)
        N=st.integers(1, 60),
        domain=st.tuples(st.fractions(0, F(1, 2), max_denominator=9),
                         st.fractions(F(1, 2), 1, max_denominator=9))
-       .filter(lambda d: d[0] < d[1]),
-       x_range=st.none() | st.tuples(rationals, rationals))
-def test_on_curve_lattice_matches_fraction_loop(f, N, domain, x_range):
+       .filter(lambda d: d[0] < d[1]))
+def test_on_curve_lattice_matches_fraction_loop(f, N, domain):
     graph = graph_curve([f], domain=domain)
-    lo, hi = domain
-    if x_range is not None:
-        lo, hi = max(x_range[0], lo), min(x_range[1], hi)
     coeffs = graph.coords[1].coeffs
-    assert sorted(count_on_curve_lattice(graph, N, x_range)) == \
-        on_curve_by_fractions(coeffs, N, lo, hi)
+    assert sorted(count_on_curve_lattice(graph, N)) == \
+        on_curve_by_fractions(coeffs, N, *domain)
 
 
 def test_segment_distance_decision():
