@@ -16,6 +16,12 @@ Both classes are closed under differentiation and products, so every curve and
 every monomial lift of a planar curve is C^∞: jets of any order exist, and no
 smoothness order is declared or checked.
 
+Each class caches one integer form of its coefficients, ``integer_form``:
+their least common denominator and the integer numerators over it.
+Hyperplane combinations, the Wronskian's integer determinants, the tube's
+integer distance polynomials and certificate samples read it, so exact
+decisions run on integers.
+
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
 (float branch) and ``eval_array`` are built on it, and ``error_estimate``
@@ -26,7 +32,9 @@ The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the
 derivative vector -- is computed once as an exact coordinate function, by
 interpolation from integer determinants at rational nodes, and then evaluated.
 No float enters, so a degenerate lift comes out as W ≡ 0, where a float
-determinant of jet samples would be roundoff.
+determinant of jet samples would be roundoff.  Certification samples W at
+the grid points n_i/q in integers over one denominator
+(``polys.eval_homogeneous``).
 """
 
 from __future__ import annotations
@@ -68,12 +76,21 @@ class InvalidCurveError(CurveError):
 class PolyCoord:
     """One curve coordinate as an exact polynomial in t."""
 
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("coeffs", "_floats", "_integer")
     exact = True
 
     def __init__(self, coeffs):
         self.coeffs: Poly = coeffs if isinstance(coeffs, tuple) else polys.poly(coeffs)
-        self._floats = None
+        self._floats = self._integer = None
+
+    @property
+    def integer_form(self) -> tuple:
+        """(den, e): the coefficients as integers e over their least common
+        denominator den (``polys.integer_form``), computed once."""
+        if self._integer is None:
+            den, e = polys.integer_form(self.coeffs)
+            self._integer = den, tuple(e)
+        return self._integer
 
     def derivative(self) -> "PolyCoord":
         return PolyCoord(polys.derivative(self.coeffs))
@@ -136,13 +153,22 @@ class TrigCoord:
     """One curve coordinate as (2π)^k times a reduced polynomial in
     (cos 2πt, sin 2πt)."""
 
-    __slots__ = ("terms", "tau_power", "_floats")
+    __slots__ = ("terms", "tau_power", "_floats", "_integer")
     exact = False
 
     def __init__(self, terms: dict, tau_power: int = 0):
         self.terms = _reduce_trig({k: parse_frac(v) for k, v in terms.items()})
         self.tau_power = tau_power
-        self._floats = None
+        self._floats = self._integer = None
+
+    @property
+    def integer_form(self) -> tuple:
+        """(den, {(a, b): e}): the coefficients as integers e over their least
+        common denominator den (``polys.integer_form``), computed once."""
+        if self._integer is None:
+            den, e = polys.integer_form(self.terms.values())
+            self._integer = den, dict(zip(self.terms, e))
+        return self._integer
 
     def derivative(self) -> "TrigCoord":
         out: dict = {}
@@ -222,7 +248,8 @@ class TrigCoord:
     def _reduced(cls, terms: dict, tau_power: int) -> "TrigCoord":
         """Wrap terms that are already reduced, nonzero Fractions."""
         out = object.__new__(cls)
-        out.terms, out.tau_power, out._floats = terms, tau_power, None
+        out.terms, out.tau_power = terms, tau_power
+        out._floats = out._integer = None
         return out
 
     def mul(self, other: "TrigCoord") -> "TrigCoord":
@@ -253,6 +280,8 @@ class TrigCoord:
     def __repr__(self):
         return f"TrigCoord({self.terms!r}, tau_power={self.tau_power})"
 
+
+_IDENTITY: Poly = (Fraction(0), Fraction(1))   # the coordinate t
 
 # u = (1 − s²)/(1 + s²) and v = 2s/(1 + s²) at s = tan πt, times (1 + s²)
 _HALF_U = polys.poly([1, 0, -1])
@@ -377,7 +406,7 @@ class CurveSpec:
     @property
     def is_graph_form(self) -> bool:
         c0 = self.coords[0]
-        return isinstance(c0, PolyCoord) and c0.coeffs == (Fraction(0), Fraction(1))
+        return isinstance(c0, PolyCoord) and c0.coeffs == _IDENTITY
 
     def derivatives(self, order: int):
         """Rows 0..order of coordinate derivative functions (row k is γ^(k))."""
@@ -434,7 +463,7 @@ def polynomial_curve(coeff_lists, domain=(0, 1),
 
 def graph_curve(f_coeff_lists, domain=(0, 1)) -> CurveSpec:
     """Graph-form curve (t, f₂(t), …, fₙ(t)) from the coefficients of the fᵢ."""
-    coords = [PolyCoord((Fraction(0), Fraction(1)))]
+    coords = [PolyCoord(_IDENTITY)]
     coords += [PolyCoord(polys.poly(cs)) for cs in f_coeff_lists]
     return CurveSpec("polynomial-graph", coords, domain)
 
@@ -497,13 +526,14 @@ def wronskian_symbolic(curve: CurveSpec):
 
 
 def _integer_rows(rows, terms):
-    """rows as integer {key: coefficient} dicts, with each column times the
-    lcm of its denominators; and the product of those lcms."""
+    """rows as integer {key: coefficient} dicts, ``terms`` of each entry's
+    ``integer_form``, with each column times the lcm of its entries'
+    denominators; and the product of those lcms."""
     cols, den = [], 1
-    for col in zip(*([terms(fn) for fn in row] for row in rows)):
-        L = math.lcm(*(c.denominator for entry in col for c in entry.values()))
-        cols.append([{k: c.numerator * (L // c.denominator) for k, c in entry.items()}
-                     for entry in col])
+    for col in zip(*rows):
+        forms = [fn.integer_form for fn in col]
+        L = math.lcm(*(d for d, _ in forms))
+        cols.append([{k: c * (L // d) for k, c in terms(e)} for d, e in forms])
         den *= L
     return list(zip(*cols)), den
 
@@ -512,7 +542,7 @@ def _poly_wronskian(coords, *rows) -> PolyCoord:
     """Entry (k, j) has degree deg γⱼ − k, so W has degree at most
     d = Σⱼ (deg γⱼ − j) and its values at 0…d fix it (W ≡ 0 if d < 0)."""
     xs = range(sum(polys.degree(fn.coeffs) - j for j, fn in enumerate(coords, 1)) + 1)
-    rows, den = _integer_rows(rows, lambda fn: dict(enumerate(fn.coeffs)))
+    rows, den = _integer_rows(rows, enumerate)
     ys = [Fraction(polys.det_int([[sum(c * x ** i for i, c in e.items()) for e in row]
                                   for row in rows]), den) for x in xs]
     return PolyCoord(polys.interpolate(xs, ys))
@@ -526,7 +556,7 @@ def _trig_wronskian(coords, *rows) -> TrigCoord:
     m = 2…D + 2, with distinct v, A = (W₊ + W₋)/2 and B = (W₊ − W₋)/2u;
     column j times (m² + 1)^d_j is integral there."""
     degs = [max((a + b for a, b in fn.terms), default=0) for fn in coords]
-    rows, den = _integer_rows(rows, lambda fn: fn.terms)
+    rows, den = _integer_rows(rows, dict.items)
     nodes = []
     for m in range(2, sum(degs) + 3):
         w, u, v = m * m + 1, m * m - 1, 2 * m
@@ -569,34 +599,45 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
         raise ValueError("c0 must be >= 0")
     lo, hi = curve.domain
     w = wronskian_symbolic(curve)
-    exact_vals = curve.is_exact
-    ts = [lo + (hi - lo) * Fraction(i, grid) for i in range(grid + 1)]
-    vals = [w.eval(t) if exact_vals else w.eval(float(t)) for t in ts]
-    abs_vals = [abs(v) for v in vals]
-    min_s = min(abs_vals)
-    margin = max((abs(b - a) for a, b in zip(vals, vals[1:])), default=0)
+    # t_i = lo + (hi − lo)·i/grid = n_i/q
+    L = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (L // lo.denominator), hi.numerator * (L // hi.denominator)
+    q = L * grid
+    ns = [a * grid + (b - a) * i for i in range(grid + 1)]
+    if curve.is_exact:
+        # W(t_i) = v_i/scale, all over one denominator
+        den, e = w.integer_form
+        scale = den * q ** max(len(e) - 1, 0)
+        vals = [polys.eval_homogeneous(e, n, q) for n in ns]
+    else:
+        scale = 1
+        vals = [w.eval(n / q) for n in ns]
+    min_s = min(abs(v) for v in vals)
+    margin = max(abs(v - u) for u, v in zip(vals, vals[1:]))
 
     def cert(status, exact=False):
         return NondegeneracyCertificate(
-            min_sampled_wronskian=float(min_s),
+            min_sampled_wronskian=min_s / scale,
             claimed_lower_bound=float(c0f),
             grid_resolution=grid,
-            margin_estimate=0.0 if exact else float(margin),
+            margin_estimate=0.0 if exact else margin / scale,
             status=status,
             exact=exact,
         )
 
-    if any(v <= c0f for v in abs_vals):
+    if not curve.is_exact:
+        if min_s <= c0f:
+            return cert("failed")
+        return cert("certified" if min_s - margin > c0f else "sampled-only")
+    c = Fraction(c0f)
+    if min_s * c.denominator <= c.numerator * scale:
         return cert("failed")
-    if exact_vals:
-        # the samples include W(lo), with |W(lo)| > c0 ≥ 0, so W ± c0 ≠ 0
-        c = Fraction(c0f)
-        clear = all(polys.Roots(polys.sub(w.coeffs, (s,))).closed(lo, hi) == 0
-                    for s in {c, -c})
-        return cert("certified", exact=True) if clear else cert("failed")
-    if min_s - margin > c0f:
-        return cert("certified")
-    return cert("sampled-only")
+    # the samples include W(lo), with |W(lo)| > c0 ≥ 0, so W ± c0 ≠ 0; the
+    # counts read the integers den·c.denominator·(W ∓ c0)
+    tail = [x * c.denominator for x in e[1:]]
+    clear = all(polys.Roots([e[0] * c.denominator - s * den] + tail).closed(lo, hi) == 0
+                for s in {c.numerator, -c.numerator})
+    return cert("certified", exact=True) if clear else cert("failed")
 
 
 # -- transforms and bounds --------------------------------------------------

@@ -29,7 +29,7 @@ from .lifting import (MonomialSet, check_lattice_bijection, exponent,
                       lift_point, lipschitz_constant_squared, make_Ms)
 from .pointsets import (CapExceeded, FiniteSet, Gap, additive_energy,
                         check_energy_lower_bound, check_plunnecke, doubling,
-                        exact_int, frac_str, gap_enumerate, is_proper,
+                        exact_int, frac_str, gap_enumerate,
                         min_separation_squared)
 from .tube import (LatticeSource, TubeQuery, count_in_tube,
                    count_on_curve_lattice, delta_from_rule)
@@ -262,7 +262,9 @@ def _random_int_set(rng: random.Random, max_size: int, span: int = 20,
     return FiniteSet(pts)
 
 
-def _random_proper_gap(rng: random.Random, max_product: int = 500, cap=None) -> Gap:
+def _random_proper_gap(rng: random.Random, max_product: int = 500,
+                       cap=None) -> tuple[Gap, FiniteSet]:
+    """A random proper GAP and its points, summed once."""
     m = rng.randint(1, 3)
     lengths = []
     budget = max_product
@@ -278,14 +280,16 @@ def _random_proper_gap(rng: random.Random, max_product: int = 500, cap=None) -> 
                 for _ in range(m)]
         base = tuple(rng.randint(-base_span, base_span) for _ in range(ambient))
         g = Gap(base, gens, lengths)
-        if is_proper(g, cap):
-            return g
+        pts = gap_enumerate(g, cap)
+        if len(pts) == g.nominal_size:   # g is proper
+            return g, pts
     # random draws can stay improper for a long time in low ambient
     # dimension; fall back to scaled standard basis vectors, always proper
     gens = [tuple((rng.randint(1, 9) if j == i else 0) for j in range(m))
             for i in range(m)]
     base = tuple(rng.randint(-base_span, base_span) for _ in range(m))
-    return Gap(base, gens, lengths)
+    g = Gap(base, gens, lengths)
+    return g, gap_enumerate(g, cap)
 
 
 def _random_rational(rng: random.Random, denom_max: int = 64) -> Fraction:
@@ -365,8 +369,7 @@ def run_inequality_campaign(kind: str, seed: int, trials: int,
                                  "report": rep.to_dict(),
                                  "violations": list(rep.violations)})
         elif kind == "gap-doubling":
-            g = _random_proper_gap(rng, cap=cap)
-            pts = gap_enumerate(g, cap)
+            g, pts = _random_proper_gap(rng, cap=cap)
             k_doubling = doubling(pts, cap)
             bound = Fraction(2) ** g.gap_dimension
             sep_ok = len(pts) < 2 or min_separation_squared(pts) > 0

@@ -2,11 +2,13 @@
 uniform intersection bound.
 
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
-g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  Every root is isolated exactly by Sturm
-sign variations on a rational polynomial, square-free first so tangential
-intersections count once: g itself for polynomial curves, and for
-trigonometric curves g in (u, v) = (cos 2πt, sin 2πt) rewritten in
-s = tan πt by the half-angle substitution and cleared of denominators.
+g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  g is built on integer numerators, as a
+positive multiple with the same roots (``_combination``).  Every root is
+isolated exactly by Sturm sign variations on a rational polynomial,
+square-free first so tangential intersections count once: g itself for
+polynomial curves, and for trigonometric curves g in
+(u, v) = (cos 2πt, sin 2πt) rewritten in s = tan πt by the half-angle
+substitution and cleared of denominators.
 
 The derivative curve of a graph (t, f₂(t), …, fₙ(t)) is
 (f₂'(t), …, fₙ'(t)) in one dimension lower: the Mean Value Theorem sends k
@@ -25,7 +27,7 @@ from fractions import Fraction
 from . import polys
 from .curves import (CurveSpec, InvalidCurveError, PolyCoord, TrigCoord,
                      half_angle_ranges)
-from .pointsets import parse_frac
+from .pointsets import exact_point
 
 
 class HyperplaneError(ValueError):
@@ -38,18 +40,22 @@ class DegenerateIntersection(ValueError):
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """a₁x₁ + … + aₙxₙ = a₀, normalized so max |aᵢ| = 1 for i ≥ 1."""
+    """a₁x₁ + … + aₙxₙ = a₀, normalized so max |aᵢ| = 1 for i ≥ 1.
+    ``integer_form`` is (q, (n₀, n₁, …, nₙ)) with aᵢ = nᵢ/q, q > 0."""
     a0: Fraction
     normal: tuple
+    integer_form: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, a0, normal):
-        normal = tuple(parse_frac(a) for a in normal)
-        a0 = parse_frac(a0)
-        if not normal or all(a == 0 for a in normal):
+        # over a common denominator, the max-|aᵢ| normalization divides
+        # integers: aᵢ/max|aⱼ| = nᵢ/max|nⱼ|
+        _, (n0, *ns) = polys.integer_form(exact_point((a0, *normal)))
+        scale = max(map(abs, ns), default=0)
+        if not scale:
             raise HyperplaneError("normal coefficients a1..an must not all vanish")
-        scale = max(abs(a) for a in normal)
-        object.__setattr__(self, "a0", a0 / scale)
-        object.__setattr__(self, "normal", tuple(a / scale for a in normal))
+        object.__setattr__(self, "a0", Fraction(n0, scale))
+        object.__setattr__(self, "normal", tuple(Fraction(n, scale) for n in ns))
+        object.__setattr__(self, "integer_form", (scale, (n0, *ns)))
 
     @property
     def dimension(self) -> int:
@@ -70,18 +76,28 @@ class RootList:
 
 
 def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
-    """g = Σ aᵢγᵢ − a₀, coefficient by coefficient and without zero terms:
-    keyed by degree for polynomial curves, by the reduced (a, b) of u^a·v^b
-    for trigonometric ones."""
-    if not curve.is_exact and any(c.tau_power for c in curve.coords):
+    """A positive multiple of g = Σ aᵢγᵢ − a₀ with integer coefficients,
+    coefficient by coefficient and without zero terms: keyed by degree for
+    polynomial curves, by the reduced (a, b) of u^a·v^b for trigonometric
+    ones.
+
+    With aᵢ = nᵢ/q and γᵢ = eᵢ/dᵢ (the ``integer_form`` of each) and D the
+    lcm of the dᵢ with nᵢ ≠ 0, it is q·D·g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D.  A
+    positive multiple has the same roots and signs, the same primitive
+    Sturm chain, Cauchy bound and zero test at t = ½.
+    """
+    exact = curve.is_exact
+    if not exact and any(c.tau_power for c in curve.coords):
         raise HyperplaneError("a coordinate carries a power of 2π; g is not rational")
-    g = {0 if curve.is_exact else (0, 0): -plane.a0}
-    for a, coord in zip(plane.normal, curve.coords):
-        if a:
-            terms = enumerate(coord.coeffs) if curve.is_exact else coord.terms.items()
-            for key, c in terms:
-                if c:
-                    g[key] = g.get(key, 0) + a * c
+    _, (n0, *ns) = plane.integer_form
+    forms = [(n, coord.integer_form) for n, coord in zip(ns, curve.coords) if n]
+    D = math.lcm(*(d for _, (d, _) in forms))
+    g = {0 if exact else (0, 0): -n0 * D}
+    for n, (d, e) in forms:
+        s = n * (D // d)
+        for key, c in enumerate(e) if exact else e.items():
+            if c:
+                g[key] = g.get(key, 0) + s * c
     g = {key: c for key, c in g.items() if c}
     if not g:
         raise DegenerateIntersection("curve is contained in the hyperplane")
@@ -106,7 +122,7 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     g = _combination(curve, plane)
     lo, hi = curve.domain
     if curve.is_exact:
-        roots = polys.Roots(polys.poly(g.get(i, 0) for i in range(max(g) + 1)))
+        roots = polys.Roots([g.get(i, 0) for i in range(max(g) + 1)])
         ts = [roots.refine(a, b) for a, b in roots.isolate(lo, hi)]
         return RootList(roots=tuple(ts), certified=True)
     g = TrigCoord(g)
@@ -156,8 +172,9 @@ def derivative_curve(curve: CurveSpec) -> CurveSpec:
         curve = to_graph_form(curve)
     if curve.dimension < 2:
         raise InvalidCurveError("derivative curve needs dimension >= 2")
-    coords = [PolyCoord(polys.derivative(fn.coeffs)) for fn in curve.coords[1:]]
-    return CurveSpec("polynomial-parametric", coords, curve.domain)
+    # the curve's own derivative row, whose integer forms are kept
+    return CurveSpec("polynomial-parametric", curve.derivatives(1)[1][1:],
+                     curve.domain)
 
 
 def mvt_derived_hyperplane(plane: Hyperplane) -> Hyperplane:
@@ -204,8 +221,10 @@ def survey_intersections(curve: CurveSpec, trials: int,
     hist: dict[int, int] = {}
     done = 0
     while done < trials:
-        coeffs = [Fraction(rng.randint(-denom, denom), denom) for _ in range(n + 1)]
-        if all(a == 0 for a in coeffs[1:]):
+        # the numerators of coefficients k/2²⁴: Hyperplane's max-|aᵢ|
+        # normalization cancels the common denominator
+        coeffs = [rng.randint(-denom, denom) for _ in range(n + 1)]
+        if not any(coeffs[1:]):
             continue
         plane = Hyperplane(coeffs[0], coeffs[1:])
         try:

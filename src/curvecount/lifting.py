@@ -6,7 +6,11 @@ point p to p^M = (m₁(p),…,mₙ(p)).  The machinery here covers the counting
 exponent e(M) = 2/(n(n+1)) · Σ deg mᵢ, the explicit Lipschitz constant
 C(M, R)² = Σ deg(mᵢ)² R^(2·deg mᵢ − 2) of the lift on [-R, R]², and the
 lattice bijection: 1/N-integer points of the base curve correspond exactly to
-lifted points whose i-th coordinate lies in (1/N^{dᵢ})Z.
+lifted points whose i-th coordinate lies in (1/N^{dᵢ})Z.  The bijection is
+checked on integers: a lattice point (i/N, j/N) lifts to the integer tuple
+(iᵃ·jᵇ) over the denominators N^deg, and a Fraction is built only to name
+a point off the lattice.  Point coordinates are exact rationals read by
+``pointsets.parse_frac``: a float or a bool raises ``InexactNumber``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from . import polys
 from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord
-from .pointsets import exact_int, frac_str
+from .pointsets import FiniteSet, exact_int, frac_str, parse_frac
 
 
 class LiftError(ValueError):
@@ -135,9 +139,11 @@ def exponent(M: MonomialSet) -> Fraction:
 
 
 def lift_point(p, M: MonomialSet) -> tuple:
-    """p^M = (m₁(p),…,mₙ(p)) with exact rational coordinates."""
-    x, y = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p)
-    return tuple(m.eval(Fraction(x), Fraction(y)) for m in M)
+    """p^M = (m₁(p),…,mₙ(p)) with exact rational coordinates.  p's
+    coordinates are read by ``parse_frac``: a float or a bool raises
+    InexactNumber."""
+    x, y = (parse_frac(v) for v in p)
+    return tuple(m.eval(x, y) for m in M)
 
 
 def lift_curve(curve: CurveSpec, M: MonomialSet) -> CurveSpec:
@@ -197,33 +203,46 @@ def check_lattice_bijection(curve: CurveSpec, M: MonomialSet, N: int,
     Every lifted point must have its i-th coordinate in (1/N^{dᵢ})Z, and
     lifting must be injective on the input; both cardinalities are reported.
     A violation would indicate an arithmetic bug, never expected mathematics.
+
+    A 1/N-integer point p lifts to the int tuple (iᵃ·jᵇ), (i, j) = N·p,
+    over the denominators N^deg: always in the lattice.  Points off the
+    lattice are lifted in Fractions, to name each coordinate at fault; as M
+    holds x and y, their lifts differ from the lattice points'.
     """
     M.require_xy()
     if N < 1:
         raise ValueError("N must be >= 1")
-    pts = sorted(on_curve_points)
-    violations = []
-    lifted = set()
-    for p in pts:
+    count, lifted, off = 0, set(), []
+    # a FiniteSet's points unsorted: only those off the lattice are sorted
+    for p in (on_curve_points.points if isinstance(on_curve_points, FiniteSet)
+              else on_curve_points):
         if len(p) != 2:
             raise LiftError("on-curve points must be planar")
+        x, y = (parse_frac(c) for c in p)
+        count += 1
+        if N % x.denominator or N % y.denominator:
+            off.append(p)
+        else:
+            i, j = x.numerator * (N // x.denominator), y.numerator * (N // y.denominator)
+            lifted.add(tuple(i ** m.a * j ** m.b for m in M))
+    violations, off_lifted = [], set()
+    for p in sorted(off):
         for c in p:
-            if (Fraction(c) * N).denominator != 1:
+            if N % parse_frac(c).denominator:
                 violations.append(f"point {p} is not a 1/N-integer point")
         q = lift_point(p, M)
         for coord, m in zip(q, M):
-            scaled = Fraction(coord) * N ** m.degree
-            if scaled.denominator != 1:
+            if N ** m.degree % coord.denominator:
                 violations.append(
                     f"lift of {p}: coordinate {coord} not in (1/N^{m.degree})Z")
-        lifted.add(q)
-    bij = len(lifted) == len(pts) and not violations
+        off_lifted.add(q)
+    distinct = len(lifted) + len(off_lifted)
     return BijectionReport(
         n=M.n,
         degrees=M.degrees,
         exponent=exponent(M),
-        cardinality_base=len(pts),
-        cardinality_lifted=len(lifted),
-        bijection=bij,
+        cardinality_base=count,
+        cardinality_lifted=distinct,
+        bijection=distinct == count and not violations,
         violations=tuple(violations),
     )

@@ -4,7 +4,9 @@ real root isolation.
 Polynomials are dense coefficient tuples, low degree first, trimmed of trailing
 zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
 products, powers, composition, interpolation) is exact over
-``fractions.Fraction``.  Determinants, root counting, isolation and
+``fractions.Fraction``.  ``integer_form`` clears a polynomial's
+denominators once, as its least common denominator and integer numerators;
+curve coordinates cache it.  Determinants, root counting, isolation and
 refinement run on Python integers instead.  A determinant takes an integer
 matrix, whose callers have cleared its denominators, and eliminates by
 Bareiss.  Every real-root question goes to
@@ -117,10 +119,17 @@ def compose(p: Poly, q: Poly) -> Poly:
 # chains are primitive integer coefficient lists (see the module docstring).
 # Roots and gcd also take p as a trimmed list of ints, which needs no clearing.
 
+def integer_form(p) -> tuple[int, list[int]]:
+    """(den, e): the least common denominator of p's coefficients and the
+    integers e_i = den·p_i, so p = e/den.  p is any sequence of Fractions or
+    ints; the form of the zero polynomial is (1, [])."""
+    den = math.lcm(*(c.denominator for c in p))
+    return den, [c.numerator * (den // c.denominator) for c in p]
+
+
 def _ints(p) -> list[int]:
     """Coprime integer coefficients of a positive multiple of p."""
-    den = math.lcm(*(c.denominator for c in p))
-    return _primitive([c.numerator * (den // c.denominator) for c in p])
+    return _primitive(integer_form(p)[1])
 
 
 def _primitive(a: list[int]) -> list[int]:

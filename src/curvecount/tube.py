@@ -60,11 +60,10 @@ from functools import reduce
 
 import numpy as np
 
-from .curves import (CurveSpec, TrigCoord, circle_arc, derivative_sup_bound,
-                     eval_array, half_angle_ranges)
+from .curves import (CurveSpec, PolyCoord, TrigCoord, circle_arc,
+                     derivative_sup_bound, eval_array, half_angle_ranges)
 from . import pointsets, polys
 from .pointsets import CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate
-from .polys import Poly
 
 MAX_SEGMENTS = 4_000_000
 MAX_ORACLE_SAMPLES = 40_000_000
@@ -165,19 +164,18 @@ def materialize_source(source, cap: int | None = None):
     return pts, floats.reshape(len(pts), fs.dimension)
 
 
-def _graph_numerators(f: Poly, N: int, k_lo: int, k_hi: int):
+def _graph_numerators(f: PolyCoord, N: int, k_lo: int, k_hi: int):
     """The modulus D·N^d and the integers A_k, k_lo ≤ k ≤ k_hi, with
     f(k/N) = A_k / (D·N^d).
 
-    Write f = P/D with integer coefficients P_i and degree d; then
+    f = P/D is f's ``integer_form``, of degree d; then
     A_k = Σ P_i·k^i·N^(d−i), which Horner's rule gives in integers, one
     coefficient at a time for every k.
     """
-    f = f or (Fraction(0),)
-    D = math.lcm(*(c.denominator for c in f))
-    d = len(f) - 1
-    weights = [c.numerator * (D // c.denominator) * N ** (d - i)
-               for i, c in enumerate(f)][::-1]
+    D, P = f.integer_form
+    P = P or (0,)
+    d = len(P) - 1
+    weights = [c * N ** (d - i) for i, c in enumerate(P)][::-1]
     ks = range(k_lo, k_hi + 1)
     values = [weights[0]] * len(ks)
     for w in weights[1:]:
@@ -200,7 +198,7 @@ def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
         raise ValueError("N must be >= 1")
     lo, hi = graph.domain
     k_lo = math.ceil(lo * N)
-    modulus, values = _graph_numerators(graph.coords[1].coeffs, N, k_lo,
+    modulus, values = _graph_numerators(graph.coords[1], N, k_lo,
                                         math.floor(hi * N))
     return FiniteSet([(Fraction(k, N), Fraction(acc, modulus))
                       for k, acc in enumerate(values, k_lo)
@@ -425,18 +423,18 @@ def _shifted_distance(curve: CurveSpec, p: tuple, delta: Fraction):
     E(u) = (L·q^d)²·D((n₀ + u)/q), and the window a ≤ t ≤ b as the integers
     u_a ≤ u ≤ u_b; None when the window is empty.
 
-    L is the common denominator of the coefficients, p, δ and the domain's
-    ends, so L·(γᵢ − pᵢ) has integer coefficients, of degree at most d.
+    L is the common denominator of the coefficients (of each coordinate's
+    ``integer_form``), p, δ and the domain's ends, so L·(γᵢ − pᵢ) has
+    integer coefficients, of degree at most d.
     The window's ends and its centre t₀ = n₀/q are integers over q: on a
     graph q = L and t₀ is p₁ clamped into the window, otherwise q = 2L and
     t₀ is the domain's midpoint.  Each q^d·L·(γᵢ − pᵢ)((n₀ + u)/q) is taken
     by Horner's rule in ℤ[u], then squared.
     """
     lo, hi = curve.domain
-    coeffs = [fn.coeffs for fn in curve.coords]
+    forms = [fn.integer_form for fn in curve.coords]
     L = math.lcm(delta.denominator, lo.denominator, hi.denominator,
-                 *(x.denominator for x in p),
-                 *(c.denominator for cs in coeffs for c in cs))
+                 *(x.denominator for x in p), *(den for den, _ in forms))
     dl, a, b = _times(delta, L), _times(lo, L), _times(hi, L)
     if curve.is_graph_form:
         x = _times(p[0], L)
@@ -446,10 +444,10 @@ def _shifted_distance(curve: CurveSpec, p: tuple, delta: Fraction):
         q, n0 = L, min(max(x, a), b)
     else:
         q, n0, a, b = 2 * L, a + b, 2 * a, 2 * b
-    d = max([1, *map(len, coeffs)]) - 1
+    d = max([1, *(len(e) for _, e in forms)]) - 1
     E = [0] * (2 * d + 1)
-    for cs, x in zip(coeffs, p):
-        g = [_times(c, L) for c in cs] + [0] * (d + 1 - len(cs))
+    for (den, e), x in zip(forms, p):
+        g = [c * (L // den) for c in e] + [0] * (d + 1 - len(e))
         g[0] -= _times(x, L)
         G = [g[d]]
         for k in range(d - 1, -1, -1):
@@ -552,7 +550,7 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     _charge(ihi - ilo + 1, cap)
     # columns inside the domain take f(i/N) = A_i / modulus in integers
     klo, khi = max(ilo, math.ceil(lo * N)), min(ihi, math.floor(hi * N))
-    modulus, values = _graph_numerators(f, N, klo, khi)
+    modulus, values = _graph_numerators(curve.coords[1], N, klo, khi)
     f_lo, f_hi = polys.eval_exact(f, lo), polys.eval_exact(f, hi)
     W = math.lcm(modulus, f_lo.denominator, f_hi.denominator,
                  reach.denominator, delta.denominator)

@@ -181,7 +181,7 @@ def test_criterion_09_plunnecke_and_gap_doubling():
         rng = random.Random(1931)
         ok = True
         for _ in range(100):
-            gap = _random_proper_gap(rng, max_product=500)
+            gap, _ = _random_proper_gap(rng, max_product=500)
             ok &= gap.gap_dimension <= 3 and gap.nominal_size <= 500
             pts = gap_enumerate(gap)
             ok &= len(pts) == gap.nominal_size

@@ -16,8 +16,9 @@ from curvecount import (DomainError, InvalidCurveError, certify_nondegenerate,
                         circle_arc, eval_jet, graph_curve, moment_curve,
                         parabola, polynomial_curve, wronskian,
                         wronskian_symbolic)
-from curvecount.curves import (CurveSpec, PolyCoord, TrigCoord,
-                               derivative_sup_bound, eval_array, translate_curve)
+from curvecount.curves import (CurveSpec, NondegeneracyCertificate, PolyCoord,
+                               TrigCoord, derivative_sup_bound, eval_array,
+                               translate_curve)
 
 
 def test_moment_jet_at_zero():
@@ -294,3 +295,45 @@ def test_trig_error_estimate_grows_with_the_degree():
 def test_trig_error_estimate_is_sound(f, ts):
     # against 200-bit evaluation, on the domain [0, max t]
     assert max(_evaluation_errors(f, ts)) <= f.error_estimate(0, max(ts))
+
+
+def _certify_by_fractions(curve, c0, grid: int) -> NondegeneracyCertificate:
+    """Reference for certify_nondegenerate: the samples of W at
+    tᵢ = lo + (hi − lo)·i/grid as Fractions (floats on trig curves), and
+    W ∓ c0 in Fractions."""
+    lo, hi = curve.domain
+    w = wronskian_symbolic(curve)
+    ts = [lo + (hi - lo) * F(i, grid) for i in range(grid + 1)]
+    vals = [w.eval(t) if curve.is_exact else w.eval(float(t)) for t in ts]
+    low = min(abs(v) for v in vals)
+    margin = max(abs(b - a) for a, b in zip(vals, vals[1:]))
+
+    def cert(status, exact=False):
+        return NondegeneracyCertificate(float(low), float(c0), grid,
+                                        0.0 if exact else float(margin),
+                                        status, exact)
+
+    if low <= c0:
+        return cert("failed")
+    if curve.is_exact:
+        c = F(c0)
+        clear = all(polys.Roots(polys.sub(w.coeffs, (s,))).closed(lo, hi) == 0
+                    for s in {c, -c})
+        return cert("certified", exact=True) if clear else cert("failed")
+    return cert("certified" if low - margin > c0 else "sampled-only")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(_poly_coords, min_size=1, max_size=3),
+                 st.lists(_trig_coords.map(lambda f: TrigCoord(f.terms)),
+                          min_size=1, max_size=2)),
+       st.tuples(st.fractions(0, F(1, 2), max_denominator=9),
+                 st.fractions(F(1, 2), 1, max_denominator=9))
+       .filter(lambda d: d[0] < d[1]),
+       st.one_of(st.fractions(0, 50, max_denominator=7), st.floats(0, 50)),
+       st.integers(2, 40))
+def test_integer_samples_give_the_fraction_certificate(coords, domain, c0, grid):
+    # W sampled on integer numerators over one denominator gives every field
+    # of the certificate the Fraction samples give
+    curve = CurveSpec("lifted", coords, domain)
+    assert certify_nondegenerate(curve, c0, grid) == _certify_by_fractions(curve, c0, grid)

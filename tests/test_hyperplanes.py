@@ -374,3 +374,40 @@ def test_chord_roots_are_accurate_at_any_scale(m1, m2):
     expected = sorted(math.atan(m) / math.pi % 1.0 for m in (m1, m2))
     assert len(roots) == 2 and roots.certified
     assert all(abs(r - e) < 1e-12 for r, e in zip(roots, expected))
+
+
+def _roots_by_fractions(curve, plane) -> tuple:
+    """Reference for intersect on a polynomial curve: g = Σ aᵢγᵢ − a₀ built
+    in Fractions, isolated and refined by the same kernel."""
+    g = polys.poly([-plane.a0])
+    for a, fn in zip(plane.normal, curve.coords):
+        g = polys.add(g, polys.scale(fn.coeffs, a))
+    roots = polys.Roots(g)
+    return tuple(roots.refine(a, b) for a, b in roots.isolate(*curve.domain))
+
+
+_coefficient = st.fractions(-5, 5, max_denominator=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_coefficient, min_size=1, max_size=5), min_size=2, max_size=4),
+       st.lists(st.fractions(-5, 5, max_denominator=1 << 24), min_size=5, max_size=5),
+       st.tuples(st.fractions(0, F(1, 2), max_denominator=9),
+                 st.fractions(F(1, 2), 1, max_denominator=9))
+       .filter(lambda d: d[0] < d[1]))
+def test_integer_combination_gives_the_fraction_roots(coords, coeffs, domain):
+    # g on integer numerators is a positive multiple of the Fraction g: the
+    # same roots, bit for bit, and always certified
+    curve = polynomial_curve(coords, domain)
+    n = curve.dimension
+    assume(any(coeffs[1:n + 1]))
+    plane = Hyperplane(coeffs[0], coeffs[1:n + 1])
+    try:
+        expected = _roots_by_fractions(curve, plane)
+    except ValueError:   # g ≡ 0
+        with pytest.raises(DegenerateIntersection):
+            intersect(curve, plane)
+        return
+    roots = intersect(curve, plane)
+    assert [x.hex() for x in roots.roots] == [x.hex() for x in expected]
+    assert roots.certified

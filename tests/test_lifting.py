@@ -17,7 +17,8 @@ from curvecount import (InvalidCurveError, Monomial, MonomialSet, circle_arc,
                         parabola, polynomial_curve, wronskian,
                         wronskian_symbolic)
 from curvecount.curves import TrigCoord
-from curvecount.lifting import LiftError, X, Y
+from curvecount.lifting import BijectionReport, LiftError, X, Y
+from curvecount.pointsets import FiniteSet, InexactNumber
 
 M_XY = MonomialSet([(1, 0), (0, 1)])
 M_XY_XY = MonomialSet([(1, 0), (0, 1), (1, 1)])
@@ -283,3 +284,55 @@ def test_x_y_flags():
     ms = MonomialSet([(2, 0), (0, 1)])
     assert not ms.contains_x and ms.contains_y
     assert X in make_Ms(1).monomials and Y in make_Ms(1).monomials
+
+
+def _bijection_by_fractions(M, N, points) -> BijectionReport:
+    """Reference for check_lattice_bijection: every point sorted and lifted
+    in Fractions, each coordinate tested against its lattice."""
+    pts = sorted(points)
+    violations, lifted = [], set()
+    for p in pts:
+        for c in p:
+            if (F(c) * N).denominator != 1:
+                violations.append(f"point {p} is not a 1/N-integer point")
+        q = lift_point(p, M)
+        for coord, m in zip(q, M):
+            if (F(coord) * N ** m.degree).denominator != 1:
+                violations.append(
+                    f"lift of {p}: coordinate {coord} not in (1/N^{m.degree})Z")
+        lifted.add(q)
+    return BijectionReport(M.n, M.degrees, exponent(M), len(pts), len(lifted),
+                           len(lifted) == len(pts) and not violations,
+                           tuple(violations))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=1, max_size=4),
+       st.integers(1, 30),
+       st.sampled_from([M_XY, M_XY_XY, make_Ms(2), make_Ms(3)]),
+       st.lists(st.tuples(st.fractions(-2, 2, max_denominator=40),
+                          st.fractions(-2, 2, max_denominator=40)), max_size=6),
+       st.booleans())
+def test_integer_lifts_give_the_fraction_report(f, N, M, extra, as_set):
+    # the on-curve points of a graph at any N, square or not, with points
+    # off the lattice and repeated points mixed in: the report, violations
+    # and their order included, is the one the Fraction lifts give
+    curve = graph_curve([f])
+    points = list(count_on_curve_lattice(curve, N)) + extra + extra[:1]
+    if as_set:
+        points = FiniteSet(points, 2)
+    assert check_lattice_bijection(curve, M, N, points) \
+        == _bijection_by_fractions(M, N, points)
+
+
+def test_lifts_refuse_floats_and_bools():
+    # a float is a binary fraction and True is not a coordinate: both used to
+    # be lifted (0.5 as 1/2, True as 1); a string is still parsed exactly
+    for p in ((0.5, F(1, 4)), (F(1, 2), 0.25), (True, 0)):
+        with pytest.raises(InexactNumber):
+            lift_point(p, M_XY_XY)
+        with pytest.raises(InexactNumber):
+            check_lattice_bijection(parabola(), M_XY_XY, 4, [p])
+    assert lift_point(("1/2", "1/4"), M_XY_XY) == (F(1, 2), F(1, 4), F(1, 8))
+    rep = check_lattice_bijection(parabola(), M_XY_XY, 4, [("1/2", "1/4"), (0, 0)])
+    assert rep.bijection and rep.cardinality_lifted == 2
