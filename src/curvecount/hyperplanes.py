@@ -104,6 +104,30 @@ def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
     return g
 
 
+def _kernel(curve: CurveSpec, plane: Hyperplane) -> tuple:
+    """The root kernel of g on the curve, as (roots, trig).
+
+    For a polynomial curve, roots is ``polys.Roots`` of g and trig is None.
+    For a trigonometric curve, roots is the kernel of g's half-angle form
+    and trig is (bound, ends, ranges, half, sure): the Cauchy bound on s,
+    the domain ends that are roots, the open s-ranges that hold the other
+    roots (``half_angle_ranges``), whether t = ½ is a root in the domain
+    (g(−1, 0) = 0), and whether every end was bracketed.
+    """
+    if plane.dimension != curve.dimension:
+        raise HyperplaneError("hyperplane dimension does not match the curve")
+    g = _combination(curve, plane)
+    if curve.is_exact:
+        return polys.Roots([g.get(i, 0) for i in range(max(g) + 1)]), None
+    lo, hi = curve.domain
+    g = TrigCoord(g)
+    p, bound = g.half_angle()
+    roots = polys.Roots(p)
+    ends, ranges, sure = half_angle_ranges(roots, bound, lo, hi)
+    half = lo <= Fraction(1, 2) <= hi and not g.at_half()
+    return roots, (bound, ends, ranges, half, sure)
+
+
 def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     """Parameters t in the domain with γ(t) ∈ H.
 
@@ -117,18 +141,11 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     Both routes are exact; only an end that cannot be bracketed clears
     ``certified``.
     """
-    if plane.dimension != curve.dimension:
-        raise HyperplaneError("hyperplane dimension does not match the curve")
-    g = _combination(curve, plane)
-    lo, hi = curve.domain
-    if curve.is_exact:
-        roots = polys.Roots([g.get(i, 0) for i in range(max(g) + 1)])
-        ts = [roots.refine(a, b) for a, b in roots.isolate(lo, hi)]
+    roots, trig = _kernel(curve, plane)
+    if trig is None:
+        ts = [roots.refine(a, b) for a, b in roots.isolate(*curve.domain)]
         return RootList(roots=tuple(ts), certified=True)
-    g = TrigCoord(g)
-    p, bound = g.half_angle()
-    roots = polys.Roots(p)
-    ends, ranges, sure = half_angle_ranges(roots, bound, lo, hi)
+    bound, ends, ranges, half, sure = trig
     # an isolating interval is narrower than 2·bound, so these bits put s
     # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
     bits = 60 + bound.bit_length()
@@ -137,9 +154,21 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
         ts += [math.atan(roots.refine(c, d, bits)) / math.pi % 1.0
                for c, d in (roots.isolate(a, b) if a < b else ())
                if c != d or a < c < b]   # the ranges are open
-    if lo <= Fraction(1, 2) <= hi and not g.at_half():  # g(−1, 0) = 0
+    if half:
         ts.append(0.5)
     return RootList(roots=tuple(sorted(ts)), certified=sure)
+
+
+def _count(curve: CurveSpec, plane: Hyperplane) -> int:
+    """``len(intersect(curve, plane))`` by Sturm counts on the same kernel,
+    with no root isolated or refined: the roots of g in the closed domain,
+    or the ends that are roots, the roots inside each open s-range and
+    t = ½."""
+    roots, trig = _kernel(curve, plane)
+    if trig is None:
+        return roots.closed(*curve.domain)
+    _, ends, ranges, half, _ = trig
+    return len(ends) + sum(roots.open(a, b) for a, b in ranges) + half
 
 
 def to_graph_form(curve: CurveSpec) -> CurveSpec:
@@ -187,17 +216,25 @@ def mvt_derived_hyperplane(plane: Hyperplane) -> Hyperplane:
 
 def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
                     roots: RootList | None = None) -> bool:
-    """k intersections of H with the graph force ≥ k−1 intersections of H'
-    with the derivative curve (Rolle between consecutive parameters)."""
-    graph = curve if curve.is_graph_form else to_graph_form(curve)
-    if roots is None:
-        roots = intersect(graph, plane)
-    k = len(roots)
+    """k intersections of H with the curve force ≥ k−1 intersections of H'
+    with the derivative curve (Rolle between consecutive parameters).
+
+    The first coordinate is affine, x₁ = b + c·t, and Rolle runs in the
+    curve's own parameter: g′(t) = a₁·c + Σ aᵢ·fᵢ′(t) pairs the curve's
+    derivative row with the plane a₁·c + a₂x₂ + … + aₙxₙ = 0 on the same
+    domain.  On a graph, c = 1 and these are ``derivative_curve`` and
+    ``mvt_derived_hyperplane``."""
+    if not curve.is_exact or polys.degree(curve.coords[0].coeffs) != 1:
+        raise InvalidCurveError(
+            "MVT check needs a polynomial curve with affine first coordinate")
+    k = _count(curve, plane) if roots is None else len(roots)
     if k < 2:
         return True
-    derived = derivative_curve(graph)
-    plane_d = mvt_derived_hyperplane(plane)
-    return len(intersect(derived, plane_d)) >= k - 1
+    speed, *row = curve.derivatives(1)[1]   # speed = x₁′ = c ≠ 0
+    a1, *rest = plane.normal
+    derived = CurveSpec("polynomial-parametric", row, curve.domain)
+    plane_d = mvt_derived_hyperplane(Hyperplane(plane.a0, (a1 * speed.coeffs[0], *rest)))
+    return _count(derived, plane_d) >= k - 1
 
 
 @dataclass(frozen=True)
@@ -228,7 +265,7 @@ def survey_intersections(curve: CurveSpec, trials: int,
             continue
         plane = Hyperplane(coeffs[0], coeffs[1:])
         try:
-            k = len(intersect(curve, plane))
+            k = _count(curve, plane)
         except DegenerateIntersection:
             continue
         hist[k] = hist.get(k, 0) + 1

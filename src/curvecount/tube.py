@@ -166,30 +166,38 @@ def materialize_source(source, cap: int | None = None):
 
 def _graph_numerators(f: PolyCoord, N: int, k_lo: int, k_hi: int):
     """The modulus D·N^d and the integers A_k, k_lo ≤ k ≤ k_hi, with
-    f(k/N) = A_k / (D·N^d).
+    f(k/N) = A_k / (D·N^d), as a numpy array.
 
     f = P/D is f's ``integer_form``, of degree d; then
-    A_k = Σ P_i·k^i·N^(d−i), which Horner's rule gives in integers, one
-    coefficient at a time for every k.
+    A_k = Σ P_i·k^i·N^(d−i), which Horner's rule gives over the array of
+    every k, one coefficient at a time.  With K = max(1, |k_lo|, |k_hi|),
+    every partial sum and product is at most Σ |P_i|·K^i·N^(d−i) in size,
+    and N times that bounds N·A_k: the array is int64 when that bound and
+    the modulus are below 2⁶³, and holds Python ints otherwise
+    (``pointsets._dtype``).
     """
     D, P = f.integer_form
     P = P or (0,)
     d = len(P) - 1
     weights = [c * N ** (d - i) for i, c in enumerate(P)][::-1]
-    ks = range(k_lo, k_hi + 1)
-    values = [weights[0]] * len(ks)
+    K = max(1, abs(k_lo), abs(k_hi))
+    modulus = D * N ** d
+    bound = max(N * sum(abs(w) * K ** (d - i) for i, w in enumerate(weights)),
+                modulus)
+    ks = np.arange(k_lo, k_hi + 1).astype(pointsets._dtype(bound))
+    values = np.full(len(ks), weights[0], dtype=ks.dtype)
     for w in weights[1:]:
-        values = [v * k + w for v, k in zip(values, ks)]
-    return D * N ** d, values
+        values = values * ks + w
+    return modulus, values
 
 
 def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
     """Exact enumeration of Γ ∩ (1/N Z)² for a polynomial graph y = f(x).
 
     With f(k/N) = A_k / (D·N^d) (``_graph_numerators``), x = k/N is on the
-    curve exactly when N·A_k ≡ 0 mod D·N^d.  The test is a residue of
-    integers; a Fraction is built only for a point on the curve, and no
-    floating point is involved.
+    curve exactly when N·A_k ≡ 0 mod D·N^d.  The test is one residue of
+    integer arrays; a Fraction is built only for a point on the curve, and
+    no floating point is involved.
     """
     if graph.dimension != 2 or not graph.is_exact or not graph.is_graph_form:
         raise InvalidQuery("count_on_curve_lattice needs a planar polynomial graph")
@@ -200,9 +208,10 @@ def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
     k_lo = math.ceil(lo * N)
     modulus, values = _graph_numerators(graph.coords[1], N, k_lo,
                                         math.floor(hi * N))
+    on = np.flatnonzero(N * values % modulus == 0)
     return FiniteSet([(Fraction(k, N), Fraction(acc, modulus))
-                      for k, acc in enumerate(values, k_lo)
-                      if N * acc % modulus == 0], dimension=2)
+                      for k, acc in zip((on + k_lo).tolist(),
+                                        values[on].tolist())], dimension=2)
 
 
 def _grid_cell_side(delta: float, pts: np.ndarray) -> float:
@@ -551,6 +560,8 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     # columns inside the domain take f(i/N) = A_i / modulus in integers
     klo, khi = max(ilo, math.ceil(lo * N)), min(ihi, math.floor(hi * N))
     modulus, values = _graph_numerators(curve.coords[1], N, klo, khi)
+    # Python ints: W-scaled values can leave int64
+    values = values.tolist()
     f_lo, f_hi = polys.eval_exact(f, lo), polys.eval_exact(f, hi)
     W = math.lcm(modulus, f_lo.denominator, f_hi.denominator,
                  reach.denominator, delta.denominator)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
@@ -16,8 +16,8 @@ from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
 from curvecount import polys
 from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord,
                                _tan_bracket, polynomial_curve)
-from curvecount.hyperplanes import (HyperplaneError, _combination,
-                                    mvt_derived_hyperplane)
+from curvecount.hyperplanes import (HyperplaneError, RootList, _combination,
+                                    _count, mvt_derived_hyperplane)
 from curvecount.lifting import MonomialSet
 
 
@@ -411,3 +411,137 @@ def test_integer_combination_gives_the_fraction_roots(coords, coeffs, domain):
     roots = intersect(curve, plane)
     assert [x.hex() for x in roots.roots] == [x.hex() for x in expected]
     assert roots.certified
+
+
+def _count_or_degenerate(fn, curve, plane):
+    try:
+        return fn(curve, plane)
+    except DegenerateIntersection:
+        return "degenerate"
+
+
+def _value_and_tangent(curve, where):
+    """γ and a tangent vector at a point of the curve, exactly: at a
+    rational t on a polynomial curve, and at a rational point (u, v) of
+    the unit circle on a curve in (cos 2πt, sin 2πt), where
+    d(u^a·v^b)/dt is 2π(b·u^(a+1)·v^(b−1) − a·u^(a−1)·v^(b+1))."""
+    if curve.is_exact:
+        return ([polys.eval_exact(c.coeffs, where) for c in curve.coords],
+                [polys.eval_exact(c.derivative().coeffs, where) for c in curve.coords])
+    u, v = where
+    value = [sum(c * u ** a * v ** b for (a, b), c in fn.terms.items())
+             for fn in curve.coords]
+    tangent = [sum(c * ((b * u ** (a + 1) * v ** (b - 1) if b else 0)
+                        - (a * u ** (a - 1) * v ** (b + 1) if a else 0))
+                   for (a, b), c in fn.terms.items()) for fn in curve.coords]
+    return value, tangent
+
+
+_ARC_ENDS = st.sampled_from([F(k, 8) for k in range(9)]) | \
+    st.fractions(0, 1, max_denominator=12)
+# the rational circle points at t = 0, ¼, ½, ¾ and at s = tan πt = m
+_CIRCLE_POINTS = st.sampled_from([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)),
+                                  (F(0), F(-1))]) | \
+    st.fractions(-8, 8, max_denominator=8).map(_circle_point)
+
+
+@st.composite
+def counted_planes(draw):
+    """A curve and a hyperplane: random rational polynomial curves, moment
+    curves n = 2..5, partial circle arcs and lifted circles; planes random,
+    through a point (an end of the domain, t = ½, an arc end at a multiple
+    of ¼), or tangent there, so that a double root is counted once."""
+    kind = draw(st.sampled_from(["polynomial", "moment", "arc", "lifted"]))
+    if kind in ("polynomial", "moment"):
+        if kind == "moment":
+            curve = moment_curve(draw(st.integers(2, 5)))
+        else:
+            lo = draw(st.fractions(0, F(1, 2), max_denominator=8))
+            hi = draw(st.fractions(F(1, 2), 1, max_denominator=8).filter(lambda h: h > lo))
+            coords = st.lists(_coefficient, min_size=1, max_size=5)
+            curve = polynomial_curve(draw(st.lists(coords, min_size=2, max_size=4)), (lo, hi))
+        at = st.sampled_from([*curve.domain, F(1, 2)]) | \
+            st.fractions(*curve.domain, max_denominator=16)
+    else:
+        lo, hi = draw(st.lists(_ARC_ENDS, min_size=2, max_size=2, unique=True)
+                      .map(sorted))
+        curve = circle_arc(lo, hi)
+        if kind == "lifted":
+            curve = lift_curve(curve, draw(st.sampled_from(
+                [make_Ms(2), MonomialSet([(1, 0), (0, 1), (1, 1)])])))
+        at = _CIRCLE_POINTS
+    n = curve.dimension
+    normal = draw(st.lists(st.sampled_from([0, 1, -1, 2]) | _coefficient,
+                           min_size=n, max_size=n).filter(any))
+    how = draw(st.sampled_from(["random", "through", "tangent"]))
+    if how == "random":
+        return curve, Hyperplane(draw(_coefficient), normal)
+    value, tangent = _value_and_tangent(curve, draw(at))
+    if how == "tangent" and any(tangent):
+        # move one coefficient so that the normal is orthogonal to γ′
+        j = next(i for i, x in enumerate(tangent) if x)
+        normal[j] -= sum(a * x for a, x in zip(normal, tangent)) / tangent[j]
+        assume(any(normal))
+    return curve, Hyperplane(sum(a * x for a, x in zip(normal, value)), normal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_planes())
+# the lift of the circle by M₂ lies in x² + y² = 1
+@example((lift_curve(circle_arc(), make_Ms(2)),
+          Hyperplane(1, [int((m.a, m.b) in ((2, 0), (0, 2))) for m in make_Ms(2)])))
+# a curve with a constant coordinate lies in y = 1/3
+@example((polynomial_curve([[0, 1], [F(1, 3)]]), Hyperplane(F(1, 3), (0, 1))))
+# y = 1 touches the arc at its end t = ¼
+@example((circle_arc(F(1, 8), F(1, 4)), Hyperplane(1, (0, 1))))
+def test_count_is_the_length_of_intersect(case):
+    # counting by Sturm counts gives what locating gives, and both routes
+    # refuse the same planes
+    curve, plane = case
+    assert _count_or_degenerate(_count, curve, plane) == \
+        _count_or_degenerate(lambda c, h: len(intersect(c, h)), curve, plane)
+
+
+def test_mvt_off_a_graph_keeps_the_curve_parameter():
+    # x = 1/3 + 2t on [1/5, 4/5]: graph form would need x in [11/15, 28/15]
+    curve = polynomial_curve([[F(1, 3), 2], [0, 0, 1]], (F(1, 5), F(4, 5)))
+    assert mvt_consistency(curve, Hyperplane(F(1, 2), (0, 1)))
+    # with y = (t − 3/10)(t − 1/2)(t − 7/10), g = x/1000 + y − 1/3000 − 1/1000
+    # is (t − 1/2)((t − 1/2)² − 19/500): three roots inside the domain
+    cubic = polys.mul(polys.mul(polys.poly((F(-3, 10), 1)), polys.poly((F(-1, 2), 1))),
+                      polys.poly((F(-7, 10), 1)))
+    curve = polynomial_curve([[F(1, 3), 2], list(cubic)], (F(1, 5), F(4, 5)))
+    plane = Hyperplane(F(1, 3000) + F(1, 1000), (F(1, 1000), 1))
+    roots = intersect(curve, plane)
+    assert len(roots) == 3
+    # g′ = y′ + 1/500 has its two roots inside the domain, as Rolle says
+    assert polys.Roots(polys.add(polys.derivative(cubic), (F(1, 500),))).closed(
+        F(1, 5), F(4, 5)) == 2
+    assert mvt_consistency(curve, plane, roots) and mvt_consistency(curve, plane)
+    # four claimed roots would need three roots of g′
+    assert not mvt_consistency(curve, plane, RootList(roots.roots + (0.0,), True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(-2, 2, max_denominator=6), _coefficient.filter(bool),
+       st.lists(st.lists(_coefficient, min_size=1, max_size=5), min_size=1, max_size=3),
+       st.lists(_coefficient, min_size=5, max_size=5),
+       st.tuples(st.fractions(0, F(1, 2), max_denominator=9),
+                 st.fractions(F(1, 2), 1, max_denominator=9))
+       .filter(lambda d: d[0] < d[1]))
+def test_mvt_counts_roots_of_g_prime_in_the_curve_parameter(b, c, rest, coeffs,
+                                                            domain):
+    # on x₁ = b + c·t, the derived count is that of g′ = Σ aᵢγᵢ′ on the
+    # curve's own domain, found here in Fractions: with m roots of g′,
+    # m + 1 claimed roots of g are consistent and m + 2 are not
+    curve = polynomial_curve([[b, c], *rest], domain)
+    normal = coeffs[1:curve.dimension + 1]
+    assume(any(normal[1:]))
+    plane = Hyperplane(coeffs[0], normal)
+    g_prime = polys.ZERO
+    for a, fn in zip(plane.normal, curve.coords):
+        g_prime = polys.add(g_prime, polys.scale(polys.derivative(fn.coeffs), a))
+    assume(g_prime)
+    m = polys.Roots(g_prime).closed(*domain)
+    assert mvt_consistency(curve, plane, RootList(tuple(range(m + 1)), True))
+    assert not mvt_consistency(curve, plane, RootList(tuple(range(m + 2)), True))

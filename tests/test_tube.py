@@ -92,6 +92,45 @@ def test_on_curve_lattice_matches_fraction_loop(f, N, domain):
         on_curve_by_fractions(coeffs, N, *domain)
 
 
+# degree 6 at N from 5000 up: N·A_k passes 2⁶³, so the column numerators are
+# an object array of Python ints
+_wide = st.fractions(-3, 3, max_denominator=10 ** 6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(f=st.lists(_wide, min_size=7, max_size=7).filter(lambda c: c[-1]),
+       N=st.integers(5000, 12000),
+       domain=st.tuples(st.fractions(0, F(9, 10), max_denominator=50),
+                        st.fractions(F(1, 100), F(1, 10), max_denominator=100))
+       .map(lambda d: (d[0], d[0] + d[1])))
+# N·f(k/N) = 10⁴k²/7 + k⁶/3: on the curve exactly when 21 divides k
+@example(f=[0, 0, F(10 ** 8, 7), 0, 0, 0, F(10 ** 20, 3)], N=10 ** 4,
+         domain=(0, 1))
+def test_on_curve_lattice_past_int64(f, N, domain):
+    graph = graph_curve([f], domain=domain)
+    coeffs = graph.coords[1].coeffs
+    k_lo, k_hi = math.ceil(domain[0] * N), math.floor(domain[1] * N)
+    assert tube._graph_numerators(graph.coords[1], N, k_lo, k_hi)[1].dtype == object
+    assert sorted(count_on_curve_lattice(graph, N)) == \
+        on_curve_by_fractions(coeffs, N, *domain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(0, 6), N=st.integers(2, 1000), data=st.data())
+def test_graph_numerators_do_not_wrap_at_the_int64_limit(d, N, data):
+    # integer coefficients sized so that N·Σ|P_i|·N^d lands on either side
+    # of 2⁶³: where int64 is chosen, no product or sum may wrap
+    top = 2 ** 65 // N ** (d + 1)
+    P = data.draw(st.lists(st.integers(-top, top), min_size=d + 1, max_size=d + 1))
+    graph = graph_curve([P])
+    modulus, values = tube._graph_numerators(graph.coords[1], N, 0, N)
+    # f(k/N) = exact[k] / N^d
+    exact = [sum(c * k ** i * N ** (d - i) for i, c in enumerate(P)) for k in range(N + 1)]
+    assert [a * N ** d for a in values.tolist()] == [e * modulus for e in exact]
+    assert sorted(p[0] for p in count_on_curve_lattice(graph, N)) == \
+        [F(k, N) for k, e in enumerate(exact) if N * e % N ** d == 0]
+
+
 def test_segment_distance_decision():
     seg = line_segment((0, 0), (1, 0))
     src = ExplicitSource(FiniteSet([(F(1, 2), F(1, 20)), (F(1, 2), F(1, 5))]))
@@ -685,6 +724,39 @@ def test_column_walk_matches_exact_brute_force(query):
     curve, delta, source = query
     (ilo, ihi), (jlo, jhi) = source.index_bounds()
     N = source.N
+    expected = tuple((F(i, N), F(j, N))
+                     for i in range(ilo, ihi + 1) for j in range(jlo, jhi + 1)
+                     if _in_tube_by_fractions(curve, delta, (F(i, N), F(j, N))))
+    r = count_in_tube(TubeQuery(curve, delta, source))
+    assert r.points == expected and r.count == len(expected)
+    assert r.certified and r.arcs_examined == 0
+
+
+@st.composite
+def wide_walked_queries(draw):
+    """Degree-6 graphs with denominators up to 10⁶ at N from 3000 up, on a
+    box of a few columns right of x ≥ ¼ around the graph: the column
+    numerators leave int64."""
+    f = draw(st.lists(_wide, min_size=7, max_size=7).filter(lambda c: c[-1]))
+    curve = graph_curve([f])
+    N = draw(st.integers(3000, 12000))
+    x = draw(st.fractions(F(1, 4), F(3, 4), max_denominator=64))
+    y = math.floor(polys.eval_exact(curve.coords[1].coeffs, x) * N)
+    i, j = math.floor(x * N), y + draw(st.integers(-4, 4))
+    box = ((F(i, N), F(i + draw(st.integers(0, 4)), N)),
+           (F(j - 3, N), F(j + draw(st.integers(0, 6)), N)))
+    delta = draw(st.sampled_from([F(1, N * N), F(1, N), F(4, N)])
+                 | st.fractions(F(1, N * N), F(8, N), max_denominator=N * N))
+    return curve, delta, LatticeSource(N, box)
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_walked_queries())
+def test_column_walk_past_int64_matches_exact_brute_force(query):
+    curve, delta, source = query
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    N = source.N
+    assert tube._graph_numerators(curve.coords[1], N, ilo, ihi)[1].dtype == object
     expected = tuple((F(i, N), F(j, N))
                      for i in range(ilo, ihi + 1) for j in range(jlo, jhi + 1)
                      if _in_tube_by_fractions(curve, delta, (F(i, N), F(j, N))))
