@@ -11,8 +11,7 @@ from .curves import (CurveSpec, DomainError, InvalidCurveError, Jet,
                      moment_curve, parabola, polynomial_curve, wronskian,
                      wronskian_symbolic)
 from .hyperplanes import (DegenerateIntersection, Hyperplane, RootList,
-                          derivative_curve, intersect, mvt_consistency,
-                          survey_intersections, to_graph_form)
+                          intersect, mvt_consistency, survey_intersections)
 from .lifting import (BijectionReport, Monomial, MonomialSet,
                       check_lattice_bijection, exponent, lift_curve,
                       lift_point, lipschitz_constant_squared, make_Ms)

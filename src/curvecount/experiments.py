@@ -313,7 +313,7 @@ def run_inequality_campaign(kind: str, seed: int, trials: int,
     for trial in range(trials):
         if kind == "lemma-2.4":
             a = _random_int_set(rng, 30)
-            pts = sorted(a.points)
+            pts = list(a)
             k = rng.randint(1, len(pts))
             b = FiniteSet(rng.sample(pts, k))
             m = rng.choice([2, 3])

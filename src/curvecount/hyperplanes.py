@@ -1,5 +1,5 @@
-"""Curve-hyperplane intersections, the derivative curve, and the empirical
-uniform intersection bound.
+"""Curve-hyperplane intersections, the Mean Value Theorem check, and the
+empirical uniform intersection bound.
 
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
 g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  g is built on integer numerators, as a
@@ -10,11 +10,11 @@ polynomial curves, and for trigonometric curves g in
 (u, v) = (cos 2πt, sin 2πt) rewritten in s = tan πt by the half-angle
 substitution and cleared of denominators.
 
-The derivative curve of a graph (t, f₂(t), …, fₙ(t)) is
-(f₂'(t), …, fₙ'(t)) in one dimension lower: the Mean Value Theorem sends k
-intersection parameters of a hyperplane with the graph to at least k−1
-intersection parameters of the derived hyperplane with the derivative curve,
-which is the induction step behind the uniform bound.
+On a polynomial curve whose first coordinate is affine, x₁ = b + c·t, the
+Mean Value Theorem sends k intersection parameters of a hyperplane with the
+curve to at least k−1 parameters at which the curve's derivative row
+(x₂′(t), …, xₙ′(t)), one dimension lower, meets the derived hyperplane
+a₁·c + a₂x₂ + … + aₙxₙ = 0: the induction step behind the uniform bound.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .curves import (CurveSpec, InvalidCurveError, PolyCoord, TrigCoord,
+from .curves import (CurveSpec, InvalidCurveError, TrigCoord,
                      half_angle_ranges)
 from .pointsets import exact_point
 
@@ -171,59 +171,15 @@ def _count(curve: CurveSpec, plane: Hyperplane) -> int:
     return len(ends) + sum(roots.open(a, b) for a, b in ranges) + half
 
 
-def to_graph_form(curve: CurveSpec) -> CurveSpec:
-    """Reparameterize a polynomial curve with affine first coordinate into
-    graph form (t, f₂(t), …, fₙ(t))."""
-    if not curve.is_exact:
-        raise InvalidCurveError("graph form requires a polynomial curve")
-    if curve.is_graph_form:
-        return curve
-    c0 = curve.coords[0].coeffs
-    if polys.degree(c0) != 1:
-        raise InvalidCurveError(
-            "first coordinate is not affine; cannot reparameterize exactly")
-    b = c0[0] if len(c0) > 0 else Fraction(0)
-    a = c0[1]
-    # t = (s - b)/a maps the first coordinate to the identity
-    sub = polys.poly([-b / a, 1 / a])
-    coords = [PolyCoord(polys.poly([0, 1]))]
-    coords += [PolyCoord(polys.compose(fn.coeffs, sub)) for fn in curve.coords[1:]]
-    lo, hi = curve.domain
-    new_lo, new_hi = sorted((polys.eval_exact(c0, lo), polys.eval_exact(c0, hi)))
-    return CurveSpec("polynomial-graph", coords, (new_lo, new_hi))
-
-
-def derivative_curve(curve: CurveSpec) -> CurveSpec:
-    """Γ' = (f₂'(t), …, fₙ'(t)) for a graph curve (t, f₂, …, fₙ)."""
-    if not curve.is_exact:
-        raise InvalidCurveError("derivative curve requires a polynomial curve")
-    if not curve.is_graph_form:
-        curve = to_graph_form(curve)
-    if curve.dimension < 2:
-        raise InvalidCurveError("derivative curve needs dimension >= 2")
-    # the curve's own derivative row, whose integer forms are kept
-    return CurveSpec("polynomial-parametric", curve.derivatives(1)[1][1:],
-                     curve.domain)
-
-
-def mvt_derived_hyperplane(plane: Hyperplane) -> Hyperplane:
-    """H' : a₁ + a₂x₂ + … + aₙxₙ = 0 in the derivative curve's coordinates."""
-    a1, rest = plane.normal[0], plane.normal[1:]
-    if not rest or all(a == 0 for a in rest):
-        raise HyperplaneError("derived hyperplane is degenerate (vertical H)")
-    return Hyperplane(-a1, rest)
-
-
 def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
                     roots: RootList | None = None) -> bool:
     """k intersections of H with the curve force ≥ k−1 intersections of H'
-    with the derivative curve (Rolle between consecutive parameters).
+    with the derivative row (Rolle between consecutive parameters).
 
     The first coordinate is affine, x₁ = b + c·t, and Rolle runs in the
     curve's own parameter: g′(t) = a₁·c + Σ aᵢ·fᵢ′(t) pairs the curve's
-    derivative row with the plane a₁·c + a₂x₂ + … + aₙxₙ = 0 on the same
-    domain.  On a graph, c = 1 and these are ``derivative_curve`` and
-    ``mvt_derived_hyperplane``."""
+    derivative row with H': a₁·c + a₂x₂ + … + aₙxₙ = 0 on the same domain.
+    A vertical H (a₂ = … = aₙ = 0) has no H' and raises HyperplaneError."""
     if not curve.is_exact or polys.degree(curve.coords[0].coeffs) != 1:
         raise InvalidCurveError(
             "MVT check needs a polynomial curve with affine first coordinate")
@@ -233,8 +189,7 @@ def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
     speed, *row = curve.derivatives(1)[1]   # speed = x₁′ = c ≠ 0
     a1, *rest = plane.normal
     derived = CurveSpec("polynomial-parametric", row, curve.domain)
-    plane_d = mvt_derived_hyperplane(Hyperplane(plane.a0, (a1 * speed.coeffs[0], *rest)))
-    return _count(derived, plane_d) >= k - 1
+    return _count(derived, Hyperplane(-a1 * speed.coeffs[0], rest)) >= k - 1
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,27 @@ steps.  The deduplicated m-fold sumset mA shares those steps without the
 multiplicities, and a GAP is enumerated as the sumset
 {v} + {ℓv₁ : 1 ≤ ℓ ≤ N₁} + … + {ℓv_m : 1 ≤ ℓ ≤ N_m}.
 
-Every job runs on an integer form of each set, cached on the FiniteSet: a
-common denominator L of all coordinates and the points times L as Python
-ints.  For sums, each integer point becomes one mixed-radix key in the box of
-the final sum (per-coordinate offsets, place values from the widths of that
-box), so key(a) + key(b) is the key of a + b; a step is an outer sum of keys
-followed by a sort that merges equal keys, and φ accumulates exactly through
-np.add.reduceat.  Outer sums are built in row blocks of at most _BLOCK
-elements, so memory stays O(result + _BLOCK) even near ENERGY_WORK_CAP.
-Squared separations are sums of squared integer differences, taken in the
-same blocks.  Each array is int64 when the bound of its values (the key box,
-the number of tuples, the squared reach) is below 2⁶³ and an object array
-of Python ints otherwise (_dtype); numpy runs the same code on either, so
-every path is exact and there is one path per job.
+A FiniteSet is stored in integer form: the least common denominator L of its
+coordinates and an (n, d) array of the points times L, in lexicographic
+order.  A set given by exact points also keeps them as a frozenset; each form
+is built once from the other, on demand.  Sums, GAPs, separations, subset
+tests and the tube counter's floats run on the integer form, and Fractions
+are built only at the boundary: ``points``, iteration, and the points a
+caller keeps.
+
+For sums, each integer point becomes one mixed-radix key in the box of the
+final sum (per-coordinate offsets, place values from the widths of that box,
+coordinate 0 the most significant digit), so key(a) + key(b) is the key of
+a + b and sorted keys are sorted points.  A step is an outer sum of keys
+followed by one sort that merges equal keys, and φ accumulates exactly
+through np.add.reduceat.  Outer sums are built in row blocks of at most
+_BLOCK elements, so memory stays O(result + _BLOCK) even near
+ENERGY_WORK_CAP.  Squared separations are sums of squared integer
+differences, taken in the same blocks.  Each array is int64 when the bound of
+its values (the coordinates, the key box, the number of tuples, the squared
+reach) is below 2⁶³ and an object array of Python ints otherwise (_dtype);
+numpy runs the same code on either, so every path is exact and there is one
+path per job.
 """
 
 from __future__ import annotations
@@ -96,9 +104,16 @@ def exact_int(x, what: str, error=ValueError) -> int:
 
 
 class FiniteSet:
-    """A deduplicated finite set of exact points of one common dimension."""
+    """A deduplicated finite set of exact points of one common dimension.
 
-    __slots__ = ("points", "dimension", "_integer")
+    It holds the points as a frozenset, the integer form (L, rows) of
+    ``_integer_form``, or both; whichever form is missing is built once, on
+    demand.  A common denominator of arbitrary rationals can have as many
+    digits as all of theirs together, so a set given by exact points is
+    ordered by them until it holds its integer form, and two such sets are
+    compared by them.  Iteration is in sorted order."""
+
+    __slots__ = ("dimension", "_points", "_integer", "_sorted")
 
     def __init__(self, points, dimension=None):
         pts = frozenset(exact_point(p) for p in points)
@@ -111,27 +126,76 @@ class FiniteSet:
             dimension = dims.pop()
         elif dims and dims.pop() != dimension:
             raise DimensionMismatch("points do not match declared dimension")
-        self.points = pts
+        self._points = pts
         self.dimension = dimension
-        self._integer = None
+        self._integer = self._sorted = None
+
+    @classmethod
+    def _from_rows(cls, L: int, rows: np.ndarray) -> FiniteSet:
+        """The set of the points rows / L, for distinct rows in lexicographic
+        order.  L is reduced to the least common denominator, so that equal
+        sets have equal integer forms."""
+        if L > 1 and rows.size:
+            common = int(np.gcd.reduce(rows, axis=None))
+            g = math.gcd(L, common)   # L itself when every row is 0
+            if g > 1:
+                L //= g
+                if common:
+                    rows = rows // g
+        out = cls.__new__(cls)
+        out._points = out._sorted = None
+        out.dimension, out._integer = rows.shape[1], (L, rows)
+        return out
+
+    @property
+    def points(self) -> frozenset:
+        """The exact points; a set built from sums decodes them once."""
+        if self._points is None:
+            self._points = frozenset(_decode(*self._integer))
+        return self._points
+
+    def _point(self, i: int) -> tuple:
+        """The i-th point in sorted order; a row is decoded alone."""
+        if self._integer is not None:
+            L, rows = self._integer
+            return _decode(L, rows[i:i + 1])[0]
+        return self._in_order()[i]
+
+    def _in_order(self) -> list:
+        """The points in sorted order: the rows decoded, or the exact points
+        sorted once."""
+        if self._integer is not None:
+            return _decode(*self._integer)
+        if self._sorted is None:
+            self._sorted = sorted(self._points)
+        return self._sorted
 
     def __len__(self):
-        return len(self.points)
+        return len(self._integer[1] if self._points is None else self._points)
 
     def __iter__(self):
-        return iter(sorted(self.points))
+        return iter(self._in_order())
 
     def __contains__(self, p):
         return exact_point(p) in self.points
 
     def __eq__(self, other):
-        return isinstance(other, FiniteSet) and self.points == other.points
+        if not isinstance(other, FiniteSet) or len(self) != len(other):
+            return False
+        if not len(self):
+            return True
+        if self._points is not None and other._points is not None:
+            return self._points == other._points
+        (la, ra), (lb, rb) = _integer_form(self), _integer_form(other)
+        return la == lb and np.array_equal(ra, rb)
 
     def __le__(self, other):
-        return self.points <= other.points
+        if self._points is not None and other._points is not None:
+            return self._points <= other._points
+        return _is_subset(self, other)
 
     def __repr__(self):
-        return f"FiniteSet({len(self.points)} points, dim={self.dimension})"
+        return f"FiniteSet({len(self)} points, dim={self.dimension})"
 
 
 @dataclass(frozen=True)
@@ -182,7 +246,7 @@ def _gap_sums(g: Gap, cap: int | None) -> _Sums:
 
 def gap_enumerate(g: Gap, cap: int | None = None) -> FiniteSet:
     """All points v + Σ ℓᵢvᵢ, deduplicated."""
-    return FiniteSet(_gap_sums(g, cap).points(), len(g.base))
+    return _gap_sums(g, cap).finite_set()
 
 
 def is_proper(g: Gap, cap: int | None = None) -> bool:
@@ -192,18 +256,85 @@ def is_proper(g: Gap, cap: int | None = None) -> bool:
 
 def _integer_form(A: FiniteSet) -> tuple:
     """(L, rows): the least common denominator L of the coordinates of A and
-    its points times L as tuples of Python ints, computed once per set."""
+    its points times L as the rows of an (n, dimension) integer array, in
+    lexicographic order, computed once per set."""
     if A._integer is None:
-        L = math.lcm(*(c.denominator for p in A.points for c in p))
-        A._integer = (L, [tuple(c.numerator * (L // c.denominator) for c in p)
-                          for p in A.points])
+        L = math.lcm(*(c.denominator for p in A._points for c in p))
+        rows = sorted(tuple(c.numerator * (L // c.denominator) for c in p)
+                      for p in A._points)
+        bound = max((abs(x) for p in rows for x in p), default=0)
+        A._integer = (L, np.array(rows, dtype=_dtype(bound))
+                      .reshape(len(rows), A.dimension))
     return A._integer
+
+
+def _decode(L: int, rows: np.ndarray) -> list:
+    """The points rows / L as exact tuples, in row order."""
+    if L == 1:
+        return [tuple(p) for p in rows.tolist()]
+    return [tuple(_lowest(Fraction(x, L)) for x in p) for p in rows.tolist()]
 
 
 def _dtype(bound: int):
     """int64 for an array whose values stay within ±bound when that is below
     2⁶³, else object: an array of Python ints, through the same numpy code."""
     return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _column_bounds(rows: np.ndarray) -> tuple:
+    """(least value, max − least) of each column of nonempty rows, as
+    Python ints."""
+    low = rows.min(axis=0).tolist()
+    return low, [h - lo for h, lo in zip(rows.max(axis=0).tolist(), low)]
+
+
+def _offsets(rows: np.ndarray, low: list, dtype) -> np.ndarray:
+    """rows − low, exactly, as an array of dtype, which holds every
+    difference."""
+    base = rows.astype(object) if dtype is object else rows
+    return (base - np.array(low, dtype=base.dtype)).astype(dtype)
+
+
+def _box(widths: list) -> tuple:
+    """(place values, number of keys) of the mixed-radix box with these
+    widths, coordinate 0 the most significant digit."""
+    place = [math.prod(widths[j + 1:]) for j in range(len(widths))]
+    return place, math.prod(widths)
+
+
+def _encode(rows: np.ndarray, bounds: tuple, scale: int, lo: list,
+            place: list, box: int) -> np.ndarray:
+    """The keys Σⱼ (scale·rows[:, j] − lo[j])·place[j] of the rows, whose
+    column bounds are ``bounds``, in a box of ``box`` keys with corner lo
+    and place values ``place`` that holds every scaled row.  The keys are an
+    array of _dtype(box) and increase with the rows' lexicographic order."""
+    low, span = bounds
+    dtype = _dtype(box)
+    # a constant column adds a constant, whatever its scale
+    mult = np.array([scale * pv if sp else 0 for pv, sp in zip(place, span)],
+                    dtype=dtype)
+    const = sum((scale * x - c) * pv for x, c, pv in zip(low, lo, place))
+    return _offsets(rows, low, dtype) @ mult + const
+
+
+def _is_subset(B: FiniteSet, A: FiniteSet) -> bool:
+    """B ⊆ A, on the integer forms: both sets' keys in the box that holds
+    them, where B adds no new key to A's."""
+    if not len(B):
+        return True
+    if len(B) > len(A) or B.dimension != A.dimension:
+        return False
+    (lb, rb), (la, ra) = _integer_form(B), _integer_form(A)
+    if la % lb:   # both denominators are least: B's divides A's
+        return False
+    scale = la // lb
+    bb, ba = _column_bounds(rb), _column_bounds(ra)
+    lo = [min(scale * x, y) for x, y in zip(bb[0], ba[0])]
+    hi = [max(scale * (x + s), y + t) for x, s, y, t in zip(*bb, *ba)]
+    place, box = _box([h - x + 1 for h, x in zip(hi, lo)])
+    keys_a = _encode(ra, ba, 1, lo, place, box)
+    keys_b = _encode(rb, bb, scale, lo, place, box)
+    return len(_merge([(keys_a, None), (keys_b, None)])[0]) == len(A)
 
 
 def least_positive_square(X: np.ndarray, initial):
@@ -226,10 +357,9 @@ def min_separation_squared(A: FiniteSet) -> Fraction:
     if len(A) < 2:
         raise SeparationUndefined("minimal separation needs at least 2 points")
     L, rows = _integer_form(A)
-    lo = [min(col) for col in zip(*rows)]
-    reach = sum((max(col) - low) ** 2 for col, low in zip(zip(*rows), lo))
-    X = np.array([[x - low for x, low in zip(p, lo)] for p in rows],
-                 dtype=_dtype(reach))
+    low, span = _column_bounds(rows)
+    reach = sum(s * s for s in span)
+    X = _offsets(rows, low, _dtype(reach))
     return Fraction(int(least_positive_square(X, reach)), L * L)
 
 
@@ -240,13 +370,19 @@ def min_separation(A: FiniteSet) -> float:
 
 def _merge(parts) -> tuple:
     """Sorted distinct keys of the (keys, counts) parts, with the counts of
-    equal keys added, or with counts None when the parts carry none."""
+    equal keys added, or with counts None when the parts carry none.  One
+    sort, then the first key of each run of equal keys."""
     keys = np.concatenate([k for k, _ in parts])
-    if parts[0][1] is None:
-        return np.unique(keys), None
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counted = parts[0][1] is not None
+    if counted:
+        order = np.argsort(keys)
+        keys = keys[order]
+    else:
+        keys.sort()   # the concatenation is a fresh array
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if not counted:
+        return keys[first], None
+    starts = np.flatnonzero(first)
     counts = np.concatenate([c for _, c in parts])[order]
     return keys[starts], np.add.reduceat(counts, starts)
 
@@ -273,29 +409,29 @@ def _outer_sums(left, right, counts) -> tuple:
 
 
 class _Sums:
-    """A + B₁ + … + B_k, one summand per step(), kept as keys in the box of
-    the whole sum, with the number of ordered tuples behind each key when
-    counted.  Keys are int64 when that box, and counts when the number of
-    tuples, is below 2⁶³, and Python ints otherwise."""
+    """A + B₁ + … + B_k, one summand per step(), kept as sorted keys in the
+    box of the whole sum, with the number of ordered tuples behind each key
+    when counted.  Keys are int64 when that box, and counts when the number
+    of tuples, is below 2⁶³, and Python ints otherwise."""
 
     def __init__(self, A: FiniteSet, summands: list, counted: bool = False):
         sets = [A, *summands]
-        if not all(S.points for S in sets):
+        if not all(len(S) for S in sets):
             raise ValueError("sumset of an empty set")
-        forms = [_integer_form(S) for S in sets]
-        L = math.lcm(*(la for la, _ in forms))
-        rows = [r if la == L else [tuple(x * (L // la) for x in p) for p in r]
-                for la, r in forms]
-        los = [[min(col) for col in zip(*r)] for r in rows]
-        spans = [[max(col) - low for col, low in zip(zip(*r), lo)]
-                 for r, lo in zip(rows, los)]
-        widths = [1 + sum(col) for col in zip(*spans)]
-        self.place = [math.prod(widths[:j]) for j in range(len(widths) + 1)]
-        keys = [np.array([sum((x - low) * pv for x, low, pv in zip(p, lo, self.place))
-                          for p in r], dtype=_dtype(self.place[-1]))
-                for r, lo in zip(rows, los)]
-        self.keys, self.L, self.lo = keys[0], L, los[0]
-        self._pending = iter(zip(keys[1:], los[1:]))
+        # each distinct set once (A recurs in mA), by its id
+        forms = {id(S): _integer_form(S) for S in sets}
+        L = math.lcm(*(la for la, _ in forms.values()))
+        scale = {i: L // la for i, (la, _) in forms.items()}
+        bounds = {i: _column_bounds(rows) for i, (_, rows) in forms.items()}
+        low = {i: [x * scale[i] for x in bounds[i][0]] for i in forms}
+        # every summand widens the box of the sum by its scaled spans
+        self.widths = [1 + sum(col) for col in zip(*(
+            [s * scale[id(S)] for s in bounds[id(S)][1]] for S in sets))]
+        self.place, box = _box(self.widths)
+        keys = {i: _encode(rows, bounds[i], scale[i], low[i], self.place, box)
+                for i, (_, rows) in forms.items()}
+        self.keys, self.L, self.lo = keys[id(A)], L, low[id(A)]
+        self._pending = iter([(keys[id(S)], low[id(S)]) for S in summands])
         self.counts = (np.ones(len(A), dtype=_dtype(math.prod(map(len, sets))))
                        if counted else None)
 
@@ -307,19 +443,15 @@ class _Sums:
         self.keys, self.counts = _outer_sums(self.keys, right, self.counts)
         self.lo = [a + b for a, b in zip(self.lo, lo)]
 
-    def points(self) -> list:
-        """The current sums as exact point tuples, in key order."""
-        digits = [(self.keys % high) // place
-                  for place, high in zip(self.place, self.place[1:])]
-        cols = [[x + low for x in col.tolist()] for col, low in zip(digits, self.lo)]
-        pts = list(zip(*cols)) if cols else [()] * len(self.keys)
-        if self.L == 1:
-            return pts
-        return [tuple(_lowest(Fraction(x, self.L)) for x in p) for p in pts]
-
-    def counter(self) -> Counter:
-        """φ: each current sum with its number of ordered tuples."""
-        return Counter(dict(zip(self.points(), self.counts.tolist())))
+    def finite_set(self) -> FiniteSet:
+        """The current sums in integer form: each key's digits plus the box's
+        corner, rows in key order, which is lexicographic."""
+        dtype = _dtype(max((abs(x) + w for x, w in zip(self.lo, self.widths)),
+                           default=0))
+        rows = np.empty((len(self.keys), len(self.lo)), dtype=dtype)
+        for j, (pv, w, x) in enumerate(zip(self.place, self.widths, self.lo)):
+            rows[:, j] = ((self.keys // pv) % w).astype(dtype) + x
+        return FiniteSet._from_rows(self.L, rows)
 
 
 def _charge_pairs(A: FiniteSet, B: FiniteSet, cap: int | None):
@@ -333,17 +465,17 @@ def _charge_pairs(A: FiniteSet, B: FiniteSet, cap: int | None):
 def sumset(A: FiniteSet, B: FiniteSet, cap: int | None = None) -> FiniteSet:
     if A.dimension != B.dimension:
         raise DimensionMismatch("sumset needs equal dimensions")
-    if not A.points or not B.points:
+    if not len(A) or not len(B):
         raise ValueError("sumset of an empty set")
     _charge_pairs(A, B, cap)
     sums = _Sums(A, [B])
     sums.step()
-    return FiniteSet(sums.points(), A.dimension)
+    return sums.finite_set()
 
 
 def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
     """K = |A+A| / |A|, exact."""
-    if not A.points:
+    if not len(A):
         raise ValueError("doubling of an empty set")
     _charge_pairs(A, A, cap)
     sums = _Sums(A, [A])
@@ -363,19 +495,16 @@ def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:
         if len(sums) * len(A) > cap:
             raise CapExceeded("m-fold sumset work exceeds cap")
         sums.step()
-    return FiniteSet(sums.points(), A.dimension)
+    return sums.finite_set()
 
 
-def representation_counts(A: FiniteSet, m: int,
-                          work_cap: int | None = None) -> Counter:
-    """φ over mA: number of ordered m-tuples of A summing to each value.
-
-    Multiplicity-preserving convolution, m−1 steps.
-    """
+def _counted_sums(A: FiniteSet, m: int, work_cap: int | None) -> _Sums:
+    """mA with the number of ordered m-tuples behind each sum: m−1
+    multiplicity-preserving convolution steps."""
     work_cap = ENERGY_WORK_CAP if work_cap is None else work_cap
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not A.points:
+    if not len(A):
         raise ValueError("energy of an empty set")
     sums = _Sums(A, [A] * (m - 1), counted=True)
     work = 0
@@ -384,20 +513,30 @@ def representation_counts(A: FiniteSet, m: int,
         if work > work_cap:
             raise CapExceeded("energy work cap exceeded")
         sums.step()
-    return sums.counter()
+    return sums
+
+
+def representation_counts(A: FiniteSet, m: int,
+                          work_cap: int | None = None) -> Counter:
+    """φ over mA: number of ordered m-tuples of A summing to each value."""
+    sums = _counted_sums(A, m, work_cap)
+    return Counter(dict(zip(sums.finite_set(), sums.counts.tolist())))
 
 
 def additive_energy(A: FiniteSet, m: int, work_cap: int | None = None) -> int:
-    """E_m(A): ordered 2m-tuples with a₁+…+a_m = a_{m+1}+…+a_{2m}."""
-    phi = representation_counts(A, m, work_cap)
-    return sum(c * c for c in phi.values())
+    """E_m(A): ordered 2m-tuples with a₁+…+a_m = a_{m+1}+…+a_{2m}, as
+    Σ φ(b)² over the counts alone."""
+    counts = _counted_sums(A, m, work_cap).counts
+    # Σ φ² ≤ (Σ φ)² = |A|^{2m} bounds every square and partial sum
+    counts = counts.astype(_dtype(len(A) ** (2 * m)))
+    return int((counts * counts).sum())
 
 
 def energy_bruteforce(A: FiniteSet, m: int) -> int:
     """Independent oracle for E_m(A) by direct enumeration: every m-tuple's
     sum (itertools.product, no convolution), then Σ c² over the number c of
     m-tuples behind each sum, which joins the two sides of the 2m-tuple."""
-    if not A.points:
+    if not len(A):
         raise ValueError("energy of an empty set")
     counts = Counter(tuple(map(sum, zip(*tup)))
                      for tup in product(A.points, repeat=m))
@@ -439,9 +578,9 @@ def frac_str(x) -> str:
 def check_energy_lower_bound(A: FiniteSet, B: FiniteSet, m: int,
                              work_cap: int | None = None) -> EnergyBoundReport:
     """Exact check of the doubling-to-energy lower bound for B ⊆ A."""
-    if not B.points:
+    if not len(B):
         raise ValueError("B must be nonempty")
-    if not (B.points <= A.points):
+    if not B <= A:
         raise SubsetViolation("B is not a subset of A")
     K = doubling(A)
     e = additive_energy(B, m, work_cap)

@@ -71,6 +71,7 @@ MAX_ORACLE_SAMPLES = 40_000_000
 # AMBIGUITY_REL·δ clears its `certified`
 AMBIGUITY_REL = 1e-9
 _U = 2.0 ** -53   # unit roundoff of float64
+_FLOAT_EXACT = 1 << 53   # every integer below this is a float
 
 
 class InvalidQuery(ValueError):
@@ -138,8 +139,11 @@ class CountResult:
     certified: bool
 
 
-def _result(points: tuple, arcs: int, certified: bool, keep: bool) -> CountResult:
-    return CountResult(len(points), points if keep else None, arcs, certified)
+def _result(count: int, points, arcs: int, certified: bool,
+            keep: bool) -> CountResult:
+    """The result of ``count`` hits; the iterable ``points`` yields them and
+    is read only when they are kept."""
+    return CountResult(count, tuple(points) if keep else None, arcs, certified)
 
 
 def delta_from_rule(d, N: int, n: int) -> Fraction:
@@ -149,9 +153,18 @@ def delta_from_rule(d, N: int, n: int) -> Fraction:
 
 
 def materialize_source(source, cap: int | None = None):
-    """Expand an explicit or GAP source into (sorted exact points, their
-    correctly rounded float coordinates as an (n, dimension) array).
-    Lattices are never materialized."""
+    """Expand an explicit or GAP source into (its FiniteSet, the correctly
+    rounded float coordinates of its points in sorted order as an
+    (n, dimension) array).  Row i is the point ``fs._point(i)``.  Lattices
+    are never materialized.
+
+    A set that holds its integer form (L, rows), as every GAP does, is
+    ordered by its rows and gives its floats as rows / L: one numpy division when every
+    numerator and L are below 2⁵³, so that both are exact floats, and
+    Python's int / int otherwise.  Either rounds the quotient correctly, as
+    float(Fraction) does, and no point is decoded until asked for.  Any
+    other set is sorted as exact points, and float(c) rounds each
+    coordinate."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     if isinstance(source, ExplicitSource):
         fs = source.points
@@ -159,9 +172,15 @@ def materialize_source(source, cap: int | None = None):
         fs = gap_enumerate(source.gap, cap)
     else:
         raise InvalidQuery(f"unsupported source {type(source).__name__}")
-    pts = list(fs)   # FiniteSet iterates in sorted order
-    floats = np.array([[float(c) for c in p] for p in pts], dtype=float)
-    return pts, floats.reshape(len(pts), fs.dimension)
+    if fs._integer is None:
+        floats = np.array([[float(c) for c in p] for p in fs], dtype=float)
+        return fs, floats.reshape(len(fs), fs.dimension)
+    L, rows = pointsets._integer_form(fs)
+    if (rows.dtype == np.int64 and L < _FLOAT_EXACT
+            and (not rows.size or np.abs(rows).max() < _FLOAT_EXACT)):
+        return fs, rows / L
+    floats = np.array([[x / L for x in p] for p in rows.tolist()], dtype=float)
+    return fs, floats.reshape(rows.shape)
 
 
 def _graph_numerators(f: PolyCoord, N: int, k_lo: int, k_hi: int):
@@ -298,9 +317,9 @@ class _PointCells:
     range, so only occupied rows and columns are enumerated.
     """
 
-    def __init__(self, pts_exact: list, pts: np.ndarray, delta: float):
-        self.pts_exact = pts_exact
-        self.empty = not pts_exact
+    def __init__(self, fs: FiniteSet, pts: np.ndarray, delta: float):
+        self.fs = fs
+        self.empty = not len(fs)
         if self.empty:
             return
         self.pts = pts
@@ -343,7 +362,7 @@ class _PointCells:
         return self.pts[pid]
 
     def exact(self, pid: int) -> tuple:
-        return self.pts_exact[pid]
+        return self.fs._point(pid)
 
 
 def _expand(counts: np.ndarray):
@@ -660,17 +679,17 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
         if walk is not None:
             # every decision is exact, and no arc is examined
             hits = walk(curve, delta_q, query.source, cap)
-            return _result(tuple(hits), 0, True, keep_points)
+            return _result(len(hits), hits, 0, True, keep_points)
         cells = _LatticeCells(query.source)
     else:
-        pts_exact, pts = materialize_source(query.source, cap)
+        fs, pts = materialize_source(query.source, cap)
         if _is_unit_circle(curve) and pts.shape[1] == 2:
             r_in, r_out = _annulus(delta_q)
-            hits = (p for p in pts_exact if r_in <= p[0] * p[0] + p[1] * p[1] <= r_out)
-            return _result(tuple(hits), 0, True, keep_points)
-        cells = _PointCells(pts_exact, pts, delta)
+            hits = [p for p in fs if r_in <= p[0] * p[0] + p[1] * p[1] <= r_out]
+            return _result(len(hits), hits, 0, True, keep_points)
+        cells = _PointCells(fs, pts, delta)
     if cells.empty:
-        return _result((), 0, True, keep_points)
+        return _result(0, (), 0, True, keep_points)
     if cells.dim != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
@@ -722,7 +741,8 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     todo = np.flatnonzero(~hit & ~miss)
     verdicts = [near(curve, cells.exact(i), delta_q) for i in ids[todo].tolist()]
     hit[todo] = [v is not False for v in verdicts]
-    return _result(tuple(cells.exact(i) for i in ids[hit].tolist()), n_seg,
+    hits = ids[hit].tolist()
+    return _result(len(hits), map(cells.exact, hits), n_seg,
                    None not in verdicts, keep_points)
 
 
@@ -867,9 +887,9 @@ def _oracle_points(source, cap: int | None):
     Fractions built are those of the points asked for.
     """
     if not isinstance(source, LatticeSource):
-        pts_exact, pts = materialize_source(source, cap)
-        _check_oracle_size(len(pts_exact))
-        return pts, pts_exact.__getitem__
+        fs, pts = materialize_source(source, cap)
+        _check_oracle_size(len(fs))
+        return pts, fs._point
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     N = source.N
     (ilo, ihi), (jlo, jhi) = source.index_bounds()
@@ -900,7 +920,7 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     band = AMBIGUITY_REL * delta
     pts, exact = _oracle_points(query.source, cap)
     if not len(pts):
-        return _result((), 0, True, keep_points)
+        return _result(0, (), 0, True, keep_points)
     if pts.shape[1] != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
@@ -923,5 +943,5 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
     d_star = _zoom(curve, pts[todo], ts[nearest[todo]], lo, hi, width / n_samp)
     matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
-    return _result(tuple(exact(i) for i in matched.tolist()), n_samp,
+    return _result(len(matched), map(exact, matched.tolist()), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

@@ -1,5 +1,5 @@
-"""Hyperplane intersections, derivative curves, the MVT consistency check,
-and affine invariance of intersection counts."""
+"""Hyperplane intersections, the MVT consistency check on the curve's
+derivative row, and affine invariance of intersection counts."""
 
 import math
 import random
@@ -10,14 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
-                        derivative_curve, intersect, lift_curve, make_Ms,
+                        graph_curve, intersect, lift_curve, make_Ms,
                         moment_curve, mvt_consistency, parabola,
-                        survey_intersections, to_graph_form, wronskian)
+                        survey_intersections, wronskian)
 from curvecount import polys
 from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord,
                                _tan_bracket, polynomial_curve)
 from curvecount.hyperplanes import (HyperplaneError, RootList, _combination,
-                                    _count, mvt_derived_hyperplane)
+                                    _count)
 from curvecount.lifting import MonomialSet
 
 
@@ -71,36 +71,56 @@ def test_parabola_max_two_roots():
 
 
 def test_derivative_curve_moment():
-    dc = derivative_curve(moment_curve(3))
-    assert dc.dimension == 2
-    assert [tuple(c.coeffs) for c in dc.coords] == [(0, 2), (0, 0, 3)]
+    # the derivative curve is the row that mvt_consistency pairs with H′
+    speed, *row = moment_curve(3).derivatives(1)[1]
+    assert tuple(speed.coeffs) == (1,)
+    assert [tuple(c.coeffs) for c in row] == [(0, 2), (0, 0, 3)]
     # non-degeneracy inherited: W of (2t, 3t^2) is det [[2, 6t], [0, 6]] = 12
+    dc = CurveSpec("polynomial-parametric", row, (0, 1))
     for t in (F(0), F(1, 2), F(1)):
         assert wronskian(dc, t) == 12
+    # g = (t − 1/4)(t − 1/2)(t − 3/4); g′ = 3t² − 3t + 11/16 has two roots
+    # in [0, 1], so three intersections are consistent and four are not
+    plane = Hyperplane(F(3, 32), (F(11, 16), F(-3, 2), 1))
+    roots = intersect(moment_curve(3), plane)
+    assert len(roots) == 3 and mvt_consistency(moment_curve(3), plane, roots)
+    assert not mvt_consistency(moment_curve(3), plane,
+                               RootList(roots.roots + (0.0,), True))
 
 
 def test_derivative_curve_parabola_is_one_dimensional():
-    dc = derivative_curve(parabola())
-    assert dc.dimension == 1
-    assert tuple(dc.coords[0].coeffs) == (0, 2)
+    speed, *row = parabola().derivatives(1)[1]
+    assert len(row) == 1 and tuple(row[0].coeffs) == (0, 2)
+    # −x + y = −3/16 meets (t, t²) at t = 1/4 and 3/4; g′ = 2t − 1 has one root
+    plane = Hyperplane(F(-3, 16), (-1, 1))
+    roots = intersect(parabola(), plane)
+    assert len(roots) == 2 and mvt_consistency(parabola(), plane)
+    assert not mvt_consistency(parabola(), plane, RootList((0.1, 0.2, 0.3), True))
 
 
-def test_to_graph_form_affine_reparameterization():
-    curve = polynomial_curve([[F(1, 4), F(1, 2)], [0, 0, 1]])  # (1/4 + t/2, t^2)
-    graph = to_graph_form(curve)
-    assert graph.is_graph_form
-    assert graph.domain == (F(1, 4), F(3, 4))
-    # the graph must trace the same planar set: y = (2x - 1/2)^2
-    from curvecount.curves import eval_jet
-    for s in (F(1, 4), F(1, 2), F(3, 4)):
-        y = eval_jet(graph, s, 0).point[1]
-        assert y == (2 * s - F(1, 2)) ** 2
+def test_mvt_is_invariant_under_an_affine_reparameterization():
+    # (1/4 + t/2, t²) on [0, 1] traces the graph y = (2x − 1/2)² on [1/4, 3/4]
+    curve = polynomial_curve([[F(1, 4), F(1, 2)], [0, 0, 1]])
+    graph = graph_curve([[F(1, 4), -2, 4]], (F(1, 4), F(3, 4)))
+    rng = random.Random(8)
+    for _ in range(100):
+        # the chord through the points at two random parameters
+        t1, t2 = sorted(F(rng.randint(0, 64), 64) for _ in range(2))
+        if t1 == t2:
+            continue
+        (x1, y1), (x2, y2) = ((F(1, 4) + t / 2, t * t) for t in (t1, t2))
+        plane = Hyperplane(x2 * y1 - x1 * y2, (y1 - y2, x2 - x1))
+        assert _count(curve, plane) == _count(graph, plane) == 2
+        assert mvt_consistency(curve, plane) and mvt_consistency(graph, plane)
+        three = RootList((0.1, 0.2, 0.3), True)
+        assert not mvt_consistency(curve, plane, three)
+        assert not mvt_consistency(graph, plane, three)
 
 
-def test_to_graph_form_rejects_nonaffine():
+def test_mvt_refuses_a_nonaffine_first_coordinate():
     curve = polynomial_curve([[0, 0, 1], [0, 1]])
     with pytest.raises(InvalidCurveError):
-        to_graph_form(curve)
+        mvt_consistency(curve, Hyperplane(0, (1, 1)))
 
 
 def test_mvt_consistency_random_lines():
@@ -119,11 +139,11 @@ def test_mvt_consistency_random_lines():
 
 
 def test_mvt_derived_hyperplane():
-    h = Hyperplane(F(1, 3), (F(1, 2), 1, F(-1, 4)))
-    hd = mvt_derived_hyperplane(h)
-    assert hd.dimension == 2
+    # x = 1 has no derived plane a₁ + 0·x₂ = 0
     with pytest.raises(HyperplaneError):
-        mvt_derived_hyperplane(Hyperplane(1, (1, 0, 0)))
+        mvt_consistency(parabola(), Hyperplane(1, (1, 0)),
+                        RootList((0.25, 0.5), True))
+    assert mvt_consistency(parabola(), Hyperplane(F(1, 2), (1, 0)))
 
 
 def test_moment_curve_root_counts_bounded_by_dimension():
@@ -503,7 +523,8 @@ def test_count_is_the_length_of_intersect(case):
 
 
 def test_mvt_off_a_graph_keeps_the_curve_parameter():
-    # x = 1/3 + 2t on [1/5, 4/5]: graph form would need x in [11/15, 28/15]
+    # x = 1/3 + 2t on [1/5, 4/5]: graph form would need x in [11/15, 28/15],
+    # outside the [0, 1] that a curve's domain must lie in
     curve = polynomial_curve([[F(1, 3), 2], [0, 0, 1]], (F(1, 5), F(4, 5)))
     assert mvt_consistency(curve, Hyperplane(F(1, 2), (0, 1)))
     # with y = (t − 3/10)(t − 1/2)(t − 7/10), g = x/1000 + y − 1/3000 − 1/1000

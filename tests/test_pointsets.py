@@ -10,13 +10,15 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvecount import (CapExceeded, FiniteSet, Gap, SubsetViolation,
+from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap, GapSource,
+                        SubsetViolation,
                         additive_energy, check_energy_lower_bound,
                         check_plunnecke, doubling, energy_bruteforce,
                         gap_enumerate, is_proper, m_fold_sumset,
                         min_separation, min_separation_squared,
                         representation_counts, sumset)
 from curvecount.pointsets import DimensionMismatch, SeparationUndefined
+from curvecount.tube import materialize_source
 
 
 def _tuple_sums(phi: dict, B) -> Counter:
@@ -361,6 +363,9 @@ def test_multiplicities_beyond_int64_stay_exact():
     assert phi[(35,)] == math.comb(70, 35) > 2 ** 63
     assert sum(phi.values()) == 2 ** 70
     assert len(m_fold_sumset(a, 70)) == 71
+    # at m = 40 the counts fit int64 and their squares do not
+    assert additive_energy(a, 40) == math.comb(80, 40)
+    assert additive_energy(a, 70) == math.comb(140, 70)
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,3 +389,87 @@ def test_caps_fire_on_the_level_sizes(pair, m, cap):
                 call()
         else:
             call()
+
+
+# -- sets in integer form against their Fraction points ----------------------
+
+# numerators in [2**63, 2**64), where numpy left to itself infers uint64 or
+# float64, and past 2**64; negative offsets; halves, whose sums can need a
+# smaller denominator than their summands
+_past_int64 = st.one_of(
+    _small,
+    st.integers(2 ** 63, 2 ** 64 - 1),
+    st.integers(-2 ** 64 - 40, -2 ** 63),
+    st.integers(2 ** 64, 2 ** 66),
+    st.builds(F, st.integers(2 ** 63, 2 ** 64 - 1), st.integers(1, 6)),
+    st.builds(F, st.integers(-30, 30).map(lambda k: 2 * k + 1), st.just(2)))
+
+
+@st.composite
+def integer_form_cases(draw):
+    """(kind, arguments) of a set built from sums: a sumset, an m-fold
+    sumset or a GAP, in dimension 0 to 3."""
+    d = draw(st.integers(0, 3))
+    coord = draw(st.sampled_from([_small, _past_int64]))
+    point = st.tuples(*[coord] * d)
+    kind = draw(st.sampled_from(["sumset", "m_fold", "gap"]))
+    if kind == "gap":
+        m = draw(st.integers(1, 3))
+        return kind, Gap(draw(point), draw(st.lists(point, min_size=m, max_size=m)),
+                         draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    a = FiniteSet(draw(st.lists(point, min_size=1, max_size=5)), d)
+    if kind == "m_fold":
+        return kind, (a, draw(st.integers(2, 3)))
+    return kind, (a, FiniteSet(draw(st.lists(point, min_size=1, max_size=5)), d))
+
+
+def _built_and_expected(kind, args) -> tuple:
+    """The set the library builds and its points by a loop over Fractions."""
+    if kind == "gap":
+        return gap_enumerate(args), literal_gap(args), len(args.base)
+    a, other = args
+    if kind == "m_fold":
+        return m_fold_sumset(a, other), set(oracle_levels(a, other)[-1]), a.dimension
+    return sumset(a, other), set(_tuple_sums(dict.fromkeys(a.points, 1),
+                                             other.points)), a.dimension
+
+
+_HALF = FiniteSet([(F(1, 2), F(-3, 2))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_form_cases())
+@example(("sumset", (_HALF, _HALF)))   # {1/2} + {1/2} = {1}: L goes 2 → 1
+@example(("m_fold", (FiniteSet([(F(1, 2),), (F(3, 2),)]), 2)))
+@example(("sumset", (FiniteSet([()]), FiniteSet([()]))))
+@example(("gap", Gap((), [(), ()], [2, 3])))
+@example(("sumset", (FiniteSet([(2 ** 63, -5), (F(2 ** 64 - 1, 3), 7)]),
+                     FiniteSet([(0, 1), (-2 ** 63, F(1, 2))]))))
+@example(("gap", Gap((2 ** 63, -1), [(1, 2 ** 64), (F(1, 3), 0)], [3, 2])))
+def test_sets_built_from_sums_equal_their_fraction_points(case):
+    built, expected, d = _built_and_expected(*case)
+    exact = FiniteSet(expected, d)
+    ordered = sorted(exact.points)
+    # the integer forms first: nothing below decodes `built` before `in`
+    assert len(built) == len(exact) == len(expected)
+    assert built == exact and exact == built
+    assert built <= exact and exact <= built
+    assert list(built) == ordered == list(exact)
+    # a fresh set of exact points has no integer form: sorted, float(c)
+    sources = [ExplicitSource(built), ExplicitSource(FiniteSet(expected, d))]
+    if case[0] == "gap":
+        sources.append(GapSource(case[1]))
+    for source in sources:
+        fs, floats = materialize_source(source)
+        assert list(fs) == ordered
+        assert [fs._point(i) for i in range(len(fs))] == ordered
+        assert floats.shape == (len(ordered), d)
+        assert [[x.hex() for x in row] for row in floats.tolist()] == \
+            [[float(c).hex() for c in p] for p in ordered]
+    if len(ordered) > 1:
+        fewer = FiniteSet(ordered[1:], d)
+        assert fewer <= built and not built <= fewer and built != fewer
+    if d:
+        assert (ordered[-1][0] + 1, *ordered[-1][1:]) not in built
+    assert all(p in built for p in ordered)
+    assert built.points == exact.points
