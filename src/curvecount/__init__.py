@@ -5,11 +5,10 @@ counting with an independent brute-force oracle, and the additive
 combinatorics (energy, doubling, Plünnecke) driving the counting bounds.
 """
 
-from .curves import (CurveSpec, DomainError, InvalidCurveError, Jet,
+from .curves import (CurveSpec, DomainError, InvalidCurveError,
                      NondegeneracyCertificate, certify_nondegenerate,
-                     circle_arc, eval_jet, graph_curve, line_segment,
-                     moment_curve, parabola, polynomial_curve, wronskian,
-                     wronskian_symbolic)
+                     circle_arc, graph_curve, line_segment, moment_curve,
+                     parabola, polynomial_curve, wronskian, wronskian_symbolic)
 from .hyperplanes import (DegenerateIntersection, Hyperplane, RootList,
                           intersect, mvt_consistency, survey_intersections)
 from .lifting import (BijectionReport, Monomial, MonomialSet,

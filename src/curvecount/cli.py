@@ -8,6 +8,7 @@ inequality campaign finds a failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -15,11 +16,10 @@ from pathlib import Path
 
 from . import pointsets, serialization as ser
 from .curves import certify_nondegenerate, wronskian
-from .experiments import (CAMPAIGN_KINDS, ExperimentConfig,
-                          run_energy_experiment, run_exponent_experiment,
-                          run_inequality_campaign, squares_schedule)
+from .experiments import (CAMPAIGN_KINDS, run_energy_experiment,
+                          run_exponent_experiment, run_inequality_campaign)
 from .lifting import exponent, lift_curve, make_Ms
-from .pointsets import additive_energy, exact_int
+from .pointsets import additive_energy
 from .tube import brute_force_tube_oracle, count_in_tube
 from .hyperplanes import survey_intersections
 
@@ -127,14 +127,7 @@ def _cmd_wronskian(args) -> int:
 def _cmd_certify(args) -> int:
     curve = ser.load_curve(args.curve)
     cert = certify_nondegenerate(curve, ser.parse_frac(args.c0), args.grid)
-    _dump_json({
-        "min_sampled_wronskian": cert.min_sampled_wronskian,
-        "claimed_lower_bound": cert.claimed_lower_bound,
-        "grid_resolution": cert.grid_resolution,
-        "margin_estimate": cert.margin_estimate,
-        "status": cert.status,
-        "exact": cert.exact,
-    }, args.out)
+    _dump_json(dataclasses.asdict(cert), args.out)
     return 0
 
 
@@ -167,7 +160,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    pts = ser.points_from_list(json.loads(Path(args.points).read_text()))
+    pts = pointsets.FiniteSet(json.loads(Path(args.points).read_text()))
     e = additive_energy(pts, args.m, args.cap)
     ratio = Fraction(e, len(pts) ** args.m)
     _dump_json({"size": len(pts), "m": args.m, "energy": e,
@@ -186,51 +179,24 @@ def _cmd_hyperplanes(args) -> int:
     return 0
 
 
-def _load_experiment_config(path) -> tuple[ExperimentConfig, str]:
-    data = json.loads(Path(path).read_text())
-    curve_field = data["curve"]
-    if isinstance(curve_field, str):
-        curve = ser.load_curve(Path(path).parent / curve_field)
-    else:
-        curve = ser.curve_from_dict(curve_field)
-    sched = data.get("schedule")
-    if isinstance(sched, dict):
-        sched = squares_schedule(exact_int(sched["squares_up_to"], "squares_up_to"))
-    mons = data.get("monomials")
-    mset = ser.monomials_from_list(mons) if mons else None
-    delta = data.get("delta", "on-curve")
-    if delta == "on-curve" or delta == 0:
-        d = power = None
-    else:
-        d = ser.parse_frac(delta.get("d", 1))
-        power = exact_int(delta["power"], "delta power")
-    box = data.get("box", [["0", "1"], ["0", "1"]])
-    box = tuple((ser.parse_frac(a), ser.parse_frac(b)) for a, b in box)
-    energy_m = data.get("energy_m")
-    cfg = ExperimentConfig(curve=curve, schedule=tuple(sched), monomials=mset,
-                           delta_d=d, delta_power=power, box=box,
-                           energy_m=None if energy_m is None
-                           else exact_int(energy_m, "energy_m"))
-    return cfg, data.get("experiment", "exponent")
-
-
 def _cmd_experiment(args) -> int:
     if not args.config:
         raise SystemExit(USAGE_EXIT)
-    cfg, which = _load_experiment_config(args.config)
+    cfg, which = ser.load_experiment(args.config)
     if which == "energy":
-        report = run_energy_experiment(cfg, args.cap)
-        _emit(report.to_json(), args.out)
+        _dump_json(run_energy_experiment(cfg, args.cap).to_dict(), args.out)
         return 0
     report = run_exponent_experiment(cfg, args.cap)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(),
-          args.out)
+    if args.format == "csv":
+        _emit(report.to_csv(), args.out)
+    else:
+        _dump_json(report.to_dict(), args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
     result = run_inequality_campaign(args.kind, args.seed, args.trials, args.cap)
-    _emit(result.to_json(), args.out)
+    _dump_json(result.to_dict(), args.out)
     return 0 if result.ok else CAMPAIGN_FAIL_EXIT
 
 

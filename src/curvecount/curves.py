@@ -426,15 +426,6 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class Jet:
-    """Point and derivative rows γ^(1)..γ^(k) of a curve at one parameter."""
-    point: tuple
-    derivatives: tuple
-    arithmetic_mode: str  # 'exact' or 'floating'
-    error_estimate: float = 0.0
-
-
-@dataclass(frozen=True)
 class NondegeneracyCertificate:
     min_sampled_wronskian: float
     claimed_lower_bound: float
@@ -489,30 +480,7 @@ def line_segment(p, q) -> CurveSpec:
     return CurveSpec("polynomial-parametric", coords)
 
 
-# -- jets and Wronskians ----------------------------------------------------
-
-def eval_jet(curve: CurveSpec, t, order: int) -> Jet:
-    """γ(t) together with derivative rows γ^(1)(t)…γ^(order)(t).
-
-    Exact rational arithmetic whenever the curve is polynomial and t is
-    rational; floating otherwise, with a roundoff magnitude estimate.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if not curve.contains_parameter(t):
-        raise DomainError(f"parameter {t} outside domain {curve.domain}")
-    exact = curve.is_exact and not isinstance(t, float)
-    table = curve.derivatives(order)
-    tv = parse_frac(t) if exact else float(t)
-    rows = [tuple(fn.eval(tv) for fn in row) for row in table]
-    err = 0.0
-    if not exact:
-        lo, hi = curve.domain
-        err = max(fn.error_estimate(lo, hi) for row in table for fn in row)
-    return Jet(point=rows[0], derivatives=tuple(rows[1:]),
-               arithmetic_mode="exact" if exact else "floating",
-               error_estimate=err)
-
+# -- Wronskians -------------------------------------------------------------
 
 def wronskian_symbolic(curve: CurveSpec):
     """The Wronskian W(γ₁',…,γₙ') as an exact coordinate function of t: the
@@ -640,22 +608,7 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
     return cert("certified", exact=True) if clear else cert("failed")
 
 
-# -- transforms and bounds --------------------------------------------------
-
-def translate_curve(curve: CurveSpec, vector) -> CurveSpec:
-    """Translate the curve by an exact rational vector."""
-    vec = [parse_frac(x) for x in vector]
-    if len(vec) != curve.dimension:
-        raise InvalidCurveError("translation dimension mismatch")
-    out = []
-    for fn, c in zip(curve.coords, vec):
-        if isinstance(fn, PolyCoord):
-            out.append(PolyCoord(polys.add(fn.coeffs, polys.poly([c]))))
-        else:
-            out.append(fn.add(TrigCoord({(0, 0): c}, fn.tau_power)))
-    kind = curve.kind if not curve.is_exact else "polynomial-parametric"
-    return CurveSpec(kind, out, curve.domain)
-
+# -- bounds and vectorized evaluation ---------------------------------------
 
 def derivative_sup_bound(curve: CurveSpec, order: int) -> float:
     """Upper bound for sup |γ^(order)(t)| over the domain (Euclidean norm).

@@ -17,7 +17,6 @@ campaigns draw random instances, from the seed they are given.
 from __future__ import annotations
 
 import io
-import json
 import math
 import random
 import time
@@ -30,7 +29,7 @@ from .lifting import (MonomialSet, check_lattice_bijection, exponent,
 from .pointsets import (CapExceeded, FiniteSet, Gap, additive_energy,
                         check_energy_lower_bound, check_plunnecke, doubling,
                         exact_int, frac_str, gap_enumerate,
-                        min_separation_squared)
+                        min_separation_squared, parse_frac)
 from .tube import (LatticeSource, TubeQuery, count_in_tube,
                    count_on_curve_lattice, delta_from_rule)
 
@@ -60,7 +59,14 @@ class ExperimentConfig:
         if (self.delta_d is None) != (self.delta_power is None):
             raise ValueError("delta_d and delta_power go together")
         if self.delta_d is not None:
-            object.__setattr__(self, "delta_d", Fraction(self.delta_d))
+            object.__setattr__(self, "delta_d", parse_frac(self.delta_d))
+            object.__setattr__(self, "delta_power",
+                               exact_int(self.delta_power, "delta power"))
+        object.__setattr__(self, "box", tuple(
+            (parse_frac(lo), parse_frac(hi)) for lo, hi in self.box))
+        if self.energy_m is not None:
+            object.__setattr__(self, "energy_m",
+                               exact_int(self.energy_m, "energy_m"))
 
 
 def fit_loglog(ns, counts) -> tuple[float, float]:
@@ -104,9 +110,6 @@ class CountReport:
             "reporting_margin": REPORTING_MARGIN,
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -174,9 +177,6 @@ class EnergyReport:
                          ("N", "size", "energy", "ratio", "ratio_float",
                           "saturation", "saturation_float", "skipped", "reason")})
         return {"m": self.m, "rows": rows, "trend_slope": self.trend_slope}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def run_energy_experiment(cfg: ExperimentConfig, cap=None) -> EnergyReport:
@@ -248,9 +248,6 @@ class CampaignResult:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "trials": self.trials, "passes": self.passes,
                 "failures": list(self.failures), "ok": self.ok}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _random_int_set(rng: random.Random, max_size: int, span: int = 20,

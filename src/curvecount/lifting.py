@@ -169,7 +169,7 @@ def lift_curve(curve: CurveSpec, M: MonomialSet) -> CurveSpec:
 
 def lipschitz_constant_squared(M: MonomialSet, R) -> Fraction:
     """C(M, R)² = Σ deg(mᵢ)² R^(2·deg mᵢ − 2), exact for rational R ≥ 1."""
-    R = Fraction(R)
+    R = parse_frac(R)
     if R < 1:
         raise LiftError("the Lipschitz bound requires R >= 1")
     return sum(Fraction(m.degree) ** 2 * R ** (2 * m.degree - 2) for m in M)

@@ -3,7 +3,7 @@ real root isolation.
 
 Polynomials are dense coefficient tuples, low degree first, trimmed of trailing
 zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
-products, powers, composition, interpolation) is exact over
+products, powers, interpolation) is exact over
 ``fractions.Fraction``.  ``integer_form`` clears a polynomial's
 denominators once, as its least common denominator and integer numerators;
 curve coordinates cache it.  Determinants, root counting, isolation and
@@ -26,6 +26,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from .pointsets import parse_frac
+
 Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
@@ -33,8 +35,9 @@ ONE: Poly = (Fraction(1),)
 
 
 def poly(coeffs: Iterable) -> Poly:
-    """Build a trimmed polynomial from any iterable of rational-like values."""
-    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    """Build a trimmed polynomial from an iterable of exact rationals, each
+    read by ``parse_frac``: a float or a bool raises InexactNumber."""
+    cs = [c if isinstance(c, Fraction) else parse_frac(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -103,14 +106,6 @@ def eval_exact(p: Poly, t) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * t + c
-    return acc
-
-
-def compose(p: Poly, q: Poly) -> Poly:
-    """p(q(t)), exact (Horner in the polynomial ring)."""
-    acc: Poly = ZERO
-    for c in reversed(p):
-        acc = add(mul(acc, q), poly([c]))
     return acc
 
 

@@ -1,16 +1,19 @@
-"""JSON (de)serialization for curves, monomial sets, point sets, GAPs and
-tube queries.
+"""JSON (de)serialization for curves, monomial sets, point sets, GAPs, tube
+queries and experiment configs.
 
 Every file is JSON; loaders read the keys they know and ignore the rest.
-Integer fields (dimensions, exponents, N, lengths) must be integers and are
-never truncated.
+Loaders pass numbers through as read: the constructors they call parse
+every exact rational with ``parse_frac`` (a float or a bool is refused, never
+rounded) and every integer field (dimensions, exponents, N, lengths) with
+``exact_int`` (never truncated).
 
 Rationals travel as decimal-free "numerator/denominator" strings so files
 round-trip exactly.  Curve files carry kind, dimension, coefficients and
 domain; lifted curves serialize as their base curve plus the monomial list
 and are rebuilt by lifting on load, which preserves exactness for both
 polynomial and circle-arc bases.  A declared dimension must match the
-loaded curve.
+loaded curve.  A query or experiment names its curve inline or by a path
+relative to its own file.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 
 from .curves import (CurveSpec, InvalidCurveError, circle_arc, graph_curve,
                      moment_curve, polynomial_curve)
+from .experiments import ExperimentConfig, squares_schedule
 from .lifting import MonomialSet, lift_curve
 from .pointsets import FiniteSet, Gap, exact_int, frac_str, parse_frac
 from .tube import (ExplicitSource, GapSource, InvalidQuery, LatticeSource,
@@ -69,9 +73,8 @@ def curve_from_dict(data: dict) -> CurveSpec:
         curve = lift_curve(curve_from_dict(data["base"]),
                            monomials_from_list(data["monomials"]))
     elif kind in ("polynomial-graph", "polynomial-parametric"):
-        coeffs = [[parse_frac(c) for c in row] for row in data["coefficients"]]
         build = graph_curve if kind == "polynomial-graph" else polynomial_curve
-        curve = build(coeffs, domain)
+        curve = build(data["coefficients"], domain)
     else:
         raise InvalidCurveError(f"unknown curve kind {kind!r}")
     if "dimension" in data and exact_int(data["dimension"], "curve dimension",
@@ -83,10 +86,6 @@ def curve_from_dict(data: dict) -> CurveSpec:
 
 def load_curve(path) -> CurveSpec:
     return curve_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_curve(curve: CurveSpec, path):
-    Path(path).write_text(json.dumps(curve_to_dict(curve), indent=2) + "\n")
 
 
 # -- monomial sets ----------------------------------------------------------
@@ -106,67 +105,37 @@ def load_monomials(path) -> MonomialSet:
     return monomials_from_list(data)
 
 
-# -- point sets and GAPs ----------------------------------------------------
+# -- tube queries and experiment configs -------------------------------------
 
-def points_to_list(points) -> list:
-    return [[frac_str(c) for c in p] for p in sorted(points)]
+def _curve_field(field, base_dir) -> CurveSpec:
+    """A ``"curve"`` field: an inline curve, or a path relative to base_dir."""
+    if isinstance(field, str):
+        path = Path(field)
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        return load_curve(path)
+    return curve_from_dict(field)
 
-
-def points_from_list(data, dimension=None) -> FiniteSet:
-    return FiniteSet([tuple(parse_frac(c) for c in row) for row in data],
-                     dimension=dimension)
-
-
-def gap_to_dict(g: Gap) -> dict:
-    return {
-        "base": [frac_str(c) for c in g.base],
-        "generators": [[frac_str(c) for c in v] for v in g.generators],
-        "lengths": list(g.lengths),
-    }
-
-
-def gap_from_dict(data: dict) -> Gap:
-    return Gap(
-        base=tuple(parse_frac(c) for c in data["base"]),
-        generators=tuple(tuple(parse_frac(c) for c in v)
-                         for v in data["generators"]),
-        lengths=data["lengths"],
-    )
-
-
-# -- tube queries -----------------------------------------------------------
 
 def delta_from_spec(data) -> Fraction:
     if isinstance(data, dict):
-        return delta_from_rule(parse_frac(data.get("d", 1)), data["N"], data["n"])
+        return delta_from_rule(data.get("d", 1), data["N"], data["n"])
     return parse_frac(data)
 
 
 def source_from_dict(data: dict):
     kind = data.get("type")
     if kind == "lattice":
-        box = data.get("box")
-        if box is None:
-            raise InvalidQuery("lattice source needs a bounded box")
-        box = tuple((parse_frac(a), parse_frac(b)) for a, b in box)
-        return LatticeSource(data["N"], box)
+        return LatticeSource(data["N"], data.get("box"))
     if kind == "points":
-        return ExplicitSource(points_from_list(data["points"]))
+        return ExplicitSource(FiniteSet(data["points"]))
     if kind == "gap":
-        return GapSource(gap_from_dict(data))
+        return GapSource(Gap(data["base"], data["generators"], data["lengths"]))
     raise InvalidQuery(f"unknown source type {kind!r}")
 
 
 def query_from_dict(data: dict, base_dir=None) -> TubeQuery:
-    curve_field = data["curve"]
-    if isinstance(curve_field, str):
-        path = Path(curve_field)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        curve = load_curve(path)
-    else:
-        curve = curve_from_dict(curve_field)
-    return TubeQuery(curve=curve,
+    return TubeQuery(curve=_curve_field(data["curve"], base_dir),
                      delta=delta_from_spec(data["delta"]),
                      source=source_from_dict(data["source"]))
 
@@ -174,3 +143,23 @@ def query_from_dict(data: dict, base_dir=None) -> TubeQuery:
 def load_query(path) -> TubeQuery:
     path = Path(path)
     return query_from_dict(json.loads(path.read_text()), base_dir=path.parent)
+
+
+def load_experiment(path) -> tuple[ExperimentConfig, str]:
+    """An experiment config file and its experiment kind (default exponent)."""
+    path = Path(path)
+    data = json.loads(path.read_text())
+    sched = data.get("schedule")
+    if isinstance(sched, dict):
+        sched = squares_schedule(exact_int(sched["squares_up_to"], "squares_up_to"))
+    mons = data.get("monomials")
+    delta = data.get("delta", "on-curve")
+    on_curve = delta == "on-curve" or delta == 0
+    cfg = ExperimentConfig(
+        curve=_curve_field(data["curve"], path.parent), schedule=tuple(sched),
+        monomials=monomials_from_list(mons) if mons else None,
+        delta_d=None if on_curve else delta.get("d", 1),
+        delta_power=None if on_curve else delta["power"],
+        box=data.get("box", ((0, 1), (0, 1))),
+        energy_m=data.get("energy_m"))
+    return cfg, data.get("experiment", "exponent")

@@ -24,7 +24,8 @@ numpy, one block of segments at a time, from integer cell indices:
 
 - a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
   box's index range, clipped to the lattice box, lists its candidates
-  directly; no point is built until it matches;
+  directly; no point is built until it matches.  The indices are floats, so
+  N and the box's indices must be below 2⁵³ (InvalidQuery otherwise);
 - explicit and GAP points are keyed by their cell in a uniform grid over
   the two axes with the most occupied cells, and each box looks its cells
   up in the sorted int64 keys.
@@ -63,7 +64,8 @@ import numpy as np
 from .curves import (CurveSpec, PolyCoord, TrigCoord, circle_arc,
                      derivative_sup_bound, eval_array, half_angle_ranges)
 from . import pointsets, polys
-from .pointsets import CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate
+from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
+                        parse_frac)
 
 MAX_SEGMENTS = 4_000_000
 MAX_ORACLE_SAMPLES = 40_000_000
@@ -95,17 +97,17 @@ class LatticeSource:
             raise InvalidQuery("lattice N must be >= 1")
         if self.box is None or len(self.box) != 2:
             raise InvalidQuery("lattice source needs a bounded 2d box")
-        for pair in self.box:
-            lo, hi = Fraction(pair[0]), Fraction(pair[1])
-            if lo > hi:
-                raise InvalidQuery("box bounds out of order")
+        box = tuple((parse_frac(lo), parse_frac(hi)) for lo, hi in self.box)
+        if any(lo > hi for lo, hi in box):
+            raise InvalidQuery("box bounds out of order")
+        object.__setattr__(self, "box", box)
 
     def index_bounds(self) -> tuple:
         """((i_lo, i_hi), (j_lo, j_hi)): the box holds the points (i/N, j/N)
         with i_lo ≤ i ≤ i_hi and j_lo ≤ j ≤ j_hi (empty when a lo exceeds
         its hi)."""
-        return tuple((math.ceil(Fraction(lo) * self.N),
-                      math.floor(Fraction(hi) * self.N)) for lo, hi in self.box)
+        return tuple((math.ceil(lo * self.N), math.floor(hi * self.N))
+                     for lo, hi in self.box)
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def _result(count: int, points, arcs: int, certified: bool,
 def delta_from_rule(d, N: int, n: int) -> Fraction:
     """Exact neighborhood width δ = d / N^n for the scaling experiments."""
     N, n = exact_int(N, "N", InvalidQuery), exact_int(n, "n", InvalidQuery)
-    return Fraction(d) / Fraction(N) ** n
+    return parse_frac(d) / Fraction(N) ** n
 
 
 def materialize_source(source, cap: int | None = None):
@@ -269,7 +271,9 @@ class _LatticeCells:
     """A lattice source as its own index: cell (i, j) is the point (i/N, j/N).
 
     Point ids number the box's points row-major, which is their sorted
-    order.
+    order.  Indices are floats, so N and every index of the box must be
+    below 2⁵³: past that, i ± 1 need not move i, and i / N need not round
+    correctly.
     """
     dim = 2
 
@@ -277,6 +281,10 @@ class _LatticeCells:
         self.N = source.N
         self.side = 1 / self.N
         bounds = source.index_bounds()
+        top = max(abs(k) for b in bounds for k in b)
+        if max(self.N, top) >= _FLOAT_EXACT:
+            raise InvalidQuery("a lattice query that takes arcs needs N and "
+                               "the box's indices below 2**53")
         self.origin = tuple(lo for lo, _ in bounds)
         self.first = np.array(self.origin, dtype=float)
         self.last = np.array([hi for _, hi in bounds], dtype=float)
@@ -284,7 +292,7 @@ class _LatticeCells:
         self.empty = any(hi < lo for lo, hi in bounds)
         self.size = 0 if self.empty else math.prod(hi - lo + 1 for lo, hi in bounds)
         # the largest |coordinate| of a point in the box
-        self.extent = max(abs(k) for b in bounds for k in b) / self.N
+        self.extent = top / self.N
 
     def ranges(self, bmin, bmax):
         """Index ranges of the lattice points p with bmin ≤ p ≤ bmax."""

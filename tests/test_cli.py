@@ -19,7 +19,7 @@ def run_cli(capsys, *argv):
 @pytest.fixture
 def parabola_file(tmp_path):
     path = tmp_path / "parabola.json"
-    ser.save_curve(parabola(), path)
+    path.write_text(json.dumps(ser.curve_to_dict(parabola())))
     return str(path)
 
 

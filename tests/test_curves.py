@@ -1,5 +1,6 @@
-"""Curve jets, Wronskians and certification; the circle jets are checked
-against a sympy symbolic-differentiation oracle."""
+"""Curve jets (the derivative rows at a point), Wronskians and
+certification; the circle jets are checked against a sympy
+symbolic-differentiation oracle."""
 
 import math
 import random
@@ -13,27 +14,34 @@ from hypothesis import given, settings, strategies as st
 
 from curvecount import polys
 from curvecount import (DomainError, InvalidCurveError, certify_nondegenerate,
-                        circle_arc, eval_jet, graph_curve, moment_curve,
-                        parabola, polynomial_curve, wronskian,
-                        wronskian_symbolic)
+                        circle_arc, graph_curve, moment_curve, parabola,
+                        polynomial_curve, wronskian, wronskian_symbolic)
 from curvecount.curves import (CurveSpec, NondegeneracyCertificate, PolyCoord,
-                               TrigCoord, derivative_sup_bound, eval_array,
-                               translate_curve)
+                               TrigCoord, derivative_sup_bound, eval_array)
+
+
+def _rows(curve, t, order):
+    """The jet γ(t), γ'(t), …, γ^(order)(t): exact at a rational t on a
+    polynomial curve, floats at a float t."""
+    return [tuple(fn.eval(t) for fn in row) for row in curve.derivatives(order)]
+
+
+def _translated(curve, vector):
+    """A polynomial curve moved by an exact vector."""
+    return polynomial_curve([polys.add(fn.coeffs, polys.poly([c]))
+                             for fn, c in zip(curve.coords, vector)], curve.domain)
 
 
 def test_moment_jet_at_zero():
-    jet = eval_jet(moment_curve(3), 0, 3)
-    assert jet.point == (0, 0, 0)
-    assert jet.derivatives == ((1, 0, 0), (0, 2, 0), (0, 0, 6))
-    assert jet.arithmetic_mode == "exact"
-    assert jet.error_estimate == 0.0
+    rows = _rows(moment_curve(3), 0, 3)
+    assert rows == [(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 6)]
+    assert all(isinstance(x, F) for row in rows for x in row)
 
 
 def test_parabola_jet_exact():
-    jet = eval_jet(parabola(), F(1, 2), 2)
-    assert jet.point == (F(1, 2), F(1, 4))
-    assert jet.derivatives == ((1, 1), (0, 2))
-    assert all(isinstance(x, (int, F)) for row in jet.derivatives for x in row)
+    rows = _rows(parabola(), F(1, 2), 2)
+    assert rows == [(F(1, 2), F(1, 4)), (1, 1), (0, 2)]
+    assert all(isinstance(x, F) for row in rows for x in row)
 
 
 def test_circle_jet_against_sympy_oracle():
@@ -41,9 +49,8 @@ def test_circle_jet_against_sympy_oracle():
     gamma = (sp.cos(2 * sp.pi * t), sp.sin(2 * sp.pi * t))
     circle = circle_arc()
     for t0 in (0, 0.3, 0.77):
-        jet = eval_jet(circle, float(t0), 4)
-        assert jet.arithmetic_mode == "floating"
-        rows = [jet.point] + list(jet.derivatives)
+        rows = [tuple(fn.evalf(float(t0)) for fn in row)
+                for row in circle.derivatives(4)]
         for k, row in enumerate(rows):
             for g, val in zip(gamma, row):
                 expect = float(sp.diff(g, t, k).subs(t, t0))
@@ -51,28 +58,27 @@ def test_circle_jet_against_sympy_oracle():
 
 
 def test_circle_jet_order2_values():
-    jet = eval_jet(circle_arc(), 0, 2)
-    assert abs(jet.point[0] - 1) < 1e-12 and abs(jet.point[1]) < 1e-12
-    assert abs(jet.derivatives[0][0]) < 1e-12
-    assert abs(jet.derivatives[0][1] - 2 * math.pi) < 1e-12
-    assert abs(jet.derivatives[1][0] + 4 * math.pi ** 2) < 1e-11
-    assert abs(jet.derivatives[1][1]) < 1e-11
+    point, first, second = _rows(circle_arc(), 0, 2)
+    assert abs(point[0] - 1) < 1e-12 and abs(point[1]) < 1e-12
+    assert abs(first[0]) < 1e-12
+    assert abs(first[1] - 2 * math.pi) < 1e-12
+    assert abs(second[0] + 4 * math.pi ** 2) < 1e-11
+    assert abs(second[1]) < 1e-11
 
 
 def test_jet_errors():
     mc = moment_curve(3)
     with pytest.raises(DomainError):
-        eval_jet(mc, 2, 1)
+        wronskian(mc, 2)
     # every representable curve is C^∞: jets of any order, zero past the degree
-    assert eval_jet(mc, 0, 20).derivatives[3:] == ((0, 0, 0),) * 17
+    assert _rows(mc, 0, 20)[4:] == [(0, 0, 0)] * 17
     with pytest.raises(InvalidCurveError):
         moment_curve(1)
 
 
 def test_moment_curve_construction():
-    assert eval_jet(moment_curve(5), 1, 0).point == (1, 1, 1, 1, 1)
-    jet = eval_jet(moment_curve(2), F(1, 3), 0)
-    assert jet.point == (F(1, 3), F(1, 9))
+    assert _rows(moment_curve(5), 1, 0) == [(1, 1, 1, 1, 1)]
+    assert _rows(moment_curve(2), F(1, 3), 0) == [(F(1, 3), F(1, 9))]
 
 
 def test_moment_wronskian_factorials():
@@ -104,15 +110,11 @@ def test_wronskian_row_scaling_multilinearity():
 def test_float_mode_agrees_with_exact():
     curve = polynomial_curve([[1000, -999, 31], [0, F(1, 7), 0, 250, 0, 0, 1]])
     for t0 in (F(1, 3), F(2, 3), F(9, 10)):
-        exact = eval_jet(curve, t0, 6)
-        floating = eval_jet(curve, float(t0), 6)
-        assert floating.arithmetic_mode == "floating"
-        rows_e = [exact.point] + list(exact.derivatives)
-        rows_f = [floating.point] + list(floating.derivatives)
-        for re_, rf in zip(rows_e, rows_f):
-            for a, b in zip(re_, rf):
-                scale = max(1.0, abs(float(a)))
-                assert abs(float(a) - b) <= 1e-12 * scale
+        for row in curve.derivatives(6):
+            for fn in row:
+                a, b = fn.eval(t0), fn.evalf(float(t0))
+                assert abs(float(a) - b) <= 1e-12 * max(1.0, abs(float(a)))
+                assert abs(a - F(b)) <= fn.error_estimate(*curve.domain)
 
 
 def test_certify_constant_wronskian():
@@ -171,7 +173,7 @@ def test_certify_is_exact_at_positive_c0():
 
 def test_translate_preserves_wronskian():
     pb = parabola()
-    moved = translate_curve(pb, (F(3, 7), F(-2, 5)))
+    moved = _translated(pb, (F(3, 7), F(-2, 5)))
     for t0 in (F(0), F(1, 2), F(1)):
         assert wronskian(moved, t0) == wronskian(pb, t0)
 
@@ -186,13 +188,13 @@ def test_domain_validation():
 def test_jets_of_lifted_circle():
     from curvecount import lift_curve, make_Ms
     lifted = lift_curve(circle_arc(), make_Ms(2))
-    jet = eval_jet(lifted, 0.15, 5)
-    assert jet.arithmetic_mode == "floating"
-    assert len(jet.derivatives) == 5
-    u, v = jet.point[0], jet.point[1]
-    assert abs(jet.point[2] - u * u) < 1e-12
-    assert abs(jet.point[3] - u * v) < 1e-12
-    assert abs(jet.point[4] - v * v) < 1e-12
+    rows = _rows(lifted, 0.15, 5)
+    assert len(rows) == 6
+    assert all(isinstance(x, float) for row in rows for x in row)
+    u, v = rows[0][0], rows[0][1]
+    assert abs(rows[0][2] - u * u) < 1e-12
+    assert abs(rows[0][3] - u * v) < 1e-12
+    assert abs(rows[0][4] - v * v) < 1e-12
 
 
 def test_wronskian_symbolic_cached():

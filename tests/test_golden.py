@@ -1,8 +1,9 @@
-"""The committed golden answers of the point-set jobs, recomputed.
+"""The committed golden answers, recomputed.
 
-``tests/golden/make_pointsets.py`` holds the jobs and wrote
-``tests/golden/pointsets.json``; any difference here is a changed answer,
-order or report byte."""
+``tests/golden/make_pointsets.py`` holds the point-set jobs and wrote
+``tests/golden/pointsets.json``; ``tests/golden/make_cli.py`` holds the CLI
+runs and wrote ``tests/golden/cli.json``.  Any difference here is a changed
+answer, order, exit code or report byte."""
 
 import importlib.util
 import json
@@ -11,9 +12,8 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "make_pointsets", GOLDEN / "make_pointsets.py")
+def _generator(name="make_pointsets"):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -25,3 +25,11 @@ def test_point_set_jobs_match_the_golden_file():
     for key in expected:
         assert got[key] == expected[key], key
     assert got.keys() == expected.keys()
+
+
+def test_cli_runs_match_the_golden_file():
+    expected = json.loads((GOLDEN / "cli.json").read_text())
+    got = _generator("make_cli").compute()
+    assert [r["argv"] for r in got] == [r["argv"] for r in expected]
+    for row, want in zip(got, expected):
+        assert row == want, row["argv"]

