@@ -74,13 +74,15 @@ class InvalidCurveError(CurveError):
 # ---------------------------------------------------------------------------
 
 class PolyCoord:
-    """One curve coordinate as an exact polynomial in t."""
+    """One curve coordinate as an exact polynomial in t.  Its coefficients,
+    constant term first, are read by ``polys.poly``: a float or a bool
+    raises InexactNumber."""
 
     __slots__ = ("coeffs", "_floats", "_integer")
     exact = True
 
     def __init__(self, coeffs):
-        self.coeffs: Poly = coeffs if isinstance(coeffs, tuple) else polys.poly(coeffs)
+        self.coeffs: Poly = polys.poly(coeffs)
         self._floats = self._integer = None
 
     @property
@@ -448,14 +450,14 @@ def moment_curve(n: int) -> CurveSpec:
 def polynomial_curve(coeff_lists, domain=(0, 1),
                      kind="polynomial-parametric") -> CurveSpec:
     """Parametric polynomial curve from per-coordinate coefficient lists."""
-    coords = [PolyCoord(polys.poly(cs)) for cs in coeff_lists]
+    coords = [PolyCoord(cs) for cs in coeff_lists]
     return CurveSpec(kind, coords, domain)
 
 
 def graph_curve(f_coeff_lists, domain=(0, 1)) -> CurveSpec:
     """Graph-form curve (t, f₂(t), …, fₙ(t)) from the coefficients of the fᵢ."""
     coords = [PolyCoord(_IDENTITY)]
-    coords += [PolyCoord(polys.poly(cs)) for cs in f_coeff_lists]
+    coords += [PolyCoord(cs) for cs in f_coeff_lists]
     return CurveSpec("polynomial-graph", coords, domain)
 
 

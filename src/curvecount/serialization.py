@@ -155,6 +155,9 @@ def load_experiment(path) -> tuple[ExperimentConfig, str]:
     mons = data.get("monomials")
     delta = data.get("delta", "on-curve")
     on_curve = delta == "on-curve" or delta == 0
+    if not (on_curve or isinstance(delta, dict)):
+        raise ValueError('experiment "delta" must be "on-curve" or '
+                         '{"d": ..., "power": n}')
     cfg = ExperimentConfig(
         curve=_curve_field(data["curve"], path.parent), schedule=tuple(sched),
         monomials=monomials_from_list(mons) if mons else None,

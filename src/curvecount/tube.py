@@ -43,13 +43,15 @@ s = tan πt.  Results are certified unless a partial arc's end cannot be
 bracketed.
 
 The brute-force oracle is an independent second route on numpy alone: curve
-samples at arclength resolution δ/100, the nearest sample among those in the
-point's 3×3 cells (sorted int64 keys on the two widest axes), and one
+samples at arclength resolution δ/100, each point's nearest sample, and one
 vectorized zoom over every point the sampled distance cannot decide.  The
-samples are taken in two passes: the first sample of each block of 100, then
-the blocks that have a point within reach of it.  It builds a lattice's
-float points from their integer indices and an exact point only for a
-match.
+sample grid is addressed by index, as ``np.linspace`` forms it, and never
+built whole.  A coarse step evaluates the first sample of each block of 100
+and pairs it with the points within reach of it: a lattice by bisection in
+its column and row floats i/N and j/N, explicit and GAP points through their
+3×3 cells (sorted int64 keys on the two widest axes).  A dense step
+evaluates the paired blocks only and measures each against its own points.
+An exact point is built only for a match.
 """
 
 from __future__ import annotations
@@ -774,91 +776,199 @@ def _sum_sq(diff: np.ndarray) -> np.ndarray:
     return reduce(np.add, [c * c for c in np.moveaxis(diff, -1, 0)])
 
 
-def _nearest_samples(samples: np.ndarray, pts: np.ndarray, upper: float):
-    """Squared distance to, and index of, each point's nearest sample closer
-    than ``upper`` (inf where there is none; ties go to the lowest index).
+class _SampleGrid:
+    """``np.linspace(lo, hi, n + 1)`` addressed by index, with no array
+    built: numpy forms entry i as i·step + lo, for step = (hi − lo)/n, and
+    sets the last to hi.  Indices may be negative, as an array's may.  (numpy
+    scales i/n by hi − lo instead when the step underflows to 0, which needs
+    hi − lo below n·2⁻¹⁰⁷⁴.)"""
 
-    Samples are keyed by their cell on the two widest axes, of side ``upper``
-    plus four ulps of max(upper, |sample coordinate|), more than rounding in
-    x / side can cross: n-D distances go only to the point's 3×3 cells.
-    """
-    # per column: a reduction down a column is fast, one across rows is not
-    ext = [(col.min(), col.max()) for col in samples.T]
-    axes = sorted(np.argsort([lo - hi for lo, hi in ext], kind="stable")[:2])
-    side = upper + 4 * math.ulp(max(np.abs(ext).max(), upper))
-    keys, pkeys, offsets = 0, 0, np.zeros(1, dtype=np.int64)
-    for a in axes:
-        # two empty cells on either side of the samples': a clipped point's
-        # neighbours, and neighbour keys that wrap a row, meet no sample
-        c0 = math.floor(ext[a][0] / side) - 2
-        width = math.floor(ext[a][1] / side) - c0 + 3
-        keys = keys * width + (np.floor(samples[:, a] / side) - c0).astype(np.int64)
-        pkeys = pkeys * width + np.clip(np.floor(pts[:, a] / side) - c0,
-                                        0, width - 1).astype(np.int64)
-        offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    near = pkeys[:, None] + offsets
-    left = np.searchsorted(keys, near, "left")
-    counts = np.searchsorted(keys, near, "right") - left
-    ends = np.r_[0, np.cumsum(counts.sum(axis=1))]
-    d2 = np.full(len(pts), np.inf)
-    nearest = np.full(len(pts), len(samples))
+    def __init__(self, lo: float, hi: float, n: int):
+        self.lo, self.hi, self.n = lo, hi, n
+        self.step = (hi - lo) / n
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = np.asarray(i)
+        i = np.where(i < 0, i + self.n + 1, i)
+        return np.where(i == self.n, self.hi, i * self.step + self.lo)
+
+
+class _OracleLattice:
+    """A lattice box for the oracle, as the floats i/N of its columns and
+    j/N of its rows: Python's int division rounds each correctly, as
+    float(Fraction(i, N)) does.  Point ids number the box row-major, which is
+    its sorted order; a point's Fractions are built only when asked for."""
+    dim = 2
+
+    def __init__(self, source: LatticeSource, cap: int):
+        self.N = source.N
+        bounds = source.index_bounds()
+        sizes = [max(0, hi - lo + 1) for lo, hi in bounds]
+        self.size = sizes[0] * sizes[1]
+        if self.size > cap:
+            raise CapExceeded(f"lattice box holds {self.size} points, cap {cap}")
+        _check_oracle_size(self.size)
+        self.origin = [lo for lo, _ in bounds]
+        self.axes = [np.array([k / self.N for k in range(lo, hi + 1)] if self.size
+                              else [], dtype=float) for lo, hi in bounds]
+
+    def coords(self, pid: np.ndarray) -> np.ndarray:
+        i, j = np.divmod(pid, len(self.axes[1]))
+        return np.column_stack([self.axes[0][i], self.axes[1][j]])
+
+    def exact(self, pid: int) -> tuple:
+        i, j = divmod(pid, len(self.axes[1]))
+        return Fraction(self.origin[0] + i, self.N), Fraction(self.origin[1] + j, self.N)
+
+    def runs(self, centers: np.ndarray, reach: float):
+        """(center, first id, length) of runs of ids, one per column, that
+        hold every point p with fl(Σ(p − c)²) < fl(reach²) for its center c,
+        and no ``order`` (ids are positions).
+
+        A point that passes has |p_k − c_k| < reach·(1 + 5u) on each axis
+        (``_grid_nearest``'s first bullet, n = 2).  The columns and rows
+        within w = (reach + 2u|c_k|)(1 + 12u) of c_k, found by bisection in
+        the sorted floats, hold them: w and c_k ± w round by less than the
+        margin over reach·(1 + 5u) that w leaves.
+        """
+        w = (reach + 2 * _U * np.abs(centers)) * (1 + 12 * _U)
+        first = np.column_stack([np.searchsorted(ax, c, "left") for ax, c
+                                 in zip(self.axes, (centers - w).T)])
+        end = np.column_stack([np.searchsorted(ax, c, "right") for ax, c
+                               in zip(self.axes, (centers + w).T)])
+        center, col = _expand(end[:, 0] - first[:, 0])
+        start = (first[center, 0] + col) * len(self.axes[1]) + first[center, 1]
+        return center, start, (end - first)[center, 1], None
+
+
+class _OraclePoints:
+    """Explicit points for the oracle: their float coordinates, a row per
+    point in sorted order, and a map from a row to the exact point."""
+
+    def __init__(self, pts: np.ndarray, exact):
+        self.pts, self.exact = pts, exact
+        self.size, self.dim = pts.shape
+
+    def coords(self, pid: np.ndarray) -> np.ndarray:
+        return self.pts[pid]
+
+    def runs(self, centers: np.ndarray, reach: float):
+        """(center, first position, length) of runs of positions in
+        ``order``, nine per center, that hold every point within ``reach``.
+
+        Points are keyed by their cell on their two widest axes, of side
+        ``reach`` plus four ulps of max(reach, |coordinate|), more than
+        rounding in x / side can cross: a point within reach of a center is
+        in one of the center's 3×3 cells.
+        """
+        ext = [(col.min(), col.max()) for col in self.pts.T]
+        axes = sorted(np.argsort([lo - hi for lo, hi in ext], kind="stable")[:2])
+        side = reach + 4 * math.ulp(max(np.abs(ext).max(), reach))
+        keys, ckeys, offsets = 0, 0, np.zeros(1, dtype=np.int64)
+        for a in axes:
+            # two empty cells on either side of the points': a clipped
+            # center's neighbours, and neighbour keys that wrap a row, meet
+            # no point
+            c0 = math.floor(ext[a][0] / side) - 2
+            width = math.floor(ext[a][1] / side) - c0 + 3
+            keys = keys * width + (np.floor(self.pts[:, a] / side) - c0).astype(np.int64)
+            ckeys = ckeys * width + np.clip(np.floor(centers[:, a] / side) - c0,
+                                            0, width - 1).astype(np.int64)
+            offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        cells = (ckeys[:, None] + offsets).ravel()
+        start = np.searchsorted(keys, cells, "left")
+        return (np.repeat(np.arange(len(centers)), len(offsets)), start,
+                np.searchsorted(keys, cells, "right") - start, order)
+
+
+def _reach_pairs(points, centers: np.ndarray, reach: float):
+    """(point id, center) pairs with fl(Σ(p − c)²) < fl(reach²), in center
+    order: ``points.runs`` lists the candidates, and about ``_PAIR_BLOCK``
+    of them are measured at once."""
+    center, start, count, order = points.runs(centers, reach)
+    ends = np.r_[0, np.cumsum(count)]
+    pids, cids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     i = 0
-    while i < len(pts):
+    while i < len(count):
         j = max(i + 1, int(np.searchsorted(ends, ends[i] + _PAIR_BLOCK, "right")) - 1)
-        owner, rank = _expand(counts[i:j].ravel())
-        pt = owner // len(offsets) + i
-        sid = order[left[i:j].ravel()[owner] + rank]
-        dist = _sum_sq(samples[sid] - pts[pt])
-        np.minimum.at(d2, pt, dist)
-        tie = dist == d2[pt]
-        np.minimum.at(nearest, pt[tie], sid[tie])
+        owner, rank = _expand(count[i:j])
+        pid = start[i:j][owner] + rank
+        pid = pid if order is None else order[pid]
+        cid = center[i:j][owner]
+        keep = _sum_sq(points.coords(pid) - centers[cid]) < reach * reach
+        pids.append(pid[keep])
+        cids.append(cid[keep])
         i = j
-    return d2, nearest
+    return np.concatenate(pids), np.concatenate(cids)
 
 
-def _grid_nearest(curve: CurveSpec, ts: np.ndarray, pts: np.ndarray,
-                  upper: float, speed: float):
-    """``_nearest_samples(eval_array(curve, ts), pts, upper)`` wherever its
-    distance is below ``upper`` (with ``nearest`` an index into ``ts``),
-    from only the samples that can be that near.
+def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, points, upper: float,
+                  speed: float):
+    """Squared distance d2 from each point to its nearest sample γ(grid[i]),
+    and that sample's index (ties go to the lowest), from only the samples
+    that can be closer than ``upper``.  Both are meaningful only where
+    d2 < upper²; elsewhere d2 ≥ upper² (inf where no block is paired with
+    the point).
 
-    ``ts`` is cut into blocks of K = ``_SAMPLE_BLOCK`` samples.  A coarse
-    pass evaluates each block's first sample and keeps the block when some
-    point lies within ``reach`` of it; the dense pass evaluates the kept
-    blocks.  Every sample ĝ_j whose float squared distance to a point p is
-    below fl(upper²) is in a kept block, with n the dimension, u the unit
-    roundoff and ĝ_k the first sample of j's block:
+    The grid is cut into blocks of K = ``_SAMPLE_BLOCK`` samples.  A coarse
+    step evaluates each block's first sample and pairs it with the points
+    within ``reach`` of it (``_reach_pairs``); the dense step evaluates each
+    paired block and measures it against its points only.  Every sample ĝ_j
+    whose float squared distance to a point p is below fl(upper²) is in a
+    block paired with p, with n the dimension, u the unit roundoff and ĝ_k
+    the first sample of j's block:
 
     - a float sum of n squared differences is within (n + 2)u relative of
       the exact one, so |p − ĝ_j| < upper·(1 + (n + 3)u);
     - |ĝ_j − ĝ_k| ≤ speed·|t_j − t_k| + 2√n·err: speed bounds |γ′| on the
       float grid, and err, the largest ``error_estimate`` of a coordinate,
       bounds each coordinate of both samples;
-    - linspace puts each t within 4u(|lo| + |hi|) of lo + i·dt, so
-      |t_j − t_k| ≤ (K − 1)·dt + 8u(|lo| + |hi|), and K·dt covers
-      (K − 1)·dt and its own rounding;
+    - the grid forms t_i = fl(fl(i·step) + lo) with step = fl(fl(hi − lo)/n),
+      within 4u(|lo| + |hi|) of lo + i·dt, and t_n = hi, so |t_j − t_k| ≤
+      (K − 1)·dt + 8u(|lo| + |hi|), and K·dt covers (K − 1)·dt and its own
+      rounding;
     - so |p − ĝ_k| is below upper + speed·(K·dt + 8u(|lo| + |hi|)) + 2√n·err
       times 1 + (n + 3)u, and the factor 1 + 4(n + 8)u on ``reach`` covers
       that, the rounding of ĝ_k's squared distance, of reach² and of the
       dozen operations that form it.
 
-    Kept samples are evaluated bit for bit as in one pass, and their indices
-    increase, so distances and ties below ``upper`` are the one pass's.
+    Each sample is evaluated elementwise, bit for bit as in one pass over the
+    grid, so distances and ties below ``upper`` are those of every sample.
     """
     K, n = _SAMPLE_BLOCK, curve.dimension
-    lo, hi = ts[0], ts[-1]
+    lo, hi = grid.lo, grid.hi
     err = max(fn.error_estimate(*curve.domain) for fn in curve.coords)
-    step = K * (hi - lo) / (len(ts) - 1) + 8 * _U * (abs(lo) + abs(hi))
+    step = K * (hi - lo) / grid.n + 8 * _U * (abs(lo) + abs(hi))
     reach = (upper + speed * step + 2 * math.sqrt(n) * err) * (1 + 4 * (n + 8) * _U)
-    near = _nearest_samples(pts, eval_array(curve, ts[::K]), reach)[0] < reach * reach
-    kept = (np.flatnonzero(near)[:, None] * K + np.arange(K)).ravel()
-    kept = kept[kept < len(ts)]
-    if not len(kept):
-        return np.full(len(pts), np.inf), np.full(len(pts), len(ts))
-    d2, nearest = _nearest_samples(eval_array(curve, ts[kept]), pts, upper)
-    return d2, np.append(kept, len(ts))[nearest]
+    pid, block = _reach_pairs(points, eval_array(curve, grid[np.arange(0, len(grid), K)]),
+                              reach)
+    d2 = np.full(points.size, np.inf)
+    nearest = np.full(points.size, len(grid))
+    best = np.empty(len(pid))
+    at = np.empty(len(pid), dtype=np.int64)
+    per_chunk = max(1, _PAIR_BLOCK // K)
+    for s in range(0, len(pid), per_chunk):
+        # each block once, however many points it is paired with
+        blocks, inv = np.unique(block[s:s + per_chunk], return_inverse=True)
+        sid = blocks[:, None] * K + np.arange(K)
+        samples = eval_array(curve, grid[np.minimum(sid, grid.n).ravel()])
+        samples = samples.reshape(len(blocks), K, n)[inv]
+        sid = sid[inv]
+        dist = _sum_sq(samples - points.coords(pid[s:s + per_chunk])[:, None, :])
+        dist[sid > grid.n] = np.inf
+        first = dist.argmin(axis=1)   # the first of equal minima
+        rows = np.arange(len(first))
+        best[s:s + per_chunk] = dist[rows, first]
+        at[s:s + per_chunk] = sid[rows, first]
+    np.minimum.at(d2, pid, best)
+    tie = best == d2[pid]
+    np.minimum.at(nearest, pid[tie], at[tie])
+    return d2, nearest
 
 
 def _zoom(curve: CurveSpec, pts: np.ndarray, centers: np.ndarray, lo: float,
@@ -887,32 +997,13 @@ def _check_oracle_size(n: int):
 
 
 def _oracle_points(source, cap: int | None):
-    """The source's points as a float array, in sorted order, and a map
-    from a row of it to the exact point.
-
-    A lattice box is built from its integer indices: Python's int division
-    rounds i/N correctly, as float(Fraction(i, N)) does, and the only
-    Fractions built are those of the points asked for.
-    """
-    if not isinstance(source, LatticeSource):
-        fs, pts = materialize_source(source, cap)
-        _check_oracle_size(len(fs))
-        return pts, fs._point
-    cap = pointsets.ENUMERATION_CAP if cap is None else cap
-    N = source.N
-    (ilo, ihi), (jlo, jhi) = source.index_bounds()
-    nx, ny = max(0, ihi - ilo + 1), max(0, jhi - jlo + 1)
-    if nx * ny > cap:
-        raise CapExceeded(f"lattice box holds {nx * ny} points, cap {cap}")
-    _check_oracle_size(nx * ny)
-    xs = np.array([i / N for i in range(ilo, ihi + 1)], dtype=float)
-    ys = np.array([j / N for j in range(jlo, jhi + 1)], dtype=float)
-    pts = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-
-    def exact(row: int) -> tuple:
-        i, j = divmod(row, ny)
-        return Fraction(ilo + i, N), Fraction(jlo + j, N)
-    return pts, exact
+    """The source's points for the oracle: a lattice box as its axes
+    (``_OracleLattice``), explicit and GAP points as floats."""
+    if isinstance(source, LatticeSource):
+        return _OracleLattice(source, pointsets.ENUMERATION_CAP if cap is None else cap)
+    fs, pts = materialize_source(source, cap)
+    _check_oracle_size(len(fs))
+    return _OraclePoints(pts, fs._point)
 
 
 def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
@@ -920,16 +1011,17 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     """Oracle counter: the nearest sample on a grid at arclength resolution
     δ/100, and a vectorized zoom over the points the sampled distance cannot
     decide.  Only the samples that can lie within ``upper`` of a point are
-    evaluated (``_grid_nearest``: blocks of 100 samples, kept when a point is
-    within upper + speed·100·dt of their first one, plus a margin for the
-    evaluation error and rounding); nothing else reads the others."""
+    evaluated, and only against that point (``_grid_nearest``: blocks of 100
+    samples, paired with the points within upper + speed·100·dt of their
+    first one, plus a margin for the evaluation error and rounding); nothing
+    else reads the others."""
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
-    pts, exact = _oracle_points(query.source, cap)
-    if not len(pts):
+    points = _oracle_points(query.source, cap)
+    if not points.size:
         return _result(0, (), 0, True, keep_points)
-    if pts.shape[1] != curve.dimension:
+    if points.dim != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
     lo, hi = float(curve.domain[0]), float(curve.domain[1])
@@ -939,17 +1031,18 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     n_samp = max(8, math.ceil(width * speed / h_arc))
     if n_samp > MAX_ORACLE_SAMPLES:
         raise InvalidQuery("oracle sampling budget exceeded; delta too small")
-    ts = np.linspace(lo, hi, n_samp + 1)
+    grid = _SampleGrid(lo, hi, n_samp)
     slack = h_arc / 2.0
     # with no sample closer than upper, the distance exceeds delta + band
     upper = delta + band + slack + 1e-15
-    d2, nearest = _grid_nearest(curve, ts, pts, upper, speed)
+    d2, nearest = _grid_nearest(curve, grid, points, upper, speed)
     d = np.sqrt(d2)
     # the true distance lies in [d - slack, d]
     near = d2 < upper * upper
     inside = near & (d <= delta - band)
     todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
-    d_star = _zoom(curve, pts[todo], ts[nearest[todo]], lo, hi, width / n_samp)
+    d_star = _zoom(curve, points.coords(todo), grid[nearest[todo]], lo, hi,
+                   width / n_samp)
     matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
-    return _result(len(matched), map(exact, matched.tolist()), n_samp,
+    return _result(len(matched), map(points.exact, matched.tolist()), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

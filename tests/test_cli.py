@@ -207,6 +207,17 @@ def test_experiment_config_refuses_fractional_integers(parabola_file, tmp_path,
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["1/10", ["1", 2], 3])
+def test_experiment_delta_must_be_a_rule(parabola_file, tmp_path, capsys, delta):
+    # a plain δ used to die with AttributeError and a traceback
+    cfg = {"curve": parabola_file, "schedule": [4, 8], "delta": delta}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cpath), "experiment"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith('error: experiment "delta"')
+
+
 def test_check_command_passes(capsys):
     code, out = run_cli(capsys, "check", "--kind", "lipschitz",
                         "--trials", "10", "--seed", "3")

@@ -2,8 +2,11 @@
 
 ``tests/golden/make_pointsets.py`` holds the point-set jobs and wrote
 ``tests/golden/pointsets.json``; ``tests/golden/make_cli.py`` holds the CLI
-runs and wrote ``tests/golden/cli.json``.  Any difference here is a changed
-answer, order, exit code or report byte."""
+runs and wrote ``tests/golden/cli.json``; ``tests/golden/make_oracle.py``
+holds the brute-force oracle's queries and wrote ``tests/golden/oracle.json``;
+``tests/golden/make_roots.py`` holds ``intersect`` queries and wrote
+``tests/golden/roots.json``.  Any difference here is a changed answer,
+order, exit code, report byte or float bit."""
 
 import importlib.util
 import json
@@ -25,6 +28,22 @@ def test_point_set_jobs_match_the_golden_file():
     for key in expected:
         assert got[key] == expected[key], key
     assert got.keys() == expected.keys()
+
+
+def _same_keyed_answers(name: str):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    got = json.loads(json.dumps(_generator(f"make_{name}").compute()))
+    assert got.keys() == expected.keys()
+    for group, rows in expected.items():
+        assert got[group] == rows, group
+
+
+def test_oracle_answers_match_the_golden_file():
+    _same_keyed_answers("oracle")
+
+
+def test_intersect_roots_match_the_golden_file():
+    _same_keyed_answers("roots")
 
 
 def test_cli_runs_match_the_golden_file():

@@ -22,7 +22,7 @@ from curvecount import (CapExceeded, ExperimentConfig, ExplicitSource,
                         delta_from_rule, graph_curve, lift_curve,
                         line_segment, lipschitz_constant_squared, make_Ms,
                         moment_curve, parabola, polynomial_curve)
-from curvecount.curves import derivative_sup_bound, eval_array
+from curvecount.curves import PolyCoord, derivative_sup_bound, eval_array
 from curvecount.pointsets import InexactNumber
 from curvecount.tube import _least_index
 
@@ -287,8 +287,11 @@ def test_lattice_N_and_delta_rule_refuse_non_integers(N):
     lambda x: ExperimentConfig(parabola(), (4, 9), delta_d=x, delta_power=2),
     lambda x: ExperimentConfig(parabola(), (4, 9), box=((0, 1), (x, 1))),
     lambda x: lipschitz_constant_squared(make_Ms(2), x),
+    # a tuple used to skip the parse, and a lattice count on the curve died
+    # with AttributeError
+    lambda x: PolyCoord((x, 0, 1)),
 ], ids=["polynomial", "graph", "box-x", "box-y", "delta-d", "config-delta-d",
-        "config-box", "lipschitz-R"])
+        "config-box", "lipschitz-R", "coord-tuple"])
 def test_exact_inputs_refuse_floats_and_bools(build, bad):
     # a float is never rounded to a rational: 0.1 as a box end used to start
     # the box at index 2 of (1/10)Z and drop x = 1/10
@@ -526,42 +529,67 @@ _PRUNING_CURVES = {
 }
 
 
+def _graph_or_named_curve(draw, planar=False):
+    if draw(st.booleans()):
+        return graph_curve([draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                                          min_size=1, max_size=5))])
+    names = sorted(k for k, c in _PRUNING_CURVES.items()
+                   if c.dimension == 2 or not planar)
+    return _PRUNING_CURVES[draw(st.sampled_from(names))]
+
+
+def _grid(curve, steps):
+    return tube._SampleGrid(float(curve.domain[0]), float(curve.domain[1]), steps)
+
+
 @st.composite
 def pruning_cases(draw):
     """A curve, a grid of 9 to 4001 samples, a radius `upper`, and lattice
     points or explicit points near the curve, about half of them at
     upper·(1 ± 10⁻⁹) or upper·(1 ± 10⁻¹²) from a sample."""
-    if draw(st.booleans()):
-        curve = graph_curve([draw(st.lists(st.fractions(-2, 2, max_denominator=6),
-                                           min_size=1, max_size=5))])
-    else:
-        curve = _PRUNING_CURVES[draw(st.sampled_from(sorted(_PRUNING_CURVES)))]
-    lo, hi = float(curve.domain[0]), float(curve.domain[1])
-    ts = np.linspace(lo, hi, draw(st.integers(8, 4000)) + 1)
+    curve = _graph_or_named_curve(draw)
+    grid = _grid(curve, draw(st.integers(8, 4000)))
     upper = 1 / draw(st.integers(4, 400))
     if curve.dimension == 2 and draw(st.booleans()):
         N = draw(st.integers(2, 32))
-        pts = tube._oracle_points(LatticeSource(N, ((-2, 2), (-2, 2))), None)[0]
-        return curve, ts, pts, upper
+        return curve, grid, tube._oracle_points(LatticeSource(N, ((-2, 2), (-2, 2))),
+                                                None), upper
     radii = st.sampled_from([1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12])
     pts = []
-    for i in draw(st.lists(st.integers(0, len(ts) - 1), min_size=1, max_size=30)):
+    for i in draw(st.lists(st.integers(0, grid.n), min_size=1, max_size=30)):
         v = np.array(draw(st.lists(st.floats(-1, 1), min_size=curve.dimension,
                                    max_size=curve.dimension)))
         if draw(st.booleans()) and np.linalg.norm(v) > 0:
             v *= draw(radii) / np.linalg.norm(v)
-        pts.append(eval_array(curve, ts[i:i + 1])[0] + upper * v)
-    return curve, ts, np.array(pts), upper
+        pts.append(eval_array(curve, grid[[i]])[0] + upper * v)
+    return curve, grid, tube._OraclePoints(np.array(pts), None), upper
 
 
 def _past_the_end(curve, steps, upper):
     """A point just within `upper` of the grid's last sample, ahead of it
     along the tangent, on a grid whose last block is full: its nearest
     sample is as far from its block's first one as any point's can be."""
-    ts = np.linspace(float(curve.domain[0]), float(curve.domain[1]), steps + 1)
-    tangent = eval_array(curve, ts[-1:], 1)[0]
-    p = eval_array(curve, ts[-1:])[0] + upper * (1 - 1e-12) * tangent / np.linalg.norm(tangent)
-    return curve, ts, p[None, :], upper
+    grid = _grid(curve, steps)
+    tangent = eval_array(curve, grid[[-1]], 1)[0]
+    p = eval_array(curve, grid[[-1]])[0] + upper * (1 - 1e-12) * tangent / np.linalg.norm(tangent)
+    return curve, grid, tube._OraclePoints(p[None, :], None), upper
+
+
+def _all_pairs_nearest(curve, grid, pts, upper):
+    """Each point's least squared distance to a sample γ(t) of
+    np.linspace(lo, hi, n + 1), and the lowest index at which it is taken,
+    from every (point, sample) pair, 256 points at a time; inf and -1 for a
+    point more than 2·upper outside the samples' bounding box on some axis,
+    which no sample is within upper of."""
+    samples = eval_array(curve, np.linspace(grid.lo, grid.hi, grid.n + 1))
+    d2, nearest = np.full(len(pts), np.inf), np.full(len(pts), -1)
+    box = ((pts >= samples.min(axis=0) - 2 * upper)
+           & (pts <= samples.max(axis=0) + 2 * upper)).all(axis=1)
+    for s in np.array_split(np.flatnonzero(box), len(box) // 256 + 1):
+        d = tube._sum_sq(samples[None, :, :] - pts[s, None, :])
+        nearest[s] = d.argmin(axis=1)   # the first of equal minima
+        d2[s] = d.min(axis=1)
+    return d2, nearest
 
 
 @settings(max_examples=80, deadline=None)
@@ -569,11 +597,13 @@ def _past_the_end(curve, steps, upper):
 @example(_past_the_end(_PRUNING_CURVES["arc"], 599, 1 / 400))
 @example(_past_the_end(_PRUNING_CURVES["arc"], 3999, 1 / 4))
 def test_pruned_samples_match_dense_samples(case):
-    # the oracle evaluates only the blocks of samples that can be within
-    # `upper` of a point; below `upper` it must see what every sample shows
-    curve, ts, pts, upper = case
-    d2, nearest = tube._nearest_samples(eval_array(curve, ts), pts, upper)
-    p2, pnearest = tube._grid_nearest(curve, ts, pts, upper,
+    # the oracle measures each point against only the blocks of samples that
+    # can be within `upper` of it; below `upper` it must see what every
+    # sample shows
+    curve, grid, points, upper = case
+    d2, nearest = _all_pairs_nearest(curve, grid, points.coords(np.arange(points.size)),
+                                     upper)
+    p2, pnearest = tube._grid_nearest(curve, grid, points, upper,
                                       derivative_sup_bound(curve, 1))
     near = d2 < upper * upper
     assert np.array_equal(p2 < upper * upper, near)
@@ -581,24 +611,78 @@ def test_pruned_samples_match_dense_samples(case):
     assert np.array_equal(nearest[near], pnearest[near])
 
 
-def test_oracle_with_no_point_within_reach(monkeypatch):
-    # every point is far from the circle: no block is kept, and only the
-    # coarse pass measures distances
-    calls = []
-    nearest_samples = tube._nearest_samples
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(8, 10 ** 5),
+       st.data())
+def test_sample_grid_is_linspace_by_index(lo, width, steps, data):
+    hi = lo + width
+    grid, ts = tube._SampleGrid(lo, hi, steps), np.linspace(lo, hi, steps + 1)
+    drawn = data.draw(st.lists(st.integers(-steps - 1, steps), max_size=20))
+    idx = np.array(drawn + [0, steps, -1, -steps - 1], dtype=np.int64)
+    assert len(grid) == len(ts)
+    assert grid[idx].tobytes() == ts[idx].tobytes()
 
-    def counted(samples, pts, upper):
-        calls.append(len(samples))
-        return nearest_samples(samples, pts, upper)
-    monkeypatch.setattr(tube, "_nearest_samples", counted)
+
+@st.composite
+def lattice_queries(draw):
+    """A planar curve, δ, and a lattice box of at most 33 × 33 points."""
+    curve = _graph_or_named_curve(draw, planar=True)
+    N = draw(st.integers(1, 16))
+    ends = st.lists(st.fractions(-1, 1, max_denominator=7), min_size=2,
+                    max_size=2).map(sorted)
+    delta = F(draw(st.integers(1, 8)), draw(st.integers(2, 60)))
+    return curve, delta, LatticeSource(N, (draw(ends), draw(ends)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_queries())
+def test_oracle_lattice_and_point_set_agree(case):
+    # a lattice is paired with blocks by bisection in its axes, a point set
+    # through its cells; both must give the oracle the same answer,
+    # certificate and grid
+    curve, delta, source = case
+    (ilo, ihi), (jlo, jhi) = source.index_bounds()
+    fs = FiniteSet([(F(i, source.N), F(j, source.N)) for i in range(ilo, ihi + 1)
+                    for j in range(jlo, jhi + 1)], dimension=2)
+    assert (brute_force_tube_oracle(TubeQuery(curve, delta, source))
+            == brute_force_tube_oracle(TubeQuery(curve, delta, fs)))
+
+
+def test_oracle_with_no_point_within_reach(monkeypatch):
+    # every point is far from the circle: no point is paired with a block,
+    # and the coarse step's first samples are all that is evaluated
+    evaluated = []
+
+    def counted(curve, ts, order=0):
+        evaluated.append(np.size(ts))
+        return eval_array(curve, ts, order)
+    monkeypatch.setattr(tube, "eval_array", counted)
     delta = F(1, 100)
-    grid = brute_force_tube_oracle(TubeQuery(circle_arc(), delta,
-                                             FiniteSet([(1, 0)]))).arcs_examined
+    steps = brute_force_tube_oracle(TubeQuery(circle_arc(), delta,
+                                              FiniteSet([(1, 0)]))).arcs_examined
+    blocks = steps // tube._SAMPLE_BLOCK + 1
     for source in (FiniteSet([(5, 5)]), LatticeSource(8, ((3, 4), (-1, 1)))):
-        calls.clear()
+        evaluated.clear()
         rb = brute_force_tube_oracle(TubeQuery(circle_arc(), delta, source))
         assert (rb.count, rb.points, rb.certified) == (0, (), True)
-        assert rb.arcs_examined == grid and len(calls) == 1 and calls[0] > 0
+        assert rb.arcs_examined == steps and evaluated == [blocks]
+
+
+def test_oracle_limits():
+    # the box's size is held to cap, then to the oracle's 10⁶ points; the
+    # grid to MAX_ORACLE_SAMPLES
+    box = ((0, 1), (0, 1))
+    with pytest.raises(CapExceeded, match="lattice box holds 121 points, cap 100"):
+        brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4), LatticeSource(10, box)),
+                                cap=100)
+    with pytest.raises(InvalidQuery, match="oracle limited to 1e6 source points"):
+        brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4), LatticeSource(1000, box)))
+    with pytest.raises(InvalidQuery, match="oracle sampling budget exceeded"):
+        brute_force_tube_oracle(TubeQuery(parabola(), F(1, 10 ** 6),
+                                          LatticeSource(4, box)))
+    # an empty box builds neither axis, however long the other one is
+    empty = LatticeSource(10 ** 9, ((0, 1), (F(1, 3), F(1, 3))))
+    assert brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4), empty)).count == 0
 
 
 def test_oracle_on_its_smallest_grid():
