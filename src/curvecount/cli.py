@@ -141,8 +141,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_exponent(args) -> int:
     if (args.monomials is None) == (args.s is None):
-        raise SystemExit(USAGE_EXIT)
-    mset = make_Ms(args.s) if args.s else ser.load_monomials(args.monomials)
+        raise ValueError("exponent needs exactly one of --monomials and --s")
+    mset = make_Ms(args.s) if args.s is not None else ser.load_monomials(args.monomials)
     e = exponent(mset)
     _dump_json({"n": mset.n, "degrees": list(mset.degrees),
                 "exponent": ser.frac_str(e), "exponent_float": float(e)},
@@ -181,7 +181,7 @@ def _cmd_hyperplanes(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if not args.config:
-        raise SystemExit(USAGE_EXIT)
+        raise ValueError("experiment needs --config")
     cfg, which = ser.load_experiment(args.config)
     if which == "energy":
         _dump_json(run_energy_experiment(cfg, args.cap).to_dict(), args.out)
@@ -227,8 +227,6 @@ def main(argv=None) -> int:
     args.cap = args.cap or None
     try:
         return _HANDLERS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     except (ValueError, OSError, KeyError, pointsets.CapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT

@@ -61,10 +61,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return poly(out)
 
 
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, tuple(-c for c in q))
-
-
 def scale(p: Poly, k) -> Poly:
     k = Fraction(k)
     if k == 0:

@@ -47,11 +47,13 @@ samples at arclength resolution δ/100, each point's nearest sample, and one
 vectorized zoom over every point the sampled distance cannot decide.  The
 sample grid is addressed by index, as ``np.linspace`` forms it, and never
 built whole.  A coarse step evaluates the first sample of each block of 100
-and pairs it with the points within reach of it: a lattice by bisection in
-its column and row floats i/N and j/N, explicit and GAP points through their
-3×3 cells (sorted int64 keys on the two widest axes).  A dense step
-evaluates the paired blocks only and measures each against its own points.
-An exact point is built only for a match.
+and pairs it with the points within reach of it, found by bisection in the
+points' floats sorted on their two widest axes: first the columns of equal
+first-axis floats near the sample, then the run of each column near it.  A
+lattice's floats are i/N and j/N from Python's int division, explicit and
+GAP points' are ``materialize_source``'s.  A dense step evaluates the paired
+blocks only and measures each against its own points.  An exact point is
+built only for a match.
 """
 
 from __future__ import annotations
@@ -383,7 +385,7 @@ def _expand(counts: np.ndarray):
 
 _SEGMENT_BLOCK = 1 << 16
 _SEGMENTS_PER_POINT = 64   # the grid's cap on segments per point
-_PAIR_BLOCK = 1 << 22   # oracle: (point, sample) pairs measured at once
+_PAIR_BLOCK = 1 << 22   # oracle: runs listed, (point, sample) pairs measured at once
 _SAMPLE_BLOCK = 100     # oracle: samples per block, about δ of arc at h = δ/100
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
@@ -796,120 +798,59 @@ class _SampleGrid:
         return np.where(i == self.n, self.hi, i * self.step + self.lo)
 
 
-class _OracleLattice:
-    """A lattice box for the oracle, as the floats i/N of its columns and
-    j/N of its rows: Python's int division rounds each correctly, as
-    float(Fraction(i, N)) does.  Point ids number the box row-major, which is
-    its sorted order; a point's Fractions are built only when asked for."""
-    dim = 2
-
-    def __init__(self, source: LatticeSource, cap: int):
-        self.N = source.N
-        bounds = source.index_bounds()
-        sizes = [max(0, hi - lo + 1) for lo, hi in bounds]
-        self.size = sizes[0] * sizes[1]
-        if self.size > cap:
-            raise CapExceeded(f"lattice box holds {self.size} points, cap {cap}")
-        _check_oracle_size(self.size)
-        self.origin = [lo for lo, _ in bounds]
-        self.axes = [np.array([k / self.N for k in range(lo, hi + 1)] if self.size
-                              else [], dtype=float) for lo, hi in bounds]
-
-    def coords(self, pid: np.ndarray) -> np.ndarray:
-        i, j = np.divmod(pid, len(self.axes[1]))
-        return np.column_stack([self.axes[0][i], self.axes[1][j]])
-
-    def exact(self, pid: int) -> tuple:
-        i, j = divmod(pid, len(self.axes[1]))
-        return Fraction(self.origin[0] + i, self.N), Fraction(self.origin[1] + j, self.N)
-
-    def runs(self, centers: np.ndarray, reach: float):
-        """(center, first id, length) of runs of ids, one per column, that
-        hold every point p with fl(Σ(p − c)²) < fl(reach²) for its center c,
-        and no ``order`` (ids are positions).
-
-        A point that passes has |p_k − c_k| < reach·(1 + 5u) on each axis
-        (``_grid_nearest``'s first bullet, n = 2).  The columns and rows
-        within w = (reach + 2u|c_k|)(1 + 12u) of c_k, found by bisection in
-        the sorted floats, hold them: w and c_k ± w round by less than the
-        margin over reach·(1 + 5u) that w leaves.
-        """
-        w = (reach + 2 * _U * np.abs(centers)) * (1 + 12 * _U)
-        first = np.column_stack([np.searchsorted(ax, c, "left") for ax, c
-                                 in zip(self.axes, (centers - w).T)])
-        end = np.column_stack([np.searchsorted(ax, c, "right") for ax, c
-                               in zip(self.axes, (centers + w).T)])
-        center, col = _expand(end[:, 0] - first[:, 0])
-        start = (first[center, 0] + col) * len(self.axes[1]) + first[center, 1]
-        return center, start, (end - first)[center, 1], None
-
-
-class _OraclePoints:
-    """Explicit points for the oracle: their float coordinates, a row per
-    point in sorted order, and a map from a row to the exact point."""
-
-    def __init__(self, pts: np.ndarray, exact):
-        self.pts, self.exact = pts, exact
-        self.size, self.dim = pts.shape
-
-    def coords(self, pid: np.ndarray) -> np.ndarray:
-        return self.pts[pid]
-
-    def runs(self, centers: np.ndarray, reach: float):
-        """(center, first position, length) of runs of positions in
-        ``order``, nine per center, that hold every point within ``reach``.
-
-        Points are keyed by their cell on their two widest axes, of side
-        ``reach`` plus four ulps of max(reach, |coordinate|), more than
-        rounding in x / side can cross: a point within reach of a center is
-        in one of the center's 3×3 cells.
-        """
-        ext = [(col.min(), col.max()) for col in self.pts.T]
-        axes = sorted(np.argsort([lo - hi for lo, hi in ext], kind="stable")[:2])
-        side = reach + 4 * math.ulp(max(np.abs(ext).max(), reach))
-        keys, ckeys, offsets = 0, 0, np.zeros(1, dtype=np.int64)
-        for a in axes:
-            # two empty cells on either side of the points': a clipped
-            # center's neighbours, and neighbour keys that wrap a row, meet
-            # no point
-            c0 = math.floor(ext[a][0] / side) - 2
-            width = math.floor(ext[a][1] / side) - c0 + 3
-            keys = keys * width + (np.floor(self.pts[:, a] / side) - c0).astype(np.int64)
-            ckeys = ckeys * width + np.clip(np.floor(centers[:, a] / side) - c0,
-                                            0, width - 1).astype(np.int64)
-            offsets = (offsets[:, None] * width + np.arange(-1, 2)).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        cells = (ckeys[:, None] + offsets).ravel()
-        start = np.searchsorted(keys, cells, "left")
-        return (np.repeat(np.arange(len(centers)), len(offsets)), start,
-                np.searchsorted(keys, cells, "right") - start, order)
-
-
-def _reach_pairs(points, centers: np.ndarray, reach: float):
-    """(point id, center) pairs with fl(Σ(p − c)²) < fl(reach²), in center
-    order: ``points.runs`` lists the candidates, and about ``_PAIR_BLOCK``
-    of them are measured at once."""
-    center, start, count, order = points.runs(centers, reach)
-    ends = np.r_[0, np.cumsum(count)]
-    pids, cids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+def _chunks(counts: np.ndarray):
+    """``_expand(counts)`` in pieces of about ``_PAIR_BLOCK`` items, each
+    owner whole in one piece."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
     i = 0
-    while i < len(count):
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] + _PAIR_BLOCK, "right")) - 1)
-        owner, rank = _expand(count[i:j])
-        pid = start[i:j][owner] + rank
-        pid = pid if order is None else order[pid]
-        cid = center[i:j][owner]
-        keep = _sum_sq(points.coords(pid) - centers[cid]) < reach * reach
-        pids.append(pid[keep])
-        cids.append(cid[keep])
+    while i < len(counts):
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + _PAIR_BLOCK, "right")))
+        owner = np.repeat(np.arange(i, j), counts[i:j])
+        yield owner, np.arange(starts[i], ends[j - 1]) - starts[owner]
         i = j
+
+
+def _reach_pairs(pts: np.ndarray, centers: np.ndarray, reach: float):
+    """(row of pts, center) pairs with fl(Σ(p − c)²) < fl(reach²), in center
+    order.
+
+    The points are sorted on the keys a + ib of their two widest axes a and
+    b (a = 0 and b = n − 1 when n ≤ 2; numpy orders complex numbers
+    lexicographically), and a column is a run of equal a-floats.  Float
+    rounding is monotone and reach is a float, so a point with
+    |p_k − c_k| ≥ reach has |fl(p_k − c_k)| ≥ reach and a float sum of
+    squares of at least fl(reach²): a point that passes lies strictly within
+    reach of c on each axis, and so between fl(c_k − reach) and
+    fl(c_k + reach).  Bisection finds the columns in that range of c_a, and
+    then, in the keys, each column's run in that range of c_b.  The
+    (center, column) runs, and then their points, are listed about
+    ``_PAIR_BLOCK`` at a time.
+    """
+    widest = np.argsort([x.min() - x.max() for x in pts.T], kind="stable")[:2]
+    a, b = int(min(widest)), int(max(widest))
+    keys = pts[:, a] + 1j * pts[:, b]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cols = keys.real[np.concatenate(([True], keys.real[1:] != keys.real[:-1]))]
+    ca, cb = centers[:, a], centers[:, b]
+    first = np.searchsorted(cols, ca - reach, "left")
+    pids, cids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for center, col in _chunks(np.searchsorted(cols, ca + reach, "right") - first):
+        col = cols[first[center] + col]
+        start = np.searchsorted(keys, col + 1j * (cb[center] - reach), "left")
+        count = np.searchsorted(keys, col + 1j * (cb[center] + reach), "right") - start
+        for run, rank in _chunks(count):
+            pid, cid = order[start[run] + rank], center[run]
+            keep = _sum_sq(pts[pid] - centers[cid]) < reach * reach
+            pids.append(pid[keep])
+            cids.append(cid[keep])
     return np.concatenate(pids), np.concatenate(cids)
 
 
-def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, points, upper: float,
-                  speed: float):
-    """Squared distance d2 from each point to its nearest sample γ(grid[i]),
+def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, pts: np.ndarray,
+                  upper: float, speed: float):
+    """Squared distance d2 from each row of pts to its nearest sample γ(grid[i]),
     and that sample's index (ties go to the lowest), from only the samples
     that can be closer than ``upper``.  Both are meaningful only where
     d2 < upper²; elsewhere d2 ≥ upper² (inf where no block is paired with
@@ -917,7 +858,8 @@ def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, points, upper: float,
 
     The grid is cut into blocks of K = ``_SAMPLE_BLOCK`` samples.  A coarse
     step evaluates each block's first sample and pairs it with the points
-    within ``reach`` of it (``_reach_pairs``); the dense step evaluates each
+    within ``reach`` of it, by bisection in their sorted floats
+    (``_reach_pairs``, every source alike); the dense step evaluates each
     paired block and measures it against its points only.  Every sample ĝ_j
     whose float squared distance to a point p is below fl(upper²) is in a
     block paired with p, with n the dimension, u the unit roundoff and ĝ_k
@@ -945,10 +887,10 @@ def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, points, upper: float,
     err = max(fn.error_estimate(*curve.domain) for fn in curve.coords)
     step = K * (hi - lo) / grid.n + 8 * _U * (abs(lo) + abs(hi))
     reach = (upper + speed * step + 2 * math.sqrt(n) * err) * (1 + 4 * (n + 8) * _U)
-    pid, block = _reach_pairs(points, eval_array(curve, grid[np.arange(0, len(grid), K)]),
+    pid, block = _reach_pairs(pts, eval_array(curve, grid[np.arange(0, len(grid), K)]),
                               reach)
-    d2 = np.full(points.size, np.inf)
-    nearest = np.full(points.size, len(grid))
+    d2 = np.full(len(pts), np.inf)
+    nearest = np.full(len(pts), len(grid))
     best = np.empty(len(pid))
     at = np.empty(len(pid), dtype=np.int64)
     per_chunk = max(1, _PAIR_BLOCK // K)
@@ -959,7 +901,7 @@ def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, points, upper: float,
         samples = eval_array(curve, grid[np.minimum(sid, grid.n).ravel()])
         samples = samples.reshape(len(blocks), K, n)[inv]
         sid = sid[inv]
-        dist = _sum_sq(samples - points.coords(pid[s:s + per_chunk])[:, None, :])
+        dist = _sum_sq(samples - pts[pid[s:s + per_chunk]][:, None, :])
         dist[sid > grid.n] = np.inf
         first = dist.argmin(axis=1)   # the first of equal minima
         rows = np.arange(len(first))
@@ -997,13 +939,32 @@ def _check_oracle_size(n: int):
 
 
 def _oracle_points(source, cap: int | None):
-    """The source's points for the oracle: a lattice box as its axes
-    (``_OracleLattice``), explicit and GAP points as floats."""
-    if isinstance(source, LatticeSource):
-        return _OracleLattice(source, pointsets.ENUMERATION_CAP if cap is None else cap)
-    fs, pts = materialize_source(source, cap)
-    _check_oracle_size(len(fs))
-    return _OraclePoints(pts, fs._point)
+    """The source's points as a float array, in sorted order, and a map
+    from a row of it to the exact point.
+
+    A lattice box is built from its integer indices: Python's int division
+    rounds i/N correctly, as float(Fraction(i, N)) does, and the only
+    Fractions built are those of the points asked for.
+    """
+    if not isinstance(source, LatticeSource):
+        fs, pts = materialize_source(source, cap)
+        _check_oracle_size(len(fs))
+        return pts, fs._point
+    cap = pointsets.ENUMERATION_CAP if cap is None else cap
+    N, bounds = source.N, source.index_bounds()
+    (ilo, _), (jlo, _) = bounds
+    nx, ny = (max(0, hi - lo + 1) for lo, hi in bounds)
+    if nx * ny > cap:
+        raise CapExceeded(f"lattice box holds {nx * ny} points, cap {cap}")
+    _check_oracle_size(nx * ny)
+    # an empty box builds neither axis, however long the other one is
+    xs, ys = (np.array([k / N for k in range(lo, hi + 1)] if nx * ny else [],
+                       dtype=float) for lo, hi in bounds)
+
+    def exact(row: int) -> tuple:
+        i, j = divmod(row, ny)
+        return Fraction(ilo + i, N), Fraction(jlo + j, N)
+    return np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)]), exact
 
 
 def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
@@ -1018,10 +979,10 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
-    points = _oracle_points(query.source, cap)
-    if not points.size:
+    pts, exact = _oracle_points(query.source, cap)
+    if not len(pts):
         return _result(0, (), 0, True, keep_points)
-    if points.dim != curve.dimension:
+    if pts.shape[1] != curve.dimension:
         raise InvalidQuery("source dimension does not match the curve")
 
     lo, hi = float(curve.domain[0]), float(curve.domain[1])
@@ -1035,14 +996,14 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     slack = h_arc / 2.0
     # with no sample closer than upper, the distance exceeds delta + band
     upper = delta + band + slack + 1e-15
-    d2, nearest = _grid_nearest(curve, grid, points, upper, speed)
+    d2, nearest = _grid_nearest(curve, grid, pts, upper, speed)
     d = np.sqrt(d2)
     # the true distance lies in [d - slack, d]
     near = d2 < upper * upper
     inside = near & (d <= delta - band)
     todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
-    d_star = _zoom(curve, points.coords(todo), grid[nearest[todo]], lo, hi,
+    d_star = _zoom(curve, pts[todo], grid[nearest[todo]], lo, hi,
                    width / n_samp)
     matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
-    return _result(len(matched), map(points.exact, matched.tolist()), n_samp,
+    return _result(len(matched), map(exact, matched.tolist()), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

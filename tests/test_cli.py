@@ -68,6 +68,21 @@ def test_wronskian_grid_below_one_is_a_usage_error(parabola_file, capsys, grid):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponent"],
+    ["exponent", "--s", "2", "--monomials", "m.json"],
+    ["exponent", "--s", "0"],
+    ["experiment"],
+])
+def test_missing_or_conflicting_options_print_one_error_line(argv, capsys):
+    # neither or both of --monomials and --s, --s 0 (not "no --s"), and an
+    # experiment without --config: exit 1 with one line on stderr
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == cli.USAGE_EXIT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_command(parabola_file, capsys):
     code, out = run_cli(capsys, "certify", "--curve", parabola_file,
                         "--c0", "0", "--grid", "64")

@@ -319,7 +319,7 @@ def _certify_by_fractions(curve, c0, grid: int) -> NondegeneracyCertificate:
         return cert("failed")
     if curve.is_exact:
         c = F(c0)
-        clear = all(polys.Roots(polys.sub(w.coeffs, (s,))).closed(lo, hi) == 0
+        clear = all(polys.Roots(polys.add(w.coeffs, (-s,))).closed(lo, hi) == 0
                     for s in {c, -c})
         return cert("certified", exact=True) if clear else cert("failed")
     return cert("certified" if low - margin > c0 else "sampled-only")

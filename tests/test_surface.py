@@ -1,11 +1,13 @@
 """Every public module-level function and class in ``src/curvecount`` has a
 caller in ``src/``.
 
-A name counts as called when a Name or Attribute node anywhere in the
-package refers to it, outside its own definition and outside
-``__init__.py``, which only re-exports.  A name with no such reference is
-public API that nothing in the package uses; it either goes, or it is kept
-for a reason listed in ``KEPT``.
+A name counts as called only through its own module: a bare reference to it
+inside that module, ``from .m import name``, or ``m.name`` where ``m`` is
+bound by ``from . import m`` (``as`` aliases included).  References inside
+its own definition and in ``__init__.py``, which only re-exports, do not
+count.  A name with no such reference is public API that nothing in the
+package uses; it either goes, or it is kept for a reason listed in
+``KEPT``.
 """
 
 import ast
@@ -27,27 +29,40 @@ KEPT = {
 }
 
 
-def _modules():
-    return [ast.parse(path.read_text())
-            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+def _modules() -> dict:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
-def _references(node) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _references(node, module: str, aliases: dict) -> set:
+    """The (module, name) pairs that node refers to, with aliases mapping a
+    local name to the package module it is bound to."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs.add((module, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            if n.value.id in aliases:
+                refs.add((aliases[n.value.id], n.attr))
+        elif isinstance(n, ast.ImportFrom) and n.level == 1 and n.module:
+            refs |= {(n.module, a.name) for a in n.names}
+    return refs
 
 
 def _uncalled() -> set:
     public, used = set(), set()
-    for tree in _modules():
+    for module, tree in _modules().items():
+        aliases = {a.asname or a.name: a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.level == 1 and not n.module
+                   for a in n.names}
         for stmt in tree.body:
-            refs = _references(stmt)
+            refs = _references(stmt, module, aliases)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 if not stmt.name.startswith("_"):
-                    public.add(stmt.name)
-                refs.discard(stmt.name)
+                    public.add((module, stmt.name))
+                refs.discard((module, stmt.name))
             used |= refs
-    return public - used
+    return {name for _, name in public - used}
 
 
 def test_every_public_name_has_a_caller():

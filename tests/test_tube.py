@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -449,10 +450,11 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_oracle_cells_follow_the_widest_axes():
-    # a segment along the third axis: cells on the first two axes would put
-    # all 10⁶ samples in one cell and measure each point against every one;
-    # no point is at distance δ, so both routes are certified
+def test_oracle_sorts_on_the_widest_axes():
+    # a segment along the third axis: sorted on the first two axes, most
+    # points' columns and runs would lie within reach of every one of the
+    # 10⁴ first samples, and each sample would be measured against most
+    # points; no point is at distance δ, so both routes are certified
     code = """
 from fractions import Fraction as F
 from curvecount import (FiniteSet, TubeQuery, brute_force_tube_oracle,
@@ -513,7 +515,7 @@ def near_curve_queries(draw):
 @settings(max_examples=90, deadline=None)
 @given(near_curve_queries())
 def test_oracle_matches_counter_near_curves(q):
-    # explicit sources and, in 3-D, the oracle's cells on two of three axes;
+    # explicit sources and, in 3-D, the oracle's sort on two of three axes;
     # where both are certified
     r = count_in_tube(q)
     rb = brute_force_tube_oracle(q)
@@ -553,7 +555,7 @@ def pruning_cases(draw):
     if curve.dimension == 2 and draw(st.booleans()):
         N = draw(st.integers(2, 32))
         return curve, grid, tube._oracle_points(LatticeSource(N, ((-2, 2), (-2, 2))),
-                                                None), upper
+                                                None)[0], upper
     radii = st.sampled_from([1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12])
     pts = []
     for i in draw(st.lists(st.integers(0, grid.n), min_size=1, max_size=30)):
@@ -562,7 +564,7 @@ def pruning_cases(draw):
         if draw(st.booleans()) and np.linalg.norm(v) > 0:
             v *= draw(radii) / np.linalg.norm(v)
         pts.append(eval_array(curve, grid[[i]])[0] + upper * v)
-    return curve, grid, tube._OraclePoints(np.array(pts), None), upper
+    return curve, grid, np.array(pts), upper
 
 
 def _past_the_end(curve, steps, upper):
@@ -572,7 +574,7 @@ def _past_the_end(curve, steps, upper):
     grid = _grid(curve, steps)
     tangent = eval_array(curve, grid[[-1]], 1)[0]
     p = eval_array(curve, grid[[-1]])[0] + upper * (1 - 1e-12) * tangent / np.linalg.norm(tangent)
-    return curve, grid, tube._OraclePoints(p[None, :], None), upper
+    return curve, grid, p[None, :], upper
 
 
 def _all_pairs_nearest(curve, grid, pts, upper):
@@ -600,15 +602,61 @@ def test_pruned_samples_match_dense_samples(case):
     # the oracle measures each point against only the blocks of samples that
     # can be within `upper` of it; below `upper` it must see what every
     # sample shows
-    curve, grid, points, upper = case
-    d2, nearest = _all_pairs_nearest(curve, grid, points.coords(np.arange(points.size)),
-                                     upper)
-    p2, pnearest = tube._grid_nearest(curve, grid, points, upper,
+    curve, grid, pts, upper = case
+    d2, nearest = _all_pairs_nearest(curve, grid, pts, upper)
+    p2, pnearest = tube._grid_nearest(curve, grid, pts, upper,
                                       derivative_sup_bound(curve, 1))
     near = d2 < upper * upper
     assert np.array_equal(p2 < upper * upper, near)
     assert d2[near].tobytes() == p2[near].tobytes()
     assert np.array_equal(nearest[near], pnearest[near])
+
+
+@st.composite
+def reach_cases(draw):
+    """Explicit points in 1 to 4 dimensions, as ``materialize_source`` gives
+    their floats, centers, a reach and a block size for ``_PAIR_BLOCK``.
+    Axes have unequal widths, so the widest two are often not 0 and 1.  The
+    points hold a column of many points that share every coordinate but one,
+    distinct exact x values that round to one float with y descending (so
+    their exact order is not the floats'), and points at reach·(1 ± 10⁻¹²)
+    and reach·(1 − 2⁻⁵²) from a center, some along an axis."""
+    n = draw(st.integers(1, 4))
+    scale = np.array(draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3]),
+                                   min_size=n, max_size=n)))
+    reach = draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0]))
+    vectors = st.lists(st.floats(-1, 1), min_size=n, max_size=n).map(np.array)
+    centers = np.array(draw(st.lists(vectors, min_size=1, max_size=20))) * scale
+    pts = [v * scale for v in draw(st.lists(vectors, max_size=30))]
+    base, axis = draw(vectors) * scale, draw(st.integers(0, n - 1))
+    for j in range(draw(st.integers(0, 60))):
+        p = base.copy()
+        p[axis] += j * reach / 7
+        pts.append(p)
+    radii = st.sampled_from([1 - 1e-12, 1 + 1e-12, 1 - 2 ** -52])
+    for c in draw(st.lists(st.sampled_from(list(centers)), max_size=10)):
+        v = draw(vectors | st.integers(0, n - 1).map(lambda k: np.eye(n)[k]))
+        if np.linalg.norm(v) > 0:
+            pts.append(c + reach * draw(radii) * v / np.linalg.norm(v))
+    exact = {tuple(F(x) for x in p) for p in pts}
+    x0 = F(draw(st.floats(0.25, 1)) * scale[0])
+    exact |= {(x0 + k * F(1, 10 ** 30),) + tuple(F(-k) for _ in range(n - 1))
+              for k in range(draw(st.integers(1, 12)))}
+    _, floats = tube.materialize_source(ExplicitSource(FiniteSet(exact)))
+    return floats, centers, reach, draw(st.sampled_from([1, 5, 1 << 22]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reach_cases())
+def test_reach_pairs_match_all_pairs(case):
+    # bisection lists exactly the (point, center) pairs that pass the float
+    # test, in center order, however the (center, column) runs are chunked
+    pts, centers, reach, block = case
+    passing = tube._sum_sq(pts[:, None, :] - centers[None, :, :]) < reach * reach
+    with mock.patch.object(tube, "_PAIR_BLOCK", block):
+        pid, cid = tube._reach_pairs(pts, centers, reach)
+    assert (np.diff(cid) >= 0).all()
+    assert sorted(zip(pid.tolist(), cid.tolist())) == list(zip(*np.nonzero(passing)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -637,9 +685,10 @@ def lattice_queries(draw):
 @settings(max_examples=40, deadline=None)
 @given(lattice_queries())
 def test_oracle_lattice_and_point_set_agree(case):
-    # a lattice is paired with blocks by bisection in its axes, a point set
-    # through its cells; both must give the oracle the same answer,
-    # certificate and grid
+    # a lattice's floats come from int division, a point set's from
+    # materialize_source, and both are paired with blocks by the same
+    # bisection; both must give the oracle the same answer, certificate and
+    # grid
     curve, delta, source = case
     (ilo, ihi), (jlo, jhi) = source.index_bounds()
     fs = FiniteSet([(F(i, source.N), F(j, source.N)) for i in range(ilo, ihi + 1)
@@ -797,7 +846,7 @@ def _in_tube_by_fractions(curve, delta, p) -> bool:
                    for ex, ey in (_QUARTER_POINTS[int(4 * e)] for e in (lo, hi)))
     D = (-delta * delta,)
     for fn, x in zip(curve.coords, p):
-        g = polys.sub(fn.coeffs, (x,))
+        g = polys.add(fn.coeffs, (-x,))
         D = polys.add(D, polys.mul(g, g))
     return polys.eval_exact(D, lo) <= 0 or polys.Roots(D).closed(lo, hi) > 0
 
