@@ -25,7 +25,7 @@ decisions run on integers.
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
 (float branch) and ``eval_array`` are built on it, and ``error_estimate``
-bounds its error.  ``TrigCoord.half_angle`` is the rational form in s = tan πt,
+bounds its error.  ``TrigCoord.half_angle`` is the integer form in s = tan πt,
 and ``half_angle_ranges`` gives a domain's s-ranges, its ends bracketed exactly.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -229,15 +229,18 @@ class TrigCoord:
         return self.sup_abs(lo, hi) * rel * (1 + 1e-9)
 
     def half_angle(self) -> tuple:
-        """(P, B) for a nonzero f, its 2π power aside: P = (1 + s²)^D·f(u, v),
-        D the largest a + b, is rational in s = tan πt, its real roots are
-        the roots t ≠ ½ of f, and each has |s| < B (Cauchy's bound)."""
+        """(P, B) for a nonzero f, its 2π power aside: P, with integer
+        coefficients, is a positive multiple of (1 + s²)^D·f(u, v), D the
+        largest a + b, rational in s = tan πt; its real roots are the roots
+        t ≠ ½ of f, and each has |s| < B (Cauchy's bound)."""
         d = max(a + b for a, b in self.terms)
-        p = polys.ZERO
-        for (a, b), c in self.terms.items():
-            term = polys.mul(polys.power(_HALF_U, a), polys.power(_HALF_V, b))
-            p = polys.add(p, polys.scale(polys.mul(term, polys.power(_HALF_W, d - a - b)), c))
-        return p, 1 + math.ceil(max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
+        p = [0] * (2 * d + 1)
+        for (a, b), c in self.integer_form[1].items():
+            for i, x in enumerate(_half_angle_basis(a, b, d)):
+                p[i] += c * x
+        while not p[-1]:
+            p.pop()
+        return tuple(p), 1 + -(-max(map(abs, p[:-1]), default=0) // abs(p[-1]))
 
     def at_half(self) -> Fraction:
         """f at t = ½, where (u, v) = (−1, 0), its 2π power aside."""
@@ -291,6 +294,15 @@ _HALF_V = polys.poly([0, 2])
 _HALF_W = polys.poly([1, 0, 1])
 
 
+@cache
+def _half_angle_basis(a: int, b: int, d: int) -> tuple:
+    """The integers of (1 − s²)^a·(2s)^b·(1 + s²)^(d−a−b), (1 + s²)^d·u^a·v^b
+    in s = tan πt, low degree first."""
+    term = polys.mul(polys.mul(polys.power(_HALF_U, a), polys.power(_HALF_V, b)),
+                     polys.power(_HALF_W, d - a - b))
+    return tuple(polys.integer_form(term)[1])
+
+
 def _tan_bracket(roots: polys.Roots, x: Fraction) -> tuple:
     """(a, b, k) for x in [0, 1] other than ½: rationals a ≤ tan πx ≤ b whose
     roots of P (``roots`` is P's kernel) are tan πx alone when k = 1 and
@@ -302,9 +314,9 @@ def _tan_bracket(roots: polys.Roots, x: Fraction) -> tuple:
     at most e/c², c = |cos θ| − e = (1 + tan²θ)^(−1/2) − e.  A bracket with a
     root of P is narrowed on the signs of Q = Im (1 + is)^n, x = j/n in
     lowest terms, n ≤ 64, whose roots are the tan πi/n: its one root there
-    is tan πx, a root of P exactly when of gcd(q, Q), q P's square-free
-    part.  P's chain serves every count, the narrowing loop's included,
-    and Q's signs are read in integers (``polys.eval_homogeneous``).
+    is tan πx, a root of P exactly when of gcd(P, Q).  P's kernel serves
+    every count, the narrowing loop's included, and Q's signs are read in
+    integers (``polys.eval_homogeneous``).
     """
     theta = math.pi * float(x)
     s = math.tan(theta)
@@ -326,7 +338,7 @@ def _tan_bracket(roots: polys.Roots, x: Fraction) -> tuple:
     Q = [(-1) ** (i // 2) * math.comb(n, i) if i % 2 else 0 for i in range(n + n % 2)]
     if polys.Roots(Q).closed(a, b) != 1:
         return a, b, None
-    k = 1 if polys.Roots(polys.gcd(roots.chain[0], Q)).closed(a, b) else 0
+    k = 1 if polys.Roots(polys.gcd(roots.coeffs, Q)).closed(a, b) else 0
     # Q's sign at a and at each midpoint; Q has no rational root there
     qa = polys.eval_homogeneous(Q, a.numerator, a.denominator) > 0
     while roots.closed(a, b) > k:
@@ -553,7 +565,7 @@ def certify_nondegenerate(curve: CurveSpec, c0, grid: int) -> NondegeneracyCerti
 
     For exact polynomial curves the answer is exact at any c0: |W| > c0 on
     [lo, hi] exactly when |W(lo)| > c0 and neither W − c0 nor W + c0 has a
-    root in [lo, hi], which the Sturm root counter decides.  The
+    root in [lo, hi], which the root kernel ``polys.Roots`` decides.  The
     certificate is then ``certified`` with ``exact=True`` and margin 0, or
     ``failed``.
 

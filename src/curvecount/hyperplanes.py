@@ -4,11 +4,14 @@ empirical uniform intersection bound.
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
 g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  g is built on integer numerators, as a
 positive multiple with the same roots (``_combination``).  Every root is
-isolated exactly by Sturm sign variations on a rational polynomial,
-square-free first so tangential intersections count once: g itself for
-polynomial curves, and for trigonometric curves g in
+counted and isolated exactly on one integer polynomial, ``polys.Roots`` of
+g itself for polynomial curves, and for trigonometric curves of g in
 (u, v) = (cos 2πt, sin 2πt) rewritten in s = tan πt by the half-angle
-substitution and cleared of denominators.
+substitution and cleared of denominators.  The kernel decides an interval
+by Descartes' rule of signs when its transform has 0 or 1 sign variations,
+which is most random planes, and otherwise by the Sturm chain of the
+polynomial's square-free part, built on first use, so tangential
+intersections count once.
 
 On a polynomial curve whose first coordinate is affine, x₁ = b + c·t, the
 Mean Value Theorem sends k intersection parameters of a hyperplane with the
@@ -160,7 +163,7 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
 
 
 def _count(curve: CurveSpec, plane: Hyperplane) -> int:
-    """``len(intersect(curve, plane))`` by Sturm counts on the same kernel,
+    """``len(intersect(curve, plane))`` by root counts on the same kernel,
     with no root isolated or refined: the roots of g in the closed domain,
     or the ends that are roots, the roots inside each open s-range and
     t = ½."""

@@ -1,5 +1,5 @@
-"""Exact univariate polynomial arithmetic over rationals, with Sturm-based
-real root isolation.
+"""Exact univariate polynomial arithmetic over rationals, with real root
+counting and isolation on integers.
 
 Polynomials are dense coefficient tuples, low degree first, trimmed of trailing
 zeros; the zero polynomial is the empty tuple.  The polynomial algebra (sums,
@@ -10,14 +10,18 @@ curve coordinates cache it.  Determinants, root counting, isolation and
 refinement run on Python integers instead.  A determinant takes an integer
 matrix, whose callers have cleared its denominators, and eliminates by
 Bareiss.  Every real-root question goes to
-one kernel, ``Roots(p)``: it builds the square-free part of p and its Sturm
-chain once, as primitive integer polynomials by pseudo-remainders, and
-answers counts on closed and open intervals, isolation and refinement from
-that chain.  Signs at a rational point n/d are read from the homogeneous
-integer d^m·e(n/d) = Σ e_i·n^i·d^(m−i) (``eval_homogeneous``).  Isolation
-bisects [a, b] on a dyadic grid with one shared denominator per depth and
-counts roots by sign variations; refinement bisects integer numerators the
-same way.
+one kernel, ``Roots(p)``, which keeps p's coprime integer coefficients and
+decides by certificate first.  On an interval (a, b) the sign variations V
+of the coefficients of (1 + x)^m·p((a + b·x)/(1 + x)) bound the roots of p
+in (a, b), counted with multiplicity, and have their parity (Descartes'
+rule of signs, the test behind Vincent–Collins–Akritas isolation): V = 0
+means no root and V = 1 exactly one simple root.  Only V ≥ 2 builds the
+Sturm chain of p's square-free part, once, as primitive integer polynomials
+by pseudo-remainders, and answers from it.  Signs at a rational point n/d
+are read from the homogeneous integer d^m·e(n/d) = Σ e_i·n^i·d^(m−i)
+(``eval_homogeneous``).  Isolation bisects [a, b] on a dyadic grid with one
+shared denominator per depth and counts roots by the chain's sign
+variations; refinement bisects integer numerators the same way.
 """
 
 from __future__ import annotations
@@ -61,13 +65,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return poly(out)
 
 
-def scale(p: Poly, k) -> Poly:
-    k = Fraction(k)
-    if k == 0:
-        return ZERO
-    return tuple(c * k for c in p)
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO
@@ -87,8 +84,9 @@ def power(p: Poly, k: int) -> Poly:
     while k:
         if k & 1:
             out = mul(out, base)
-        base = mul(base, base)
         k >>= 1
+        if k:
+            base = mul(base, base)
     return out
 
 
@@ -156,9 +154,10 @@ def _sturm(a: list[int]) -> list[list[int]]:
     return chain
 
 
-def _squarefree_chain(p: Poly) -> list[list[int]]:
-    """Sturm chain of the square-free part q of p; its head is q."""
-    chain = _sturm(_ints(p))
+def _squarefree_chain(a: list[int]) -> list[list[int]]:
+    """Sturm chain of the square-free part q of a, a primitive integer
+    polynomial; its head is q."""
+    chain = _sturm(a)
     g = chain[-1]
     if len(g) == 1:
         return chain
@@ -181,6 +180,29 @@ def eval_homogeneous(e: list[int], n: int, d: int) -> int:
     return acc
 
 
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of integers, zeros dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _descartes(e: list[int], na: int, nb: int, D: int) -> int:
+    """The sign variations V of R(x) = Σ e_i·(na + nb·x)^i·(D(1 + x))^(m−i),
+    D^m·(1 + x)^m·e at (a + b·x)/(1 + x) with a = na/D, b = nb/D, D > 0.
+
+    x ↦ (a + b·x)/(1 + x) maps (0, ∞) onto the open interval between a and
+    b, so V bounds e's roots there, counted with multiplicity, and has their
+    parity.  R is built by homogeneous Horner, as ``eval_homogeneous`` with
+    the linear polynomials na + nb·x and D + D·x in place of n and d.
+    """
+    acc, power = [], [1]
+    for c in reversed(e):
+        acc = [na * y + nb * z + c * w
+               for y, z, w in zip(acc + [0], [0] + acc, power)]
+        power = [D * (y + z) for y, z in zip(power + [0], [0] + power)]
+    return _sign_changes(acc)
+
+
 def _over(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     """D, a·D, b·D for the least common denominator D of a and b."""
     D = math.lcm(a.denominator, b.denominator)
@@ -198,19 +220,29 @@ def gcd(p: Poly, q: Poly) -> Poly:
 class Roots:
     """The distinct real roots of a nonzero polynomial p.
 
-    The Sturm chain of p's square-free part q is built once, as primitive
-    integer polynomials; ``chain[0]`` is q.  It answers every root question
-    about p on any interval: counts on closed and open intervals, isolating
-    intervals, and refinement of one of them to a float.  Each reads signs
-    of the chain at rational points n/d from ``eval_homogeneous``.
+    ``coeffs`` are p's coprime integer coefficients.  They answer every root
+    question about p on any interval: counts on closed and open intervals,
+    isolating intervals, and refinement of one of them to a float.  Each
+    question first counts the sign variations V of the interval's Möbius
+    transform of p (``_descartes``) and reads the ends' signs from
+    ``eval_homogeneous``; V ≤ 1 is the answer on the open interval.  Only
+    V ≥ 2 builds ``chain``, the Sturm chain of p's square-free part q as
+    primitive integer polynomials, with ``chain[0]`` = q, once on first use.
     """
 
-    __slots__ = ("chain",)
+    __slots__ = ("coeffs", "_chain")
 
     def __init__(self, p):
         if not p:
             raise ValueError("the zero polynomial has no root count")
-        self.chain = _squarefree_chain(p)
+        self.coeffs = _ints(p)
+        self._chain = None
+
+    @property
+    def chain(self) -> list[list[int]]:
+        if self._chain is None:
+            self._chain = _squarefree_chain(self.coeffs)
+        return self._chain
 
     def _variations(self, n: int, d: int) -> tuple[int, bool]:
         """Sign changes of the chain at n/d, d > 0, with zeros dropped, and
@@ -220,8 +252,21 @@ class Roots:
         the number of roots of q in (a, b].
         """
         vals = [eval_homogeneous(e, n, d) for e in self.chain]
-        signs = [v > 0 for v in vals if v]
-        return sum(s != t for s, t in zip(signs, signs[1:])), not vals[0]
+        return _sign_changes(vals), not vals[0]
+
+    def _ends(self, na: int, nb: int, D: int) -> tuple[bool, bool]:
+        """Whether p vanishes at na/D and at nb/D."""
+        e = self.coeffs
+        return not eval_homogeneous(e, na, D), not eval_homogeneous(e, nb, D)
+
+    def _inside(self, na: int, nb: int, D: int) -> int:
+        """Number of distinct real roots strictly between na/D < nb/D: V when
+        V ≤ 1, and the chain's count otherwise."""
+        v = _descartes(self.coeffs, na, nb, D)
+        if v < 2:
+            return v
+        (va, _), (vb, zb) = (self._variations(n, D) for n in (na, nb))
+        return va - vb - zb
 
     def closed(self, a, b) -> int:
         """Number of distinct real roots in the closed interval [a, b]."""
@@ -229,8 +274,10 @@ class Roots:
         if a > b:
             return 0
         D, na, nb = _over(a, b)
-        (va, za), (vb, _) = (self._variations(n, D) for n in (na, nb))
-        return va - vb + za
+        za, zb = self._ends(na, nb, D)
+        if a == b:
+            return int(za)
+        return za + zb + self._inside(na, nb, D)
 
     def open(self, a, b) -> int:
         """Number of distinct real roots in the open interval (a, b)."""
@@ -238,28 +285,35 @@ class Roots:
         if not a < b:
             return 0
         D, na, nb = _over(a, b)
-        (va, _), (vb, zb) = (self._variations(n, D) for n in (na, nb))
-        return va - vb - zb
+        return self._inside(na, nb, D)
 
     def isolate(self, a, b) -> list[tuple[Fraction, Fraction]]:
         """Isolating intervals for the distinct real roots in [a, b].
 
         Returns a sorted list of rational intervals; degenerate intervals
         (lo == hi) are exact roots.  Each non-degenerate open interval holds
-        exactly one simple root of q.  Bisection runs on a dyadic grid with
-        one shared denominator per depth, and each node costs one
-        evaluation of the chain.
+        exactly one simple root of q.  (a, b) itself is one when V = 1;
+        otherwise bisection runs on a dyadic grid with one shared
+        denominator per depth, and each node costs one evaluation of the
+        chain.
         """
         a, b = Fraction(a), Fraction(b)
         D, na, nb = _over(a, b)
-        (va, za), (vb, zb) = (self._variations(n, D) for n in (na, nb))
+        za, zb = self._ends(na, nb, D)
         found: list[tuple[Fraction, Fraction]] = []
         if za:
             found.append((a, a))
         if b != a and zb:
             found.append((b, b))
         # (lo, hi, k, V(lo), V(hi), q(hi) = 0) with ends lo/(D·2^k), hi/(D·2^k)
-        stack = [(na, nb, 0, va, vb, zb)] if a < b else []
+        stack = []
+        if a < b:
+            v = _descartes(self.coeffs, na, nb, D)
+            if v == 1:
+                found.append((a, b))
+            elif v:
+                va, vb = (self._variations(n, D)[0] for n in (na, nb))
+                stack.append((na, nb, 0, va, vb, zb))
         while stack:
             lo, hi, k, vlo, vhi, zhi = stack.pop()
             inside = vlo - vhi - zhi
@@ -280,22 +334,30 @@ class Roots:
 
     def refine(self, lo, hi, bits: int = 60) -> float:
         """Refine an isolating interval to a float root by exact sign
-        bisection of q, on integer numerators over a shared dyadic
-        denominator; the float is that of the last midpoint."""
+        bisection, on integer numerators over a shared dyadic denominator;
+        the float is that of the last midpoint.
+
+        When p is nonzero at both ends and V = 1, the bisection runs on p
+        itself: p = q·gcd(p, p′) and the gcd has no root in [lo, hi], so p
+        and q take the same midpoints.  Otherwise it runs on q.
+        """
         if lo == hi:
             return float(lo)
         D, L, H = _over(Fraction(lo), Fraction(hi))
-        e = self.chain[0]
+        e = self.coeffs
         slo, shi = eval_homogeneous(e, L, D), eval_homogeneous(e, H, D)
-        if not slo or not shi:
-            # a root at an end takes the sign q has just inside the interval,
-            # as it would after dividing that root out; chain[1] is a
-            # multiple of q'
-            inward = 1 if H > L else -1
-            if not slo:
-                slo = inward * eval_homogeneous(self.chain[1], L, D)
-            if not shi:
-                shi = -inward * eval_homogeneous(self.chain[1], H, D)
+        if not (slo and shi and _descartes(e, L, H, D) == 1):
+            e = self.chain[0]
+            slo, shi = eval_homogeneous(e, L, D), eval_homogeneous(e, H, D)
+            if not slo or not shi:
+                # a root at an end takes the sign q has just inside the
+                # interval, as it would after dividing that root out;
+                # chain[1] is a multiple of q'
+                inward = 1 if H > L else -1
+                if not slo:
+                    slo = inward * eval_homogeneous(self.chain[1], L, D)
+                if not shi:
+                    shi = -inward * eval_homogeneous(self.chain[1], H, D)
         if not slo or not shi or (slo > 0) == (shi > 0):
             raise ArithmeticError("interval does not isolate a simple root")
         k = 0

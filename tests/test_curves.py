@@ -158,7 +158,7 @@ def test_certify_is_exact_at_positive_c0():
     roots = polys.poly([1])
     for r in (0, F(1, 4), F(1, 2), F(3, 4), 1):
         roots = polys.mul(roots, polys.poly([-r, 1]))
-    fpp = polys.add(polys.poly([3]), polys.scale(roots, 700))
+    fpp = polys.add(polys.poly([3]), polys.mul(roots, polys.poly([700])))
     f = [0, 0] + [c / ((i + 1) * (i + 2)) for i, c in enumerate(fpp)]
     curve = graph_curve([f])  # W of a planar graph (t, f) is f''
     assert wronskian_symbolic(curve).coeffs == fpp

@@ -5,7 +5,9 @@
 runs and wrote ``tests/golden/cli.json``; ``tests/golden/make_oracle.py``
 holds the brute-force oracle's queries and wrote ``tests/golden/oracle.json``;
 ``tests/golden/make_roots.py`` holds ``intersect`` queries and wrote
-``tests/golden/roots.json``.  Any difference here is a changed answer,
+``tests/golden/roots.json``; ``tests/golden/make_counts.py`` holds survey
+histograms, hyperplane counts, MVT verdicts and certificate statuses and
+wrote ``tests/golden/counts.json``.  Any difference here is a changed answer,
 order, exit code, report byte or float bit."""
 
 import importlib.util
@@ -44,6 +46,10 @@ def test_oracle_answers_match_the_golden_file():
 
 def test_intersect_roots_match_the_golden_file():
     _same_keyed_answers("roots")
+
+
+def test_root_counts_match_the_golden_file():
+    _same_keyed_answers("counts")
 
 
 def test_cli_runs_match_the_golden_file():

@@ -202,9 +202,10 @@ def test_circle_arc_sampled_intersections():
 
 
 def test_one_sturm_chain_per_polynomial(monkeypatch):
-    # intersect builds the chain of g's polynomial once: isolation,
-    # refinement, both s-ranges and the end brackets share it, and
-    # _tan_bracket's narrowing loop builds no chain per step
+    # intersect builds at most one Sturm chain per polynomial, and none when
+    # Descartes' rule of signs decides: isolation, refinement, both s-ranges
+    # and the end brackets share it, and _tan_bracket's narrowing loop
+    # builds no chain per step
     built = []
     chain = polys._squarefree_chain
     monkeypatch.setattr(polys, "_squarefree_chain",
@@ -212,19 +213,28 @@ def test_one_sturm_chain_per_polynomial(monkeypatch):
     # (t − 1/4)(t − 1/2)(t − 3/4) + 1/1000: three irrational roots in [0, 1]
     cubic = Hyperplane(F(3, 32) - F(1, 1000), (F(11, 16), F(-3, 2), 1))
     assert len(intersect(moment_curve(3), cubic)) == 3 and len(built) == 1
-    for arc, plane in ((circle_arc(), Hyperplane(F(1, 3), (1, 1))),
-                       (circle_arc(F(1, 7), F(5, 9)), Hyperplane(F(9, 10), (0, 1)))):
+    # lines that miss the parabola, cross it once, and cross the full
+    # circle once in each of its two s-ranges: the certificate decides alone
+    for curve, plane, k in ((parabola(), Hyperplane(-1, (0, 1)), 0),
+                            (parabola(), Hyperplane(F(1, 2), (0, 1)), 1),
+                            (circle_arc(), Hyperplane(F(1, 3), (1, 1)), 2)):
         built.clear()
-        p, _ = TrigCoord(_combination(arc, plane)).half_angle()
-        assert len(intersect(arc, plane)) == 2
-        assert built.count(p) == 1
-    # a rational root within an ulp of tan π/3 = √3 is narrowed away
+        assert len(intersect(curve, plane)) == k == _count(curve, plane)
+        assert built == []
+    # y = 9/10 meets the arc [1/7, 5/9] twice in its one s-range, where the
+    # half-angle form −9s² + 20s − 9 is primitive
+    arc, plane = circle_arc(F(1, 7), F(5, 9)), Hyperplane(F(9, 10), (0, 1))
+    built.clear()
+    p, _ = TrigCoord(_combination(arc, plane)).half_angle()
+    assert len(intersect(arc, plane)) == 2 and built == [p] == [(-9, 20, -9)]
+    # a rational root within an ulp of tan π/3 = √3 is narrowed away on P's
+    # chain; Q's count and gcd(P, Q)'s are decided by certificate
     s = F(math.tan(math.pi * float(F(1, 3))))
     roots = polys.Roots(polys.mul(polys.poly((-3, 0, 1)), polys.poly((-s, 1))))
     built.clear()
     a, b, k = _tan_bracket(roots, F(1, 3))
     assert k == 1 and a < b and not a <= s <= b
-    assert len(built) == 2   # Q's chain and gcd(q, Q)'s
+    assert built == [tuple(roots.coeffs)]
 
 
 def test_circle_tangency_on_grid_node():
@@ -401,7 +411,7 @@ def _roots_by_fractions(curve, plane) -> tuple:
     in Fractions, isolated and refined by the same kernel."""
     g = polys.poly([-plane.a0])
     for a, fn in zip(plane.normal, curve.coords):
-        g = polys.add(g, polys.scale(fn.coeffs, a))
+        g = polys.add(g, polys.mul(fn.coeffs, polys.poly([a])))
     roots = polys.Roots(g)
     return tuple(roots.refine(a, b) for a, b in roots.isolate(*curve.domain))
 
@@ -561,7 +571,7 @@ def test_mvt_counts_roots_of_g_prime_in_the_curve_parameter(b, c, rest, coeffs,
     plane = Hyperplane(coeffs[0], normal)
     g_prime = polys.ZERO
     for a, fn in zip(plane.normal, curve.coords):
-        g_prime = polys.add(g_prime, polys.scale(polys.derivative(fn.coeffs), a))
+        g_prime = polys.add(g_prime, polys.mul(polys.derivative(fn.coeffs), polys.poly([a])))
     assume(g_prime)
     m = polys.Roots(g_prime).closed(*domain)
     assert mvt_consistency(curve, plane, RootList(tuple(range(m + 1)), True))

@@ -1,17 +1,19 @@
-"""Exact polynomial arithmetic and the Sturm root kernel ``polys.Roots``,
-cross-checked against numpy's eigenvalue-based root finder and against
-sympy's root counts."""
+"""Exact polynomial arithmetic and the root kernel ``polys.Roots``,
+cross-checked against numpy's eigenvalue-based root finder, against sympy's
+root counts, and against its own Sturm chain."""
 
+import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvecount import polys
-from curvecount.curves import PolyCoord
+from curvecount.curves import PolyCoord, TrigCoord
 
 
 def P(*coeffs):
@@ -223,3 +225,77 @@ def test_gcd_keeps_the_common_roots():
     g = polys.gcd(a, b)
     assert polys.degree(g) == 2 and all(polys.eval_exact(g, x) == 0 for x in (2, 3))
     assert polys.degree(polys.gcd(a, P(7, 1))) == 0
+
+
+# -- the certificate against the chain ---------------------------------------
+
+@st.composite
+def kernel_cases(draw):
+    """A polynomial of degree ≤ 8 with integer coefficients up to 2⁸⁰,
+    repeated rational factors, roots exactly at the ends and at dyadic
+    points between them, and ends a, b in either order, equal, or with
+    denominators past 2⁶⁴."""
+    def point():
+        if draw(st.booleans()):
+            return draw(st.fractions(-2, 2, max_denominator=12))
+        d = draw(st.integers(2 ** 64 + 1, 2 ** 70))
+        return F(draw(st.integers(-2 * d, 2 * d)), d)
+    a = point()
+    b = a if draw(st.integers(0, 5)) == 0 else point()
+    coeff = st.integers(-2 ** 80, 2 ** 80)
+    p = polys.poly([draw(coeff.filter(bool))])
+    budget = 8
+    while budget and draw(st.integers(0, 3)):
+        kind = draw(st.sampled_from(("end", "between", "rational", "dense")))
+        if kind == "dense":
+            factor = polys.poly(draw(st.lists(coeff, min_size=2, max_size=budget + 1)))
+        else:
+            r = (draw(st.sampled_from((a, b))) if kind == "end" else
+                 a + (b - a) * F(draw(st.integers(1, 15)), 16) if kind == "between"
+                 else point())
+            factor = polys.power(P(-r, 1), draw(st.integers(1, min(3, budget))))
+        if polys.degree(factor) >= 1:
+            p, budget = polys.mul(p, factor), budget - polys.degree(factor)
+    return p, a, b
+
+
+def _answers(roots, a, b) -> tuple:
+    ivs = roots.isolate(a, b)
+    return (roots.closed(a, b), roots.open(a, b), roots.closed(b, a),
+            roots.open(b, a), ivs, [roots.refine(lo, hi) for lo, hi in ivs],
+            [roots.refine(hi, lo) for lo, hi in ivs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_certificate_answers_match_the_sturm_chain(case):
+    p, a, b = case
+    got = _answers(polys.Roots(p), a, b)
+    # V = 2 everywhere sends every question to the chain
+    with mock.patch.object(polys, "_descartes", lambda *args: 2):
+        assert got == _answers(polys.Roots(p), a, b)
+
+
+def _half_angle_by_fractions(f: TrigCoord) -> tuple:
+    """(1 + s²)^D·f(u, v) and its Cauchy bound, in Fractions."""
+    d = max(a + b for a, b in f.terms)
+    p = polys.ZERO
+    for (a, b), c in f.terms.items():
+        term = polys.mul(polys.power(P(1, 0, -1), a), polys.power(P(0, 2), b))
+        term = polys.mul(term, polys.power(P(1, 0, 1), d - a - b))
+        p = polys.add(p, polys.mul(term, P(c)))
+    return p, 1 + math.ceil(max((abs(c) for c in p[:-1]), default=0) / abs(p[-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 4)),
+                       st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
+                       min_size=1, max_size=6))
+def test_integer_half_angle_is_a_positive_multiple(terms):
+    f = TrigCoord(terms)
+    assume(not f.is_zero())
+    (p, bound), (ref, ref_bound) = f.half_angle(), _half_angle_by_fractions(f)
+    assert all(type(c) is int for c in p) and len(p) == len(ref)
+    ratio = F(p[-1]) / ref[-1]
+    assert ratio > 0 and all(c == ratio * r for c, r in zip(p, ref))
+    assert bound == ref_bound

@@ -450,22 +450,27 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_oracle_sorts_on_the_widest_axes():
-    # a segment along the third axis: sorted on the first two axes, most
-    # points' columns and runs would lie within reach of every one of the
-    # 10⁴ first samples, and each sample would be measured against most
-    # points; no point is at distance δ, so both routes are certified
-    code = """
-from fractions import Fraction as F
-from curvecount import (FiniteSet, TubeQuery, brute_force_tube_oracle,
-                        count_in_tube, line_segment)
-pts = [(F(k % 7, 25000), F(k % 5, 25000), F(k, 3000)) for k in range(3000)]
-q = TubeQuery(line_segment((0, 0, 0), (0, 0, 1)), F(1, 10 ** 4), FiniteSet(pts))
-r, rb = count_in_tube(q), brute_force_tube_oracle(q)
-assert r.certified and rb.certified and r.points == rb.points, (r, rb)
-"""
-    proc = _run_python(code)
-    assert proc.returncode == 0, proc.stderr
+def test_oracle_sorts_on_the_widest_axes(monkeypatch):
+    # a segment along the third axis, with the points in 7 columns of the
+    # first axis: each of the 10⁴ first samples has 6 columns within reach,
+    # and as the keys sort each column on the third axis, those runs hold
+    # 10 715 candidate points in all.  Sorted on the first two axes, a run
+    # would hold most of its column's points, 2.6·10⁷ candidates in all.  No
+    # point is at distance δ, so both routes are certified.
+    listed = []
+    chunks = tube._chunks
+
+    def counting(counts):
+        # _reach_pairs lists the (center, column) runs, then their points
+        listed.append(int(counts.sum()))
+        assert sum(listed) <= 2 * 10 ** 5, "the oracle lists too many candidates"
+        return chunks(counts)
+    monkeypatch.setattr(tube, "_chunks", counting)
+    pts = [(F(k % 7, 25000), F(k % 5, 25000), F(k, 3000)) for k in range(3000)]
+    q = TubeQuery(line_segment((0, 0, 0), (0, 0, 1)), F(1, 10 ** 4), FiniteSet(pts))
+    r, rb = count_in_tube(q), brute_force_tube_oracle(q)
+    assert r.certified and rb.certified and r.points == rb.points
+    assert len(listed) == 2 and listed[0] == 6 * 10001
 
 
 _XY = MonomialSet([(1, 0), (0, 1), (1, 1)])
