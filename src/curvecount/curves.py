@@ -26,7 +26,9 @@ Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
 (float branch) and ``eval_array`` are built on it, and ``error_estimate``
 bounds its error.  ``TrigCoord.half_angle`` is the integer form in s = tan πt,
-and ``half_angle_ranges`` gives a domain's s-ranges, its ends bracketed exactly.
+and ``TrigRoots`` answers every root question of a trig function on a domain
+from it, the domain's ends bracketed exactly: the hyperplane counts and roots
+and the tube's exact distance test.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
 derivative vector -- is computed once as an exact coordinate function, by
@@ -242,10 +244,6 @@ class TrigCoord:
             p.pop()
         return tuple(p), 1 + -(-max(map(abs, p[:-1]), default=0) // abs(p[-1]))
 
-    def at_half(self) -> Fraction:
-        """f at t = ½, where (u, v) = (−1, 0), its 2π power aside."""
-        return sum((-c if a else c) for (a, b), c in self.terms.items() if not b)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -348,22 +346,76 @@ def _tan_bracket(roots: polys.Roots, x: Fraction) -> tuple:
     return a, b, k
 
 
-def half_angle_ranges(roots: polys.Roots, B: int, lo: Fraction,
-                      hi: Fraction) -> tuple:
-    """(ends, ranges, sure) for the roots s = tan πt at t ≠ ½ in [lo, hi] of
-    a half-angle form P, whose kernel is ``roots``: the ends x ≠ ½ with
-    P(tan πx) = 0, and open s-ranges that hold the others and no root from
-    outside: (tan πlo, tan πhi), or (tan πlo, B) and
-    (−B, tan πhi) around ½ (B > |s| at P's roots) less a side an end at ½
-    leaves out, each finite end moved past its ``_tan_bracket``.  sure is
-    False when an end cannot be bracketed; its range then takes it in."""
-    br = {x: _tan_bracket(roots, x) for x in {lo, hi} - {Fraction(1, 2)}}
-    first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
-    last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
-    ranges = ([(first, last)] if not lo <= Fraction(1, 2) <= hi else
-              [r for r, x in (((first, B), lo), ((-B, last), hi)) if x in br])
-    return (sorted(x for x, (_, _, k) in br.items() if k), ranges,
-            all(k is not None for _, _, k in br.values()))
+_HALF = Fraction(1, 2)
+
+
+class TrigRoots:
+    """The roots t in [lo, hi] of a nonzero f in (u, v) = (cos 2πt, sin 2πt),
+    its 2π power aside, on one root kernel: ``polys.Roots`` of f's
+    half-angle form P (``TrigCoord.half_angle``), whose roots are the
+    s = tan πt of the roots t ≠ ½.
+
+    The domain's ends x ≠ ½ are bracketed exactly (``_tan_bracket``); an end
+    with P(tan πx) = 0 is a root as it is, and the other roots lie in open
+    s-ranges that hold no root from outside: (tan πlo, tan πhi), or
+    (tan πlo, B) and (−B, tan πhi) around ½, B the Cauchy bound of P, less a
+    side an end at ½ leaves out, each finite end moved past its bracket.
+    t = ½ (s = ∞) is a root exactly when f(−1, 0) = 0.  ``sure`` is False
+    when an end cannot be bracketed; its range then takes it in.  Counts,
+    isolation, refinement and the brackets share the one kernel.
+    """
+
+    def __init__(self, f: TrigCoord, lo: Fraction, hi: Fraction):
+        P, self._bound = f.half_angle()
+        self._roots = roots = polys.Roots(P)
+        br = {x: _tan_bracket(roots, x) for x in {lo, hi} - {_HALF}}
+        first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
+        last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
+        self._ends = sorted(x for x, (_, _, k) in br.items() if k)
+        self.sure = all(k is not None for _, _, k in br.values())
+        # f(−1, 0), f at t = ½, or None when the domain does not hold ½
+        self._half = None
+        if lo <= _HALF <= hi:
+            self._half = sum((-c if a else c) for (a, b), c in f.terms.items() if not b)
+            self._ranges = [r for r, x in (((first, self._bound), lo),
+                                           ((-self._bound, last), hi)) if x in br]
+        else:
+            self._ranges = [(first, last)]
+
+    def count(self) -> int:
+        """The number of roots: the ends that are roots, the roots inside
+        each open s-range and t = ½, with none isolated or refined."""
+        return (len(self._ends) + sum(self._roots.open(a, b) for a, b in self._ranges)
+                + (self._half == 0))
+
+    def params(self) -> list:
+        """The roots as sorted floats t: each end that is a root as it is,
+        each root s refined to t = atan(s)/π mod 1, and ½."""
+        # an isolating interval is narrower than 2·B, so these bits put s
+        # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
+        bits = 60 + self._bound.bit_length()
+        roots = self._roots
+        ts = [float(x) for x in self._ends]
+        for a, b in self._ranges:
+            ts += [math.atan(roots.refine(c, d, bits)) / math.pi % 1.0
+                   for c, d in (roots.isolate(a, b) if a < b else ())
+                   if c != d or a < c < b]   # the ranges are open
+        if self._half == 0:
+            ts.append(0.5)
+        return sorted(ts)
+
+    def nonpositive(self) -> bool | None:
+        """Whether f ≤ 0 somewhere on [lo, hi]; None when an end that cannot
+        be bracketed decides it.  f is ≤ 0 at ½, or has a root, or keeps one
+        sign on the domain, which P gives at any point of its one s-range."""
+        if self._half is not None and self._half <= 0:
+            return True
+        if self._ends or not self.sure or any(self._roots.open(a, b)
+                                              for a, b in self._ranges):
+            return True if self._ends or self.sure else None
+        # P keeps one sign on the range: that of f(½) > 0 when it holds ½
+        return (self._half is None
+                and polys.eval_exact(self._roots.coeffs, self._ranges[0][0]) < 0)
 
 
 def _on_circle(t) -> tuple:

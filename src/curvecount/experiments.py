@@ -49,7 +49,7 @@ class ExperimentConfig:
     delta_d: Fraction | None = None     # None -> on-curve (δ = 0) mode
     delta_power: int | None = None
     box: tuple = ((0, 1), (0, 1))
-    energy_m: int | None = None         # None -> n(n+1)/2 for dimension n
+    energy_m: int = 3
 
     def __post_init__(self):
         sched = tuple(exact_int(n, "schedule N") for n in self.schedule)
@@ -64,9 +64,7 @@ class ExperimentConfig:
                                exact_int(self.delta_power, "delta power"))
         object.__setattr__(self, "box", tuple(
             (parse_frac(lo), parse_frac(hi)) for lo, hi in self.box))
-        if self.energy_m is not None:
-            object.__setattr__(self, "energy_m",
-                               exact_int(self.energy_m, "energy_m"))
+        object.__setattr__(self, "energy_m", exact_int(self.energy_m, "energy_m"))
 
 
 def fit_loglog(ns, counts) -> tuple[float, float]:
@@ -186,8 +184,7 @@ def run_energy_experiment(cfg: ExperimentConfig, cap=None) -> EnergyReport:
     the saturation E_m(B)/|B|^(2m-1) (= 1 would be maximal energy).  ``cap``
     bounds the tube counts and the energy work; energy over it skips a row.
     """
-    n = cfg.curve.dimension
-    m = cfg.energy_m if cfg.energy_m is not None else n * (n + 1) // 2
+    m = cfg.energy_m
     if m < 2:
         raise ValueError("energy runs need m >= 2")
     rows = []

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .curves import (CurveSpec, InvalidCurveError, TrigCoord,
-                     half_angle_ranges)
-from .pointsets import exact_point
+from .curves import CurveSpec, InvalidCurveError, TrigCoord, TrigRoots
+from .pointsets import exact_int, exact_point
 
 
 class HyperplaneError(ValueError):
@@ -107,71 +106,44 @@ def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
     return g
 
 
-def _kernel(curve: CurveSpec, plane: Hyperplane) -> tuple:
-    """The root kernel of g on the curve, as (roots, trig).
-
-    For a polynomial curve, roots is ``polys.Roots`` of g and trig is None.
-    For a trigonometric curve, roots is the kernel of g's half-angle form
-    and trig is (bound, ends, ranges, half, sure): the Cauchy bound on s,
-    the domain ends that are roots, the open s-ranges that hold the other
-    roots (``half_angle_ranges``), whether t = ½ is a root in the domain
-    (g(−1, 0) = 0), and whether every end was bracketed.
-    """
+def _kernel(curve: CurveSpec, plane: Hyperplane):
+    """The root kernel of g on the curve: ``polys.Roots`` of g for a
+    polynomial curve, ``TrigRoots`` of g on the domain for a trigonometric
+    one."""
     if plane.dimension != curve.dimension:
         raise HyperplaneError("hyperplane dimension does not match the curve")
     g = _combination(curve, plane)
     if curve.is_exact:
-        return polys.Roots([g.get(i, 0) for i in range(max(g) + 1)]), None
-    lo, hi = curve.domain
-    g = TrigCoord(g)
-    p, bound = g.half_angle()
-    roots = polys.Roots(p)
-    ends, ranges, sure = half_angle_ranges(roots, bound, lo, hi)
-    half = lo <= Fraction(1, 2) <= hi and not g.at_half()
-    return roots, (bound, ends, ranges, half, sure)
+        return polys.Roots([g.get(i, 0) for i in range(max(g) + 1)])
+    return TrigRoots(TrigCoord(g), *curve.domain)
 
 
 def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     """Parameters t in the domain with γ(t) ∈ H.
 
     Polynomial curves isolate the roots of g on the domain.  Trigonometric
-    curves isolate the roots s of the half-angle polynomial on the domain's
-    s-ranges and map them to t = atan(s)/π mod 1; the domain's ends are
-    bracketed exactly (``half_angle_ranges``), an end that is a root is
-    kept as it is, and t = ½ (s = ∞) is a root exactly when g(−1, 0) = 0.
+    curves take the roots of g on the domain from ``TrigRoots``: the roots
+    s of the half-angle polynomial mapped to t = atan(s)/π mod 1, the
+    domain's ends bracketed exactly and kept when they are roots, and t = ½.
     Either route builds one root kernel (``polys.Roots``) for its
     polynomial, and isolation, refinement and the end brackets share it.
     Both routes are exact; only an end that cannot be bracketed clears
     ``certified``.
     """
-    roots, trig = _kernel(curve, plane)
-    if trig is None:
-        ts = [roots.refine(a, b) for a, b in roots.isolate(*curve.domain)]
-        return RootList(roots=tuple(ts), certified=True)
-    bound, ends, ranges, half, sure = trig
-    # an isolating interval is narrower than 2·bound, so these bits put s
-    # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
-    bits = 60 + bound.bit_length()
-    ts = [float(x) for x in ends]
-    for a, b in ranges:
-        ts += [math.atan(roots.refine(c, d, bits)) / math.pi % 1.0
-               for c, d in (roots.isolate(a, b) if a < b else ())
-               if c != d or a < c < b]   # the ranges are open
-    if half:
-        ts.append(0.5)
-    return RootList(roots=tuple(sorted(ts)), certified=sure)
+    kernel = _kernel(curve, plane)
+    if isinstance(kernel, TrigRoots):
+        return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
+    ts = [kernel.refine(a, b) for a, b in kernel.isolate(*curve.domain)]
+    return RootList(roots=tuple(ts), certified=True)
 
 
 def _count(curve: CurveSpec, plane: Hyperplane) -> int:
     """``len(intersect(curve, plane))`` by root counts on the same kernel,
-    with no root isolated or refined: the roots of g in the closed domain,
-    or the ends that are roots, the roots inside each open s-range and
-    t = ½."""
-    roots, trig = _kernel(curve, plane)
-    if trig is None:
-        return roots.closed(*curve.domain)
-    _, ends, ranges, half, _ = trig
-    return len(ends) + sum(roots.open(a, b) for a, b in ranges) + half
+    with no root isolated or refined."""
+    kernel = _kernel(curve, plane)
+    if isinstance(kernel, TrigRoots):
+        return kernel.count()
+    return kernel.closed(*curve.domain)
 
 
 def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
@@ -207,6 +179,7 @@ class IntersectionSurvey:
 
 def survey_intersections(curve: CurveSpec, trials: int,
                          seed: int) -> IntersectionSurvey:
+    trials = exact_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

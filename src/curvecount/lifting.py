@@ -29,11 +29,14 @@ class LiftError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class Monomial:
-    """x^a y^b with a + b >= 1."""
+    """x^a y^b with a + b >= 1; the exponents are read by ``exact_int``."""
     a: int
     b: int
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, exact_int(getattr(self, name),
+                                                     "monomial exponent", LiftError))
         if self.a < 0 or self.b < 0:
             raise ValueError("exponents must be nonnegative")
         if self.a + self.b < 1:
@@ -73,12 +76,7 @@ class MonomialSet:
     reproducible lifts and reports."""
 
     def __init__(self, monomials):
-        ms = []
-        for m in monomials:
-            if not isinstance(m, Monomial):
-                m = Monomial(exact_int(m[0], "monomial exponent", LiftError),
-                             exact_int(m[1], "monomial exponent", LiftError))
-            ms.append(m)
+        ms = [m if isinstance(m, Monomial) else Monomial(m[0], m[1]) for m in monomials]
         if len(set(ms)) != len(ms):
             raise LiftError("monomials must be pairwise distinct")
         if not ms:
@@ -210,6 +208,7 @@ def check_lattice_bijection(curve: CurveSpec, M: MonomialSet, N: int,
     holds x and y, their lifts differ from the lattice points'.
     """
     M.require_xy()
+    N = exact_int(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     count, lifted, off = 0, set(), []

@@ -136,12 +136,13 @@ class FiniteSet:
         order.  L is reduced to the least common denominator, so that equal
         sets have equal integer forms."""
         if L > 1 and rows.size:
-            common = int(np.gcd.reduce(rows, axis=None))
-            g = math.gcd(L, common)   # L itself when every row is 0
+            # the first two rows often show that there is nothing to reduce
+            g = math.gcd(L, *rows[:2].ravel().tolist())
             if g > 1:
+                g = math.gcd(g, int(np.gcd.reduce(rows, axis=None)))
+            if g > 1:   # g is L itself when every row is 0
                 L //= g
-                if common:
-                    rows = rows // g
+                rows = rows // g
         out = cls.__new__(cls)
         out._points = out._sorted = None
         out.dimension, out._integer = rows.shape[1], (L, rows)
@@ -486,6 +487,7 @@ def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
 def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:
     """mA = A + ... + A (m times), deduplicated at every step."""
     cap = ENUMERATION_CAP if cap is None else cap
+    m = exact_int(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
@@ -502,6 +504,7 @@ def _counted_sums(A: FiniteSet, m: int, work_cap: int | None) -> _Sums:
     """mA with the number of ordered m-tuples behind each sum: m−1
     multiplicity-preserving convolution steps."""
     work_cap = ENERGY_WORK_CAP if work_cap is None else work_cap
+    m = exact_int(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     if not len(A):
@@ -577,12 +580,13 @@ def frac_str(x) -> str:
 
 def check_energy_lower_bound(A: FiniteSet, B: FiniteSet, m: int,
                              work_cap: int | None = None) -> EnergyBoundReport:
-    """Exact check of the doubling-to-energy lower bound for B ⊆ A."""
+    """Exact check of the doubling-to-energy lower bound for B ⊆ A.
+    ``work_cap`` bounds both the |A|² pairs of A + A and the energy work."""
     if not len(B):
         raise ValueError("B must be nonempty")
     if not B <= A:
         raise SubsetViolation("B is not a subset of A")
-    K = doubling(A)
+    K = doubling(A, work_cap)
     e = additive_energy(B, m, work_cap)
     lower = Fraction(len(B) ** (2 * m)) / (K ** m * len(A))
     ratio = Fraction(e) / lower

@@ -164,5 +164,5 @@ def load_experiment(path) -> tuple[ExperimentConfig, str]:
         delta_d=None if on_curve else delta.get("d", 1),
         delta_power=None if on_curve else delta["power"],
         box=data.get("box", ((0, 1), (0, 1))),
-        energy_m=data.get("energy_m"))
+        energy_m=data.get("energy_m", ExperimentConfig.energy_m))
     return cfg, data.get("experiment", "exponent")

@@ -38,8 +38,8 @@ and is decided exactly otherwise: whether |γ(t) − p|² − δ² is ≤ 0 on t
 domain.  On a polynomial curve an integer certificate from its quadratic
 part about the centre of the parameter window decides almost every point,
 and a Sturm count of the same integer polynomial the rest; a curve in
-(cos 2πt, sin 2πt) takes a Sturm count on its half-angle form in
-s = tan πt.  Results are certified unless a partial arc's end cannot be
+(cos 2πt, sin 2πt) takes the root counts of ``curves.TrigRoots`` on its
+half-angle form in s = tan πt.  Results are certified unless a partial arc's end cannot be
 bracketed.
 
 The brute-force oracle is an independent second route on numpy alone: curve
@@ -49,24 +49,25 @@ sample grid is addressed by index, as ``np.linspace`` forms it, and never
 built whole.  A coarse step evaluates the first sample of each block of 100
 and pairs it with the points within reach of it, found by bisection in the
 points' floats sorted on their two widest axes: first the columns of equal
-first-axis floats near the sample, then the run of each column near it.  A
-lattice's floats are i/N and j/N from Python's int division, explicit and
-GAP points' are ``materialize_source``'s.  A dense step evaluates the paired
-blocks only and measures each against its own points.  An exact point is
-built only for a match.
+first-axis floats near the sample, then the run of each column near it.
+Every source's floats are ``materialize_source``'s, a lattice box's listed
+as integer rows over N.  A dense step evaluates the paired blocks only and
+measures each against its own points.  An exact point is built only for a
+match.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
-from .curves import (CurveSpec, PolyCoord, TrigCoord, circle_arc,
-                     derivative_sup_bound, eval_array, half_angle_ranges)
+from .curves import (CurveSpec, PolyCoord, TrigCoord, TrigRoots, circle_arc,
+                     derivative_sup_bound, eval_array)
 from . import pointsets, polys
 from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
                         parse_frac)
@@ -123,13 +124,15 @@ class GapSource:
 class TubeQuery:
     """Closed-neighborhood membership query: distance ≤ delta."""
     curve: CurveSpec
-    delta: Fraction | float
+    delta: Fraction
     source: ExplicitSource | LatticeSource | GapSource
 
     def __post_init__(self):
-        # the walks take δ as an exact Fraction, which inf and nan have not
-        if not 0 < float(self.delta) < math.inf:
-            raise InvalidQuery("delta must be positive and finite")
+        # δ is exact (``parse_frac``): a float or a bool raises InexactNumber
+        object.__setattr__(self, "delta", parse_frac(self.delta))
+        # the chords and the oracle also take δ as a float
+        if not (0 < self.delta <= sys.float_info.max and float(self.delta) > 0):
+            raise InvalidQuery("delta must be positive and within the float range")
         src = self.source
         if isinstance(src, FiniteSet):
             object.__setattr__(self, "source", ExplicitSource(src))
@@ -159,23 +162,26 @@ def delta_from_rule(d, N: int, n: int) -> Fraction:
 
 
 def materialize_source(source, cap: int | None = None):
-    """Expand an explicit or GAP source into (its FiniteSet, the correctly
-    rounded float coordinates of its points in sorted order as an
-    (n, dimension) array).  Row i is the point ``fs._point(i)``.  Lattices
-    are never materialized.
+    """Expand a source into (its FiniteSet, the correctly rounded float
+    coordinates of its points in sorted order as an (n, dimension) array).
+    Row i is the point ``fs._point(i)``.  A lattice box is listed as the
+    integer rows (i, j) over N, row-major, which is sorted order; its size,
+    like a GAP's, is charged against ``cap`` before any row is built.
 
-    A set that holds its integer form (L, rows), as every GAP does, is
-    ordered by its rows and gives its floats as rows / L: one numpy division when every
-    numerator and L are below 2⁵³, so that both are exact floats, and
-    Python's int / int otherwise.  Either rounds the quotient correctly, as
-    float(Fraction) does, and no point is decoded until asked for.  Any
-    other set is sorted as exact points, and float(c) rounds each
-    coordinate."""
+    A set that holds its integer form (L, rows), as every GAP and lattice
+    does, is ordered by its rows and gives its floats as rows / L: one numpy
+    division when every numerator and L are below 2⁵³, so that both are
+    exact floats, and Python's int / int otherwise.  Either rounds the
+    quotient correctly, as float(Fraction) does, and no point is decoded
+    until asked for.  Any other set is sorted as exact points, and float(c)
+    rounds each coordinate."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     if isinstance(source, ExplicitSource):
         fs = source.points
     elif isinstance(source, GapSource):
         fs = gap_enumerate(source.gap, cap)
+    elif isinstance(source, LatticeSource):
+        fs = _lattice_set(source, cap)
     else:
         raise InvalidQuery(f"unsupported source {type(source).__name__}")
     if fs._integer is None:
@@ -187,6 +193,19 @@ def materialize_source(source, cap: int | None = None):
         return fs, rows / L
     floats = np.array([[x / L for x in p] for p in rows.tolist()], dtype=float)
     return fs, floats.reshape(rows.shape)
+
+
+def _lattice_set(source: LatticeSource, cap: int) -> FiniteSet:
+    """The points of a lattice box as a FiniteSet in integer form: the rows
+    (i, j) over N.  An empty box builds neither axis."""
+    bounds = source.index_bounds()
+    nx, ny = (max(0, hi - lo + 1) for lo, hi in bounds)
+    if nx * ny > cap:
+        raise CapExceeded(f"lattice box holds {nx * ny} points, cap {cap}")
+    dtype = pointsets._dtype(max(abs(k) for b in bounds for k in b))
+    i, j = (np.arange(lo, hi + 1 if nx * ny else lo, dtype=dtype) for lo, hi in bounds)
+    rows = np.column_stack([np.repeat(i, ny), np.tile(j, nx)])
+    return FiniteSet._from_rows(source.N, rows)
 
 
 def _graph_numerators(f: PolyCoord, N: int, k_lo: int, k_hi: int):
@@ -536,29 +555,14 @@ def _quadratic_certificate(E: list, ua: int, ub: int) -> bool | None:
 def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
     """Whether dist(p, γ) ≤ δ, exactly, for a curve γ in
     (u, v) = (cos 2πt, sin 2πt); None when an end cannot be bracketed.
-
-    D(t) = |γ(t) − p|² − δ² is ≤ 0 somewhere on the domain exactly when it
-    is at t = ½ (if the domain holds it), or its half-angle form P vanishes
-    at an end of the domain or in one of its open s-ranges
-    (``half_angle_ranges``), or is < 0 all over them.
+    That is whether D(t) = |γ(t) − p|² − δ² is ≤ 0 somewhere on the domain,
+    which ``TrigRoots`` decides on D's half-angle form.
     """
     D = TrigCoord({(0, 0): -delta * delta})
     for fn, x in zip(curve.coords, p):
         g = fn.add(TrigCoord({(0, 0): -x}))
         D = D.add(g.mul(g))
-    if D.is_zero():
-        return True
-    lo, hi = curve.domain
-    half = lo <= Fraction(1, 2) <= hi
-    if half and D.at_half() <= 0:
-        return True
-    P, B = D.half_angle()
-    roots = polys.Roots(P)
-    ends, ranges, sure = half_angle_ranges(roots, B, lo, hi)
-    if ends or not sure or any(roots.open(a, b) for a, b in ranges):
-        return True if ends or sure else None
-    # P keeps one sign on the range: that of D(½) > 0 when it holds ½
-    return not half and polys.eval_exact(P, ranges[0][0]) < 0
+    return D.is_zero() or TrigRoots(D, *curve.domain).nonpositive()
 
 
 def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
@@ -684,8 +688,8 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     """Exact-or-certified count of source points with dist(p, Γ) ≤ δ."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     curve = query.curve
-    delta_q = Fraction(query.delta)
-    delta = float(query.delta)
+    delta_q = query.delta
+    delta = float(delta_q)
     if isinstance(query.source, LatticeSource):
         walk = _column_walk(curve)
         if walk is not None:
@@ -933,40 +937,6 @@ def _zoom(curve: CurveSpec, pts: np.ndarray, centers: np.ndarray, lo: float,
     return out
 
 
-def _check_oracle_size(n: int):
-    if n > 10 ** 6:
-        raise InvalidQuery("oracle limited to 1e6 source points")
-
-
-def _oracle_points(source, cap: int | None):
-    """The source's points as a float array, in sorted order, and a map
-    from a row of it to the exact point.
-
-    A lattice box is built from its integer indices: Python's int division
-    rounds i/N correctly, as float(Fraction(i, N)) does, and the only
-    Fractions built are those of the points asked for.
-    """
-    if not isinstance(source, LatticeSource):
-        fs, pts = materialize_source(source, cap)
-        _check_oracle_size(len(fs))
-        return pts, fs._point
-    cap = pointsets.ENUMERATION_CAP if cap is None else cap
-    N, bounds = source.N, source.index_bounds()
-    (ilo, _), (jlo, _) = bounds
-    nx, ny = (max(0, hi - lo + 1) for lo, hi in bounds)
-    if nx * ny > cap:
-        raise CapExceeded(f"lattice box holds {nx * ny} points, cap {cap}")
-    _check_oracle_size(nx * ny)
-    # an empty box builds neither axis, however long the other one is
-    xs, ys = (np.array([k / N for k in range(lo, hi + 1)] if nx * ny else [],
-                       dtype=float) for lo, hi in bounds)
-
-    def exact(row: int) -> tuple:
-        i, j = divmod(row, ny)
-        return Fraction(ilo + i, N), Fraction(jlo + j, N)
-    return np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)]), exact
-
-
 def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
                             cap: int | None = None) -> CountResult:
     """Oracle counter: the nearest sample on a grid at arclength resolution
@@ -979,7 +949,7 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
-    pts, exact = _oracle_points(query.source, cap)
+    fs, pts = materialize_source(query.source, cap)
     if not len(pts):
         return _result(0, (), 0, True, keep_points)
     if pts.shape[1] != curve.dimension:
@@ -1005,5 +975,5 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     d_star = _zoom(curve, pts[todo], grid[nearest[todo]], lo, hi,
                    width / n_samp)
     matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
-    return _result(len(matched), map(exact, matched.tolist()), n_samp,
+    return _result(len(matched), map(fs._point, matched.tolist()), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

@@ -95,9 +95,9 @@ def test_huge_delta_counts_lattice_and_slope_tends_to_two():
 
 
 def test_energy_default_order_from_dimension():
-    # planar curve: m defaults to n(n+1)/2 = 3
+    # m defaults to 3, which is n(n+1)/2 for the planar curves energy runs take
     cfg = ExperimentConfig(curve=parabola(), schedule=(4, 9))
-    assert run_energy_experiment(cfg).m == 3
+    assert cfg.energy_m == 3 and run_energy_experiment(cfg).m == 3
 
 
 def test_energy_experiment_rows():

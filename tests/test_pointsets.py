@@ -253,6 +253,12 @@ def test_energy_work_cap():
     a = FiniteSet([(i,) for i in range(40)])
     with pytest.raises(CapExceeded):
         additive_energy(a, 3, work_cap=10)
+    # the lemma check charges A + A against its work cap too; it used to
+    # build all |A|² pairs under the default cap, whatever the caller set
+    a, b = FiniteSet([(i, 0) for i in range(200)]), FiniteSet([(0, 0)])
+    with pytest.raises(CapExceeded, match="sumset work 40000 exceeds cap 10"):
+        check_energy_lower_bound(a, b, 2, work_cap=10)
+    assert check_energy_lower_bound(a, b, 2).holds
 
 
 # -- the integer path against the tuple loop ---------------------------------

@@ -18,11 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 from curvecount import polys, tube
 from curvecount import (CapExceeded, ExperimentConfig, ExplicitSource,
                         FiniteSet, Gap, GapSource, InvalidQuery, LatticeSource,
-                        MonomialSet, TubeQuery, brute_force_tube_oracle,
+                        Monomial, MonomialSet, TubeQuery, additive_energy,
+                        brute_force_tube_oracle, check_lattice_bijection,
                         circle_arc, count_in_tube, count_on_curve_lattice,
                         delta_from_rule, graph_curve, lift_curve,
-                        line_segment, lipschitz_constant_squared, make_Ms,
-                        moment_curve, parabola, polynomial_curve)
+                        line_segment, lipschitz_constant_squared, m_fold_sumset,
+                        make_Ms, moment_curve, parabola, polynomial_curve,
+                        representation_counts, survey_intersections)
 from curvecount.curves import PolyCoord, derivative_sup_bound, eval_array
 from curvecount.pointsets import InexactNumber
 from curvecount.tube import _least_index
@@ -251,8 +253,13 @@ def test_partial_circle_arc_oracle_equivalence():
 
 
 def test_invalid_queries():
-    for delta in (0, math.inf, math.nan):
+    # δ below the least float, or past the largest, has no float for the chords
+    for delta in (0, F(-1, 4), F(1, 10 ** 400), F(10 ** 400)):
         with pytest.raises(InvalidQuery):
+            TubeQuery(parabola(), delta, LatticeSource(4, ((0, 1), (0, 1))))
+    # δ is exact: inf and nan are floats, never read as a width
+    for delta in (math.inf, math.nan):
+        with pytest.raises(InexactNumber):
             TubeQuery(parabola(), delta, LatticeSource(4, ((0, 1), (0, 1))))
     with pytest.raises(InvalidQuery):
         LatticeSource(0, ((0, 1), (0, 1)))
@@ -276,6 +283,17 @@ def test_lattice_N_and_delta_rule_refuse_non_integers(N):
     with pytest.raises(InvalidQuery):
         delta_from_rule(1, 4, N)
     assert type(LatticeSource(np.int64(4), ((0, 1), (0, 1))).N) is int
+    # nor is an exponent, a trial count, the bijection's N or an order m:
+    # Monomial(1.5, 0) had degree 1.5, trials=2.5 ran 3 planes and reported
+    # 2.5, and True ran as 1
+    A = FiniteSet([(0, 0), (1, 2)])
+    for refuse in (lambda: Monomial(N, 0), lambda: Monomial(0, N),
+                   lambda: survey_intersections(parabola(), N, 0),
+                   lambda: check_lattice_bijection(parabola(), make_Ms(2), N, ()),
+                   lambda: m_fold_sumset(A, N), lambda: additive_energy(A, N),
+                   lambda: representation_counts(A, N)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            refuse()
 
 
 @pytest.mark.parametrize("bad", [0.1, True])
@@ -291,8 +309,10 @@ def test_lattice_N_and_delta_rule_refuse_non_integers(N):
     # a tuple used to skip the parse, and a lattice count on the curve died
     # with AttributeError
     lambda x: PolyCoord((x, 0, 1)),
+    # a float δ used to be read at its binary value, and True as width 1
+    lambda x: TubeQuery(parabola(), x, LatticeSource(4, ((0, 1), (0, 1)))),
 ], ids=["polynomial", "graph", "box-x", "box-y", "delta-d", "config-delta-d",
-        "config-box", "lipschitz-R", "coord-tuple"])
+        "config-box", "lipschitz-R", "coord-tuple", "tube-delta"])
 def test_exact_inputs_refuse_floats_and_bools(build, bad):
     # a float is never rounded to a rational: 0.1 as a box end used to start
     # the box at index 2 of (1/10)Z and drop x = 1/10
@@ -559,8 +579,8 @@ def pruning_cases(draw):
     upper = 1 / draw(st.integers(4, 400))
     if curve.dimension == 2 and draw(st.booleans()):
         N = draw(st.integers(2, 32))
-        return curve, grid, tube._oracle_points(LatticeSource(N, ((-2, 2), (-2, 2))),
-                                                None)[0], upper
+        return curve, grid, tube.materialize_source(LatticeSource(N, ((-2, 2), (-2, 2))),
+                                                    None)[1], upper
     radii = st.sampled_from([1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12])
     pts = []
     for i in draw(st.lists(st.integers(0, grid.n), min_size=1, max_size=30)):
@@ -723,14 +743,15 @@ def test_oracle_with_no_point_within_reach(monkeypatch):
 
 
 def test_oracle_limits():
-    # the box's size is held to cap, then to the oracle's 10⁶ points; the
-    # grid to MAX_ORACLE_SAMPLES
+    # the box's size is held to cap before any row is built, as a GAP's is;
+    # the grid to MAX_ORACLE_SAMPLES
     box = ((0, 1), (0, 1))
     with pytest.raises(CapExceeded, match="lattice box holds 121 points, cap 100"):
         brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4), LatticeSource(10, box)),
                                 cap=100)
-    with pytest.raises(InvalidQuery, match="oracle limited to 1e6 source points"):
-        brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4), LatticeSource(1000, box)))
+    with pytest.raises(CapExceeded, match="lattice box holds 1002001 points, cap 1000000"):
+        brute_force_tube_oracle(TubeQuery(parabola(), F(1, 4), LatticeSource(1000, box)),
+                                cap=10 ** 6)
     with pytest.raises(InvalidQuery, match="oracle sampling budget exceeded"):
         brute_force_tube_oracle(TubeQuery(parabola(), F(1, 10 ** 6),
                                           LatticeSource(4, box)))
