@@ -358,8 +358,9 @@ class TrigRoots:
     The domain's ends x ≠ ½ are bracketed exactly (``_tan_bracket``); an end
     with P(tan πx) = 0 is a root as it is, and the other roots lie in open
     s-ranges that hold no root from outside: (tan πlo, tan πhi), or
-    (tan πlo, B) and (−B, tan πhi) around ½, B the Cauchy bound of P, less a
-    side an end at ½ leaves out, each finite end moved past its bracket.
+    (tan πlo, ∞) and (−∞, tan πhi) around ½, less a side an end at ½ leaves
+    out, each finite end moved past its bracket and each range clipped to
+    (−B, B), B the Cauchy bound of P, which holds every root.
     t = ½ (s = ∞) is a root exactly when f(−1, 0) = 0.  ``sure`` is False
     when an end cannot be bracketed; its range then takes it in.  Counts,
     isolation, refinement and the brackets share the one kernel.
@@ -368,6 +369,7 @@ class TrigRoots:
     def __init__(self, f: TrigCoord, lo: Fraction, hi: Fraction):
         P, self._bound = f.half_angle()
         self._roots = roots = polys.Roots(P)
+        B = self._bound
         br = {x: _tan_bracket(roots, x) for x in {lo, hi} - {_HALF}}
         first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
         last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
@@ -377,10 +379,10 @@ class TrigRoots:
         self._half = None
         if lo <= _HALF <= hi:
             self._half = sum((-c if a else c) for (a, b), c in f.terms.items() if not b)
-            self._ranges = [r for r, x in (((first, self._bound), lo),
-                                           ((-self._bound, last), hi)) if x in br]
+            ranges = [r for r, x in (((first, B), lo), ((-B, last), hi)) if x in br]
         else:
-            self._ranges = [(first, last)]
+            ranges = [(first, last)]
+        self._ranges = [(max(a, -B), min(b, B)) for a, b in ranges]
 
     def count(self) -> int:
         """The number of roots: the ends that are roots, the roots inside
@@ -391,8 +393,8 @@ class TrigRoots:
     def params(self) -> list:
         """The roots as sorted floats t: each end that is a root as it is,
         each root s refined to t = atan(s)/π mod 1, and ½."""
-        # an isolating interval is narrower than 2·B, so these bits put s
-        # within 2^-60 absolutely; |dt/ds| ≤ 1/π keeps t as close
+        # the ranges lie in (−B, B), so these bits put s within 2^-60
+        # absolutely; |dt/ds| ≤ 1/π keeps t as close
         bits = 60 + self._bound.bit_length()
         roots = self._roots
         ts = [float(x) for x in self._ends]
@@ -511,11 +513,10 @@ def moment_curve(n: int) -> CurveSpec:
     return CurveSpec("moment", coords)
 
 
-def polynomial_curve(coeff_lists, domain=(0, 1),
-                     kind="polynomial-parametric") -> CurveSpec:
+def polynomial_curve(coeff_lists, domain=(0, 1)) -> CurveSpec:
     """Parametric polynomial curve from per-coordinate coefficient lists."""
     coords = [PolyCoord(cs) for cs in coeff_lists]
-    return CurveSpec(kind, coords, domain)
+    return CurveSpec("polynomial-parametric", coords, domain)
 
 
 def graph_curve(f_coeff_lists, domain=(0, 1)) -> CurveSpec:

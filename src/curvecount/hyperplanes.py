@@ -77,21 +77,22 @@ class RootList:
         return iter(self.roots)
 
 
-def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
+def _combination(curve: CurveSpec, plane: tuple) -> dict:
     """A positive multiple of g = Σ aᵢγᵢ − a₀ with integer coefficients,
     coefficient by coefficient and without zero terms: keyed by degree for
     polynomial curves, by the reduced (a, b) of u^a·v^b for trigonometric
-    ones.
+    ones.  ``plane`` is the integers (n₀, n₁, …, nₙ), aᵢ = nᵢ/q for some
+    q > 0, as ``Hyperplane.integer_form`` holds them.
 
-    With aᵢ = nᵢ/q and γᵢ = eᵢ/dᵢ (the ``integer_form`` of each) and D the
-    lcm of the dᵢ with nᵢ ≠ 0, it is q·D·g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D.  A
+    With γᵢ = eᵢ/dᵢ (the ``integer_form`` of each coordinate) and D the lcm
+    of the dᵢ with nᵢ ≠ 0, it is q·D·g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D.  A
     positive multiple has the same roots and signs, the same primitive
     Sturm chain, Cauchy bound and zero test at t = ½.
     """
     exact = curve.is_exact
     if not exact and any(c.tau_power for c in curve.coords):
         raise HyperplaneError("a coordinate carries a power of 2π; g is not rational")
-    _, (n0, *ns) = plane.integer_form
+    n0, *ns = plane
     forms = [(n, coord.integer_form) for n, coord in zip(ns, curve.coords) if n]
     D = math.lcm(*(d for _, (d, _) in forms))
     g = {0 if exact else (0, 0): -n0 * D}
@@ -106,11 +107,11 @@ def _combination(curve: CurveSpec, plane: Hyperplane) -> dict:
     return g
 
 
-def _kernel(curve: CurveSpec, plane: Hyperplane):
-    """The root kernel of g on the curve: ``polys.Roots`` of g for a
-    polynomial curve, ``TrigRoots`` of g on the domain for a trigonometric
-    one."""
-    if plane.dimension != curve.dimension:
+def _kernel(curve: CurveSpec, plane: tuple):
+    """The root kernel of g on the curve, for the plane's integers
+    (n₀, …, nₙ): ``polys.Roots`` of g for a polynomial curve, ``TrigRoots``
+    of g on the domain for a trigonometric one."""
+    if len(plane) != curve.dimension + 1:
         raise HyperplaneError("hyperplane dimension does not match the curve")
     g = _combination(curve, plane)
     if curve.is_exact:
@@ -130,16 +131,16 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     Both routes are exact; only an end that cannot be bracketed clears
     ``certified``.
     """
-    kernel = _kernel(curve, plane)
+    kernel = _kernel(curve, plane.integer_form[1])
     if isinstance(kernel, TrigRoots):
         return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
     ts = [kernel.refine(a, b) for a, b in kernel.isolate(*curve.domain)]
     return RootList(roots=tuple(ts), certified=True)
 
 
-def _count(curve: CurveSpec, plane: Hyperplane) -> int:
-    """``len(intersect(curve, plane))`` by root counts on the same kernel,
-    with no root isolated or refined."""
+def _count(curve: CurveSpec, plane: tuple) -> int:
+    """``len(intersect(curve, H))`` by root counts on the same kernel, with
+    no root isolated or refined, for H's integers (n₀, …, nₙ)."""
     kernel = _kernel(curve, plane)
     if isinstance(kernel, TrigRoots):
         return kernel.count()
@@ -158,13 +159,14 @@ def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
     if not curve.is_exact or polys.degree(curve.coords[0].coeffs) != 1:
         raise InvalidCurveError(
             "MVT check needs a polynomial curve with affine first coordinate")
-    k = _count(curve, plane) if roots is None else len(roots)
+    k = _count(curve, plane.integer_form[1]) if roots is None else len(roots)
     if k < 2:
         return True
     speed, *row = curve.derivatives(1)[1]   # speed = x₁′ = c ≠ 0
     a1, *rest = plane.normal
     derived = CurveSpec("polynomial-parametric", row, curve.domain)
-    return _count(derived, Hyperplane(-a1 * speed.coeffs[0], rest)) >= k - 1
+    derived_plane = Hyperplane(-a1 * speed.coeffs[0], rest)
+    return _count(derived, derived_plane.integer_form[1]) >= k - 1
 
 
 @dataclass(frozen=True)
@@ -189,14 +191,13 @@ def survey_intersections(curve: CurveSpec, trials: int,
     hist: dict[int, int] = {}
     done = 0
     while done < trials:
-        # the numerators of coefficients k/2²⁴: Hyperplane's max-|aᵢ|
-        # normalization cancels the common denominator
+        # the numerators of coefficients k/2²⁴, the plane's integers: the
+        # common denominator does not change g's roots
         coeffs = [rng.randint(-denom, denom) for _ in range(n + 1)]
         if not any(coeffs[1:]):
             continue
-        plane = Hyperplane(coeffs[0], coeffs[1:])
         try:
-            k = _count(curve, plane)
+            k = _count(curve, coeffs)
         except DegenerateIntersection:
             continue
         hist[k] = hist.get(k, 0) + 1

@@ -31,6 +31,12 @@ its values (the coordinates, the key box, the number of tuples, the squared
 reach) is below 2⁶³ and an object array of Python ints otherwise (_dtype);
 numpy runs the same code on either, so every path is exact and there is one
 path per job.
+
+Every sum runs through one engine, _Sums, under two cap rules.  A sum of
+sets charges its pairs: a call's cap bounds the pairs that all of its steps
+form together, charged before each step.  A GAP is checked by its nominal
+size N₁···N_m against its cap instead, which bounds each of its steps, so
+its steps are not charged.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from itertools import product
 
 import numpy as np
 
-ENUMERATION_CAP = 10 ** 7       # points
-ENERGY_WORK_CAP = 10 ** 8       # accumulated multiplicity updates
+ENUMERATION_CAP = 10 ** 7       # pairs a sum forms, or GAP points
+ENERGY_WORK_CAP = 10 ** 8       # pairs the energy's counted steps form
 
 _INT64_LIMIT = 1 << 63          # int64 values stay below this
 _BLOCK = 1 << 16                # elements in one block of an outer sum
@@ -232,17 +238,15 @@ class Gap:
 
 
 def _gap_sums(g: Gap, cap: int | None) -> _Sums:
-    """{v} + {ℓv₁} + … + {ℓv_m}, 1 ≤ ℓᵢ ≤ Nᵢ, summed."""
+    """{v} + {ℓv₁} + … + {ℓv_m}, 1 ≤ ℓᵢ ≤ Nᵢ, summed; the nominal size
+    bounds every step, which is not charged."""
     cap = ENUMERATION_CAP if cap is None else cap
     if g.nominal_size > cap:
         raise CapExceeded(f"GAP nominal size {g.nominal_size} exceeds cap {cap}")
     d = len(g.base)
-    sums = _Sums(FiniteSet([g.base], d),
+    return _Sums(FiniteSet([g.base], d),
                  [FiniteSet([tuple(ell * c for c in v) for ell in range(1, n + 1)], d)
-                  for v, n in zip(g.generators, g.lengths)])
-    for _ in g.lengths:
-        sums.step()
-    return sums
+                  for v, n in zip(g.generators, g.lengths)], math.inf).run()
 
 
 def gap_enumerate(g: Gap, cap: int | None = None) -> FiniteSet:
@@ -413,12 +417,16 @@ class _Sums:
     """A + B₁ + … + B_k, one summand per step(), kept as sorted keys in the
     box of the whole sum, with the number of ordered tuples behind each key
     when counted.  Keys are int64 when that box, and counts when the number
-    of tuples, is below 2⁶³, and Python ints otherwise."""
+    of tuples, is below 2⁶³, and Python ints otherwise.  Each step charges
+    its len(keys)·|Bᵢ| pairs to the running ``work`` before forming them, and
+    raises CapExceeded past ``cap`` (ENUMERATION_CAP when None)."""
 
-    def __init__(self, A: FiniteSet, summands: list, counted: bool = False):
+    def __init__(self, A: FiniteSet, summands: list, cap: int | None,
+                 counted: bool = False):
         sets = [A, *summands]
         if not all(len(S) for S in sets):
             raise ValueError("sumset of an empty set")
+        self.cap, self.work = ENUMERATION_CAP if cap is None else cap, 0
         # each distinct set once (A recurs in mA), by its id
         forms = {id(S): _integer_form(S) for S in sets}
         L = math.lcm(*(la for la, _ in forms.values()))
@@ -432,7 +440,7 @@ class _Sums:
         keys = {i: _encode(rows, bounds[i], scale[i], low[i], self.place, box)
                 for i, (_, rows) in forms.items()}
         self.keys, self.L, self.lo = keys[id(A)], L, low[id(A)]
-        self._pending = iter([(keys[id(S)], low[id(S)]) for S in summands])
+        self._pending = [(keys[id(S)], low[id(S)]) for S in reversed(summands)]
         self.counts = (np.ones(len(A), dtype=_dtype(math.prod(map(len, sets))))
                        if counted else None)
 
@@ -440,9 +448,18 @@ class _Sums:
         return len(self.keys)
 
     def step(self):
-        right, lo = next(self._pending)
+        right, lo = self._pending.pop()
+        self.work += len(self.keys) * len(right)
+        if self.work > self.cap:
+            raise CapExceeded(f"sumset work {self.work} exceeds cap {self.cap}")
         self.keys, self.counts = _outer_sums(self.keys, right, self.counts)
         self.lo = [a + b for a, b in zip(self.lo, lo)]
+
+    def run(self) -> _Sums:
+        """The remaining steps."""
+        while self._pending:
+            self.step()
+        return self
 
     def finite_set(self) -> FiniteSet:
         """The current sums in integer form: each key's digits plus the box's
@@ -455,80 +472,54 @@ class _Sums:
         return FiniteSet._from_rows(self.L, rows)
 
 
-def _charge_pairs(A: FiniteSet, B: FiniteSet, cap: int | None):
-    """Refuse A + B when its |A|·|B| pairs exceed cap (ENUMERATION_CAP when
-    None), before any sum is built."""
-    cap = ENUMERATION_CAP if cap is None else cap
-    if len(A) * len(B) > cap:
-        raise CapExceeded(f"sumset work {len(A) * len(B)} exceeds cap {cap}")
-
-
-def sumset(A: FiniteSet, B: FiniteSet, cap: int | None = None) -> FiniteSet:
-    if A.dimension != B.dimension:
-        raise DimensionMismatch("sumset needs equal dimensions")
-    if not len(A) or not len(B):
-        raise ValueError("sumset of an empty set")
-    _charge_pairs(A, B, cap)
-    sums = _Sums(A, [B])
-    sums.step()
-    return sums.finite_set()
-
-
-def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
-    """K = |A+A| / |A|, exact."""
-    if not len(A):
-        raise ValueError("doubling of an empty set")
-    _charge_pairs(A, A, cap)
-    sums = _Sums(A, [A])
-    sums.step()   # counted as keys: A+A is never decoded into points
-    return Fraction(len(sums), len(A))
-
-
-def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:
-    """mA = A + ... + A (m times), deduplicated at every step."""
-    cap = ENUMERATION_CAP if cap is None else cap
+def _order(m) -> int:
+    """The order m of an m-fold sum, an integer ≥ 1."""
     m = exact_int(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return A
-    sums = _Sums(A, [A] * (m - 1))
-    for _ in range(m - 1):
-        if len(sums) * len(A) > cap:
-            raise CapExceeded("m-fold sumset work exceeds cap")
-        sums.step()
-    return sums.finite_set()
+    return m
+
+
+def sumset(A: FiniteSet, B: FiniteSet, cap: int | None = None) -> FiniteSet:
+    """A + B; its |A|·|B| pairs are charged against cap."""
+    if A.dimension != B.dimension:
+        raise DimensionMismatch("sumset needs equal dimensions")
+    return _Sums(A, [B], cap).run().finite_set()
+
+
+def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
+    """K = |A+A| / |A|, exact; its |A|² pairs are charged against cap, and
+    A+A is counted as keys, never decoded into points."""
+    return Fraction(len(_Sums(A, [A], cap).run()), len(A))
+
+
+def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:
+    """mA = A + ... + A (m times), deduplicated at every step; the pairs of
+    all m − 1 steps together, Σ |kA|·|A| over k < m, are charged against
+    cap."""
+    m = _order(m)
+    return A if m == 1 else _Sums(A, [A] * (m - 1), cap).run().finite_set()
 
 
 def _counted_sums(A: FiniteSet, m: int, work_cap: int | None) -> _Sums:
     """mA with the number of ordered m-tuples behind each sum: m−1
-    multiplicity-preserving convolution steps."""
-    work_cap = ENERGY_WORK_CAP if work_cap is None else work_cap
-    m = exact_int(m, "m")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not len(A):
-        raise ValueError("energy of an empty set")
-    sums = _Sums(A, [A] * (m - 1), counted=True)
-    work = 0
-    for _ in range(m - 1):
-        work += len(sums) * len(A)
-        if work > work_cap:
-            raise CapExceeded("energy work cap exceeded")
-        sums.step()
-    return sums
+    multiplicity-preserving convolution steps, whose pairs together are
+    charged against work_cap (ENERGY_WORK_CAP when None)."""
+    return _Sums(A, [A] * (_order(m) - 1),
+                 ENERGY_WORK_CAP if work_cap is None else work_cap, counted=True).run()
 
 
 def representation_counts(A: FiniteSet, m: int,
                           work_cap: int | None = None) -> Counter:
-    """φ over mA: number of ordered m-tuples of A summing to each value."""
+    """φ over mA: number of ordered m-tuples of A summing to each value.
+    The pairs of all m − 1 steps together are charged against work_cap."""
     sums = _counted_sums(A, m, work_cap)
     return Counter(dict(zip(sums.finite_set(), sums.counts.tolist())))
 
 
 def additive_energy(A: FiniteSet, m: int, work_cap: int | None = None) -> int:
     """E_m(A): ordered 2m-tuples with a₁+…+a_m = a_{m+1}+…+a_{2m}, as
-    Σ φ(b)² over the counts alone."""
+    Σ φ(b)² over the counts alone, under representation_counts' cap."""
     counts = _counted_sums(A, m, work_cap).counts
     # Σ φ² ≤ (Σ φ)² = |A|^{2m} bounds every square and partial sum
     counts = counts.astype(_dtype(len(A) ** (2 * m)))
@@ -619,6 +610,8 @@ class PlunneckeReport:
 
 def check_plunnecke(A: FiniteSet, m: int,
                     cap: int | None = None) -> PlunneckeReport:
+    """|mA| ≤ K^m |A|, with K from ``doubling`` and mA from
+    ``m_fold_sumset``, each charging its own pairs against cap."""
     K = doubling(A, cap)
     ma = m_fold_sumset(A, m, cap)
     bound = K ** m * len(A)

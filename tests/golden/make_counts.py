@@ -77,7 +77,8 @@ def compute() -> dict:
     mvt = {}
     for name in MVT_CURVES:
         curve = _curve(name)
-        mvt[name] = [[str(p.a0), [str(a) for a in p.normal], _count(curve, p),
+        mvt[name] = [[str(p.a0), [str(a) for a in p.normal],
+                      _count(curve, p.integer_form[1]),
                       mvt_consistency(curve, p)]
                      for p in _planes(rng, curve.dimension)]
     certify = {}

@@ -110,7 +110,8 @@ def test_mvt_is_invariant_under_an_affine_reparameterization():
             continue
         (x1, y1), (x2, y2) = ((F(1, 4) + t / 2, t * t) for t in (t1, t2))
         plane = Hyperplane(x2 * y1 - x1 * y2, (y1 - y2, x2 - x1))
-        assert _count(curve, plane) == _count(graph, plane) == 2
+        assert _count(curve, plane.integer_form[1]) == \
+            _count(graph, plane.integer_form[1]) == 2
         assert mvt_consistency(curve, plane) and mvt_consistency(graph, plane)
         three = RootList((0.1, 0.2, 0.3), True)
         assert not mvt_consistency(curve, plane, three)
@@ -219,13 +220,13 @@ def test_one_sturm_chain_per_polynomial(monkeypatch):
                             (parabola(), Hyperplane(F(1, 2), (0, 1)), 1),
                             (circle_arc(), Hyperplane(F(1, 3), (1, 1)), 2)):
         built.clear()
-        assert len(intersect(curve, plane)) == k == _count(curve, plane)
+        assert len(intersect(curve, plane)) == k == _count(curve, plane.integer_form[1])
         assert built == []
     # y = 9/10 meets the arc [1/7, 5/9] twice in its one s-range, where the
     # half-angle form −9s² + 20s − 9 is primitive
     arc, plane = circle_arc(F(1, 7), F(5, 9)), Hyperplane(F(9, 10), (0, 1))
     built.clear()
-    p, _ = TrigCoord(_combination(arc, plane)).half_angle()
+    p, _ = TrigCoord(_combination(arc, plane.integer_form[1])).half_angle()
     assert len(intersect(arc, plane)) == 2 and built == [p] == [(-9, 20, -9)]
     # a rational root within an ulp of tan π/3 = √3 is narrowed away on P's
     # chain; Q's count and gcd(P, Q)'s are decided by certificate
@@ -329,6 +330,28 @@ def test_root_just_before_a_partial_arc_is_left_out():
     roots = intersect(circle_arc(F(1, 10 ** 9), F(1, 2)), Hyperplane(F(1, 10 ** 10), (0, 1)))
     assert len(roots) == 1 and roots.certified
     assert abs(roots.roots[0] - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("gap", [10 ** 9, 10 ** 12])
+def test_root_on_an_arc_ending_near_half_is_refined_in_full(gap):
+    # tan πhi lies far beyond the Cauchy bound of the half-angle form of
+    # x = 1/2; the root t = 1/6 is refined as on the full circle
+    plane = Hyperplane(F(1, 2), (1, 0))
+    roots = intersect(circle_arc(0, F(1, 2) - F(1, gap)), plane)
+    assert roots.roots == (1 / 6,) and roots.certified
+
+
+def test_ends_that_cannot_be_bracketed_clear_certified():
+    # x = u₀ passes through the point at s₀ = fl(tan π/67), within an ulp of
+    # the end 1/67, whose tan has no polynomial of degree ≤ 64 to narrow on
+    s0 = F(math.tan(math.pi / 67))
+    plane = Hyperplane((1 - s0 ** 2) / (1 + s0 ** 2), (1, 0))
+    roots = intersect(circle_arc(0, F(1, 67)), plane)
+    assert len(roots) == 1 and not roots.certified
+    # an end 10⁻¹⁶ before ½, where floats cannot bound tan πhi at all
+    plane = Hyperplane(F(1, 2), (1, 0))
+    roots = intersect(circle_arc(0, F(1, 2) - F(1, 10 ** 16)), plane)
+    assert roots.roots == (1 / 6,) and not roots.certified
 
 
 def test_lifted_circle_inside_hyperplane_is_degenerate():
@@ -528,7 +551,7 @@ def test_count_is_the_length_of_intersect(case):
     # counting by Sturm counts gives what locating gives, and both routes
     # refuse the same planes
     curve, plane = case
-    assert _count_or_degenerate(_count, curve, plane) == \
+    assert _count_or_degenerate(_count, curve, plane.integer_form[1]) == \
         _count_or_degenerate(lambda c, h: len(intersect(c, h)), curve, plane)
 
 

@@ -378,20 +378,17 @@ def test_multiplicities_beyond_int64_stay_exact():
 @given(point_set_pairs(max_size=6), st.integers(1, 3), st.integers(0, 300))
 @example(_HUGE, 3, 20)
 def test_caps_fire_on_the_level_sizes(pair, m, cap):
-    # the m-fold steps check |kA|·|A| > cap before each step; the energy
-    # steps check the running sum of those products.  check_plunnecke also
-    # charges doubling's |A|² pairs, which only m = 1 does not already
+    # a call's cap bounds the pairs all its steps form, Σ |kA|·|A| over the
+    # levels k < m; check_plunnecke also charges doubling's |A|² pairs on
+    # their own, which matters at m = 1
     a = pair[0]
-    work = [len(level) * len(a) for level in oracle_levels(a, m)[:-1]]
-    fold_raises = any(w > cap for w in work)
-    energy_raises = sum(work) > cap
-    plunnecke_raises = fold_raises or len(a) ** 2 > cap
-    for call, raises in ((lambda: m_fold_sumset(a, m, cap), fold_raises),
-                         (lambda: check_plunnecke(a, m, cap), plunnecke_raises),
-                         (lambda: representation_counts(a, m, cap),
-                          energy_raises)):
+    work = sum(len(level) * len(a) for level in oracle_levels(a, m)[:-1])
+    for call, raises in ((lambda: m_fold_sumset(a, m, cap), work > cap),
+                         (lambda: check_plunnecke(a, m, cap),
+                          max(work, len(a) ** 2) > cap),
+                         (lambda: representation_counts(a, m, cap), work > cap)):
         if raises:
-            with pytest.raises(CapExceeded):
+            with pytest.raises(CapExceeded, match="sumset work .* exceeds cap"):
                 call()
         else:
             call()

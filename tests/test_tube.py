@@ -435,6 +435,16 @@ def test_arc_ends_are_bracketed_not_rounded():
     assert not all(expected) and any(expected)
 
 
+def test_an_end_that_cannot_be_bracketed_is_not_certified():
+    # the point δ outside the circle at s₀ = fl(tan π/67), within an ulp of
+    # the arc's end 1/67, whose tan has no polynomial of degree ≤ 64 to
+    # narrow on: whether it is in the tube is left in doubt
+    d = F(1, 10 ** 9)
+    p = tuple((1 + d) * c for c in _circle_point(F(math.tan(math.pi / 67))))
+    r = count_in_tube(TubeQuery(circle_arc(0, F(1, 67)), d, FiniteSet([p])))
+    assert not r.certified
+
+
 def test_pad_covers_the_rounding_of_large_coordinates():
     # floats near 10⁶ are an ulp = 2⁻³³ apart.  A segment at height y0,
     # 0.3 ulp above a float, and δ = 8.45 ulps: the point y0 + δ rounds up
