@@ -3,8 +3,9 @@ empirical uniform intersection bound.
 
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
 g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  g is built on integer numerators, as a
-positive multiple with the same roots (``_combination``).  Every root is
-counted and isolated exactly on one integer polynomial, ``polys.Roots`` of
+positive multiple with the same roots: for a polynomial curve by
+``_g_block``, for a trigonometric one by ``_combination``.  Every root is
+isolated exactly on one integer polynomial, ``polys.Roots`` of
 g itself for polynomial curves, and for trigonometric curves of g in
 (u, v) = (cos 2πt, sin 2πt) rewritten in s = tan πt by the half-angle
 substitution and cleared of denominators.  The kernel decides an interval
@@ -12,6 +13,14 @@ by Descartes' rule of signs when its transform has 0 or 1 sign variations,
 which is most random planes, and otherwise by the Sturm chain of the
 polynomial's square-free part, built on first use, so tangential
 intersections count once.
+
+Counting on a polynomial curve needs no kernel for most planes.  g and its
+Möbius transform on the domain are linear in the plane's integers, so a
+survey's block of planes is one integer matrix product (``_poly_counts``;
+int64 when every product fits, Python ints otherwise).  The sign variations
+V of every row are counted at once; a row with V ≤ 1 is decided by them,
+and only a row with V ≥ 2 builds a Sturm chain.  ``_count``, which the MVT
+check calls, is the product's one-plane case.
 
 On a polynomial curve whose first coordinate is affine, x₁ = b + c·t, the
 Mean Value Theorem sends k intersection parameters of a hyperplane with the
@@ -23,13 +32,19 @@ a₁·c + a₂x₂ + … + aₙxₙ = 0: the induction step behind the uniform b
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import polys
+import numpy as np
+
+from . import pointsets, polys
 from .curves import CurveSpec, InvalidCurveError, TrigCoord, TrigRoots
 from .pointsets import exact_int, exact_point
+
+
+_PLANE_BLOCK = 1 << 12   # survey: planes drawn and counted at once
 
 
 class HyperplaneError(ValueError):
@@ -78,73 +93,144 @@ class RootList:
 
 
 def _combination(curve: CurveSpec, plane: tuple) -> dict:
-    """A positive multiple of g = Σ aᵢγᵢ − a₀ with integer coefficients,
-    coefficient by coefficient and without zero terms: keyed by degree for
-    polynomial curves, by the reduced (a, b) of u^a·v^b for trigonometric
-    ones.  ``plane`` is the integers (n₀, n₁, …, nₙ), aᵢ = nᵢ/q for some
-    q > 0, as ``Hyperplane.integer_form`` holds them.
+    """A positive multiple of g = Σ aᵢγᵢ − a₀ with integer coefficients on a
+    trigonometric curve, keyed by the reduced (a, b) of u^a·v^b and without
+    zero terms.  ``plane`` is the integers (n₀, n₁, …, nₙ), aᵢ = nᵢ/q for
+    some q > 0, as ``Hyperplane.integer_form`` holds them.
 
     With γᵢ = eᵢ/dᵢ (the ``integer_form`` of each coordinate) and D the lcm
     of the dᵢ with nᵢ ≠ 0, it is q·D·g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D.  A
     positive multiple has the same roots and signs, the same primitive
     Sturm chain, Cauchy bound and zero test at t = ½.
     """
-    exact = curve.is_exact
-    if not exact and any(c.tau_power for c in curve.coords):
+    if any(c.tau_power for c in curve.coords):
         raise HyperplaneError("a coordinate carries a power of 2π; g is not rational")
     n0, *ns = plane
     forms = [(n, coord.integer_form) for n, coord in zip(ns, curve.coords) if n]
     D = math.lcm(*(d for _, (d, _) in forms))
-    g = {0 if exact else (0, 0): -n0 * D}
+    g = {(0, 0): -n0 * D}
     for n, (d, e) in forms:
         s = n * (D // d)
-        for key, c in enumerate(e) if exact else e.items():
-            if c:
-                g[key] = g.get(key, 0) + s * c
+        for key, c in e.items():
+            g[key] = g.get(key, 0) + s * c
     g = {key: c for key, c in g.items() if c}
     if not g:
         raise DegenerateIntersection("curve is contained in the hyperplane")
     return g
 
 
-def _kernel(curve: CurveSpec, plane: tuple):
-    """The root kernel of g on the curve, for the plane's integers
-    (n₀, …, nₙ): ``polys.Roots`` of g for a polynomial curve, ``TrigRoots``
-    of g on the domain for a trigonometric one."""
+def _poly_counts(coords, lo: Fraction, hi: Fraction, planes: list,
+                 bound: int) -> list[int]:
+    """The number of distinct roots in [lo, hi] of g on the polynomial
+    coordinates, for each plane (n₀, …, nₙ) within ±bound whose g is not
+    ≡ 0, in order, by one integer matrix product.
+
+    The matrix takes a plane's integers to the coefficients of g
+    (``_g_block``) and of its Möbius transform R on (lo, hi): R is linear in
+    g, so that block is ``polys._mobius`` of each row of the g block.  R's
+    constant and leading coefficients are the homogeneous values of g at lo
+    and hi.  A plane whose R has V ≤ 1 sign variations has z_lo + z_hi + V
+    roots, z the ends where g vanishes (Descartes' rule of signs); only a
+    plane with V ≥ 2 builds the Sturm chain of its g, by ``polys.Roots``.
+    """
+    rows = _g_block(coords)
+    w = len(rows[0])
+    E, na, nb = polys._over(lo, hi)
+    matrix = [row + polys._mobius(row, na, nb, E) for row in rows]
+    # every product lies within ±bound times the largest column sum of |M|
+    reach = max(map(sum, zip(*(map(abs, row) for row in matrix))))
+    dtype = pointsets._dtype(bound * reach)
+    y = np.array(planes, dtype=dtype) @ np.array(matrix, dtype=dtype)
+    y = y[(y[:, :w] != 0).any(axis=1)]
+    signs = np.sign(y[:, w:])
+    # V: the zeros moved past the signs, in order, and neighbours compared
+    packed = np.take_along_axis(
+        signs, np.argsort(signs == 0, axis=1, kind="stable"), axis=1)
+    v = (packed[:, 1:] * packed[:, :-1] < 0).sum(axis=1)
+    ks = (v + (signs[:, 0] == 0) + (signs[:, -1] == 0)).tolist()
+    for i in np.flatnonzero(v > 1).tolist():
+        ks[i] = polys.Roots(_trimmed(y[i, :w].tolist())).closed(lo, hi)
+    return ks
+
+
+def _g_block(coords) -> list[list[int]]:
+    """The rows that take a plane's integers (n₀, …, nₙ) to the coefficients
+    of g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D up to the largest degree of a coordinate,
+    γᵢ = eᵢ/dᵢ the ``integer_form`` of each coordinate and D the lcm of all
+    the dᵢ: a positive multiple of Σ aᵢγᵢ − a₀, ≡ 0 exactly when the curve
+    lies in the plane."""
+    forms = [c.integer_form for c in coords]
+    D = math.lcm(*[d for d, _ in forms])
+    w = max([1] + [len(e) for _, e in forms])
+    return [[-D] + [0] * (w - 1)] + [[(D // d) * c for c in e] + [0] * (w - len(e))
+                                     for d, e in forms]
+
+
+def _trimmed(g: list[int]) -> list[int]:
+    """g's coefficients without trailing zeros; g ≡ 0 raises
+    DegenerateIntersection."""
+    while g and not g[-1]:
+        g.pop()
+    if not g:
+        raise DegenerateIntersection("curve is contained in the hyperplane")
+    return g
+
+
+def _check_dimension(curve: CurveSpec, plane: tuple) -> None:
     if len(plane) != curve.dimension + 1:
         raise HyperplaneError("hyperplane dimension does not match the curve")
-    g = _combination(curve, plane)
-    if curve.is_exact:
-        return polys.Roots([g.get(i, 0) for i in range(max(g) + 1)])
-    return TrigRoots(TrigCoord(g), *curve.domain)
 
 
 def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     """Parameters t in the domain with γ(t) ∈ H.
 
-    Polynomial curves isolate the roots of g on the domain.  Trigonometric
-    curves take the roots of g on the domain from ``TrigRoots``: the roots
-    s of the half-angle polynomial mapped to t = atan(s)/π mod 1, the
-    domain's ends bracketed exactly and kept when they are roots, and t = ½.
-    Either route builds one root kernel (``polys.Roots``) for its
-    polynomial, and isolation, refinement and the end brackets share it.
-    Both routes are exact; only an end that cannot be bracketed clears
-    ``certified``.
+    Polynomial curves isolate the roots of g on the domain, g from
+    ``_g_block``.  Trigonometric curves take the roots of g on the domain
+    from ``TrigRoots``: the roots s of the half-angle polynomial mapped to
+    t = atan(s)/π mod 1, the domain's ends bracketed exactly and kept when
+    they are roots, and t = ½.  Either route builds one root kernel
+    (``polys.Roots``) for its polynomial, and isolation, refinement and the
+    end brackets share it.  Both routes are exact; only an end that cannot
+    be bracketed clears ``certified``.
     """
-    kernel = _kernel(curve, plane.integer_form[1])
-    if isinstance(kernel, TrigRoots):
-        return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
-    ts = [kernel.refine(a, b) for a, b in kernel.isolate(*curve.domain)]
-    return RootList(roots=tuple(ts), certified=True)
+    ints = plane.integer_form[1]
+    _check_dimension(curve, ints)
+    if curve.is_exact:
+        g = [sum(map(operator.mul, ints, col)) for col in zip(*_g_block(curve.coords))]
+        roots = polys.Roots(_trimmed(g))
+        ts = [roots.refine(a, b) for a, b in roots.isolate(*curve.domain)]
+        return RootList(roots=tuple(ts), certified=True)
+    kernel = TrigRoots(TrigCoord(_combination(curve, ints)), *curve.domain)
+    return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
+
+
+def _counts(curve: CurveSpec, planes: list, bound: int) -> list[int]:
+    """The number of distinct intersections with the curve of each plane,
+    given by integers (n₀, …, nₙ) within ±bound, that does not contain the
+    curve, in order: one matrix product for a polynomial curve
+    (``_poly_counts``), one ``TrigRoots`` count per plane for a
+    trigonometric one."""
+    if curve.is_exact:
+        return _poly_counts(curve.coords, *curve.domain, planes, bound)
+    ks = []
+    for plane in planes:
+        try:
+            g = TrigCoord(_combination(curve, plane))
+        except DegenerateIntersection:
+            continue
+        ks.append(TrigRoots(g, *curve.domain).count())
+    return ks
 
 
 def _count(curve: CurveSpec, plane: tuple) -> int:
-    """``len(intersect(curve, H))`` by root counts on the same kernel, with
-    no root isolated or refined, for H's integers (n₀, …, nₙ)."""
-    kernel = _kernel(curve, plane)
-    if isinstance(kernel, TrigRoots):
-        return kernel.count()
-    return kernel.closed(*curve.domain)
+    """``len(intersect(curve, H))`` by root counts, with no root isolated or
+    refined, for H's integers (n₀, …, nₙ): the one-plane case of
+    ``_counts``."""
+    _check_dimension(curve, plane)
+    ks = _counts(curve, [plane], max(map(abs, plane)))
+    if not ks:
+        raise DegenerateIntersection("curve is contained in the hyperplane")
+    return ks[0]
 
 
 def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
@@ -163,10 +249,14 @@ def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
     if k < 2:
         return True
     speed, *row = curve.derivatives(1)[1]   # speed = x₁′ = c ≠ 0
-    a1, *rest = plane.normal
     derived = CurveSpec("polynomial-parametric", row, curve.domain)
-    derived_plane = Hyperplane(-a1 * speed.coeffs[0], rest)
-    return _count(derived, derived_plane.integer_form[1]) >= k - 1
+    # H' times q·c_den > 0, for aᵢ = nᵢ/q and c = c_num/c_den
+    c = speed.coeffs[0]
+    n1, *rest = plane.integer_form[1][1:]
+    if not any(rest):
+        raise HyperplaneError("normal coefficients a1..an must not all vanish")
+    derived_plane = (-n1 * c.numerator, *(n * c.denominator for n in rest))
+    return _count(derived, derived_plane) >= k - 1
 
 
 @dataclass(frozen=True)
@@ -181,27 +271,35 @@ class IntersectionSurvey:
 
 def survey_intersections(curve: CurveSpec, trials: int,
                          seed: int) -> IntersectionSurvey:
+    """Count the intersections of ``trials`` random hyperplanes with the
+    curve, each coefficient k/2²⁴ with k uniform in [−2²⁴, 2²⁴], skipping a
+    zero normal and a plane that contains the curve.
+
+    Planes are drawn and counted ``_PLANE_BLOCK`` = 4096 at a time
+    (``_counts``).  So a survey holds at most one block in memory, its
+    planes and, on a polynomial curve, their one matrix product, whatever
+    ``trials`` is.
+    """
     trials = exact_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     n = curve.dimension
     denom = 1 << 24
-    best = 0
     hist: dict[int, int] = {}
     done = 0
     while done < trials:
-        # the numerators of coefficients k/2²⁴, the plane's integers: the
-        # common denominator does not change g's roots
-        coeffs = [rng.randint(-denom, denom) for _ in range(n + 1)]
-        if not any(coeffs[1:]):
-            continue
-        try:
-            k = _count(curve, coeffs)
-        except DegenerateIntersection:
-            continue
-        hist[k] = hist.get(k, 0) + 1
-        best = max(best, k)
-        done += 1
-    return IntersectionSurvey(max_roots=best, trials=trials, seed=seed,
+        # the numerators of the coefficients, the plane's integers: the
+        # common denominator does not change g's roots.  A block holds no
+        # more planes than are still wanted, so no plane is drawn past the
+        # last one counted.
+        block = []
+        while len(block) < min(trials - done, _PLANE_BLOCK):
+            coeffs = [rng.randint(-denom, denom) for _ in range(n + 1)]
+            if any(coeffs[1:]):
+                block.append(coeffs)
+        for k in _counts(curve, block, denom):
+            hist[k] = hist.get(k, 0) + 1
+            done += 1
+    return IntersectionSurvey(max_roots=max(hist), trials=trials, seed=seed,
                               histogram=hist)

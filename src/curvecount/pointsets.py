@@ -165,7 +165,7 @@ class FiniteSet:
         """The i-th point in sorted order; a row is decoded alone."""
         if self._integer is not None:
             L, rows = self._integer
-            return _decode(L, rows[i:i + 1])[0]
+            return _decode_row(L, rows[i].tolist())
         return self._in_order()[i]
 
     def _in_order(self) -> list:
@@ -277,7 +277,12 @@ def _decode(L: int, rows: np.ndarray) -> list:
     """The points rows / L as exact tuples, in row order."""
     if L == 1:
         return [tuple(p) for p in rows.tolist()]
-    return [tuple(_lowest(Fraction(x, L)) for x in p) for p in rows.tolist()]
+    return [_decode_row(L, p) for p in rows.tolist()]
+
+
+def _decode_row(L: int, row: list) -> tuple:
+    """The point row / L, an integral coordinate as an int."""
+    return tuple([x // L if not x % L else Fraction(x, L) for x in row])
 
 
 def _dtype(bound: int):

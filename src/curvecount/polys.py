@@ -15,9 +15,13 @@ decides by certificate first.  On an interval (a, b) the sign variations V
 of the coefficients of (1 + x)^m·p((a + b·x)/(1 + x)) bound the roots of p
 in (a, b), counted with multiplicity, and have their parity (Descartes'
 rule of signs, the test behind Vincent–Collins–Akritas isolation): V = 0
-means no root and V = 1 exactly one simple root.  Only V ≥ 2 builds the
-Sturm chain of p's square-free part, once, as primitive integer polynomials
-by pseudo-remainders, and answers from it.  Signs at a rational point n/d
+means no root and V = 1 exactly one simple root.  The transform
+(``_mobius``) and its sign count (``_sign_changes``) are separate steps:
+the transform is linear in p's coefficients, so ``hyperplanes`` applies it
+to many polynomials at once as one integer matrix, whose rows are
+``_mobius`` of a basis.  Only V ≥ 2 builds the Sturm chain of p's
+square-free part, once, as primitive integer polynomials by
+pseudo-remainders, and answers from it.  Signs at a rational point n/d
 are read from the homogeneous integer d^m·e(n/d) = Σ e_i·n^i·d^(m−i)
 (``eval_homogeneous``).  Isolation bisects [a, b] on a dyadic grid with one
 shared denominator per depth and counts roots by the chain's sign
@@ -186,21 +190,30 @@ def _sign_changes(values) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _descartes(e: list[int], na: int, nb: int, D: int) -> int:
-    """The sign variations V of R(x) = Σ e_i·(na + nb·x)^i·(D(1 + x))^(m−i),
-    D^m·(1 + x)^m·e at (a + b·x)/(1 + x) with a = na/D, b = nb/D, D > 0.
+def _mobius(e: list[int], na: int, nb: int, D: int) -> list[int]:
+    """The coefficients of R(x) = Σ e_i·(na + nb·x)^i·(D(1 + x))^(m−i),
+    D^m·(1 + x)^m·e at (a + b·x)/(1 + x) with a = na/D, b = nb/D, D > 0, for
+    e of formal degree m = len(e) − 1.
 
     x ↦ (a + b·x)/(1 + x) maps (0, ∞) onto the open interval between a and
-    b, so V bounds e's roots there, counted with multiplicity, and has their
-    parity.  R is built by homogeneous Horner, as ``eval_homogeneous`` with
-    the linear polynomials na + nb·x and D + D·x in place of n and d.
+    b.  R is linear in e, and its constant and leading coefficients are the
+    homogeneous values D^m·e(a) and D^m·e(b).  R is built by homogeneous
+    Horner, as ``eval_homogeneous`` with the linear polynomials na + nb·x
+    and D + D·x in place of n and d.
     """
     acc, power = [], [1]
     for c in reversed(e):
         acc = [na * y + nb * z + c * w
                for y, z, w in zip(acc + [0], [0] + acc, power)]
         power = [D * (y + z) for y, z in zip(power + [0], [0] + power)]
-    return _sign_changes(acc)
+    return acc
+
+
+def _descartes(e: list[int], na: int, nb: int, D: int) -> int:
+    """The sign variations V of ``_mobius(e, na, nb, D)``: they bound e's
+    roots in the open interval between na/D and nb/D, counted with
+    multiplicity, and have their parity."""
+    return _sign_changes(_mobius(e, na, nb, D))
 
 
 def _over(a: Fraction, b: Fraction) -> tuple[int, int, int]:

@@ -4,6 +4,7 @@ derivative row, and affine invariance of intersection counts."""
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,10 +15,10 @@ from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         moment_curve, mvt_consistency, parabola,
                         survey_intersections, wronskian)
 from curvecount import polys
-from curvecount.curves import (CurveSpec, InvalidCurveError, TrigCoord,
-                               _tan_bracket, polynomial_curve)
-from curvecount.hyperplanes import (HyperplaneError, RootList, _combination,
-                                    _count)
+from curvecount.curves import (CurveSpec, InvalidCurveError, PolyCoord,
+                               TrigCoord, _tan_bracket, polynomial_curve)
+from curvecount.hyperplanes import (_PLANE_BLOCK, HyperplaneError, RootList,
+                                    _combination, _count, _poly_counts)
 from curvecount.lifting import MonomialSet
 
 
@@ -553,6 +554,117 @@ def test_count_is_the_length_of_intersect(case):
     curve, plane = case
     assert _count_or_degenerate(_count, curve, plane.integer_form[1]) == \
         _count_or_degenerate(lambda c, h: len(intersect(c, h)), curve, plane)
+
+
+def _scalar_count(coords, lo, hi, plane):
+    """The per-plane route the matrix kernel replaced: g = Σ nᵢ·(D/dᵢ)·eᵢ −
+    n₀·D over the lcm D of the dᵢ with nᵢ ≠ 0, counted by
+    ``polys.Roots(g).closed(lo, hi)``; None when g ≡ 0."""
+    n0, *ns = plane
+    forms = [(n, c.integer_form) for n, c in zip(ns, coords) if n]
+    D = math.lcm(*(d for _, (d, _) in forms))
+    g = [-n0 * D]
+    for n, (d, e) in forms:
+        g += [0] * (len(e) - len(g))
+        for i, c in enumerate(e):
+            g[i] += n * (D // d) * c
+    while g and not g[-1]:
+        g.pop()
+    return polys.Roots(g).closed(lo, hi) if g else None
+
+
+@st.composite
+def kernel_blocks(draw):
+    """Coefficient lists of a rational polynomial curve of degree ≤ 5, a
+    domain lo < hi that may be negative or non-dyadic, and a block of planes
+    as integers: random, through γ(t) or tangent there (a double root) at
+    an end or inside, or with g's top coefficient cancelled; some scaled by
+    3⁴⁰, past what int64 holds."""
+    coords = draw(st.lists(st.lists(_coefficient, min_size=1, max_size=6),
+                           min_size=1, max_size=4))
+    lo, hi = draw(st.lists(st.fractions(-3, 3, max_denominator=12), min_size=2,
+                           max_size=2, unique=True).map(sorted))
+    fns = [polys.poly(c) for c in coords]
+    top = max(len(p) for p in fns) - 1
+    planes = []
+    for _ in range(draw(st.integers(1, 6))):
+        normal = draw(st.lists(st.sampled_from([0, 1, -1, 2]) | _coefficient,
+                               min_size=len(coords), max_size=len(coords)))
+        how = draw(st.sampled_from(["random", "through", "tangent", "low"]))
+        if how == "random":
+            k = 1 << 24
+            plane = draw(st.lists(st.integers(-k, k), min_size=len(coords) + 1,
+                                  max_size=len(coords) + 1))
+        else:
+            t = draw(st.sampled_from([lo, hi]) | st.fractions(lo, hi, max_denominator=16))
+            if how == "tangent":
+                along = [polys.eval_exact(polys.derivative(p), t) for p in fns]
+            else:   # "through" moves nothing; "low" cancels g's top term
+                along = [p[top] if len(p) > top >= 0 else 0 for p in fns]
+            if how != "through" and any(along):
+                j = next(i for i, x in enumerate(along) if x)
+                normal[j] -= sum(a * x for a, x in zip(normal, along)) / along[j]
+            a0 = sum(a * polys.eval_exact(p, t) for a, p in zip(normal, fns))
+            plane = polys.integer_form([F(a0), *map(F, normal)])[1]
+        scale = draw(st.sampled_from([1, 1, 1, 3 ** 40]))
+        if any(plane[1:]):
+            planes.append([scale * n for n in plane])
+    assume(planes)
+    return coords, lo, hi, planes
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_blocks())
+# on (t, t², 1/3) over [−1/3, 2/5]: g = (3t + 1)², a double root on the
+# negative end; the plane 3z = 1, which holds the curve; a plane past int64
+@example(([[0, 1], [0, 0, 1], [F(1, 3)]], F(-1, 3), F(2, 5),
+          [[-1, 6, 9, 0], [1, 2, -3, 0], [1, 0, 0, 3], [3 ** 40, -(3 ** 41), 5, 7]]))
+# on the twisted cubic over [−2/3, 5/7]: g without its t³ term, a root at
+# t = 0, a plane past int64
+@example(([[0, 1], [0, 0, 1], [0, 0, 0, 1]], F(-2, 3), F(5, 7),
+          [[1, 2, -3, 0], [0, 1, 0, 0], [-(2 ** 70), 2 ** 69, 3, 2 ** 71]]))
+def test_plane_kernel_matches_the_scalar_route(case):
+    # one matrix product for the whole block gives every plane's count, and
+    # drops the planes that contain the curve, as the per-plane route does
+    coeffs, lo, hi, planes = case
+    coords = [PolyCoord(c) for c in coeffs]
+    bound = max(abs(n) for plane in planes for n in plane)
+    expected = [_scalar_count(coords, lo, hi, p) for p in planes]
+    assert _poly_counts(coords, lo, hi, planes, bound) == \
+        [k for k in expected if k is not None]
+
+
+def test_a_survey_past_one_block_matches_the_scalar_loop(monkeypatch):
+    # integers in [−2, 2] make zero normals and planes that contain the
+    # curve common: (t, t, t²) lies in x − y = 0
+    made = []
+
+    class Small(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+        def randint(self, a, b):
+            return super().randint(-2, 2)
+
+    monkeypatch.setattr("curvecount.hyperplanes.random", SimpleNamespace(Random=Small))
+    curve, trials = polynomial_curve([[0, 1], [0, 1], [0, 0, 1]]), _PLANE_BLOCK + 1
+    survey = survey_intersections(curve, trials, 5)
+    rng, hist, skipped = Small(5), {}, set()
+    while sum(hist.values()) < trials:
+        plane = [rng.randint(-1 << 24, 1 << 24) for _ in range(4)]
+        if not any(plane[1:]):
+            skipped.add("zero normal")
+            continue
+        k = _scalar_count(curve.coords, *curve.domain, plane)
+        if k is None:
+            skipped.add("contains the curve")
+            continue
+        hist[k] = hist.get(k, 0) + 1
+    assert skipped == {"zero normal", "contains the curve"}
+    assert survey.histogram == hist and survey.max_roots == max(hist)
+    # the survey drew no plane past the last one it counted
+    assert made[0].getstate() == rng.getstate()
 
 
 def test_mvt_off_a_graph_keeps_the_curve_parameter():
