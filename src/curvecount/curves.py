@@ -315,6 +315,12 @@ def _tan_bracket(roots: polys.Roots, x: Fraction) -> tuple:
     is tan πx, a root of P exactly when of gcd(P, Q).  P's kernel serves
     every count, the narrowing loop's included, and Q's signs are read in
     integers (``polys.eval_homogeneous``).
+
+    While math.tan keeps its 4 ulps, Q has exactly one root in the bracket:
+    its roots are the tangents of angles π/n apart on one branch, where
+    tan′ ≥ 1, so they lie at least π/64 apart, and with |x − ½| ≥ 1/128
+    the bracket is narrower than 10⁻¹⁰.  Any other count of Q means tan
+    was farther off than that, and k is None.
     """
     theta = math.pi * float(x)
     s = math.tan(theta)
@@ -438,10 +444,10 @@ def _on_circle(t) -> tuple:
 class CurveSpec:
     """A parameterized curve in R^n with derivative jets of every order.
 
-    Immutable after construction; the derivative table and the symbolic
-    Wronskian are cached lazily (pure functions of the curve).  A lift
-    records its (base curve, monomial set) in ``lift_origin`` so it can be
-    serialized and rebuilt exactly.
+    Immutable after construction; the derivative table, the symbolic
+    Wronskian and the plane matrix are cached lazily (pure functions of the
+    curve).  A lift records its (base curve, monomial set) in
+    ``lift_origin`` so it can be serialized and rebuilt exactly.
     """
 
     def __init__(self, kind: str, coords, domain=(0, 1), lift_origin=None):
@@ -462,6 +468,7 @@ class CurveSpec:
         self.lift_origin = lift_origin
         self._deriv_table = [list(coords)]
         self._wronskian_sym = None
+        self._plane_matrix = None
 
     @property
     def dimension(self) -> int:
@@ -482,6 +489,13 @@ class CurveSpec:
             self._deriv_table.append([c.derivative() for c in self._deriv_table[-1]])
         return self._deriv_table[: order + 1]
 
+    def plane_matrix(self) -> tuple:
+        """``_plane_columns`` of a polynomial curve on its domain, built on
+        first use: what hyperplane counts and roots read."""
+        if self._plane_matrix is None:
+            self._plane_matrix = _plane_columns(self.coords, *self.domain)
+        return self._plane_matrix
+
     def contains_parameter(self, t) -> bool:
         lo, hi = self.domain
         if isinstance(t, float):
@@ -491,6 +505,28 @@ class CurveSpec:
     def __repr__(self):
         return (f"CurveSpec(kind={self.kind!r}, n={self.dimension}, "
                 f"domain=({self.domain[0]}, {self.domain[1]}))")
+
+
+def _plane_columns(coords, lo: Fraction, hi: Fraction) -> tuple:
+    """The columns of the integer matrix that takes a hyperplane's integers
+    (n₀, …, nₙ) to the coefficients of g, then of R, for polynomial
+    coordinates on [lo, hi].
+
+    With γᵢ = eᵢ/dᵢ the ``integer_form`` of each coordinate and D the lcm
+    of all the dᵢ, g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D up to the largest degree of a
+    coordinate: a positive multiple of Σ aᵢγᵢ − a₀ for aᵢ = nᵢ/q, q > 0,
+    ≡ 0 exactly when the curve lies in the plane.  R is g's Möbius
+    transform on (lo, hi) at that formal degree (``polys._mobius``); it is
+    linear in g, so its rows are the transforms of g's rows.  R's constant
+    and leading coefficients are the homogeneous values of g at lo and hi.
+    """
+    forms = [c.integer_form for c in coords]
+    D = math.lcm(*[d for d, _ in forms])
+    w = max([1] + [len(e) for _, e in forms])
+    rows = [[-D] + [0] * (w - 1)] + [[(D // d) * c for c in e] + [0] * (w - len(e))
+                                     for d, e in forms]
+    E, na, nb = polys._over(lo, hi)
+    return tuple(zip(*(row + polys._mobius(row, na, nb, E) for row in rows)))
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,29 @@ empirical uniform intersection bound.
 
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
 g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  g is built on integer numerators, as a
-positive multiple with the same roots: for a polynomial curve by
-``_g_block``, for a trigonometric one by ``_combination``.  Every root is
-isolated exactly on one integer polynomial, ``polys.Roots`` of
-g itself for polynomial curves, and for trigonometric curves of g in
-(u, v) = (cos 2πt, sin 2πt) rewritten in s = tan πt by the half-angle
-substitution and cleared of denominators.  The kernel decides an interval
-by Descartes' rule of signs when its transform has 0 or 1 sign variations,
-which is most random planes, and otherwise by the Sturm chain of the
-polynomial's square-free part, built on first use, so tangential
-intersections count once.
+positive multiple with the same roots: for a trigonometric curve by
+``_combination``, and for a polynomial curve from the curve's plane matrix
+(``CurveSpec.plane_matrix``), built once per curve, which takes a plane's
+integers to g and to its Möbius transform R on the domain.  Trigonometric
+curves isolate g's roots on the integer form of g in
+(u, v) = (cos 2πt, sin 2πt), rewritten in s = tan πt by the half-angle
+substitution and cleared of denominators, by ``polys.Roots``.  That kernel
+decides an interval by Descartes' rule of signs when its transform has 0
+or 1 sign variations, which is most random planes, and otherwise by the
+Sturm chain of the polynomial's square-free part, built on first use, so
+tangential intersections count once.
 
-Counting on a polynomial curve needs no kernel for most planes.  g and its
-Möbius transform on the domain are linear in the plane's integers, so a
-survey's block of planes is one integer matrix product (``_poly_counts``;
-int64 when every product fits, Python ints otherwise).  The sign variations
-V of every row are counted at once; a row with V ≤ 1 is decided by them,
-and only a row with V ≥ 2 builds a Sturm chain.  ``_count``, which the MVT
-check calls, is the product's one-plane case.
+On a polynomial curve R's sign variations V decide most planes with no
+kernel at all: V ≤ 1 is the number of roots inside the domain, and R's
+first and last coefficients are g's values at its ends.  A survey's block
+of planes is one integer matrix product (``_poly_counts``; int64 when
+every product fits, Python ints otherwise), with the V of every row
+counted at once.  One plane, in ``intersect`` and in ``_count``, which the
+MVT check calls, is one row in Python ints (``_plane_row``): ``_count``
+reads its count from R's signs, and ``intersect`` its isolating intervals,
+the ends that are roots and the domain itself when V = 1, which it
+refines on ``polys.Roots`` of g.  Only a plane with V ≥ 2 asks that kernel
+to count or isolate, which builds its Sturm chain.
 
 On a polynomial curve whose first coordinate is affine, x₁ = b + c·t, the
 Mean Value Theorem sends k intersection parameters of a hyperplane with the
@@ -119,28 +124,22 @@ def _combination(curve: CurveSpec, plane: tuple) -> dict:
     return g
 
 
-def _poly_counts(coords, lo: Fraction, hi: Fraction, planes: list,
+def _poly_counts(matrix: tuple, lo: Fraction, hi: Fraction, planes: list,
                  bound: int) -> list[int]:
-    """The number of distinct roots in [lo, hi] of g on the polynomial
-    coordinates, for each plane (n₀, …, nₙ) within ±bound whose g is not
-    ≡ 0, in order, by one integer matrix product.
-
-    The matrix takes a plane's integers to the coefficients of g
-    (``_g_block``) and of its Möbius transform R on (lo, hi): R is linear in
-    g, so that block is ``polys._mobius`` of each row of the g block.  R's
-    constant and leading coefficients are the homogeneous values of g at lo
-    and hi.  A plane whose R has V ≤ 1 sign variations has z_lo + z_hi + V
-    roots, z the ends where g vanishes (Descartes' rule of signs); only a
-    plane with V ≥ 2 builds the Sturm chain of its g, by ``polys.Roots``.
+    """The number of distinct roots in [lo, hi] of g, for each plane
+    (n₀, …, nₙ) within ±bound whose g is not ≡ 0, in order, by one integer
+    matrix product: ``matrix`` is the columns of ``CurveSpec.plane_matrix``
+    on [lo, hi], which take a plane's integers to g and its Möbius
+    transform R.  A plane whose R has V ≤ 1 sign variations has
+    z_lo + z_hi + V roots, z the ends where g vanishes (Descartes' rule of
+    signs); only a plane with V ≥ 2 builds the Sturm chain of its g, by
+    ``polys.Roots``.
     """
-    rows = _g_block(coords)
-    w = len(rows[0])
-    E, na, nb = polys._over(lo, hi)
-    matrix = [row + polys._mobius(row, na, nb, E) for row in rows]
+    w = len(matrix) // 2
     # every product lies within ±bound times the largest column sum of |M|
-    reach = max(map(sum, zip(*(map(abs, row) for row in matrix))))
+    reach = max(sum(map(abs, col)) for col in matrix)
     dtype = pointsets._dtype(bound * reach)
-    y = np.array(planes, dtype=dtype) @ np.array(matrix, dtype=dtype)
+    y = np.array(planes, dtype=dtype) @ np.array(matrix, dtype=dtype).T
     y = y[(y[:, :w] != 0).any(axis=1)]
     signs = np.sign(y[:, w:])
     # V: the zeros moved past the signs, in order, and neighbours compared
@@ -153,17 +152,13 @@ def _poly_counts(coords, lo: Fraction, hi: Fraction, planes: list,
     return ks
 
 
-def _g_block(coords) -> list[list[int]]:
-    """The rows that take a plane's integers (n₀, …, nₙ) to the coefficients
-    of g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D up to the largest degree of a coordinate,
-    γᵢ = eᵢ/dᵢ the ``integer_form`` of each coordinate and D the lcm of all
-    the dᵢ: a positive multiple of Σ aᵢγᵢ − a₀, ≡ 0 exactly when the curve
-    lies in the plane."""
-    forms = [c.integer_form for c in coords]
-    D = math.lcm(*[d for d, _ in forms])
-    w = max([1] + [len(e) for _, e in forms])
-    return [[-D] + [0] * (w - 1)] + [[(D // d) * c for c in e] + [0] * (w - len(e))
-                                     for d, e in forms]
+def _plane_row(curve: CurveSpec, plane: tuple) -> tuple[list[int], list[int], int]:
+    """g, without trailing zeros, R and R's sign variations V for one
+    plane's integers on a polynomial curve: one row of the curve's plane
+    matrix product, in Python ints.  g ≡ 0 raises DegenerateIntersection."""
+    y = [sum(map(operator.mul, plane, col)) for col in curve.plane_matrix()]
+    w = len(y) // 2
+    return _trimmed(y[:w]), y[w:], polys._sign_changes(y[w:])
 
 
 def _trimmed(g: list[int]) -> list[int]:
@@ -184,53 +179,66 @@ def _check_dimension(curve: CurveSpec, plane: tuple) -> None:
 def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
     """Parameters t in the domain with γ(t) ∈ H.
 
-    Polynomial curves isolate the roots of g on the domain, g from
-    ``_g_block``.  Trigonometric curves take the roots of g on the domain
-    from ``TrigRoots``: the roots s of the half-angle polynomial mapped to
-    t = atan(s)/π mod 1, the domain's ends bracketed exactly and kept when
-    they are roots, and t = ½.  Either route builds one root kernel
-    (``polys.Roots``) for its polynomial, and isolation, refinement and the
-    end brackets share it.  Both routes are exact; only an end that cannot
-    be bracketed clears ``certified``.
+    Polynomial curves read g and its Möbius transform R on the domain from
+    one row of the curve's plane matrix (``_plane_row``).  When R has V ≤ 1
+    sign variations, R's signs give the isolating intervals, as
+    ``polys.Roots.isolate`` would: each end where g vanishes (R's first or
+    last coefficient is 0), and the domain itself when V = 1, which holds
+    exactly one root.  Only V ≥ 2 isolates by ``polys.Roots``.  Trigonometric
+    curves take the roots of g on the domain from ``TrigRoots``: the roots
+    s of the half-angle polynomial mapped to t = atan(s)/π mod 1, the
+    domain's ends bracketed exactly and kept when they are roots, and
+    t = ½.  Either route builds at most one root kernel (``polys.Roots``)
+    for its polynomial, and isolation, refinement and the end brackets
+    share it.  Both routes are exact; only an end that cannot be bracketed
+    clears ``certified``.
     """
     ints = plane.integer_form[1]
     _check_dimension(curve, ints)
-    if curve.is_exact:
-        g = [sum(map(operator.mul, ints, col)) for col in zip(*_g_block(curve.coords))]
-        roots = polys.Roots(_trimmed(g))
-        ts = [roots.refine(a, b) for a, b in roots.isolate(*curve.domain)]
-        return RootList(roots=tuple(ts), certified=True)
-    kernel = TrigRoots(TrigCoord(_combination(curve, ints)), *curve.domain)
-    return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
+    if not curve.is_exact:
+        kernel = TrigRoots(TrigCoord(_combination(curve, ints)), *curve.domain)
+        return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
+    g, R, v = _plane_row(curve, ints)
+    lo, hi = curve.domain
+    if v < 2:
+        ivs = [(lo, lo)] * (not R[0]) + [(lo, hi)] * v + [(hi, hi)] * (not R[-1])
+        roots = polys.Roots(g) if v else None
+    else:
+        roots = polys.Roots(g)
+        ivs = roots.isolate(lo, hi)
+    return RootList(roots=tuple(float(a) if a == b else roots.refine(a, b)
+                                for a, b in ivs), certified=True)
 
 
 def _counts(curve: CurveSpec, planes: list, bound: int) -> list[int]:
     """The number of distinct intersections with the curve of each plane,
     given by integers (n₀, …, nₙ) within ±bound, that does not contain the
     curve, in order: one matrix product for a polynomial curve
-    (``_poly_counts``), one ``TrigRoots`` count per plane for a
-    trigonometric one."""
+    (``_poly_counts``), one ``_count`` per plane for a trigonometric one."""
     if curve.is_exact:
-        return _poly_counts(curve.coords, *curve.domain, planes, bound)
+        return _poly_counts(curve.plane_matrix(), *curve.domain, planes, bound)
     ks = []
     for plane in planes:
         try:
-            g = TrigCoord(_combination(curve, plane))
+            ks.append(_count(curve, plane))
         except DegenerateIntersection:
             continue
-        ks.append(TrigRoots(g, *curve.domain).count())
     return ks
 
 
 def _count(curve: CurveSpec, plane: tuple) -> int:
     """``len(intersect(curve, H))`` by root counts, with no root isolated or
-    refined, for H's integers (n₀, …, nₙ): the one-plane case of
-    ``_counts``."""
+    refined, for H's integers (n₀, …, nₙ).  A polynomial curve reads the
+    same row as ``intersect``: z_lo + z_hi + V when R has V ≤ 1 sign
+    variations, and ``polys.Roots(g).closed`` otherwise; a trigonometric
+    one counts by ``TrigRoots``."""
     _check_dimension(curve, plane)
-    ks = _counts(curve, [plane], max(map(abs, plane)))
-    if not ks:
-        raise DegenerateIntersection("curve is contained in the hyperplane")
-    return ks[0]
+    if not curve.is_exact:
+        return TrigRoots(TrigCoord(_combination(curve, plane)), *curve.domain).count()
+    g, R, v = _plane_row(curve, plane)
+    if v > 1:
+        return polys.Roots(g).closed(*curve.domain)
+    return v + (not R[0]) + (not R[-1])
 
 
 def mvt_consistency(curve: CurveSpec, plane: Hyperplane,

@@ -17,15 +17,20 @@ in (a, b), counted with multiplicity, and have their parity (Descartes'
 rule of signs, the test behind Vincent–Collins–Akritas isolation): V = 0
 means no root and V = 1 exactly one simple root.  The transform
 (``_mobius``) and its sign count (``_sign_changes``) are separate steps:
-the transform is linear in p's coefficients, so ``hyperplanes`` applies it
-to many polynomials at once as one integer matrix, whose rows are
-``_mobius`` of a basis.  Only V ≥ 2 builds the Sturm chain of p's
-square-free part, once, as primitive integer polynomials by
-pseudo-remainders, and answers from it.  Signs at a rational point n/d
-are read from the homogeneous integer d^m·e(n/d) = Σ e_i·n^i·d^(m−i)
-(``eval_homogeneous``).  Isolation bisects [a, b] on a dyadic grid with one
-shared denominator per depth and counts roots by the chain's sign
-variations; refinement bisects integer numerators the same way.
+the transform is linear in p's coefficients, so a polynomial curve's
+plane matrix (``curves.CurveSpec.plane_matrix``) holds it for every
+hyperplane at once, its rows ``_mobius`` of a basis.  Only V ≥ 2 builds
+the Sturm chain of p's square-free part, once, as primitive integer
+polynomials by pseudo-remainders, and answers from it.  Signs at a
+rational point n/d are read from the homogeneous integer
+d^m·e(n/d) = Σ e_i·n^i·d^(m−i) (``eval_homogeneous``).  Isolation bisects
+[a, b] on a dyadic grid with one shared denominator per depth and counts
+roots by the chain's sign variations.  Refinement returns what bisecting
+an isolating interval to a given depth would, the float of the grid cell
+that holds the root, or of the root where it is a grid node, but finds
+that cell by a guess: float Newton, one exact Newton step in integers,
+then two exact signs at the cell's ends, which confirm it.  Bisection
+runs only when the guess misses.
 """
 
 from __future__ import annotations
@@ -235,12 +240,14 @@ class Roots:
 
     ``coeffs`` are p's coprime integer coefficients.  They answer every root
     question about p on any interval: counts on closed and open intervals,
-    isolating intervals, and refinement of one of them to a float.  Each
-    question first counts the sign variations V of the interval's Möbius
-    transform of p (``_descartes``) and reads the ends' signs from
-    ``eval_homogeneous``; V ≤ 1 is the answer on the open interval.  Only
-    V ≥ 2 builds ``chain``, the Sturm chain of p's square-free part q as
-    primitive integer polynomials, with ``chain[0]`` = q, once on first use.
+    isolating intervals, and refinement of one of them to a float.  A
+    count or an isolation first counts the sign variations V of the
+    interval's Möbius transform of p (``_descartes``) and reads the ends'
+    signs from ``eval_homogeneous``; V ≤ 1 is the answer on the open
+    interval.  Only V ≥ 2 builds ``chain``, the Sturm chain of p's
+    square-free part q as primitive integer polynomials, with ``chain[0]``
+    = q, once on first use; refinement needs it only when p has a root at
+    an end or the same sign at both.
     """
 
     __slots__ = ("coeffs", "_chain")
@@ -346,20 +353,32 @@ class Roots:
         return found
 
     def refine(self, lo, hi, bits: int = 60) -> float:
-        """Refine an isolating interval to a float root by exact sign
-        bisection, on integer numerators over a shared dyadic denominator;
-        the float is that of the last midpoint.
+        """Refine an isolating interval to a float root: the float of the
+        last midpoint of a ``bits``-step bisection of [lo, hi] by exact
+        signs, or the exact dyadic root where a midpoint is one.
 
-        When p is nonzero at both ends and V = 1, the bisection runs on p
-        itself: p = q·gcd(p, p′) and the gcd has no root in [lo, hi], so p
-        and q take the same midpoints.  Otherwise it runs on q.
+        That value depends only on the root r: the float of r when r is a
+        node of the depth-``bits`` dyadic grid on [lo, hi], and otherwise of
+        the midpoint of the one grid cell j that holds r.  So j is guessed
+        (``_newton_cell``: float Newton kept inside [lo, hi], then one exact
+        Newton step) and checked by e's signs at the cell's two ends, e(x_j)
+        with slo's sign and e(x_{j+1}) with shi's; a miss tries the one
+        neighbour the signs point to.  A cell that checks out holds r, so
+        the float is the bisection's, bit for bit; the bisection itself
+        (``_bisect``) runs only when neither cell checks out or a float
+        overflows.
+
+        When p has opposite signs at the ends, e is p itself: its roots are
+        those of q, so inside [lo, hi] it vanishes only at r and changes
+        sign there, and every sign test above sees p as it sees q.
+        Otherwise e is q.
         """
         if lo == hi:
             return float(lo)
         D, L, H = _over(Fraction(lo), Fraction(hi))
         e = self.coeffs
         slo, shi = eval_homogeneous(e, L, D), eval_homogeneous(e, H, D)
-        if not (slo and shi and _descartes(e, L, H, D) == 1):
+        if not (slo and shi and (slo > 0) != (shi > 0)):
             e = self.chain[0]
             slo, shi = eval_homogeneous(e, L, D), eval_homogeneous(e, H, D)
             if not slo or not shi:
@@ -373,17 +392,95 @@ class Roots:
                     shi = -inward * eval_homogeneous(self.chain[1], H, D)
         if not slo or not shi or (slo > 0) == (shi > 0):
             raise ArithmeticError("interval does not isolate a simple root")
-        k = 0
-        for _ in range(bits):
-            mid, k = L + H, k + 1
-            v = eval_homogeneous(e, mid, D << k)
-            if not v:
-                return float(Fraction(mid, D << k))
-            if (v > 0) == (slo > 0):
-                L, H, slo = mid, 2 * H, v
+        try:
+            j = _newton_cell(e, L, H, D, slo > 0, bits)
+        except OverflowError:   # e or its values leave the float range
+            return _bisect(e, L, H, D, slo, bits)
+        # the grid's nodes x_i = (L·2^bits + i·W)/(D·2^bits), i = 0..2^bits
+        last, W, den, base = 1 << bits, H - L, D << bits, L << bits
+
+        def sign(i: int) -> int:
+            return slo if i == 0 else shi if i == last else \
+                eval_homogeneous(e, base + i * W, den)
+
+        for _ in range(2):
+            j = min(max(j, 0), last - 1)
+            s, t = sign(j), sign(j + 1)
+            if not s:   # the ends' signs are nonzero: r is an inner node
+                return (base + j * W) / den
+            if not t:
+                return (base + (j + 1) * W) / den
+            if (s > 0) != (slo > 0):
+                j -= 1
+            elif (t > 0) == (slo > 0):
+                j += 1
             else:
-                L, H = 2 * L, mid
-        return float(Fraction(L + H, D << (k + 1)))
+                return (2 * base + (2 * j + 1) * W) / (den << 1)
+        return _bisect(e, L, H, D, slo, bits)
+
+
+_NEWTON_STEPS = 60   # float Newton iterations at most
+
+
+def _newton_cell(e: list[int], L: int, H: int, D: int, positive: bool,
+                 bits: int) -> int:
+    """A guess at the cell j of the depth-``bits`` dyadic grid on the
+    interval from L/D to H/D that holds e's one root there, e being
+    positive on the L side when ``positive``.
+
+    Float Newton from the midpoint, kept inside a float bracket that each
+    value's sign narrows (a step that leaves it bisects instead), puts x
+    near the root; one exact Newton step from x, in integers, squares its
+    error, and j is read from that rational by floor division.  Raises
+    OverflowError when e or one of its values leaves the float range.
+    """
+    f = [float(c) for c in e]
+    a, b = L / D, H / D
+    x = (a + b) / 2
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for c in reversed(f):
+            v, dv = v * x + c, dv * x + v
+        if not abs(v) + abs(dv) < math.inf:
+            raise OverflowError("polynomial values past float range")
+        if not v:
+            break
+        if (v > 0) == positive:
+            a = x
+        else:
+            b = x
+        y = x - v / dv if dv else x
+        if not min(a, b) < y < max(a, b):
+            y = (a + b) / 2
+        x, step = y, abs(y - x)
+        if step <= 1e-15 * abs(x):   # x is now as close as a float gets
+            break
+    n, d = x.as_integer_ratio()
+    v = eval_homogeneous(e, n, d)
+    dv = eval_homogeneous([i * c for i, c in enumerate(e)][1:], n, d)
+    # x − e(x)/e′(x) = (n·dv − v)/(d·dv): d^m·e(x) = v, d^(m−1)·e′(x) = dv
+    num, q = (n * dv - v, d * dv) if dv else (n, d)
+    # j = ⌊(num/q − L/D)·2^bits·D/(H − L)⌋
+    return ((num * D - L * q) << bits) // (q * (H - L))
+
+
+def _bisect(e: list[int], L: int, H: int, D: int, slo: int, bits: int) -> float:
+    """``bits`` steps of exact sign bisection of the interval from L/D to
+    H/D, on integer numerators over the shared denominator D·2^k at depth
+    k, for e with the sign of ``slo`` on the L side: the float of the last
+    midpoint, or of a midpoint where e vanishes (int / int is correctly
+    rounded, as float of a Fraction is)."""
+    k = 0
+    for _ in range(bits):
+        mid, k = L + H, k + 1
+        v = eval_homogeneous(e, mid, D << k)
+        if not v:
+            return mid / (D << k)
+        if (v > 0) == (slo > 0):
+            L, H, slo = mid, 2 * H, v
+        else:
+            L, H = 2 * L, mid
+    return (L + H) / (D << (k + 1))
 
 
 def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:

@@ -16,7 +16,8 @@ from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         survey_intersections, wronskian)
 from curvecount import polys
 from curvecount.curves import (CurveSpec, InvalidCurveError, PolyCoord,
-                               TrigCoord, _tan_bracket, polynomial_curve)
+                               TrigCoord, _plane_columns, _tan_bracket,
+                               polynomial_curve)
 from curvecount.hyperplanes import (_PLANE_BLOCK, HyperplaneError, RootList,
                                     _combination, _count, _poly_counts)
 from curvecount.lifting import MonomialSet
@@ -237,6 +238,15 @@ def test_one_sturm_chain_per_polynomial(monkeypatch):
     a, b, k = _tan_bracket(roots, F(1, 3))
     assert k == 1 and a < b and not a <= s <= b
     assert built == [tuple(roots.coeffs)]
+
+
+def test_tan_bracket_is_unsure_when_tan_misses(monkeypatch):
+    # a math.tan far past its 4 ulps brackets 7/4 for tan π/3 = √3: P = 4s − 7
+    # has its root there, and Q = 3s − s³, whose one root in a true bracket
+    # is tan πx, has none, so the bracket decides nothing
+    monkeypatch.setattr(math, "tan", lambda theta: 1.75)
+    a, b, k = _tan_bracket(polys.Roots([-7, 4]), F(1, 3))
+    assert k is None and a < F(7, 4) < b
 
 
 def test_circle_tangency_on_grid_node():
@@ -630,8 +640,65 @@ def test_plane_kernel_matches_the_scalar_route(case):
     coords = [PolyCoord(c) for c in coeffs]
     bound = max(abs(n) for plane in planes for n in plane)
     expected = [_scalar_count(coords, lo, hi, p) for p in planes]
-    assert _poly_counts(coords, lo, hi, planes, bound) == \
+    assert _poly_counts(_plane_columns(coords, lo, hi), lo, hi, planes, bound) == \
         [k for k in expected if k is not None]
+
+
+@st.composite
+def moment_planes(draw):
+    """A moment curve of degree n = 2..5 on a partial domain, perhaps with
+    one more coordinate c₀ + Σ cᵢtⁱ, which puts the curve in a plane, and a
+    plane: random, through γ(lo) or γ(hi), with g = Π(t − rᵢ) for up to n
+    roots rᵢ in the domain (at its ends, repeated or inside), or the plane
+    that holds the curve."""
+    n = draw(st.integers(2, 5))
+    lo, hi = draw(st.lists(_ARC_ENDS, min_size=2, max_size=2, unique=True)
+                  .map(sorted).filter(lambda d: d != [0, 1]))
+    coords = [[0] * i + [1] for i in range(1, n + 1)]
+    extra = draw(st.none() | st.lists(_coefficient, min_size=n + 1, max_size=n + 1))
+    if extra is not None:
+        coords.append(extra)
+    curve = polynomial_curve(coords, (lo, hi))
+    how = draw(st.sampled_from(["random", "through", "roots"]
+                               + ["holds"] * (extra is not None)))
+    if how == "holds":
+        return curve, Hyperplane(extra[0], [-c for c in extra[1:]] + [1])
+    if how == "roots":
+        g = polys.ONE
+        for _ in range(draw(st.integers(1, n))):
+            r = draw(st.sampled_from([lo, hi]) | st.fractions(lo, hi, max_denominator=40))
+            g = polys.mul(g, polys.poly((-r, 1)))
+        g += (0,) * (n + 1 - len(g))
+        return curve, Hyperplane(-g[0], list(g[1:]) + [0] * (extra is not None))
+    normal = draw(st.lists(_coefficient, min_size=curve.dimension,
+                           max_size=curve.dimension).filter(any))
+    if how == "random":
+        return curve, Hyperplane(draw(_coefficient), normal)
+    t = draw(st.sampled_from([lo, hi]))
+    value = [polys.eval_exact(c.coeffs, t) for c in curve.coords]
+    return curve, Hyperplane(sum(a * x for a, x in zip(normal, value)), normal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_planes())
+def test_intersect_is_isolation_and_refinement_of_g(case):
+    # the plane matrix's row, R's signs and the guessed cells give what
+    # isolating and refining g = Σ aᵢγᵢ − a₀ by its own kernel gives, bit for
+    # bit, and _count agrees; a plane that holds the curve raises both ways
+    curve, plane = case
+    g = polys.poly([-plane.a0])
+    for a, c in zip(plane.normal, curve.coords):
+        g = polys.add(g, polys.mul(polys.poly([a]), c.coeffs))
+    if not g:
+        for fn in (intersect, lambda c, h: _count(c, h.integer_form[1])):
+            with pytest.raises(DegenerateIntersection):
+                fn(curve, plane)
+        return
+    roots = polys.Roots(g)
+    expected = [roots.refine(a, b) for a, b in roots.isolate(*curve.domain)]
+    got = intersect(curve, plane)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+    assert got.certified and _count(curve, plane.integer_form[1]) == len(expected)
 
 
 def test_a_survey_past_one_block_matches_the_scalar_loop(monkeypatch):

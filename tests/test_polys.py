@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvecount import polys
 from curvecount.curves import PolyCoord, TrigCoord
@@ -299,3 +299,106 @@ def test_integer_half_angle_is_a_positive_multiple(terms):
     ratio = F(p[-1]) / ref[-1]
     assert ratio > 0 and all(c == ratio * r for c, r in zip(p, ref))
     assert bound == ref_bound
+
+
+# -- refinement by a guessed cell against the bisection ----------------------
+
+def _bisected(roots, lo, hi, bits):
+    """``Roots.refine`` as plain bisection: ``bits`` steps of exact sign
+    bisection, on p when p is nonzero at both ends with V = 1 and on q
+    otherwise, an end root taking the sign of q′ inside; the float of the
+    last midpoint, or of a midpoint that is a root."""
+    if lo == hi:
+        return float(lo)
+    D, L, H = polys._over(F(lo), F(hi))
+    e = roots.coeffs
+    slo, shi = (polys.eval_homogeneous(e, n, D) for n in (L, H))
+    if not (slo and shi and polys._descartes(e, L, H, D) == 1):
+        e = roots.chain[0]
+        slo, shi = (polys.eval_homogeneous(e, n, D) for n in (L, H))
+        inward = 1 if H > L else -1
+        if not slo:
+            slo = inward * polys.eval_homogeneous(roots.chain[1], L, D)
+        if not shi:
+            shi = -inward * polys.eval_homogeneous(roots.chain[1], H, D)
+    k = 0
+    for _ in range(bits):
+        mid, k = L + H, k + 1
+        v = polys.eval_homogeneous(e, mid, D << k)
+        if not v:
+            return float(F(mid, D << k))
+        if (v > 0) == (slo > 0):
+            L, H, slo = mid, 2 * H, v
+        else:
+            L, H = 2 * L, mid
+    return float(F(L + H, D << (k + 1)))
+
+
+def _same_refinements(roots, ivs, bits) -> None:
+    # bit for bit, both ways round
+    for lo, hi in ivs:
+        for x, y in ((lo, hi), (hi, lo)):
+            assert roots.refine(x, y, bits).hex() == _bisected(roots, x, y, bits).hex()
+
+
+def _open_intervals(roots, a, b) -> list:
+    return [iv for iv in roots.isolate(min(a, b), max(a, b)) if iv[0] != iv[1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(polys_with_interval(), kernel_cases()))
+# t(t − 3/8)(t − 1) on [0, 1]: roots at both ends, and a midpoint root in
+# the one open interval, refined on q with the inward signs of q′
+@example((polys.mul(polys.mul(P(0, 1), P(F(-3, 8), 1)), P(-1, 1)), F(0), F(1)))
+def test_refine_is_the_bisection_bit_for_bit(case):
+    # at every depth TrigRoots.params asks for: B is the Cauchy bound
+    p, a, b = case
+    roots = polys.Roots(p)
+    e = roots.coeffs
+    B = 1 + -(-max(map(abs, e[:-1]), default=0) // abs(e[-1]))
+    for bits in (0, 1, 60, 60 + B.bit_length()):
+        _same_refinements(roots, _open_intervals(roots, a, b), bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_interval(), st.sampled_from((0, 1, 60)), st.data())
+def test_refine_checks_any_guessed_cell(case, bits, data):
+    # a wrong guess costs time, never bits: a cell whose ends' signs do not
+    # hold the root is not taken, and a second miss bisects
+    p, a, b = case
+    roots = polys.Roots(p)
+    for iv in _open_intervals(roots, a, b):
+        j = data.draw(st.integers(-2, (1 << bits) + 1))
+        with mock.patch.object(polys, "_newton_cell", lambda *args: j):
+            _same_refinements(roots, [iv], bits)
+
+
+def test_a_guess_one_cell_off_is_moved_without_bisection():
+    # √2 lies in the cell j = ⌊(√2 − 1)·2⁶⁰⌋ of depth 60 on [1, 2], and in
+    # 2⁶⁰ − 1 − j counted from 2; a guess one cell to either side is moved
+    # onto it by the signs at its ends
+    roots = polys.Roots(P(-2, 0, 1))
+    j = math.isqrt(2 << 120) - (1 << 60)
+    for lo, hi, cell in ((F(1), F(2), j), (F(2), F(1), (1 << 60) - 1 - j)):
+        expected = _bisected(roots, lo, hi, 60)
+        for guess in (cell - 1, cell, cell + 1):
+            with mock.patch.object(polys, "_newton_cell", lambda *args: guess), \
+                    mock.patch.object(polys, "_bisect", side_effect=AssertionError):
+                assert roots.refine(lo, hi) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10 ** 309, 10 ** 400),
+       st.fractions(F(1, 100), F(99, 100), max_denominator=1000))
+def test_refine_past_float_range_bisects(K, r):
+    # (t − r)(t² + K) has primitive coefficients past float range, so the
+    # float guess overflows and every refinement takes the bisection
+    roots = polys.Roots(polys.mul(P(-r, 1), P(K, 0, 1)))
+    assert max(map(abs, roots.coeffs)) > 2 ** 1024
+    calls = []
+    bisect = polys._bisect
+    with mock.patch.object(polys, "_bisect",
+                           lambda *args: calls.append(args) or bisect(*args)):
+        for bits in (0, 1, 60):
+            _same_refinements(roots, [(F(0), F(1))], bits)
+    assert len(calls) == 6
