@@ -7,7 +7,9 @@ holds the brute-force oracle's queries and wrote ``tests/golden/oracle.json``;
 ``tests/golden/make_roots.py`` holds ``intersect`` queries and wrote
 ``tests/golden/roots.json``; ``tests/golden/make_counts.py`` holds survey
 histograms, hyperplane counts, MVT verdicts and certificate statuses and
-wrote ``tests/golden/counts.json``.  Any difference here is a changed answer,
+wrote ``tests/golden/counts.json``; ``tests/golden/make_oncurve.py`` holds
+on-curve lattice points, on-curve energy rows and lattice-bijection reports
+and wrote ``tests/golden/oncurve.json``.  Any difference here is a changed answer,
 order, exit code, report byte or float bit."""
 
 import importlib.util
@@ -50,6 +52,10 @@ def test_intersect_roots_match_the_golden_file():
 
 def test_root_counts_match_the_golden_file():
     _same_keyed_answers("counts")
+
+
+def test_on_curve_answers_match_the_golden_file():
+    _same_keyed_answers("oncurve")
 
 
 def test_cli_runs_match_the_golden_file():
