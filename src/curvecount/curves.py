@@ -445,9 +445,10 @@ class CurveSpec:
     """A parameterized curve in R^n with derivative jets of every order.
 
     Immutable after construction; the derivative table, the symbolic
-    Wronskian and the plane matrix are cached lazily (pure functions of the
-    curve).  A lift records its (base curve, monomial set) in
-    ``lift_origin`` so it can be serialized and rebuilt exactly.
+    Wronskian, the plane matrix and the derivative-row curve are cached
+    lazily (pure functions of the curve).  A lift records its (base curve,
+    monomial set) in ``lift_origin`` so it can be serialized and rebuilt
+    exactly.
     """
 
     def __init__(self, kind: str, coords, domain=(0, 1), lift_origin=None):
@@ -469,6 +470,7 @@ class CurveSpec:
         self._deriv_table = [list(coords)]
         self._wronskian_sym = None
         self._plane_matrix = None
+        self._derivative_row = None
 
     @property
     def dimension(self) -> int:
@@ -495,6 +497,15 @@ class CurveSpec:
         if self._plane_matrix is None:
             self._plane_matrix = _plane_columns(self.coords, *self.domain)
         return self._plane_matrix
+
+    def derivative_row(self) -> CurveSpec:
+        """The polynomial curve (x₂′, …, xₙ′) on the same domain, built on
+        first use with its own cached plane matrix: what the MVT check
+        counts its derived planes on."""
+        if self._derivative_row is None:
+            self._derivative_row = CurveSpec(
+                "polynomial-parametric", self.derivatives(1)[1][1:], self.domain)
+        return self._derivative_row
 
     def contains_parameter(self, t) -> bool:
         lo, hi = self.domain

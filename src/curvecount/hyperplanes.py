@@ -32,6 +32,8 @@ Mean Value Theorem sends k intersection parameters of a hyperplane with the
 curve to at least k−1 parameters at which the curve's derivative row
 (x₂′(t), …, xₙ′(t)), one dimension lower, meets the derived hyperplane
 a₁·c + a₂x₂ + … + aₙxₙ = 0: the induction step behind the uniform bound.
+The derivative row is a curve of its own, built with its plane matrix once
+per curve (``CurveSpec.derivative_row``).
 """
 
 from __future__ import annotations
@@ -256,10 +258,9 @@ def mvt_consistency(curve: CurveSpec, plane: Hyperplane,
     k = _count(curve, plane.integer_form[1]) if roots is None else len(roots)
     if k < 2:
         return True
-    speed, *row = curve.derivatives(1)[1]   # speed = x₁′ = c ≠ 0
-    derived = CurveSpec("polynomial-parametric", row, curve.domain)
-    # H' times q·c_den > 0, for aᵢ = nᵢ/q and c = c_num/c_den
-    c = speed.coeffs[0]
+    derived = curve.derivative_row()
+    # H' times q·c_den > 0, for aᵢ = nᵢ/q and c = c_num/c_den, c = x₁′ ≠ 0
+    c = curve.derivatives(1)[1][0].coeffs[0]
     n1, *rest = plane.integer_form[1][1:]
     if not any(rest):
         raise HyperplaneError("normal coefficients a1..an must not all vanish")

@@ -9,8 +9,9 @@ lattice bijection: 1/N-integer points of the base curve correspond exactly to
 lifted points whose i-th coordinate lies in (1/N^{dᵢ})Z.  The bijection is
 checked on integers: a lattice point (i/N, j/N) lifts to the integer tuple
 (iᵃ·jᵇ) over the denominators N^deg, and a Fraction is built only to name
-a point off the lattice.  Point coordinates are exact rationals read by
-``pointsets.parse_frac``: a float or a bool raises ``InexactNumber``.
+a point off the lattice; a FiniteSet in integer form, such as an on-curve
+count, is lifted from its rows.  Point coordinates are exact rationals read
+by ``pointsets.parse_frac``: a float or a bool raises ``InexactNumber``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import polys
 from .curves import CurveSpec, InvalidCurveError, PolyCoord, TrigCoord
-from .pointsets import FiniteSet, exact_int, frac_str, parse_frac
+from .pointsets import FiniteSet, _decode_row, exact_int, frac_str, parse_frac
 
 
 class LiftError(ValueError):
@@ -194,6 +195,38 @@ class BijectionReport:
         }
 
 
+def _lattice_pairs(points, N: int) -> tuple:
+    """(pairs, off): the integer pairs (i, j) = N·p of the 1/N-integer
+    points p among ``points``, and the other points.
+
+    A FiniteSet in integer form (L, rows) is read from its rows: p = row/L
+    is a 1/N-integer point when N·row ≡ 0 mod L, and only a row off the
+    lattice is decoded.  A FiniteSet that holds only its exact points is
+    read from them unsorted, and any other iterable as it comes, each
+    coordinate by ``parse_frac``."""
+    pairs, off = [], []
+    if isinstance(points, FiniteSet) and points._integer is not None:
+        L, rows = points._integer
+        if len(rows) and points.dimension != 2:
+            raise LiftError("on-curve points must be planar")
+        for x, y in rows.tolist():
+            if x * N % L or y * N % L:
+                off.append(_decode_row(L, [x, y]))
+            else:
+                pairs.append((x * N // L, y * N // L))
+        return pairs, off
+    for p in (points.points if isinstance(points, FiniteSet) else points):
+        if len(p) != 2:
+            raise LiftError("on-curve points must be planar")
+        x, y = (parse_frac(c) for c in p)
+        if N % x.denominator or N % y.denominator:
+            off.append(p)
+        else:
+            pairs.append((x.numerator * (N // x.denominator),
+                          y.numerator * (N // y.denominator)))
+    return pairs, off
+
+
 def check_lattice_bijection(curve: CurveSpec, M: MonomialSet, N: int,
                             on_curve_points) -> BijectionReport:
     """Verify the lattice bijection for a set of 1/N-integer points on Γ.
@@ -203,27 +236,20 @@ def check_lattice_bijection(curve: CurveSpec, M: MonomialSet, N: int,
     A violation would indicate an arithmetic bug, never expected mathematics.
 
     A 1/N-integer point p lifts to the int tuple (iᵃ·jᵇ), (i, j) = N·p,
-    over the denominators N^deg: always in the lattice.  Points off the
-    lattice are lifted in Fractions, to name each coordinate at fault; as M
-    holds x and y, their lifts differ from the lattice points'.
+    over the denominators N^deg: always in the lattice.  The pairs come from
+    ``_lattice_pairs``, from a FiniteSet's integer rows when it holds them,
+    so a count's set is lifted without decoding a point.  Points off the
+    lattice are lifted in Fractions, in sorted order, to name each
+    coordinate at fault; as M holds x and y, their lifts differ from the
+    lattice points'.
     """
     M.require_xy()
     N = exact_int(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
-    count, lifted, off = 0, set(), []
-    # a FiniteSet's points unsorted: only those off the lattice are sorted
-    for p in (on_curve_points.points if isinstance(on_curve_points, FiniteSet)
-              else on_curve_points):
-        if len(p) != 2:
-            raise LiftError("on-curve points must be planar")
-        x, y = (parse_frac(c) for c in p)
-        count += 1
-        if N % x.denominator or N % y.denominator:
-            off.append(p)
-        else:
-            i, j = x.numerator * (N // x.denominator), y.numerator * (N // y.denominator)
-            lifted.add(tuple(i ** m.a * j ** m.b for m in M))
+    pairs, off = _lattice_pairs(on_curve_points, N)
+    exps = [(m.a, m.b) for m in M]
+    lifted = {tuple([i ** a * j ** b for a, b in exps]) for i, j in pairs}
     violations, off_lifted = [], set()
     for p in sorted(off):
         for c in p:
@@ -236,6 +262,7 @@ def check_lattice_bijection(curve: CurveSpec, M: MonomialSet, N: int,
                     f"lift of {p}: coordinate {coord} not in (1/N^{m.degree})Z")
         off_lifted.add(q)
     distinct = len(lifted) + len(off_lifted)
+    count = len(pairs) + len(off)
     return BijectionReport(
         n=M.n,
         degrees=M.degrees,

@@ -14,9 +14,9 @@ A FiniteSet is stored in integer form: the least common denominator L of its
 coordinates and an (n, d) array of the points times L, in lexicographic
 order.  A set given by exact points also keeps them as a frozenset; each form
 is built once from the other, on demand.  Sums, GAPs, separations, subset
-tests and the tube counter's floats run on the integer form, and Fractions
-are built only at the boundary: ``points``, iteration, and the points a
-caller keeps.
+tests, the tube counter's floats and the lifts of the lattice bijection run
+on the integer form, and Fractions are built only at the boundary:
+``points``, iteration, and the points a caller keeps.
 
 For sums, each integer point becomes one mixed-radix key in the box of the
 final sum (per-coordinate offsets, place values from the widths of that box,
@@ -114,10 +114,14 @@ class FiniteSet:
 
     It holds the points as a frozenset, the integer form (L, rows) of
     ``_integer_form``, or both; whichever form is missing is built once, on
-    demand.  A common denominator of arbitrary rationals can have as many
-    digits as all of theirs together, so a set given by exact points is
-    ordered by them until it holds its integer form, and two such sets are
-    compared by them.  Iteration is in sorted order."""
+    demand.  ``FiniteSet(points)`` holds the exact points only;
+    ``_from_rows``, which sums, GAPs, lattice boxes and on-curve counts
+    return, holds the integer form only, and its length, sums, energies and
+    lifts read the rows without decoding a point.  A common denominator of
+    arbitrary rationals can have as many digits as all of theirs together,
+    so a set given by exact points is ordered by them until it holds its
+    integer form, and two such sets are compared by them.  Iteration is in
+    sorted order."""
 
     __slots__ = ("dimension", "_points", "_integer", "_sorted")
 
@@ -139,9 +143,11 @@ class FiniteSet:
     @classmethod
     def _from_rows(cls, L: int, rows: np.ndarray) -> FiniteSet:
         """The set of the points rows / L, for distinct rows in lexicographic
-        order.  L is reduced to the least common denominator, so that equal
-        sets have equal integer forms."""
-        if L > 1 and rows.size:
+        order.  L is reduced to the least common denominator, 1 for no rows,
+        so that equal sets have equal integer forms."""
+        if not rows.size:
+            L = 1
+        elif L > 1:
             # the first two rows often show that there is nothing to reduce
             g = math.gcd(L, *rows[:2].ravel().tolist())
             if g > 1:

@@ -204,13 +204,19 @@ def _mobius(e: list[int], na: int, nb: int, D: int) -> list[int]:
     b.  R is linear in e, and its constant and leading coefficients are the
     homogeneous values D^m·e(a) and D^m·e(b).  R is built by homogeneous
     Horner, as ``eval_homogeneous`` with the linear polynomials na + nb·x
-    and D + D·x in place of n and d.
+    and D + D·x in place of n and d: step k takes acc to
+    acc·(na + nb·x) + c·D^k·(1 + x)^k, whose coefficients are
+    c·D^k·C(k, j), in one new list.  acc carries a trailing 0, so that
+    acc[j − 1] reads 0 at j = 0 and acc[j] reads 0 at j = k.
     """
-    acc, power = [], [1]
-    for c in reversed(e):
-        acc = [na * y + nb * z + c * w
-               for y, z, w in zip(acc + [0], [0] + acc, power)]
-        power = [D * (y + z) for y, z in zip(power + [0], [0] + power)]
+    acc, Dk = [0], 1
+    for k, c in enumerate(reversed(e)):
+        t = c * Dk
+        acc = [na * acc[j] + nb * acc[j - 1] + t * math.comb(k, j)
+               for j in range(k + 1)]
+        acc.append(0)
+        Dk *= D
+    acc.pop()
     return acc
 
 

@@ -239,9 +239,12 @@ def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
     """Exact enumeration of Γ ∩ (1/N Z)² for a polynomial graph y = f(x).
 
     With f(k/N) = A_k / (D·N^d) (``_graph_numerators``), x = k/N is on the
-    curve exactly when N·A_k ≡ 0 mod D·N^d.  The test is one residue of
-    integer arrays; a Fraction is built only for a point on the curve, and
-    no floating point is involved.
+    curve exactly when N·A_k ≡ 0 mod D·N^d, and then y = j/N with
+    j = N·A_k / (D·N^d).  The test is one residue of integer arrays, and
+    the set comes back in integer form: the rows (k, j) over N, in the
+    dtype of the A_k, which bounds N·A_k.  No Fraction and no floating
+    point is involved; the set decodes its points only when it is iterated
+    or asked for ``points``.
     """
     if graph.dimension != 2 or not graph.is_exact or not graph.is_graph_form:
         raise InvalidQuery("count_on_curve_lattice needs a planar polynomial graph")
@@ -252,10 +255,11 @@ def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
     k_lo = math.ceil(lo * N)
     modulus, values = _graph_numerators(graph.coords[1], N, k_lo,
                                         math.floor(hi * N))
-    on = np.flatnonzero(N * values % modulus == 0)
-    return FiniteSet([(Fraction(k, N), Fraction(acc, modulus))
-                      for k, acc in zip((on + k_lo).tolist(),
-                                        values[on].tolist())], dimension=2)
+    scaled = N * values
+    on = np.flatnonzero(scaled % modulus == 0)
+    rows = np.column_stack([on.astype(values.dtype) + k_lo,
+                            scaled[on] // modulus])
+    return FiniteSet._from_rows(N, rows)
 
 
 def _grid_cell_side(delta: float, pts: np.ndarray) -> float:

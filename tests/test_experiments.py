@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvecount import (ExperimentConfig, MonomialSet, parabola,
-                        run_energy_experiment, run_exponent_experiment,
-                        run_inequality_campaign, squares_schedule)
+from curvecount import experiments
+from curvecount import (ExperimentConfig, MonomialSet, count_on_curve_lattice,
+                        parabola, run_energy_experiment,
+                        run_exponent_experiment, run_inequality_campaign,
+                        squares_schedule)
 from curvecount.experiments import CAMPAIGN_KINDS, fit_loglog
 
 
@@ -128,6 +130,25 @@ def test_energy_experiment_cap_marks_skipped():
     rep = run_energy_experiment(cfg, cap=1)
     assert all(r["skipped"] for r in rep.rows)
     assert all("cap" in r["reason"] for r in rep.rows)
+
+
+def test_on_curve_runs_decode_no_point(monkeypatch):
+    # exponent rows take len, energy rows the integer form and the bijection
+    # campaign the rows: every count's set stays undecoded
+    made = []
+
+    def count(curve, N):
+        made.append(count_on_curve_lattice(curve, N))
+        return made[-1]
+
+    monkeypatch.setattr(experiments, "count_on_curve_lattice", count)
+    cfg = ExperimentConfig(curve=parabola(), schedule=(4, 9, 12, 16))
+    assert [r["count"] for r in run_exponent_experiment(cfg).rows] == [3, 4, 3, 5]
+    run_energy_experiment(ExperimentConfig(curve=parabola(), schedule=(4, 16),
+                                           energy_m=2))
+    assert run_inequality_campaign("bijection", 3, 12).ok
+    assert len(made) == 4 + 2 + 12
+    assert all(s._points is None for s in made)
 
 
 def test_campaigns_pass():

@@ -74,11 +74,15 @@ def test_parabola_max_two_roots():
 
 def test_derivative_curve_moment():
     # the derivative curve is the row that mvt_consistency pairs with H′
-    speed, *row = moment_curve(3).derivatives(1)[1]
+    curve = moment_curve(3)
+    speed, *row = curve.derivatives(1)[1]
     assert tuple(speed.coeffs) == (1,)
     assert [tuple(c.coeffs) for c in row] == [(0, 2), (0, 0, 3)]
+    # built once per curve, with its plane matrix
+    dc = curve.derivative_row()
+    assert dc is curve.derivative_row() and dc.coords == tuple(row)
+    assert dc.domain == curve.domain
     # non-degeneracy inherited: W of (2t, 3t^2) is det [[2, 6t], [0, 6]] = 12
-    dc = CurveSpec("polynomial-parametric", row, (0, 1))
     for t in (F(0), F(1, 2), F(1)):
         assert wronskian(dc, t) == 12
     # g = (t − 1/4)(t − 1/2)(t − 3/4); g′ = 3t² − 3t + 11/16 has two roots

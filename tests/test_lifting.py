@@ -17,7 +17,7 @@ from curvecount import (InvalidCurveError, Monomial, MonomialSet, circle_arc,
                         polynomial_curve, wronskian, wronskian_symbolic)
 from curvecount.curves import TrigCoord
 from curvecount.lifting import BijectionReport, LiftError, X, Y
-from curvecount.pointsets import FiniteSet, InexactNumber
+from curvecount.pointsets import FiniteSet, InexactNumber, _integer_form
 
 M_XY = MonomialSet([(1, 0), (0, 1)])
 M_XY_XY = MonomialSet([(1, 0), (0, 1), (1, 1)])
@@ -312,17 +312,31 @@ def _bijection_by_fractions(M, N, points) -> BijectionReport:
        st.sampled_from([M_XY, M_XY_XY, make_Ms(2), make_Ms(3)]),
        st.lists(st.tuples(st.fractions(-2, 2, max_denominator=40),
                           st.fractions(-2, 2, max_denominator=40)), max_size=6),
-       st.booleans())
-def test_integer_lifts_give_the_fraction_report(f, N, M, extra, as_set):
+       st.sampled_from(["list", "set", "rows"]))
+def test_integer_lifts_give_the_fraction_report(f, N, M, extra, form):
     # the on-curve points of a graph at any N, square or not, with points
-    # off the lattice and repeated points mixed in: the report, violations
-    # and their order included, is the one the Fraction lifts give
+    # off the lattice and repeated points mixed in, as a list, a set of
+    # exact points, or a set that holds its integer rows: the report,
+    # violations and their order included, is the one the Fraction lifts give
     curve = graph_curve([f])
     points = list(count_on_curve_lattice(curve, N)) + extra + extra[:1]
-    if as_set:
+    if form != "list":
         points = FiniteSet(points, 2)
+    if form == "rows":
+        _integer_form(points)
     assert check_lattice_bijection(curve, M, N, points) \
         == _bijection_by_fractions(M, N, points)
+
+
+def test_off_lattice_rows_are_named_from_the_rows():
+    # the points of (1/12)Z² checked against the coarser (1/6)Z²: the row
+    # (1/2, 1/4) is off it and is decoded to be named; the count's set
+    # still holds only its rows
+    pts = count_on_curve_lattice(parabola(), 12)
+    coarse = check_lattice_bijection(parabola(), make_Ms(2), 6, pts)
+    assert pts._points is None
+    assert coarse == _bijection_by_fractions(make_Ms(2), 6, list(pts))
+    assert not coarse.bijection and coarse.cardinality_base == 3
 
 
 def test_lifts_refuse_floats_and_bools():

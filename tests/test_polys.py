@@ -73,6 +73,28 @@ def test_eval_homogeneous_is_the_scaled_value():
         assert polys.eval_homogeneous(e, n, d) == expected
 
 
+def _mobius_by_zipped_lists(e, na, nb, D):
+    """Reference for ``polys._mobius``: homogeneous Horner with the power
+    (D(1 + x))^k kept as its own list, each product formed by zipping
+    shifted copies."""
+    acc, power = [], [1]
+    for c in reversed(e):
+        acc = [na * y + nb * z + c * w
+               for y, z, w in zip(acc + [0], [0] + acc, power)]
+        power = [D * (y + z) for y, z in zip(power + [0], [0] + power)]
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=10),
+       na=st.integers(-10 ** 6, 10 ** 6), nb=st.integers(-10 ** 6, 10 ** 6),
+       D=st.integers(1, 10 ** 6))
+@example(e=[], na=0, nb=1, D=1)
+@example(e=[5], na=-3, nb=7, D=2)
+def test_mobius_keeps_its_coefficients(e, na, nb, D):
+    assert polys._mobius(e, na, nb, D) == _mobius_by_zipped_lists(e, na, nb, D)
+
+
 def test_random_roots_against_numpy():
     rng = random.Random(20240817)
     for _ in range(60):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvecount import polys, tube
+from curvecount import pointsets, polys, tube
 from curvecount import (CapExceeded, ExperimentConfig, ExplicitSource,
                         FiniteSet, Gap, GapSource, InvalidQuery, LatticeSource,
                         Monomial, MonomialSet, TubeQuery, additive_energy,
@@ -102,6 +102,61 @@ def test_on_curve_lattice_matches_fraction_loop(f, N, domain):
     coeffs = graph.coords[1].coeffs
     assert sorted(count_on_curve_lattice(graph, N)) == \
         on_curve_by_fractions(coeffs, N, *domain)
+
+
+def _on_curve_by_fraction_pairs(graph, N):
+    """Reference for count_on_curve_lattice: the FiniteSet of the Fraction
+    pairs (k/N, A_k/(D·N^d)) of the columns with N·A_k ≡ 0 mod D·N^d, one
+    pair built per point on the curve."""
+    lo, hi = graph.domain
+    k_lo = math.ceil(lo * N)
+    modulus, values = tube._graph_numerators(graph.coords[1], N, k_lo,
+                                             math.floor(hi * N))
+    on = np.flatnonzero(N * values % modulus == 0)
+    return FiniteSet([(F(k, N), F(acc, modulus))
+                      for k, acc in zip((on + k_lo).tolist(),
+                                        values[on].tolist())], dimension=2)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+# primes, prime powers and their products: N's factors decide which columns
+# reduce, so the rows' common factor varies
+_moduli = st.builds(lambda p, a, q, b: p ** a * q ** b,
+                    st.sampled_from(_PRIMES), st.integers(0, 6),
+                    st.sampled_from(_PRIMES), st.integers(0, 2)) \
+    .filter(lambda n: n <= 5000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.lists(rationals, max_size=5), N=_moduli,
+       domain=st.tuples(st.fractions(0, F(1, 2), max_denominator=9),
+                        st.fractions(F(1, 2), 1, max_denominator=9))
+       .filter(lambda d: d[0] < d[1]))
+@example(f=[F(1, 4), F(-1, 6), F(2, 3)], N=2 ** 7 * 5,
+         domain=(F(1, 5), F(9, 10)))
+# no point: the empty set's denominator is 1, as for any empty set
+@example(f=[F(1, 3)], N=2, domain=(0, F(1, 2)))
+def test_on_curve_rows_are_the_fraction_pairs(f, N, domain):
+    graph = graph_curve([f], domain=domain)
+    got = count_on_curve_lattice(graph, N)
+    want = _on_curve_by_fraction_pairs(graph, N)
+    assert got._points is None
+    (L, rows), (L_want, rows_want) = got._integer, pointsets._integer_form(want)
+    assert L == L_want and rows.tolist() == rows_want.tolist()
+    assert list(got) == sorted(want.points) and got.points == want.points
+
+
+def test_on_curve_set_is_used_without_decoding():
+    # length, lifts and energy read the count's integer rows
+    pts = count_on_curve_lattice(parabola(), 36)
+    assert len(pts) == 7
+    rep = check_lattice_bijection(parabola(), make_Ms(2), 36, pts)
+    assert rep.bijection and rep.cardinality_base == 7
+    energy = additive_energy(pts, 2)
+    assert pts._points is None
+    decoded = FiniteSet(list(count_on_curve_lattice(parabola(), 36)))
+    assert energy == additive_energy(decoded, 2)
+    assert rep == check_lattice_bijection(parabola(), make_Ms(2), 36, decoded)
 
 
 # degree 6 at N from 5000 up: N·A_k passes 2⁶³, so the column numerators are
