@@ -25,10 +25,14 @@ decisions run on integers.
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
 (float branch) and ``eval_array`` are built on it, and ``error_estimate``
-bounds its error.  ``TrigCoord.half_angle`` is the integer form in s = tan πt,
-and ``TrigRoots`` answers every root question of a trig function on a domain
-from it, the domain's ends bracketed exactly: the hyperplane counts and roots
-and the tube's exact distance test.
+bounds its error.
+
+A curve's plane matrix (``CurveSpec.plane_matrix``) takes a hyperplane's
+integers to a positive multiple of g = Σ aᵢγᵢ − a₀: g and its Möbius
+transform on the domain for polynomial coordinates, g's half-angle form in
+s = tan πt for trig ones.  ``TrigRoots`` answers every root question of a
+trig function on a domain from such a row, the domain's ends bracketed
+exactly: the hyperplane counts and roots and the tube's exact distance test.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
 derivative vector -- is computed once as an exact coordinate function, by
@@ -230,20 +234,6 @@ class TrigCoord:
         rel = grow + (len(self.terms) + 9 + products + self.tau_power) * _U * (1 + grow)
         return self.sup_abs(lo, hi) * rel * (1 + 1e-9)
 
-    def half_angle(self) -> tuple:
-        """(P, B) for a nonzero f, its 2π power aside: P, with integer
-        coefficients, is a positive multiple of (1 + s²)^D·f(u, v), D the
-        largest a + b, rational in s = tan πt; its real roots are the roots
-        t ≠ ½ of f, and each has |s| < B (Cauchy's bound)."""
-        d = max(a + b for a, b in self.terms)
-        p = [0] * (2 * d + 1)
-        for (a, b), c in self.integer_form[1].items():
-            for i, x in enumerate(_half_angle_basis(a, b, d)):
-                p[i] += c * x
-        while not p[-1]:
-            p.pop()
-        return tuple(p), 1 + -(-max(map(abs, p[:-1]), default=0) // abs(p[-1]))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -290,6 +280,25 @@ _IDENTITY: Poly = (Fraction(0), Fraction(1))   # the coordinate t
 _HALF_U = polys.poly([1, 0, -1])
 _HALF_V = polys.poly([0, 2])
 _HALF_W = polys.poly([1, 0, 1])
+
+
+def _own_degree(row) -> list:
+    """The row without trailing zeros, divided by 1 + s² while that is
+    exact: for a half-angle form (1 + s²)^D·f, the form at f's own degree d,
+    so that its Cauchy bound and every float refined on it do not depend on
+    D.  The form at degree d is not 0 at s = i, where it is Σ c·2^a·(2i)^b
+    over f's terms u^a·v^b of degree d, reduced to v^d and u·v^(d−1)."""
+    P = list(row)
+    while not P[-1]:
+        P.pop()
+    while len(P) > 2:
+        q = P[2:]   # the quotient from the top: q_m = P_(m+2) − q_(m+2)
+        for m in range(len(q) - 3, -1, -1):
+            q[m] -= q[m + 2]
+        if P[:2] != (q + [0])[:2]:   # a remainder
+            return P
+        P = q
+    return P
 
 
 @cache
@@ -357,9 +366,12 @@ _HALF = Fraction(1, 2)
 
 class TrigRoots:
     """The roots t in [lo, hi] of a nonzero f in (u, v) = (cos 2πt, sin 2πt),
-    its 2π power aside, on one root kernel: ``polys.Roots`` of f's
-    half-angle form P (``TrigCoord.half_angle``), whose roots are the
-    s = tan πt of the roots t ≠ ½.
+    its 2π power aside, on one root kernel.  ``row`` is a nonzero row of a
+    trig curve's plane matrix: the integers of a positive multiple of
+    (1 + s²)^D·f in s = tan πt, D ≥ deg f, whose last entry, the coefficient
+    of s^(2D), is a positive multiple of f(−1, 0).  The kernel is
+    ``polys.Roots`` of P, the row trimmed and at f's own degree
+    (``_own_degree``), whose roots are the s = tan πt of the roots t ≠ ½.
 
     The domain's ends x ≠ ½ are bracketed exactly (``_tan_bracket``); an end
     with P(tan πx) = 0 is a root as it is, and the other roots lie in open
@@ -367,24 +379,25 @@ class TrigRoots:
     (tan πlo, ∞) and (−∞, tan πhi) around ½, less a side an end at ½ leaves
     out, each finite end moved past its bracket and each range clipped to
     (−B, B), B the Cauchy bound of P, which holds every root.
-    t = ½ (s = ∞) is a root exactly when f(−1, 0) = 0.  ``sure`` is False
-    when an end cannot be bracketed; its range then takes it in.  Counts,
-    isolation, refinement and the brackets share the one kernel.
+    t = ½ (s = ∞) is a root exactly when the row's last entry is 0.  ``sure``
+    is False when an end cannot be bracketed; its range then takes it in.
+    Counts, isolation, refinement and the brackets share the one kernel.
     """
 
-    def __init__(self, f: TrigCoord, lo: Fraction, hi: Fraction):
-        P, self._bound = f.half_angle()
+    def __init__(self, row, lo: Fraction, hi: Fraction):
+        P = _own_degree(row)
+        self._bound = B = 1 + -(-max(map(abs, P[:-1]), default=0) // abs(P[-1]))
         self._roots = roots = polys.Roots(P)
-        B = self._bound
         br = {x: _tan_bracket(roots, x) for x in {lo, hi} - {_HALF}}
         first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
         last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
         self._ends = sorted(x for x, (_, _, k) in br.items() if k)
         self.sure = all(k is not None for _, _, k in br.values())
-        # f(−1, 0), f at t = ½, or None when the domain does not hold ½
+        # f(−1, 0), f at t = ½, times the row's scale, or None when the
+        # domain does not hold ½
         self._half = None
         if lo <= _HALF <= hi:
-            self._half = sum((-c if a else c) for (a, b), c in f.terms.items() if not b)
+            self._half = row[-1]
             ranges = [r for r, x in (((first, B), lo), ((-B, last), hi)) if x in br]
         else:
             ranges = [(first, last)]
@@ -492,8 +505,8 @@ class CurveSpec:
         return self._deriv_table[: order + 1]
 
     def plane_matrix(self) -> tuple:
-        """``_plane_columns`` of a polynomial curve on its domain, built on
-        first use: what hyperplane counts and roots read."""
+        """``_plane_columns`` of the curve on its domain, built on first
+        use: what hyperplane counts and roots read."""
         if self._plane_matrix is None:
             self._plane_matrix = _plane_columns(self.coords, *self.domain)
         return self._plane_matrix
@@ -520,21 +533,33 @@ class CurveSpec:
 
 def _plane_columns(coords, lo: Fraction, hi: Fraction) -> tuple:
     """The columns of the integer matrix that takes a hyperplane's integers
-    (n₀, …, nₙ) to the coefficients of g, then of R, for polynomial
-    coordinates on [lo, hi].
+    (n₀, …, nₙ) to a positive multiple of g = Σ aᵢγᵢ − a₀, aᵢ = nᵢ/q for
+    some q > 0, ≡ 0 exactly when the curve lies in the plane.
 
-    With γᵢ = eᵢ/dᵢ the ``integer_form`` of each coordinate and D the lcm
-    of all the dᵢ, g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D up to the largest degree of a
-    coordinate: a positive multiple of Σ aᵢγᵢ − a₀ for aᵢ = nᵢ/q, q > 0,
-    ≡ 0 exactly when the curve lies in the plane.  R is g's Möbius
-    transform on (lo, hi) at that formal degree (``polys._mobius``); it is
-    linear in g, so its rows are the transforms of g's rows.  R's constant
-    and leading coefficients are the homogeneous values of g at lo and hi.
+    With γᵢ = eᵢ/dᵢ the ``integer_form`` of each coordinate and L the lcm
+    of all the dᵢ, g is Σ nᵢ·(L/dᵢ)·eᵢ − n₀·L.  For polynomial coordinates
+    a row is g's coefficients up to the largest degree of a coordinate,
+    then those of R, g's Möbius transform on (lo, hi) at that formal degree
+    (``polys._mobius``); it is linear in g, so its rows are the transforms
+    of g's rows.  R's constant and leading coefficients are the homogeneous
+    values of g at lo and hi.  For trig coordinates a row is g's half-angle
+    form (1 + s²)^D·g, D the largest degree of a term, in s = tan πt at
+    formal degree 2D, which ``TrigRoots`` reads.
     """
     forms = [c.integer_form for c in coords]
-    D = math.lcm(*[d for d, _ in forms])
+    L = math.lcm(*[d for d, _ in forms])
+    if not coords[0].exact:
+        D = max([0] + [a + b for _, e in forms for a, b in e])
+        rows = []
+        for scale, e in [(-L, {(0, 0): 1})] + [(L // d, e) for d, e in forms]:
+            row = [0] * (2 * D + 1)
+            for (a, b), c in e.items():
+                for i, x in enumerate(_half_angle_basis(a, b, D)):
+                    row[i] += scale * c * x
+            rows.append(row)
+        return tuple(zip(*rows))
     w = max([1] + [len(e) for _, e in forms])
-    rows = [[-D] + [0] * (w - 1)] + [[(D // d) * c for c in e] + [0] * (w - len(e))
+    rows = [[-L] + [0] * (w - 1)] + [[(L // d) * c for c in e] + [0] * (w - len(e))
                                      for d, e in forms]
     E, na, nb = polys._over(lo, hi)
     return tuple(zip(*(row + polys._mobius(row, na, nb, E) for row in rows)))

@@ -2,30 +2,27 @@
 empirical uniform intersection bound.
 
 A hyperplane a₁x₁+…+aₙxₙ = a₀ meets the curve where
-g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  g is built on integer numerators, as a
-positive multiple with the same roots: for a trigonometric curve by
-``_combination``, and for a polynomial curve from the curve's plane matrix
-(``CurveSpec.plane_matrix``), built once per curve, which takes a plane's
-integers to g and to its Möbius transform R on the domain.  Trigonometric
-curves isolate g's roots on the integer form of g in
-(u, v) = (cos 2πt, sin 2πt), rewritten in s = tan πt by the half-angle
-substitution and cleared of denominators, by ``polys.Roots``.  That kernel
-decides an interval by Descartes' rule of signs when its transform has 0
-or 1 sign variations, which is most random planes, and otherwise by the
-Sturm chain of the polynomial's square-free part, built on first use, so
-tangential intersections count once.
+g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  The curve's plane matrix
+(``CurveSpec.plane_matrix``), built once per curve, takes a plane's
+integers to one row, a positive multiple of g in integers: g and its
+Möbius transform R on the domain on a polynomial curve, and g's half-angle
+form in s = tan πt on a trigonometric one.  A survey's block of planes is
+one integer matrix product for either kind (int64 when every product
+fits, Python ints otherwise), and one plane, in ``intersect`` and in
+``_count``, which the MVT check calls, one row in Python ints
+(``_plane_row``).
 
 On a polynomial curve R's sign variations V decide most planes with no
 kernel at all: V ≤ 1 is the number of roots inside the domain, and R's
-first and last coefficients are g's values at its ends.  A survey's block
-of planes is one integer matrix product (``_poly_counts``; int64 when
-every product fits, Python ints otherwise), with the V of every row
-counted at once.  One plane, in ``intersect`` and in ``_count``, which the
-MVT check calls, is one row in Python ints (``_plane_row``): ``_count``
-reads its count from R's signs, and ``intersect`` its isolating intervals,
-the ends that are roots and the domain itself when V = 1, which it
-refines on ``polys.Roots`` of g.  Only a plane with V ≥ 2 asks that kernel
-to count or isolate, which builds its Sturm chain.
+first and last coefficients are g's values at its ends.  A survey counts
+the V of every row of its block at once (``_poly_counts``); ``_count``
+reads its count from R's signs, and ``intersect`` its isolating
+intervals, the ends that are roots and the domain itself when V = 1,
+which it refines on ``polys.Roots`` of g.  Only V ≥ 2 asks that kernel to
+count or isolate, which builds its Sturm chain, so tangential
+intersections count once.  On a trigonometric curve every nonzero row goes
+to ``curves.TrigRoots``, which answers on ``polys.Roots`` of the
+half-angle form.
 
 On a polynomial curve whose first coordinate is affine, x₁ = b + c·t, the
 Mean Value Theorem sends k intersection parameters of a hyperplane with the
@@ -38,7 +35,6 @@ per curve (``CurveSpec.derivative_row``).
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -47,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import pointsets, polys
-from .curves import CurveSpec, InvalidCurveError, TrigCoord, TrigRoots
+from .curves import CurveSpec, InvalidCurveError, TrigRoots
 from .pointsets import exact_int, exact_point
 
 
@@ -99,49 +95,26 @@ class RootList:
         return iter(self.roots)
 
 
-def _combination(curve: CurveSpec, plane: tuple) -> dict:
-    """A positive multiple of g = Σ aᵢγᵢ − a₀ with integer coefficients on a
-    trigonometric curve, keyed by the reduced (a, b) of u^a·v^b and without
-    zero terms.  ``plane`` is the integers (n₀, n₁, …, nₙ), aᵢ = nᵢ/q for
-    some q > 0, as ``Hyperplane.integer_form`` holds them.
-
-    With γᵢ = eᵢ/dᵢ (the ``integer_form`` of each coordinate) and D the lcm
-    of the dᵢ with nᵢ ≠ 0, it is q·D·g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D.  A
-    positive multiple has the same roots and signs, the same primitive
-    Sturm chain, Cauchy bound and zero test at t = ½.
-    """
-    if any(c.tau_power for c in curve.coords):
-        raise HyperplaneError("a coordinate carries a power of 2π; g is not rational")
-    n0, *ns = plane
-    forms = [(n, coord.integer_form) for n, coord in zip(ns, curve.coords) if n]
-    D = math.lcm(*(d for _, (d, _) in forms))
-    g = {(0, 0): -n0 * D}
-    for n, (d, e) in forms:
-        s = n * (D // d)
-        for key, c in e.items():
-            g[key] = g.get(key, 0) + s * c
-    g = {key: c for key, c in g.items() if c}
-    if not g:
-        raise DegenerateIntersection("curve is contained in the hyperplane")
-    return g
+def _block(matrix: tuple, planes: list, bound: int) -> np.ndarray:
+    """The rows of a block of planes (n₀, …, nₙ) within ±bound, by one matrix
+    product, int64 when every product fits and Python ints otherwise."""
+    # every product lies within ±bound times the largest column sum of |M|
+    reach = max(sum(map(abs, col)) for col in matrix)
+    dtype = pointsets._dtype(bound * reach)
+    return np.array(planes, dtype=dtype) @ np.array(matrix, dtype=dtype).T
 
 
 def _poly_counts(matrix: tuple, lo: Fraction, hi: Fraction, planes: list,
                  bound: int) -> list[int]:
     """The number of distinct roots in [lo, hi] of g, for each plane
-    (n₀, …, nₙ) within ±bound whose g is not ≡ 0, in order, by one integer
-    matrix product: ``matrix`` is the columns of ``CurveSpec.plane_matrix``
-    on [lo, hi], which take a plane's integers to g and its Möbius
+    (n₀, …, nₙ) within ±bound whose g is not ≡ 0, in order, from the rows
+    of a polynomial curve's plane matrix on [lo, hi], g and its Möbius
     transform R.  A plane whose R has V ≤ 1 sign variations has
     z_lo + z_hi + V roots, z the ends where g vanishes (Descartes' rule of
-    signs); only a plane with V ≥ 2 builds the Sturm chain of its g, by
-    ``polys.Roots``.
+    signs); only V ≥ 2 builds the Sturm chain of g, by ``polys.Roots``.
     """
     w = len(matrix) // 2
-    # every product lies within ±bound times the largest column sum of |M|
-    reach = max(sum(map(abs, col)) for col in matrix)
-    dtype = pointsets._dtype(bound * reach)
-    y = np.array(planes, dtype=dtype) @ np.array(matrix, dtype=dtype).T
+    y = _block(matrix, planes, bound)
     y = y[(y[:, :w] != 0).any(axis=1)]
     signs = np.sign(y[:, w:])
     # V: the zeros moved past the signs, in order, and neighbours compared
@@ -154,53 +127,54 @@ def _poly_counts(matrix: tuple, lo: Fraction, hi: Fraction, planes: list,
     return ks
 
 
-def _plane_row(curve: CurveSpec, plane: tuple) -> tuple[list[int], list[int], int]:
-    """g, without trailing zeros, R and R's sign variations V for one
-    plane's integers on a polynomial curve: one row of the curve's plane
-    matrix product, in Python ints.  g ≡ 0 raises DegenerateIntersection."""
-    y = [sum(map(operator.mul, plane, col)) for col in curve.plane_matrix()]
-    w = len(y) // 2
-    return _trimmed(y[:w]), y[w:], polys._sign_changes(y[w:])
+def _matrix(curve: CurveSpec) -> tuple:
+    """The curve's plane matrix; a trig coordinate with a power of 2π
+    raises HyperplaneError, as g is then not rational in (u, v)."""
+    if not curve.is_exact and any(c.tau_power for c in curve.coords):
+        raise HyperplaneError("a coordinate carries a power of 2π; g is not rational")
+    return curve.plane_matrix()
+
+
+def _plane_row(curve: CurveSpec, plane: tuple) -> list[int]:
+    """One row of the curve's plane matrix product for one plane's integers,
+    in Python ints: g's half-angle form on a trigonometric curve, g and then
+    R on a polynomial one.  g ≡ 0 raises DegenerateIntersection."""
+    if len(plane) != curve.dimension + 1:
+        raise HyperplaneError("hyperplane dimension does not match the curve")
+    y = [sum(map(operator.mul, plane, col)) for col in _matrix(curve)]
+    if not any(y):
+        raise DegenerateIntersection("curve is contained in the hyperplane")
+    return y
 
 
 def _trimmed(g: list[int]) -> list[int]:
-    """g's coefficients without trailing zeros; g ≡ 0 raises
-    DegenerateIntersection."""
-    while g and not g[-1]:
+    """g's coefficients, not all 0, without trailing zeros."""
+    while not g[-1]:
         g.pop()
-    if not g:
-        raise DegenerateIntersection("curve is contained in the hyperplane")
     return g
 
 
-def _check_dimension(curve: CurveSpec, plane: tuple) -> None:
-    if len(plane) != curve.dimension + 1:
-        raise HyperplaneError("hyperplane dimension does not match the curve")
-
-
 def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
-    """Parameters t in the domain with γ(t) ∈ H.
+    """Parameters t in the domain with γ(t) ∈ H, from one row of the
+    curve's plane matrix (``_plane_row``).
 
-    Polynomial curves read g and its Möbius transform R on the domain from
-    one row of the curve's plane matrix (``_plane_row``).  When R has V ≤ 1
-    sign variations, R's signs give the isolating intervals, as
-    ``polys.Roots.isolate`` would: each end where g vanishes (R's first or
-    last coefficient is 0), and the domain itself when V = 1, which holds
-    exactly one root.  Only V ≥ 2 isolates by ``polys.Roots``.  Trigonometric
-    curves take the roots of g on the domain from ``TrigRoots``: the roots
-    s of the half-angle polynomial mapped to t = atan(s)/π mod 1, the
-    domain's ends bracketed exactly and kept when they are roots, and
-    t = ½.  Either route builds at most one root kernel (``polys.Roots``)
-    for its polynomial, and isolation, refinement and the end brackets
-    share it.  Both routes are exact; only an end that cannot be bracketed
-    clears ``certified``.
+    On a polynomial curve, when R has V ≤ 1 sign variations, R's signs give
+    the isolating intervals, as ``polys.Roots.isolate`` would: each end
+    where g vanishes (R's first or last coefficient is 0), and the domain
+    itself when V = 1.  Only V ≥ 2 isolates by ``polys.Roots``.  On a
+    trigonometric curve ``TrigRoots`` takes the roots s of the half-angle
+    form to t = atan(s)/π mod 1, with the domain's ends bracketed exactly
+    and kept when they are roots, and t = ½.  Either route builds at most
+    one root kernel, which isolation, refinement and the end brackets
+    share.  Only an end that cannot be bracketed clears ``certified``.
     """
-    ints = plane.integer_form[1]
-    _check_dimension(curve, ints)
+    y = _plane_row(curve, plane.integer_form[1])
     if not curve.is_exact:
-        kernel = TrigRoots(TrigCoord(_combination(curve, ints)), *curve.domain)
+        kernel = TrigRoots(y, *curve.domain)
         return RootList(roots=tuple(kernel.params()), certified=kernel.sure)
-    g, R, v = _plane_row(curve, ints)
+    w = len(y) // 2
+    g, R = _trimmed(y[:w]), y[w:]
+    v = polys._sign_changes(R)
     lo, hi = curve.domain
     if v < 2:
         ivs = [(lo, lo)] * (not R[0]) + [(lo, hi)] * v + [(hi, hi)] * (not R[-1])
@@ -215,31 +189,28 @@ def intersect(curve: CurveSpec, plane: Hyperplane) -> RootList:
 def _counts(curve: CurveSpec, planes: list, bound: int) -> list[int]:
     """The number of distinct intersections with the curve of each plane,
     given by integers (n₀, …, nₙ) within ±bound, that does not contain the
-    curve, in order: one matrix product for a polynomial curve
-    (``_poly_counts``), one ``_count`` per plane for a trigonometric one."""
+    curve, in order, from one matrix product: by ``_poly_counts`` on a
+    polynomial curve, and on a trigonometric one by ``TrigRoots``."""
     if curve.is_exact:
-        return _poly_counts(curve.plane_matrix(), *curve.domain, planes, bound)
-    ks = []
-    for plane in planes:
-        try:
-            ks.append(_count(curve, plane))
-        except DegenerateIntersection:
-            continue
-    return ks
+        return _poly_counts(_matrix(curve), *curve.domain, planes, bound)
+    return [TrigRoots(row, *curve.domain).count()
+            for row in _block(_matrix(curve), planes, bound).tolist() if any(row)]
 
 
 def _count(curve: CurveSpec, plane: tuple) -> int:
     """``len(intersect(curve, H))`` by root counts, with no root isolated or
-    refined, for H's integers (n₀, …, nₙ).  A polynomial curve reads the
-    same row as ``intersect``: z_lo + z_hi + V when R has V ≤ 1 sign
-    variations, and ``polys.Roots(g).closed`` otherwise; a trigonometric
-    one counts by ``TrigRoots``."""
-    _check_dimension(curve, plane)
+    refined, for H's integers (n₀, …, nₙ), from the same row as
+    ``intersect``.  A polynomial curve counts z_lo + z_hi + V when R has
+    V ≤ 1 sign variations, and ``polys.Roots(g).closed`` otherwise; a
+    trigonometric one counts by ``TrigRoots``."""
+    y = _plane_row(curve, plane)
     if not curve.is_exact:
-        return TrigRoots(TrigCoord(_combination(curve, plane)), *curve.domain).count()
-    g, R, v = _plane_row(curve, plane)
+        return TrigRoots(y, *curve.domain).count()
+    w = len(y) // 2
+    R = y[w:]
+    v = polys._sign_changes(R)
     if v > 1:
-        return polys.Roots(g).closed(*curve.domain)
+        return polys.Roots(_trimmed(y[:w])).closed(*curve.domain)
     return v + (not R[0]) + (not R[-1])
 
 
@@ -286,8 +257,7 @@ def survey_intersections(curve: CurveSpec, trials: int,
 
     Planes are drawn and counted ``_PLANE_BLOCK`` = 4096 at a time
     (``_counts``).  So a survey holds at most one block in memory, its
-    planes and, on a polynomial curve, their one matrix product, whatever
-    ``trials`` is.
+    planes and their one matrix product, whatever ``trials`` is.
     """
     trials = exact_int(trials, "trials")
     if trials < 1:

@@ -11,11 +11,9 @@ candidates before they are decided, count against the ``cap`` argument of
 the count (``pointsets.ENUMERATION_CAP`` when it is None).  Walked results
 are certified and examine no arcs.
 
-Explicit and GAP sources around the full unit circle are decided by the
-same rule as its walk, in rationals: (max(0, 1 − δ))² ≤ |p|² ≤ (1 + δ)².
-
-Every other query (explicit and GAP sources, lifted curves, partial arcs
-and parametric curves) takes arcs and decides each candidate by one rule.
+Every other query (explicit and GAP sources around any curve, and lattices
+around lifted curves, partial arcs and parametric curves) takes arcs and
+decides each candidate by one rule.
 The parameter interval is cut into segments whose chords follow the cells
 and are δ-flat, at most 64 per point, and each segment's box is padded so
 that no point within δ falls outside it.  A candidate is a (point, segment)
@@ -37,9 +35,11 @@ when some chord has d + m ≤ δ, a clear miss when every one has d − m > δ,
 and is decided exactly otherwise: whether |γ(t) − p|² − δ² is ≤ 0 on the
 domain.  On a polynomial curve an integer certificate from its quadratic
 part about the centre of the parameter window decides almost every point,
-and a Sturm count of the same integer polynomial the rest; a curve in
-(cos 2πt, sin 2πt) takes the root counts of ``curves.TrigRoots`` on its
-half-angle form in s = tan πt.  Results are certified unless a partial arc's end cannot be
+and a Sturm count of the same integer polynomial the rest.  On a curve in
+(cos 2πt, sin 2πt) that function is linear in (|p|² − δ², p, 1), so each
+point reads its half-angle form in s = tan πt as one row of the plane
+matrix of (γ, |γ|²), built once per count, and ``curves.TrigRoots``
+decides it.  Results are certified unless a partial arc's end cannot be
 bracketed.
 
 The brute-force oracle is an independent second route on numpy alone: curve
@@ -59,6 +59,7 @@ match.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,8 +67,8 @@ from functools import reduce
 
 import numpy as np
 
-from .curves import (CurveSpec, PolyCoord, TrigCoord, TrigRoots, circle_arc,
-                     derivative_sup_bound, eval_array)
+from .curves import (CurveSpec, PolyCoord, TrigCoord, TrigRoots, _plane_columns,
+                     circle_arc, derivative_sup_bound, eval_array)
 from . import pointsets, polys
 from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
                         parse_frac)
@@ -556,17 +557,29 @@ def _quadratic_certificate(E: list, ua: int, ub: int) -> bool | None:
     return None
 
 
-def _trig_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool | None:
-    """Whether dist(p, γ) ≤ δ, exactly, for a curve γ in
+def _trig_near(curve: CurveSpec, points: list, delta: Fraction) -> list:
+    """Whether dist(p, γ) ≤ δ, exactly, for each point p and a curve γ in
     (u, v) = (cos 2πt, sin 2πt); None when an end cannot be bracketed.
-    That is whether D(t) = |γ(t) − p|² − δ² is ≤ 0 somewhere on the domain,
-    which ``TrigRoots`` decides on D's half-angle form.
+
+    That is whether D(t) = |γ(t) − p|² − δ² is ≤ 0 somewhere on the domain.
+    L²·D, for L the common denominator of δ and p, is one row of the plane
+    matrix of (γ, |γ|²), built once, at the plane's integers
+    (L²(δ² − |p|²), −2L²p, L²).  A zero row is D ≡ 0, a hit; ``TrigRoots``
+    decides any other.
     """
-    D = TrigCoord({(0, 0): -delta * delta})
-    for fn, x in zip(curve.coords, p):
-        g = fn.add(TrigCoord({(0, 0): -x}))
-        D = D.add(g.mul(g))
-    return D.is_zero() or TrigRoots(D, *curve.domain).nonpositive()
+    if not points:
+        return []
+    square = reduce(TrigCoord.add, (fn.mul(fn) for fn in curve.coords))
+    matrix = _plane_columns((*curve.coords, square), *curve.domain)
+    verdicts = []
+    for p in points:
+        L = math.lcm(delta.denominator, *(x.denominator for x in p))
+        ps = [_times(x, L) for x in p]
+        plane = (_times(delta * delta, L * L) - sum(x * x for x in ps),
+                 *(-2 * L * x for x in ps), L * L)
+        row = [sum(map(operator.mul, plane, col)) for col in matrix]
+        verdicts.append(not any(row) or TrigRoots(row, *curve.domain).nonpositive())
+    return verdicts
 
 
 def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
@@ -627,14 +640,15 @@ def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
                  cap: int) -> list:
     """Lattice hits of the tube around the full unit circle.
 
-    p = (i, j)/N is a hit exactly when N²·r_in ≤ i² + j² ≤ N²·r_out for the
-    squared radii of ``_annulus``, that is when inner ≤ i² + j² ≤ outer for
-    the integers inner = ⌈N²·r_in⌉ and outer = ⌊N²·r_out⌋.  In column i the
+    Since dist(p, circle) = | |p| − 1 |, p = (i, j)/N is a hit exactly when
+    N²·r_in ≤ i² + j² ≤ N²·r_out for r_in = max(0, 1 − δ)² and
+    r_out = (1 + δ)², that is when inner ≤ i² + j² ≤ outer for the
+    integers inner = ⌈N²·r_in⌉ and outer = ⌊N²·r_out⌋.  In column i the
     hits are the j with j² ≤ outer − i² and j² ≥ inner − i²: one run, or two
     mirrored ones, whose ends ``math.isqrt`` gives.
     """
     N = source.N
-    r_in, r_out = _annulus(delta)
+    r_in, r_out = max(Fraction(0), 1 - delta) ** 2, (1 + delta) ** 2
     outer = math.floor(N * N * r_out)
     inner = math.ceil(N * N * r_in)
     r = math.isqrt(outer)
@@ -654,23 +668,12 @@ def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     return hits
 
 
-def _is_unit_circle(curve: CurveSpec) -> bool:
-    return (curve.coords, curve.domain) == (_UNIT_CIRCLE.coords, _UNIT_CIRCLE.domain)
-
-
-def _annulus(delta: Fraction) -> tuple:
-    """(max(0, 1 − δ)², (1 + δ)²): since dist(p, circle) = | |p| − 1 |, a
-    point is within δ of the unit circle exactly when |p|² lies between
-    them."""
-    return max(Fraction(0), 1 - delta) ** 2, (1 + delta) ** 2
-
-
 def _column_walk(curve: CurveSpec):
     """The column walk that decides lattice queries on this curve, or None:
     planar polynomial graphs and the full unit circle have one."""
     if curve.dimension == 2 and curve.is_exact and curve.is_graph_form:
         return _walk_graph
-    if _is_unit_circle(curve):
+    if (curve.coords, curve.domain) == (_UNIT_CIRCLE.coords, _UNIT_CIRCLE.domain):
         return _walk_circle
     return None
 
@@ -703,10 +706,6 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
         cells = _LatticeCells(query.source)
     else:
         fs, pts = materialize_source(query.source, cap)
-        if _is_unit_circle(curve) and pts.shape[1] == 2:
-            r_in, r_out = _annulus(delta_q)
-            hits = [p for p in fs if r_in <= p[0] * p[0] + p[1] * p[1] <= r_out]
-            return _result(len(hits), hits, 0, True, keep_points)
         cells = _PointCells(fs, pts, delta)
     if cells.empty:
         return _result(0, (), 0, True, keep_points)
@@ -757,9 +756,12 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
                     <= _float_below(delta_q) * (1 - 4 * _U))
     miss = np.minimum.reduceat(d - slack, first) > _float_above(delta_q) * (1 + 4 * _U)
     # every other candidate is decided exactly
-    near = _poly_near if curve.is_exact else _trig_near
     todo = np.flatnonzero(~hit & ~miss)
-    verdicts = [near(curve, cells.exact(i), delta_q) for i in ids[todo].tolist()]
+    points = [cells.exact(i) for i in ids[todo].tolist()]
+    if curve.is_exact:
+        verdicts = [_poly_near(curve, p, delta_q) for p in points]
+    else:
+        verdicts = _trig_near(curve, points, delta_q)
     hit[todo] = [v is not False for v in verdicts]
     hits = ids[hit].tolist()
     return _result(len(hits), map(cells.exact, hits), n_seg,

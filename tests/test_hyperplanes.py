@@ -16,10 +16,10 @@ from curvecount import (DegenerateIntersection, Hyperplane, circle_arc,
                         survey_intersections, wronskian)
 from curvecount import polys
 from curvecount.curves import (CurveSpec, InvalidCurveError, PolyCoord,
-                               TrigCoord, _plane_columns, _tan_bracket,
-                               polynomial_curve)
+                               TrigCoord, TrigRoots, _half_angle_basis,
+                               _plane_columns, _tan_bracket, polynomial_curve)
 from curvecount.hyperplanes import (_PLANE_BLOCK, HyperplaneError, RootList,
-                                    _combination, _count, _poly_counts)
+                                    _count, _counts, _plane_row, _poly_counts)
 from curvecount.lifting import MonomialSet
 
 
@@ -232,7 +232,7 @@ def test_one_sturm_chain_per_polynomial(monkeypatch):
     # half-angle form −9s² + 20s − 9 is primitive
     arc, plane = circle_arc(F(1, 7), F(5, 9)), Hyperplane(F(9, 10), (0, 1))
     built.clear()
-    p, _ = TrigCoord(_combination(arc, plane.integer_form[1])).half_angle()
+    p = tuple(_plane_row(arc, plane.integer_form[1]))
     assert len(intersect(arc, plane)) == 2 and built == [p] == [(-9, 20, -9)]
     # a rational root within an ulp of tan π/3 = √3 is narrowed away on P's
     # chain; Q's count and gcd(P, Q)'s are decided by certificate
@@ -381,6 +381,10 @@ def test_trig_coordinates_with_a_power_of_two_pi_are_refused():
                                      TrigCoord({(0, 1): 1})])
     with pytest.raises(HyperplaneError):
         intersect(curve, Hyperplane(0, (1, 1)))
+    with pytest.raises(HyperplaneError):
+        _count(curve, (0, 1, 1))
+    with pytest.raises(HyperplaneError):
+        survey_intersections(curve, 10, seed=1)
 
 
 _rational = st.fractions(min_value=-2, max_value=2, max_denominator=64)
@@ -568,6 +572,109 @@ def test_count_is_the_length_of_intersect(case):
     curve, plane = case
     assert _count_or_degenerate(_count, curve, plane.integer_form[1]) == \
         _count_or_degenerate(lambda c, h: len(intersect(c, h)), curve, plane)
+
+
+def _half_angle_row(f: TrigCoord) -> list:
+    """The integers of (1 + s²)^d·f in s = tan πt at f's own degree d, the
+    largest a + b of its terms, low degree first and untrimmed."""
+    d = max(a + b for a, b in f.terms)
+    row = [0] * (2 * d + 1)
+    for (a, b), c in f.integer_form[1].items():
+        for i, x in enumerate(_half_angle_basis(a, b, d)):
+            row[i] += c * x
+    return row
+
+
+def _per_plane_trig_row(curve, plane):
+    """The per-plane route the plane matrix replaced on a trigonometric
+    curve: g = Σ nᵢ·(D/dᵢ)·eᵢ − n₀·D over the lcm D of the dᵢ with nᵢ ≠ 0,
+    as a ``TrigCoord``, in half-angle form at g's own degree; None when
+    g ≡ 0."""
+    n0, *ns = plane
+    forms = [(n, fn.integer_form) for n, fn in zip(ns, curve.coords) if n]
+    D = math.lcm(*(d for _, (d, _) in forms))
+    g = {(0, 0): -n0 * D}
+    for n, (d, e) in forms:
+        for key, c in e.items():
+            g[key] = g.get(key, 0) + n * (D // d) * c
+    f = TrigCoord(g)
+    return None if f.is_zero() else _half_angle_row(f)
+
+
+@st.composite
+def trig_planes(draw):
+    """A trigonometric curve and a plane: the full circle, arcs through ½
+    with ends j/n (n ≤ 64, where tan πx can be narrowed, and beyond), and
+    their lifts by M₁ to M₃; planes random, with the coordinates of the
+    curve's largest degree zeroed, so that the matrix row carries a power
+    of 1 + s², through t = 0, t = ½ or a rational circle point (some near
+    t = 0), or tangent there, a double root."""
+    lo, hi = F(0), F(1)
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 64) | st.integers(65, 200))
+        lo = F(draw(st.integers(0, n // 2)), n)
+        hi = F(draw(st.integers(-(-n // 2), n)), n)
+        if lo == hi:
+            hi = F(1)
+    curve = circle_arc(lo, hi)
+    k = draw(st.integers(0, 3))
+    if k:
+        curve = lift_curve(curve, make_Ms(k))
+    n = curve.dimension
+    degrees = [max(a + b for a, b in fn.terms) for fn in curve.coords]
+    normal = draw(st.lists(st.sampled_from([0, 1, -1, 2]) | _coefficient,
+                           min_size=n, max_size=n))
+    free = list(range(n))
+    if draw(st.booleans()) and min(degrees) < max(degrees):
+        free = [i for i in free if degrees[i] < max(degrees)]
+        normal = [x if i in free else 0 for i, x in enumerate(normal)]
+    assume(any(normal))
+    how = draw(st.sampled_from(["random", "through", "tangent"]))
+    if how == "random":
+        return curve, Hyperplane(draw(_coefficient), normal)
+    near_zero = st.fractions(F(-1, 100), F(1, 100), max_denominator=10 ** 6)
+    value, tangent = _value_and_tangent(curve, draw(
+        st.sampled_from([(F(1), F(0)), (F(-1), F(0))]) | _CIRCLE_POINTS
+        | near_zero.map(_circle_point)))
+    if how == "tangent" and any(tangent[i] for i in free):
+        j = next(i for i in free if tangent[i])
+        normal[j] -= sum(a * x for a, x in zip(normal, tangent)) / tangent[j]
+        assume(any(normal))
+    return curve, Hyperplane(sum(a * x for a, x in zip(normal, value)), normal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trig_planes())
+# x = 1 touches the circle at t = 0 and t = 1; y = 0 through t = 0 and ½
+@example((circle_arc(), Hyperplane(1, (1, 0))))
+@example((circle_arc(), Hyperplane(0, (0, 1))))
+# the M₂ lift, its degree-2 coordinates zeroed: the row is (1 + s²)·g, with
+# a larger Cauchy bound than g's own form, and a root near t = 0 whose
+# float the bound's grid would move by an ulp
+@example((lift_curve(circle_arc(), make_Ms(2)), Hyperplane(F(1, 3), (1, 1, 0, 0, 0))))
+@example((lift_curve(circle_arc(), make_Ms(2)),
+          Hyperplane(-14692148, (-14691908, -1986691, 0, 0, 0))))
+# an arc through ½ whose end 1/67 has no polynomial to narrow tan on
+@example((circle_arc(F(1, 67), F(2, 3)), Hyperplane(F(1, 5), (1, 2))))
+def test_trig_rows_match_the_per_plane_route(case):
+    # the plane matrix's row is (1 + s²)^k times the per-plane half-angle
+    # form: the same counts, the same floats bit for bit and the same
+    # certificate, and the same planes refused, one plane or a block
+    curve, plane = case
+    ints = plane.integer_form[1]
+    bound = max(map(abs, ints))
+    row = _per_plane_trig_row(curve, ints)
+    if row is None:
+        for fn in (intersect, lambda c, h: _count(c, h.integer_form[1])):
+            with pytest.raises(DegenerateIntersection):
+                fn(curve, plane)
+        assert _counts(curve, [ints], bound) == []
+        return
+    kernel = TrigRoots(row, *curve.domain)
+    roots = intersect(curve, plane)
+    assert [x.hex() for x in roots] == [x.hex() for x in kernel.params()]
+    assert roots.certified == kernel.sure
+    assert _count(curve, ints) == kernel.count() == _counts(curve, [ints], bound)[0]
 
 
 def _scalar_count(coords, lo, hi, plane):

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from curvecount import polys
-from curvecount.curves import PolyCoord, TrigCoord
+from curvecount.curves import PolyCoord, TrigCoord, TrigRoots, _plane_columns
 
 
 def P(*coeffs):
@@ -314,13 +314,20 @@ def _half_angle_by_fractions(f: TrigCoord) -> tuple:
                        st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
                        min_size=1, max_size=6))
 def test_integer_half_angle_is_a_positive_multiple(terms):
+    # the plane matrix of the curve t ↦ f takes the plane x = 0 to f's
+    # half-angle form, and TrigRoots bounds its roots by the same bound
     f = TrigCoord(terms)
     assume(not f.is_zero())
-    (p, bound), (ref, ref_bound) = f.half_angle(), _half_angle_by_fractions(f)
-    assert all(type(c) is int for c in p) and len(p) == len(ref)
+    p = [col[1] for col in _plane_columns((f,), F(0), F(1))]
+    ref, ref_bound = _half_angle_by_fractions(f)
+    assert all(type(c) is int for c in p)
+    assert len(p) == 2 * max(a + b for a, b in f.terms) + 1
+    while not p[-1]:
+        p.pop()
     ratio = F(p[-1]) / ref[-1]
+    assert len(p) == len(ref)
     assert ratio > 0 and all(c == ratio * r for c, r in zip(p, ref))
-    assert bound == ref_bound
+    assert TrigRoots(p, F(0), F(1))._bound == ref_bound
 
 
 # -- refinement by a guessed cell against the bisection ----------------------

@@ -13,7 +13,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvecount import pointsets, polys, tube
 from curvecount import (CapExceeded, ExperimentConfig, ExplicitSource,
@@ -21,11 +21,12 @@ from curvecount import (CapExceeded, ExperimentConfig, ExplicitSource,
                         Monomial, MonomialSet, TubeQuery, additive_energy,
                         brute_force_tube_oracle, check_lattice_bijection,
                         circle_arc, count_in_tube, count_on_curve_lattice,
-                        delta_from_rule, graph_curve, lift_curve,
+                        delta_from_rule, gap_enumerate, graph_curve, lift_curve,
                         line_segment, lipschitz_constant_squared, m_fold_sumset,
                         make_Ms, moment_curve, parabola, polynomial_curve,
                         representation_counts, survey_intersections)
-from curvecount.curves import PolyCoord, derivative_sup_bound, eval_array
+from curvecount.curves import (PolyCoord, TrigCoord, TrigRoots, _half_angle_basis,
+                               derivative_sup_bound, eval_array)
 from curvecount.pointsets import InexactNumber
 from curvecount.tube import _least_index
 
@@ -466,7 +467,7 @@ def test_points_just_off_the_boundary_are_decided_exactly():
                 pts = FiniteSet([(x * r, y * r) for r in radii])
                 r = count_in_tube(TubeQuery(curve, d, pts))
                 assert r.count == expected and r.certified
-                assert (r.arcs_examined == 0) == (curve.domain == (0, 1))
+                assert r.arcs_examined > 0
 
 
 def test_arc_ends_are_bracketed_not_rounded():
@@ -1130,8 +1131,40 @@ def quarter_arc_queries(draw):
     return TubeQuery(circle_arc(lo, hi), delta, ExplicitSource(FiniteSet(pts)))
 
 
+@st.composite
+def full_circle_queries(draw):
+    """Explicit and GAP sources around the full unit circle, which take the
+    chord route like any other curve.  Explicit points: a rational circle
+    point q scaled to |p| = 1 ± δ exactly or 10⁻⁹·δ inside or outside it, a
+    random rational point, or the centre, which lies in the tube exactly
+    when δ ≥ 1; at δ = 1, |γ − p|² − δ² ≡ 0 there.  A GAP runs along q in
+    steps of δ·q, through |p| = 1 − δ, 1 and 1 + δ, and along a random
+    second generator."""
+    delta = draw(_DELTAS | st.just(F(1)))
+    circle = st.sampled_from(_QUARTER_POINTS[:4]) | \
+        st.fractions(-20, 20, max_denominator=20).map(_circle_point)
+    if draw(st.booleans()):
+        q, other = draw(circle), draw(st.tuples(_coeffs, _coeffs))
+        base = tuple((1 - 2 * delta) * c - o for c, o in zip(q, other))
+        gap = Gap(base, (tuple(delta * c for c in q), other),
+                  (3, draw(st.integers(1, 4))))
+        return TubeQuery(circle_arc(), delta, GapSource(gap))
+    pts = set()
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.sampled_from(["radius", "random", "centre"]))
+        if how == "radius":
+            s = 1 + draw(st.sampled_from([-1, 1])) * delta * draw(
+                st.sampled_from([1, 1 - F(1, 10 ** 9), 1 + F(1, 10 ** 9)]))
+            pts.add(tuple(s * c for c in draw(circle)))
+        elif how == "random":
+            pts.add(draw(st.tuples(_coeffs, _coeffs)))
+        else:
+            pts.add((F(0), F(0)))
+    return TubeQuery(circle_arc(), delta, ExplicitSource(FiniteSet(pts)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(polynomial_tube_queries() | quarter_arc_queries())
+@given(polynomial_tube_queries() | quarter_arc_queries() | full_circle_queries())
 # a segment along (4, −3) and a point on its normal at exactly δ
 @example(TubeQuery(line_segment((0, 0), (F(4, 5), F(-3, 5))), F(1, 10 ** 12),
                    FiniteSet([(F(2, 5) + F(3, 5 * 10 ** 12),
@@ -1151,14 +1184,91 @@ def quarter_arc_queries(draw):
 # at exactly δ past the arc's end (0, 1), where a float tan π/4 is below 1
 @example(TubeQuery(circle_arc(0, F(1, 4)), F(1, 10 ** 12),
                    FiniteSet([(-F(1, 10 ** 12), 1)])))
+# the centre of the full circle at δ = 1, where |γ − p|² − δ² ≡ 0, and a
+# point at |p| = 1 + δ = 2
+@example(TubeQuery(circle_arc(), F(1), FiniteSet([(0, 0), (F(6, 5), F(8, 5))])))
 def test_polynomial_and_circle_tubes_match_exact_brute_force(q):
     # no candidate pruning in the brute force: a Sturm count over the whole
     # domain, or the rational radius test, for every point
-    expected = tuple(p for p in q.source.points
-                     if _in_tube_by_fractions(q.curve, F(q.delta), p))
+    src = q.source
+    pts = gap_enumerate(src.gap) if isinstance(src, GapSource) else src.points
+    expected = tuple(p for p in pts if _in_tube_by_fractions(q.curve, F(q.delta), p))
     r = count_in_tube(q)
     assert r.points == expected and r.count == len(expected)
     assert r.certified
+
+
+def _half_angle_row(f: TrigCoord) -> list:
+    """The integers of (1 + s²)^d·f in s = tan πt at f's own degree d, the
+    largest a + b of its terms, low degree first and untrimmed."""
+    d = max(a + b for a, b in f.terms)
+    row = [0] * (2 * d + 1)
+    for (a, b), c in f.integer_form[1].items():
+        for i, x in enumerate(_half_angle_basis(a, b, d)):
+            row[i] += c * x
+    return row
+
+
+def _trig_near_by_coordinates(curve, p, delta):
+    """The per-candidate route the plane matrix replaced: D = |γ − p|² − δ²
+    built as a ``TrigCoord``, ≤ 0 somewhere when it is ≡ 0 or as
+    ``TrigRoots`` decides its half-angle form at its own degree."""
+    D = TrigCoord({(0, 0): -delta * delta})
+    for fn, x in zip(curve.coords, p):
+        g = fn.add(TrigCoord({(0, 0): -x}))
+        D = D.add(g.mul(g))
+    return D.is_zero() or TrigRoots(_half_angle_row(D), *curve.domain).nonpositive()
+
+
+@st.composite
+def trig_near_cases(draw):
+    """A curve in (cos 2πt, sin 2πt), δ and points for ``tube._trig_near``:
+    the full circle, or an arc from ½ to an end j/n (n ≤ 64, where tan πx
+    can be narrowed, and beyond), lifted by M₁ or M₂ or not.  Each point is
+    random and rational, or the curve's point at t = 0, t = ½ or a rational
+    circle point moved by δ·s along a rational unit vector in two of its
+    coordinates, s = 1 or 1 ± 10⁻⁹: at distance exactly δ from it or
+    nearly."""
+    lo, hi = F(0), F(1)
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 64) | st.integers(65, 200))
+        x = F(draw(st.integers(1, n - 1)), n)
+        assume(x != F(1, 2))
+        lo, hi = sorted((x, F(1, 2)))
+    curve = circle_arc(lo, hi)
+    k = draw(st.integers(0, 2))
+    if k:
+        curve = lift_curve(curve, make_Ms(k))
+    n = curve.dimension
+    delta = draw(_DELTAS)
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            pts.append(tuple(draw(st.lists(_coeffs, min_size=n, max_size=n))))
+            continue
+        u, v = draw(st.sampled_from([(F(1), F(0)), (F(-1), F(0))])
+                    | st.fractions(-20, 20, max_denominator=20).map(_circle_point))
+        q = [sum(c * u ** a * v ** b for (a, b), c in fn.terms.items())
+             for fn in curve.coords]
+        i, j = draw(st.permutations(range(n)))[:2]
+        a, b = draw(st.sampled_from(_UNIT_2D))
+        s = draw(st.sampled_from([1, 1 - F(1, 10 ** 9), 1 + F(1, 10 ** 9)]))
+        q[i] += delta * s * a
+        q[j] += delta * s * b
+        pts.append(tuple(q))
+    return curve, pts, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(trig_near_cases())
+# the centre of the full circle at δ = 1: |γ − p|² − δ² ≡ 0
+@example((circle_arc(), [(F(0), F(0))], F(1)))
+def test_trig_near_rows_decide_as_the_coordinate_algebra(case):
+    # one row of the plane matrix of (γ, |γ|²) per point decides what D
+    # built point by point as a TrigCoord decides, None included
+    curve, pts, delta = case
+    assert tube._trig_near(curve, pts, delta) == \
+        [_trig_near_by_coordinates(curve, p, delta) for p in pts]
 
 
 @st.composite
