@@ -18,9 +18,9 @@ smoothness order is declared or checked.
 
 Each class caches one integer form of its coefficients, ``integer_form``:
 their least common denominator and the integer numerators over it.
-Hyperplane combinations, the Wronskian's integer determinants, the tube's
-integer distance polynomials and certificate samples read it, so exact
-decisions run on integers.
+Hyperplane combinations, the Wronskian's integer rank and determinants, the
+tube's integer distance polynomials and certificate samples read it, so
+exact decisions run on integers.
 
 Each class has one float evaluator, ``evalf``, which takes a float or a numpy
 array of parameters and returns bit-identical values either way.  ``eval``
@@ -35,12 +35,18 @@ trig function on a domain from such a row, the domain's ends bracketed
 exactly: the hyperplane counts and roots and the tube's exact distance test.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
-derivative vector -- is computed once as an exact coordinate function, by
-interpolation from integer determinants at rational nodes, and then evaluated.
-No float enters, so a degenerate lift comes out as W ≡ 0, where a float
-determinant of jet samples would be roundoff.  Certification samples W at
-the grid points n_i/q in integers over one denominator
-(``polys.eval_homogeneous``).
+derivative vector -- is computed once as an exact coordinate function, and
+then evaluated.  One integer rank comes first: that of the first derivatives
+γ′ⱼ over the coordinates' own basis, tᵏ or the reduced u^a·v^b.  Below rank
+n a rational relation among the γ′ⱼ holds for every higher derivative too,
+so W ≡ 0, with no determinant and no interpolation.  Correctness rests on
+that direction alone; for analytic coordinates W ≡ 0 only when the γ′ⱼ are
+dependent (Bôcher; Bostan and Dumas, 2010), which ensures that the rank
+catches every zero W.  At full rank W is interpolated from integer
+determinants at rational nodes.  No float enters, so a degenerate lift
+comes out as W ≡ 0, where a float determinant of jet samples would be
+roundoff.  Certification samples W at the grid points n_i/q in integers
+over one denominator (``polys.eval_homogeneous``).
 """
 
 from __future__ import annotations
@@ -622,14 +628,40 @@ def line_segment(p, q) -> CurveSpec:
 # -- Wronskians -------------------------------------------------------------
 
 def wronskian_symbolic(curve: CurveSpec):
-    """The Wronskian W(γ₁',…,γₙ') as an exact coordinate function of t: the
-    rows are γ^(1)…γ^(n), and W, of known degree, is interpolated from
-    integer determinants at rational nodes, the columns cleared of
-    denominators."""
+    """The Wronskian W(γ₁',…,γₙ') as an exact coordinate function of t.
+
+    First the rank step: the first derivatives γ′ⱼ, each scaled by its
+    own denominator, are rows of one integer matrix over the coordinates'
+    own basis, tᵏ or the reduced u^a·v^b (``_derivative_rank``).  Below
+    rank n a rational relation Σ cⱼγ′ⱼ ≡ 0 holds, and so Σ cⱼγⱼ^(k) ≡ 0
+    for every k ≥ 1: the columns of W are dependent and W ≡ 0, found with
+    no higher derivative, determinant or interpolation.  Only that
+    direction is used for correctness; that the γ′ⱼ, being analytic, are
+    independent whenever W ≢ 0 (Bôcher) only ensures that every zero W is
+    caught here.  At full rank the rows are γ^(1)…γ^(n), and W, of known
+    degree, is interpolated from integer determinants at rational nodes,
+    the columns cleared of denominators."""
     if curve._wronskian_sym is None:
-        build = _poly_wronskian if curve.is_exact else _trig_wronskian
-        curve._wronskian_sym = build(*curve.derivatives(curve.dimension))
+        coords, first = curve.derivatives(1)
+        if _derivative_rank(first) < curve.dimension:
+            curve._wronskian_sym = (PolyCoord(()) if curve.is_exact
+                                    else TrigCoord._reduced({}, _tau_power(coords)))
+        else:
+            build = _poly_wronskian if curve.is_exact else _trig_wronskian
+            curve._wronskian_sym = build(*curve.derivatives(curve.dimension))
     return curve._wronskian_sym
+
+
+def _derivative_rank(row) -> int:
+    """The rank of the functions in ``row`` over the rationals: that of the
+    integer matrix whose j-th row is the numerators of the j-th function's
+    ``integer_form``, one column per basis function tᵏ or u^a·v^b that
+    occurs.  A row times its denominator keeps the rank, and the reduced
+    u^a·v^b (a ≤ 1) are linearly independent functions, as the tᵏ are."""
+    forms = [fn.integer_form[1] for fn in row]
+    forms = [f if isinstance(f, dict) else dict(enumerate(f)) for f in forms]
+    keys = set().union(*forms)
+    return polys.rank_int([[f.get(k, 0) for k in keys] for f in forms])
 
 
 def _integer_rows(rows, terms):
@@ -675,7 +707,14 @@ def _trig_wronskian(coords, *rows) -> TrigCoord:
     vs, evens, odds = zip(*nodes)
     terms = {(a, b): c for a, ys in enumerate((evens, odds))
              for b, c in enumerate(polys.interpolate(vs, ys)) if c}
-    return TrigCoord._reduced(terms, sum(fn.tau_power + j for j, fn in enumerate(coords, 1)))
+    return TrigCoord._reduced(terms, _tau_power(coords))
+
+
+def _tau_power(coords) -> int:
+    """The power of 2π in front of the Wronskian of trig coordinates,
+    Σⱼ(base_j + j): entry (k, j) carries (2π)^(base_j + k), base_j being
+    coordinate j's own power."""
+    return sum(fn.tau_power + j for j, fn in enumerate(coords, 1))
 
 
 def wronskian(curve: CurveSpec, t):

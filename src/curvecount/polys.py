@@ -7,9 +7,10 @@ products, powers, interpolation) is exact over
 ``fractions.Fraction``.  ``integer_form`` clears a polynomial's
 denominators once, as its least common denominator and integer numerators;
 curve coordinates cache it.  Determinants, root counting, isolation and
-refinement run on Python integers instead.  A determinant takes an integer
-matrix, whose callers have cleared its denominators, and eliminates by
-Bareiss.  Every real-root question goes to
+refinement run on Python integers instead.  Ranks and determinants take an
+integer matrix, whose callers have cleared its denominators, and share one
+fraction-free (Bareiss) elimination that scans the columns for pivots; the
+determinant is its square case.  Every real-root question goes to
 one kernel, ``Roots(p)``, which keeps p's coprime integer coefficients and
 decides by certificate first.  On an interval (a, b) the sign variations V
 of the coefficients of (1 + x)^m·p((a + b·x)/(1 + x)) bound the roots of p
@@ -514,24 +515,51 @@ def sup_bound(p: Poly, a, b) -> float:
 # Determinants and interpolation
 # ---------------------------------------------------------------------------
 
-def det_int(rows) -> int:
-    """Exact determinant of a square integer matrix by fraction-free Bareiss,
-    whose entries after step k are minors, so dividing by the last pivot is
-    exact."""
-    n, m = len(rows), [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+def _bareiss(rows) -> tuple[int, int, int]:
+    """Fraction-free Gaussian elimination (Bareiss) of an integer matrix to
+    echelon form: (rank, sign, pivot).
+
+    Columns are scanned left to right; a column with no nonzero entry at or
+    below the current row is skipped, and otherwise a row swap (which flips
+    ``sign``) brings one up as the next pivot.  After r pivots, in columns
+    c₁ < … < c_r, each entry (i, j) below them with j > c_r is the minor of
+    the pivot rows and row i on the columns c₁, …, c_r, j (Sylvester's
+    identity), so dividing by the previous pivot is exact.  ``pivot`` is
+    the last pivot, that minor of order r, and 1 when r = 0."""
+    m = [list(row) for row in rows]
+    n, width = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for k in range(width):
+        if rank == n:
+            break
+        if not m[rank][k]:
+            i = next((i for i in range(rank + 1, n) if m[i][k]), None)
             if i is None:
-                return 0
-            m[k], m[i], sign = m[i], m[k], -sign
-        top, pivot = m[k], m[k][k]
-        for row in m[k + 1:]:
-            for j in range(k + 1, n):
+                continue
+            m[rank], m[i], sign = m[i], m[rank], -sign
+        top, pivot = m[rank], m[rank][k]
+        for row in m[rank + 1:]:
+            for j in range(k + 1, width):
                 row[j] = (row[j] * pivot - row[k] * top[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+        rank, prev = rank + 1, pivot
+    return rank, sign, prev
+
+
+def rank_int(rows) -> int:
+    """The rank of an integer matrix, given as a list of equally long rows
+    (``_bareiss``); a matrix with no rows has rank 0."""
+    return _bareiss(rows)[0]
+
+
+def det_int(rows) -> int:
+    """Exact determinant of a square integer matrix: the square case of
+    ``_bareiss``, whose last pivot at full rank is the determinant up to
+    the sign of its row swaps; 0 below full rank, and 1 for the 0×0
+    matrix."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("det_int needs a square matrix")
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
 
 
 def interpolate(xs, ys) -> Poly:

@@ -4,18 +4,19 @@ and the lattice bijection."""
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from curvecount import polys
+from curvecount import curves, polys
 from curvecount import (InvalidCurveError, Monomial, MonomialSet, circle_arc,
                         check_lattice_bijection, count_on_curve_lattice,
                         exponent, graph_curve, lift_curve, lift_point,
                         lipschitz_constant_squared, make_Ms, parabola,
                         polynomial_curve, wronskian, wronskian_symbolic)
-from curvecount.curves import TrigCoord
+from curvecount.curves import CurveSpec, PolyCoord, TrigCoord
 from curvecount.lifting import BijectionReport, LiftError, X, Y
 from curvecount.pointsets import FiniteSet, InexactNumber, _integer_form
 
@@ -175,6 +176,75 @@ def test_circle_lift_wronskian_matches_sympy_off_the_nodes(mons):
         su, sv = (sp.Rational(q.numerator, q.denominator) for q in (u, v))
         expected = mat.subs({sp.cos(THETA): su, sp.sin(THETA): sv}).det()
         assert _circle_value(w, u, v) == _rat(expected)
+
+
+# -- the rank step against the interpolation route -------------------------
+# wronskian_symbolic returns W ≡ 0 when the first derivatives are dependent,
+# without interpolating; the interpolation route on the full derivative
+# table must give the same object, tau_power included (TrigCoord's == does
+# not compare it for a zero W).
+
+# monomial sets whose lift has dependent derivatives on the base curve
+FORCED = {"graph": [{(0, 1), (2, 0)}],                        # y = x²
+          "circle": [{(2, 0), (0, 2)},                        # x² + y² = 1
+                     {(1, 0), (3, 0), (1, 2)}]}               # x³ + x·y² = x
+
+
+def _interpolated(curve):
+    build = curves._poly_wronskian if curve.is_exact else curves._trig_wronskian
+    return build(*curve.derivatives(curve.dimension))
+
+
+@st.composite
+def lifted_curves(draw):
+    coeffs = st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3)
+    kind = draw(st.sampled_from(["polynomial", "graph", "circle"]))
+    mons = set(draw(MONOMIAL_SETS))
+    if kind == "polynomial":
+        base = polynomial_curve([draw(coeffs), draw(coeffs)])
+    elif kind == "graph":
+        base = parabola()
+    else:
+        ends = draw(st.lists(st.fractions(0, 1, max_denominator=8), min_size=2,
+                             max_size=2, unique=True))
+        base = circle_arc(*sorted(ends))
+    if kind in FORCED and draw(st.booleans()):
+        mons |= draw(st.sampled_from(FORCED[kind]))
+    coords = list(lift_curve(base, MonomialSet(sorted(mons))).coords)
+    extra = draw(st.sampled_from(["none", "constant", "repeat"]))
+    if extra == "constant":
+        c = draw(st.fractions(-3, 3, max_denominator=3))
+        const = PolyCoord([c]) if base.is_exact else TrigCoord({(0, 0): c})
+        coords.insert(draw(st.integers(0, len(coords))), const)
+    elif extra == "repeat":
+        coords.append(coords[draw(st.integers(0, len(coords) - 1))])
+    return CurveSpec("lifted", coords, base.domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve=lifted_curves())
+@example(curve=lift_curve(parabola(), MonomialSet([(1, 0), (0, 1), (2, 0)])))
+@example(curve=lift_curve(circle_arc(), MonomialSet([(1, 0), (2, 0), (0, 2)])))
+@example(curve=lift_curve(circle_arc(), MonomialSet([(1, 0), (3, 0), (1, 2)])))
+@example(curve=lift_curve(circle_arc(), make_Ms(3)))
+def test_rank_step_matches_the_interpolation_route(curve):
+    w = wronskian_symbolic(curve)
+    expected = _interpolated(CurveSpec(curve.kind, curve.coords, curve.domain))
+    assert type(w) is type(expected)
+    if curve.is_exact:
+        assert w.coeffs == expected.coeffs
+    else:
+        assert w.terms == expected.terms and w.tau_power == expected.tau_power
+
+
+def test_dependent_derivatives_skip_the_determinants():
+    # the circle lifted by M₃ holds x² and y²: the rank of its first
+    # derivatives is below 9, so no higher derivative or determinant is built
+    lifted = lift_curve(circle_arc(), make_Ms(3))
+    with mock.patch.object(polys, "det_int", side_effect=AssertionError):
+        w = wronskian_symbolic(lifted)
+    assert w.is_zero() and w.tau_power == sum(range(1, 10))
+    assert len(lifted._deriv_table) == 2
 
 
 def test_large_graph_lift_wronskian_matches_sympy():

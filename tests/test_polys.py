@@ -129,6 +129,41 @@ def test_det_fraction_matches_sympy():
         expected = sympy.Matrix(rows).det()
         got = polys.det_int(rows)
         assert type(got) is int and got == int(expected), rows
+    # the 0×0 matrix has determinant 1
+    for rows, expected in (([], 1), ([[7]], 7), ([[0]], 0), ([[-2 ** 70]], -2 ** 70)):
+        assert polys.det_int(rows) == expected
+    with pytest.raises(ValueError):
+        polys.det_int([[1, 2]])
+
+
+def test_rank_matches_sympy():
+    # wide, tall and square integer matrices: sparse ones, low-rank products,
+    # rows that are sums of other rows, zero rows and zero columns, and
+    # entries beyond 2^63
+    rng = random.Random(13)
+    for trial in range(150):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        if trial % 3 == 0:
+            rows = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(c)] for _ in range(r)]
+        elif trial % 3 == 1:
+            rows = [[rng.choice((-1, 0, 0, 0, 2)) for _ in range(c)] for _ in range(r)]
+        else:
+            k = rng.randint(1, 3)
+            a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(r)]
+            b = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(c)] for _ in range(k)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        if r > 2 and rng.random() < 0.5:
+            i, j, k = rng.sample(range(r), 3)
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+        if rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * c
+        if rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = 0
+        assert polys.rank_int(rows) == sympy.Matrix(rows).rank(), rows
+    assert polys.rank_int([]) == 0
+    assert polys.rank_int([[0, 0], [0, 0]]) == 0
 
 
 def test_interpolate_recovers_the_polynomial():
