@@ -28,8 +28,7 @@ from .lifting import (MonomialSet, check_lattice_bijection, exponent,
                       lift_point, lipschitz_constant_squared, make_Ms)
 from .pointsets import (CapExceeded, FiniteSet, Gap, additive_energy,
                         check_energy_lower_bound, check_plunnecke, doubling,
-                        exact_int, frac_str, gap_enumerate,
-                        min_separation_squared, parse_frac)
+                        exact_int, frac_str, gap_enumerate, parse_frac)
 from .tube import (LatticeSource, TubeQuery, count_in_tube,
                    count_on_curve_lattice, delta_from_rule)
 
@@ -366,12 +365,13 @@ def run_inequality_campaign(kind: str, seed: int, trials: int,
             g, pts = _random_proper_gap(rng, cap=cap)
             k_doubling = doubling(pts, cap)
             bound = Fraction(2) ** g.gap_dimension
-            sep_ok = len(pts) < 2 or min_separation_squared(pts) > 0
-            if k_doubling <= bound and sep_ok:
+            if k_doubling <= bound:
                 passes += 1
             else:
                 failures.append({"trial": trial,
                                  "gap": {"base": list(map(str, g.base)),
+                                         "generators": [list(map(str, v))
+                                                        for v in g.generators],
                                          "lengths": list(g.lengths)},
                                  "doubling": str(k_doubling),
                                  "bound": str(bound)})

@@ -25,8 +25,10 @@ a + b and sorted keys are sorted points.  A step is an outer sum of keys
 followed by one sort that merges equal keys, and φ accumulates exactly
 through np.add.reduceat.  Outer sums are built in row blocks of at most
 _BLOCK elements, so memory stays O(result + _BLOCK) even near
-ENERGY_WORK_CAP.  Squared separations are sums of squared integer
-differences, taken in the same blocks.  Each array is int64 when the bound of
+ENERGY_WORK_CAP.  The least squared separation is a sweep over the rows
+sorted on their widest axis (Shamos and Hoey, 1975): rows are compared at
+growing shifts, and a row leaves once its gap on that axis alone reaches the
+best square so far.  Each array is int64 when the bound of
 its values (the coordinates, the key box, the number of tuples, the squared
 reach) is below 2⁶³ and an object array of Python ints otherwise (_dtype);
 numpy runs the same code on either, so every path is exact and there is one
@@ -37,6 +39,12 @@ sets charges its pairs: a call's cap bounds the pairs that all of its steps
 form together, charged before each step.  A GAP is checked by its nominal
 size N₁···N_m against its cap instead, which bounds each of its steps, so
 its steps are not charged.
+
+Both objects are immutable, so each keeps what it costs most to recompute: a
+FiniteSet its |A+A|, filled by the first ``doubling``, and a Gap its
+enumerated FiniteSet, filled by the first ``gap_enumerate``.  Neither cache
+changes a cap rule: ``doubling`` charges |A|² and ``gap_enumerate`` checks
+the nominal size against the call's cap on every call, full cache or not.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -121,9 +129,9 @@ class FiniteSet:
     arbitrary rationals can have as many digits as all of theirs together,
     so a set given by exact points is ordered by them until it holds its
     integer form, and two such sets are compared by them.  Iteration is in
-    sorted order."""
+    sorted order.  ``_doubled`` caches |A+A| for ``doubling``."""
 
-    __slots__ = ("dimension", "_points", "_integer", "_sorted")
+    __slots__ = ("dimension", "_points", "_integer", "_sorted", "_doubled")
 
     def __init__(self, points, dimension=None):
         pts = frozenset(exact_point(p) for p in points)
@@ -138,7 +146,7 @@ class FiniteSet:
             raise DimensionMismatch("points do not match declared dimension")
         self._points = pts
         self.dimension = dimension
-        self._integer = self._sorted = None
+        self._integer = self._sorted = self._doubled = None
 
     @classmethod
     def _from_rows(cls, L: int, rows: np.ndarray) -> FiniteSet:
@@ -156,7 +164,7 @@ class FiniteSet:
                 L //= g
                 rows = rows // g
         out = cls.__new__(cls)
-        out._points = out._sorted = None
+        out._points = out._sorted = out._doubled = None
         out.dimension, out._integer = rows.shape[1], (L, rows)
         return out
 
@@ -213,10 +221,14 @@ class FiniteSet:
 
 @dataclass(frozen=True)
 class Gap:
-    """Generalized arithmetic progression {v + Σ ℓᵢvᵢ : 1 ≤ ℓᵢ ≤ Nᵢ}."""
+    """Generalized arithmetic progression {v + Σ ℓᵢvᵢ : 1 ≤ ℓᵢ ≤ Nᵢ}.
+    ``_points`` caches its enumeration for ``gap_enumerate``; it takes no
+    part in ==, hash or repr."""
     base: tuple
     generators: tuple
     lengths: tuple
+    _points: FiniteSet | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", exact_point(self.base))
@@ -243,26 +255,26 @@ class Gap:
         return math.prod(self.lengths)
 
 
-def _gap_sums(g: Gap, cap: int | None) -> _Sums:
-    """{v} + {ℓv₁} + … + {ℓv_m}, 1 ≤ ℓᵢ ≤ Nᵢ, summed; the nominal size
-    bounds every step, which is not charged."""
+def gap_enumerate(g: Gap, cap: int | None = None) -> FiniteSet:
+    """All points v + Σ ℓᵢvᵢ, deduplicated: {v} + {ℓv₁ : 1 ≤ ℓ ≤ N₁} + … +
+    {ℓv_m : 1 ≤ ℓ ≤ N_m}, summed once per GAP and kept on it.  Every call
+    checks the nominal size N₁···N_m against cap first, so a cached set is
+    refused under a smaller cap; the steps it bounds are not charged."""
     cap = ENUMERATION_CAP if cap is None else cap
     if g.nominal_size > cap:
         raise CapExceeded(f"GAP nominal size {g.nominal_size} exceeds cap {cap}")
-    d = len(g.base)
-    return _Sums(FiniteSet([g.base], d),
-                 [FiniteSet([tuple(ell * c for c in v) for ell in range(1, n + 1)], d)
-                  for v, n in zip(g.generators, g.lengths)], math.inf).run()
-
-
-def gap_enumerate(g: Gap, cap: int | None = None) -> FiniteSet:
-    """All points v + Σ ℓᵢvᵢ, deduplicated."""
-    return _gap_sums(g, cap).finite_set()
+    if g._points is None:
+        d = len(g.base)
+        sums = _Sums(FiniteSet([g.base], d),
+                     [FiniteSet([tuple(ell * c for c in v) for ell in range(1, n + 1)], d)
+                      for v, n in zip(g.generators, g.lengths)], math.inf)
+        object.__setattr__(g, "_points", sums.run().finite_set())
+    return g._points
 
 
 def is_proper(g: Gap, cap: int | None = None) -> bool:
     """Proper when the enumerated size equals N₁···N_m exactly."""
-    return len(_gap_sums(g, cap)) == g.nominal_size
+    return len(gap_enumerate(g, cap)) == g.nominal_size
 
 
 def _integer_form(A: FiniteSet) -> tuple:
@@ -355,17 +367,31 @@ def _is_subset(B: FiniteSet, A: FiniteSet) -> bool:
 
 def least_positive_square(X: np.ndarray, initial):
     """The least positive squared distance between two rows of X, or
-    ``initial`` when that is smaller or no two rows differ.  The squares are
-    added left to right over the columns, whatever the blocking of the rows,
-    so a float X gives the same floats every time and an integer X is exact."""
-    step = max(1, _BLOCK // X.size)
+    ``initial`` when that is smaller or no two rows differ.
+
+    A sweep: the rows are sorted on their widest axis a, and row i is
+    compared with row i + k for k = 1, 2, … while its gap on a, squared, is
+    below the best square so far.  Past that no later row can do better: a
+    float difference grows with the row it is taken from, and a float sum of
+    non-negative squares is at least its a-term.  A pair's squares are added
+    left to right over the columns, as for any pair, so a float X gives the
+    same floats every time and an integer X is exact."""
     best = initial
-    for i in range(0, len(X), step):
-        # rows i..i+step against rows i.. (earlier pairs were seen already)
-        diff = X[i:i + step, None, :] - X[None, i:, :]
-        d2 = reduce(np.add, [c * c for c in np.moveaxis(diff, -1, 0)])
+    if len(X) < 2:
+        return best
+    a = int(np.argmax(X.max(axis=0) - X.min(axis=0)))
+    X = X[np.argsort(X[:, a], kind="stable")]
+    live, k = np.arange(len(X) - 1), 1
+    while True:
+        gap = X[live + k, a] - X[live, a]
+        live = live[gap * gap < best]
+        if not len(live):
+            return best
+        diff = X[live + k] - X[live]
+        d2 = reduce(np.add, [c * c for c in diff.T])
         best = min(best, d2[d2 > 0].min(initial=best))
-    return best
+        k += 1
+        live = live[live + k < len(X)]
 
 
 def min_separation_squared(A: FiniteSet) -> Fraction:
@@ -424,6 +450,12 @@ def _outer_sums(left, right, counts) -> tuple:
     return _merge([done, *pending]) if pending else done
 
 
+def _charge(work: int, cap) -> None:
+    """Raise CapExceeded when a sum's pairs, ``work``, are past cap."""
+    if work > cap:
+        raise CapExceeded(f"sumset work {work} exceeds cap {cap}")
+
+
 class _Sums:
     """A + B₁ + … + B_k, one summand per step(), kept as sorted keys in the
     box of the whole sum, with the number of ordered tuples behind each key
@@ -461,8 +493,7 @@ class _Sums:
     def step(self):
         right, lo = self._pending.pop()
         self.work += len(self.keys) * len(right)
-        if self.work > self.cap:
-            raise CapExceeded(f"sumset work {self.work} exceeds cap {self.cap}")
+        _charge(self.work, self.cap)
         self.keys, self.counts = _outer_sums(self.keys, right, self.counts)
         self.lo = [a + b for a, b in zip(self.lo, lo)]
 
@@ -499,9 +530,15 @@ def sumset(A: FiniteSet, B: FiniteSet, cap: int | None = None) -> FiniteSet:
 
 
 def doubling(A: FiniteSet, cap: int | None = None) -> Fraction:
-    """K = |A+A| / |A|, exact; its |A|² pairs are charged against cap, and
-    A+A is counted as keys, never decoded into points."""
-    return Fraction(len(_Sums(A, [A], cap).run()), len(A))
+    """K = |A+A| / |A|, exact; its |A|² pairs are charged against cap on
+    every call, and A+A is counted as keys, never decoded into points.  The
+    first call keeps |A+A| on A, so later calls (the Plünnecke and energy
+    checks among them) only charge."""
+    if A._doubled is None:
+        A._doubled = len(_Sums(A, [A], cap).run())
+    else:
+        _charge(len(A) ** 2, ENUMERATION_CAP if cap is None else cap)
+    return Fraction(A._doubled, len(A))
 
 
 def m_fold_sumset(A: FiniteSet, m: int, cap: int | None = None) -> FiniteSet:

@@ -265,8 +265,8 @@ def count_on_curve_lattice(graph: CurveSpec, N: int) -> FiniteSet:
 
 def _grid_cell_side(delta: float, pts: np.ndarray) -> float:
     """The grid's cell side.  Any positive side is sound; the points' least
-    separation (up to 1024 points) or their mean spacing keeps few points in
-    a cell."""
+    separation (up to 1024 points, by ``pointsets.least_positive_square``'s
+    sorted sweep) or their mean spacing keeps few points in a cell."""
     if 2 <= len(pts) <= 1024:
         # the least positive separation, or 0.0 when every point is one float
         best = float(pointsets.least_positive_square(pts, math.inf))

@@ -172,3 +172,26 @@ def test_campaign_json_roundtrip():
     result = run_inequality_campaign("lipschitz", seed=2, trials=10)
     data = json.loads(json.dumps(result.to_dict()))
     assert data["ok"] and data["passes"] == 10 and data["failures"] == []
+
+
+def test_gap_doubling_failure_rebuilds_its_gap(monkeypatch):
+    # no proper GAP breaks K ≤ 2^m, so a failure is forced: every doubling
+    # reads 100, and the record must name the GAP behind it exactly
+    drawn = []
+    original = experiments._random_proper_gap
+
+    def recorded(*args, **kwargs):
+        g, pts = original(*args, **kwargs)
+        drawn.append(g)
+        return g, pts
+
+    monkeypatch.setattr(experiments, "_random_proper_gap", recorded)
+    monkeypatch.setattr(experiments, "doubling", lambda A, cap=None: F(100))
+    result = run_inequality_campaign("gap-doubling", seed=3, trials=4)
+    data = json.loads(json.dumps(result.to_dict()))
+    assert not data["ok"] and len(data["failures"]) == len(drawn) == 4
+    for record, g in zip(data["failures"], drawn):
+        gap = record["gap"]
+        assert all(isinstance(c, str) for v in gap["generators"] for c in v)
+        assert experiments.Gap(gap["base"], gap["generators"],
+                               gap["lengths"]) == g

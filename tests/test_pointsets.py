@@ -5,8 +5,10 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,7 +19,8 @@ from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap, GapSource,
                         gap_enumerate, is_proper, m_fold_sumset,
                         min_separation, min_separation_squared,
                         representation_counts, sumset)
-from curvecount.pointsets import DimensionMismatch, SeparationUndefined
+from curvecount.pointsets import (DimensionMismatch, SeparationUndefined,
+                                  least_positive_square)
 from curvecount.tube import materialize_source
 
 
@@ -360,6 +363,100 @@ def test_min_separation_matches_pairwise_fractions(pair):
     expected = min(sum((x - y) ** 2 for x, y in zip(p, q))
                    for p, q in combinations(a.points, 2))
     assert min_separation_squared(a) == expected
+
+
+def _all_pairs_least_positive_square(X, initial):
+    """The all-pairs kernel that the sweep replaced, verbatim: rows in
+    blocks of _BLOCK elements against every later row."""
+    _BLOCK = 1 << 16
+    step = max(1, _BLOCK // X.size)
+    best = initial
+    for i in range(0, len(X), step):
+        # rows i..i+step against rows i.. (earlier pairs were seen already)
+        diff = X[i:i + step, None, :] - X[None, i:, :]
+        d2 = reduce(np.add, [c * c for c in np.moveaxis(diff, -1, 0)])
+        best = min(best, d2[d2 > 0].min(initial=best))
+    return best
+
+
+# distinct Fractions within 10⁻³⁰ of a float round to that float
+_crowded = st.builds(lambda x, j: float(F(x) + F(j, 10 ** 30)),
+                     st.sampled_from([0.0, 0.1, -2.5, 1e8]), st.integers(-3, 3))
+# below 1 a gap exceeds its square, so the sweep must stop on squares
+_float = st.one_of(st.floats(-1e6, 1e6), st.floats(-1, 1))
+
+
+@st.composite
+def separation_rows(draw):
+    """(X, initial): float64, int64 or object rows past 2⁶³, of 0 to 14 rows,
+    some on one line parallel to an axis, with an initial of inf (or the
+    rows' squared reach) or below every distance."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["float", "crowded", "int64", "object"]))
+    coord = {"float": st.one_of(_float, _crowded), "crowded": _crowded,
+             "int64": st.integers(-2 ** 29, 2 ** 29),
+             "object": st.integers(2 ** 63, 2 ** 63 + 2 ** 70)}[kind]
+    rows = draw(st.lists(st.tuples(*[coord] * d), max_size=14))
+    line = draw(st.none() | st.integers(0, d - 1))
+    if line is not None and rows:   # every other coordinate shared
+        rows = [tuple(c if j == line else rows[0][j] for j, c in enumerate(r))
+                for r in rows]
+    dtype = {"int64": np.int64, "object": object}.get(kind, float)
+    X = np.array(rows, dtype=dtype).reshape(len(rows), d)
+    # inf, or a bound on every squared distance in the rows' dtype
+    top = {"int64": 3 * 2 ** 60, "object": 3 * 2 ** 142}.get(kind, math.inf)
+    if draw(st.booleans()) or len(X) < 2:
+        return X, top
+    least = _all_pairs_least_positive_square(X, top)
+    return X, draw(st.sampled_from([0, least / 2 if dtype is float else least // 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_rows())
+@example((np.array([[0.1], [float(F(0.1) + F(1, 10 ** 30))], [0.3]]), math.inf))
+# the least square, 0.05², is at shift 2, whose gap 0.05 exceeds shift 1's
+# least square 0.0101
+@example((np.array([[0, 0], [0.01, 0.1], [0.05, 0], [0.5, 0.05]]), math.inf))
+@example((np.array([[1, 5], [1, 2], [1, 9]], dtype=np.int64), 3 * 2 ** 60))
+@example((np.array([[2 ** 63, 0], [2 ** 64, 0]], dtype=object), 0))
+def test_sweep_matches_the_all_pairs_kernel(case):
+    X, initial = case
+    got = least_positive_square(X, initial)
+    if not len(X):   # the all-pairs kernel's block size divides by X.size
+        assert got == initial
+        return
+    want = _all_pairs_least_positive_square(X, initial)
+    if X.dtype == float:
+        assert float(got).hex() == float(want).hex()
+    else:
+        assert got == want
+
+
+def test_caches_keep_answers_and_cap_rules():
+    a = FiniteSet([(i, i * i % 7) for i in range(12)])
+    fresh = FiniteSet(a.points)
+    for _ in range(2):   # |A|² = 144 pairs are charged, cache empty or full
+        with pytest.raises(CapExceeded, match="sumset work 144 exceeds cap 143"):
+            doubling(a, cap=len(a) ** 2 - 1)
+        assert doubling(a) == doubling(fresh, cap=len(a) ** 2)
+    with pytest.raises(CapExceeded):
+        check_plunnecke(a, 2, cap=len(a) ** 2 - 1)
+    b = FiniteSet(sorted(a.points)[::3])
+    for m in (2, 3):
+        assert check_plunnecke(a, m) == check_plunnecke(FiniteSet(a.points), m)
+        assert check_energy_lower_bound(a, b, m) == \
+            check_energy_lower_bound(FiniteSet(a.points), b, m)
+
+    g = Gap((F(1, 3), 0), [(1, F(1, 2)), (0, 1)], [4, 3])
+    first = gap_enumerate(g)
+    assert gap_enumerate(g) is first and is_proper(g)
+    for call in (gap_enumerate, is_proper):
+        with pytest.raises(CapExceeded, match="nominal size 12 exceeds cap 11"):
+            call(g, cap=g.nominal_size - 1)
+    twin = Gap((F(1, 3), 0), [(1, F(1, 2)), (0, 1)], [4, 3])
+    assert twin._points is None and g._points is first
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert gap_enumerate(twin) == first
 
 
 def test_multiplicities_beyond_int64_stay_exact():
