@@ -184,11 +184,14 @@ class FiniteSet:
 
     def _in_order(self) -> list:
         """The points in sorted order: the rows decoded, or the exact points
-        sorted once."""
+        sorted once.  Points with a Fraction among their coordinates sort on
+        ``_order_key``, which compares floats first; integer points, which
+        compare fast as they are, sort plainly."""
         if self._integer is not None:
             return _decode(*self._integer)
         if self._sorted is None:
-            self._sorted = sorted(self._points)
+            exact = any(type(c) is not int for p in self._points for c in p)
+            self._sorted = sorted(self._points, key=_order_key if exact else None)
         return self._sorted
 
     def __len__(self):
@@ -289,6 +292,22 @@ def _integer_form(A: FiniteSet) -> tuple:
         A._integer = (L, np.array(rows, dtype=_dtype(bound))
                       .reshape(len(rows), A.dimension))
     return A._integer
+
+
+def _order_key(p: tuple) -> list:
+    """A sort key that orders exact points as the points themselves: each
+    coordinate c becomes the pair (float(c), c).  Rounding is monotone, so
+    fl(a) < fl(b) implies a < b, and equal floats fall through to the exact
+    comparison.  A coordinate past the float range takes ±inf, which keeps
+    the order."""
+    return [(_float_or_inf(c), c) for c in p]
+
+
+def _float_or_inf(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 def _decode(L: int, rows: np.ndarray) -> list:

@@ -1,24 +1,33 @@
 """Counting points of exact finite sets and scaled lattices in the closed
 δ-neighborhood of a curve.
 
-Lattice queries on a planar polynomial graph y = f(x) and on the full unit
-circle are decided by a column walk (``_walk_graph``, ``_walk_circle``).
-Each column x = i/N lists the few j that can be hits from exact bounds and
-decides each of them exactly, in Python integers: a vertical witness or
-``_poly_near`` on a graph, integer radii on the circle.  The work is
-O(N + candidates) and does not depend on δ.  The columns, and each column's
-candidates before they are decided, count against the ``cap`` argument of
-the count (``pointsets.ENUMERATION_CAP`` when it is None).  Walked results
-are certified and examine no arcs.
+One decision stage decides the candidates of two sources.  Lattice queries
+on a planar polynomial graph y = f(x) take a column walk (``_walk_graph``):
+each column x = i/N lists the few j that can be hits from exact bounds, in
+integers over numpy arrays of the columns, and a vertical witness proves
+most hits.  The work is O(N + candidates) and does not depend on δ.  The
+columns, and each column's candidates before they are listed, count
+against the ``cap`` argument of the count (``pointsets.ENUMERATION_CAP``
+when it is None).  Every other query (explicit and GAP sources around any
+curve, and lattices around lifted curves, partial arcs and parametric
+curves) takes arcs, and its candidates are (point, segment) pairs.  The
+full unit circle's lattice queries keep their own exact column walk
+(``_walk_circle``: integer radii, ``math.isqrt`` runs).  Walked results are
+certified and examine no arcs.
 
-Every other query (explicit and GAP sources around any curve, and lattices
-around lifted curves, partial arcs and parametric curves) takes arcs and
-decides each candidate by one rule.
-The parameter interval is cut into segments whose chords follow the cells
-and are δ-flat, at most 64 per point, and each segment's box is padded so
-that no point within δ falls outside it.  A candidate is a (point, segment)
-pair with the point's float coordinates inside the box, generated with
-numpy, one block of segments at a time, from integer cell indices:
+The stage takes each candidate's float distance to δ-flat chords of the
+curve under a sound error bound (``_float_verdicts``): a clear hit, a clear
+miss, or left open for one exact pass per count (``_exact_near``).  A walk
+candidate (x, y) has its own chords, over its window [x − δ, x + δ] of the
+domain (``_GraphWindows``), which holds every parameter of a curve point
+within δ of it.
+
+On the arc route the parameter interval is cut into segments whose chords
+follow the cells and are δ-flat, at most 64 per point, and each segment's
+box is padded so that no point within δ falls outside it.  A candidate is a
+(point, segment) pair with the point's float coordinates inside the box,
+generated with numpy, one block of segments at a time, from integer cell
+indices:
 
 - a lattice (1/N)Z² is its own index.  Cell i is the point i/N, so each
   box's index range, clipped to the lattice box, lists its candidates
@@ -35,7 +44,8 @@ when some chord has d + m ≤ δ, a clear miss when every one has d − m > δ,
 and is decided exactly otherwise: whether |γ(t) − p|² − δ² is ≤ 0 on the
 domain.  On a polynomial curve an integer certificate from its quadratic
 part about the centre of the parameter window decides almost every point,
-and a Sturm count of the same integer polynomial the rest.  On a curve in
+and a Sturm count of the same integer polynomial the rest; the curve's
+integer forms are read once per count (``_PolyNear``).  On a curve in
 (cos 2πt, sin 2πt) that function is linear in (|p|² − δ², p, 1), so each
 point reads its half-angle form in s = tan πt as one row of the plane
 matrix of (γ, |γ|²), built once per count, and ``curves.TrigRoots``
@@ -189,11 +199,17 @@ def materialize_source(source, cap: int | None = None):
         floats = np.array([[float(c) for c in p] for p in fs], dtype=float)
         return fs, floats.reshape(len(fs), fs.dimension)
     L, rows = pointsets._integer_form(fs)
-    if (rows.dtype == np.int64 and L < _FLOAT_EXACT
-            and (not rows.size or np.abs(rows).max() < _FLOAT_EXACT)):
-        return fs, rows / L
-    floats = np.array([[x / L for x in p] for p in rows.tolist()], dtype=float)
-    return fs, floats.reshape(rows.shape)
+    return fs, _quotients(rows, L)
+
+
+def _quotients(a: np.ndarray, L: int) -> np.ndarray:
+    """The floats a / L of an integer array, correctly rounded: one numpy
+    division when L and every entry are below 2⁵³, so that both are exact
+    floats, and Python's int / int otherwise."""
+    if (a.dtype == np.int64 and L < _FLOAT_EXACT
+            and (not a.size or np.abs(a).max() < _FLOAT_EXACT)):
+        return a / L
+    return np.array([x / L for x in a.ravel().tolist()], dtype=float).reshape(a.shape)
 
 
 def _lattice_set(source: LatticeSource, cap: int) -> FiniteSet:
@@ -363,7 +379,7 @@ class _PointCells:
         self.extent = float(np.abs(pts).max())
         self.side = _grid_cell_side(delta, pts)
         cells = np.floor(pts / self.side).T
-        occupied = [np.unique(c) for c in cells]
+        occupied = [_distinct(np.sort(c)) for c in cells]
         self.index = np.sort(np.argsort([-len(ax) for ax in occupied],
                                         kind="stable")[:2])
         self.axes = [occupied[d] for d in self.index]
@@ -401,6 +417,12 @@ class _PointCells:
         return self.fs._point(pid)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array.  (numpy's plain ``np.unique``
+    imports ``numpy.ma`` on its first call.)"""
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _expand(counts: np.ndarray):
     """Index of the owner and rank within it of each of sum(counts) items."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -409,6 +431,7 @@ def _expand(counts: np.ndarray):
 
 _SEGMENT_BLOCK = 1 << 16
 _SEGMENTS_PER_POINT = 64   # the grid's cap on segments per point
+_WINDOW_CHORDS = 8         # walk: the cap on chords per candidate window
 _PAIR_BLOCK = 1 << 22   # oracle: runs listed, (point, sample) pairs measured at once
 _SAMPLE_BLOCK = 100     # oracle: samples per block, about δ of arc at h = δ/100
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
@@ -460,69 +483,119 @@ def _charge(work: int, cap: int) -> int:
     return work
 
 
-def _poly_near(curve: CurveSpec, p: tuple, delta: Fraction) -> bool:
-    """Whether dist(p, γ) ≤ δ, exactly, for a polynomial curve γ.
+class _PolyNear:
+    """Whether dist(p, γ) ≤ δ, exactly, for points p and a polynomial curve γ.
 
     That is whether D(t) = Σ (γᵢ(t) − pᵢ)² − δ² is ≤ 0 somewhere on a window
     [a, b] of the domain: the domain itself, or on a graph, where γ₁(t) = t,
     the t with |t − p₁| ≤ δ in it.  Two exact steps decide it, both on the
-    integer polynomial E(u) of ``_shifted_distance``, D about a centre of the
-    window: the quadratic certificate (``_quadratic_certificate``), which
-    settles almost every point, and a Sturm count of E on the window for the
-    rest.  A certificate that defers has found E > 0 at a point of the
-    window, so E is ≤ 0 somewhere on it exactly when it has a root there.
+    integer polynomial E(u) of ``model``, D about a centre of the window: the
+    quadratic certificate (``_quadratic_certificate``), which settles almost
+    every point, and a Sturm count of E on the window for the rest.  A
+    certificate that defers has found E > 0 at a point of the window, so E
+    is ≤ 0 somewhere on it exactly when it has a root there.
+
+    One object serves every point of a count: the curve's integer forms and
+    degree are read once, and the scaled coefficients, domain ends and δ
+    once per common denominator L (``_scaled``).  A point then builds only
+    its own numerators.
     """
-    model = _shifted_distance(curve, p, delta)
-    if model is None:
-        return False
-    verdict = _quadratic_certificate(*model)
-    if verdict is not None:
-        return verdict
-    E, ua, ub = model
-    return polys.Roots(E).closed(ua, ub) > 0
+
+    def __init__(self, curve: CurveSpec, delta: Fraction):
+        self.graph = curve.is_graph_form
+        self.forms = [fn.integer_form for fn in curve.coords]
+        self.d = max([1, *(len(e) for _, e in self.forms)]) - 1
+        self.delta = delta
+        self.domain = curve.domain
+        lo, hi = curve.domain
+        self.base = math.lcm(delta.denominator, lo.denominator, hi.denominator,
+                             *(den for den, _ in self.forms))
+        self._by_L = {}
+
+    def __call__(self, p: tuple) -> bool:
+        model = self.model(p)
+        if model is None:
+            return False
+        verdict = _quadratic_certificate(*model)
+        if verdict is not None:
+            return verdict
+        E, ua, ub = model
+        return polys.Roots(E).closed(ua, ub) > 0
+
+    def _scaled(self, L: int) -> tuple:
+        """(δ·L, a, b, q, g, c) for the common denominator L: the domain is
+        a ≤ t·L ≤ b, q is the window's denominator, g holds each
+        coordinate's coefficients times L, of degree d, and c = (δ·L·q^d)².
+        On a curve that is no graph the centre is the domain's midpoint, so
+        g is stored already shifted to it (``_shift``), with the window's
+        ends (u_a, u_b) in place of (a, b)."""
+        if L not in self._by_L:
+            dl, a, b = (_times(x, L) for x in (self.delta, *self.domain))
+            g = [[c * (L // den) for c in e] + [0] * (self.d + 1 - len(e))
+                 for den, e in self.forms]
+            q = L if self.graph else 2 * L
+            if not self.graph:
+                g = [_shift(gi, a + b, q) for gi in g]
+                a, b = a - b, b - a
+            self._by_L[L] = dl, a, b, q, g, (dl * q ** self.d) ** 2
+        return self._by_L[L]
+
+    def model(self, p: tuple):
+        """(E, u_a, u_b): D as the integer polynomial
+        E(u) = (L·q^d)²·D((n₀ + u)/q), and the window a ≤ t ≤ b as the
+        integers u_a ≤ u ≤ u_b; None when the window is empty.
+
+        L is the common denominator of the coefficients (of each coordinate's
+        ``integer_form``), p, δ and the domain's ends, so L·(γᵢ − pᵢ) has
+        integer coefficients, of degree at most d.  The window's ends and
+        its centre t₀ = n₀/q are integers over q: on a graph q = L and t₀ is
+        p₁ clamped into the window, otherwise q = 2L and t₀ is the domain's
+        midpoint.  Each q^d·L·(γᵢ − pᵢ)((n₀ + u)/q) is taken by Horner's
+        rule in ℤ[u], then squared; off a graph only its constant term
+        depends on p.
+        """
+        L = math.lcm(self.base, *(x.denominator for x in p))
+        dl, a, b, q, g, c = self._scaled(L)
+        ps = [_times(x, L) for x in p]
+        if self.graph:
+            a, b = max(a, ps[0] - dl), min(b, ps[0] + dl)
+            if a > b:
+                return None
+            n0 = min(max(ps[0], a), b)
+            G = [_shift([gi[0] - x, *gi[1:]], n0, q) for gi, x in zip(g, ps)]
+            a, b = a - n0, b - n0
+        else:
+            qd = q ** self.d
+            G = [[gi[0] - x * qd, *gi[1:]] for gi, x in zip(g, ps)]
+        E = [0] * (2 * self.d + 1)
+        for Gi in G:
+            for i, gi in enumerate(Gi):
+                for j, gj in enumerate(Gi):
+                    E[i + j] += gi * gj
+        E[0] -= c
+        return E, a, b
 
 
-def _shifted_distance(curve: CurveSpec, p: tuple, delta: Fraction):
-    """(E, u_a, u_b): D of ``_poly_near`` as the integer polynomial
-    E(u) = (L·q^d)²·D((n₀ + u)/q), and the window a ≤ t ≤ b as the integers
-    u_a ≤ u ≤ u_b; None when the window is empty.
+def _shift(g: list, n0: int, q: int) -> list:
+    """q^d·g((n₀ + u)/q) in ℤ[u] for g of degree d, by Horner's rule."""
+    d = len(g) - 1
+    G = [g[d]]
+    for k in range(d - 1, -1, -1):
+        # G·(n₀ + u) + g_k·q^(d−k)
+        G = [n0 * G[0] + g[k] * q ** (d - k)] + [
+            n0 * G[j] + G[j - 1] for j in range(1, len(G))] + [G[-1]]
+    return G
 
-    L is the common denominator of the coefficients (of each coordinate's
-    ``integer_form``), p, δ and the domain's ends, so L·(γᵢ − pᵢ) has
-    integer coefficients, of degree at most d.
-    The window's ends and its centre t₀ = n₀/q are integers over q: on a
-    graph q = L and t₀ is p₁ clamped into the window, otherwise q = 2L and
-    t₀ is the domain's midpoint.  Each q^d·L·(γᵢ − pᵢ)((n₀ + u)/q) is taken
-    by Horner's rule in ℤ[u], then squared.
-    """
-    lo, hi = curve.domain
-    forms = [fn.integer_form for fn in curve.coords]
-    L = math.lcm(delta.denominator, lo.denominator, hi.denominator,
-                 *(x.denominator for x in p), *(den for den, _ in forms))
-    dl, a, b = _times(delta, L), _times(lo, L), _times(hi, L)
-    if curve.is_graph_form:
-        x = _times(p[0], L)
-        a, b = max(a, x - dl), min(b, x + dl)
-        if a > b:
-            return None
-        q, n0 = L, min(max(x, a), b)
-    else:
-        q, n0, a, b = 2 * L, a + b, 2 * a, 2 * b
-    d = max([1, *(len(e) for _, e in forms)]) - 1
-    E = [0] * (2 * d + 1)
-    for (den, e), x in zip(forms, p):
-        g = [c * (L // den) for c in e] + [0] * (d + 1 - len(e))
-        g[0] -= _times(x, L)
-        G = [g[d]]
-        for k in range(d - 1, -1, -1):
-            # G·(n₀ + u) + g_k·q^(d−k)
-            G = [n0 * G[0] + g[k] * q ** (d - k)] + [
-                n0 * G[j] + G[j - 1] for j in range(1, len(G))] + [G[-1]]
-        for i, gi in enumerate(G):
-            for j, gj in enumerate(G):
-                E[i + j] += gi * gj
-    E[0] -= (dl * q ** d) ** 2
-    return E, a - n0, b - n0
+
+def _exact_near(curve: CurveSpec, points: list, delta: Fraction) -> list:
+    """The exact pass of a count: whether dist(p, γ) ≤ δ for each point p,
+    by ``_PolyNear`` on a polynomial curve and ``_trig_near`` on a curve in
+    (cos 2πt, sin 2πt); None where a trig end cannot be bracketed."""
+    if not points:
+        return []
+    if curve.is_exact:
+        return list(map(_PolyNear(curve, delta), points))
+    return _trig_near(curve, points, delta)
 
 
 def _times(x: Fraction, L: int) -> int:
@@ -583,62 +656,163 @@ def _trig_near(curve: CurveSpec, points: list, delta: Fraction) -> list:
 
 
 def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
-                cap: int) -> list:
-    """Lattice hits of the tube around a planar polynomial graph y = f(x).
+                cap: int) -> tuple:
+    """Lattice hits of the tube around a planar polynomial graph y = f(x), as
+    (count, points): the points in sorted order, built only when read.
 
     A hit (x, y) has a witness t in the domain [lo, hi] with |t − x| ≤ δ and
     |f(t) − y| ≤ δ.  So only the columns x = i/N in [lo − δ, hi + δ] hold
     hits, and with xc the clamp of x to the domain and L = Σ k·|c_k|·R^(k−1)
     ≥ |f′| (R = max(|lo|, |hi|)), only the j with
-    |f(xc) − j/N| ≤ δ(1 + L).  Each such candidate is a hit when x is in the
-    domain and |f(x) − y| ≤ δ, and otherwise as ``_poly_near`` decides.
+    |f(xc) − j/N| ≤ δ(1 + L).
 
-    The column loop runs on integers: f(xc), δ and δ(1 + L) are numerators
-    over one denominator W (f(i/N) from ``_graph_numerators``), so the ends
-    of the j range are floor divisions and the vertical witness is
-    |f(x)·W·N − j·W| ≤ δ·W·N.  Fractions are built only for hits and for the
-    points passed to ``_poly_near``.
+    This candidate source lists them in integers, over a numpy table with
+    one row per column: the ends of its j range and of its witness range.
+    In a column x = i/N of the domain f(x) = A_i / M (``_graph_numerators``),
+    and |f(x) − j/N| ≤ r exactly when |A_i·n − j·m| ≤ ⌊r·m·N⌋, for m and n
+    the modulus M and N over their gcd; so both ranges end at floor
+    divisions, and the witness range, r = δ, holds the hits
+    |f(x) − y| ≤ δ.  A column outside the domain takes f at the nearer
+    end, in Fractions, and has no witness.  The table is int64 when its
+    integers stay below 2⁶³ and holds Python ints otherwise
+    (``pointsets._dtype``).  The columns, and then every column's
+    candidates, are charged against cap before any candidate is listed;
+    they are listed and decided ``_SEGMENT_BLOCK`` at a time.
+
+    The candidates the witness leaves go to the chord route's decision
+    stage: floats over the δ-flat chords of each one's window
+    (``_GraphWindows``, ``_float_verdicts``), then one exact pass
+    (``_exact_near``) for those the floats leave open.  Fractions are built
+    only for that pass and for the hits that are read.
     """
     N = source.N
-    f = curve.coords[1].coeffs
+    fn = curve.coords[1]
     lo, hi = curve.domain
     R = max(abs(lo), abs(hi))
     reach = delta * (1 + sum(k * abs(c) * R ** (k - 1)
-                             for k, c in enumerate(f) if k))
+                             for k, c in enumerate(fn.coeffs) if k))
     (ilo, ihi), (jlo, jhi) = source.index_bounds()
     ilo = max(ilo, math.ceil((lo - delta) * N))
     ihi = min(ihi, math.floor((hi + delta) * N))
-    _charge(ihi - ilo + 1, cap)
-    # columns inside the domain take f(i/N) = A_i / modulus in integers
-    klo, khi = max(ilo, math.ceil(lo * N)), min(ihi, math.floor(hi * N))
-    modulus, values = _graph_numerators(curve.coords[1], N, klo, khi)
-    # Python ints: W-scaled values can leave int64
-    values = values.tolist()
-    f_lo, f_hi = polys.eval_exact(f, lo), polys.eval_exact(f, hi)
-    W = math.lcm(modulus, f_lo.denominator, f_hi.denominator,
-                 reach.denominator, delta.denominator)
-    scale = W // modulus * N
-    below, above, reach_n, delta_n = (_times(v, W) * N
-                                      for v in (f_lo, f_hi, reach, delta))
-    hits, work = [], 0
-    for i in range(ilo, ihi + 1):
-        inside = klo <= i <= khi
-        # f(xc)·W·N
-        fy = values[i - klo] * scale if inside else below if i < klo else above
-        j0 = max(jlo, -((reach_n - fy) // W))
-        j1 = min(jhi, (fy + reach_n) // W)
-        work = _charge(work + max(0, j1 - j0 + 1), cap)
-        for j in range(j0, j1 + 1):
-            # every candidate is a hit or goes to _poly_near
-            p = (Fraction(i, N), Fraction(j, N))
-            if (inside and abs(fy - j * W) <= delta_n) or _poly_near(curve, p, delta):
-                hits.append(p)
-    return hits
+    n_cols = max(0, _charge(ihi - ilo + 1, cap))
+    # the columns of the domain, and the `left` and `right` ones beside it
+    kl, kh = math.ceil(lo * N), math.floor(hi * N)
+    modulus, values = _graph_numerators(fn, N, max(ilo, kl), min(ihi, kh))
+    left, right = (min(n_cols, max(0, k)) for k in (kl - ilo, ihi - kh))
+    g = math.gcd(modulus, N)
+    m, n = modulus // g, N // g
+    r_n, d_n = (r.numerator * m * N // r.denominator for r in (reach, delta))
+    # the j ranges of the columns beside the domain, with an empty witness
+    sides = [[math.ceil((y - reach) * N), math.floor((y + reach) * N), 1, 0]
+             for y in (polys.eval_exact(fn.coeffs, x)
+                       for x, c in ((lo, left), (hi, right)) if c)]
+    # every entry, and every j of a candidate, is below `top` in size; the
+    # table's sums and differences stay below 2·top + 2
+    top = max([int(np.abs(values).max(initial=0)) * n + r_n + m,
+               *(abs(e) + 1 for ends in sides for e in ends)])
+    dtype = pointsets._dtype(2 * top + 2)
+    # ⌈(X − r)/m⌉, ⌊(X + r)/m⌋ for r = r_n and d_n, with X = A_i·n
+    ends = np.array([m - 1 - r_n, r_n, m - 1 - d_n, d_n], dtype)
+    ranges = (values.astype(dtype)[:, None] * n + ends) // m
+    if sides:
+        # the first row is the left side's when left > 0, the last the
+        # right side's when right > 0
+        rows = np.array(sides, dtype)
+        ranges = np.concatenate([rows[:1].repeat(left, axis=0), ranges,
+                                 rows[-1:].repeat(right, axis=0)])
+    # the box, its bounds clamped to ±top, which moves no range end
+    np.maximum(ranges[:, 0], min(max(jlo, -top), top), out=ranges[:, 0])
+    np.minimum(ranges[:, 1], max(min(jhi, top), -top), out=ranges[:, 1])
+    counts = np.maximum(ranges[:, 1] - ranges[:, 0] + 1, 0)
+    total = _charge(int(counts.sum()), cap)
+    counts = counts.astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    i_dtype = pointsets._dtype(max(abs(ilo), abs(ihi)))
+    # per block: the (column, j) of each hit or open candidate, and where
+    # the open ones fall among them
+    cols, js, open_at, points = [np.zeros(0, np.int64)], [np.zeros(0, dtype)], [], []
+    kept, windows = 0, None
+    for s in range(0, total, _SEGMENT_BLOCK):
+        k = np.arange(s, min(total, s + _SEGMENT_BLOCK))
+        col = np.searchsorted(starts, k, "right") - 1
+        row = ranges[col]
+        j = row[:, 0] + (k - starts[col])
+        hit = (row[:, 2] <= j) & (j <= row[:, 3])
+        rest = np.flatnonzero(~hit)
+        if rest.size:
+            windows = windows or _GraphWindows(curve, delta)
+            i = col[rest].astype(i_dtype) + ilo
+            clear_hit, clear_miss = windows.verdicts(
+                np.column_stack([_quotients(i, N), _quotients(j[rest], N)]))
+            todo = ~clear_hit & ~clear_miss
+            hit[rest[~clear_miss]] = True
+            open_at.append(kept + np.cumsum(hit)[rest[todo]] - 1)
+            points += [(Fraction(x, N), Fraction(y, N))
+                       for x, y in zip(i[todo].tolist(), j[rest[todo]].tolist())]
+        where = np.flatnonzero(hit)
+        cols.append(col[where])
+        js.append(j[where])
+        kept += len(where)
+    verdicts = _exact_near(curve, points, delta)
+    cols, js = np.concatenate(cols), np.concatenate(js)
+    if points:
+        keep = np.ones(len(cols), dtype=bool)
+        keep[np.concatenate(open_at)] = verdicts
+        cols, js = cols[keep], js[keep]
+    return len(cols), ((Fraction(ilo + c, N), Fraction(y, N))
+                       for c, y in zip(cols.tolist(), js.tolist()))
+
+
+class _GraphWindows:
+    """Float verdicts for points near a planar polynomial graph y = f(x), each
+    point over the chords of its own window.
+
+    A curve point within δ of p = (x, y) has |t − x| ≤ δ, so its parameter
+    lies in the window [x − δ, x + δ] ∩ [lo, hi].  The window is widened
+    outward in floats by the rounding of x and δ, kept inside the domain's
+    float ends, and cut into ``chords`` equal pieces, at most
+    ``_WINDOW_CHORDS``, δ-flat where that suffices: a step h ≤ √(2δ/accel)
+    keeps the sagitta accel·h²/8 ≤ δ/4.  The chord route's slack then holds
+    for each point with its own window's sagitta (``_float_verdicts``), the
+    parameters of the domain outside its float ends included.  No point gets
+    a float verdict when δ is subnormal or the domain holds no float, nor
+    when its window is below float resolution, δ ≤ 8u·|x|.
+    """
+
+    def __init__(self, curve: CurveSpec, delta: Fraction):
+        self.curve, self.delta = curve, delta
+        self.lo, self.hi = _float_ends(curve)
+        self.up = _float_above(delta)
+        self.accel = derivative_sup_bound(curve, 2)
+        self.ends = derivative_sup_bound(curve, 1) * math.ulp(1.0)
+        self.err = max(fn.error_estimate(*curve.domain) for fn in curve.coords)
+        flat = math.sqrt(2 * self.up / self.accel) if self.accel else math.inf
+        self.chords = max(1, min(_WINDOW_CHORDS, math.ceil(2 * self.up / flat)))
+        self.clear = self.lo <= self.hi and float(delta) >= sys.float_info.min
+
+    def verdicts(self, pts: np.ndarray):
+        """(clear hit, clear miss) of each row (x, y) of pts, the correctly
+        rounded floats of an exact point."""
+        x, m = pts[:, 0], self.chords
+        grow = 4 * _U * (np.abs(x) + self.up)
+        a = np.maximum(self.lo, x - self.up - grow)
+        b = np.minimum(self.hi, x + self.up + grow)
+        t = np.minimum(a[:, None] + ((b - a) / m)[:, None] * np.arange(m + 1), b[:, None])
+        t[:, -1] = b
+        h = np.diff(t, axis=1).max(axis=1) * (1 + 1e-12)
+        gamma = eval_array(self.curve, t)
+        err = self.err + _U * float(np.abs(pts).max())
+        slack = (self.accel * h * h / 8 + math.sqrt(2) * err + self.ends) * (1 + 1e-12)
+        clear = self.clear & (a <= b) & (self.up > 8 * _U * np.abs(x))
+        return _float_verdicts(self.delta, np.repeat(pts, m, axis=0),
+                               gamma[:, :-1].reshape(-1, 2), gamma[:, 1:].reshape(-1, 2),
+                               np.arange(0, m * len(pts), m), np.repeat(slack, m), clear)
 
 
 def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
-                 cap: int) -> list:
-    """Lattice hits of the tube around the full unit circle.
+                 cap: int) -> tuple:
+    """Lattice hits of the tube around the full unit circle, as (count,
+    points).
 
     Since dist(p, circle) = | |p| − 1 |, p = (i, j)/N is a hit exactly when
     N²·r_in ≤ i² + j² ≤ N²·r_out for r_in = max(0, 1 − δ)² and
@@ -665,7 +839,7 @@ def _walk_circle(curve: CurveSpec, delta: Fraction, source: LatticeSource,
         work = _charge(work + sum(max(0, b - a + 1) for a, b in runs), cap)
         x = Fraction(i, N)
         hits += [(x, Fraction(j, N)) for a, b in runs for j in range(a, b + 1)]
-    return hits
+    return len(hits), hits
 
 
 def _column_walk(curve: CurveSpec):
@@ -690,9 +864,25 @@ def _float_above(x: Fraction) -> float:
     return math.nextafter(f, math.inf) if f < x else f
 
 
+def _float_ends(curve: CurveSpec) -> tuple:
+    """The least and the largest float of the domain [lo, hi]; the first
+    exceeds the second when the domain holds no float.  The domain lies in
+    [0, 1], so a parameter of it outside them is within ulp(1) of one."""
+    lo, hi = curve.domain
+    return _float_above(lo), _float_below(hi)
+
+
 def count_in_tube(query: TubeQuery, keep_points: bool = True,
                   cap: int | None = None) -> CountResult:
-    """Exact-or-certified count of source points with dist(p, Γ) ≤ δ."""
+    """Exact-or-certified count of source points with dist(p, Γ) ≤ δ.
+
+    A lattice box around a planar polynomial graph or the full unit circle
+    is walked column by column; every other query lists (point, segment)
+    candidates over the arcs of δ-flat chords.  The graph walk and the arcs
+    feed one decision stage: ``_float_verdicts`` on chords, then one
+    ``_exact_near`` pass for what the floats leave open.  ``points`` holds
+    the hits in sorted order when ``keep_points``; a walk builds no
+    ``Fraction`` for a hit otherwise."""
     cap = pointsets.ENUMERATION_CAP if cap is None else cap
     curve = query.curve
     delta_q = query.delta
@@ -700,9 +890,9 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     if isinstance(query.source, LatticeSource):
         walk = _column_walk(curve)
         if walk is not None:
-            # every decision is exact, and no arc is examined
-            hits = walk(curve, delta_q, query.source, cap)
-            return _result(len(hits), hits, 0, True, keep_points)
+            # every verdict is sound, and no arc is examined
+            count, hits = walk(curve, delta_q, query.source, cap)
+            return _result(count, hits, 0, True, keep_points)
         cells = _LatticeCells(query.source)
     else:
         fs, pts = materialize_source(query.source, cap)
@@ -716,8 +906,8 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
         raise InvalidQuery("a coordinate carries a power of 2π; |γ − p|² is not rational")
     lo, hi = curve.domain
     # float ends inside the domain, so that every float parameter is on it;
-    # a domain between two floats gets one point and no clear hit
-    lo_f, hi_f = _float_above(lo), _float_below(hi)
+    # a domain between two floats gets one point and no float verdict
+    lo_f, hi_f = _float_ends(curve)
     inside = lo_f <= hi_f
     hi_f = max(lo_f, hi_f)
     speed = derivative_sup_bound(curve, 1)
@@ -744,28 +934,43 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     pad = (_float_above(delta_q) + sagitta + err + ends) * (1 + 1e-12)
     pad += 2 * math.ulp(float(np.abs(gamma).max()) + pad)
     pid, seg = _candidate_pairs(cells, gamma, pad, cap)
-
-    # The exact distance from a point to the arc over a segment is within
-    # `slack` of the float one to the float chord: the sagitta, the errors
-    # above, coordinate by coordinate, and the rounding of the chord
-    # distance.  Each sum or product below rounds by u.
-    d, slack = _chord_bounds(cells.points(pid), gamma[seg], gamma[seg + 1])
-    slack += (sagitta + math.sqrt(curve.dimension) * err + ends) * (1 + 1e-12)
     ids, first = np.unique(pid, return_index=True)
-    hit = inside & (np.minimum.reduceat(d + slack, first)
-                    <= _float_below(delta_q) * (1 - 4 * _U))
-    miss = np.minimum.reduceat(d - slack, first) > _float_above(delta_q) * (1 + 4 * _U)
-    # every other candidate is decided exactly
+    hit, miss = _float_verdicts(
+        delta_q, cells.points(pid), gamma[seg], gamma[seg + 1], first,
+        (sagitta + math.sqrt(curve.dimension) * err + ends) * (1 + 1e-12), inside)
     todo = np.flatnonzero(~hit & ~miss)
-    points = [cells.exact(i) for i in ids[todo].tolist()]
-    if curve.is_exact:
-        verdicts = [_poly_near(curve, p, delta_q) for p in points]
-    else:
-        verdicts = _trig_near(curve, points, delta_q)
+    verdicts = _exact_near(curve, [cells.exact(i) for i in ids[todo].tolist()], delta_q)
     hit[todo] = [v is not False for v in verdicts]
     hits = ids[hit].tolist()
     return _result(len(hits), map(cells.exact, hits), n_seg,
                    None not in verdicts, keep_points)
+
+
+def _float_verdicts(delta: Fraction, p: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    first: np.ndarray, slack, clear):
+    """(clear hit, clear miss) of each candidate, in floats; what neither
+    marks goes to the exact pass.
+
+    Row r pairs the float point p[r] with a chord [a[r], b[r]]: the float γ
+    at two parameters of the domain.  Candidate k owns the rows from
+    first[k] to the next candidate's, whose parameter pieces cover every
+    curve point within δ of it, apart from the domain's pieces outside its
+    float ends.  ``slack`` (per row, or one float) bounds the gap between
+    the exact distance to the arc over a piece and the float one to its
+    chord, beyond the rounding of that distance (``_chord_bounds``): the
+    sagitta, the float error of the chord's ends and of the point's
+    coordinates, and the curve over those end pieces.  A candidate is a
+    clear hit when some chord has d + slack ≤ δ and a clear miss when every
+    one has d − slack > δ, with room for the rounding of each sum.  Only
+    the candidates ``clear`` marks (per candidate, or one bool) get either.
+    """
+    d, bound = _chord_bounds(p, a, b)
+    bound += slack
+    hit = clear & (np.minimum.reduceat(d + bound, first)
+                   <= _float_below(delta) * (1 - 4 * _U))
+    miss = clear & (np.minimum.reduceat(d - bound, first)
+                    > _float_above(delta) * (1 + 4 * _U))
+    return hit, miss
 
 
 def _chord_bounds(p: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -842,7 +1047,7 @@ def _reach_pairs(pts: np.ndarray, centers: np.ndarray, reach: float):
     keys = pts[:, a] + 1j * pts[:, b]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    cols = keys.real[np.concatenate(([True], keys.real[1:] != keys.real[:-1]))]
+    cols = _distinct(keys.real)
     ca, cb = centers[:, a], centers[:, b]
     first = np.searchsorted(cols, ca - reach, "left")
     pids, cids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -980,6 +1185,7 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
     d_star = _zoom(curve, pts[todo], grid[nearest[todo]], lo, hi,
                    width / n_samp)
-    matched = np.union1d(np.flatnonzero(inside), todo[d_star <= delta])
+    inside[todo[d_star <= delta]] = True
+    matched = np.flatnonzero(inside)
     return _result(len(matched), map(fs._point, matched.tolist()), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

@@ -573,3 +573,28 @@ def test_sets_built_from_sums_equal_their_fraction_points(case):
         assert (ordered[-1][0] + 1, *ordered[-1][1:]) not in built
     assert all(p in built for p in ordered)
     assert built.points == exact.points
+
+
+# coordinates for the exact order: distinct Fractions that round to one float
+# (1/3 and its neighbours 10⁻³⁰ apart), negatives, plain ints, and values
+# near and past 10³⁰⁸, the edge of the float range
+_ORDER_COORDS = (
+    st.integers(-5, 5)
+    | st.fractions(-3, 3, max_denominator=12)
+    | st.builds(lambda k: F(1, 3) + F(k, 10 ** 30), st.integers(-3, 3))
+    | st.builds(lambda k: -F(1, 3) + F(k, 10 ** 30), st.integers(-3, 3))
+    | st.builds(lambda s, k: s * (10 ** 308 * (1 + k) + F(k, 7)),
+                st.sampled_from([-1, 1]), st.integers(0, 3))
+    | st.builds(lambda s, k: s * 2 ** 1024 * k, st.sampled_from([-1, 1]),
+                st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[_ORDER_COORDS] * d), max_size=30)))
+def test_exact_points_sort_in_exact_order(pts):
+    # the float-first key gives the order of the exact points themselves,
+    # on integer-only sets, mixed ones and Fractions one float cannot tell
+    # apart alike, and past the float range with no OverflowError
+    if pts:
+        assert list(FiniteSet(pts)) == sorted(set(FiniteSet(pts).points))

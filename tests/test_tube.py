@@ -536,6 +536,24 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_tube_counts_leave_numpy_ma_unimported():
+    # numpy's plain np.unique (and np.union1d) imports numpy.ma on its first
+    # call, about 12 ms; a walked and an arc-route lattice count, an
+    # explicit-set count and an oracle call must not pay for it
+    proc = _run_python(
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from curvecount import *\n"
+        "box = LatticeSource(8, ((0, 1), (0, 1)))\n"
+        "for curve in (parabola(), circle_arc(0, F(1, 4))):\n"
+        "    count_in_tube(TubeQuery(curve, F(4, 64), box))\n"
+        "pts = FiniteSet([(F(k, 7), F(k * k, 49) + F(1, 90)) for k in range(8)])\n"
+        "count_in_tube(TubeQuery(parabola(), F(1, 64), ExplicitSource(pts)))\n"
+        "brute_force_tube_oracle(TubeQuery(parabola(), F(1, 64), box))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracle_sorts_on_the_widest_axes(monkeypatch):
     # a segment along the third axis, with the points in 7 columns of the
     # first axis: each of the 10⁴ first samples has 6 columns within reach,
@@ -848,12 +866,12 @@ def test_many_coordinates(monkeypatch):
     on_curve = [tuple(F(k, n - 1) ** e for e in range(1, 9)) for k in range(n)]
     near = tuple(F(1, 3) ** e + (F(1, 10 ** 20) if e == 1 else 0)
                  for e in range(1, 9))
-    exact_decisions = []
-    monkeypatch.setattr(tube, "_poly_near",
-                        lambda *args: exact_decisions.append(args))
+    decided = _count_exact_decisions(monkeypatch)
     r = count_in_tube(TubeQuery(moment_curve(8), F(1, 1000),
                                 ExplicitSource(FiniteSet(on_curve + [near]))))
-    assert r.certified and r.count == n + 1 and not exact_decisions
+    assert r.certified and r.count == n + 1
+    # the seam saw the count's one exact pass, and it had nothing to decide
+    assert decided == [0]
 
 
 _TUBE_CURVES = {
@@ -1046,6 +1064,110 @@ def test_column_walk_past_int64_matches_exact_brute_force(query):
     r = count_in_tube(TubeQuery(curve, delta, source))
     assert r.points == expected and r.count == len(expected)
     assert r.certified and r.arcs_examined == 0
+
+
+@st.composite
+def raised_walk_queries(draw):
+    """Graphs raised by up to ±40 on short domains, which may hold no column
+    x = i/N, with boxes around the graph's height: the columns beside the
+    domain take j ranges far from 0, at the ends of f."""
+    N = draw(st.integers(1, 8))
+    lo = draw(st.fractions(0, F(7, 8), max_denominator=24))
+    hi = min(1, lo + draw(st.fractions(F(1, 9 * N), F(2, N), max_denominator=9 * N)))
+    f = [draw(st.integers(-40, 40)), *draw(st.lists(_coeffs, max_size=4))]
+    curve = graph_curve([f], domain=(lo, hi))
+    y = math.floor(polys.eval_exact(curve.coords[1].coeffs, lo) * 4) + draw(st.integers(-8, 4))
+    box = ((math.floor(lo * 4 - 4) / F(4), math.ceil(hi * 4 + 4) / F(4)),
+           (y / F(4), (y + draw(st.integers(0, 12))) / F(4)))
+    delta = draw(st.sampled_from([F(1, N * N), F(1, N), F(1, 4), F(1, 2), F(1)]))
+    return curve, delta, LatticeSource(N, box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raised_walk_queries())
+# no column in the domain [1/3, 2/5]: the hit (1/2, 10) sits beside it
+@example((graph_curve([[10, 0, 1]], domain=(F(1, 3), F(2, 5))), F(1, 4),
+          LatticeSource(2, ((0, 1), (10, 11)))))
+def test_walk_beside_the_domain_matches_exact_brute_force(query):
+    curve, delta, source = query
+    expected = _lattice_hits_by_fractions(curve, delta, source)
+    r = count_in_tube(TubeQuery(curve, delta, source))
+    assert r.points == expected and r.count == len(expected) and r.certified
+
+
+@st.composite
+def window_cases(draw):
+    """A graph of degree ≤ 4 on a random subdomain, δ from 1/N² up to 2, and
+    walk candidates for its window chords: each a point of the graph, at a
+    random parameter or an end of the domain (where its window is clipped),
+    moved by δ(1 ± 10⁻ᵏ) along a rational unit vector."""
+    lo = draw(st.fractions(0, F(3, 4), max_denominator=8))
+    hi = draw(st.fractions(lo, 1, max_denominator=8).filter(lambda h: h > lo))
+    curve = graph_curve([draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                                       max_size=5))], domain=(lo, hi))
+    N = draw(st.integers(1, 64))
+    delta = draw(st.sampled_from([F(1, N * N), F(1, N), F(1, 2), F(1), F(2)])
+                 | st.fractions(F(1, N * N), 2, max_denominator=N * N))
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        t = draw(st.sampled_from([lo, hi]) | st.fractions(lo, hi, max_denominator=64))
+        w = draw(st.sampled_from(_UNIT_2D))
+        k = draw(st.integers(1, 15))
+        s = draw(st.sampled_from([1, -1])) * (1 + draw(st.sampled_from([-1, 0, 1])) * F(1, 10 ** k))
+        y = polys.eval_exact(curve.coords[1].coeffs, t)
+        p = (t + delta * s * w[0], y + delta * s * w[1])
+        # walk candidates lie in the columns of [lo − δ, hi + δ]
+        if lo - delta <= p[0] <= hi + delta:
+            pts.append(p)
+    return curve, delta, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+# x = lo − δ: the window is the domain's end alone
+@example((graph_curve([[0, 0, 1]], (F(1, 2), 1)), F(1, 100),
+          [(F(1, 2) - F(1, 100), F(1, 4)), (F(1, 2) - F(1, 100), F(1, 4) + F(1, 10 ** 9))]))
+def test_window_chords_agree_with_the_exact_distance(case):
+    # every float verdict the decision stage gives a walk candidate, hit or
+    # miss, is the exact one
+    curve, delta, pts = case
+    assume(pts)
+    floats = np.array([[float(x), float(y)] for x, y in pts])
+    hit, miss = tube._GraphWindows(curve, delta).verdicts(floats)
+    assert not (hit & miss).any()
+    for p, h, m in zip(pts, hit, miss):
+        if h or m:
+            assert h == _in_tube_by_fractions(curve, delta, p)
+
+
+def test_window_chords_give_verdicts_both_ways():
+    # the stage gives verdicts, both ways: on the cubic at δ = 4/N², N = 256,
+    # the 34 candidates the witness leaves all get one
+    curve, N = polynomial_curve([[0, 1], [0, 0, 0, 1]]), 256
+    delta = F(4, N * N)
+    pts = [(F(i, N), F(j, N)) for i in range(N + 1) for j in range(N + 1)
+           if abs(F(i, N) ** 3 - F(j, N)) <= 5 * delta
+           and abs(F(i, N) ** 3 - F(j, N)) > delta]
+    hit, miss = tube._GraphWindows(curve, delta).verdicts(
+        np.array([[float(x), float(y)] for x, y in pts]))
+    assert len(pts) == 34 and hit.any() and miss.any() and (hit | miss).all()
+
+
+def test_walk_builds_fractions_only_for_what_it_reads(monkeypatch):
+    # keep_points=False gives the count alone: the walk builds a Fraction
+    # only for a point of its exact pass, and for each hit that is read
+    built, decided = [], _count_exact_decisions(monkeypatch)
+    monkeypatch.setattr(tube, "Fraction",
+                        lambda *args: built.append(args) or F(*args))
+    for curve, N, d in ((parabola(), 64, 1), (polynomial_curve([[0, 1], [0, 0, 0, 1]]), 8, 4)):
+        q = TubeQuery(curve, F(d, N * N), LatticeSource(N, ((0, 1), (0, 1))))
+        r = count_in_tube(q, keep_points=False)
+        assert r.points is None and len(built) == 2 * sum(decided)
+        kept = count_in_tube(q)
+        assert kept.count == r.count == len(kept.points) > 0
+        assert len(built) == 2 * sum(decided) + 2 * r.count
+        built.clear()
+        decided.clear()
 
 
 # rational unit vectors: points at δ times one of them from a curve point are
@@ -1332,22 +1454,22 @@ def test_quadratic_certificate_never_contradicts_the_sturm_count(case):
     linear = all(len(fn.coeffs) <= 2 for fn in curve.coords)
     for p in pts:
         expected = _in_tube_by_fractions(curve, delta, p)
-        model = tube._shifted_distance(curve, p, delta)
+        near = tube._PolyNear(curve, delta)
+        model = near.model(p)
         verdict = False if model is None else tube._quadratic_certificate(*model)
         assert verdict is None or verdict == expected
         assert verdict is not None or not linear
-        assert tube._poly_near(curve, p, delta) == expected
+        assert near(p) == expected
 
 
 def test_degree_one_curves_never_reach_the_sturm_count(monkeypatch):
     # the 199 points of test_points_just_off_the_boundary_are_decided_exactly
     # spread along the segment all need an exact decision, and the quadratic
-    # certificate gives every one; on the cubic's lattice walk at N = 256 it
-    # leaves at most a handful to the Sturm count of the root kernel
-    decisions, counts = [], []
-    near, count = tube._poly_near, polys.Roots.closed
-    monkeypatch.setattr(tube, "_poly_near",
-                        lambda *args: decisions.append(args) or near(*args))
+    # certificate gives every one.  The cubic's lattice walk at N = 256
+    # leaves almost every candidate to the witness or its window chords:
+    # a few exact decisions, and at most a handful of Sturm counts
+    decided, counts = _count_exact_decisions(monkeypatch), []
+    count = polys.Roots.closed
     monkeypatch.setattr(polys.Roots, "closed",
                         lambda *args: counts.append(args) or count(*args))
     d = F(1, 10 ** 12)
@@ -1356,8 +1478,18 @@ def test_degree_one_curves_never_reach_the_sturm_count(monkeypatch):
                      for k in range(1, 200)])
     r = count_in_tube(TubeQuery(seg, d, pts))
     assert r.count == 0 and r.certified
-    assert len(decisions) == 199 and not counts
+    assert decided == [199] and not counts
     N = 256
     r = count_in_tube(TubeQuery(polynomial_curve([[0, 1], [0, 0, 0, 1]]),
                                 F(4, N * N), LatticeSource(N, ((0, 1), (0, 1)))))
-    assert r.certified and len(decisions) > 199 and len(counts) <= 5
+    assert r.certified and r.count == 26
+    assert len(decided) == 2 and decided[1] <= 5 and len(counts) <= 5
+
+
+def _count_exact_decisions(monkeypatch) -> list:
+    """Patch the exact pass of the tube counts to record, per call, the
+    number of points it decides; return that list."""
+    decided, exact = [], tube._exact_near
+    monkeypatch.setattr(tube, "_exact_near", lambda curve, points, delta:
+                        decided.append(len(points)) or exact(curve, points, delta))
+    return decided
