@@ -184,13 +184,15 @@ class FiniteSet:
 
     def _in_order(self) -> list:
         """The points in sorted order: the rows decoded, or the exact points
-        sorted once.  Points with a Fraction among their coordinates sort on
-        ``_order_key``, which compares floats first; integer points, which
-        compare fast as they are, sort plainly."""
+        sorted once.  Sets of rational points sort on ``_order_key``, which
+        compares floats first; integer points, which compare fast as they
+        are, sort plainly.  The first point the set yields picks the sort: a
+        scan of every coordinate would cost an integer set as much as its
+        sort, and both sorts give the exact order."""
         if self._integer is not None:
             return _decode(*self._integer)
         if self._sorted is None:
-            exact = any(type(c) is not int for p in self._points for c in p)
+            exact = any(type(c) is not int for c in next(iter(self._points), ()))
             self._sorted = sorted(self._points, key=_order_key if exact else None)
         return self._sorted
 

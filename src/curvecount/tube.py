@@ -122,7 +122,7 @@ class LatticeSource:
         """((i_lo, i_hi), (j_lo, j_hi)): the box holds the points (i/N, j/N)
         with i_lo ≤ i ≤ i_hi and j_lo ≤ j ≤ j_hi (empty when a lo exceeds
         its hi)."""
-        return tuple((math.ceil(lo * self.N), math.floor(hi * self.N))
+        return tuple((_ceil_times(lo, self.N), _floor_times(hi, self.N))
                      for lo, hi in self.box)
 
 
@@ -603,6 +603,29 @@ def _times(x: Fraction, L: int) -> int:
     return x.numerator * (L // x.denominator)
 
 
+def _floor_times(x: Fraction, N: int) -> int:
+    """⌊x·N⌋, in integers."""
+    return x.numerator * N // x.denominator
+
+
+def _ceil_times(x: Fraction, N: int) -> int:
+    """⌈x·N⌉, in integers."""
+    return -(-x.numerator * N // x.denominator)
+
+
+def _coefficient_bound(f: PolyCoord, R: Fraction, order: int) -> tuple:
+    """Σ_k k!/(k − order)!·|c_k|·R^(k−order) ≥ sup |f^(order)| on [−R, R]
+    for f = Σ c_k t^k, as integers (a, b) with the bound a/b.  Over f's
+    ``integer_form`` P/D, of degree d, and R = r/s, a is the sum of
+    k!/(k − order)!·|P_k|·r^(k−order)·s^(d−k) and b = D·s^(d−order)."""
+    D, P = f.integer_form
+    r, s = R.numerator, R.denominator
+    d = len(P) - 1
+    return (sum(math.perm(k, order) * abs(c) * r ** (k - order) * s ** (d - k)
+                for k, c in enumerate(P) if k >= order),
+            D * s ** max(0, d - order))
+
+
 def _quadratic_certificate(E: list, ua: int, ub: int) -> bool | None:
     """Whether E ≤ 0 somewhere on [u_a, u_b], when the quadratic part
     Q = e₀ + e₁u + e₂u² of E decides it; None when it does not.
@@ -662,9 +685,8 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
 
     A hit (x, y) has a witness t in the domain [lo, hi] with |t − x| ≤ δ and
     |f(t) − y| ≤ δ.  So only the columns x = i/N in [lo − δ, hi + δ] hold
-    hits, and with xc the clamp of x to the domain and L = Σ k·|c_k|·R^(k−1)
-    ≥ |f′| (R = max(|lo|, |hi|)), only the j with
-    |f(xc) − j/N| ≤ δ(1 + L).
+    hits, and with xc the clamp of x to the domain and L ≥ |f′| on it
+    (``_coefficient_bound``), only the j with |f(xc) − j/N| ≤ δ(1 + L).
 
     This candidate source lists them in integers, over a numpy table with
     one row per column: the ends of its j range and of its witness range.
@@ -688,15 +710,15 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     N = source.N
     fn = curve.coords[1]
     lo, hi = curve.domain
-    R = max(abs(lo), abs(hi))
-    reach = delta * (1 + sum(k * abs(c) * R ** (k - 1)
-                             for k, c in enumerate(fn.coeffs) if k))
+    # the domain lies in [0, 1], so [−hi, hi] holds it
+    num, den = _coefficient_bound(fn, hi, 1)
+    reach = delta * (num + den) / den
     (ilo, ihi), (jlo, jhi) = source.index_bounds()
-    ilo = max(ilo, math.ceil((lo - delta) * N))
-    ihi = min(ihi, math.floor((hi + delta) * N))
+    ilo = max(ilo, _ceil_times(lo - delta, N))
+    ihi = min(ihi, _floor_times(hi + delta, N))
     n_cols = max(0, _charge(ihi - ilo + 1, cap))
     # the columns of the domain, and the `left` and `right` ones beside it
-    kl, kh = math.ceil(lo * N), math.floor(hi * N)
+    kl, kh = _ceil_times(lo, N), _floor_times(hi, N)
     modulus, values = _graph_numerators(fn, N, max(ilo, kl), min(ihi, kh))
     left, right = (min(n_cols, max(0, k)) for k in (kl - ilo, ihi - kh))
     g = math.gcd(modulus, N)
@@ -724,7 +746,10 @@ def _walk_graph(curve: CurveSpec, delta: Fraction, source: LatticeSource,
     np.maximum(ranges[:, 0], min(max(jlo, -top), top), out=ranges[:, 0])
     np.minimum(ranges[:, 1], max(min(jhi, top), -top), out=ranges[:, 1])
     counts = np.maximum(ranges[:, 1] - ranges[:, 0] + 1, 0)
-    total = _charge(int(counts.sum()), cap)
+    # an int64 sum wraps past 2⁶³, but a float sum of counts is exact below
+    # 2⁵³ and at least 2⁵³ otherwise; from there on, Python ints sum them
+    total = counts.sum(dtype=float) if counts.dtype == np.int64 else math.inf
+    total = _charge(int(total) if total < _FLOAT_EXACT else sum(counts.tolist()), cap)
     counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
     i_dtype = pointsets._dtype(max(abs(ilo), abs(ihi)))
@@ -772,9 +797,11 @@ class _GraphWindows:
     outward in floats by the rounding of x and δ, kept inside the domain's
     float ends, and cut into ``chords`` equal pieces, at most
     ``_WINDOW_CHORDS``, δ-flat where that suffices: a step h ≤ √(2δ/accel)
-    keeps the sagitta accel·h²/8 ≤ δ/4.  The chord route's slack then holds
-    for each point with its own window's sagitta (``_float_verdicts``), the
-    parameters of the domain outside its float ends included.  No point gets
+    keeps the sagitta accel·h²/8 ≤ δ/4.  The chord route's slack
+    (``_chord_slack``) then holds for each point with its own window's
+    sagitta, the parameters of the domain outside its float ends included.
+    The speed √(1 + f′²) and the acceleration |f″| are bounded from f's
+    coefficients (``_coefficient_bound``).  No point gets
     a float verdict when δ is subnormal or the domain holds no float, nor
     when its window is below float resolution, δ ≤ 8u·|x|.
     """
@@ -783,9 +810,11 @@ class _GraphWindows:
         self.curve, self.delta = curve, delta
         self.lo, self.hi = _float_ends(curve)
         self.up = _float_above(delta)
-        self.accel = derivative_sup_bound(curve, 2)
-        self.ends = derivative_sup_bound(curve, 1) * math.ulp(1.0)
-        self.err = max(fn.error_estimate(*curve.domain) for fn in curve.coords)
+        # a / b is correctly rounded, so the next float up exceeds it
+        slope, bend = (math.nextafter(a / b, math.inf) for a, b in (
+            _coefficient_bound(curve.coords[1], curve.domain[1], k) for k in (1, 2)))
+        self.speed = math.sqrt(1 + slope * slope) * (1 + 1e-12)
+        self.accel = bend
         flat = math.sqrt(2 * self.up / self.accel) if self.accel else math.inf
         self.chords = max(1, min(_WINDOW_CHORDS, math.ceil(2 * self.up / flat)))
         self.clear = self.lo <= self.hi and float(delta) >= sys.float_info.min
@@ -801,8 +830,8 @@ class _GraphWindows:
         t[:, -1] = b
         h = np.diff(t, axis=1).max(axis=1) * (1 + 1e-12)
         gamma = eval_array(self.curve, t)
-        err = self.err + _U * float(np.abs(pts).max())
-        slack = (self.accel * h * h / 8 + math.sqrt(2) * err + self.ends) * (1 + 1e-12)
+        slack = _chord_slack(h, _float_error(self.curve, float(np.abs(pts).max())),
+                             self.speed, self.accel, 2)
         clear = self.clear & (a <= b) & (self.up > 8 * _U * np.abs(x))
         return _float_verdicts(self.delta, np.repeat(pts, m, axis=0),
                                gamma[:, :-1].reshape(-1, 2), gamma[:, 1:].reshape(-1, 2),
@@ -904,7 +933,6 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
 
     if not curve.is_exact and any(fn.tau_power for fn in curve.coords):
         raise InvalidQuery("a coordinate carries a power of 2π; |γ − p|² is not rational")
-    lo, hi = curve.domain
     # float ends inside the domain, so that every float parameter is on it;
     # a domain between two floats gets one point and no float verdict
     lo_f, hi_f = _float_ends(curve)
@@ -923,21 +951,16 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     ts = np.linspace(lo_f, hi_f, n_seg + 1)
     gamma = eval_array(curve, ts)
     h = float(np.diff(ts).max(initial=0.0)) * (1 + 1e-12)
-    sagitta = accel * h * h / 8.0
-    # bounds on the float error of each γ(t_k) and of the points'
-    # coordinates (half an ulp of the largest), and on the curve over the
-    # pieces of the domain outside the float grid, shorter than an ulp of 1
-    err = max(fn.error_estimate(lo, hi) for fn in curve.coords) + _U * cells.extent
-    ends = speed * math.ulp(1.0)
+    err = _float_error(curve, cells.extent)
     # no point within δ (as a float ≥ δ) falls outside its box, whose ends
     # round by two ulps
-    pad = (_float_above(delta_q) + sagitta + err + ends) * (1 + 1e-12)
+    pad = _float_above(delta_q) * (1 + 1e-12) + _chord_slack(h, err, speed, accel, 1)
     pad += 2 * math.ulp(float(np.abs(gamma).max()) + pad)
     pid, seg = _candidate_pairs(cells, gamma, pad, cap)
     ids, first = np.unique(pid, return_index=True)
     hit, miss = _float_verdicts(
         delta_q, cells.points(pid), gamma[seg], gamma[seg + 1], first,
-        (sagitta + math.sqrt(curve.dimension) * err + ends) * (1 + 1e-12), inside)
+        _chord_slack(h, err, speed, accel, curve.dimension), inside)
     todo = np.flatnonzero(~hit & ~miss)
     verdicts = _exact_near(curve, [cells.exact(i) for i in ids[todo].tolist()], delta_q)
     hit[todo] = [v is not False for v in verdicts]
@@ -955,11 +978,10 @@ def _float_verdicts(delta: Fraction, p: np.ndarray, a: np.ndarray, b: np.ndarray
     at two parameters of the domain.  Candidate k owns the rows from
     first[k] to the next candidate's, whose parameter pieces cover every
     curve point within δ of it, apart from the domain's pieces outside its
-    float ends.  ``slack`` (per row, or one float) bounds the gap between
-    the exact distance to the arc over a piece and the float one to its
-    chord, beyond the rounding of that distance (``_chord_bounds``): the
-    sagitta, the float error of the chord's ends and of the point's
-    coordinates, and the curve over those end pieces.  A candidate is a
+    float ends.  ``slack`` (per row, or one float; ``_chord_slack``) bounds
+    the gap between the exact distance to the arc over a piece and the
+    float one to its chord, beyond the rounding of that distance
+    (``_chord_bounds``), those end pieces included.  A candidate is a
     clear hit when some chord has d + slack ≤ δ and a clear miss when every
     one has d − slack > δ, with room for the rounding of each sum.  Only
     the candidates ``clear`` marks (per candidate, or one bool) get either.
@@ -971,6 +993,23 @@ def _float_verdicts(delta: Fraction, p: np.ndarray, a: np.ndarray, b: np.ndarray
     miss = clear & (np.minimum.reduceat(d - bound, first)
                     > _float_above(delta) * (1 + 4 * _U))
     return hit, miss
+
+
+def _chord_slack(h, err: float, speed: float, accel: float, dim: int):
+    """The slack of ``_float_verdicts`` in dim coordinates, for chords over
+    parameter pieces of length ≤ h (one float, or one per row): the
+    sagitta accel·h²/8, the float error err of a chord's ends and of the
+    point in each coordinate (``_float_error``), and the curve over the
+    domain's pieces outside its float ends, shorter than ulp(1), for speed
+    and accel bounds on |γ′| and |γ″|; with room for their rounding."""
+    return (accel * h * h / 8 + math.sqrt(dim) * err + speed * math.ulp(1.0)) * (1 + 1e-12)
+
+
+def _float_error(curve: CurveSpec, extent: float) -> float:
+    """A bound on the float error of each coordinate of γ(t) at a float t of
+    the domain, and of a correctly rounded point's coordinates below extent
+    in size (half an ulp of the largest)."""
+    return max(fn.error_estimate(*curve.domain) for fn in curve.coords) + _U * extent
 
 
 def _chord_bounds(p: np.ndarray, a: np.ndarray, b: np.ndarray):

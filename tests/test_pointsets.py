@@ -20,7 +20,7 @@ from curvecount import (CapExceeded, ExplicitSource, FiniteSet, Gap, GapSource,
                         min_separation, min_separation_squared,
                         representation_counts, sumset)
 from curvecount.pointsets import (DimensionMismatch, SeparationUndefined,
-                                  least_positive_square)
+                                  _order_key, least_positive_square)
 from curvecount.tube import materialize_source
 
 
@@ -595,6 +595,9 @@ _ORDER_COORDS = (
 def test_exact_points_sort_in_exact_order(pts):
     # the float-first key gives the order of the exact points themselves,
     # on integer-only sets, mixed ones and Fractions one float cannot tell
-    # apart alike, and past the float range with no OverflowError
+    # apart alike, and past the float range with no OverflowError; a set
+    # sorts on it or plainly as one of its points says, in the same order
+    exact = sorted(set(FiniteSet(pts).points)) if pts else []
+    assert sorted(reversed(exact), key=_order_key) == exact
     if pts:
-        assert list(FiniteSet(pts)) == sorted(set(FiniteSet(pts).points))
+        assert list(FiniteSet(pts)) == exact

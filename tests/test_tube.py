@@ -424,6 +424,18 @@ def test_walk_candidates_are_capped(curve):
                                 LatticeSource(10 ** 9, ((0, 1), (0, 1)))))
 
 
+def test_walk_candidate_total_past_int64_is_charged_exactly():
+    # at δ = 2⁶⁰ the parabola's reach is 3·2⁶⁰, so each of the columns x = 0
+    # and x = 1 holds 6·2⁶⁰ + 1 candidates: each count fits int64, and their
+    # total 3·2⁶² + 2 does not, which an int64 sum would wrap to a negative
+    total = 2 * (6 * 2 ** 60 + 1)
+    q = TubeQuery(parabola(), 2 ** 60, LatticeSource(1, ((0, 1), (-2 ** 62, 2 ** 62))))
+    with pytest.raises(CapExceeded, match=f"work {total} exceeds cap {total - 1}$"):
+        count_in_tube(q, cap=total - 1)
+    with pytest.raises(CapExceeded):
+        count_in_tube(q)
+
+
 def test_clustered_points_need_few_cells():
     # all 199 points share one column, 10⁻¹⁸ apart: cells of side δ would
     # give 10¹² segments, and each segment box spans many cells.  At most 64
@@ -1127,6 +1139,11 @@ def window_cases(draw):
 # x = lo − δ: the window is the domain's end alone
 @example((graph_curve([[0, 0, 1]], (F(1, 2), 1)), F(1, 100),
           [(F(1, 2) - F(1, 100), F(1, 4)), (F(1, 2) - F(1, 100), F(1, 4) + F(1, 10 ** 9))]))
+# y = 2⁴⁰·t and δ = 2⁴⁰: the curve points within δ of p have t within 2⁻³⁹
+# of x − δ = 2/3, and x = 2⁴⁰ + 2/3 rounds up by about 2⁻¹³·⁶, past them;
+# only the window's outward widening for that rounding keeps them in it
+@example((graph_curve([[0, 2 ** 40]]), F(2 ** 40),
+          [(2 ** 40 + F(2, 3), 2 ** 40 * F(2, 3))]))
 def test_window_chords_agree_with_the_exact_distance(case):
     # every float verdict the decision stage gives a walk candidate, hit or
     # miss, is the exact one
