@@ -31,7 +31,7 @@ A curve's plane matrix (``CurveSpec.plane_matrix``) takes a hyperplane's
 integers to a positive multiple of g = Σ aᵢγᵢ − a₀: g and its Möbius
 transform on the domain for polynomial coordinates, g's half-angle form in
 s = tan πt for trig ones.  ``TrigRoots`` answers every root question of a
-trig function on a domain from such a row, the domain's ends bracketed
+trig function on a domain from such a row, a partial arc's ends bracketed
 exactly: the hyperplane counts and roots and the tube's exact distance test.
 
 The Wronskian W(γ₁',…,γₙ') -- the n×n determinant whose i-th row is the i-th
@@ -388,32 +388,48 @@ class TrigRoots:
     t = ½ (s = ∞) is a root exactly when the row's last entry is 0.  ``sure``
     is False when an end cannot be bracketed; its range then takes it in.
     Counts, isolation, refinement and the brackets share the one kernel.
+
+    The full circle [0, 1] brackets nothing: tan πt is 0 at both ends, and
+    its s-ranges are the half-lines (0, B) and (−B, 0).  One whose sign
+    variations V, of P(s) or P(−s), are at most 1 holds V roots (Descartes'
+    rule of signs); only V ≥ 2 asks the kernel.
     """
 
     def __init__(self, row, lo: Fraction, hi: Fraction):
         P = _own_degree(row)
         self._bound = B = 1 + -(-max(map(abs, P[:-1]), default=0) // abs(P[-1]))
         self._roots = roots = polys.Roots(P)
+        # f(−1, 0), f at t = ½, times the row's scale, or None when the
+        # domain does not hold ½
+        self._half = row[-1] if lo <= _HALF <= hi else None
+        if (lo, hi) == (0, 1):
+            # the ends are roots when P(0) = 0; None leaves V ≥ 2 to the kernel
+            self._ends, self.sure = [lo, hi] * (not P[0]), True
+            self._ranges = [(0, B), (-B, 0)]
+            self._known = [v if v < 2 else None for v in map(polys._sign_changes, (
+                P, [-c if i % 2 else c for i, c in enumerate(P)]))]
+            return
         br = {x: _tan_bracket(roots, x) for x in {lo, hi} - {_HALF}}
         first = br[lo][0 if br[lo][2] is None else 1] if lo in br else None
         last = br[hi][1 if br[hi][2] is None else 0] if hi in br else None
         self._ends = sorted(x for x, (_, _, k) in br.items() if k)
         self.sure = all(k is not None for _, _, k in br.values())
-        # f(−1, 0), f at t = ½, times the row's scale, or None when the
-        # domain does not hold ½
-        self._half = None
-        if lo <= _HALF <= hi:
-            self._half = row[-1]
+        if self._half is not None:
             ranges = [r for r, x in (((first, B), lo), ((-B, last), hi)) if x in br]
         else:
             ranges = [(first, last)]
         self._ranges = [(max(a, -B), min(b, B)) for a, b in ranges]
+        self._known = [None] * len(self._ranges)
+
+    def _inside(self):
+        """The number of roots inside each open s-range."""
+        return (self._roots.open(a, b) if k is None else k
+                for k, (a, b) in zip(self._known, self._ranges))
 
     def count(self) -> int:
         """The number of roots: the ends that are roots, the roots inside
         each open s-range and t = ½, with none isolated or refined."""
-        return (len(self._ends) + sum(self._roots.open(a, b) for a, b in self._ranges)
-                + (self._half == 0))
+        return len(self._ends) + sum(self._inside()) + (self._half == 0)
 
     def params(self) -> list:
         """The roots as sorted floats t: each end that is a root as it is,
@@ -437,8 +453,7 @@ class TrigRoots:
         sign on the domain, which P gives at any point of its one s-range."""
         if self._half is not None and self._half <= 0:
             return True
-        if self._ends or not self.sure or any(self._roots.open(a, b)
-                                              for a, b in self._ranges):
+        if self._ends or not self.sure or any(self._inside()):
             return True if self._ends or self.sure else None
         # P keeps one sign on the range: that of f(½) > 0 when it holds ½
         return (self._half is None
@@ -464,10 +479,10 @@ class CurveSpec:
     """A parameterized curve in R^n with derivative jets of every order.
 
     Immutable after construction; the derivative table, the symbolic
-    Wronskian, the plane matrix and the derivative-row curve are cached
-    lazily (pure functions of the curve).  A lift records its (base curve,
-    monomial set) in ``lift_origin`` so it can be serialized and rebuilt
-    exactly.
+    Wronskian, the plane matrix, the derivative-row curve and the derivative
+    bounds are cached lazily (pure functions of the curve).  A lift records
+    its (base curve, monomial set) in ``lift_origin`` so it can be
+    serialized and rebuilt exactly.
     """
 
     def __init__(self, kind: str, coords, domain=(0, 1), lift_origin=None):
@@ -490,6 +505,7 @@ class CurveSpec:
         self._wronskian_sym = None
         self._plane_matrix = None
         self._derivative_row = None
+        self._sup_bounds = {}
 
     @property
     def dimension(self) -> int:
@@ -525,6 +541,13 @@ class CurveSpec:
             self._derivative_row = CurveSpec(
                 "polynomial-parametric", self.derivatives(1)[1][1:], self.domain)
         return self._derivative_row
+
+    def derivative_bound(self, order: int) -> float:
+        """``derivative_sup_bound`` of the curve at ``order``, computed on
+        first use: the speed and acceleration bounds every tube count reads."""
+        if order not in self._sup_bounds:
+            self._sup_bounds[order] = derivative_sup_bound(self, order)
+        return self._sup_bounds[order]
 
     def contains_parameter(self, t) -> bool:
         lo, hi = self.domain

@@ -6,11 +6,12 @@ g(t) = Σ aᵢγᵢ(t) − a₀ vanishes.  The curve's plane matrix
 (``CurveSpec.plane_matrix``), built once per curve, takes a plane's
 integers to one row, a positive multiple of g in integers: g and its
 Möbius transform R on the domain on a polynomial curve, and g's half-angle
-form in s = tan πt on a trigonometric one.  A survey's block of planes is
-one integer matrix product for either kind (int64 when every product
-fits, Python ints otherwise), and one plane, in ``intersect`` and in
-``_count``, which the MVT check calls, one row in Python ints
-(``_plane_row``).
+form in s = tan πt on a trigonometric one.  A survey draws its planes in
+bulk from raw Mersenne Twister words, the stream ``random.randint`` reads
+(``_draws``), and a block of them is one integer matrix product for either
+kind (int64 when every product fits, Python ints otherwise); one plane, in
+``intersect`` and in ``_count``, which the MVT check calls, is one row in
+Python ints (``_plane_row``).
 
 On a polynomial curve R's sign variations V decide most planes with no
 kernel at all: V ≤ 1 is the number of roots inside the domain, and R's
@@ -21,8 +22,8 @@ intervals, the ends that are roots and the domain itself when V = 1,
 which it refines on ``polys.Roots`` of g.  Only V ≥ 2 asks that kernel to
 count or isolate, which builds its Sturm chain, so tangential
 intersections count once.  On a trigonometric curve every nonzero row goes
-to ``curves.TrigRoots``, which answers on ``polys.Roots`` of the
-half-angle form.
+to ``curves.TrigRoots``: on the full circle Descartes' rule on each
+half-line of s decides V ≤ 1 as here, and ``polys.Roots`` the rest.
 
 On a polynomial curve whose first coordinate is affine, x₁ = b + c·t, the
 Mean Value Theorem sends k intersection parameters of a hyperplane with the
@@ -48,6 +49,7 @@ from .pointsets import exact_int, exact_point
 
 
 _PLANE_BLOCK = 1 << 12   # survey: planes drawn and counted at once
+_DENOM = 1 << 24   # survey: each coefficient k/2²⁴, |k| ≤ 2²⁴
 
 
 class HyperplaneError(ValueError):
@@ -249,36 +251,59 @@ class IntersectionSurvey:
     histogram: dict = field(default_factory=dict)
 
 
+def _draws(seed, n: int):
+    """draw(k): the next k planes (n₀, …, nₙ) of n + 1 calls each of
+    ``random.Random(seed).randint(−2²⁴, 2²⁴)``, int64 rows replayed in bulk:
+    randint takes getrandbits(26), a Mersenne Twister word >> 6, until it is
+    below 2²⁵ + 1, and getrandbits(32·m) is m words, the first in its low 32
+    bits on either byte order.  Values past the last row wait for the next
+    call, so the calls continue one stream."""
+    rng = random.Random(seed)
+    kept = np.empty(0, np.int64)
+
+    def draw(k: int) -> np.ndarray:
+        nonlocal kept
+        want = k * (n + 1)
+        while len(kept) < want:
+            m = 2 * (want - len(kept)) + 16   # randint refuses about half the words
+            raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+            words = np.frombuffer(raw, "<u4") >> 6
+            kept = np.concatenate((kept, words[words <= 2 * _DENOM] - np.int64(_DENOM)))
+        rows, kept = kept[:want].reshape(k, n + 1), kept[want:]
+        return rows
+    return draw
+
+
+def _histogram(curve: CurveSpec, draw, trials: int, bound: int) -> dict:
+    """The intersection counts of the first ``trials`` planes of ``draw``
+    with a nonzero normal that do not contain the curve; ``draw(k)`` gives
+    the next k planes (n₀, …, nₙ) within ±bound as integer rows.  Counted
+    ``_PLANE_BLOCK`` at a time (``_counts``), a survey holds at most one
+    block of planes and their matrix product, whatever ``trials`` is."""
+    hist: dict[int, int] = {}
+    done = 0
+    while done < trials:
+        planes = draw(min(trials - done, _PLANE_BLOCK))
+        for k in _counts(curve, planes[planes[:, 1:].any(axis=1)], bound):
+            hist[k] = hist.get(k, 0) + 1
+            done += 1
+    return hist
+
+
 def survey_intersections(curve: CurveSpec, trials: int,
                          seed: int) -> IntersectionSurvey:
     """Count the intersections of ``trials`` random hyperplanes with the
     curve, each coefficient k/2²⁴ with k uniform in [−2²⁴, 2²⁴], skipping a
     zero normal and a plane that contains the curve.
 
-    Planes are drawn and counted ``_PLANE_BLOCK`` = 4096 at a time
-    (``_counts``).  So a survey holds at most one block in memory, its
-    planes and their one matrix product, whatever ``trials`` is.
+    The coefficients are those of ``random.Random(seed).randint``, drawn in
+    bulk from raw Mersenne Twister words (``_draws``), and their numerators
+    are the plane's integers: the common denominator does not change g's
+    roots.
     """
     trials = exact_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    n = curve.dimension
-    denom = 1 << 24
-    hist: dict[int, int] = {}
-    done = 0
-    while done < trials:
-        # the numerators of the coefficients, the plane's integers: the
-        # common denominator does not change g's roots.  A block holds no
-        # more planes than are still wanted, so no plane is drawn past the
-        # last one counted.
-        block = []
-        while len(block) < min(trials - done, _PLANE_BLOCK):
-            coeffs = [rng.randint(-denom, denom) for _ in range(n + 1)]
-            if any(coeffs[1:]):
-                block.append(coeffs)
-        for k in _counts(curve, block, denom):
-            hist[k] = hist.get(k, 0) + 1
-            done += 1
+    hist = _histogram(curve, _draws(seed, curve.dimension), trials, _DENOM)
     return IntersectionSurvey(max_roots=max(hist), trials=trials, seed=seed,
                               histogram=hist)

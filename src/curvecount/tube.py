@@ -78,7 +78,7 @@ from functools import reduce
 import numpy as np
 
 from .curves import (CurveSpec, PolyCoord, TrigCoord, TrigRoots, _plane_columns,
-                     circle_arc, derivative_sup_bound, eval_array)
+                     circle_arc, eval_array)
 from . import pointsets, polys
 from .pointsets import (CapExceeded, FiniteSet, Gap, exact_int, gap_enumerate,
                         parse_frac)
@@ -938,8 +938,8 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     lo_f, hi_f = _float_ends(curve)
     inside = lo_f <= hi_f
     hi_f = max(lo_f, hi_f)
-    speed = derivative_sup_bound(curve, 1)
-    accel = derivative_sup_bound(curve, 2)
+    speed = curve.derivative_bound(1)
+    accel = curve.derivative_bound(2)
 
     # chords follow the cells and are δ-flat: a step h ≤ √(2δ/accel) keeps
     # the sagitta accel·h²/8 ≤ δ/4, and a chord is at most speed·h
@@ -1207,7 +1207,7 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
 
     lo, hi = float(curve.domain[0]), float(curve.domain[1])
     width = hi - lo
-    speed = max(derivative_sup_bound(curve, 1), 1e-12)
+    speed = max(curve.derivative_bound(1), 1e-12)
     h_arc = delta / 100.0
     n_samp = max(8, math.ceil(width * speed / h_arc))
     if n_samp > MAX_ORACLE_SAMPLES:

@@ -255,6 +255,9 @@ def test_derivative_sup_bound_is_sound_and_never_looser(coords, k, domain):
     old = math.sqrt(sum(fn.sup_abs(lo, hi) ** 2 for fn in row))
     bound = derivative_sup_bound(curve, k)
     assert bound <= old * (1 + 1e-12)
+    # the curve caches the same float on first use
+    assert curve.derivative_bound(k).hex() == bound.hex()
+    assert curve.derivative_bound(k) is curve.derivative_bound(k)
     ts = np.linspace(float(lo), float(hi), 257)
     sampled = np.sqrt((eval_array(curve, ts, k) ** 2).sum(axis=1)).max()
     assert sampled <= bound * (1 + 1e-12)

@@ -2,11 +2,17 @@
 derivative row, and affine invariance of intersection counts."""
 
 import math
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
-from types import SimpleNamespace
+from pathlib import Path
 
+import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +25,8 @@ from curvecount.curves import (CurveSpec, InvalidCurveError, PolyCoord,
                                TrigCoord, TrigRoots, _half_angle_basis,
                                _plane_columns, _tan_bracket, polynomial_curve)
 from curvecount.hyperplanes import (_PLANE_BLOCK, HyperplaneError, RootList,
-                                    _count, _counts, _plane_row, _poly_counts)
+                                    _count, _counts, _draws, _histogram, _plane_row,
+                                    _poly_counts)
 from curvecount.lifting import MonomialSet
 
 
@@ -677,6 +684,73 @@ def test_trig_rows_match_the_per_plane_route(case):
     assert _count(curve, ints) == kernel.count() == _counts(curve, [ints], bound)[0]
 
 
+@st.composite
+def full_circle_rows(draw):
+    """A nonzero row of the plane matrix of the full circle or of its lift
+    by M₁ to M₃ or by {x, y, xy}: a random plane, one through a circle
+    point ((1, 0) at t = 0 and 1, (−1, 0) at t = ½, or a rational one) or
+    tangent there (a double root), or one through two circle points on the
+    same half-line of s = tan πt (V ≥ 2 there).  Some planes zero the
+    coordinates of the curve's largest degree, so that 1 + s² divides the
+    row."""
+    curve = circle_arc()
+    lift = draw(st.sampled_from([None, make_Ms(1), make_Ms(2), make_Ms(3),
+                                 MonomialSet([(1, 0), (0, 1), (1, 1)])]))
+    if lift is not None:
+        curve = lift_curve(curve, lift)
+    n = curve.dimension
+    degrees = [max(a + b for a, b in fn.terms) for fn in curve.coords]
+    normal = draw(st.lists(st.sampled_from([0, 1, -1, 2]) | _coefficient,
+                           min_size=n, max_size=n))
+    free = list(range(n))
+    if draw(st.booleans()) and min(degrees) < max(degrees):
+        free = [i for i in free if degrees[i] < max(degrees)]
+        normal = [x if i in free else 0 for i, x in enumerate(normal)]
+    assume(any(normal))
+    how = draw(st.sampled_from(["random", "through", "tangent", "chord"]))
+    if how == "random":
+        plane = Hyperplane(draw(_coefficient), normal)
+    else:
+        value, along = _value_and_tangent(curve, draw(_CIRCLE_POINTS))
+        if how == "chord":
+            side = draw(st.sampled_from([1, -1]))
+            m1, m2 = draw(st.lists(st.fractions(F(1, 8), 8, max_denominator=8),
+                                   min_size=2, max_size=2, unique=True))
+            value, other = (_value_and_tangent(curve, _circle_point(side * m))[0]
+                            for m in (m1, m2))
+            along = [x - y for x, y in zip(value, other)]
+        if how != "through" and any(along[i] for i in free):
+            j = next(i for i in free if along[i])
+            normal[j] -= sum(a * x for a, x in zip(normal, along)) / along[j]
+            assume(any(normal))
+        plane = Hyperplane(sum(a * x for a, x in zip(normal, value)), normal)
+    row = [sum(map(operator.mul, plane.integer_form[1], col)) for col in curve.plane_matrix()]
+    assume(any(row))
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_circle_rows())
+# x = 1 touches the circle at t = 0 and 1, x = −1 at ½, and y = 1/2 meets
+# it twice on s > 0: P = s² − 4s + 1, with V = 2 there
+@example([0, 0, 2])
+@example([2, 0, 0])
+@example([1, -4, 1])
+# 1 + s² divides the row: (1 + s²)(s − 1)² has a double root at s = 1
+@example([1, -2, 2, -2, 1])
+def test_full_circle_counts_match_the_real_roots(row):
+    # the roots t in [0, 1] are s = tan πt for the real roots s ≠ 0 of the
+    # row, t = 0 and t = 1 for s = 0, and t = ½ when the row's last entry,
+    # f(−1, 0), is 0; f ≤ 0 somewhere when it has a root, or when f(1, 0)
+    # or f(−1, 0) is negative
+    q = sp.Poly(row[::-1], sp.Symbol("s")).sqf_part()
+    real = len(q.real_roots()) + (q.eval(0) == 0) + (row[-1] == 0)
+    kernel = TrigRoots(row, F(0), F(1))
+    assert kernel.sure and kernel.count() == real
+    assert kernel.nonpositive() == bool(real or row[0] < 0 or row[-1] < 0)
+    assert len(kernel.params()) == real
+
+
 def _scalar_count(coords, lo, hi, plane):
     """The per-plane route the matrix kernel replaced: g = Σ nᵢ·(D/dᵢ)·eᵢ −
     n₀·D over the lcm D of the dᵢ with nᵢ ≠ 0, counted by
@@ -812,25 +886,16 @@ def test_intersect_is_isolation_and_refinement_of_g(case):
     assert got.certified and _count(curve, plane.integer_form[1]) == len(expected)
 
 
-def test_a_survey_past_one_block_matches_the_scalar_loop(monkeypatch):
+def test_a_survey_past_one_block_matches_the_scalar_loop():
     # integers in [−2, 2] make zero normals and planes that contain the
     # curve common: (t, t, t²) lies in x − y = 0
-    made = []
-
-    class Small(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
-
-        def randint(self, a, b):
-            return super().randint(-2, 2)
-
-    monkeypatch.setattr("curvecount.hyperplanes.random", SimpleNamespace(Random=Small))
     curve, trials = polynomial_curve([[0, 1], [0, 1], [0, 0, 1]]), _PLANE_BLOCK + 1
-    survey = survey_intersections(curve, trials, 5)
-    rng, hist, skipped = Small(5), {}, set()
-    while sum(hist.values()) < trials:
-        plane = [rng.randint(-1 << 24, 1 << 24) for _ in range(4)]
+    small = random.Random(5)
+    hist = _histogram(curve, lambda k: np.array(
+        [[small.randint(-2, 2) for _ in range(4)] for _ in range(k)]), trials, 2)
+    rng, expected, skipped = random.Random(5), {}, set()
+    while sum(expected.values()) < trials:
+        plane = [rng.randint(-2, 2) for _ in range(4)]
         if not any(plane[1:]):
             skipped.add("zero normal")
             continue
@@ -838,11 +903,47 @@ def test_a_survey_past_one_block_matches_the_scalar_loop(monkeypatch):
         if k is None:
             skipped.add("contains the curve")
             continue
-        hist[k] = hist.get(k, 0) + 1
+        expected[k] = expected.get(k, 0) + 1
     assert skipped == {"zero normal", "contains the curve"}
-    assert survey.histogram == hist and survey.max_roots == max(hist)
-    # the survey drew no plane past the last one it counted
-    assert made[0].getstate() == rng.getstate()
+    assert hist == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers() | st.integers(min_value=1 << 64) | st.text(), st.integers(2, 9),
+       st.integers(1, 40) | st.integers(_PLANE_BLOCK - 2, _PLANE_BLOCK + 40))
+@example(-7, 9, 2 * _PLANE_BLOCK + 3)
+# word 209 of this stream gives 2²⁵, the largest value randint keeps (the
+# coefficient 2²⁴), and word 81 of the next 2²⁵ + 1, the least it refuses
+@example(1283155, 2, 100)
+@example(90272, 2, 100)
+def test_the_bulk_draw_is_the_randint_stream(seed, n, trials):
+    # the planes a survey asks for, a block at a time, with a zero normal
+    # dropped, are those that n + 1 calls each of randint(−2²⁴, 2²⁴) give
+    draw, planes = _draws(seed, n), []
+    while len(planes) < trials:
+        block = draw(min(trials - len(planes), _PLANE_BLOCK))
+        assert block.dtype == np.int64 and block.shape[1] == n + 1
+        planes += block[block[:, 1:].any(axis=1)].tolist()
+    rng, expected = random.Random(seed), []
+    while len(expected) < trials:
+        plane = [rng.randint(-1 << 24, 1 << 24) for _ in range(n + 1)]
+        if any(plane[1:]):
+            expected.append(plane)
+    assert planes == expected
+
+
+def test_a_survey_leaves_numpy_random_unimported():
+    # importing numpy.random costs about 14 ms, which every survey, the
+    # benchmark's warm-up included, would pay
+    code = ("import sys\n"
+            "from curvecount import circle_arc, moment_curve, survey_intersections\n"
+            "for curve in (moment_curve(3), circle_arc()):\n"
+            "    survey_intersections(curve, 5000, 1)\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mvt_off_a_graph_keeps_the_curve_parameter():
