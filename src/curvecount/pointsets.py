@@ -182,6 +182,14 @@ class FiniteSet:
             return _decode_row(L, rows[i].tolist())
         return self._in_order()[i]
 
+    def _points_at(self, ids):
+        """The points at the given indices in sorted order, one by one; rows
+        are decoded together, when the first point is read."""
+        if self._integer is not None:
+            yield from _decode(self._integer[0], self._integer[1][ids])
+        else:
+            yield from map(self._in_order().__getitem__, ids)
+
     def _in_order(self) -> list:
         """The points in sorted order: the rows decoded, or the exact points
         sorted once.  Sets of rational points sort on ``_order_key``, which

@@ -56,14 +56,16 @@ The brute-force oracle is an independent second route on numpy alone: curve
 samples at arclength resolution δ/100, each point's nearest sample, and one
 vectorized zoom over every point the sampled distance cannot decide.  The
 sample grid is addressed by index, as ``np.linspace`` forms it, and never
-built whole.  A coarse step evaluates the first sample of each block of 100
+built whole.  A coarse step evaluates the first sample of each block of 50
 and pairs it with the points within reach of it, found by bisection in the
 points' floats sorted on their two widest axes: first the columns of equal
 first-axis floats near the sample, then the run of each column near it.
 Every source's floats are ``materialize_source``'s, a lattice box's listed
-as integer rows over N.  A dense step evaluates the paired blocks only and
-measures each against its own points.  An exact point is built only for a
-match.
+as integer rows over N.  A point within δ − band of a first sample, a grid
+sample evaluated bit for bit as in one pass, is inside by the oracle's own
+rule.  A dense step evaluates the blocks paired with the other points, the
+tube's shell, against their own points.  All of this work counts against
+the cap, and exact points are built only for matches.
 """
 
 from __future__ import annotations
@@ -358,6 +360,9 @@ class _LatticeCells:
         i, j = divmod(pid, self.rows)
         return Fraction(i + self.origin[0], self.N), Fraction(j + self.origin[1], self.N)
 
+    def exact_points(self, pids: list):
+        return map(self.exact, pids)
+
 
 class _PointCells:
     """Explicit points keyed by their cell in a uniform grid.
@@ -416,6 +421,9 @@ class _PointCells:
     def exact(self, pid: int) -> tuple:
         return self.fs._point(pid)
 
+    def exact_points(self, pids: list):
+        return self.fs._points_at(pids)
+
 
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array.  (numpy's plain ``np.unique``
@@ -433,7 +441,7 @@ _SEGMENT_BLOCK = 1 << 16
 _SEGMENTS_PER_POINT = 64   # the grid's cap on segments per point
 _WINDOW_CHORDS = 8         # walk: the cap on chords per candidate window
 _PAIR_BLOCK = 1 << 22   # oracle: runs listed, (point, sample) pairs measured at once
-_SAMPLE_BLOCK = 100     # oracle: samples per block, about δ of arc at h = δ/100
+_SAMPLE_BLOCK = 50      # oracle: samples per block, about δ/2 of arc at h = δ/100
 _ZOOM_BLOCK = 1 << 14   # oracle: points zoomed at once
 
 
@@ -476,10 +484,10 @@ def _candidate_pairs(cells, gamma: np.ndarray, pad: float, cap: int):
 _UNIT_CIRCLE = circle_arc()
 
 
-def _charge(work: int, cap: int) -> int:
+def _charge(work: int, cap: int, what: str = "column walk") -> int:
     """work, once it is known not to exceed cap."""
     if work > cap:
-        raise CapExceeded(f"tube column walk work {work} exceeds cap {cap}")
+        raise CapExceeded(f"tube {what} work {work} exceeds cap {cap}")
     return work
 
 
@@ -965,7 +973,7 @@ def count_in_tube(query: TubeQuery, keep_points: bool = True,
     verdicts = _exact_near(curve, [cells.exact(i) for i in ids[todo].tolist()], delta_q)
     hit[todo] = [v is not False for v in verdicts]
     hits = ids[hit].tolist()
-    return _result(len(hits), map(cells.exact, hits), n_seg,
+    return _result(len(hits), cells.exact_points(hits), n_seg,
                    None not in verdicts, keep_points)
 
 
@@ -1065,9 +1073,10 @@ def _chunks(counts: np.ndarray):
         i = j
 
 
-def _reach_pairs(pts: np.ndarray, centers: np.ndarray, reach: float):
-    """(row of pts, center) pairs with fl(Σ(p − c)²) < fl(reach²), in center
-    order.
+def _reach_pairs(pts: np.ndarray, centers: np.ndarray, reach: float, cap: int):
+    """(row of pts, center, fl(Σ(p − c)²)) for the pairs with
+    fl(Σ(p − c)²) < fl(reach²), in center order, and the work: the runs and
+    pairs listed, each part charged against cap before it is listed.
 
     The points are sorted on the keys a + ib of their two widest axes a and
     b (a = 0 and b = n − 1 when n ≤ 2; numpy orders complex numbers
@@ -1089,35 +1098,34 @@ def _reach_pairs(pts: np.ndarray, centers: np.ndarray, reach: float):
     cols = _distinct(keys.real)
     ca, cb = centers[:, a], centers[:, b]
     first = np.searchsorted(cols, ca - reach, "left")
-    pids, cids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for center, col in _chunks(np.searchsorted(cols, ca + reach, "right") - first):
+    runs = np.searchsorted(cols, ca + reach, "right") - first
+    work = _charge(int(runs.sum()), cap, "oracle")
+    found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    for center, col in _chunks(runs):
         col = cols[first[center] + col]
         start = np.searchsorted(keys, col + 1j * (cb[center] - reach), "left")
         count = np.searchsorted(keys, col + 1j * (cb[center] + reach), "right") - start
+        work = _charge(work + int(count.sum()), cap, "oracle")
         for run, rank in _chunks(count):
             pid, cid = order[start[run] + rank], center[run]
-            keep = _sum_sq(pts[pid] - centers[cid]) < reach * reach
-            pids.append(pid[keep])
-            cids.append(cid[keep])
-    return np.concatenate(pids), np.concatenate(cids)
+            dist = _sum_sq(pts[pid] - centers[cid])
+            keep = dist < reach * reach
+            found.append((pid[keep], cid[keep], dist[keep]))
+    return (*map(np.concatenate, zip(*found)), work)
 
 
-def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, pts: np.ndarray,
-                  upper: float, speed: float):
-    """Squared distance d2 from each row of pts to its nearest sample γ(grid[i]),
-    and that sample's index (ties go to the lowest), from only the samples
-    that can be closer than ``upper``.  Both are meaningful only where
-    d2 < upper²; elsewhere d2 ≥ upper² (inf where no block is paired with
-    the point).
+def _grid_pairs(curve: CurveSpec, grid: _SampleGrid, pts: np.ndarray,
+                upper: float, speed: float, cap: int):
+    """The coarse step of the oracle: the (row of pts, block) pairs of every
+    sample γ(grid[i]) that can be closer than ``upper`` to a point, each
+    pair's float squared distance to its block's first sample, and the work
+    (``_reach_pairs``).
 
-    The grid is cut into blocks of K = ``_SAMPLE_BLOCK`` samples.  A coarse
-    step evaluates each block's first sample and pairs it with the points
-    within ``reach`` of it, by bisection in their sorted floats
-    (``_reach_pairs``, every source alike); the dense step evaluates each
-    paired block and measures it against its points only.  Every sample ĝ_j
-    whose float squared distance to a point p is below fl(upper²) is in a
-    block paired with p, with n the dimension, u the unit roundoff and ĝ_k
-    the first sample of j's block:
+    The grid is cut into blocks of K = ``_SAMPLE_BLOCK`` samples.  Each
+    block's first sample is evaluated and paired with the points within
+    ``reach`` of it.  Every sample ĝ_j whose float squared distance to a
+    point p is below fl(upper²) is in a block paired with p, with n the
+    dimension, u the unit roundoff and ĝ_k the first sample of j's block:
 
     - a float sum of n squared differences is within (n + 2)u relative of
       the exact one, so |p − ĝ_j| < upper·(1 + (n + 3)u);
@@ -1133,16 +1141,27 @@ def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, pts: np.ndarray,
       that, the rounding of ĝ_k's squared distance, of reach² and of the
       dozen operations that form it.
 
-    Each sample is evaluated elementwise, bit for bit as in one pass over the
-    grid, so distances and ties below ``upper`` are those of every sample.
+    The first samples are evaluated bit for bit as in the dense step
+    (``_grid_nearest``), so a point's nearest sample is no farther than its
+    least pair distance.
     """
     K, n = _SAMPLE_BLOCK, curve.dimension
     lo, hi = grid.lo, grid.hi
     err = max(fn.error_estimate(*curve.domain) for fn in curve.coords)
     step = K * (hi - lo) / grid.n + 8 * _U * (abs(lo) + abs(hi))
     reach = (upper + speed * step + 2 * math.sqrt(n) * err) * (1 + 4 * (n + 8) * _U)
-    pid, block = _reach_pairs(pts, eval_array(curve, grid[np.arange(0, len(grid), K)]),
-                              reach)
+    return _reach_pairs(pts, eval_array(curve, grid[np.arange(0, len(grid), K)]),
+                        reach, cap)
+
+
+def _grid_nearest(curve: CurveSpec, grid: _SampleGrid, pts: np.ndarray,
+                  pid: np.ndarray, block: np.ndarray):
+    """The dense step of the oracle: the squared distance d2 from each row of
+    pts to its nearest sample in the blocks paired with it (pid[k] with
+    block[k]), and that sample's index (ties go to the lowest); inf and
+    len(grid) for a point with no pair.  Each sample is evaluated
+    elementwise, bit for bit as in one pass over the grid."""
+    K, n = _SAMPLE_BLOCK, curve.dimension
     d2 = np.full(len(pts), np.inf)
     nearest = np.full(len(pts), len(grid))
     best = np.empty(len(pid))
@@ -1191,11 +1210,13 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
                             cap: int | None = None) -> CountResult:
     """Oracle counter: the nearest sample on a grid at arclength resolution
     δ/100, and a vectorized zoom over the points the sampled distance cannot
-    decide.  Only the samples that can lie within ``upper`` of a point are
-    evaluated, and only against that point (``_grid_nearest``: blocks of 100
-    samples, paired with the points within upper + speed·100·dt of their
-    first one, plus a margin for the evaluation error and rounding); nothing
-    else reads the others."""
+    decide.  The coarse step (``_grid_pairs``) pairs blocks of 50 samples
+    with the points within upper + speed·50·dt of their first one, plus a
+    margin for the evaluation error and rounding.  A point within δ − band
+    of a first sample is inside, as its nearest sample is no farther; only
+    the others are measured against their blocks (``_grid_nearest``).  The
+    work is charged against ``cap`` (``pointsets.ENUMERATION_CAP`` if None)."""
+    cap = pointsets.ENUMERATION_CAP if cap is None else cap
     curve = query.curve
     delta = float(query.delta)
     band = AMBIGUITY_REL * delta
@@ -1216,7 +1237,15 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
     slack = h_arc / 2.0
     # with no sample closer than upper, the distance exceeds delta + band
     upper = delta + band + slack + 1e-15
-    d2, nearest = _grid_nearest(curve, grid, pts, upper, speed)
+    pid, block, dist, work = _grid_pairs(curve, grid, pts, upper, speed, cap)
+    # a point within delta - band of a first sample is inside
+    first = np.full(len(pts), np.inf)
+    np.minimum.at(first, pid, dist)
+    deep = np.sqrt(first) <= delta - band
+    shell = ~deep[pid]
+    _charge(work + int(shell.sum()) * _SAMPLE_BLOCK, cap, "oracle")
+    d2, nearest = _grid_nearest(curve, grid, pts, pid[shell], block[shell])
+    d2 = np.where(deep, first, d2)
     d = np.sqrt(d2)
     # the true distance lies in [d - slack, d]
     near = d2 < upper * upper
@@ -1226,5 +1255,5 @@ def brute_force_tube_oracle(query: TubeQuery, keep_points: bool = True,
                    width / n_samp)
     inside[todo[d_star <= delta]] = True
     matched = np.flatnonzero(inside)
-    return _result(len(matched), map(fs._point, matched.tolist()), n_samp,
+    return _result(len(matched), fs._points_at(matched), n_samp,
                    not (np.abs(d_star - delta) <= band).any(), keep_points)

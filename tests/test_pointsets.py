@@ -563,6 +563,9 @@ def test_sets_built_from_sums_equal_their_fraction_points(case):
         fs, floats = materialize_source(source)
         assert list(fs) == ordered
         assert [fs._point(i) for i in range(len(fs))] == ordered
+        # the batch decode, in any index order
+        ids = list(range(len(fs)))[::-2]
+        assert list(fs._points_at(np.array(ids, dtype=np.int64))) == [ordered[i] for i in ids]
         assert floats.shape == (len(ordered), d)
         assert [[x.hex() for x in row] for row in floats.tolist()] == \
             [[float(c).hex() for c in p] for p in ordered]

@@ -567,12 +567,14 @@ def test_tube_counts_leave_numpy_ma_unimported():
 
 
 def test_oracle_sorts_on_the_widest_axes(monkeypatch):
-    # a segment along the third axis, with the points in 7 columns of the
-    # first axis: each of the 10⁴ first samples has 6 columns within reach,
-    # and as the keys sort each column on the third axis, those runs hold
-    # 10 715 candidate points in all.  Sorted on the first two axes, a run
-    # would hold most of its column's points, 2.6·10⁷ candidates in all.  No
-    # point is at distance δ, so both routes are certified.
+    # a segment along the third axis, with the points in 7 columns 1/25000
+    # apart on the first axis: each of the grid's first samples, one per
+    # block of K, has the columns within upper + K samples of arc (about
+    # δ + δ/200 + K·δ/100) within reach, and as the keys sort each column on
+    # the third axis, those runs hold about 10⁴ candidate points in all.
+    # Sorted on the first two axes, a run would hold most of its column's
+    # points, over 10⁷ candidates in all.  No point is at distance δ, so both
+    # routes are certified.
     listed = []
     chunks = tube._chunks
 
@@ -583,10 +585,12 @@ def test_oracle_sorts_on_the_widest_axes(monkeypatch):
         return chunks(counts)
     monkeypatch.setattr(tube, "_chunks", counting)
     pts = [(F(k % 7, 25000), F(k % 5, 25000), F(k, 3000)) for k in range(3000)]
-    q = TubeQuery(line_segment((0, 0, 0), (0, 0, 1)), F(1, 10 ** 4), FiniteSet(pts))
+    K, delta = tube._SAMPLE_BLOCK, F(1, 10 ** 4)
+    q = TubeQuery(line_segment((0, 0, 0), (0, 0, 1)), delta, FiniteSet(pts))
     r, rb = count_in_tube(q), brute_force_tube_oracle(q)
     assert r.certified and rb.certified and r.points == rb.points
-    assert len(listed) == 2 and listed[0] == 6 * 10001
+    columns = 1 + math.floor(25000 * delta * (1 + F(1, 200) + F(K, 100)))
+    assert len(listed) == 2 and listed[0] == columns * (rb.arcs_examined // K + 1)
 
 
 _XY = MonomialSet([(1, 0), (0, 1), (1, 1)])
@@ -701,18 +705,101 @@ def _past_the_end(curve, steps, upper):
 def _all_pairs_nearest(curve, grid, pts, upper):
     """Each point's least squared distance to a sample γ(t) of
     np.linspace(lo, hi, n + 1), and the lowest index at which it is taken,
-    from every (point, sample) pair, 256 points at a time; inf and -1 for a
+    from every (point, sample) pair, about 2¹⁸ pairs at a time; inf and -1 for a
     point more than 2·upper outside the samples' bounding box on some axis,
     which no sample is within upper of."""
     samples = eval_array(curve, np.linspace(grid.lo, grid.hi, grid.n + 1))
     d2, nearest = np.full(len(pts), np.inf), np.full(len(pts), -1)
     box = ((pts >= samples.min(axis=0) - 2 * upper)
            & (pts <= samples.max(axis=0) + 2 * upper)).all(axis=1)
-    for s in np.array_split(np.flatnonzero(box), len(box) // 256 + 1):
+    for s in np.array_split(np.flatnonzero(box),
+                            len(box) * len(samples) // (1 << 18) + 1):
         d = tube._sum_sq(samples[None, :, :] - pts[s, None, :])
         nearest[s] = d.argmin(axis=1)   # the first of equal minima
         d2[s] = d.min(axis=1)
     return d2, nearest
+
+
+def _oracle_grid(curve, delta: float):
+    """The oracle's grid: arclength steps of δ/100 at the curve's speed bound."""
+    speed = max(curve.derivative_bound(1), 1e-12)
+    width = float(curve.domain[1]) - float(curve.domain[0])
+    return _grid(curve, max(8, math.ceil(width * speed / (delta / 100.0))))
+
+
+def _oracle_from_all_pairs(q):
+    """The oracle's answer from each point's nearest sample over every
+    (point, sample) pair: the same grid, upper, band, slack and zoom."""
+    curve, delta = q.curve, float(q.delta)
+    band, slack = tube.AMBIGUITY_REL * delta, delta / 100.0 / 2.0
+    fs, pts = tube.materialize_source(q.source)
+    if not len(pts):
+        return tube.CountResult(0, (), 0, True)
+    grid = _oracle_grid(curve, delta)
+    upper = delta + band + slack + 1e-15
+    d2, nearest = _all_pairs_nearest(curve, grid, pts, upper)
+    d = np.sqrt(d2)
+    near = d2 < upper * upper
+    inside = near & (d <= delta - band)
+    todo = np.flatnonzero(near & ~inside & ~(d - slack > delta + band))
+    d_star = tube._zoom(curve, pts[todo], grid[nearest[todo]], grid.lo, grid.hi,
+                        (grid.hi - grid.lo) / grid.n)
+    inside[todo[d_star <= delta]] = True
+    points = tuple(fs._point(i) for i in np.flatnonzero(inside).tolist())
+    return tube.CountResult(len(points), points, grid.n,
+                            not (np.abs(d_star - delta) <= band).any())
+
+
+@st.composite
+def oracle_queries(draw):
+    """A planar graph, circle, arc, cubic or lift, δ, and a lattice box (planar
+    curves), a GAP, or explicit points on the oracle's own grid: normal to a
+    first sample at a few ulps from δ − band, and normal to a sample late in
+    a block, whose nearest first sample opens the next block, at about δ."""
+    curve = _graph_or_named_curve(draw)
+    delta = F(1, draw(st.integers(4, 24)))
+    n = curve.dimension
+    kind = draw(st.sampled_from(["explicit", "gap", "lattice"][:2 + (n == 2)]))
+    if kind == "lattice":
+        ends = st.lists(st.fractions(-1, 1, max_denominator=5), min_size=2,
+                        max_size=2).map(sorted)
+        source = LatticeSource(draw(st.integers(1, 12)), (draw(ends), draw(ends)))
+        return TubeQuery(curve, delta, source)
+    coords = st.lists(st.fractions(-1, 1, max_denominator=9), min_size=n, max_size=n)
+    if kind == "gap":
+        steps = st.lists(st.fractions(-F(1, 4), F(1, 4), max_denominator=16),
+                         min_size=n, max_size=n)
+        m = draw(st.integers(1, 3))
+        gap = Gap(draw(coords), draw(st.lists(steps, min_size=m, max_size=m)),
+                  draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+        return TubeQuery(curve, delta, GapSource(gap))
+    K, d = tube._SAMPLE_BLOCK, float(delta)
+    grid = _oracle_grid(curve, d)
+    shell = (d - tube.AMBIGUITY_REL * d) * (1 + np.arange(-4, 5) * 2.0 ** -52)
+    late = d * np.array([1 - 1e-6, 1 + 1e-6, 1 - 2e-9, 1 + 2e-9, 0.99])
+    pts = {tuple(draw(coords))}
+    for _ in range(draw(st.integers(0, 12))):
+        i = K * draw(st.integers(0, grid.n // K))
+        radius = draw(st.sampled_from(list(shell)))
+        if draw(st.booleans()):
+            i = min(grid.n, i + draw(st.integers(K // 2 + 1, K - 1)))
+            radius = draw(st.sampled_from(list(late)))
+        v = np.array([float(c) for c in draw(coords)])
+        w = eval_array(curve, grid[[i]], 1)[0]
+        v -= (v @ w) / (w @ w) * w
+        if np.linalg.norm(v) > 0:
+            p = eval_array(curve, grid[[i]])[0] + radius * v / np.linalg.norm(v)
+            pts.add(tuple(F(float(c)) for c in p))
+    return TubeQuery(curve, delta, FiniteSet(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_queries())
+def test_oracle_matches_its_rule_over_all_samples(q):
+    # the coarse step decides the points within δ − band of a first sample,
+    # and the dense step sees only the others; the answer must be the one
+    # the oracle's rule gives from every (point, sample) pair
+    assert brute_force_tube_oracle(q) == _oracle_from_all_pairs(q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -725,8 +812,9 @@ def test_pruned_samples_match_dense_samples(case):
     # sample shows
     curve, grid, pts, upper = case
     d2, nearest = _all_pairs_nearest(curve, grid, pts, upper)
-    p2, pnearest = tube._grid_nearest(curve, grid, pts, upper,
-                                      derivative_sup_bound(curve, 1))
+    pid, block, _, _ = tube._grid_pairs(curve, grid, pts, upper,
+                                        derivative_sup_bound(curve, 1), 10 ** 9)
+    p2, pnearest = tube._grid_nearest(curve, grid, pts, pid, block)
     near = d2 < upper * upper
     assert np.array_equal(p2 < upper * upper, near)
     assert d2[near].tobytes() == p2[near].tobytes()
@@ -775,9 +863,11 @@ def test_reach_pairs_match_all_pairs(case):
     pts, centers, reach, block = case
     passing = tube._sum_sq(pts[:, None, :] - centers[None, :, :]) < reach * reach
     with mock.patch.object(tube, "_PAIR_BLOCK", block):
-        pid, cid = tube._reach_pairs(pts, centers, reach)
+        pid, cid, dist, _ = tube._reach_pairs(pts, centers, reach, 10 ** 9)
     assert (np.diff(cid) >= 0).all()
     assert sorted(zip(pid.tolist(), cid.tolist())) == list(zip(*np.nonzero(passing)))
+    sq = tube._sum_sq(pts[pid] - centers[cid])
+    assert dist.tobytes() == sq.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -836,6 +926,38 @@ def test_oracle_with_no_point_within_reach(monkeypatch):
         rb = brute_force_tube_oracle(TubeQuery(circle_arc(), delta, source))
         assert (rb.count, rb.points, rb.certified) == (0, (), True)
         assert rb.arcs_examined == steps and evaluated == [blocks]
+
+
+def test_oracle_decides_deep_points_from_first_samples(monkeypatch):
+    # the first samples lie K·δ/100 ≤ δ of arc apart, so every point on the
+    # circle is within δ/2 < δ − band of one: each paired point is inside
+    # from the coarse step, and only the first samples are evaluated
+    evaluated = []
+
+    def counted(curve, ts, order=0):
+        evaluated.append(np.size(ts))
+        return eval_array(curve, ts, order)
+    monkeypatch.setattr(tube, "eval_array", counted)
+    on_circle = [(1, 0), (0, 1), (-1, 0), (F(3, 5), F(4, 5)), (F(-5, 13), F(-12, 13))]
+    rb = brute_force_tube_oracle(TubeQuery(circle_arc(), F(1, 100), FiniteSet(on_circle)))
+    assert (rb.count, rb.points, rb.certified) == (5, tuple(sorted(on_circle)), True)
+    assert evaluated == [rb.arcs_examined // tube._SAMPLE_BLOCK + 1]
+
+
+@pytest.mark.parametrize("part", ["runs", "pairs", "distances"])
+def test_oracle_work_is_capped(part):
+    # the grid has one block, whose first sample (0, 0) has the one column
+    # x = 0 within reach: 1 run, then its 3 points, of which only (0, 21/20)
+    # is farther than δ − band and measured against the block's samples;
+    # each part is charged before it is formed
+    q = TubeQuery(line_segment((0, 0), (F(1, 100), 0)), 1,
+                  FiniteSet([(0, 0), (0, F(1, 2)), (0, F(21, 20))]))
+    work = {"runs": 1, "pairs": 1 + 3, "distances": 1 + 3 + tube._SAMPLE_BLOCK}[part]
+    with pytest.raises(CapExceeded, match=f"^tube oracle work {work} exceeds cap {work - 1}$"):
+        brute_force_tube_oracle(q, cap=work - 1)
+    if part == "distances":
+        r = brute_force_tube_oracle(q, cap=work)
+        assert (r.count, r.points, r.certified) == (2, ((0, 0), (0, F(1, 2))), True)
 
 
 def test_oracle_limits():
